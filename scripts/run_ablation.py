@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from descmatch import datagen, evaluation, geometry, trainer
+from descmatch import datagen, evaluation, trainer
 from descmatch.losses import LossConfig
 
 
@@ -51,12 +51,11 @@ def run_one(dataset, variant, args, seed):
                                  loss=LossConfig())
     result = trainer.train(dataset, config)
     img_e, txt_e = trainer.embed_dataset(result.params, dataset)
-    sims = geometry.sim_matrix(img_e, txt_e)
     report = evaluation.evaluate(img_e, txt_e, dataset.image_of_text,
                                  levels=dataset.levels)
     return {
         "d_corr": report["d_corr"],
-        "rsum": evaluation.rsum(sims, dataset.image_of_text),
+        "rsum": report["rsum"],
         "precision": report["hierarchical"]["precision"],
         "recall": report["hierarchical"]["recall"],
     }

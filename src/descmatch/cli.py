@@ -18,65 +18,118 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import datagen, evaluation, losses, trainer
 
-_REQUIRED = {
-    "score": ("corpus", "out"),
-    "synth": ("out",),
-    "train": ("corpus", "table", "image_features", "text_features", "out"),
-    "eval": ("corpus", "table", "image_features", "text_features",
-             "checkpoint", "out"),
-    "gradcheck": (),
+REQUIRED = object()  # default marker of an option that must be given
+
+# One row per option: (config key, type, default or REQUIRED, help[, choices]).
+# The flag is the key with dashes; config files may spell it either way,
+# and the config echo writes the key itself.
+_CORPUS = ("corpus", str, REQUIRED, "corpus JSONL path")
+_OUT_DIR = ("out", str, REQUIRED, "output directory")
+_SEED = ("seed", int, 0, "rng seed")
+_DATASET = (
+    _CORPUS,
+    ("table", str, REQUIRED, "descriptiveness table JSONL path"),
+    ("image_features", str, REQUIRED, "image feature manifest/stem"),
+    ("text_features", str, REQUIRED, "text feature manifest/stem"),
+)
+_OPTIONS = {
+    "score": (
+        _CORPUS,
+        ("out", str, REQUIRED, "output table JSONL path"),
+        ("pool_split", str, "train", "split defining the pool"),
+    ),
+    "synth": (
+        _OUT_DIR,
+        ("images", int, 200, "number of images"),
+        ("levels", int, 4, "hierarchy depth"),
+        ("shared_vocab", int, 12, "common-word vocabulary size"),
+        ("rare_vocab", int, 600, "level-word vocabulary size"),
+        ("dim", int, 48, "feature dimension"),
+        ("noise_sigma", float, 0.25, "per-level feature noise"),
+        _SEED,
+    ),
+    "train": (
+        *_DATASET,
+        _OUT_DIR,
+        ("split", str, "train", "training split"),
+        ("val_split", str, "auto", "validation split, 'auto' or 'none'"),
+        ("variant", str, "full", "loss variant", sorted(trainer.LOSS_VARIANTS)),
+        ("embed_dim", int, 64, "shared embedding dimension"),
+        ("batch_size", int, 128, "texts per batch"),
+        ("epochs", int, 25, "training epochs"),
+        ("lr", float, 5e-4, "AdamW learning rate"),
+        ("weight_decay", float, 1e-4, "decoupled weight decay"),
+        ("warmup_epochs", int, 2, "epochs using mean-of-hinges instead of mining"),
+        ("decay_epoch", int, 15, "epoch the lr decays at"),
+        ("decay_factor", float, 0.1, "lr multiplier at the decay epoch"),
+        _SEED,
+        ("alpha", float, 0.2, "fixed margin of the baseline variant"),
+        ("tau", float, 6.0, "adaptive margin divisor"),
+        ("lambda", float, 0.07, "ordering loss weight"),
+        ("resume", str, None, "checkpoint to resume from"),
+    ),
+    "eval": (
+        *_DATASET,
+        ("checkpoint", str, REQUIRED, "trained checkpoint path"),
+        _OUT_DIR,
+        ("split", str, "train", "split to evaluate"),
+        ("folds", int, None, "also report fold-averaged recalls"),
+        ("points", int, 50, "stations on the specific-to-generic walk"),
+    ),
+    "gradcheck": (
+        _SEED,
+        ("trials", int, 20, "random batches per loss"),
+        ("step", float, 1e-5, "central-difference step"),
+        ("tol", float, 1e-4, "relative-error threshold"),
+    ),
 }
 
-_DEFAULTS = {
-    "score": {"corpus": None, "out": None, "pool_split": "train"},
-    "synth": {"out": None, "images": 200, "levels": 4, "shared_vocab": 12,
-              "rare_vocab": 600, "dim": 48, "noise_sigma": 0.25, "seed": 0},
-    "train": {"corpus": None, "table": None, "image_features": None,
-              "text_features": None, "out": None, "split": "train",
-              "val_split": "auto", "variant": "full", "embed_dim": 64,
-              "batch_size": 128, "epochs": 25, "lr": 5e-4,
-              "weight_decay": 1e-4, "warmup_epochs": 2, "decay_epoch": 15,
-              "decay_factor": 0.1, "seed": 0, "alpha": 0.2, "tau": 6.0,
-              "lambda_": 0.07, "resume": None},
-    "eval": {"corpus": None, "table": None, "image_features": None,
-             "text_features": None, "checkpoint": None, "out": None,
-             "split": "train", "folds": None, "points": 50},
-    "gradcheck": {"seed": 0, "trials": 20, "step": 1e-5, "tol": 1e-4},
-}
+
+def _fits(type_, default, value) -> bool:
+    """Whether a config-file value has the JSON type of its option."""
+    if value is None:
+        return default is None
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if type_ is float else type_)
 
 
-def _merge_config(args: argparse.Namespace, command: str) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
     """Defaults, then config-file values, then explicit flags."""
-    defaults = _DEFAULTS[command]
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
+    options = {key: (type_, default)
+               for key, type_, default, *_ in _OPTIONS[args.command]}
+    cfg = {key: (None if default is REQUIRED else default)
+           for key, (_, default) in options.items()}
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         for key, value in loaded.items():
-            dest = "lambda_" if key == "lambda" else key.replace("-", "_")
-            if dest not in defaults:
+            name = key.replace("-", "_")
+            if name not in options:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
-            cfg[dest] = value
-    for key, value in vars(args).items():
-        if key in defaults and value is not None:
-            cfg[key] = value
-    for name in _REQUIRED[command]:
-        if cfg[name] is None:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
+            type_, default = options[name]
+            if not _fits(type_, default, value):
+                raise ValueError(f"{args.config}: {key!r} must be "
+                                 f"{type_.__name__}, got {json.dumps(value)}")
+            cfg[name] = value
+    for key in options:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    for key, (_, default) in options.items():
+        if default is REQUIRED and cfg[key] is None:
+            raise ValueError(f"missing required option --{key.replace('_', '-')}")
     return cfg
 
 
 def _write_config_echo(out_dir, cfg: dict) -> None:
-    pretty = {("lambda" if k == "lambda_" else k): v for k, v in cfg.items()}
     with open(Path(out_dir) / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(pretty, fh, indent=2, sort_keys=True)
+        json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, "score")
+def _cmd_score(cfg: dict) -> int:
     records = corpus_mod.read_corpus_jsonl(cfg["corpus"])
     _, table = corpus_mod.build_table(records, pool_split=cfg["pool_split"])
     corpus_mod.write_table_jsonl(cfg["out"], table)
@@ -86,8 +139,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, "synth")
+def _cmd_synth(cfg: dict) -> int:
     spec = datagen.SynthSpec(
         n_images=cfg["images"], levels=cfg["levels"],
         shared_vocab=cfg["shared_vocab"], rare_vocab=cfg["rare_vocab"],
@@ -100,6 +152,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_dataset(cfg: dict, split: str) -> trainer.Dataset:
+    return trainer.load_dataset(cfg["corpus"], cfg["table"], cfg["image_features"],
+                                cfg["text_features"], split=split)
+
+
 def _train_config(cfg: dict) -> trainer.TrainConfig:
     return trainer.TrainConfig(
         embed_dim=cfg["embed_dim"], batch_size=cfg["batch_size"],
@@ -108,23 +165,16 @@ def _train_config(cfg: dict) -> trainer.TrainConfig:
         decay_factor=cfg["decay_factor"], seed=cfg["seed"],
         variant=cfg["variant"],
         loss=losses.LossConfig(alpha=cfg["alpha"], tau=cfg["tau"],
-                               lam=cfg["lambda_"]))
+                               lam=cfg["lambda"]))
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, "train")
-    dataset = trainer.load_dataset(cfg["corpus"], cfg["table"],
-                                   cfg["image_features"], cfg["text_features"],
-                                   split=cfg["split"])
+def _cmd_train(cfg: dict) -> int:
+    dataset = _load_dataset(cfg, cfg["split"])
     val_split = cfg["val_split"]
     if val_split == "auto":
         present = {r.split for r in corpus_mod.read_corpus_jsonl(cfg["corpus"])}
         val_split = "val" if ("val" in present and cfg["split"] != "val") else "none"
-    val_dataset = None
-    if val_split != "none":
-        val_dataset = trainer.load_dataset(cfg["corpus"], cfg["table"],
-                                           cfg["image_features"],
-                                           cfg["text_features"], split=val_split)
+    val_dataset = None if val_split == "none" else _load_dataset(cfg, val_split)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_config_echo(out, cfg)
@@ -144,11 +194,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, "eval")
-    dataset = trainer.load_dataset(cfg["corpus"], cfg["table"],
-                                   cfg["image_features"], cfg["text_features"],
-                                   split=cfg["split"])
+def _cmd_eval(cfg: dict) -> int:
+    dataset = _load_dataset(cfg, cfg["split"])
     saved = trainer.load_checkpoint(cfg["checkpoint"])
     img_e, txt_e = trainer.embed_dataset(saved["params"], dataset)
     levels = dataset.levels if (dataset.levels >= 0).any() else None
@@ -172,8 +219,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, "gradcheck")
+def _cmd_gradcheck(cfg: dict) -> int:
     result = losses.run_gradcheck(seed=cfg["seed"], trials=cfg["trials"],
                                   h=cfg["step"], tol=cfg["tol"])
     worst_by_loss: dict[str, float] = {}
@@ -188,91 +234,37 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if result["passed"] else 1
 
 
+_COMMANDS = (
+    ("score", _cmd_score, "build a descriptiveness table"),
+    ("synth", _cmd_synth, "generate a synthetic dataset"),
+    ("train", _cmd_train, "train the shared embedding"),
+    ("eval", _cmd_eval, "evaluate a checkpoint"),
+    ("gradcheck", _cmd_gradcheck, "finite-difference gradient audit"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="descmatch",
         description="Descriptiveness-weighted cross-modal retrieval toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, func, help_text in _COMMANDS:
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-
-    p = sub.add_parser("score", help="build a descriptiveness table")
-    common(p)
-    p.add_argument("--corpus", help="corpus JSONL path")
-    p.add_argument("--out", help="output table JSONL path")
-    p.add_argument("--pool-split", help="split defining the pool (default train)")
-    p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    common(p)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--images", type=int, help="number of images")
-    p.add_argument("--levels", type=int, help="hierarchy depth")
-    p.add_argument("--shared-vocab", type=int, help="common-word vocabulary size")
-    p.add_argument("--rare-vocab", type=int, help="level-word vocabulary size")
-    p.add_argument("--dim", type=int, help="feature dimension")
-    p.add_argument("--noise-sigma", type=float, help="per-level feature noise")
-    p.add_argument("--seed", type=int, help="rng seed")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("train", help="train the shared embedding")
-    common(p)
-    p.add_argument("--corpus", help="corpus JSONL path")
-    p.add_argument("--table", help="descriptiveness table JSONL path")
-    p.add_argument("--image-features", help="image feature manifest/stem")
-    p.add_argument("--text-features", help="text feature manifest/stem")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--split", help="training split (default train)")
-    p.add_argument("--val-split",
-                   help="validation split, 'auto' (default) or 'none'")
-    p.add_argument("--variant", choices=sorted(trainer.LOSS_VARIANTS),
-                   help="loss variant (default full)")
-    p.add_argument("--embed-dim", type=int, help="shared embedding dimension")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--warmup-epochs", type=int,
-                   help="epochs using mean-of-hinges instead of mining")
-    p.add_argument("--decay-epoch", type=int, help="epoch the lr decays at")
-    p.add_argument("--decay-factor", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float, help="fixed margin (baseline variant)")
-    p.add_argument("--tau", type=float, help="adaptive margin divisor")
-    p.add_argument("--lambda", dest="lambda_", type=float,
-                   help="ordering loss weight")
-    p.add_argument("--resume", help="checkpoint to resume from")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p)
-    p.add_argument("--corpus", help="corpus JSONL path")
-    p.add_argument("--table", help="descriptiveness table JSONL path")
-    p.add_argument("--image-features", help="image feature manifest/stem")
-    p.add_argument("--text-features", help="text feature manifest/stem")
-    p.add_argument("--checkpoint", help="trained checkpoint path")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--split", help="split to evaluate (default train)")
-    p.add_argument("--folds", type=int, help="also report fold-averaged recalls")
-    p.add_argument("--points", type=int,
-                   help="stations on the specific-to-generic walk (default 50)")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int, help="random batches per loss")
-    p.add_argument("--step", type=float, help="central-difference step")
-    p.add_argument("--tol", type=float, help="relative-error threshold")
-    p.set_defaults(func=_cmd_gradcheck)
+        for key, type_, default, help_text, *choices in _OPTIONS[command]:
+            if default not in (REQUIRED, None):
+                help_text += f" (default {default})"
+            p.add_argument("--" + key.replace("_", "-"), type=type_,
+                           choices=choices[0] if choices else None,
+                           help=help_text)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_merge_config(args))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,11 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# incremented on every hardest_negatives call; tests reset it to observe
-# the warm-up schedule
-MINING_CALLS = 0
-
-
 @dataclass(frozen=True)
 class LossConfig:
     alpha: float = 0.2
@@ -113,8 +108,6 @@ def hardest_negatives(sims: np.ndarray, pair_map: list[tuple[int, int]],
     the image side.  Ties break toward the lowest index (argmax keeps the
     first maximum).
     """
-    global MINING_CALLS
-    MINING_CALLS += 1
     sims = np.asarray(sims, dtype=np.float64)
     image_of_text = np.asarray(image_of_text, dtype=np.int64)
     n_img, _ = sims.shape
@@ -134,10 +127,11 @@ def hardest_negatives(sims: np.ndarray, pair_map: list[tuple[int, int]],
     return t_neg.astype(np.int64), v_neg.astype(np.int64)
 
 
-def adaptive_margins(delta_t: float, delta_tneg: float, tau: float) -> tuple[float, float]:
+def adaptive_margins(delta_t, delta_tneg, tau: float):
     """Margins from descriptiveness sums: the text-side margin couples the
-    positive and mined-negative sentences; the image-side margin doubles
-    the positive sentence's score, exactly as formulated."""
+    positive and negative sentences; the image-side margin doubles the
+    positive sentence's score, exactly as formulated.  Works elementwise
+    on broadcastable arrays."""
     return (delta_t + delta_tneg) / tau, (delta_t + delta_t) / tau
 
 
@@ -160,8 +154,7 @@ def _ranking_loss(batch: Batch, config: LossConfig, adaptive: bool) -> LossOutpu
     if config.use_hardest_mining:
         t_neg, v_neg = hardest_negatives(sims, batch.pair_map, batch.image_of_text)
         if adaptive:
-            a_i2t = (deltas[p_j] + deltas[t_neg]) / config.tau
-            a_t2i = (deltas[p_j] + deltas[p_j]) / config.tau
+            a_i2t, a_t2i = adaptive_margins(deltas[p_j], deltas[t_neg], config.tau)
         else:
             a_i2t = np.full(len(batch.pair_map), config.alpha)
             a_t2i = a_i2t
@@ -188,11 +181,11 @@ def _ranking_loss(batch: Batch, config: LossConfig, adaptive: bool) -> LossOutpu
         i, j = batch.pair_map[bad]
         raise ValueError(f"pair ({i}, {j}) has no admissible negative")
     if adaptive:
-        margins_t = (deltas[p_j][:, None] + deltas[None, :]) / config.tau
-        a_t2i = (deltas[p_j] + deltas[p_j]) / config.tau
+        margins_t, a_t2i = adaptive_margins(deltas[p_j][:, None], deltas[None, :],
+                                            config.tau)
     else:
         margins_t = np.full((n_pairs, batch.n_texts), config.alpha)
-        a_t2i = np.full(n_pairs, config.alpha)
+        a_t2i = np.full((n_pairs, 1), config.alpha)
     h1 = margins_t - s_pos[:, None] + sims[p_i]
     act1 = (h1 > 0.0) & allowed_t
     value = float(np.sum(np.sum(h1 * act1, axis=1) / n1))
@@ -205,7 +198,7 @@ def _ranking_loss(batch: Batch, config: LossConfig, adaptive: bool) -> LossOutpu
     n2 = batch.n_images - 1
     allowed_i = np.ones((n_pairs, batch.n_images), dtype=bool)
     allowed_i[np.arange(n_pairs), p_i] = False
-    h2 = a_t2i[:, None] - s_pos[:, None] + sims[:, p_j].T
+    h2 = a_t2i - s_pos[:, None] + sims[:, p_j].T
     act2 = (h2 > 0.0) & allowed_i
     value += float(np.sum(np.sum(h2 * act2, axis=1) / n2))
     c2 = act2.sum(axis=1)
@@ -374,8 +367,7 @@ def kink_gap(batch: Batch, config: LossConfig) -> float:
                 gap = min(gap, float(top[1] - top[0]))
         for adaptive in (False, True):
             if adaptive:
-                margins_t = (deltas[j] + deltas[t_cand]) / config.tau
-                a_t2i = 2.0 * deltas[j] / config.tau
+                margins_t, a_t2i = adaptive_margins(deltas[j], deltas[t_cand], config.tau)
             else:
                 margins_t = np.full(t_cand.size, config.alpha)
                 a_t2i = config.alpha

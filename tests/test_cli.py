@@ -92,6 +92,23 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, want", [
+    ("epochs", "3", 'int, got "3"'),
+    ("lr", "fast", 'float, got "fast"'),
+    ("epochs", True, "int, got true"),
+    ("out", None, "str, got null"),
+], ids=["str-for-int", "str-for-float", "bool-for-int", "null-for-required"])
+def test_config_rejects_mistyped_values(tmp_path, capsys, key, value, want):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = cli.main(["train", "--config", str(cfg), "--corpus", "c",
+                     "--table", "t", "--image-features", "i",
+                     "--text-features", "x", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{cfg}: {key!r} must be {want}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_required_option(capsys):
     code = cli.main(["score", "--corpus", "whatever.jsonl"])
     assert code == 2

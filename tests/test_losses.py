@@ -79,13 +79,16 @@ def test_hardest_negatives_requires_admissible_candidates():
         L.hardest_negatives(np.array([[0.5, 0.4]]), [(0, 0)], np.array([0, 1]))
 
 
-def test_mining_counter_tracks_warmup_mode():
+def test_mining_counter_tracks_warmup_mode(monkeypatch):
     batch = L.random_batch(np.random.default_rng(0))
-    L.MINING_CALLS = 0
+    calls = []
+    mine = L.hardest_negatives
+    monkeypatch.setattr(L, "hardest_negatives",
+                        lambda *a: calls.append(a) or mine(*a))
     L.adaptive_triplet_loss(batch, L.LossConfig(use_hardest_mining=False))
-    assert L.MINING_CALLS == 0
+    assert len(calls) == 0
     L.adaptive_triplet_loss(batch, L.LossConfig(use_hardest_mining=True))
-    assert L.MINING_CALLS == 1
+    assert len(calls) == 1
 
 
 def test_adaptive_triplet_worked_example():

@@ -154,14 +154,17 @@ def test_lr_decay_schedule():
 
 def test_warmup_epochs_never_mine(monkeypatch):
     ds = tiny_dataset()
-    losses.MINING_CALLS = 0
+    calls = []
+    mine = losses.hardest_negatives
+    monkeypatch.setattr(losses, "hardest_negatives",
+                        lambda *a: calls.append(a) or mine(*a))
     cfg = trainer.TrainConfig(embed_dim=5, batch_size=8, epochs=2, lr=1e-3,
                               warmup_epochs=2)
     trainer.train(ds, cfg)
-    assert losses.MINING_CALLS == 0
+    assert len(calls) == 0
     cfg2 = dataclasses.replace(cfg, warmup_epochs=0)
     trainer.train(ds, cfg2)
-    assert losses.MINING_CALLS > 0
+    assert len(calls) > 0
 
 
 def test_non_finite_loss_aborts(monkeypatch):
