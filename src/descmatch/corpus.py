@@ -195,8 +195,8 @@ def read_corpus_jsonl(path) -> list[SentenceRecord]:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
             try:
+                obj = json.loads(line)
                 split = obj.get("split", "train")
                 if split not in VALID_SPLITS:
                     raise ValueError(f"bad split {split!r}")
@@ -210,7 +210,7 @@ def read_corpus_jsonl(path) -> list[SentenceRecord]:
                         level=None if level is None else int(level),
                     )
                 )
-            except (KeyError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed corpus record: {exc}") from exc
     return records
 
@@ -234,16 +234,23 @@ def write_table_jsonl(path, table: DescriptivenessTable) -> None:
 
 def read_table_jsonl(path) -> DescriptivenessTable:
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if "raw_min" not in header or "raw_max" not in header:
-            raise ValueError(f"{path}: missing table header record")
+        try:
+            header = json.loads(fh.readline())
+            raw_min, raw_max = float(header["raw_min"]), float(header["raw_max"])
+        except KeyError as exc:
+            raise ValueError(f"{path}:1: missing table header record") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:1: malformed table header: {exc}") from exc
         scores = {}
         raws = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            scores[str(obj["id"])] = float(obj["delta"])
-            raws[str(obj["id"])] = float(obj["raw"])
-    return DescriptivenessTable(scores=scores, raw_scores=raws, raw_min=float(header["raw_min"]), raw_max=float(header["raw_max"]))
+            try:
+                obj = json.loads(line)
+                scores[str(obj["id"])] = float(obj["delta"])
+                raws[str(obj["id"])] = float(obj["raw"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed table record: {exc}") from exc
+    return DescriptivenessTable(scores=scores, raw_scores=raws, raw_min=raw_min, raw_max=raw_max)

@@ -2,10 +2,16 @@
 and report files.
 
 Rankings sort by descending similarity with ties broken toward the lower
-index, so every metric is deterministic for a given matrix.  Recalls are
-percentages; RSUM is the six-way sum of R@{1,5,10} in both directions,
-accumulated with math.fsum so the reported value is the correctly rounded
-float64 sum of its terms.
+index, so every metric is deterministic for a given matrix.  No metric
+sorts, though: the rank of an item is counted as the number of items with
+strictly greater similarity plus the number of equal ones at a lower
+index, which is its 0-based position in that order, and a query hits at k
+when its relevant item's rank is below k.  A text's relevant item is its
+owning image; an image's is its best owned text (highest similarity,
+lowest index among ties), since any owned text in the top k puts that one
+there too.  Recalls are percentages; RSUM is the six-way sum of
+R@{1,5,10} in both directions, accumulated with math.fsum so the reported
+value is the correctly rounded float64 sum of its terms.
 """
 
 from __future__ import annotations
@@ -29,6 +35,65 @@ def ranked_indices(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(scores.shape[0]), -scores))
 
 
+# entries per temporary of the blocked rank count and traversal screen
+_BLOCK_ENTRIES = 1 << 18
+
+# rank of a query with no relevant item: no k reaches it
+_NEVER = np.iinfo(np.int64).max
+
+
+def _ranks(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per row r, the rank of column targets[r] among the row's entries in
+    descending order with ties toward the lower column, in blocks of rows."""
+    n_rows, n_cols = scores.shape
+    cols = np.arange(n_cols)
+    out = np.empty(n_rows, dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // max(1, n_cols))
+    for start in range(0, n_rows, step):
+        block = scores[start:start + step]
+        target = targets[start:start + step, None]
+        value = np.take_along_axis(block, target, axis=1)
+        ahead = block > value
+        ahead |= (block == value) & (cols < target)
+        out[start:start + step] = np.count_nonzero(ahead, axis=1)
+    return out
+
+
+def query_ranks(sims: np.ndarray, image_of_text: np.ndarray,
+                direction: str) -> np.ndarray:
+    """Rank of each query's relevant item (see the module docstring): one
+    per image for "i2t", one per text for "t2i".  An image that owns no
+    text, or a text whose owner is not a row of sims, never hits."""
+    sims = np.asarray(sims, dtype=np.float64)
+    owners = np.asarray(image_of_text, dtype=np.int64)
+    n_img, n_txt = sims.shape
+    if owners.shape != (n_txt,):
+        raise ValueError("image_of_text must have one entry per text")
+    valid = (owners >= 0) & (owners < n_img)
+    if direction == "t2i":
+        scores, target, has = sims.T, np.where(valid, owners, 0), valid
+    elif direction == "i2t":
+        texts = np.flatnonzero(valid)
+        # by owner, then descending similarity, then text index
+        texts = texts[np.lexsort((texts, -sims[owners[texts], texts], owners[texts]))]
+        own = owners[texts]
+        first = np.diff(own, prepend=-1) != 0
+        scores, target, has = sims, np.zeros(n_img, dtype=np.int64), np.zeros(n_img, dtype=bool)
+        target[own[first]] = texts[first]
+        has[own] = True
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    ranks = _ranks(scores, target)
+    ranks[~has] = _NEVER
+    return ranks
+
+
+def _recall(ranks: np.ndarray, k: int) -> float:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return 100.0 * int(np.count_nonzero(ranks < k)) / ranks.size
+
+
 def recall_at_k(sims: np.ndarray, image_of_text: np.ndarray, k: int,
                 direction: str) -> float:
     """Percentage of queries whose top-k contains a relevant item.
@@ -36,34 +101,15 @@ def recall_at_k(sims: np.ndarray, image_of_text: np.ndarray, k: int,
     direction "i2t": each image queries the texts it owns (any hit
     counts).  direction "t2i": each text queries its single owning image.
     """
-    sims = np.asarray(sims, dtype=np.float64)
-    owners = np.asarray(image_of_text, dtype=np.int64)
-    n_img, n_txt = sims.shape
-    if owners.shape != (n_txt,):
-        raise ValueError("image_of_text must have one entry per text")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if direction == "i2t":
-        hits = sum(
-            1 for i in range(n_img)
-            if np.any(owners[ranked_indices(sims[i])[:k]] == i)
-        )
-        return 100.0 * hits / n_img
-    if direction == "t2i":
-        hits = sum(
-            1 for j in range(n_txt)
-            if owners[j] in ranked_indices(sims[:, j])[:k]
-        )
-        return 100.0 * hits / n_txt
-    raise ValueError(f"unknown direction {direction!r}")
+    return _recall(query_ranks(sims, image_of_text, direction), k)
 
 
 def recall_suite(sims: np.ndarray, image_of_text: np.ndarray,
                  ks: tuple[int, ...] = KS) -> dict:
     out = {}
     for direction in ("i2t", "t2i"):
-        out[direction] = {k: recall_at_k(sims, image_of_text, k, direction)
-                          for k in ks}
+        ranks = query_ranks(sims, image_of_text, direction)
+        out[direction] = {k: _recall(ranks, k) for k in ks}
     return out
 
 
@@ -130,6 +176,72 @@ def nearest_candidate(point: np.ndarray, candidates: np.ndarray) -> int:
     return int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
 
 
+def _nearest_rows(points: np.ndarray, candidates: np.ndarray,
+                  lifted_cands: np.ndarray) -> np.ndarray:
+    """``nearest_candidate`` of every row of points, bit for bit.
+
+    A gemm screen s_j = |c_j|^2 - 2 p.c_j, the squared distance less |p|^2,
+    is one (d+1)-term dot of [-2p, 1] with lifted_cands[j] = [c_j, |c_j|^2].
+    Every candidate within ``slack`` of the screened minimum is re-checked
+    with the exact diff-then-square distance e_j; a point with a single such
+    candidate needs no re-check.  Bound, with u = 2^-53, g_m = m u/(1 - m u),
+    D_j the true squared distance and R = |p| + max_j |c_j|: a dot of m
+    terms in any order errs by at most g_m times the sum of |terms|, so
+    |s_j - (D_j - |p|^2)| <= 2 g_(d+1) R^2 and |e_j - D_j| <= g_(d+2) R^2.
+    For the exact winner w and the screened minimum m, e_w <= e_m, hence
+    s_w - s_m <= 2 (2 g_(d+1) + g_(d+2)) R^2 <= 6 g_(d+2) R^2.  ``slack`` is
+    twice that, 12 (d+2) u R^2, which also absorbs the rounding of slack
+    itself (barring underflow).
+    """
+    n_pts, dim = points.shape
+    out = np.empty(n_pts, dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // max(1, candidates.shape[0]))
+    unit = 12.0 * (dim + 2) * 2.0 ** -53
+    reach = math.sqrt(float(lifted_cands[:, -1].max()))
+    lifted = np.ones((min(step, n_pts), dim + 1))
+    for start in range(0, n_pts, step):
+        block = points[start:start + step]
+        lift = lifted[:block.shape[0]]
+        np.multiply(block, -2.0, out=lift[:, :-1])
+        screen = lift @ lifted_cands.T
+        best = screen.argmin(axis=1)
+        radius = np.sqrt(np.einsum("ij,ij->i", block, block)) + reach
+        slack = unit * radius * radius
+        close = screen <= np.take_along_axis(screen, best[:, None], axis=1) + slack[:, None]
+        multi = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
+        if multi.size:
+            rows, cols = np.nonzero(close[multi])
+            diffs = candidates[cols] - block[multi[rows]]
+            dist = np.einsum("ij,ij->i", diffs, diffs)
+            # rows ascend and cols ascend within a row, so the first exact
+            # minimum of each row is its lowest-index nearest candidate
+            least = np.minimum.reduceat(dist, np.searchsorted(rows, np.arange(multi.size)))
+            tied = np.flatnonzero(dist == least[rows])
+            first = np.diff(rows[tied], prepend=-1) != 0
+            best[multi] = cols[tied[first]]
+        out[start:start + step] = best
+    return out
+
+
+def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
+              n_points: int) -> list[list[int]]:
+    """``hierarchical_traverse`` of every row of images: the start points
+    in one screened pass, then each image's stations in one pass."""
+    if n_points < 2:
+        raise ValueError("need at least the two endpoints")
+    images = np.atleast_2d(np.asarray(images, dtype=np.float64))
+    candidates = np.asarray(candidates, dtype=np.float64)
+    root = np.asarray(root, dtype=np.float64)
+    lifted = np.hstack([candidates, np.einsum("ij,ij->i", candidates, candidates)[:, None]])
+    t = np.linspace(0.0, 1.0, n_points)[:, None]
+    starts = candidates[_nearest_rows(images, candidates, lifted)]
+    walks = []
+    for start in starts:
+        found = _nearest_rows((1.0 - t) * start + t * root, candidates, lifted)
+        walks.append(list(dict.fromkeys(found.tolist())))
+    return walks
+
+
 def hierarchical_traverse(image_emb: np.ndarray, candidates: np.ndarray,
                           root_emb: np.ndarray, n_points: int = 50) -> list[int]:
     """Walk the segment from the image's nearest candidate to the root and
@@ -137,18 +249,10 @@ def hierarchical_traverse(image_emb: np.ndarray, candidates: np.ndarray,
 
     The interpolated points are used as-is (no re-normalization), and the
     result keeps first-encounter order without duplicates: specific
-    retrievals appear before generic ones.
+    retrievals appear before generic ones.  Each top-1 is exactly
+    ``nearest_candidate`` of its station.
     """
-    if n_points < 2:
-        raise ValueError("need at least the two endpoints")
-    start = candidates[nearest_candidate(image_emb, candidates)]
-    seen: list[int] = []
-    for t in np.linspace(0.0, 1.0, n_points):
-        point = (1.0 - t) * start + t * root_emb
-        idx = nearest_candidate(point, candidates)
-        if idx not in seen:
-            seen.append(idx)
-    return seen
+    return _traverse(image_emb, candidates, root_emb, n_points)[0]
 
 
 def set_precision_recall(retrieved, relevant) -> tuple[float, float]:
@@ -167,6 +271,13 @@ def centroid_root(text_embs: np.ndarray) -> np.ndarray:
     return geometry.l2_normalize(mean[None, :])[0]
 
 
+def _by_owner(owners: np.ndarray, n_images: int) -> tuple[np.ndarray, np.ndarray]:
+    """Texts grouped by owning image: image i owns
+    order[bounds[i]:bounds[i + 1]], in ascending text index."""
+    order = np.argsort(owners, kind="stable")
+    return order, np.searchsorted(owners[order], np.arange(n_images + 1))
+
+
 def hierarchical_report(image_embs: np.ndarray, text_embs: np.ndarray,
                         image_of_text: np.ndarray, root_emb: np.ndarray | None = None,
                         n_points: int = 50) -> dict:
@@ -175,18 +286,16 @@ def hierarchical_report(image_embs: np.ndarray, text_embs: np.ndarray,
     owners = np.asarray(image_of_text, dtype=np.int64)
     if root_emb is None:
         root_emb = centroid_root(text_embs)
+    order, bounds = _by_owner(owners, image_embs.shape[0])
+    owning = np.flatnonzero(np.diff(bounds))
+    if owning.size == 0:
+        raise ValueError("no image owns any text")
+    walks = _traverse(image_embs[owning], text_embs, root_emb, n_points)
     precisions, recalls = [], []
-    for i in range(image_embs.shape[0]):
-        relevant = np.flatnonzero(owners == i)
-        if relevant.size == 0:
-            continue
-        retrieved = hierarchical_traverse(image_embs[i], text_embs, root_emb,
-                                          n_points)
-        p, r = set_precision_recall(retrieved, relevant.tolist())
+    for i, retrieved in zip(owning, walks):
+        p, r = set_precision_recall(retrieved, order[bounds[i]:bounds[i + 1]].tolist())
         precisions.append(p)
         recalls.append(r)
-    if not precisions:
-        raise ValueError("no image owns any text")
     return {"precision": float(np.mean(precisions)),
             "recall": float(np.mean(recalls)),
             "n_points": n_points}
@@ -201,17 +310,17 @@ def d_corr(image_embs: np.ndarray, text_embs: np.ndarray,
     """
     owners = np.asarray(image_of_text, dtype=np.int64)
     levels = np.asarray(levels, dtype=np.int64)
+    order, bounds = _by_owner(owners, image_embs.shape[0])
+    owned = order[bounds[0]:bounds[-1]]
+    dists = np.zeros(owners.shape[0])
+    dists[owned] = geometry.euclid_dists(image_embs[owners[owned]], text_embs[owned])
     scores = []
-    for i in range(image_embs.shape[0]):
-        mine = np.flatnonzero(owners == i)
-        if mine.size == 0:
-            continue
-        dists = np.array([geometry.euclid_dist(image_embs[i], text_embs[j])
-                          for j in mine])
+    for i in np.flatnonzero(np.diff(bounds)):
+        mine = order[bounds[i]:bounds[i + 1]]
         with warnings.catch_warnings():
             # single or constant inputs yield nan, which counts as 0 below
             warnings.simplefilter("ignore", stats.ConstantInputWarning)
-            rho = stats.spearmanr(levels[mine], -dists).statistic
+            rho = stats.spearmanr(levels[mine], -dists[mine]).statistic
         scores.append(0.0 if math.isnan(rho) else float(rho))
     if not scores:
         raise ValueError("no image owns any text")
@@ -221,36 +330,27 @@ def d_corr(image_embs: np.ndarray, text_embs: np.ndarray,
 def per_level_recall(sims: np.ndarray, image_of_text: np.ndarray,
                      levels: np.ndarray, k: int = 1) -> dict[int, float]:
     """Text-to-image R@k pooled over all texts of each level."""
-    sims = np.asarray(sims, dtype=np.float64)
-    owners = np.asarray(image_of_text, dtype=np.int64)
+    ranks = query_ranks(sims, image_of_text, "t2i")
     levels = np.asarray(levels, dtype=np.int64)
-    out: dict[int, float] = {}
-    for level in sorted(set(int(v) for v in levels if v >= 0)):
-        members = np.flatnonzero(levels == level)
-        hits = sum(
-            1 for j in members
-            if owners[j] in ranked_indices(sims[:, j])[:k]
-        )
-        out[level] = 100.0 * hits / members.size
-    return out
+    return {int(level): _recall(ranks[levels == level], k)
+            for level in np.unique(levels[levels >= 0])}
 
 
 def distance_by_level(image_embs: np.ndarray, text_embs: np.ndarray,
                       image_of_text: np.ndarray,
                       levels: np.ndarray) -> dict[int, float]:
-    """Mean image-to-owned-text Euclidean distance per hierarchy level."""
+    """Mean image-to-owned-text Euclidean distance per hierarchy level.
+    Each sum runs left to right in text order (cumsum; np.sum would pair
+    the terms and move the last bits of the report)."""
     owners = np.asarray(image_of_text, dtype=np.int64)
     levels = np.asarray(levels, dtype=np.int64)
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for j in range(text_embs.shape[0]):
-        if levels[j] < 0:
-            continue
-        d = geometry.euclid_dist(image_embs[int(owners[j])], text_embs[j])
-        level = int(levels[j])
-        sums[level] = sums.get(level, 0.0) + d
-        counts[level] = counts.get(level, 0) + 1
-    return {level: sums[level] / counts[level] for level in sorted(sums)}
+    known = np.flatnonzero(levels >= 0)
+    dists = geometry.euclid_dists(image_embs[owners[known]], text_embs[known])
+    out: dict[int, float] = {}
+    for level in np.unique(levels[known]):
+        mine = dists[levels[known] == level]
+        out[int(level)] = float(np.cumsum(mine)[-1]) / mine.size
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +365,9 @@ def evaluate(image_embs: np.ndarray, text_embs: np.ndarray,
     when levels are provided; fold averaging only when n_folds is set.
     """
     owners = np.asarray(image_of_text, dtype=np.int64)
+    if levels is not None:
+        levels = np.asarray(levels, dtype=np.int64)
+    with_levels = levels is not None and bool(np.any(levels >= 0))
     sims = geometry.sim_matrix(image_embs, text_embs)
     suite = recall_suite(sims, owners, ks)
     report = {
@@ -273,19 +376,21 @@ def evaluate(image_embs: np.ndarray, text_embs: np.ndarray,
         "recall": suite,
         "rsum": rsum_from_recalls(
             [suite["i2t"][k] for k in ks] + [suite["t2i"][k] for k in ks]),
-        "hierarchical": hierarchical_report(image_embs, text_embs, owners,
-                                            root_emb, n_points),
     }
+    if with_levels:
+        report["per_level_recall"] = per_level_recall(sims, owners, levels)
+    # the traversal and the folds allocate blocks of their own; dropping the
+    # full matrix first keeps the two peaks from stacking
+    del sims
+    report["hierarchical"] = hierarchical_report(image_embs, text_embs, owners,
+                                                 root_emb, n_points)
     if n_folds is not None:
         report["folded"] = folded_recall_suite(image_embs, text_embs, owners,
                                                n_folds, ks)
-    if levels is not None:
-        levels = np.asarray(levels, dtype=np.int64)
-        if np.any(levels >= 0):
-            report["d_corr"] = d_corr(image_embs, text_embs, owners, levels)
-            report["per_level_recall"] = per_level_recall(sims, owners, levels)
-            report["distance_by_level"] = distance_by_level(
-                image_embs, text_embs, owners, levels)
+    if with_levels:
+        report["d_corr"] = d_corr(image_embs, text_embs, owners, levels)
+        report["distance_by_level"] = distance_by_level(
+            image_embs, text_embs, owners, levels)
     return report
 
 

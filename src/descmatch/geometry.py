@@ -1,9 +1,19 @@
 """Embedding-vector primitives and on-disk feature formats.
 
-All arithmetic is 64-bit; the toolkit targets correctness testing, not
-throughput.  ``sim_matrix`` deliberately evaluates the same scalar kernel
-as ``cosine_sim`` per entry so that batched and per-pair results are
-bit-identical (BLAS gemm reorders the summation and is not).
+All arithmetic is 64-bit.  Every cosine similarity, batched or single,
+comes from one kernel: a fixed-order sum over the embedding dimension,
+``acc = a[0] * b[0]``, then ``acc += a[k] * b[k]`` for k = 1, 2, ..., each
+product and each sum rounded on its own, then clamped into [-1, 1].  The
+kernel is vectorised over blocks of (image, text) pairs, and the order of
+the sum never depends on the block, so an entry has the same bits in a
+full matrix, in any sub-block and in a single ``cosine_sim`` call.  BLAS
+gemm is excluded because it cannot give that guarantee: it splits and
+reorders the sum by matrix shape, and on OpenBLAS an entry of a full
+product can differ in the last bit from the same entry of a 1x1 or
+single-row product.  Batched distances keep the same contract another
+way: ``euclid_dists`` sums each squared difference with its own BLAS dot
+call, the call ``euclid_dist`` makes for one pair, so no row depends on
+the others.
 """
 
 from __future__ import annotations
@@ -36,32 +46,54 @@ def _check_dims(u: np.ndarray, v: np.ndarray) -> None:
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     """Dot product of two unit vectors, clamped into [-1, 1] against
-    rounding drift."""
+    rounding drift: the 1x1 case of ``sim_matrix``."""
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
-    _check_dims(u, v)
-    return float(min(1.0, max(-1.0, np.dot(u, v))))
+    return float(sim_matrix(u[None, :], v[None, :])[0, 0])
+
+
+def euclid_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distance between a[i] and b[i]: the difference
+    squared and summed by one BLAS dot per row (the (1, d) @ (d, 1)
+    matmul of a row), as ``np.linalg.norm`` does for one vector."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    _check_dims(a, b)
+    diff = a - b
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
 
 def euclid_dist(u: np.ndarray, v: np.ndarray) -> float:
     """Euclidean distance; for unit vectors d^2 = 2 - 2 s."""
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
-    _check_dims(u, v)
-    return float(np.linalg.norm(u - v))
+    return float(euclid_dists(u, v)[0])
+
+
+# float64 entries per block of the similarity kernel: 512 KB, which keeps
+# the running sum in cache across the embedding dimension
+_BLOCK_ENTRIES = 1 << 16
 
 
 def sim_matrix(images: np.ndarray, texts: np.ndarray) -> np.ndarray:
-    """Entry (i, j) = cosine_sim(image row i, text row j), bit-identical
-    to the per-pair calls."""
+    """Entry (i, j) = cosine_sim(image row i, text row j), bit for bit:
+    the fixed-order sum of the module docstring over blocks of image rows."""
     images = np.atleast_2d(np.asarray(images, dtype=np.float64))
     texts = np.atleast_2d(np.asarray(texts, dtype=np.float64))
     _check_dims(images, texts)
+    coords = np.ascontiguousarray(texts.T)  # row k: coordinate k of every text
     out = np.empty((images.shape[0], texts.shape[0]), dtype=np.float64)
-    for i in range(images.shape[0]):
-        row = images[i]
-        for j in range(texts.shape[0]):
-            out[i, j] = min(1.0, max(-1.0, np.dot(row, texts[j])))
+    step = max(1, _BLOCK_ENTRIES // max(1, texts.shape[0]))
+    term = np.empty((min(step, images.shape[0]), texts.shape[0]), dtype=np.float64)
+    for start in range(0, images.shape[0], step):
+        rows = images[start:start + step]
+        acc = out[start:start + step]
+        prod = term[:rows.shape[0]]
+        np.multiply(rows[:, 0:1], coords[0], out=acc)
+        for k in range(1, rows.shape[1]):
+            np.multiply(rows[:, k:k + 1], coords[k], out=prod)
+            acc += prod
+    np.clip(out, -1.0, 1.0, out=out)
     return out
 
 
@@ -122,13 +154,16 @@ def read_features_jsonl(path) -> tuple[list[str], np.ndarray]:
     ids = []
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            ids.append(str(obj["id"]))
-            rows.append(np.asarray(obj["vec"], dtype=np.float64))
+            try:
+                obj = json.loads(line)
+                ids.append(str(obj["id"]))
+                rows.append(np.asarray(obj["vec"], dtype=np.float64))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed feature record: {exc}") from exc
     if not ids:
         raise ValueError(f"{path}: no feature records")
     return ids, np.vstack(rows)

@@ -171,3 +171,11 @@ def test_eval_reports_folds_when_requested(synth_dir, tmp_path):
     assert code == 0
     report = json.loads((rpt / "report.json").read_text())
     assert len(report["folded"]["folds"]) == 3
+
+
+def test_score_names_malformed_corpus_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "image_id": "i", "text": "a dog"}\n{id: "b"}\n')
+    code = cli.main(["score", "--corpus", str(corpus), "--out", str(tmp_path / "t.jsonl")])
+    assert code == 2
+    assert f"{corpus}:2: malformed corpus record" in capsys.readouterr().err

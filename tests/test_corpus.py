@@ -132,6 +132,30 @@ def test_corpus_jsonl_rejects_bad_records(tmp_path):
         C.read_corpus_jsonl(path)
 
 
+def test_corpus_jsonl_names_malformed_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "x", "image_id": "i", "text": "t"}\n{id: "y"}\n')
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: malformed corpus record: Expecting property name"):
+        C.read_corpus_jsonl(path)
+    path.write_text('[1, 2]\n')
+    with pytest.raises(ValueError, match=r"bad\.jsonl:1: malformed corpus record"):
+        C.read_corpus_jsonl(path)
+
+
+def test_table_jsonl_names_malformed_line(tmp_path):
+    path = tmp_path / "table.jsonl"
+    good = '{"raw_min": 0.0, "raw_max": 1.0}\n{"id": "s1", "delta": 0.5, "raw": 0.5}\n'
+    path.write_text(good + '{"id": "s2", "delta": 0.5,\n')
+    with pytest.raises(ValueError, match=r"table\.jsonl:3: malformed table record"):
+        C.read_table_jsonl(path)
+    path.write_text(good + '{"id": "s2", "delta": "high", "raw": 0.5}\n')
+    with pytest.raises(ValueError, match=r"table\.jsonl:3: .*high"):
+        C.read_table_jsonl(path)
+    path.write_text('{"raw_min": 0.0, "raw_max": \n')
+    with pytest.raises(ValueError, match=r"table\.jsonl:1: malformed table header"):
+        C.read_table_jsonl(path)
+
+
 def test_table_jsonl_round_trip_is_bit_exact(tmp_path):
     _, table = C.build_table(THREE_DOCS)
     path = tmp_path / "table.jsonl"

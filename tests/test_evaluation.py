@@ -1,8 +1,10 @@
 import json
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from descmatch import evaluation as E
 from descmatch import geometry
@@ -254,3 +256,96 @@ def test_recall_matches_brute_force_oracle():
         for k in (1, 2, 5):
             for d in ("i2t", "t2i"):
                 assert E.recall_at_k(sims, owners, k, d) == brute_recall(sims, owners, k, d)
+
+
+def lexsort_recall(sims, owners, k, direction):
+    """The per-query path: one ranked_indices sort per query."""
+    n_img, n_txt = sims.shape
+    if direction == "i2t":
+        hits = sum(1 for i in range(n_img)
+                   if np.any(owners[E.ranked_indices(sims[i])[:k]] == i))
+        return 100.0 * hits / n_img
+    hits = sum(1 for j in range(n_txt)
+               if owners[j] in E.ranked_indices(sims[:, j])[:k])
+    return 100.0 * hits / n_txt
+
+
+@st.composite
+def tie_heavy_fixtures(draw):
+    n_img = draw(st.integers(2, 7))
+    n_txt = draw(st.integers(1, 14))
+    # the last image owns no text
+    owners = np.array(draw(st.lists(st.integers(0, n_img - 2),
+                                    min_size=n_txt, max_size=n_txt)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    sims = np.round(rng.uniform(-1.0, 1.0, size=(n_img, n_txt)), 1)
+    levels = np.array(draw(st.lists(st.integers(-1, 3),
+                                    min_size=n_txt, max_size=n_txt)))
+    return sims, owners, levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_fixtures())
+def test_rank_counts_equal_lexsort_path_on_ties(fixture):
+    sims, owners, levels = fixture
+    n_img, n_txt = sims.shape
+    ks = (1, 2, 5, n_img + n_txt + 3)
+    suite = E.recall_suite(sims, owners, ks)
+    for direction in ("i2t", "t2i"):
+        for k in ks:
+            want = lexsort_recall(sims, owners, k, direction)
+            assert E.recall_at_k(sims, owners, k, direction) == want
+            assert suite[direction][k] == want
+    for k in (1, 3, n_img + 1):
+        want = {}
+        for level in sorted(set(int(v) for v in levels if v >= 0)):
+            members = np.flatnonzero(levels == level)
+            hits = sum(1 for j in members
+                       if owners[j] in E.ranked_indices(sims[:, j])[:k])
+            want[level] = 100.0 * hits / members.size
+        assert E.per_level_recall(sims, owners, levels, k) == want
+
+
+def station_walk(image, cands, root, n_points):
+    """The per-station path: one nearest_candidate call per station."""
+    start = cands[E.nearest_candidate(image, cands)]
+    seen = []
+    for t in np.linspace(0.0, 1.0, n_points):
+        idx = E.nearest_candidate((1.0 - t) * start + t * root, cands)
+        if idx not in seen:
+            seen.append(idx)
+    return seen
+
+
+@pytest.mark.parametrize("dim", [3, 8, 32])
+def test_traversal_equals_station_walk(dim):
+    rng = np.random.default_rng(dim)
+    # enough candidates that one walk's 50 stations span several screen
+    # blocks; norms near 3, not 1
+    n_cand = E._BLOCK_ENTRIES // 20
+    units = geometry.l2_normalize(rng.normal(size=(n_cand, dim)))
+    cands = 3.0 * units * (1.0 + 0.01 * rng.normal(size=(n_cand, 1)))
+    # exact duplicates: the lower index must win
+    cands[7] = cands[3]
+    cands[400:410] = cands[10:20]
+    root = E.centroid_root(cands)
+    imgs = 3.0 * geometry.l2_normalize(rng.normal(size=(6, dim)))
+    imgs[0] = cands[3]
+    # per walk, a pair mirrored across its segment: equidistant from every
+    # station up to rounding
+    mirrored = []
+    for image in imgs:
+        start = cands[E.nearest_candidate(image, cands)]
+        axis = (root - start) / np.linalg.norm(root - start)
+        off = rng.normal(size=dim)
+        off -= np.dot(off, axis) * axis
+        off *= 0.05 / np.linalg.norm(off)
+        mid = 0.5 * (start + root)
+        mirrored += [mid + off, mid - off]
+    cands = np.vstack([cands, mirrored])
+    walks = [station_walk(image, cands, root, 50) for image in imgs]
+    for image, want in zip(imgs, walks):
+        assert E.hierarchical_traverse(image, cands, root, 50) == want
+    assert E._traverse(imgs, cands, root, 50) == walks
+    assert any(n_cand + 1 in walk or n_cand in walk for walk in walks)

@@ -50,6 +50,36 @@ def test_sim_matrix_bit_identical_to_pairwise_calls(a, b):
             assert mat[i, j] == G.cosine_sim(a[i], b[j])
 
 
+def test_sim_matrix_sub_blocks_bit_identical_to_full():
+    rng = np.random.default_rng(5)
+    n_txt = 3000
+    step = G._BLOCK_ENTRIES // n_txt
+    # 50 rows cross two row-block boundaries of the full matrix
+    a = rng.normal(size=(2 * step + 8, 24))
+    b = rng.normal(size=(n_txt, 24))
+    full = G.sim_matrix(a, b)
+    for rows in (slice(5, 2 * step + 3), slice(None, None, 3), [step, step - 1, 0]):
+        for cols in (slice(17, 2900), slice(None, None, 7), slice(n_txt - 1, None)):
+            assert np.array_equal(G.sim_matrix(a[rows], b[cols]), full[rows][:, cols])
+    assert np.array_equal(G.sim_matrix(np.asfortranarray(a), b.T.copy().T), full)
+    for i, j in ((0, 0), (step, 2999), (2 * step + 7, 1234)):
+        assert full[i, j] == G.cosine_sim(a[i], b[j])
+        # the kernel's definition: products and sums rounded one at a time,
+        # in coordinate order
+        acc = float(a[i, 0]) * float(b[j, 0])
+        for x, y in zip(a[i, 1:], b[j, 1:]):
+            acc += float(x) * float(y)
+        assert full[i, j] == min(1.0, max(-1.0, acc))
+
+
+def test_euclid_dists_bit_identical_to_pairwise_calls():
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(40, 32)), rng.normal(size=(40, 32))
+    got = G.euclid_dists(a, b)
+    assert [float(v) for v in got] == [G.euclid_dist(u, v) for u, v in zip(a, b)]
+    assert np.array_equal(got, [np.linalg.norm(u - v) for u, v in zip(a, b)])
+
+
 def test_sim_matrix_shape_checks():
     with pytest.raises(ValueError, match="dimension"):
         G.sim_matrix(np.ones((2, 3)), np.ones((2, 4)))
@@ -105,6 +135,16 @@ def test_feature_jsonl_rejects_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     with pytest.raises(ValueError, match="no feature records"):
+        G.read_features_jsonl(path)
+
+
+def test_feature_jsonl_names_malformed_line(tmp_path):
+    path = tmp_path / "feats.jsonl"
+    path.write_text('{"id": "a", "vec": [1.0, 2.0]}\n\n{id: "b"}\n')
+    with pytest.raises(ValueError, match=r"feats\.jsonl:3: malformed feature record"):
+        G.read_features_jsonl(path)
+    path.write_text('{"id": "a", "vec": [1.0, 2.0]}\n{"id": "b"}\n')
+    with pytest.raises(ValueError, match=r"feats\.jsonl:2: .*'vec'"):
         G.read_features_jsonl(path)
 
 
