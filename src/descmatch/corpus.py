@@ -190,6 +190,7 @@ def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tup
 def read_corpus_jsonl(path) -> list[SentenceRecord]:
     """One record per line: {"id", "image_id", "text", "split", "level"?}."""
     records = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -212,6 +213,11 @@ def read_corpus_jsonl(path) -> list[SentenceRecord]:
                 )
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed corpus record: {exc}") from exc
+            sid = records[-1].id
+            if sid in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate sentence id {sid!r} "
+                                 f"(first on line {first_line[sid]})")
+            first_line[sid] = lineno
     return records
 
 

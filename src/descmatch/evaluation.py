@@ -271,13 +271,6 @@ def centroid_root(text_embs: np.ndarray) -> np.ndarray:
     return geometry.l2_normalize(mean[None, :])[0]
 
 
-def _by_owner(owners: np.ndarray, n_images: int) -> tuple[np.ndarray, np.ndarray]:
-    """Texts grouped by owning image: image i owns
-    order[bounds[i]:bounds[i + 1]], in ascending text index."""
-    order = np.argsort(owners, kind="stable")
-    return order, np.searchsorted(owners[order], np.arange(n_images + 1))
-
-
 def hierarchical_report(image_embs: np.ndarray, text_embs: np.ndarray,
                         image_of_text: np.ndarray, root_emb: np.ndarray | None = None,
                         n_points: int = 50) -> dict:
@@ -286,7 +279,7 @@ def hierarchical_report(image_embs: np.ndarray, text_embs: np.ndarray,
     owners = np.asarray(image_of_text, dtype=np.int64)
     if root_emb is None:
         root_emb = centroid_root(text_embs)
-    order, bounds = _by_owner(owners, image_embs.shape[0])
+    order, bounds = geometry.texts_by_owner(owners, image_embs.shape[0])
     owning = np.flatnonzero(np.diff(bounds))
     if owning.size == 0:
         raise ValueError("no image owns any text")
@@ -310,7 +303,7 @@ def d_corr(image_embs: np.ndarray, text_embs: np.ndarray,
     """
     owners = np.asarray(image_of_text, dtype=np.int64)
     levels = np.asarray(levels, dtype=np.int64)
-    order, bounds = _by_owner(owners, image_embs.shape[0])
+    order, bounds = geometry.texts_by_owner(owners, image_embs.shape[0])
     owned = order[bounds[0]:bounds[-1]]
     dists = np.zeros(owners.shape[0])
     dists[owned] = geometry.euclid_dists(image_embs[owners[owned]], text_embs[owned])

@@ -14,6 +14,10 @@ single-row product.  Batched distances keep the same contract another
 way: ``euclid_dists`` sums each squared difference with its own BLAS dot
 call, the call ``euclid_dist`` makes for one pair, so no row depends on
 the others.
+
+Text ownership (``image_of_text``) is the only structure that batches,
+losses and evaluation derive their groupings from, and ``texts_by_owner``
+is the one routine that groups texts by owning image for all of them.
 """
 
 from __future__ import annotations
@@ -68,6 +72,14 @@ def euclid_dist(u: np.ndarray, v: np.ndarray) -> float:
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     return float(euclid_dists(u, v)[0])
+
+
+def texts_by_owner(owners: np.ndarray, n_images: int) -> tuple[np.ndarray, np.ndarray]:
+    """Texts grouped by owning image: image i owns
+    order[bounds[i]:bounds[i + 1]], in ascending text index."""
+    owners = np.asarray(owners, dtype=np.int64)
+    order = np.argsort(owners, kind="stable")
+    return order, np.searchsorted(owners[order], np.arange(n_images + 1))
 
 
 # float64 entries per block of the similarity kernel: 512 KB, which keeps
@@ -133,11 +145,24 @@ def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
     ids = [str(s) for s in manifest["ids"]]
     if len(ids) != rows:
         raise ValueError(f"{manifest_path}: {len(ids)} ids for {rows} rows")
+    seen: set[str] = set()
+    for sid in ids:
+        if sid in seen:
+            raise ValueError(f"{manifest_path}: duplicate id {sid!r}")
+        seen.add(sid)
     bin_path = manifest_path.with_name(manifest_path.name[: -len(_MANIFEST_SUFFIX)] + ".bin")
     data = np.fromfile(bin_path, dtype=_DTYPES[dtype])
     if data.size != rows * dim:
         raise ValueError(f"{bin_path}: expected {rows * dim} values, found {data.size}")
-    return ids, data.reshape(rows, dim).astype(np.float64)
+    data = data.reshape(rows, dim)
+    # row blocks keep the check's boolean temporary small
+    step = max(1, _BLOCK_ENTRIES // max(1, dim))
+    for start in range(0, rows, step):
+        finite = np.isfinite(data[start:start + step]).all(axis=1)
+        if not finite.all():
+            row = start + int(np.argmin(finite))
+            raise ValueError(f"{bin_path}: row {row} (id {ids[row]!r}) is not finite")
+    return ids, data.astype(np.float64)
 
 
 def write_features_jsonl(path, ids: list[str], matrix: np.ndarray) -> None:
@@ -153,6 +178,7 @@ def write_features_jsonl(path, ids: list[str], matrix: np.ndarray) -> None:
 def read_features_jsonl(path) -> tuple[list[str], np.ndarray]:
     ids = []
     rows = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -164,6 +190,12 @@ def read_features_jsonl(path) -> tuple[list[str], np.ndarray]:
                 rows.append(np.asarray(obj["vec"], dtype=np.float64))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed feature record: {exc}") from exc
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"{path}:{lineno}: feature {ids[-1]!r} is not finite")
+            if ids[-1] in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate id {ids[-1]!r} "
+                                 f"(first on line {first_line[ids[-1]]})")
+            first_line[ids[-1]] = lineno
     if not ids:
         raise ValueError(f"{path}: no feature records")
     return ids, np.vstack(rows)

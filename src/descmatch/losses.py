@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
+
+
 @dataclass(frozen=True)
 class LossConfig:
     alpha: float = 0.2
@@ -40,16 +43,20 @@ class Batch:
     ``image_embs`` is (n_images, D) and ``text_embs`` (n_texts, D); rows are
     unit vectors (checked loosely, so finite-difference perturbations of
     the embeddings remain admissible).  ``image_of_text[j]`` is the image
-    owning text j; an image may own several texts.  ``pair_map`` lists the
-    positive pairs the ranking losses sum over and defaults to one pair
-    per text.
+    owning text j; an image may own several texts.  Ownership is the only
+    batch structure: every text forms one positive pair with its owner for
+    the ranking losses, and ``same_image`` holds, once per batch, the
+    (image, a, b) rows with a < b of every two texts sharing an image,
+    ordered by image, then a, then b, for the ordering loss.  ``pair_map``
+    is a read-only view of the positive pairs, kept for readers outside
+    the library that count pairs.
     """
 
     image_embs: np.ndarray
     text_embs: np.ndarray
     image_of_text: np.ndarray
     deltas: np.ndarray
-    pair_map: list[tuple[int, int]] | None = None
+    same_image: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.image_embs = np.asarray(self.image_embs, dtype=np.float64)
@@ -69,13 +76,12 @@ class Batch:
             norms = np.linalg.norm(embs, axis=1)
             if norms.size and np.max(np.abs(norms - 1.0)) > 1e-3:
                 raise ValueError(f"{name} embeddings are not L2-normalized")
-        if self.pair_map is None:
-            self.pair_map = [(int(self.image_of_text[j]), j) for j in range(n_txt)]
-        for i, j in self.pair_map:
-            if not (0 <= i < n_img and 0 <= j < n_txt):
-                raise ValueError(f"pair ({i}, {j}) out of range")
-            if self.image_of_text[j] != i:
-                raise ValueError(f"pair ({i}, {j}) disagrees with text ownership")
+        # sorted position p pairs with every later position of its group
+        order, bounds = geometry.texts_by_owner(self.image_of_text, n_img)
+        later = bounds[self.image_of_text[order] + 1] - np.arange(n_txt) - 1
+        a = np.repeat(np.arange(n_txt), later)
+        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
+        self.same_image = np.stack([self.image_of_text[order[a]], order[a], order[b]], axis=1)
 
     @property
     def n_images(self) -> int:
@@ -84,6 +90,10 @@ class Batch:
     @property
     def n_texts(self) -> int:
         return self.text_embs.shape[0]
+
+    @property
+    def pair_map(self) -> list[tuple[int, int]]:
+        return [(int(i), j) for j, i in enumerate(self.image_of_text)]
 
 
 @dataclass
@@ -94,14 +104,10 @@ class LossOutput:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pair_arrays(pair_map: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    pairs = np.asarray(pair_map, dtype=np.int64).reshape(len(pair_map), 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
-def hardest_negatives(sims: np.ndarray, pair_map: list[tuple[int, int]],
+def hardest_negatives(sims: np.ndarray,
                       image_of_text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per positive pair, the most-similar admissible negative text and image.
+    """Per text, the most-similar admissible negative text and image of
+    its positive pair with its owner.
 
     Texts owned by the pair's image are excluded from the text-negative
     candidates (multi-caption batches); the pair's own image is excluded on
@@ -109,20 +115,17 @@ def hardest_negatives(sims: np.ndarray, pair_map: list[tuple[int, int]],
     first maximum).
     """
     sims = np.asarray(sims, dtype=np.float64)
-    image_of_text = np.asarray(image_of_text, dtype=np.int64)
-    n_img, _ = sims.shape
-    p_i, p_j = _pair_arrays(pair_map)
-    banned = image_of_text[None, :] == p_i[:, None]
+    owners = np.asarray(image_of_text, dtype=np.int64)
+    n_img, n_txt = sims.shape
+    banned = owners[None, :] == owners[:, None]
     dead = np.flatnonzero(banned.all(axis=1))
     if dead.size:
-        i, j = pair_map[int(dead[0])]
-        raise ValueError(f"pair ({i}, {j}) has no admissible negative text")
-    t_neg = np.where(banned, -np.inf, sims[p_i]).argmax(axis=1)
+        raise ValueError(f"pair ({owners[dead[0]]}, {dead[0]}) has no admissible negative text")
     if n_img < 2:
-        i, j = pair_map[0]
-        raise ValueError(f"pair ({i}, {j}) has no admissible negative image")
-    img_cols = sims[:, p_j].T.copy()
-    img_cols[np.arange(len(pair_map)), p_i] = -np.inf
+        raise ValueError(f"pair ({owners[0]}, 0) has no admissible negative image")
+    t_neg = np.where(banned, -np.inf, sims[owners]).argmax(axis=1)
+    img_cols = sims.T.copy()
+    img_cols[np.arange(n_txt), owners] = -np.inf
     v_neg = img_cols.argmax(axis=1)
     return t_neg.astype(np.int64), v_neg.astype(np.int64)
 
@@ -148,15 +151,15 @@ def _ranking_loss(batch: Batch, config: LossConfig, adaptive: bool) -> LossOutpu
     sims = imgs @ txts.T
     grad_i = np.zeros_like(imgs)
     grad_t = np.zeros_like(txts)
-    p_i, p_j = _pair_arrays(batch.pair_map)
+    p_i, p_j = batch.image_of_text, np.arange(batch.n_texts)
     s_pos = sims[p_i, p_j]
 
     if config.use_hardest_mining:
-        t_neg, v_neg = hardest_negatives(sims, batch.pair_map, batch.image_of_text)
+        t_neg, v_neg = hardest_negatives(sims, p_i)
         if adaptive:
             a_i2t, a_t2i = adaptive_margins(deltas[p_j], deltas[t_neg], config.tau)
         else:
-            a_i2t = np.full(len(batch.pair_map), config.alpha)
+            a_i2t = np.full(batch.n_texts, config.alpha)
             a_t2i = a_i2t
         h1 = a_i2t - s_pos + sims[p_i, t_neg]
         h2 = a_t2i - s_pos + sims[v_neg, p_j]
@@ -173,13 +176,12 @@ def _ranking_loss(batch: Batch, config: LossConfig, adaptive: bool) -> LossOutpu
         return LossOutput(value, grad_i, grad_t,
                           {"triplet": value, "ordering": 0.0, "active_hinges": active})
 
-    n_pairs = len(batch.pair_map)
+    n_pairs = batch.n_texts
     allowed_t = batch.image_of_text[None, :] != p_i[:, None]
     n1 = allowed_t.sum(axis=1)
     if np.any(n1 == 0) or batch.n_images < 2:
         bad = int(np.argmin(n1)) if np.any(n1 == 0) else 0
-        i, j = batch.pair_map[bad]
-        raise ValueError(f"pair ({i}, {j}) has no admissible negative")
+        raise ValueError(f"pair ({p_i[bad]}, {bad}) has no admissible negative")
     if adaptive:
         margins_t, a_t2i = adaptive_margins(deltas[p_j][:, None], deltas[None, :],
                                             config.tau)
@@ -220,28 +222,6 @@ def adaptive_triplet_loss(batch: Batch, config: LossConfig) -> LossOutput:
     return _ranking_loss(batch, config, adaptive=True)
 
 
-def same_image_pairs(batch: Batch) -> list[tuple[int, int, int]]:
-    """Unordered pairs (image, text_a, text_b) of texts sharing an image.
-
-    Cached on the batch: ownership never changes, and the finite-difference
-    oracle calls the losses thousands of times per batch.
-    """
-    cached = getattr(batch, "_same_image_pairs", None)
-    if cached is not None:
-        return cached
-    groups: dict[int, list[int]] = {}
-    for j, owner in enumerate(batch.image_of_text):
-        groups.setdefault(int(owner), []).append(j)
-    pairs = []
-    for owner in sorted(groups):
-        members = groups[owner]
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                pairs.append((owner, members[a], members[b]))
-    batch._same_image_pairs = pairs
-    return pairs
-
-
 def ordering_loss(batch: Batch, config: LossConfig) -> LossOutput:
     """Squared log-ratio penalty tying image-text distance ratios to the
     inverse ratio of sentence descriptiveness.
@@ -253,13 +233,12 @@ def ordering_loss(batch: Batch, config: LossConfig) -> LossOutput:
     imgs, txts = batch.image_embs, batch.text_embs
     grad_i = np.zeros_like(imgs)
     grad_t = np.zeros_like(txts)
-    pairs = same_image_pairs(batch)
-    if not pairs:
+    pairs = batch.same_image
+    if not len(pairs):
         return LossOutput(0.0, grad_i, grad_t,
                           {"triplet": 0.0, "ordering": 0.0, "active_hinges": 0,
                            "ordering_pairs": 0})
-    arr = np.asarray(pairs, dtype=np.int64)
-    i_arr, a_arr, b_arr = arr[:, 0], arr[:, 1], arr[:, 2]
+    i_arr, a_arr, b_arr = pairs.T
     diff_a = imgs[i_arr] - txts[a_arr]
     diff_b = imgs[i_arr] - txts[b_arr]
     raw_da = np.linalg.norm(diff_a, axis=1)
@@ -354,7 +333,7 @@ def kink_gap(batch: Batch, config: LossConfig) -> float:
     sims = batch.image_embs @ batch.text_embs.T
     deltas = batch.deltas
     gap = math.inf
-    for i, j in batch.pair_map:
+    for j, i in enumerate(batch.image_of_text):
         t_cand = np.flatnonzero(batch.image_of_text != i)
         i_cand = np.array([k for k in range(batch.n_images) if k != i], dtype=np.int64)
         if t_cand.size == 0 or i_cand.size == 0:
@@ -373,7 +352,7 @@ def kink_gap(batch: Batch, config: LossConfig) -> float:
                 a_t2i = config.alpha
             gap = min(gap, float(np.min(np.abs(margins_t - sims[i, j] + t_sims))))
             gap = min(gap, float(np.min(np.abs(a_t2i - sims[i, j] + i_sims))))
-    for i, a, b in same_image_pairs(batch):
+    for i, a, b in batch.same_image:
         for j in (a, b):
             d = float(np.linalg.norm(batch.image_embs[i] - batch.text_embs[j]))
             gap = min(gap, abs(d - config.eps_dist))

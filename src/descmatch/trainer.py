@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -247,41 +248,40 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float,
 
 
 def epoch_plan(rng: np.random.Generator, dataset: Dataset,
-               batch_size: int) -> list[tuple[list[int], list[int]]]:
+               batch_size: int) -> list[tuple[list[int], np.ndarray]]:
     """Shuffle images and pack whole images until a batch holds at least
-    batch_size texts.  Images keep all their texts together, so same-image
-    pairs for the ordering loss are never split.  A trailing single-image
-    batch is merged into its predecessor: mining needs two images.
+    batch_size texts.  Images keep all their texts together, each image's
+    in ascending index, so same-image pairs for the ordering loss are
+    never split.  A trailing single-image batch is merged into its
+    predecessor: mining needs two images.
     """
-    texts_of: dict[int, list[int]] = {}
-    for j, owner in enumerate(dataset.image_of_text):
-        texts_of.setdefault(int(owner), []).append(j)
-    order = [int(i) for i in rng.permutation(dataset.n_images) if int(i) in texts_of]
-    batches: list[tuple[list[int], list[int]]] = []
-    cur_i: list[int] = []
-    cur_t: list[int] = []
-    for gi in order:
-        cur_i.append(gi)
-        cur_t.extend(texts_of[gi])
-        if len(cur_t) >= batch_size:
-            batches.append((cur_i, cur_t))
-            cur_i, cur_t = [], []
-    if cur_i:
-        batches.append((cur_i, cur_t))
-    if len(batches) >= 2 and len(batches[-1][0]) < 2:
-        last_i, last_t = batches.pop()
-        batches[-1] = (batches[-1][0] + last_i, batches[-1][1] + last_t)
-    if not batches or len(batches[0][0]) < 2:
+    order, bounds = geometry.texts_by_owner(dataset.image_of_text, dataset.n_images)
+    sizes = np.diff(bounds)
+    images = [int(i) for i in rng.permutation(dataset.n_images) if sizes[i]]
+    cuts, held = [0], 0
+    for k, gi in enumerate(images, start=1):
+        held += sizes[gi]
+        if held >= batch_size:
+            cuts.append(k)
+            held = 0
+    if held:
+        cuts.append(len(images))
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] < 2:
+        del cuts[-2]
+    if len(cuts) < 2 or cuts[1] < 2:
         raise ValueError("dataset too small: every batch needs at least two images")
-    return batches
+    return [(images[lo:hi], np.concatenate([order[bounds[i]:bounds[i + 1]]
+                                            for i in images[lo:hi]]))
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _make_batch(dataset: Dataset, img_e: np.ndarray, txt_e: np.ndarray,
-                img_idx: list[int], txt_idx: list[int]) -> Batch:
-    local = {gi: k for k, gi in enumerate(img_idx)}
-    owners = np.array([local[int(dataset.image_of_text[j])] for j in txt_idx],
-                      dtype=np.int64)
-    return Batch(img_e, txt_e, owners, dataset.deltas[np.array(txt_idx, dtype=np.int64)])
+                img_idx: list[int], txt_idx: np.ndarray) -> Batch:
+    """txt_idx holds each image's texts together, in img_idx order, as
+    epoch_plan packs them."""
+    counts = np.bincount(dataset.image_of_text[txt_idx], minlength=dataset.n_images)
+    owners = np.repeat(np.arange(len(img_idx)), counts[img_idx])
+    return Batch(img_e, txt_e, owners, dataset.deltas[txt_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -306,27 +306,49 @@ def save_checkpoint(path, params: dict, opt_state: dict, epoch: int,
         "history": history,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    # written beside the target and renamed over it, so a crash mid-write
+    # leaves the previous checkpoint whole
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for _, a in arrays:
+                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> dict:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"{path} is not a checkpoint (bad magic)")
-        (blob_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
-        out: dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-            out[entry["name"]] = data.reshape(shape).astype(np.float64)
+    """Read a checkpoint; a file whose length disagrees with its header
+    (truncated or with trailing bytes) raises ValueError naming the path."""
+    data = Path(path).read_bytes()
+    if data[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+        raise ValueError(f"{path} is not a checkpoint (bad magic)")
+    start = len(_CKPT_MAGIC) + 8
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated checkpoint (no header length)")
+    (blob_len,) = struct.unpack_from("<Q", data, len(_CKPT_MAGIC))
+    if len(data) < start + blob_len:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(data[start:start + blob_len].decode("utf-8"))
+        shapes = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header: {exc}") from exc
+    offset = start + blob_len
+    want = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
+    if len(data) != want:
+        raise ValueError(f"{path}: checkpoint holds {len(data)} bytes, its header "
+                         f"describes {want}")
+    out: dict[str, np.ndarray] = {}
+    for name, shape in shapes:
+        count = math.prod(shape)
+        out[name] = np.frombuffer(data, dtype="<f8", count=count,
+                                  offset=offset).reshape(shape).astype(np.float64)
+        offset += 8 * count
     params = {k.split("/", 1)[1]: v for k, v in out.items() if k.startswith("param/")}
     opt_state = {
         "t": header["adam_t"],
@@ -406,10 +428,8 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
         plan = epoch_plan(shuffle_rng, dataset, config.batch_size)
         tot_loss = tot_trip = tot_order = 0.0
         for img_idx, txt_idx in plan:
-            rows_i = np.array(img_idx, dtype=np.int64)
-            rows_t = np.array(txt_idx, dtype=np.int64)
-            img_e, txt_e, cache = forward(params, dataset.image_feats[rows_i],
-                                          dataset.text_feats[rows_t])
+            img_e, txt_e, cache = forward(params, dataset.image_feats[img_idx],
+                                          dataset.text_feats[txt_idx])
             batch = _make_batch(dataset, img_e, txt_e, img_idx, txt_idx)
             out = loss_fn(batch, loss_cfg)
             if not math.isfinite(out.value):

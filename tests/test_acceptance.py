@@ -297,7 +297,7 @@ def test_criterion_5_mining_oracle():
         else:
             sims = rng.normal(size=(n_img, n_txt))
         pair_map = [(int(owners[j]), j) for j in range(n_txt)]
-        got_t, got_v = L.hardest_negatives(sims, pair_map, owners)
+        got_t, got_v = L.hardest_negatives(sims, owners)
         want_t, want_v = _oracle_mine(sims, pair_map, owners)
         assert np.array_equal(got_t, want_t)
         assert np.array_equal(got_v, want_v)

@@ -5,7 +5,7 @@ import pytest
 
 from descmatch import cli
 from descmatch import corpus as C
-from descmatch import datagen, trainer
+from descmatch import datagen, geometry, trainer
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +179,62 @@ def test_score_names_malformed_corpus_line(tmp_path, capsys):
     code = cli.main(["score", "--corpus", str(corpus), "--out", str(tmp_path / "t.jsonl")])
     assert code == 2
     assert f"{corpus}:2: malformed corpus record" in capsys.readouterr().err
+
+
+def _data_flags(synth_dir):
+    return ["--corpus", str(synth_dir / "corpus.jsonl"),
+            "--table", str(synth_dir / "table.jsonl"),
+            "--image-features", str(synth_dir / "images.manifest.json"),
+            "--text-features", str(synth_dir / "texts.manifest.json")]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(synth_dir, tmp_path_factory):
+    run = tmp_path_factory.mktemp("ckpt_run")
+    assert cli.main(["train", *_data_flags(synth_dir), "--out", str(run),
+                     "--epochs", "1", "--batch-size", "12", "--embed-dim", "8"]) == 0
+    return (run / "checkpoint.bin").read_bytes()
+
+
+def _header_end(blob: bytes) -> int:
+    return 16 + int.from_bytes(blob[8:16], "little")
+
+
+@pytest.mark.parametrize("corrupt, want", [
+    (lambda b: b[:10], "no header length"),
+    (lambda b: b[:_header_end(b) - 5], "truncated checkpoint header"),
+    (lambda b: b[:-8], "header describes"),
+    (lambda b: b + b"\x00" * 8, "header describes"),
+], ids=["short-length-prefix", "truncated-header", "truncated-array", "trailing-bytes"])
+def test_eval_rejects_damaged_checkpoint(synth_dir, checkpoint_bytes, tmp_path, capsys,
+                                         corrupt, want):
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(corrupt(checkpoint_bytes))
+    code = cli.main(["eval", *_data_flags(synth_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "rpt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{ckpt}: " in err and want in err
+
+
+def test_score_rejects_duplicate_sentence_id(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    rec = '{"id": "a", "image_id": "i", "text": "a dog"}\n'
+    corpus.write_text(rec + '{"id": "b", "image_id": "i", "text": "a cat"}\n' + rec)
+    code = cli.main(["score", "--corpus", str(corpus), "--out", str(tmp_path / "t.jsonl")])
+    assert code == 2
+    assert f"{corpus}:3: duplicate sentence id 'a' (first on line 1)" in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_train_rejects_non_finite_features(synth_dir, tmp_path, capsys):
+    ids, feats = geometry.read_features(synth_dir / "images.manifest.json")
+    feats[3, 1] = np.nan
+    manifest = geometry.write_features(tmp_path / "images", ids, feats)
+    flags = _data_flags(synth_dir)
+    flags[flags.index("--image-features") + 1] = str(manifest)
+    code = cli.main(["train", *flags, "--out", str(tmp_path / "run"), "--epochs", "1",
+                     "--batch-size", "12", "--embed-dim", "8"])
+    assert code == 2
+    assert f"{tmp_path / 'images.bin'}: row 3 (id {ids[3]!r}) is not finite" \
+        in capsys.readouterr().err

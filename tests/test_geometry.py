@@ -154,3 +154,35 @@ def test_unit_vector_distance_similarity_identity():
     d = G.euclid_dist(u, v)
     s = G.cosine_sim(u, v)
     assert d * d == pytest.approx(2.0 - 2.0 * s, abs=1e-12)
+
+
+def test_feature_read_rejects_duplicate_ids(tmp_path):
+    manifest = G.write_features(tmp_path / "f", ["a", "b", "a"], np.ones((3, 2)))
+    with pytest.raises(ValueError, match=r"f\.manifest\.json: duplicate id 'a'"):
+        G.read_features(manifest)
+    path = tmp_path / "f.jsonl"
+    G.write_features_jsonl(path, ["a", "b", "a"], np.ones((3, 2)))
+    with pytest.raises(ValueError, match=r"f\.jsonl:3: duplicate id 'a' \(first on line 1\)"):
+        G.read_features_jsonl(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_read_rejects_non_finite_rows(tmp_path, bad):
+    mat = np.ones((5, 3))
+    mat[3, 2] = mat[4, 0] = bad
+    manifest = G.write_features(tmp_path / "f", list("abcde"), mat, dtype="f32")
+    with pytest.raises(ValueError, match=r"f\.bin: row 3 \(id 'd'\) is not finite"):
+        G.read_features(manifest)
+    path = tmp_path / "f.jsonl"
+    G.write_features_jsonl(path, list("abcde"), mat)
+    with pytest.raises(ValueError, match=r"f\.jsonl:4: feature 'd' is not finite"):
+        G.read_features_jsonl(path)
+
+
+def test_non_finite_check_spans_row_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(G, "_BLOCK_ENTRIES", 6)
+    mat = np.ones((7, 3))
+    mat[5, 1] = np.nan
+    manifest = G.write_features(tmp_path / "f", list("abcdefg"), mat)
+    with pytest.raises(ValueError, match=r"row 5 \(id 'f'\)"):
+        G.read_features(manifest)

@@ -14,18 +14,18 @@ def unit(angle: float) -> np.ndarray:
 
 
 def single_pair_batch():
-    """One positive pair with prescribed similarities: s(v,t)=0.5,
-    s(v,t-)=0.4, s(v-,t)=0.1, deltas 0.2 / 0.8."""
-    v0 = unit(0.0)
-    t0 = unit(math.acos(0.5))
-    t1 = unit(-math.acos(0.4))
-    v1 = unit(math.acos(0.5) + math.acos(0.1))
+    """Prescribed similarities for pair (0, 0): s(v,t)=0.5, s(v,t-)=0.4,
+    s(v-,t)=0.1, deltas 0.2 / 0.8.  Text 1 is image 1's own vector, so
+    pair (1, 1) has similarity 1 and both its hinges stay inactive."""
+    v0 = np.array([1.0, 0.0, 0.0])
+    t0 = np.array([0.5, math.sqrt(0.75), 0.0])
+    y = -0.1 / math.sqrt(0.75)  # t0 . t1 = 0.2 + sqrt(0.75) y = 0.1
+    t1 = np.array([0.4, y, math.sqrt(1.0 - 0.16 - y * y)])
     return L.Batch(
-        image_embs=np.stack([v0, v1]),
+        image_embs=np.stack([v0, t1]),
         text_embs=np.stack([t0, t1]),
         image_of_text=np.array([0, 1]),
         deltas=np.array([0.2, 0.8]),
-        pair_map=[(0, 0)],
     )
 
 
@@ -37,9 +37,6 @@ def test_batch_validation():
         L.Batch(embs, embs, np.array([0, 1, 2]), np.array([0.5, 0.5, 1.5]))
     with pytest.raises(ValueError, match="normalized"):
         L.Batch(2.0 * embs, embs, np.array([0, 1, 2]), np.full(3, 0.5))
-    with pytest.raises(ValueError, match="ownership"):
-        L.Batch(embs, embs, np.array([0, 1, 2]), np.full(3, 0.5),
-                pair_map=[(0, 1)])
     batch = L.Batch(embs, embs, np.array([0, 1, 2]), np.full(3, 0.5))
     assert batch.pair_map == [(0, 0), (1, 1), (2, 2)]
 
@@ -56,16 +53,16 @@ def test_hardest_negatives_excludes_same_image_texts():
     sims = np.array([[0.9, 0.95, 0.3, 0.2],
                      [0.1, 0.2, 0.8, 0.7]])
     owners = np.array([0, 0, 1, 1])
-    t_neg, v_neg = L.hardest_negatives(sims, [(0, 0), (1, 2)], owners)
-    assert t_neg.tolist() == [2, 1]
-    assert v_neg.tolist() == [1, 0]
+    t_neg, v_neg = L.hardest_negatives(sims, owners)
+    assert t_neg[[0, 2]].tolist() == [2, 1]
+    assert v_neg[[0, 2]].tolist() == [1, 0]
 
 
 def test_hardest_negatives_breaks_ties_low():
     sims = np.array([[0.5, 0.4, 0.4],
                      [0.5, 0.4, 0.4]])
     owners = np.array([0, 1, 1])
-    t_neg, v_neg = L.hardest_negatives(sims, [(0, 0)], owners)
+    t_neg, v_neg = L.hardest_negatives(sims, owners)
     assert t_neg[0] == 1  # ties between texts 1 and 2 go low
     assert v_neg[0] == 1
 
@@ -73,10 +70,10 @@ def test_hardest_negatives_breaks_ties_low():
 def test_hardest_negatives_requires_admissible_candidates():
     # every text belongs to the anchor image
     with pytest.raises(ValueError, match="negative text"):
-        L.hardest_negatives(np.array([[0.5, 0.4]]), [(0, 0)], np.array([0, 0]))
+        L.hardest_negatives(np.array([[0.5, 0.4]]), np.array([0, 0]))
     # a single image leaves no image-side negative
     with pytest.raises(ValueError, match="negative image"):
-        L.hardest_negatives(np.array([[0.5, 0.4]]), [(0, 0)], np.array([0, 1]))
+        L.hardest_negatives(np.array([[0.5, 0.4]]), np.array([0, 1]))
 
 
 def test_mining_counter_tracks_warmup_mode(monkeypatch):
@@ -166,8 +163,7 @@ def ratio_matched_batch(swap: bool = False):
     # deltas proportional to the opposite distance: delta_a/delta_b == d_b/d_a
     deltas = np.array([0.5 * d[1], 0.5 * d[0]])
     order = [1, 0] if swap else [0, 1]
-    return L.Batch(imgs, txts[order], np.array([0, 0]), deltas[order],
-                   pair_map=[(0, 0), (0, 1)])
+    return L.Batch(imgs, txts[order], np.array([0, 0]), deltas[order])
 
 
 def test_ordering_loss_zero_on_ratio_matched_fixture():

@@ -282,3 +282,20 @@ def test_load_dataset_rejects_empty_split(tmp_path):
     with pytest.raises(ValueError, match="no sentences"):
         trainer.load_dataset(tmp_path / "corpus.jsonl", tmp_path / "table.jsonl",
                              tmp_path / "images", tmp_path / "texts", split="test")
+
+
+def test_checkpoint_write_is_atomic(tmp_path):
+    ds = tiny_dataset()
+    cfg = trainer.TrainConfig(embed_dim=5, batch_size=8, epochs=1, lr=1e-3)
+    path = tmp_path / "ck.bin"
+    trainer.train(ds, cfg, checkpoint_path=path)
+    before = path.read_bytes()
+    # the header is written before this array fails to convert to float64
+    broken = {"W_img": np.array([object()])}
+    with pytest.raises(TypeError):
+        trainer.save_checkpoint(path, broken, {"t": 0, "m": {}, "v": {}}, 0,
+                                np.random.default_rng(0), cfg, [])
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]
+    trainer.train(ds, cfg, checkpoint_path=path)
+    assert sorted(tmp_path.iterdir()) == [path]
