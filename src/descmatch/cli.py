@@ -197,6 +197,12 @@ def _cmd_train(cfg: dict) -> int:
 def _cmd_eval(cfg: dict) -> int:
     dataset = _load_dataset(cfg, cfg["split"])
     saved = trainer.load_checkpoint(cfg["checkpoint"])
+    for weight, feats, key in (("W_img", dataset.image_feats, "image_features"),
+                               ("W_txt", dataset.text_feats, "text_features")):
+        want = saved["params"][weight].shape[0]
+        if feats.shape[1] != want:
+            raise ValueError(f"{cfg['checkpoint']}: {weight} takes {want}-dim features, "
+                             f"but {cfg[key]} holds {feats.shape[1]}-dim rows")
     img_e, txt_e = trainer.embed_dataset(saved["params"], dataset)
     levels = dataset.levels if (dataset.levels >= 0).any() else None
     report = evaluation.evaluate(img_e, txt_e, dataset.image_of_text,

@@ -19,10 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 
 import numpy as np
-from scipy import stats
 
 from . import geometry
 
@@ -225,20 +223,77 @@ def _nearest_rows(points: np.ndarray, candidates: np.ndarray,
 
 def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
               n_points: int) -> list[list[int]]:
-    """``hierarchical_traverse`` of every row of images: the start points
-    in one screened pass, then each image's stations in one pass."""
+    """``hierarchical_traverse`` of every row of images, each station's
+    top-1 exactly ``nearest_candidate``'s.
+
+    Line identity: station p = (1-t) s + t r, for start s and root r, has
+    the screen value L_j(t) = |c_j|^2 - 2 p.c_j = (1-t) A_j + t B_j with
+    A_j = |c_j|^2 - 2 s.c_j (one row of a blocked starts-by-candidates
+    gemm) and B_j = |c_j|^2 - 2 r.c_j (computed once).  A line on [0, 1]
+    never drops below min(A_j, B_j).
+
+    Prune: the nearest candidate at a station is at least as close as s
+    and as q, the candidate with the smallest B, so its line lies below
+    U = max over stations of min(L_s(t), L_q(t)) there, and its
+    min(A_j, B_j) is at most U.  Only candidates with min(A_j, B_j) <=
+    U + slack survive; ``_nearest_rows`` finds each station's top-1 among
+    them, and survivors ascend, so ties still go to the lowest index.
+
+    Slack, with u, g_m and the gemm-screen bound of ``_nearest_rows``,
+    R = max(|s|, |r|) + max_j |c_j|, and primes marking computed values:
+    - A'_j and B'_j err by at most 2 g_(d+1) R^2 each;
+    - the float station p' = fl(fl(1-t) s) + fl(t r) lies within g_3 R of
+      the exact p, so |L_j(p') - L_j(p)| = 2 |(p' - p).c_j| <= 2 g_3 R^2;
+    - the exact minimiser v at p' has e_v <= e_k for k in {s, q}, and a
+      diff-then-square distance errs by at most g_(d+2) R^2, so
+      L_v(p') <= L_k(p') + 2 g_(d+2) R^2 and, at the exact station,
+      L_v(p) <= min_k L_k(p) + (2 g_(d+2) + 4 g_3) R^2;
+    - a computed line value fl(fl(1-t) A'_k) + fl(t B'_k) is within
+      g_3 R^2 of (1-t) A'_k + t B'_k, which is within 2 g_(d+1) R^2 of
+      L_k(p), so U <= U' + (g_3 + 2 g_(d+1)) R^2.
+    Chaining them, min(A'_v, B'_v) <= U' + (6 g_(d+2) + 5 g_3) R^2 <=
+    U' + 11 g_(d+3) R^2.  ``slack`` is more than twice that,
+    24 (d+3) u R^2, which also absorbs the second-order terms and the
+    rounding of the threshold (barring underflow).  So every exact
+    minimiser, ties included, survives.
+    """
     if n_points < 2:
         raise ValueError("need at least the two endpoints")
     images = np.atleast_2d(np.asarray(images, dtype=np.float64))
     candidates = np.asarray(candidates, dtype=np.float64)
     root = np.asarray(root, dtype=np.float64)
+    n_cand, dim = candidates.shape
     lifted = np.hstack([candidates, np.einsum("ij,ij->i", candidates, candidates)[:, None]])
+    first = _nearest_rows(images, candidates, lifted)
     t = np.linspace(0.0, 1.0, n_points)[:, None]
-    starts = candidates[_nearest_rows(images, candidates, lifted)]
+    rest = 1.0 - t
+    root_line = lifted @ np.append(-2.0 * root, 1.0)
+    q = int(root_line.argmin())
+    reach = math.sqrt(float(lifted[:, -1].max()))
+    unit = 24.0 * (dim + 3) * 2.0 ** -53
+    root_norm = math.sqrt(float(root @ root))
     walks = []
-    for start in starts:
-        found = _nearest_rows((1.0 - t) * start + t * root, candidates, lifted)
-        walks.append(list(dict.fromkeys(found.tolist())))
+    step = max(1, _BLOCK_ENTRIES // max(1, n_cand))
+    for lo in range(0, first.size, step):
+        firsts = first[lo:lo + step]
+        starts = candidates[firsts]
+        lift = np.ones((firsts.size, dim + 1))
+        np.multiply(starts, -2.0, out=lift[:, :-1])
+        low = lift @ lifted.T
+        own = np.arange(firsts.size)
+        a_s, a_q = low[own, firsts], low[:, q]
+        # stations along axis 1; min of the s and q lines, max over stations
+        bound = np.minimum(rest.T * a_s[:, None] + t.T * root_line[firsts, None],
+                           rest.T * a_q[:, None] + t.T * root_line[q]).max(axis=1)
+        radius = np.maximum(np.sqrt(lifted[firsts, -1]), root_norm) + reach
+        bound += unit * radius * radius
+        np.minimum(low, root_line, out=low)
+        rows, cols = np.nonzero(low <= bound[:, None])
+        cuts = np.searchsorted(rows, np.arange(firsts.size + 1))
+        for i, start in enumerate(starts):
+            kept = cols[cuts[i]:cuts[i + 1]]
+            found = _nearest_rows(rest * start + t * root, candidates[kept], lifted[kept])
+            walks.append(list(dict.fromkeys(kept[found].tolist())))
     return walks
 
 
@@ -294,30 +349,55 @@ def hierarchical_report(image_embs: np.ndarray, text_embs: np.ndarray,
             "n_points": n_points}
 
 
+def _average_ranks(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """1-based rank of each value within its group (groups ascending),
+    equal values sharing the mean of their positions, as
+    ``scipy.stats.rankdata`` gives per group."""
+    order = np.lexsort((values, groups))
+    run = np.empty(order.size, dtype=bool)
+    run[0] = True
+    np.not_equal(values[order[1:]], values[order[:-1]], out=run[1:])
+    run[1:] |= groups[order[1:]] != groups[order[:-1]]
+    first = np.flatnonzero(run)
+    last = np.append(first[1:], order.size) - 1
+    base = np.searchsorted(groups, groups[order[first]])
+    ranks = np.empty(order.size)
+    ranks[order] = np.repeat(0.5 * (first + last) - base + 1.0, last - first + 1)
+    return ranks
+
+
 def d_corr(image_embs: np.ndarray, text_embs: np.ndarray,
            image_of_text: np.ndarray, levels: np.ndarray) -> float:
     """Mean over images of the Spearman correlation between a text's
     hierarchy level and its negated distance to the owning image, times
     100.  Deeper levels should sit closer, so perfect ordering scores 100.
     Undefined correlations (single text, constant ranks) count as 0.
+
+    One grouped pass: average ranks within each image, then the Pearson
+    correlation of the ranks, rho = Sxy / sqrt(Sxx Syy).  The n average
+    ranks of an image sum to n (n + 1) / 2, so centring subtracts
+    (n + 1) / 2; centred ranks are multiples of 1/2, so the three sums are
+    exact, and so is Sxx Syy while below 2^49.  rho then takes two
+    roundings, and a perfect ordering scores exactly 1.
     """
     owners = np.asarray(image_of_text, dtype=np.int64)
     levels = np.asarray(levels, dtype=np.int64)
     order, bounds = geometry.texts_by_owner(owners, image_embs.shape[0])
     owned = order[bounds[0]:bounds[-1]]
-    dists = np.zeros(owners.shape[0])
-    dists[owned] = geometry.euclid_dists(image_embs[owners[owned]], text_embs[owned])
-    scores = []
-    for i in np.flatnonzero(np.diff(bounds)):
-        mine = order[bounds[i]:bounds[i + 1]]
-        with warnings.catch_warnings():
-            # single or constant inputs yield nan, which counts as 0 below
-            warnings.simplefilter("ignore", stats.ConstantInputWarning)
-            rho = stats.spearmanr(levels[mine], -dists[mine]).statistic
-        scores.append(0.0 if math.isnan(rho) else float(rho))
-    if not scores:
+    if owned.size == 0:
         raise ValueError("no image owns any text")
-    return 100.0 * float(np.mean(scores))
+    groups = owners[owned]
+    dists = geometry.euclid_dists(image_embs[groups], text_embs[owned])
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    sizes = np.diff(np.append(starts, groups.size))
+    centre = np.repeat(0.5 * (sizes + 1.0), sizes)
+    x = _average_ranks(groups, levels[owned]) - centre
+    y = _average_ranks(groups, -dists) - centre
+    sxy, sxx, syy = (np.add.reduceat(a * b, starts) for a, b in ((x, y), (x, x), (y, y)))
+    defined = (sxx > 0.0) & (syy > 0.0)
+    rho = np.zeros(starts.size)
+    rho[defined] = sxy[defined] / np.sqrt(sxx[defined] * syy[defined])
+    return 100.0 * float(np.mean(rho))
 
 
 def per_level_recall(sims: np.ndarray, image_of_text: np.ndarray,

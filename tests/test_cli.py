@@ -238,3 +238,25 @@ def test_train_rejects_non_finite_features(synth_dir, tmp_path, capsys):
     assert code == 2
     assert f"{tmp_path / 'images.bin'}: row 3 (id {ids[3]!r}) is not finite" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight, flag, role", [
+    ("W_img", "--image-features", "images"),
+    ("W_txt", "--text-features", "texts"),
+], ids=["image", "text"])
+def test_eval_rejects_feature_width_of_other_checkpoint(synth_dir, checkpoint_bytes, tmp_path,
+                                                        capsys, weight, flag, role):
+    wide = tmp_path / "wide"
+    assert cli.main(["synth", "--out", str(wide), "--images", "12", "--levels", "3",
+                     "--shared-vocab", "6", "--rare-vocab", "60", "--dim", "20",
+                     "--seed", "7"]) == 0
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(checkpoint_bytes)
+    flags = _data_flags(synth_dir)
+    manifest = wide / f"{role}.manifest.json"
+    flags[flags.index(flag) + 1] = str(manifest)
+    code = cli.main(["eval", *flags, "--checkpoint", str(ckpt), "--out", str(tmp_path / "rpt")])
+    assert code == 2
+    assert (f"{ckpt}: {weight} takes 10-dim features, but {manifest} holds 20-dim rows"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "rpt").exists()

@@ -171,6 +171,61 @@ def test_d_corr_undefined_counts_as_zero():
     assert E.d_corr(imgs, txts, owners, levels) == 0.0
 
 
+def average_ranks(values):
+    """1-based ranks; equal values share the mean of their positions."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
+
+
+def dcorr_reference(imgs, txts, owners, levels):
+    """Per image: the Pearson correlation of average ranks, 0 when undefined."""
+    rhos = []
+    for i in range(imgs.shape[0]):
+        mine = np.flatnonzero(owners == i)
+        if mine.size == 0:
+            continue
+        x = average_ranks([int(levels[j]) for j in mine])
+        y = average_ranks([-geometry.euclid_dist(imgs[i], txts[j]) for j in mine])
+        if mine.size < 2 or np.ptp(x) == 0 or np.ptp(y) == 0:
+            rhos.append(0.0)
+        else:
+            rhos.append(float(np.corrcoef(x, y)[0, 1]))
+    return 100.0 * float(np.mean(rhos))
+
+
+@st.composite
+def grouped_texts(draw):
+    n_img = draw(st.integers(1, 6))
+    # ragged groups: images with no text, one text, or several
+    sizes = draw(st.lists(st.integers(0, 6), min_size=n_img, max_size=n_img)
+                 .filter(lambda v: sum(v) > 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    owners = rng.permutation(np.repeat(np.arange(n_img), sizes))
+    levels = rng.integers(0, draw(st.integers(1, 4)), size=owners.size)
+    imgs = rng.normal(size=(n_img, 3))
+    # texts drawn from a small pool, so an image's texts repeat and tie
+    pool = rng.normal(size=(draw(st.integers(1, 8)), 3))
+    txts = pool[rng.integers(0, pool.shape[0], size=owners.size)]
+    return imgs, txts, owners, levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_texts())
+def test_d_corr_equals_per_image_spearman(fixture):
+    imgs, txts, owners, levels = fixture
+    assert abs(E.d_corr(imgs, txts, owners, levels)
+               - dcorr_reference(imgs, txts, owners, levels)) <= 1e-12
+
+
 def test_per_level_recall_pools_texts():
     sims = np.array([[0.9, 0.1, 0.9, 0.6],
                      [0.1, 0.9, 0.2, 0.5]])
@@ -318,6 +373,28 @@ def station_walk(image, cands, root, n_points):
     return seen
 
 
+def flat_line_walks(rng, root, count):
+    """Starts s with |s| = |r| and, per start, a candidate whose screen line
+    is flat at the prune's bound U.  |s| = |r| puts the segment's point
+    nearest the origin at its midpoint m, where the lines of s and of the
+    root's candidate q = r cross at their maximum U = |m - s|^2 - |m|^2;
+    a candidate at m + h with h orthogonal to r - s and |h| = |m - s|
+    has the line |m + h|^2 - 2 s.(m + h) = U for every t and ties with s
+    and q at the midpoint station, so only rounding decides whether it
+    wins there and on which side of U its computed value falls."""
+    starts, flat = [], []
+    for _ in range(count):
+        start = rng.normal(size=root.size)
+        start *= np.linalg.norm(root) / np.linalg.norm(start)
+        axis = root - start
+        off = rng.normal(size=root.size)
+        off -= np.dot(off, axis) / np.dot(axis, axis) * axis
+        off *= 0.5 * np.linalg.norm(axis) / np.linalg.norm(off)
+        starts.append(start)
+        flat.append(0.5 * (start + root) + off)
+    return np.array(starts), np.array(flat)
+
+
 @pytest.mark.parametrize("dim", [3, 8, 32])
 def test_traversal_equals_station_walk(dim):
     rng = np.random.default_rng(dim)
@@ -343,9 +420,59 @@ def test_traversal_equals_station_walk(dim):
         off *= 0.05 / np.linalg.norm(off)
         mid = 0.5 * (start + root)
         mirrored += [mid + off, mid - off]
-    cands = np.vstack([cands, mirrored])
-    walks = [station_walk(image, cands, root, 50) for image in imgs]
-    for image, want in zip(imgs, walks):
-        assert E.hierarchical_traverse(image, cands, root, 50) == want
-    assert E._traverse(imgs, cands, root, 50) == walks
+    # the root itself is q, the candidate with the smallest screen at the
+    # root, and the walk of the image placed on it starts at q
+    cands = np.vstack([cands, mirrored, root])
+    imgs = np.vstack([imgs, root])
+    for n_points in (2, 50):
+        walks = [station_walk(image, cands, root, n_points) for image in imgs]
+        for image, want in zip(imgs, walks):
+            assert E.hierarchical_traverse(image, cands, root, n_points) == want
+        assert E._traverse(imgs, cands, root, n_points) == walks
     assert any(n_cand + 1 in walk or n_cand in walk for walk in walks)
+    assert walks[-1] == [cands.shape[0] - 1]
+    # flat lines at U, one segment at a time so that no other walk's
+    # candidates get closer; the midpoint is a station of 51, and the flat
+    # line appears as exact duplicates on both sides of s and of q
+    won = 0
+    for start, flat in zip(*flat_line_walks(rng, root, 100)):
+        group = np.vstack([flat, start, flat, root, flat])
+        for n_points in (51, 2):
+            walks = [station_walk(image, group, root, n_points) for image in (start, root)]
+            assert E._traverse(np.vstack([start, root]), group, root, n_points) == walks
+            won += 0 in walks[0]
+    assert won > 0
+
+
+def test_traversal_prunes_to_the_bound(monkeypatch):
+    # the walk from s = (-1, 0) to r = q = (1, 0) has U = 1 at t = 1/2,
+    # where s, q and the flat line at (0, 1) tie; flat lines at
+    # (0, +-1.2) and (0, 1.5) stay under s's own line (max 3) but above U
+    cands = np.array([[0.0, 1.5], [1.0, 0.0], [0.0, 1.2], [0.0, 1.0],
+                      [-1.0, 0.0], [0.0, -1.2]])
+    seen = []
+    nearest_rows = E._nearest_rows
+
+    def recording(points, candidates, lifted):
+        seen.append(candidates.copy())
+        return nearest_rows(points, candidates, lifted)
+
+    monkeypatch.setattr(E, "_nearest_rows", recording)
+    assert E.hierarchical_traverse(np.array([-0.9, 0.0]), cands,
+                                   np.array([1.0, 0.0]), 3) == [4, 1]
+    # the start-point pass sees every candidate, the walk only the survivors
+    assert len(seen) == 2
+    np.testing.assert_array_equal(seen[1], cands[[1, 3, 4]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 5), st.integers(2, 9),
+       st.integers(0, 2**32 - 1))
+def test_traversal_equals_station_walk_on_grids(dim, n_cand, n_img, n_points, seed):
+    # coordinates on a coarse grid make exact ties and duplicates common
+    rng = np.random.default_rng(seed)
+    cands = rng.integers(-3, 4, size=(n_cand, dim)) / 2.0
+    imgs = rng.integers(-3, 4, size=(n_img, dim)) / 2.0
+    root = rng.integers(-3, 4, size=dim) / 2.0
+    walks = [station_walk(image, cands, root, n_points) for image in imgs]
+    assert E._traverse(imgs, cands, root, n_points) == walks
