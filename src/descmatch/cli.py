@@ -172,7 +172,7 @@ def _cmd_train(cfg: dict) -> int:
     dataset = _load_dataset(cfg, cfg["split"])
     val_split = cfg["val_split"]
     if val_split == "auto":
-        present = {r.split for r in corpus_mod.read_corpus_jsonl(cfg["corpus"])}
+        present = set(corpus_mod.read_corpus_columns(cfg["corpus"]).splits)
         val_split = "val" if ("val" in present and cfg["split"] != "val") else "none"
     val_dataset = None if val_split == "none" else _load_dataset(cfg, val_split)
     out = Path(cfg["out"])

@@ -20,6 +20,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -117,45 +118,40 @@ def load_dataset(corpus_path, table_path, image_features_path,
     Every kept sentence must have a feature row and a table entry; images
     are ordered by first appearance among the kept sentences.
     """
-    records = corpus_mod.read_corpus_jsonl(corpus_path)
+    corpus = corpus_mod.read_corpus_columns(corpus_path)
+    ids, owner_ids, levels = corpus.ids, corpus.image_ids, corpus.levels
     if split is not None:
-        records = [r for r in records if r.split == split]
-    if not records:
+        kept = [s == split for s in corpus.splits]
+        ids, owner_ids, levels = (list(compress(c, kept)) for c in (ids, owner_ids, levels))
+    if not ids:
         raise ValueError(f"no sentences for split {split!r} in {corpus_path}")
     table = corpus_mod.read_table_jsonl(table_path)
     img_ids, img_feats = _load_features(image_features_path)
     txt_ids, txt_feats = _load_features(text_features_path)
     img_row = {i: k for k, i in enumerate(img_ids)}
     txt_row = {i: k for k, i in enumerate(txt_ids)}
+    if not (txt_row.keys() >= set(ids) and img_row.keys() >= set(owner_ids)
+            and table.scores.keys() >= set(ids)):
+        for sid, iid in zip(ids, owner_ids):
+            if sid not in txt_row:
+                raise KeyError(f"sentence {sid} missing from text features")
+            if iid not in img_row:
+                raise KeyError(f"image {iid} missing from image features")
+            if sid not in table.scores:
+                raise KeyError(f"sentence {sid} missing from descriptiveness table")
 
-    image_ids: list[str] = []
-    image_index: dict[str, int] = {}
-    owners, deltas, levels, rows = [], [], [], []
-    text_ids = []
-    for r in records:
-        if r.id not in txt_row:
-            raise KeyError(f"sentence {r.id} missing from text features")
-        if r.image_id not in img_row:
-            raise KeyError(f"image {r.image_id} missing from image features")
-        if r.id not in table.scores:
-            raise KeyError(f"sentence {r.id} missing from descriptiveness table")
-        if r.image_id not in image_index:
-            image_index[r.image_id] = len(image_ids)
-            image_ids.append(r.image_id)
-        text_ids.append(r.id)
-        rows.append(txt_row[r.id])
-        owners.append(image_index[r.image_id])
-        deltas.append(table.scores[r.id])
-        levels.append(-1 if r.level is None else r.level)
+    image_ids = list(dict.fromkeys(owner_ids))
+    image_index = {iid: k for k, iid in enumerate(image_ids)}
     feat_rows = np.array([img_row[i] for i in image_ids], dtype=np.int64)
+    rows = np.array([txt_row[i] for i in ids], dtype=np.int64)
     return Dataset(
         image_ids=image_ids,
         image_feats=np.ascontiguousarray(img_feats[feat_rows]),
-        text_ids=text_ids,
-        text_feats=np.ascontiguousarray(txt_feats[np.array(rows, dtype=np.int64)]),
-        image_of_text=np.array(owners, dtype=np.int64),
-        deltas=np.array(deltas, dtype=np.float64),
-        levels=np.array(levels, dtype=np.int64),
+        text_ids=ids,
+        text_feats=np.ascontiguousarray(txt_feats[rows]),
+        image_of_text=np.array([image_index[i] for i in owner_ids], dtype=np.int64),
+        deltas=np.array([table.scores[i] for i in ids], dtype=np.float64),
+        levels=np.array([-1 if lv is None else lv for lv in levels], dtype=np.int64),
     )
 
 

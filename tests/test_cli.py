@@ -260,3 +260,30 @@ def test_eval_rejects_feature_width_of_other_checkpoint(synth_dir, checkpoint_by
     assert (f"{ckpt}: {weight} takes 10-dim features, but {manifest} holds 20-dim rows"
             in capsys.readouterr().err)
     assert not (tmp_path / "rpt").exists()
+
+
+def test_score_rejects_mistyped_corpus_field(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "image_id": "i", "text": "a dog"}\n'
+                      '{"id": "b", "image_id": "i", "text": null}\n')
+    code = cli.main(["score", "--corpus", str(corpus), "--out", str(tmp_path / "t.jsonl")])
+    assert code == 2
+    assert f"{corpus}:2: malformed corpus record: 'text' must be a string" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda row: {**row, "delta": float("nan")}, "'delta' must be finite"),
+    (lambda row: {**row, "delta": 7.5}, "'delta' must lie in [0, 1]"),
+], ids=["nan-delta", "delta-out-of-range"])
+def test_train_rejects_bad_table_row(synth_dir, tmp_path, capsys, edit, want):
+    lines = (synth_dir / "table.jsonl").read_text().splitlines()
+    lines[4] = json.dumps(edit(json.loads(lines[4])), sort_keys=True)
+    table = tmp_path / "table.jsonl"
+    table.write_text("\n".join(lines) + "\n")
+    flags = _data_flags(synth_dir)
+    flags[flags.index("--table") + 1] = str(table)
+    code = cli.main(["train", *flags, "--out", str(tmp_path / "run"), "--epochs", "1",
+                     "--batch-size", "12", "--embed-dim", "8"])
+    assert code == 2
+    assert f"{table}:5: malformed table record: {want}" in capsys.readouterr().err

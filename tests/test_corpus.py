@@ -1,3 +1,4 @@
+import json
 import math
 
 import hypothesis.strategies as st
@@ -112,6 +113,8 @@ def test_build_table_rejects_empty_pool_and_empty_sentences():
         C.build_table([C.SentenceRecord("s", "i", "!!!")])
     with pytest.raises(ValueError):
         C.build_table(THREE_DOCS, pool_split="nope")
+    with pytest.raises(ValueError, match="duplicate sentence id 's1'"):
+        C.build_table(THREE_DOCS + [C.SentenceRecord("s1", "i9", "a cat", split="val")])
 
 
 def test_corpus_jsonl_round_trip(tmp_path):
@@ -153,6 +156,9 @@ def test_table_jsonl_names_malformed_line(tmp_path):
         C.read_table_jsonl(path)
     path.write_text('{"raw_min": 0.0, "raw_max": \n')
     with pytest.raises(ValueError, match=r"table\.jsonl:1: malformed table header"):
+        C.read_table_jsonl(path)
+    path.write_text('{"raw_min": NaN, "raw_max": 1.0}\n')
+    with pytest.raises(ValueError, match=r"table\.jsonl:1: malformed table header: .*finite"):
         C.read_table_jsonl(path)
 
 
@@ -226,3 +232,385 @@ def test_out_of_pool_clamp_idempotent(records, text):
     pool, table = C.build_table(records)
     first = C.score_out_of_pool(C.tokenize(text), pool, table)
     assert 0.0 <= first <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# The batched corpus path against the per-sentence and per-line oracles
+
+
+def build_table_oracle(records, pool_split="train"):
+    """build_table one sentence at a time, from the single-sentence helpers."""
+    pool_records = [r for r in records if r.split == pool_split]
+    tokenized = {r.id: C.tokenize(r.text) for r in records}
+    pool = C.build_pool(tokenized[r.id] for r in pool_records)
+    table = C.normalize_scores({r.id: C.raw_descriptiveness(tokenized[r.id], pool)
+                                for r in pool_records})
+    scores, raws = {}, {}
+    for r in records:
+        if r.split == pool_split:
+            scores[r.id] = table.scores[r.id]
+            raws[r.id] = table.raw_scores[r.id]
+        else:
+            scores[r.id] = C.score_out_of_pool(tokenized[r.id], pool, table)
+            raws[r.id] = C.raw_descriptiveness(tokenized[r.id], pool)
+    return pool, C.DescriptivenessTable(scores=scores, raw_scores=raws,
+                                        raw_min=table.raw_min, raw_max=table.raw_max)
+
+
+def read_corpus_per_line(path):
+    """The per-line corpus reader, with the field types read_corpus_jsonl
+    enforces."""
+    records, first_line = [], {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                split = obj.get("split", "train")
+                if split not in C.VALID_SPLITS:
+                    raise ValueError(f"bad split {split!r}")
+                level = obj.get("level")
+                sid, image_id, text = obj["id"], obj["image_id"], obj["text"]
+                for name, value in (("id", sid), ("image_id", image_id)):
+                    if type(value) not in (str, int):
+                        raise ValueError(f"{name!r} must be a string or an integer")
+                if type(text) is not str:
+                    raise ValueError("'text' must be a string")
+                if level is not None and type(level) is not int:
+                    raise ValueError("'level' must be an integer or null")
+                records.append(C.SentenceRecord(str(sid), str(image_id), text, split, level))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed corpus record: {exc}") from exc
+            sid = records[-1].id
+            if sid in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate sentence id {sid!r} "
+                                 f"(first on line {first_line[sid]})")
+            first_line[sid] = lineno
+    return records
+
+
+def read_table_per_line(path):
+    """The per-line table reader, with the row checks read_table_jsonl
+    enforces."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+        scores, raws, first_line = {}, {}, {}
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                delta, sid, raw = float(obj["delta"]), str(obj["id"]), float(obj["raw"])
+                for name, value in (("delta", delta), ("raw", raw)):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name!r} must be finite, got {value!r}")
+                if not 0.0 <= delta <= 1.0:
+                    raise ValueError(f"'delta' must lie in [0, 1], got {delta!r}")
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed table record: {exc}") from exc
+            if sid in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate sentence id {sid!r} "
+                                 f"(first on line {first_line[sid]})")
+            first_line[sid] = lineno
+            scores[sid], raws[sid] = delta, raw
+    return C.DescriptivenessTable(scores=scores, raw_scores=raws,
+                                  raw_min=float(header["raw_min"]),
+                                  raw_max=float(header["raw_max"]))
+
+
+def write_table_per_line(path, table):
+    """The json.dumps writer, one call per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"raw_min": table.raw_min, "raw_max": table.raw_max},
+                            sort_keys=True) + "\n")
+        for sid, delta in table.scores.items():
+            fh.write(json.dumps({"id": sid, "delta": delta, "raw": table.raw_scores[sid]},
+                                sort_keys=True) + "\n")
+
+
+def _assert_tables_identical(got, want):
+    (gpool, gtable), (wpool, wtable) = got, want
+    assert gpool == wpool
+    assert gtable.raw_min == wtable.raw_min and gtable.raw_max == wtable.raw_max
+    # == on the dicts compares the float bits of every value (no NaN here)
+    assert gtable.raw_scores == wtable.raw_scores
+    assert gtable.scores == wtable.scores
+    assert list(gtable.scores) == list(wtable.scores)
+    assert all(type(v) is float for v in (*gtable.scores.values(), *gtable.raw_scores.values()))
+
+
+# words drawn from a skewed vocabulary, so that idf values differ widely and
+# a sum taken in any other order changes the low bits
+skewed_words = st.integers(0, 60).map(lambda k: f"w{k * k % 61}")
+splits = st.sampled_from(["train", "train", "val", "test"])
+
+
+@st.composite
+def split_corpora(draw):
+    n = draw(st.integers(1, 30))
+    texts = draw(st.lists(st.lists(skewed_words, min_size=1, max_size=14).map(" ".join),
+                          min_size=n, max_size=n))
+    record_splits = draw(st.lists(splits, min_size=n, max_size=n))
+    record_splits[draw(st.integers(0, n - 1))] = "train"
+    images = draw(st.permutations(range(n)))
+    return [C.SentenceRecord(f"s{k}", f"img{images[k]:03d}", t, split=s)
+            for k, (t, s) in enumerate(zip(texts, record_splits))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_corpora(), st.sampled_from(C.VALID_SPLITS))
+def test_build_table_equals_per_sentence_oracle(records, pool_split):
+    if not any(r.split == pool_split for r in records):
+        pool_split = "train"
+    _assert_tables_identical(C.build_table(records, pool_split),
+                             build_table_oracle(records, pool_split))
+
+
+def test_build_table_equals_oracle_on_fixed_cases():
+    cases = {
+        # repeated words, and val/test words absent from the train pool
+        "repeats": [C.SentenceRecord("b", "i2", "dog dog a Dog cat"),
+                    C.SentenceRecord("a", "i1", "a cat a"),
+                    C.SentenceRecord("v", "i0", "zebra dog zebra unseen", split="val"),
+                    C.SentenceRecord("t", "i3", "only new words", split="test")],
+        # every train sentence scores the same raw: a degenerate range
+        "degenerate": [C.SentenceRecord(f"s{k}", f"i{9 - k}", "a b b") for k in range(4)]
+                      + [C.SentenceRecord("v", "i", "c", split="val")],
+        # idf = ln(21/20): np.log and libm's log disagree on it on some builds
+        "libm-log": [C.SentenceRecord(f"s{k}", "i", f"a b{k}") for k in range(20)]
+                    + [C.SentenceRecord("s20", "i", "c"), C.SentenceRecord("v", "i", "a", "val")],
+    }
+    for name, records in cases.items():
+        for pool_split in ("train", "val", "test") if name == "repeats" else ("train",):
+            _assert_tables_identical(C.build_table(records, pool_split),
+                                     build_table_oracle(records, pool_split))
+    _, flat = C.build_table(cases["degenerate"])
+    assert set(flat.scores.values()) == {0.5}
+
+
+def test_build_table_equals_oracle_at_corpus_scale():
+    rng = np.random.default_rng(5)
+    vocab = [f"w{k}" for k in range(400)]
+    records = [C.SentenceRecord(f"s{k}", f"i{rng.integers(300)}",
+                                " ".join(rng.choice(vocab, rng.integers(1, 25))),
+                                split=str(rng.choice(["train", "train", "val", "test"])))
+               for k in range(2000)]
+    _assert_tables_identical(C.build_table(records), build_table_oracle(records))
+
+
+ids_needing_escapes = ['q"uote', "back\\slash", "café", " sep", "tab\there", "\U0001f600"]
+
+
+def test_write_table_bytes_equal_json_dumps(tmp_path):
+    values = [0.0, 1.0, 1e-300, 5e-324, 0.1, 1 / 3, 2.5e-05]
+    ids = ids_needing_escapes + [f"s{k}" for k in range(len(values))]
+    table = C.DescriptivenessTable(
+        scores={sid: values[k % len(values)] for k, sid in enumerate(ids)},
+        raw_scores={sid: values[-1 - k % len(values)] * 7 for k, sid in enumerate(ids)},
+        raw_min=5e-324, raw_max=1e-300)
+    C.write_table_jsonl(tmp_path / "bulk.jsonl", table)
+    write_table_per_line(tmp_path / "oracle.jsonl", table)
+    assert (tmp_path / "bulk.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+    assert C.read_table_jsonl(tmp_path / "bulk.jsonl") == table
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), st.tuples(
+    st.floats(0.0, 1.0), st.floats(allow_nan=False, allow_infinity=False)), max_size=8))
+def test_write_table_round_trips_like_json_dumps(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("table")
+    table = C.DescriptivenessTable(scores={k: v[0] for k, v in rows.items()},
+                                   raw_scores={k: v[1] for k, v in rows.items()},
+                                   raw_min=0.0, raw_max=1.0)
+    C.write_table_jsonl(tmp / "bulk.jsonl", table)
+    write_table_per_line(tmp / "oracle.jsonl", table)
+    assert (tmp / "bulk.jsonl").read_bytes() == (tmp / "oracle.jsonl").read_bytes()
+    assert C.read_table_jsonl(tmp / "bulk.jsonl") == read_table_per_line(tmp / "oracle.jsonl")
+
+
+def test_write_table_rejects_non_finite(tmp_path):
+    table = C.DescriptivenessTable(scores={"a": float("nan")}, raw_scores={"a": 1.0},
+                                   raw_min=0.0, raw_max=1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        C.write_table_jsonl(tmp_path / "t.jsonl", table)
+
+
+@st.composite
+def corpus_lines(draw):
+    """Valid corpus lines: string or integer ids, any text, optional split
+    and level, extra keys (some nested), blank and whitespace lines."""
+    lines = []
+    for k in range(draw(st.integers(0, 12))):
+        obj = {"id": draw(st.sampled_from([f"s{k}", k, f'"{k}\\', f"é{k}"])),
+               "image_id": draw(st.sampled_from(["i", 7, "café", 'q"'])),
+               "text": draw(st.text(max_size=12))}
+        if draw(st.booleans()):
+            obj["split"] = draw(st.sampled_from(C.VALID_SPLITS))
+        if draw(st.booleans()):
+            obj["level"] = draw(st.one_of(st.none(), st.integers(-3, 9)))
+        if draw(st.booleans()):
+            obj["extra"] = draw(st.sampled_from([1.5, True, None, "x", [1, {"a": 2}], {"b": []}]))
+        lines.append(json.dumps(obj, ensure_ascii=draw(st.booleans()),
+                                sort_keys=draw(st.booleans())))
+        lines.extend(draw(st.lists(st.sampled_from(["", "  ", "\t "]), max_size=1)))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_lines())
+def test_corpus_reader_equals_per_line_reader(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    records = C.read_corpus_jsonl(path)
+    assert records == read_corpus_per_line(path)
+    cols = C.read_corpus_columns(path)
+    assert [C.SentenceRecord(*row) for row in zip(cols.ids, cols.image_ids, cols.texts,
+                                                  cols.splits, cols.levels)] == records
+
+
+def _raises_same(path, reader, oracle):
+    with pytest.raises(ValueError) as got:
+        reader(path)
+    with pytest.raises(ValueError) as want:
+        oracle(path)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+REC = '{"id": "%s", "image_id": "i", "text": "a dog"}'
+
+# corpora the one-parse path must refuse; the per-line reader names the bad line
+MUTATED_CORPORA = {
+    "two-objects-one-line": [REC % "a", REC % "b" + ", " + REC % "c", REC % "d"],
+    "record-split-over-lines": [REC % "a", '{"id": "b", "image_id": "i",', '"text": "t"}'],
+    "two-objects-then-split-record": [REC % "a" + ',{"id": "x"', '"image_id": "i", "text": "t"}'],
+    "array-split-over-lines": ["[1", "2], 3"],
+    "list-line": [REC % "a", "[1, 2]"],
+    "string-split-over-lines": ['{"id": "a", "image_id": "i", "text": "a', 'b"}'],
+    "nested-field": [REC % "a", '{"id": "b", "image_id": {"i": 1}, "text": "t"}'],
+    "scalar-line": [REC % "a", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_CORPORA))
+def test_corpus_reader_rejects_mutations_like_per_line_reader(tmp_path, name):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n \n".join(MUTATED_CORPORA[name]) + "\n\t\n")
+    msg = _raises_same(path, C.read_corpus_jsonl, read_corpus_per_line)
+    assert msg.startswith(f"{path}:")
+    assert C._bulk_objects([line.strip() for line in MUTATED_CORPORA[name]]) is None
+
+
+def test_valid_files_take_the_one_parse_path(tmp_path, monkeypatch):
+    records = THREE_DOCS + [C.SentenceRecord("s4", "i4", "a dog", split="val", level=2)]
+    C.write_corpus_jsonl(tmp_path / "corpus.jsonl", records)
+    _, table = C.build_table(records)
+    C.write_table_jsonl(tmp_path / "table.jsonl", table)
+
+    def per_line(obj):
+        raise AssertionError("per-line parser used on a valid file")
+
+    monkeypatch.setattr(C, "_corpus_fields", per_line)
+    monkeypatch.setattr(C, "_table_fields", per_line)
+    assert C.read_corpus_jsonl(tmp_path / "corpus.jsonl") == records
+    assert C.read_table_jsonl(tmp_path / "table.jsonl") == table
+
+
+# a line that keeps the one-parse path away from the whole file
+NESTED_LINE = '{"id": "n", "image_id": "i", "text": "t", "extra": {"k": [1]}}'
+
+
+MISTYPED = {
+    "text-null": ("text", "null", "'text' must be a string"),
+    "text-number": ("text", "3", "'text' must be a string"),
+    "id-null": ("id", "null", "'id' must be a string or an integer"),
+    "id-float": ("id", "1.5", "'id' must be a string or an integer"),
+    "id-bool": ("id", "true", "'id' must be a string or an integer"),
+    "id-list": ("id", '["a"]', "'id' must be a string or an integer"),
+    "image_id-null": ("image_id", "null", "'image_id' must be a string or an integer"),
+    "image_id-float": ("image_id", "2.0", "'image_id' must be a string or an integer"),
+    "image_id-bool": ("image_id", "false", "'image_id' must be a string or an integer"),
+    "image_id-list": ("image_id", "[1]", "'image_id' must be a string or an integer"),
+    "level-bool": ("level", "true", "'level' must be an integer or null"),
+    "level-float": ("level", "2.7", "'level' must be an integer or null"),
+    "level-integral-float": ("level", "2.0", "'level' must be an integer or null"),
+    "level-string": ("level", '"2"', "'level' must be an integer or null"),
+}
+
+
+@pytest.mark.parametrize("route", ["one-parse", "per-line"])
+@pytest.mark.parametrize("case", list(MISTYPED))
+def test_corpus_reader_rejects_mistyped_fields(tmp_path, route, case):
+    field, value, want = MISTYPED[case]
+    fields = {"id": '"b"', "image_id": '"i"', "text": '"a cat"', "level": "1"}
+    fields[field] = value
+    bad = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    first = NESTED_LINE if route == "per-line" else REC % "a"
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(first + "\n" + bad + "\n")
+    with pytest.raises(ValueError) as exc:
+        C.read_corpus_jsonl(path)
+    assert str(exc.value) == f"{path}:2: malformed corpus record: {want}"
+
+
+def test_corpus_reader_keeps_integer_ids_as_strings(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": 7, "image_id": 30, "text": "a dog", "level": 2}\n')
+    assert C.read_corpus_jsonl(path) == [C.SentenceRecord("7", "30", "a dog", level=2)]
+
+
+TABLE_HEAD = '{"raw_max": 2.0, "raw_min": 1.0}'
+ROW = '{"delta": %s, "id": "%s", "raw": %s}'
+
+
+BAD_ROWS = {
+    "delta-nan": (ROW % ("NaN", "b", "1.5"), "'delta' must be finite, got nan"),
+    "delta-inf": (ROW % ("Infinity", "b", "1.5"), "'delta' must be finite, got inf"),
+    "raw-nan": (ROW % ("0.5", "b", "NaN"), "'raw' must be finite, got nan"),
+    "raw-minus-inf": (ROW % ("0.5", "b", "-Infinity"), "'raw' must be finite, got -inf"),
+    "delta-above-1": (ROW % ("7.5", "b", "1.5"), "'delta' must lie in [0, 1], got 7.5"),
+    "delta-below-0": (ROW % ("-0.25", "b", "1.5"), "'delta' must lie in [0, 1], got -0.25"),
+    "delta-huge-int": (ROW % ("1" + "0" * 400, "b", "1.5"), "int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("route", ["one-parse", "per-line"])
+@pytest.mark.parametrize("case", list(BAD_ROWS))
+def test_table_reader_rejects_bad_values(tmp_path, route, case):
+    bad, want = BAD_ROWS[case]
+    first = ROW % ("0.5", "a", "[1.5]") if route == "per-line" else ROW % ("0.5", "a", "1.5")
+    path = tmp_path / "table.jsonl"
+    path.write_text("\n".join([TABLE_HEAD, ROW % ("0.25", "z", "1.25"), bad, first]) + "\n")
+    with pytest.raises(ValueError) as exc:
+        C.read_table_jsonl(path)
+    assert str(exc.value) == f"{path}:3: malformed table record: {want}"
+
+
+def test_table_reader_rejects_repeated_id(tmp_path):
+    path = tmp_path / "table.jsonl"
+    rows = [ROW % ("0.5", "a", "1.5"), ROW % ("0.25", "b", "1.25"), "",
+            ROW % ("0.75", "a", "1.75")]
+    path.write_text("\n".join([TABLE_HEAD, *rows]) + "\n")
+    want = f"{path}:5: duplicate sentence id 'a' (first on line 2)"
+    assert _raises_same(path, C.read_table_jsonl, read_table_per_line) == want
+
+
+MUTATED_TABLES = {
+    "two-rows-one-line": [ROW % ("0.5", "a", "1.5") + " " + ROW % ("0.5", "b", "1.5")],
+    "row-split-over-lines": [ROW % ("0.5", "a", "1.5"), '{"delta": 0.5,', '"id": "b", "raw": 1.5}'],
+    "list-line": ["[0.5, 1.5]"],
+    "nested-value": [ROW % ("0.5", "a", "[1.5]")],
+    "missing-key": ['{"delta": 0.5, "raw": 1.5}'],
+    "string-value": [ROW % ('"high"', "a", "1.5")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_TABLES))
+def test_table_reader_rejects_mutations_like_per_line_reader(tmp_path, name):
+    path = tmp_path / "table.jsonl"
+    path.write_text("\n".join([TABLE_HEAD, ROW % ("0.5", "z", "1.5"), "  ",
+                               *MUTATED_TABLES[name]]) + "\n")
+    assert _raises_same(path, C.read_table_jsonl, read_table_per_line).startswith(f"{path}:")

@@ -274,6 +274,30 @@ def test_load_dataset_reports_missing_ids(tmp_path):
                              tmp_path / "images", tmp_path / "texts")
 
 
+@pytest.mark.parametrize("text_ids, image_ids, table_ids, want", [
+    (["t0", "t1", "t2"], ["imgA", "imgB"], ["t0", "t2"],
+     "sentence t1 missing from descriptiveness table"),
+    (["t0", "t2"], ["imgA", "imgB"], ["t0", "t2"], "sentence t1 missing from text features"),
+    (["t0", "t1", "t2"], ["imgB"], ["t1", "t2"], "image imgA missing from image features"),
+    (["t0", "t1", "t2"], ["imgA", "imgB"], ["t0", "t1"],
+     "sentence t2 missing from descriptiveness table"),
+], ids=["table", "text-before-table", "image", "last-record"])
+def test_load_dataset_reports_first_missing_id(tmp_path, text_ids, image_ids, table_ids, want):
+    """The first record in corpus order that lacks a text row, an image row
+    or a table entry, checked in that order, names the error."""
+    records = [C.SentenceRecord("t0", "imgA", "a dog"), C.SentenceRecord("t1", "imgB", "a cat"),
+               C.SentenceRecord("t2", "imgB", "a cow", split="val")]
+    rng = np.random.default_rng(0)
+    _write_inputs(tmp_path, records, image_ids, rng.normal(size=(len(image_ids), 4)),
+                  text_ids, rng.normal(size=(len(text_ids), 3)))
+    _, table = C.build_table([r for r in records if r.id in table_ids])
+    C.write_table_jsonl(tmp_path / "table.jsonl", table)
+    with pytest.raises(KeyError) as exc:
+        trainer.load_dataset(tmp_path / "corpus.jsonl", tmp_path / "table.jsonl",
+                             tmp_path / "images", tmp_path / "texts")
+    assert exc.value.args[0] == want
+
+
 def test_load_dataset_rejects_empty_split(tmp_path):
     records = [C.SentenceRecord("t0", "imgA", "a dog")]
     rng = np.random.default_rng(0)
