@@ -130,8 +130,9 @@ def load_dataset(corpus_path, table_path, image_features_path,
     txt_ids, txt_feats = _load_features(text_features_path)
     img_row = {i: k for k, i in enumerate(img_ids)}
     txt_row = {i: k for k, i in enumerate(txt_ids)}
-    if not (txt_row.keys() >= set(ids) and img_row.keys() >= set(owner_ids)
-            and table.scores.keys() >= set(ids)):
+    id_set = set(ids)
+    if not (txt_row.keys() >= id_set and table.scores.keys() >= id_set
+            and img_row.keys() >= set(owner_ids)):
         for sid, iid in zip(ids, owner_ids):
             if sid not in txt_row:
                 raise KeyError(f"sentence {sid} missing from text features")
