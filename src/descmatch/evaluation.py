@@ -12,6 +12,13 @@ lowest index among ties), since any owned text in the top k puts that one
 there too.  Recalls are percentages; RSUM is the six-way sum of
 R@{1,5,10} in both directions, accumulated with math.fsum so the reported
 value is the correctly rounded float64 sum of its terms.
+
+The ranks of embeddings are those of ``geometry.sim_matrix``, bit for bit,
+but that matrix is never formed: ``exact_ranks`` streams blocks of image
+rows through a BLAS gemm that only screens, and every value that decides a
+rank (a target, an entry within the proven gemm error of one) comes from
+the fixed-order kernel.  A given matrix goes through the same count with
+a zero error bound, so there is one rank routine.
 """
 
 from __future__ import annotations
@@ -39,22 +46,201 @@ _BLOCK_ENTRIES = 1 << 18
 # rank of a query with no relevant item: no k reaches it
 _NEVER = np.iinfo(np.int64).max
 
+# screened rows and columns keep their norms in [2^-400, 2^400]; the rest
+# take their entries from the exact kernel (see ``exact_ranks``)
+_NORM_RANGE = (2.0 ** -400, 2.0 ** 400)
 
-def _ranks(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per row r, the rank of column targets[r] among the row's entries in
-    descending order with ties toward the lower column, in blocks of rows."""
-    n_rows, n_cols = scores.shape
-    cols = np.arange(n_cols)
-    out = np.empty(n_rows, dtype=np.int64)
-    step = max(1, _BLOCK_ENTRIES // max(1, n_cols))
-    for start in range(0, n_rows, step):
-        block = scores[start:start + step]
-        target = targets[start:start + step, None]
-        value = np.take_along_axis(block, target, axis=1)
-        ahead = block > value
-        ahead |= (block == value) & (cols < target)
-        out[start:start + step] = np.count_nonzero(ahead, axis=1)
-    return out
+
+def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero`` of a 2-d mask, in the same order; on sparse masks
+    the flat search is an order of magnitude faster."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _window(values: np.ndarray, slack, clip: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per query, the (lo, hi) outside which a screened entry is decided:
+    values -/+ slack, each rounded one float outward, so lo <= value - slack
+    and hi >= value + slack exactly.  With clip, the exact entries are
+    clamped into [-1, 1], so no screen value decides "above" once hi >= 1
+    or "below" once lo <= -1."""
+    lo = np.nextafter(values - slack, -np.inf)
+    hi = np.nextafter(values + slack, np.inf)
+    if clip:
+        hi[hi >= 1.0] = np.inf
+        lo[lo <= -1.0] = -np.inf
+    return lo, hi
+
+
+def _count(mask: np.ndarray, axis: int) -> np.ndarray:
+    """True entries along an axis: the bytes summed into int32, the fast
+    accumulator (no block axis nears 2^31 entries)."""
+    return np.add.reduce(mask.view(np.uint8), axis=axis, dtype=np.int32)
+
+
+def _inside(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Entries no comparison with the window decides: within it, or NaN."""
+    return ~((block > hi) | (block < lo))
+
+
+def _screen(block: np.ndarray, lo: np.ndarray, hi: np.ndarray, axis: int):
+    """Per query along axis: the entries above its window, and the number
+    inside it."""
+    above = block > hi
+    decided = block < lo
+    decided |= above
+    return _count(above, axis), block.shape[axis] - _count(decided, axis)
+
+
+def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, blocks, exact,
+                 row_slack=0.0, col_slack=0.0, clip: bool = False):
+    """(i2t, t2i) ranks, as the module docstring defines them, of the exact
+    matrix E that ``blocks`` screens.
+
+    owned[j] is E[owners[j], j]; ``blocks`` yields (first row, screen
+    rows) in row order, covering every row once; ``exact(rows, cols)``
+    returns E at those entries.  Every screen entry g stays within
+    row_slack[i] of E[i, j] (and within col_slack[j]), after the clamp
+    into [-1, 1] when clip is set; NaN entries are allowed.  An entry
+    outside its query's ``_window`` is strictly above or below the
+    query's target and is counted from the screen alone; the entries
+    inside it (the target itself, near ties, NaN) are re-checked with
+    ``exact``.  The target always lies inside its own window, so a query
+    whose window holds no other entry of the block needs no re-check.
+    A matrix is its own screen with zero slack (``query_ranks``).
+    """
+    n_txt = owners.size
+    valid = (owners >= 0) & (owners < n_img)
+    texts = np.flatnonzero(valid)
+    # by owner, then descending similarity, then text index
+    texts = texts[np.lexsort((texts, -owned[texts], owners[texts]))]
+    own = owners[texts]
+    first = np.diff(own, prepend=-1) != 0
+    best = np.zeros(n_img, dtype=np.int64)
+    has = np.zeros(n_img, dtype=bool)
+    best[own[first]] = texts[first]
+    has[own] = True
+    target = owned[best]
+    lo_t, hi_t = _window(owned, col_slack, clip)
+    lo_i, hi_i = _window(target, row_slack, clip)
+    # a query without a relevant item expects no entry in its window
+    lo_t[~valid] = hi_t[~valid] = lo_i[~has] = hi_i[~has] = np.inf
+    t2i = np.zeros(n_txt, dtype=np.int64)
+    i2t = np.zeros(n_img, dtype=np.int64)
+    for start, block in blocks:
+        stop = start + block.shape[0]
+        # text queries: the columns of the block
+        above, inside = _screen(block, lo_t, hi_t, 0)
+        t2i += above
+        inside -= valid & (owners >= start) & (owners < stop)
+        cols = np.flatnonzero((inside != 0) & valid)
+        if cols.size:
+            r, k = _nonzero(_inside(block[:, cols], lo_t[cols], hi_t[cols]))
+            r, k = start + r, cols[k]
+            e = exact(r, k)
+            ahead = (e > owned[k]) | ((e == owned[k]) & (r < owners[k]))
+            t2i += np.bincount(k[ahead], minlength=n_txt)
+        # image queries: the rows of the block
+        lo_r, hi_r = lo_i[start:stop, None], hi_i[start:stop, None]
+        i2t[start:stop], inside = _screen(block, lo_r, hi_r, 1)
+        inside -= has[start:stop]
+        rows = np.flatnonzero((inside != 0) & has[start:stop])
+        if rows.size:
+            r, k = _nonzero(_inside(block[rows], lo_r[rows], hi_r[rows]))
+            r = start + rows[r]
+            e = exact(r, k)
+            ahead = (e > target[r]) | ((e == target[r]) & (k < best[r]))
+            i2t += np.bincount(r[ahead], minlength=n_img)
+    t2i[~valid] = _NEVER
+    i2t[~has] = _NEVER
+    return i2t, t2i
+
+
+def _matrix_ranks(sims: np.ndarray, image_of_text: np.ndarray):
+    """(i2t, t2i) ranks of a given matrix: the zero-slack screen."""
+    sims = np.asarray(sims, dtype=np.float64)
+    owners = np.asarray(image_of_text, dtype=np.int64)
+    n_img, n_txt = sims.shape
+    if owners.shape != (n_txt,):
+        raise ValueError("image_of_text must have one entry per text")
+    valid = (owners >= 0) & (owners < n_img)
+    owned = np.zeros(n_txt)
+    owned[valid] = sims[owners[valid], np.flatnonzero(valid)]
+    step = max(1, _BLOCK_ENTRIES // max(1, n_txt))
+    blocks = ((start, sims[start:start + step]) for start in range(0, n_img, step))
+    return _count_ranks(n_img, owners, owned, blocks, lambda r, c: sims[r, c])
+
+
+def _screen_norms(matrix: np.ndarray) -> np.ndarray:
+    """Row norms, 0 for the rows left to the exact kernel (norm outside
+    ``_NORM_RANGE`` or not a number)."""
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    inside = (norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1])
+    return np.where(inside, norms, 0.0)
+
+
+def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
+                image_of_text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i2t, t2i) ranks of ``geometry.sim_matrix(image_embs, text_embs)``,
+    bit for bit ``query_ranks`` of that matrix, without forming it: a
+    BLAS gemm screens one block of image rows at a time, and every value
+    that decides a rank comes from ``geometry.pair_sims``.  Memory is
+    O(block x texts).
+
+    Bound, with u = 2^-53 and g_m = m u / (1 - m u): let E = clip(x) be
+    an exact entry, x the fixed-order sum of the d products a_k b_k of
+    image row a and text row b, and g the gemm entry.  Both x and g are
+    float64 sums of those products in some order (gemm may fuse a
+    multiply and an add, which only drops a rounding), so each lies
+    within g_d sum_k |a_k b_k| of a.b (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.1), and by Cauchy-Schwarz
+        |g - x| <= 2 g_d |a| |b|.
+    The clamp is monotone and 1-Lipschitz, so clip(g) lies as close to
+    E.  The slack of entry (i, j) is k n_i N with N the largest text
+    norm (for image queries), or k M n_j with M the largest image norm
+    (for text queries), where the n are computed norms and k = 2 (d+2) u.
+    A computed norm has n >= |a| sqrt(1 - g_d) (1 - u), and the slack is
+    rounded twice, so it is at least 2 g_d |a| |b| whenever
+    k (1 - u)^4 (1 - g_d) >= 2 g_d, which holds for d^2 u < 1/2, i.e.
+    any d below 6 * 10^7.  ``_window`` rounds each threshold outward, so
+    the comparison itself loses nothing: an entry above its query's hi
+    has clip(g) > value + slack, hence E > value, and likewise below lo.
+    Rows and columns with norms inside ``_NORM_RANGE`` keep every
+    product, partial sum and slack finite and clear of underflow (the
+    absolute errors of subnormal products, at most d 2^-1074, vanish in
+    the margin of k).  The others get their entries from ``pair_sims``
+    inside the gemm block, and a slack of 0, so NaN and infinite rows
+    are exact too.  Targets come from ``pair_sims``: the owned pair of
+    each text, and each image's best owned text.
+    """
+    images = np.atleast_2d(np.asarray(image_embs, dtype=np.float64))
+    texts = np.atleast_2d(np.asarray(text_embs, dtype=np.float64))
+    owners = np.asarray(image_of_text, dtype=np.int64)
+    (n_img, dim), n_txt = images.shape, texts.shape[0]
+    if owners.shape != (n_txt,):
+        raise ValueError("image_of_text must have one entry per text")
+    # pair_sims checks the dimensions before any gemm
+    valid = np.flatnonzero((owners >= 0) & (owners < n_img))
+    owned = np.zeros(n_txt)
+    owned[valid] = geometry.pair_sims(images, texts, owners[valid], valid)
+    img_norms, txt_norms = _screen_norms(images), _screen_norms(texts)
+    unit = 2.0 * (dim + 2) * 2.0 ** -53
+    row_slack = unit * img_norms * txt_norms.max(initial=0.0)
+    col_slack = unit * img_norms.max(initial=0.0) * txt_norms
+    unscreened = not (img_norms.all() and txt_norms.all())
+    step = max(1, _BLOCK_ENTRIES // max(1, n_txt))
+
+    def blocks():
+        for start in range(0, n_img, step):
+            block = images[start:start + step] @ texts.T
+            if unscreened:
+                r, c = _nonzero((img_norms[start:start + step, None] == 0.0)
+                                  | (txt_norms == 0.0))
+                block[r, c] = geometry.pair_sims(images, texts, start + r, c)
+            yield start, block
+
+    return _count_ranks(n_img, owners, owned, blocks(),
+                        lambda r, c: geometry.pair_sims(images, texts, r, c),
+                        row_slack, col_slack, clip=True)
 
 
 def query_ranks(sims: np.ndarray, image_of_text: np.ndarray,
@@ -62,28 +248,10 @@ def query_ranks(sims: np.ndarray, image_of_text: np.ndarray,
     """Rank of each query's relevant item (see the module docstring): one
     per image for "i2t", one per text for "t2i".  An image that owns no
     text, or a text whose owner is not a row of sims, never hits."""
-    sims = np.asarray(sims, dtype=np.float64)
-    owners = np.asarray(image_of_text, dtype=np.int64)
-    n_img, n_txt = sims.shape
-    if owners.shape != (n_txt,):
-        raise ValueError("image_of_text must have one entry per text")
-    valid = (owners >= 0) & (owners < n_img)
-    if direction == "t2i":
-        scores, target, has = sims.T, np.where(valid, owners, 0), valid
-    elif direction == "i2t":
-        texts = np.flatnonzero(valid)
-        # by owner, then descending similarity, then text index
-        texts = texts[np.lexsort((texts, -sims[owners[texts], texts], owners[texts]))]
-        own = owners[texts]
-        first = np.diff(own, prepend=-1) != 0
-        scores, target, has = sims, np.zeros(n_img, dtype=np.int64), np.zeros(n_img, dtype=bool)
-        target[own[first]] = texts[first]
-        has[own] = True
-    else:
+    if direction not in ("i2t", "t2i"):
         raise ValueError(f"unknown direction {direction!r}")
-    ranks = _ranks(scores, target)
-    ranks[~has] = _NEVER
-    return ranks
+    i2t, t2i = _matrix_ranks(sims, image_of_text)
+    return i2t if direction == "i2t" else t2i
 
 
 def _recall(ranks: np.ndarray, k: int) -> float:
@@ -102,13 +270,18 @@ def recall_at_k(sims: np.ndarray, image_of_text: np.ndarray, k: int,
     return _recall(query_ranks(sims, image_of_text, direction), k)
 
 
+def _suite(ranks, ks: tuple[int, ...]) -> dict:
+    """Recalls of (i2t, t2i) ranks, keyed by direction and k."""
+    return {d: {k: _recall(r, k) for k in ks} for d, r in zip(("i2t", "t2i"), ranks)}
+
+
+def _suite_rsum(suite: dict, ks: tuple[int, ...]) -> float:
+    return rsum_from_recalls([suite[d][k] for d in ("i2t", "t2i") for k in ks])
+
+
 def recall_suite(sims: np.ndarray, image_of_text: np.ndarray,
                  ks: tuple[int, ...] = KS) -> dict:
-    out = {}
-    for direction in ("i2t", "t2i"):
-        ranks = query_ranks(sims, image_of_text, direction)
-        out[direction] = {k: _recall(ranks, k) for k in ks}
-    return out
+    return _suite(_matrix_ranks(sims, image_of_text), ks)
 
 
 def rsum_from_recalls(recalls) -> float:
@@ -121,9 +294,13 @@ def rsum_from_recalls(recalls) -> float:
 
 def rsum(sims: np.ndarray, image_of_text: np.ndarray,
          ks: tuple[int, ...] = KS) -> float:
-    suite = recall_suite(sims, image_of_text, ks)
-    return rsum_from_recalls(
-        [suite["i2t"][k] for k in ks] + [suite["t2i"][k] for k in ks])
+    return _suite_rsum(recall_suite(sims, image_of_text, ks), ks)
+
+
+def embedding_rsum(image_embs: np.ndarray, text_embs: np.ndarray,
+                   image_of_text: np.ndarray, ks: tuple[int, ...] = KS) -> float:
+    """``rsum`` of the embeddings' similarity matrix, from ``exact_ranks``."""
+    return _suite_rsum(_suite(exact_ranks(image_embs, text_embs, image_of_text), ks), ks)
 
 
 def fold_slices(n_images: int, n_folds: int) -> list[tuple[int, int]]:
@@ -151,10 +328,9 @@ def folded_recall_suite(image_embs: np.ndarray, text_embs: np.ndarray,
         keep = np.flatnonzero((owners >= start) & (owners < stop))
         if keep.size == 0:
             raise ValueError("a fold has no texts")
-        sims = geometry.sim_matrix(image_embs[start:stop], text_embs[keep])
-        suite = recall_suite(sims, owners[keep] - start, ks)
-        suite["rsum"] = rsum_from_recalls(
-            [suite["i2t"][k] for k in ks] + [suite["t2i"][k] for k in ks])
+        suite = _suite(exact_ranks(image_embs[start:stop], text_embs[keep],
+                                   owners[keep] - start), ks)
+        suite["rsum"] = _suite_rsum(suite, ks)
         folds.append(suite)
     mean = {
         d: {k: float(np.mean([f[d][k] for f in folds])) for k in ks}
@@ -208,7 +384,7 @@ def _nearest_rows(points: np.ndarray, candidates: np.ndarray,
         close = screen <= np.take_along_axis(screen, best[:, None], axis=1) + slack[:, None]
         multi = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
         if multi.size:
-            rows, cols = np.nonzero(close[multi])
+            rows, cols = _nonzero(close[multi])
             diffs = candidates[cols] - block[multi[rows]]
             dist = np.einsum("ij,ij->i", diffs, diffs)
             # rows ascend and cols ascend within a row, so the first exact
@@ -229,15 +405,23 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     Line identity: station p = (1-t) s + t r, for start s and root r, has
     the screen value L_j(t) = |c_j|^2 - 2 p.c_j = (1-t) A_j + t B_j with
     A_j = |c_j|^2 - 2 s.c_j (one row of a blocked starts-by-candidates
-    gemm) and B_j = |c_j|^2 - 2 r.c_j (computed once).  A line on [0, 1]
-    never drops below min(A_j, B_j).
+    gemm) and B_j = |c_j|^2 - 2 r.c_j (computed once).  The nearest
+    candidate v at a station is at least as close as s and as q, the
+    candidate with the smallest B, so there h_v(t) = L_v(t) -
+    min(L_s(t), L_q(t)) <= 0.
 
-    Prune: the nearest candidate at a station is at least as close as s
-    and as q, the candidate with the smallest B, so its line lies below
-    U = max over stations of min(L_s(t), L_q(t)) there, and its
-    min(A_j, B_j) is at most U.  Only candidates with min(A_j, B_j) <=
-    U + slack survive; ``_nearest_rows`` finds each station's top-1 among
-    them, and survivors ascend, so ties still go to the lowest index.
+    Prune: h_v is convex and piecewise linear, with one kink where the s
+    and q lines cross, at t* = a / (a + b) for a = A_q - A_s >= 0 and
+    b = B_s - B_q.  So h_v <= 0 somewhere on [0, 1] means h_v <= 0 at
+    t = 0, at t = 1 or at t*: A_v <= min(A_s, A_q), B_v <= B_q, or
+    L_v(t*) <= L_s(t*) = L_q(t*).  A candidate survives if it passes one
+    of these three tests, each with the slack below.  Where the crossing
+    is ill-conditioned (the s and q lines nearly coincide), it must also
+    pass the envelope test: its line lies below U = max over stations of
+    min(L_s(t), L_q(t)), so min(A_v, B_v) <= U.  The start survives,
+    since L_s(0) = -|s|^2 is the least line value at t = 0.
+    ``_walk_tops`` finds each station's top-1 among the survivors, which
+    ascend, so ties still go to the lowest index.
 
     Slack, with u, g_m and the gemm-screen bound of ``_nearest_rows``,
     R = max(|s|, |r|) + max_j |c_j|, and primes marking computed values:
@@ -247,14 +431,27 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     - the exact minimiser v at p' has e_v <= e_k for k in {s, q}, and a
       diff-then-square distance errs by at most g_(d+2) R^2, so
       L_v(p') <= L_k(p') + 2 g_(d+2) R^2 and, at the exact station,
-      L_v(p) <= min_k L_k(p) + (2 g_(d+2) + 4 g_3) R^2;
+      h_v(t) <= (2 g_(d+2) + 4 g_3) R^2;
     - a computed line value fl(fl(1-t) A'_k) + fl(t B'_k) is within
       g_3 R^2 of (1-t) A'_k + t B'_k, which is within 2 g_(d+1) R^2 of
-      L_k(p), so U <= U' + (g_3 + 2 g_(d+1)) R^2.
-    Chaining them, min(A'_v, B'_v) <= U' + (6 g_(d+2) + 5 g_3) R^2 <=
-    U' + 11 g_(d+3) R^2.  ``slack`` is more than twice that,
-    24 (d+3) u R^2, which also absorbs the second-order terms and the
-    rounding of the threshold (barring underflow).  So every exact
+      L_k(p), so U <= U' + (g_3 + 2 g_(d+1)) R^2;
+    - the crossing values come from one more lifted gemm at the float
+      point fl(fl(1-t') s) + fl(t' r), within g_3 R of the exact point of
+      the computed crossing t', so they lie within 2 (g_(d+1) + g_3) R^2
+      of L_j(t').
+    Chaining them, the end tests need 4 g_(d+1) R^2 more than the bound
+    on h_v, the crossing test 4 (g_(d+1) + g_3) R^2 more, and the
+    envelope test min(A'_v, B'_v) <= U' + (6 g_(d+2) + 5 g_3) R^2; each is
+    at most 14 g_(d+3) R^2.  ``slack`` is 24 (d+3) u R^2, which also
+    absorbs the second-order terms and the rounding of the thresholds
+    (barring underflow).  The crossing test adds ``drift`` for the move
+    from t* to t': the slope of h_v is at most 4 R^2 (|A|, |B| <= R^2),
+    and a' = max(A'_q - A'_s, 0) and b' = B'_s - B'_q lie within
+    e = 6 (d+2) u R^2 of a and b, so for t' = a' / (a' + b') clamped
+    into [0, 1], |t' - t*| <= e / (a + b) + 2 u <= e / (a' + b' - 2 e) +
+    2 u.  ``drift`` is twice 4 R^2 times that bound, the factor 2
+    absorbing its own rounding, and infinite unless a' + b' > 2 e; rows
+    whose drift exceeds R^2 take the envelope test too.  So every exact
     minimiser, ties included, survives.
     """
     if n_points < 2:
@@ -274,6 +471,7 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     root_norm = math.sqrt(float(root @ root))
     walks = []
     step = max(1, _BLOCK_ENTRIES // max(1, n_cand))
+    budget = max(1, _BLOCK_ENTRIES // n_points)
     for lo in range(0, first.size, step):
         firsts = first[lo:lo + step]
         starts = candidates[firsts]
@@ -282,19 +480,98 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
         low = lift @ lifted.T
         own = np.arange(firsts.size)
         a_s, a_q = low[own, firsts], low[:, q]
-        # stations along axis 1; min of the s and q lines, max over stations
+        # the envelope U: stations along axis 1, min of the s and q lines,
+        # max over stations
         bound = np.minimum(rest.T * a_s[:, None] + t.T * root_line[firsts, None],
                            rest.T * a_q[:, None] + t.T * root_line[q]).max(axis=1)
         radius = np.maximum(np.sqrt(lifted[firsts, -1]), root_norm) + reach
-        bound += unit * radius * radius
-        np.minimum(low, root_line, out=low)
-        rows, cols = np.nonzero(low <= bound[:, None])
+        slack = unit * radius * radius
+        bound += slack
+        b_s, b_q = root_line[firsts], root_line[q]
+        a = np.maximum(a_q - a_s, 0.0)
+        b = b_s - b_q
+        err = 6.0 * (dim + 2) * 2.0 ** -53 * radius * radius
+        gap = a + b - 2.0 * err
+        cross = np.clip(a / np.where(gap > 0.0, a + b, 1.0), 0.0, 1.0)[:, None]
+        drift = np.full(firsts.size, np.inf)
+        ok = gap > 0.0
+        drift[ok] = 8.0 * radius[ok] ** 2 * (err[ok] / gap[ok] + 2.0 ** -52)
+        # the crossing t' of the s and q lines, and its screen values
+        np.multiply((1.0 - cross) * starts + cross * root, -2.0, out=lift[:, :-1])
+        mid = lift @ lifted.T
+        at_cross = np.minimum(mid[own, firsts], mid[:, q])
+        keep = mid <= (at_cross + slack + drift)[:, None]
+        keep |= low <= (np.minimum(a_s, a_q) + slack)[:, None]
+        keep |= root_line <= b_q + slack.max()
+        # where the crossing is ill-conditioned, the envelope test prunes
+        flat = np.flatnonzero(drift > radius * radius)
+        if flat.size:
+            keep[flat] &= np.minimum(low[flat], root_line) <= bound[flat, None]
+        rows, cols = _nonzero(keep)
+        line = low[rows, cols]
         cuts = np.searchsorted(rows, np.arange(firsts.size + 1))
-        for i, start in enumerate(starts):
-            kept = cols[cuts[i]:cuts[i + 1]]
-            found = _nearest_rows(rest * start + t * root, candidates[kept], lifted[kept])
-            walks.append(list(dict.fromkeys(kept[found].tolist())))
+        # chunks of walks whose stations x survivors fit one temporary
+        i = 0
+        while i < firsts.size:
+            j = max(i + 1, int(np.searchsorted(cuts, cuts[i] + budget, "right")) - 1)
+            kept = slice(cuts[i], cuts[j])
+            tops = _walk_tops(starts[i:j], root, candidates, cuts[i:j + 1] - cuts[i],
+                              cols[kept], line[kept], root_line[cols[kept]], slack[i:j], t)
+            walks += [list(dict.fromkeys(top.tolist())) for top in tops.T]
+            i = j
     return walks
+
+
+def _walk_tops(starts: np.ndarray, root: np.ndarray, candidates: np.ndarray,
+               cuts: np.ndarray, kept: np.ndarray, a_line: np.ndarray,
+               b_line: np.ndarray, slack: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Top-1 candidate, exactly ``nearest_candidate``'s, at every station
+    (the rows of the column t) of every walk in a chunk: walk i runs from
+    starts[i] to root over the survivors kept[cuts[i]:cuts[i + 1]]
+    (ascending, each walk's nonempty), whose line values A' and B' are
+    a_line and b_line.  Returns an (n_points, walks) array of candidate
+    indices.
+
+    One pass screens every station of every walk against its survivors
+    with the computed line values L'_j = fl(fl(1-t) A'_j) + fl(t B'_j);
+    entries within slack[i] of their station's least L' are re-checked
+    with the exact diff-then-square distance e_j to the float station p',
+    the lowest index winning among equal e_j.  A station with a single
+    such entry needs no re-check.  Bound, with the notation and the
+    error terms of ``_traverse``: |L'_j - L_j(p')| <= (3 g_3 + 2 g_(d+1))
+    R^2, the computed line value's rounding plus the move from p to p'.
+    For the exact winner w and the screened minimum m, e_w <= e_m, so
+    L_w(p') <= L_m(p') + 2 g_(d+2) R^2 and L'_w - L'_m <= (2 g_(d+2) +
+    4 g_(d+1) + 6 g_3) R^2 <= 12 g_(d+2) R^2.  The walk's prune slack,
+    24 (d+3) u R^2, is more than twice that and also absorbs the rounding
+    of the threshold, so every exact minimiser, ties included, is
+    re-checked.
+    """
+    n_walks = starts.shape[0]
+    walk = np.repeat(np.arange(n_walks), np.diff(cuts))
+    line = (1.0 - t) * a_line + t * b_line
+    least = np.minimum.reduceat(line, cuts[:-1], axis=1)
+    close = line <= (least + slack)[:, walk]
+    station, pos = _nonzero(close)
+    # one group per (station, walk), in that order, each holding its least
+    group = station * n_walks + walk[pos]
+    heads = np.flatnonzero(np.diff(group, prepend=-1))
+    sizes = np.diff(np.append(heads, group.size))
+    top = pos[heads]
+    multi = np.flatnonzero(sizes > 1)
+    if multi.size:
+        tied = np.repeat(sizes > 1, sizes)
+        station, pos = station[tied], pos[tied]
+        points = (1.0 - t[station]) * starts[walk[pos]] + t[station] * root
+        diffs = candidates[kept[pos]] - points
+        dist = np.einsum("ij,ij->i", diffs, diffs)
+        member = np.repeat(np.arange(multi.size), sizes[multi])
+        least = np.minimum.reduceat(dist, np.searchsorted(member, np.arange(multi.size)))
+        # positions ascend within a group, so the first exact minimum is
+        # the lowest-index nearest candidate
+        hits = np.flatnonzero(dist == least[member])
+        top[multi] = pos[hits[np.diff(member[hits], prepend=-1) != 0]]
+    return kept[top].reshape(t.shape[0], n_walks)
 
 
 def hierarchical_traverse(image_emb: np.ndarray, candidates: np.ndarray,
@@ -403,7 +680,10 @@ def d_corr(image_embs: np.ndarray, text_embs: np.ndarray,
 def per_level_recall(sims: np.ndarray, image_of_text: np.ndarray,
                      levels: np.ndarray, k: int = 1) -> dict[int, float]:
     """Text-to-image R@k pooled over all texts of each level."""
-    ranks = query_ranks(sims, image_of_text, "t2i")
+    return _level_recall(query_ranks(sims, image_of_text, "t2i"), levels, k)
+
+
+def _level_recall(ranks: np.ndarray, levels: np.ndarray, k: int) -> dict[int, float]:
     levels = np.asarray(levels, dtype=np.int64)
     return {int(level): _recall(ranks[levels == level], k)
             for level in np.unique(levels[levels >= 0])}
@@ -441,20 +721,16 @@ def evaluate(image_embs: np.ndarray, text_embs: np.ndarray,
     if levels is not None:
         levels = np.asarray(levels, dtype=np.int64)
     with_levels = levels is not None and bool(np.any(levels >= 0))
-    sims = geometry.sim_matrix(image_embs, text_embs)
-    suite = recall_suite(sims, owners, ks)
+    ranks = exact_ranks(image_embs, text_embs, owners)
+    suite = _suite(ranks, ks)
     report = {
         "n_images": int(image_embs.shape[0]),
         "n_texts": int(text_embs.shape[0]),
         "recall": suite,
-        "rsum": rsum_from_recalls(
-            [suite["i2t"][k] for k in ks] + [suite["t2i"][k] for k in ks]),
+        "rsum": _suite_rsum(suite, ks),
     }
     if with_levels:
-        report["per_level_recall"] = per_level_recall(sims, owners, levels)
-    # the traversal and the folds allocate blocks of their own; dropping the
-    # full matrix first keeps the two peaks from stacking
-    del sims
+        report["per_level_recall"] = _level_recall(ranks[1], levels, 1)
     report["hierarchical"] = hierarchical_report(image_embs, text_embs, owners,
                                                  root_emb, n_points)
     if n_folds is not None:

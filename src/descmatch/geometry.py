@@ -4,16 +4,19 @@ All arithmetic is 64-bit.  Every cosine similarity, batched or single,
 comes from one kernel: a fixed-order sum over the embedding dimension,
 ``acc = a[0] * b[0]``, then ``acc += a[k] * b[k]`` for k = 1, 2, ..., each
 product and each sum rounded on its own, then clamped into [-1, 1].  The
-kernel is vectorised over blocks of (image, text) pairs, and the order of
+kernel is vectorised over blocks of (image, text) pairs, either a full
+block (``sim_matrix``) or a list of pairs (``pair_sims``), and the order of
 the sum never depends on the block, so an entry has the same bits in a
-full matrix, in any sub-block and in a single ``cosine_sim`` call.  BLAS
-gemm is excluded because it cannot give that guarantee: it splits and
-reorders the sum by matrix shape, and on OpenBLAS an entry of a full
-product can differ in the last bit from the same entry of a 1x1 or
-single-row product.  Batched distances keep the same contract another
-way: ``euclid_dists`` sums each squared difference with its own BLAS dot
-call, the call ``euclid_dist`` makes for one pair, so no row depends on
-the others.
+full matrix, in any sub-block, in any list of pairs and in a single
+``cosine_sim`` call.  BLAS gemm only screens: it splits and reorders the
+sum by matrix shape, so on OpenBLAS an entry of a full product can differ
+in the last bit from the same entry of a 1x1 or single-row product.
+Evaluation uses a gemm product to decide the entries that lie clearly
+above or below a threshold, and every value that decides a rank (a
+target, a near tie) comes from the fixed-order kernel.  Batched distances
+keep the same contract another way: ``euclid_dists`` sums each squared
+difference with its own BLAS dot call, the (1, d) @ (d, 1) product of
+one row, so no row depends on the others.
 
 Text ownership (``image_of_text``) is the only structure that batches,
 losses and evaluation derive their groupings from, and ``texts_by_owner``
@@ -67,13 +70,6 @@ def euclid_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
 
-def euclid_dist(u: np.ndarray, v: np.ndarray) -> float:
-    """Euclidean distance; for unit vectors d^2 = 2 - 2 s."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    return float(euclid_dists(u, v)[0])
-
-
 def texts_by_owner(owners: np.ndarray, n_images: int) -> tuple[np.ndarray, np.ndarray]:
     """Texts grouped by owning image: image i owns
     order[bounds[i]:bounds[i + 1]], in ascending text index."""
@@ -105,6 +101,29 @@ def sim_matrix(images: np.ndarray, texts: np.ndarray) -> np.ndarray:
         for k in range(1, rows.shape[1]):
             np.multiply(rows[:, k:k + 1], coords[k], out=prod)
             acc += prod
+    np.clip(out, -1.0, 1.0, out=out)
+    return out
+
+
+def pair_sims(images: np.ndarray, texts: np.ndarray, rows: np.ndarray,
+              cols: np.ndarray) -> np.ndarray:
+    """Entry m = cosine_sim(images[rows[m]], texts[cols[m]]), bit for bit:
+    the fixed-order sum of the module docstring over a list of pairs."""
+    images = np.atleast_2d(np.asarray(images, dtype=np.float64))
+    texts = np.atleast_2d(np.asarray(texts, dtype=np.float64))
+    _check_dims(images, texts)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    out = np.empty(rows.size, dtype=np.float64)
+    step = max(1, _BLOCK_ENTRIES // max(1, images.shape[1]))
+    for start in range(0, rows.size, step):
+        # row k: coordinate k of every pair in the chunk
+        a = np.take(images.T, rows[start:start + step], axis=1)
+        b = np.take(texts.T, cols[start:start + step], axis=1)
+        acc = out[start:start + step]
+        np.multiply(a[0], b[0], out=acc)
+        for k in range(1, a.shape[0]):
+            acc += a[k] * b[k]
     np.clip(out, -1.0, 1.0, out=out)
     return out
 
@@ -163,16 +182,6 @@ def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
             row = start + int(np.argmin(finite))
             raise ValueError(f"{bin_path}: row {row} (id {ids[row]!r}) is not finite")
     return ids, data.astype(np.float64)
-
-
-def write_features_jsonl(path, ids: list[str], matrix: np.ndarray) -> None:
-    """Small-set fallback: one {"id", "vec"} record per line."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    if len(ids) != matrix.shape[0]:
-        raise ValueError(f"{len(ids)} ids for {matrix.shape[0]} rows")
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid, row in zip(ids, matrix):
-            fh.write(json.dumps({"id": sid, "vec": row.tolist()}) + "\n")
 
 
 def read_features_jsonl(path) -> tuple[list[str], np.ndarray]:

@@ -376,8 +376,7 @@ def embed_dataset(params: dict, dataset: Dataset) -> tuple[np.ndarray, np.ndarra
 
 def _val_rsum(params: dict, dataset: Dataset) -> float:
     img_e, txt_e = embed_dataset(params, dataset)
-    sims = geometry.sim_matrix(img_e, txt_e)
-    return evaluation.rsum(sims, dataset.image_of_text)
+    return evaluation.embedding_rsum(img_e, txt_e, dataset.image_of_text)
 
 
 def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = None,

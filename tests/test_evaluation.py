@@ -49,6 +49,10 @@ def test_recall_validates_inputs():
         E.recall_at_k(np.eye(2), np.arange(2), 1, "sideways")
     with pytest.raises(ValueError, match="entry per text"):
         E.recall_at_k(np.eye(2), np.arange(3), 1, "i2t")
+    with pytest.raises(ValueError, match="entry per text"):
+        E.exact_ranks(np.eye(2), np.eye(2), np.arange(3))
+    with pytest.raises(ValueError, match="dimension"):
+        E.exact_ranks(np.eye(2), np.ones((2, 3)), np.arange(2))
 
 
 def test_rsum_from_recalls_reproduces_printed_total():
@@ -194,7 +198,7 @@ def dcorr_reference(imgs, txts, owners, levels):
         if mine.size == 0:
             continue
         x = average_ranks([int(levels[j]) for j in mine])
-        y = average_ranks([-geometry.euclid_dist(imgs[i], txts[j]) for j in mine])
+        y = average_ranks([-np.linalg.norm(imgs[i] - txts[j]) for j in mine])
         if mine.size < 2 or np.ptp(x) == 0 or np.ptp(y) == 0:
             rhos.append(0.0)
         else:
@@ -450,19 +454,25 @@ def test_traversal_prunes_to_the_bound(monkeypatch):
     # (0, +-1.2) and (0, 1.5) stay under s's own line (max 3) but above U
     cands = np.array([[0.0, 1.5], [1.0, 0.0], [0.0, 1.2], [0.0, 1.0],
                       [-1.0, 0.0], [0.0, -1.2]])
-    seen = []
-    nearest_rows = E._nearest_rows
+    seen, kept = [], []
+    nearest_rows, walk_tops = E._nearest_rows, E._walk_tops
 
     def recording(points, candidates, lifted):
         seen.append(candidates.copy())
         return nearest_rows(points, candidates, lifted)
 
+    def recording_walks(*args):
+        kept.append(args[4].copy())
+        return walk_tops(*args)
+
     monkeypatch.setattr(E, "_nearest_rows", recording)
+    monkeypatch.setattr(E, "_walk_tops", recording_walks)
     assert E.hierarchical_traverse(np.array([-0.9, 0.0]), cands,
                                    np.array([1.0, 0.0]), 3) == [4, 1]
     # the start-point pass sees every candidate, the walk only the survivors
-    assert len(seen) == 2
-    np.testing.assert_array_equal(seen[1], cands[[1, 3, 4]])
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], cands)
+    assert len(kept) == 1 and kept[0].tolist() == [1, 3, 4]
 
 
 @settings(max_examples=200, deadline=None)
@@ -476,3 +486,140 @@ def test_traversal_equals_station_walk_on_grids(dim, n_cand, n_img, n_points, se
     root = rng.integers(-3, 4, size=dim) / 2.0
     walks = [station_walk(image, cands, root, n_points) for image in imgs]
     assert E._traverse(imgs, cands, root, n_points) == walks
+
+
+def nudged(fixed, row, want):
+    """A copy of row whose last coordinate is stepped one float at a time
+    until cosine_sim(fixed, copy) == want; None if a step passes it."""
+    row = row.copy()
+    up = want > geometry.cosine_sim(fixed, row)
+    toward = np.inf if up == (fixed[-1] > 0) else -np.inf
+    for _ in range(2000):
+        row[-1] = np.nextafter(row[-1], toward)
+        have = geometry.cosine_sim(fixed, row)
+        if have == want:
+            return row
+        if (have > want) == up:
+            return None
+    return None
+
+
+@st.composite
+def screen_fixtures(draw):
+    """Embeddings placed like a trained model's (texts near their owner),
+    with the cases a screened rank count can get wrong: exact duplicate
+    rows and columns, dots above 1 before the clamp, off-target entries
+    one float from a target, a NaN row and images that own no text."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 2, 5, 16, 48]))
+    n_img = draw(st.integers(1, 8))
+    n_txt = draw(st.integers(1, 24))
+    imgs = geometry.l2_normalize(rng.normal(size=(n_img, dim)))
+    # the last image owns no text when the draw says so
+    owners = rng.integers(0, max(1, n_img - draw(st.integers(0, 1))), size=n_txt)
+    noise = draw(st.sampled_from([0.05, 0.5, 3.0]))
+    txts = geometry.l2_normalize(imgs[owners] + noise * rng.normal(size=(n_txt, dim)))
+    if draw(st.booleans()):
+        imgs[rng.integers(n_img)] = imgs[rng.integers(n_img)]
+        txts[rng.integers(n_txt)] = txts[rng.integers(n_txt)]
+    if draw(st.booleans()):
+        # rows scaled past the unit sphere: several entries clamp to 1 and tie
+        imgs[rng.integers(n_img, size=2)] *= 1.0 + rng.random()
+        txts[rng.integers(n_txt, size=4)] *= 1.0 + rng.random()
+    if draw(st.booleans()) and dim > 1:
+        # one float above or below a text's target: an extra image next to
+        # its owner, and an extra text next to the owner's best text
+        j = int(rng.integers(n_txt))
+        target = geometry.cosine_sim(imgs[owners[j]], txts[j])
+        for toward in (np.inf, -np.inf):
+            twin = nudged(txts[j], imgs[owners[j]], np.nextafter(target, toward))
+            if twin is not None:
+                imgs = np.vstack([imgs, twin])
+            twin = nudged(imgs[owners[j]], txts[j], np.nextafter(target, toward))
+            if twin is not None:
+                txts = np.vstack([txts, twin])
+                owners = np.append(owners, rng.integers(imgs.shape[0]))
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            imgs[rng.integers(imgs.shape[0])] = np.nan
+        else:
+            txts[rng.integers(txts.shape[0])] = np.nan
+    levels = rng.integers(-1, 4, size=owners.size)
+    return imgs, txts, owners, levels
+
+
+def matrix_folds(imgs, txts, owners, n_folds):
+    """The folded suite from one sim_matrix per fold."""
+    folds = []
+    for start, stop in E.fold_slices(imgs.shape[0], n_folds):
+        keep = np.flatnonzero((owners >= start) & (owners < stop))
+        if keep.size == 0:
+            raise ValueError("a fold has no texts")
+        sims = geometry.sim_matrix(imgs[start:stop], txts[keep])
+        suite = E.recall_suite(sims, owners[keep] - start)
+        suite["rsum"] = E.rsum(sims, owners[keep] - start)
+        folds.append(suite)
+    return folds
+
+
+@settings(max_examples=300, deadline=None)
+@given(screen_fixtures(), st.sampled_from([1, 16, 1 << 18]))
+def test_screened_ranks_equal_matrix_ranks(fixture, block):
+    imgs, txts, owners, levels = fixture
+    sims = geometry.sim_matrix(imgs, txts)
+    saved = E._BLOCK_ENTRIES
+    # a block of 1 entry screens one image row at a time
+    E._BLOCK_ENTRIES = block
+    try:
+        i2t, t2i = E.exact_ranks(imgs, txts, owners)
+        rsum = E.embedding_rsum(imgs, txts, owners)
+        n_folds = min(2, imgs.shape[0])
+        try:
+            folded = E.folded_recall_suite(imgs, txts, owners, n_folds)["folds"]
+        except ValueError as exc:
+            folded = str(exc)
+        # a given root: the texts' centroid may be the origin here
+        report = (E.evaluate(imgs, txts, owners, levels=levels, root_emb=np.ones(imgs.shape[1]))
+                  if np.isfinite(imgs).all() and np.isfinite(txts).all() else None)
+    finally:
+        E._BLOCK_ENTRIES = saved
+    assert np.array_equal(i2t, E.query_ranks(sims, owners, "i2t"))
+    assert np.array_equal(t2i, E.query_ranks(sims, owners, "t2i"))
+    assert rsum == E.rsum(sims, owners)
+    for k in (1, 2, 5):
+        assert E._level_recall(t2i, levels, k) == E.per_level_recall(sims, owners, levels, k)
+    try:
+        want = matrix_folds(imgs, txts, owners, n_folds)
+    except ValueError as exc:
+        want = str(exc)
+    assert folded == want
+    if report is not None:
+        assert report["recall"] == E.recall_suite(sims, owners)
+        assert report["rsum"] == E.rsum(sims, owners)
+        if (levels >= 0).any():
+            assert report["per_level_recall"] == E.per_level_recall(sims, owners, levels)
+
+
+def test_evaluate_requests_at_most_one_row_block(monkeypatch):
+    rng = np.random.default_rng(8)
+    imgs = geometry.l2_normalize(rng.normal(size=(300, 16)))
+    owners = np.repeat(np.arange(300), 2)
+    txts = geometry.l2_normalize(imgs[owners] + 0.3 * rng.normal(size=(600, 16)))
+    monkeypatch.setattr(E, "_BLOCK_ENTRIES", 1 << 12)
+    row_block = (E._BLOCK_ENTRIES // txts.shape[0]) * txts.shape[0]
+    requested = []
+    for name in ("sim_matrix", "pair_sims"):
+        original = getattr(geometry, name)
+
+        def counting(*args, _original=original):
+            out = _original(*args)
+            requested.append(out.size)
+            return out
+
+        monkeypatch.setattr(geometry, name, counting)
+    report = E.evaluate(imgs, txts, owners, levels=np.tile([1, 2], 300), n_folds=3)
+    # the dense matrix would be 180 000 entries
+    assert requested and max(requested) <= row_block < imgs.shape[0] * txts.shape[0]
+    monkeypatch.undo()
+    sims = geometry.sim_matrix(imgs, txts)
+    assert report["recall"] == E.recall_suite(sims, owners)

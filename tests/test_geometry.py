@@ -1,3 +1,4 @@
+import json
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -7,6 +8,18 @@ import pytest
 from hypothesis import given, settings
 
 from descmatch import geometry as G
+
+
+def euclid_dist(u, v) -> float:
+    """One pair's distance, by definition: the norm of the difference."""
+    return float(np.linalg.norm(np.ravel(u) - np.ravel(v)))
+
+
+def write_features_jsonl(path, ids, matrix) -> None:
+    """The JSONL feature format: one {"id", "vec"} record per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sid, row in zip(ids, np.atleast_2d(matrix)):
+            fh.write(json.dumps({"id": sid, "vec": row.tolist()}) + "\n")
 
 
 def test_l2_normalize_rows_are_unit():
@@ -36,8 +49,7 @@ def test_cosine_sim_clamps_rounding_drift():
 
 
 def test_euclid_dist_known_values():
-    assert G.euclid_dist([0.0, 0.0], [3.0, 4.0]) == 5.0
-    assert G.euclid_dist([1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert G.euclid_dists([[0.0, 0.0], [1.0, 2.0]], [[3.0, 4.0], [1.0, 2.0]]).tolist() == [5.0, 0.0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -76,13 +88,29 @@ def test_euclid_dists_bit_identical_to_pairwise_calls():
     rng = np.random.default_rng(6)
     a, b = rng.normal(size=(40, 32)), rng.normal(size=(40, 32))
     got = G.euclid_dists(a, b)
-    assert [float(v) for v in got] == [G.euclid_dist(u, v) for u, v in zip(a, b)]
-    assert np.array_equal(got, [np.linalg.norm(u - v) for u, v in zip(a, b)])
+    assert [float(v) for v in got] == [euclid_dist(u, v) for u, v in zip(a, b)]
 
 
 def test_sim_matrix_shape_checks():
     with pytest.raises(ValueError, match="dimension"):
         G.sim_matrix(np.ones((2, 3)), np.ones((2, 4)))
+
+
+def test_pair_sims_bit_identical_to_sim_matrix(monkeypatch):
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(30, 24))
+    b = 1.5 * rng.normal(size=(40, 24))
+    a[3] = np.nan
+    full = G.sim_matrix(a, b)
+    rows, cols = rng.integers(0, 30, size=500), rng.integers(0, 40, size=500)
+    # chunks of a few pairs, so that the pairs span several of them
+    monkeypatch.setattr(G, "_BLOCK_ENTRIES", 24 * 7)
+    got = G.pair_sims(a, b, rows, cols)
+    assert np.array_equal(got, full[rows, cols], equal_nan=True)
+    assert np.isnan(got[rows == 3]).all() and (np.abs(got[rows != 3]) <= 1.0).all()
+    assert G.pair_sims(a, b, [], []).shape == (0,)
+    with pytest.raises(ValueError, match="dimension"):
+        G.pair_sims(np.ones((2, 3)), np.ones((2, 4)), [0], [0])
 
 
 def test_feature_round_trip_f64_is_bit_exact(tmp_path):
@@ -125,7 +153,7 @@ def test_feature_jsonl_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
     mat = rng.normal(size=(4, 3))
     path = tmp_path / "feats.jsonl"
-    G.write_features_jsonl(path, ["w", "x", "y", "z"], mat)
+    write_features_jsonl(path, ["w", "x", "y", "z"], mat)
     ids, got = G.read_features_jsonl(path)
     assert ids == ["w", "x", "y", "z"]
     assert np.array_equal(got, mat)
@@ -151,7 +179,7 @@ def test_feature_jsonl_names_malformed_line(tmp_path):
 def test_unit_vector_distance_similarity_identity():
     rng = np.random.default_rng(3)
     u, v = G.l2_normalize(rng.normal(size=(2, 9)))
-    d = G.euclid_dist(u, v)
+    d = euclid_dist(u, v)
     s = G.cosine_sim(u, v)
     assert d * d == pytest.approx(2.0 - 2.0 * s, abs=1e-12)
 
@@ -161,7 +189,7 @@ def test_feature_read_rejects_duplicate_ids(tmp_path):
     with pytest.raises(ValueError, match=r"f\.manifest\.json: duplicate id 'a'"):
         G.read_features(manifest)
     path = tmp_path / "f.jsonl"
-    G.write_features_jsonl(path, ["a", "b", "a"], np.ones((3, 2)))
+    write_features_jsonl(path, ["a", "b", "a"], np.ones((3, 2)))
     with pytest.raises(ValueError, match=r"f\.jsonl:3: duplicate id 'a' \(first on line 1\)"):
         G.read_features_jsonl(path)
 
@@ -174,7 +202,7 @@ def test_feature_read_rejects_non_finite_rows(tmp_path, bad):
     with pytest.raises(ValueError, match=r"f\.bin: row 3 \(id 'd'\) is not finite"):
         G.read_features(manifest)
     path = tmp_path / "f.jsonl"
-    G.write_features_jsonl(path, list("abcde"), mat)
+    write_features_jsonl(path, list("abcde"), mat)
     with pytest.raises(ValueError, match=r"f\.jsonl:4: feature 'd' is not finite"):
         G.read_features_jsonl(path)
 
