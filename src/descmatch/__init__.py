@@ -1,7 +1,7 @@
 """Descriptiveness-scored cross-modal embedding toolkit.
 
 Submodules:
-    corpus      sentence tokenization, document-frequency pools, descriptiveness scores
+    corpus      sentence tokenization, descriptiveness tables, corpus and table files
     geometry    embedding primitives and feature-file formats
     losses      ranking / ordering objectives with analytic gradients
     trainer     projection model, optimizer, training loop, checkpoints

@@ -102,7 +102,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
            for key, (_, default) in options.items()}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         for key, value in loaded.items():

@@ -2,18 +2,16 @@
 
 A sentence's raw descriptiveness is the sum over its distinct words of
 term-frequency times inverse document frequency, computed against a fixed
-document pool (one "document" = one sentence).  Raw scores over the
-training pool are min-max normalized into [0, 1]; sentences outside the
-pool are scored with the pool statistics and the stored extremes, then
-clamped.
+document pool (one "document" = one sentence).  Raw scores over the pool
+split are min-max normalized into [0, 1]; sentences outside the pool are
+scored with the pool statistics and the stored extremes, then clamped.
+`build_table` is the one implementation of the formula.
 
-Summation order: a raw score adds its terms left to right, starting from
-0.0, over the sentence's distinct words in order of first occurrence.
-`raw_descriptiveness` writes the loop out, because ``sum`` compensates
-float additions from Python 3.12 on and the table bytes would then depend
-on the interpreter.  `build_table` scores a whole corpus in one batched
-pass that adds the same terms in the same order, so its table equals the
-per-sentence functions' bit for bit.
+Summation order: `build_table` adds a raw score's terms left to right,
+starting from 0.0, over the sentence's distinct words in order of first
+occurrence.  The order is part of its contract because ``sum``
+compensates float additions from Python 3.12 on, and the table bytes
+would then depend on the interpreter.
 
 The JSONL readers parse a file with one ``json.loads`` when that provably
 gives what one ``json.loads`` per line gives (see `_bulk_objects`), and
@@ -29,7 +27,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
 
 import numpy as np
 
@@ -53,15 +50,13 @@ class TokenSequence:
 class DocumentPool:
     """Document-frequency statistics over a pool of sentences.
 
-    ``size`` is the number of sentences ingested; ``doc_freq[w]`` counts the
-    sentences containing ``w`` at least once (presence, not multiplicity).
-    With ``smoothing`` on, a word absent from the pool is scored as if it
-    occurred in exactly one sentence; in-pool words are unaffected.
+    ``size`` is the number of sentences in the pool; ``doc_freq[w]`` counts
+    the sentences containing ``w`` at least once (presence, not
+    multiplicity), for the words that occur in the pool.
     """
 
     size: int
     doc_freq: dict[str, int]
-    smoothing: bool = True
 
 
 @dataclass
@@ -105,97 +100,25 @@ def tokenize(text: str) -> TokenSequence:
     return TokenSequence(tuple(_TOKEN_RE.findall(text.lower())))
 
 
-def build_pool(sentences: Iterable[TokenSequence], smoothing: bool = True) -> DocumentPool:
-    """Accumulate presence counts for each word over the given sentences."""
-    freq: Counter[str] = Counter()
-    size = 0
-    for sent in sentences:
-        size += 1
-        freq.update(set(sent.tokens))
-    return DocumentPool(size=size, doc_freq=dict(freq), smoothing=smoothing)
-
-
-def _idf(word: str, pool: DocumentPool) -> float:
-    m_w = pool.doc_freq.get(word, 0)
-    if m_w == 0:
-        if not pool.smoothing:
-            raise ValueError(f"word {word!r} absent from pool and smoothing is off")
-        m_w = 1
-    return math.log(pool.size / m_w)
-
-
-def tfidf(word: str, sentence: TokenSequence, pool: DocumentPool) -> float:
-    """(count of word in sentence / sentence length) * ln(pool size / doc freq)."""
-    if sentence.n == 0:
-        raise ValueError("cannot score an empty sentence")
-    if pool.size == 0:
-        raise ValueError("cannot score against an empty pool")
-    n_w = sentence.tokens.count(word)
-    return (n_w / sentence.n) * _idf(word, pool)
-
-
-def raw_descriptiveness(sentence: TokenSequence, pool: DocumentPool) -> float:
-    """Sum of per-word scores over the distinct words of the sentence.
-
-    Algebraically equals the mean inverse document frequency over tokens,
-    so exact repetition of the whole sentence leaves the score unchanged.
-    The terms are added in the order the module docstring fixes.
-    """
-    if sentence.n == 0:
-        raise ValueError("cannot score an empty sentence")
-    if pool.size == 0:
-        raise ValueError("cannot score against an empty pool")
-    acc = 0.0
-    for w, n_w in Counter(sentence.tokens).items():
-        acc += (n_w / sentence.n) * _idf(w, pool)
-    return acc
-
-
-def normalize_scores(raw: dict[str, float]) -> DescriptivenessTable:
-    """Min-max normalize raw scores into [0, 1], keeping the extremes.
-
-    A degenerate range (all raws equal) maps every sentence to 0.5 so a
-    usable midpoint margin survives downstream.
-    """
-    if not raw:
-        raise ValueError("no sentences to normalize")
-    raw_min = min(raw.values())
-    raw_max = max(raw.values())
-    span = raw_max - raw_min
-    if span == 0.0:
-        scores = {sid: 0.5 for sid in raw}
-    else:
-        scores = {sid: (r - raw_min) / span for sid, r in raw.items()}
-    return DescriptivenessTable(scores=scores, raw_scores=dict(raw), raw_min=raw_min, raw_max=raw_max)
-
-
-def score_out_of_pool(sentence: TokenSequence, pool: DocumentPool, table: DescriptivenessTable) -> float:
-    """Score a sentence that was not part of the normalization pool.
-
-    Raw score against the (train) pool with smoothing, normalized with the
-    stored train extremes, then clamped into [0, 1] since train extremes
-    need not bound out-of-pool raws.
-    """
-    raw = raw_descriptiveness(sentence, pool)
-    span = table.raw_max - table.raw_min
-    if span == 0.0:
-        return 0.5
-    delta = (raw - table.raw_min) / span
-    return min(1.0, max(0.0, delta))
-
-
 def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tuple[DocumentPool, DescriptivenessTable]:
     """Build the pool from one split and score every record against it.
 
-    Records of ``pool_split`` define the pool and the normalization range;
-    records of other splits get clamped out-of-pool scores.  The returned
-    table covers all record ids, in input order, and equals, bit for bit,
-    what `build_pool`, `raw_descriptiveness`, `normalize_scores` and
-    `score_out_of_pool` give one sentence at a time.  The pass is batched:
-    one `tokenize` per record, one ``math.log`` per vocabulary word (not
-    ``np.log``, which may differ from libm in the last ulp), and the terms
-    (n_w / n) * idf summed position by position in the order the module
-    docstring states.
+    Records of ``pool_split`` define the pool and the normalization range.
+    A record's raw score is the sum over its distinct words w of
+    (n_w / n) * ln(m / m_w): n_w counts w in the record, n is the record's
+    length, m the pool size and m_w the pool sentences containing w, taken
+    as 1 for a word the pool lacks.  Pool records get (raw - min) / (max -
+    min) over the pool, or 0.5 when every pool raw is equal; records of
+    other splits get the same value clamped into [0, 1], since the pool
+    extremes need not bound them.  The returned table covers all record
+    ids, in input order.
+
+    The terms are added left to right from 0.0 in first-occurrence order
+    (the module docstring says why the order is fixed).  The pass is
+    batched: one `tokenize` per record, one ``math.log`` per vocabulary
+    word (not ``np.log``, which may differ from libm in the last ulp), and
+    the terms summed position by position, so the j-th distinct word of
+    every sentence is added at step j.
     """
     if pool_split not in VALID_SPLITS:
         raise ValueError(f"unknown split {pool_split!r}")

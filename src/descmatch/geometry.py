@@ -152,16 +152,36 @@ def write_features(stem, ids: list[str], matrix: np.ndarray, dtype: str = "f64")
 
 
 def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
-    """Load a manifest + binary pair; returns (ids, float64 matrix)."""
+    """Load a manifest + binary pair; returns (ids, float64 matrix).
+
+    The manifest is a JSON object holding ``rows`` and ``dim`` (non-negative
+    integers), ``dtype`` (a key of `_DTYPES`) and ``ids`` (a list of string
+    or integer ids, kept as strings).  Anything else raises ValueError
+    naming the manifest.
+    """
     manifest_path = Path(manifest_path)
     if not manifest_path.name.endswith(_MANIFEST_SUFFIX):
         raise ValueError(f"{manifest_path}: expected a *{_MANIFEST_SUFFIX} path")
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    rows, dim, dtype = int(manifest["rows"]), int(manifest["dim"]), manifest["dtype"]
-    if dtype not in _DTYPES:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    if type(manifest) is not dict:
+        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
+    for key in ("rows", "dim", "dtype", "ids"):
+        if key not in manifest:
+            raise ValueError(f"{manifest_path}: manifest lacks {key!r}")
+    rows, dim, dtype, ids = (manifest[key] for key in ("rows", "dim", "dtype", "ids"))
+    for key, value in (("rows", rows), ("dim", dim)):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{manifest_path}: {key!r} must be a non-negative integer, "
+                             f"got {json.dumps(value)}")
+    if type(dtype) is not str or dtype not in _DTYPES:
         raise ValueError(f"{manifest_path}: unknown dtype {dtype!r}")
-    ids = [str(s) for s in manifest["ids"]]
+    if type(ids) is not list or not {type(s) for s in ids} <= {str, int}:
+        raise ValueError(f"{manifest_path}: 'ids' must be a list of strings or integers")
+    ids = [str(s) for s in ids]
     if len(ids) != rows:
         raise ValueError(f"{manifest_path}: {len(ids)} ids for {rows} rows")
     seen: set[str] = set()

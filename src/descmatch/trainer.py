@@ -31,6 +31,11 @@ from .losses import (Batch, LossConfig, adaptive_triplet_loss, overall_loss,
                      triplet_loss)
 
 _CKPT_MAGIC = b"DMCK0001"
+# header fields besides "arrays", with their JSON types
+_CKPT_FIELDS = {"epoch": int, "adam_t": int, "rng_state": dict, "config": dict,
+                "history": list}
+_CKPT_FIELD_KINDS = {int: "a non-negative integer", dict: "an object", list: "a list"}
+_PARAM_NAMES = ("W_img", "b_img", "W_txt", "b_txt")
 
 # ablation variants: fixed-margin ranking, descriptiveness-scaled margins,
 # and the full objective with the ordering penalty
@@ -319,8 +324,10 @@ def save_checkpoint(path, params: dict, opt_state: dict, epoch: int,
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint; a file whose length disagrees with its header
-    (truncated or with trailing bytes) raises ValueError naming the path."""
+    """Read a checkpoint.  A file whose length disagrees with its header
+    (truncated or with trailing bytes), a header field of the wrong type
+    and a missing header field or parameter array raise ValueError naming
+    the path."""
     data = Path(path).read_bytes()
     if data[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
@@ -332,9 +339,25 @@ def load_checkpoint(path) -> dict:
         raise ValueError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(data[start:start + blob_len].decode("utf-8"))
-        shapes = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
+        shapes = [(e["name"], e["shape"]) for e in header["arrays"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header: {exc}") from exc
+    for name, shape in shapes:
+        if type(name) is not str or type(shape) is not list \
+                or not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"{path}: malformed checkpoint header: array entry "
+                             f"{json.dumps(name)} with shape {json.dumps(shape)}")
+    for key, type_ in _CKPT_FIELDS.items():
+        if key not in header:
+            raise ValueError(f"{path}: checkpoint header lacks {key!r}")
+        if type(header[key]) is not type_ or (type_ is int and header[key] < 0):
+            raise ValueError(f"{path}: checkpoint header {key!r} must be "
+                             f"{_CKPT_FIELD_KINDS[type_]}, got {json.dumps(header[key])}")
+    names = [name for name, _ in shapes]
+    for slot in ("param", "adam_m", "adam_v"):
+        for name in _PARAM_NAMES:
+            if f"{slot}/{name}" not in names:
+                raise ValueError(f"{path}: checkpoint lacks the array '{slot}/{name}'")
     offset = start + blob_len
     want = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
     if len(data) != want:
@@ -405,7 +428,10 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
         history = list(saved["history"])
         start_epoch = saved["epoch"] + 1
         shuffle_rng = np.random.default_rng()
-        shuffle_rng.bit_generator.state = saved["rng_state"]
+        try:
+            shuffle_rng.bit_generator.state = saved["rng_state"]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{resume_from}: bad rng_state in checkpoint: {exc!r}") from exc
     else:
         init_rng = np.random.default_rng([config.seed, 2])
         params = init_params(init_rng, dataset.image_feats.shape[1],

@@ -62,6 +62,12 @@ def _oracle_raw(tokens: list[str], pool: list[list[str]], log=math.log) -> float
     return total
 
 
+def _as_records(sentences: list[list[str]]) -> list[C.SentenceRecord]:
+    return [C.SentenceRecord(id=f"s{i}", image_id=f"img{i}",
+                             text=" ".join(toks))
+            for i, toks in enumerate(sentences)]
+
+
 @criterion(1, "raw tf-idf descriptiveness matches a brute-force oracle on "
               "50 random corpora within 1e-9")
 def test_criterion_1_tfidf_oracle():
@@ -70,9 +76,10 @@ def test_criterion_1_tfidf_oracle():
     worst = 0.0
     for _ in range(50):
         sentences = _random_sentences(rng)
-        pool = C.build_pool([C.tokenize(" ".join(s)) for s in sentences])
-        for sent in sentences:
-            got = C.raw_descriptiveness(C.tokenize(" ".join(sent)), pool)
+        records = _as_records(sentences)
+        _, table = C.build_table(records)
+        for rec, sent in zip(records, sentences):
+            got = table.raw_scores[rec.id]
             worst = max(worst, abs(got - _oracle_raw(sent, sentences)))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
@@ -84,10 +91,8 @@ def test_criterion_1_tfidf_oracle():
 # Criterion 2: normalization endpoints, clamping, log-base invariance
 
 
-def _as_records(sentences: list[list[str]]) -> list[C.SentenceRecord]:
-    return [C.SentenceRecord(id=f"s{i}", image_id=f"img{i}",
-                             text=" ".join(toks))
-            for i, toks in enumerate(sentences)]
+def _query(sid: str, tokens: list[str]) -> C.SentenceRecord:
+    return C.SentenceRecord(id=sid, image_id="img-q", text=" ".join(tokens), split="val")
 
 
 @criterion(2, "normalized scores hit 0 and 1 exactly at the pool extremes, "
@@ -98,7 +103,8 @@ def test_criterion_2_normalization_contract():
     for _ in range(20):
         sentences = _random_sentences(rng)
         records = _as_records(sentences)
-        pool, table = C.build_table(records)
+        # an out-of-pool query mixing seen and unseen words
+        _, table = C.build_table(records + [_query("q", sentences[0][:2] + ["zz", "qq"])])
         if table.raw_max == table.raw_min:
             assert all(v == 0.5 for v in table.scores.values())
             continue
@@ -113,17 +119,15 @@ def test_criterion_2_normalization_contract():
         for rec, r10 in zip(records, raw10):
             assert abs(table.scores[rec.id] - (r10 - lo) / span) <= 1e-9
 
-        # out-of-pool queries mixing seen and unseen words stay in [0, 1]
-        query = sentences[0][:2] + ["zz", "qq"]
-        val = C.score_out_of_pool(C.tokenize(" ".join(query)), pool, table)
-        assert 0.0 <= val <= 1.0
+        # the out-of-pool query stays in [0, 1]
+        assert 0.0 <= table.scores["q"] <= 1.0
 
     # constructed corpus where clamping provably engages on both sides
     records = _as_records([["a", "b"], ["a", "c", "c"],
                            ["a", "d", "d", "d"], ["a", "e"]])
-    pool, table = C.build_table(records)
-    assert C.score_out_of_pool(C.tokenize("a"), pool, table) == 0.0
-    assert C.score_out_of_pool(C.tokenize("zz qq"), pool, table) == 1.0
+    _, table = C.build_table(records + [_query("lo", ["a"]), _query("hi", ["zz", "qq"])])
+    assert table.scores["lo"] == 0.0
+    assert table.scores["hi"] == 1.0
 
     # degenerate pool: every sentence identical, everything maps to 0.5
     _, flat = C.build_table(_as_records([["a", "b"]] * 3))

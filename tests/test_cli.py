@@ -92,20 +92,21 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value, want", [
-    ("epochs", "3", 'int, got "3"'),
-    ("lr", "fast", 'float, got "fast"'),
-    ("epochs", True, "int, got true"),
-    ("out", None, "str, got null"),
-], ids=["str-for-int", "str-for-float", "bool-for-int", "null-for-required"])
-def test_config_rejects_mistyped_values(tmp_path, capsys, key, value, want):
+@pytest.mark.parametrize("text, want", [
+    (json.dumps({"epochs": "3"}), "'epochs' must be int, got \"3\""),
+    (json.dumps({"lr": "fast"}), "'lr' must be float, got \"fast\""),
+    (json.dumps({"epochs": True}), "'epochs' must be int, got true"),
+    (json.dumps({"out": None}), "'out' must be str, got null"),
+    ('{"epochs": 3, }', "Expecting property name enclosed in double quotes: line 1 column 15"),
+], ids=["str-for-int", "str-for-float", "bool-for-int", "null-for-required", "invalid-json"])
+def test_config_rejects_mistyped_values(tmp_path, capsys, text, want):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
+    cfg.write_text(text)
     code = cli.main(["train", "--config", str(cfg), "--corpus", "c",
                      "--table", "t", "--image-features", "i",
                      "--text-features", "x", "--out", str(tmp_path / "run")])
     assert code == 2
-    assert f"{cfg}: {key!r} must be {want}" in capsys.readouterr().err
+    assert f"{cfg}: {want}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -200,12 +201,36 @@ def _header_end(blob: bytes) -> int:
     return 16 + int.from_bytes(blob[8:16], "little")
 
 
+def _with_header(blob: bytes, edit) -> bytes:
+    """The checkpoint with its JSON header passed through ``edit``."""
+    header = json.loads(blob[16:_header_end(blob)])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:8] + len(text).to_bytes(8, "little") + text + blob[_header_end(blob):]
+
+
+def _rename_array(old, new):
+    def edit(header):
+        next(e for e in header["arrays"] if e["name"] == old)["name"] = new
+    return edit
+
+
 @pytest.mark.parametrize("corrupt, want", [
     (lambda b: b[:10], "no header length"),
     (lambda b: b[:_header_end(b) - 5], "truncated checkpoint header"),
     (lambda b: b[:-8], "header describes"),
     (lambda b: b + b"\x00" * 8, "header describes"),
-], ids=["short-length-prefix", "truncated-header", "truncated-array", "trailing-bytes"])
+    *[(lambda b, key=key: _with_header(b, lambda h: h.pop(key)),
+       f"checkpoint header lacks {key!r}")
+      for key in ("epoch", "adam_t", "rng_state", "config", "history")],
+    *[(lambda b, name=name: _with_header(b, _rename_array(f"param/{name}", "param/other")),
+       f"checkpoint lacks the array 'param/{name}'")
+      for name in ("W_img", "b_img", "W_txt", "b_txt")],
+    (lambda b: _with_header(b, lambda h: h.update(adam_t="x")),
+     "checkpoint header 'adam_t' must be a non-negative integer, got \"x\""),
+], ids=["short-length-prefix", "truncated-header", "truncated-array", "trailing-bytes",
+        "no-epoch", "no-adam_t", "no-rng_state", "no-config", "no-history",
+        "no-W_img", "no-b_img", "no-W_txt", "no-b_txt", "str-adam_t"])
 def test_eval_rejects_damaged_checkpoint(synth_dir, checkpoint_bytes, tmp_path, capsys,
                                          corrupt, want):
     ckpt = tmp_path / "checkpoint.bin"
@@ -238,6 +263,43 @@ def test_train_rejects_non_finite_features(synth_dir, tmp_path, capsys):
     assert code == 2
     assert f"{tmp_path / 'images.bin'}: row 3 (id {ids[3]!r}) is not finite" \
         in capsys.readouterr().err
+
+
+def _set(key, value):
+    return lambda text: json.dumps({**json.loads(text), key: value})
+
+
+def _set_first_id(value):
+    return lambda text: json.dumps({**json.loads(text),
+                                    "ids": [value, *json.loads(text)["ids"][1:]]})
+
+
+@pytest.mark.parametrize("corrupt, want", [
+    (lambda text: text[:len(text) // 2], "malformed manifest: "),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "rows"}),
+     "manifest lacks 'rows'"),
+    (_set("ids", None), "'ids' must be a list of strings or integers"),
+    (_set("dim", None), "'dim' must be a non-negative integer, got null"),
+    (_set("dtype", ["f64"]), "unknown dtype ['f64']"),
+    (lambda text: json.dumps([json.loads(text)]), "manifest must be a JSON object"),
+    (_set("rows", 1.5), "'rows' must be a non-negative integer, got 1.5"),
+    (_set("rows", True), "'rows' must be a non-negative integer, got true"),
+    (_set_first_id(None), "'ids' must be a list of strings or integers"),
+], ids=["truncated", "no-rows", "null-ids", "null-dim", "list-dtype", "list-manifest",
+        "float-rows", "bool-rows", "null-id"])
+def test_eval_rejects_malformed_manifest(synth_dir, checkpoint_bytes, tmp_path, capsys,
+                                         corrupt, want):
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(checkpoint_bytes)
+    manifest = tmp_path / "images.manifest.json"
+    manifest.write_text(corrupt((synth_dir / "images.manifest.json").read_text()))
+    (tmp_path / "images.bin").write_bytes((synth_dir / "images.bin").read_bytes())
+    flags = _data_flags(synth_dir)
+    flags[flags.index("--image-features") + 1] = str(manifest)
+    code = cli.main(["eval", *flags, "--checkpoint", str(ckpt), "--out", str(tmp_path / "rpt")])
+    assert code == 2
+    assert f"{manifest}: {want}" in capsys.readouterr().err
+    assert not (tmp_path / "rpt").exists()
 
 
 @pytest.mark.parametrize("weight, flag, role", [

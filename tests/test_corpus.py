@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import hypothesis.strategies as st
 import numpy as np
@@ -21,59 +22,50 @@ def test_tokenize_folds_case_and_splits_punctuation():
     assert C.tokenize("foo-bar_baz").tokens == ("foo", "bar", "baz")
 
 
+def _val(sid, text):
+    return C.SentenceRecord(sid, "iq", text, split="val")
+
+
 def test_tfidf_worked_example():
-    pool = C.build_pool(C.tokenize(r.text) for r in THREE_DOCS)
-    sent = C.tokenize("a dog")
-    # (1/2) * ln(3/2)
-    assert C.tfidf("dog", sent, pool) == pytest.approx(0.5 * math.log(1.5), abs=1e-12)
+    _, table = C.build_table(THREE_DOCS + [_val("q", "a")])
+    # (1/2) * ln(3/3) + (1/2) * ln(3/2)
+    assert table.raw_scores["s1"] == pytest.approx(0.5 * math.log(1.5), abs=1e-12)
     # "a" is in every document, so its idf is zero
-    assert C.tfidf("a", sent, pool) == 0.0
-
-
-def test_tfidf_rejects_empty_inputs():
-    pool = C.build_pool(C.tokenize(r.text) for r in THREE_DOCS)
-    with pytest.raises(ValueError):
-        C.tfidf("dog", C.TokenSequence(()), pool)
-    empty_pool = C.build_pool([])
-    with pytest.raises(ValueError):
-        C.tfidf("dog", C.tokenize("a dog"), empty_pool)
+    assert table.raw_scores["q"] == 0.0
 
 
 def test_smoothing_substitutes_unit_doc_freq():
-    pool = C.build_pool((C.tokenize(r.text) for r in THREE_DOCS), smoothing=True)
-    sent = C.tokenize("unseen")
-    assert C.tfidf("unseen", sent, pool) == pytest.approx(math.log(3.0), abs=1e-12)
-    strict = C.build_pool((C.tokenize(r.text) for r in THREE_DOCS), smoothing=False)
-    with pytest.raises(ValueError):
-        C.tfidf("unseen", sent, strict)
+    pool, table = C.build_table(THREE_DOCS + [_val("q", "unseen")])
+    assert table.raw_scores["q"] == pytest.approx(math.log(3.0), abs=1e-12)
+    assert "unseen" not in pool.doc_freq
 
 
 def test_raw_descriptiveness_worked_examples():
-    pool = C.build_pool(C.tokenize(r.text) for r in THREE_DOCS)
-    assert C.raw_descriptiveness(C.tokenize("a spotted dog"), pool) == pytest.approx(
+    _, table = C.build_table(THREE_DOCS)
+    assert table.raw_scores["s2"] == pytest.approx(
         (math.log(3.0) + math.log(1.5)) / 3.0, abs=1e-12)
-    assert C.raw_descriptiveness(C.tokenize("a zebra"), pool) == pytest.approx(
-        math.log(3.0) / 2.0, abs=1e-12)
+    assert table.raw_scores["s3"] == pytest.approx(math.log(3.0) / 2.0, abs=1e-12)
 
 
 def test_raw_descriptiveness_invariant_under_exact_repetition():
-    pool = C.build_pool(C.tokenize(r.text) for r in THREE_DOCS)
-    once = C.raw_descriptiveness(C.tokenize("a spotted dog"), pool)
-    twice = C.raw_descriptiveness(C.tokenize("a spotted dog a spotted dog"), pool)
-    assert twice == pytest.approx(once, abs=1e-12)
+    _, table = C.build_table(THREE_DOCS + [_val("q", "a spotted dog a spotted dog")])
+    assert table.raw_scores["q"] == pytest.approx(table.raw_scores["s2"], abs=1e-12)
 
 
 def test_normalize_scores_endpoints_exact():
-    table = C.normalize_scores({"lo": 0.2, "mid": 0.35, "hi": 0.9})
+    records = [C.SentenceRecord(sid, "i", text) for sid, text in
+               (("lo", "a"), ("mid", "a b"), ("mid2", "a b"), ("hi", "c"))]
+    _, table = C.build_table(records)
     assert table.scores["lo"] == 0.0
     assert table.scores["hi"] == 1.0
     assert 0.0 < table.scores["mid"] < 1.0
-    assert table.raw_min == 0.2 and table.raw_max == 0.9
+    assert table.raw_min == table.raw_scores["lo"] and table.raw_max == table.raw_scores["hi"]
 
 
 def test_normalize_scores_degenerate_range_maps_to_half():
-    table = C.normalize_scores({"a": 0.4, "b": 0.4})
-    assert table.scores == {"a": 0.5, "b": 0.5}
+    _, table = C.build_table([C.SentenceRecord("a", "i", "x y"), C.SentenceRecord("b", "i", "y x"),
+                              _val("q", "z")])
+    assert table.scores == {"a": 0.5, "b": 0.5, "q": 0.5}
 
 
 def test_build_table_worked_values():
@@ -84,11 +76,12 @@ def test_build_table_worked_values():
 
 
 def test_out_of_pool_scores_are_clamped():
-    pool, table = C.build_table(THREE_DOCS)
+    _, table = C.build_table(THREE_DOCS + [_val("rare", "green zebra stripes"),
+                                           _val("common", "a a a")])
     # all-rare sentence lands above the train max
-    assert C.score_out_of_pool(C.tokenize("green zebra stripes"), pool, table) == 1.0
+    assert table.raw_scores["rare"] > table.raw_max and table.scores["rare"] == 1.0
     # an all-common sentence lands below the train min
-    assert C.score_out_of_pool(C.tokenize("a a a"), pool, table) == 0.0
+    assert table.raw_scores["common"] < table.raw_min and table.scores["common"] == 0.0
 
 
 def test_build_table_scores_non_pool_splits_against_train_pool():
@@ -107,10 +100,12 @@ def test_build_table_scores_non_pool_splits_against_train_pool():
 
 
 def test_build_table_rejects_empty_pool_and_empty_sentences():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pool split 'train' is empty"):
         C.build_table([C.SentenceRecord("v", "i", "x", split="val")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'s' has no tokens"):
         C.build_table([C.SentenceRecord("s", "i", "!!!")])
+    with pytest.raises(ValueError, match="'q' has no tokens"):
+        C.build_table(THREE_DOCS + [_val("q", "?!")])
     with pytest.raises(ValueError):
         C.build_table(THREE_DOCS, pool_split="nope")
     with pytest.raises(ValueError, match="duplicate sentence id 's1'"):
@@ -206,11 +201,10 @@ def brute_force_raw(text: str, texts: list[str]) -> float:
 @settings(max_examples=50, deadline=None)
 @given(corpora())
 def test_raw_matches_brute_force(records):
-    pool = C.build_pool(C.tokenize(r.text) for r in records)
+    _, table = C.build_table(records)
     texts = [r.text for r in records]
     for r in records:
-        got = C.raw_descriptiveness(C.tokenize(r.text), pool)
-        assert got == pytest.approx(brute_force_raw(r.text, texts), abs=1e-9)
+        assert table.raw_scores[r.id] == pytest.approx(brute_force_raw(r.text, texts), abs=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
@@ -229,32 +223,31 @@ def test_table_bounds_and_endpoints(records):
 @settings(max_examples=30, deadline=None)
 @given(corpora(), sentences)
 def test_out_of_pool_clamp_idempotent(records, text):
-    pool, table = C.build_table(records)
-    first = C.score_out_of_pool(C.tokenize(text), pool, table)
-    assert 0.0 <= first <= 1.0
+    _, table = C.build_table(records + [_val("q", text)])
+    assert 0.0 <= table.scores["q"] <= 1.0
 
 
 # ---------------------------------------------------------------------------
-# The batched corpus path against the per-sentence and per-line oracles
+# The batched corpus path against the brute-force and per-line oracles
 
 
 def build_table_oracle(records, pool_split="train"):
-    """build_table one sentence at a time, from the single-sentence helpers."""
-    pool_records = [r for r in records if r.split == pool_split]
-    tokenized = {r.id: C.tokenize(r.text) for r in records}
-    pool = C.build_pool(tokenized[r.id] for r in pool_records)
-    table = C.normalize_scores({r.id: C.raw_descriptiveness(tokenized[r.id], pool)
-                                for r in pool_records})
-    scores, raws = {}, {}
-    for r in records:
-        if r.split == pool_split:
-            scores[r.id] = table.scores[r.id]
-            raws[r.id] = table.raw_scores[r.id]
-        else:
-            scores[r.id] = C.score_out_of_pool(tokenized[r.id], pool, table)
-            raws[r.id] = C.raw_descriptiveness(tokenized[r.id], pool)
-    return pool, C.DescriptivenessTable(scores=scores, raw_scores=raws,
-                                        raw_min=table.raw_min, raw_max=table.raw_max)
+    """build_table by brute force: doc freq from a Counter over the pool's
+    word sets, then one first-occurrence loop per sentence."""
+    tokens = {r.id: C.tokenize(r.text).tokens for r in records}
+    pool_ids = [r.id for r in records if r.split == pool_split]
+    m = len(pool_ids)
+    doc_freq = Counter(w for sid in pool_ids for w in set(tokens[sid]))
+    raws = {}
+    for sid, toks in tokens.items():
+        total = 0.0
+        for word in dict.fromkeys(toks):
+            total += (toks.count(word) / len(toks)) * math.log(m / max(doc_freq[word], 1))
+        raws[sid] = total
+    lo, hi = min(raws[sid] for sid in pool_ids), max(raws[sid] for sid in pool_ids)
+    scores = {sid: 0.5 if hi == lo else min(1.0, max(0.0, (r - lo) / (hi - lo)))
+              for sid, r in raws.items()}
+    return C.DocumentPool(m, dict(doc_freq)), C.DescriptivenessTable(scores, raws, lo, hi)
 
 
 def read_corpus_per_line(path):
