@@ -29,8 +29,8 @@ _SEED = ("seed", int, 0, "rng seed")
 _DATASET = (
     _CORPUS,
     ("table", str, REQUIRED, "descriptiveness table JSONL path"),
-    ("image_features", str, REQUIRED, "image feature manifest/stem"),
-    ("text_features", str, REQUIRED, "text feature manifest/stem"),
+    ("image_features", str, REQUIRED, "image feature manifest path"),
+    ("text_features", str, REQUIRED, "text feature manifest path"),
 )
 _OPTIONS = {
     "score": (

@@ -338,17 +338,25 @@ def write_table_jsonl(path, table: DescriptivenessTable) -> None:
         fh.write(header + "\n" + "".join(rows))
 
 
+def _table_number(obj, name: str) -> float:
+    if type(obj[name]) not in (int, float):
+        raise ValueError(f"{name!r} must be a number, got {json.dumps(obj[name])}")
+    return float(obj[name])
+
+
 def _table_fields(obj) -> tuple[str, float, float]:
     # read in this order so that a row with several faults names the same one as before
-    delta = float(obj["delta"])
-    sid = str(obj["id"])
-    raw = float(obj["raw"])
+    delta = _table_number(obj, "delta")
+    sid = obj["id"]
+    if type(sid) not in (str, int):
+        raise ValueError(f"'id' must be a string or an integer, got {json.dumps(sid)}")
+    raw = _table_number(obj, "raw")
     for name, value in (("delta", delta), ("raw", raw)):
         if not math.isfinite(value):
             raise ValueError(f"{name!r} must be finite, got {value!r}")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"'delta' must lie in [0, 1], got {delta!r}")
-    return sid, delta, raw
+    return str(sid), delta, raw
 
 
 def _table_columns(objs: list[dict]) -> list[list] | None:
@@ -368,16 +376,18 @@ def _table_columns(objs: list[dict]) -> list[list] | None:
 
 def read_table_jsonl(path) -> DescriptivenessTable:
     """Header {"raw_min", "raw_max"} on line 1, then one {"id", "delta",
-    "raw"} row per line.  A malformed row, a non-finite value, a delta
-    outside [0, 1] or a repeated id raises ValueError naming the line."""
+    "raw"} row per line: ``id`` a string or an integer (kept as its decimal
+    string), the other values JSON numbers (not bools or strings).  A
+    malformed row, a non-finite value, a delta outside [0, 1] or a repeated
+    id raises ValueError naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         head, body = fh.readline(), fh.read()
     try:
         header = json.loads(head)
-        raw_min, raw_max = float(header["raw_min"]), float(header["raw_max"])
+        raw_min, raw_max = _table_number(header, "raw_min"), _table_number(header, "raw_max")
     except KeyError as exc:
         raise ValueError(f"{path}:1: missing table header record") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}:1: malformed table header: {exc}") from exc
     if not (math.isfinite(raw_min) and math.isfinite(raw_max)):
         raise ValueError(f"{path}:1: malformed table header: raw_min and raw_max must be finite")

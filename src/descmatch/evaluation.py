@@ -106,7 +106,7 @@ def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, blocks, exac
     inside it (the target itself, near ties, NaN) are re-checked with
     ``exact``.  The target always lies inside its own window, so a query
     whose window holds no other entry of the block needs no re-check.
-    A matrix is its own screen with zero slack (``query_ranks``).
+    A matrix is its own screen with zero slack (``_matrix_ranks``).
     """
     n_txt = owners.size
     valid = (owners >= 0) & (owners < n_img)
@@ -181,7 +181,7 @@ def _screen_norms(matrix: np.ndarray) -> np.ndarray:
 def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
                 image_of_text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i2t, t2i) ranks of ``geometry.sim_matrix(image_embs, text_embs)``,
-    bit for bit ``query_ranks`` of that matrix, without forming it: a
+    bit for bit ``_matrix_ranks`` of that matrix, without forming it: a
     BLAS gemm screens one block of image rows at a time, and every value
     that decides a rank comes from ``geometry.pair_sims``.  Memory is
     O(block x texts).
@@ -243,31 +243,10 @@ def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
                         row_slack, col_slack, clip=True)
 
 
-def query_ranks(sims: np.ndarray, image_of_text: np.ndarray,
-                direction: str) -> np.ndarray:
-    """Rank of each query's relevant item (see the module docstring): one
-    per image for "i2t", one per text for "t2i".  An image that owns no
-    text, or a text whose owner is not a row of sims, never hits."""
-    if direction not in ("i2t", "t2i"):
-        raise ValueError(f"unknown direction {direction!r}")
-    i2t, t2i = _matrix_ranks(sims, image_of_text)
-    return i2t if direction == "i2t" else t2i
-
-
 def _recall(ranks: np.ndarray, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     return 100.0 * int(np.count_nonzero(ranks < k)) / ranks.size
-
-
-def recall_at_k(sims: np.ndarray, image_of_text: np.ndarray, k: int,
-                direction: str) -> float:
-    """Percentage of queries whose top-k contains a relevant item.
-
-    direction "i2t": each image queries the texts it owns (any hit
-    counts).  direction "t2i": each text queries its single owning image.
-    """
-    return _recall(query_ranks(sims, image_of_text, direction), k)
 
 
 def _suite(ranks, ks: tuple[int, ...]) -> dict:
@@ -680,7 +659,7 @@ def d_corr(image_embs: np.ndarray, text_embs: np.ndarray,
 def per_level_recall(sims: np.ndarray, image_of_text: np.ndarray,
                      levels: np.ndarray, k: int = 1) -> dict[int, float]:
     """Text-to-image R@k pooled over all texts of each level."""
-    return _level_recall(query_ranks(sims, image_of_text, "t2i"), levels, k)
+    return _level_recall(_matrix_ranks(sims, image_of_text)[1], levels, k)
 
 
 def _level_recall(ranks: np.ndarray, levels: np.ndarray, k: int) -> dict[int, float]:

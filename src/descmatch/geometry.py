@@ -129,7 +129,7 @@ def pair_sims(images: np.ndarray, texts: np.ndarray, rows: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Feature files: JSON manifest + flat little-endian binary, or JSONL fallback
+# Feature files: a JSON manifest beside a flat little-endian binary
 
 _DTYPES = {"f32": "<f4", "f64": "<f8"}
 _MANIFEST_SUFFIX = ".manifest.json"
@@ -203,28 +203,3 @@ def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{bin_path}: row {row} (id {ids[row]!r}) is not finite")
     return ids, data.astype(np.float64)
 
-
-def read_features_jsonl(path) -> tuple[list[str], np.ndarray]:
-    ids = []
-    rows = []
-    first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                ids.append(str(obj["id"]))
-                rows.append(np.asarray(obj["vec"], dtype=np.float64))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed feature record: {exc}") from exc
-            if not np.isfinite(rows[-1]).all():
-                raise ValueError(f"{path}:{lineno}: feature {ids[-1]!r} is not finite")
-            if ids[-1] in first_line:
-                raise ValueError(f"{path}:{lineno}: duplicate id {ids[-1]!r} "
-                                 f"(first on line {first_line[ids[-1]]})")
-            first_line[ids[-1]] = lineno
-    if not ids:
-        raise ValueError(f"{path}: no feature records")
-    return ids, np.vstack(rows)

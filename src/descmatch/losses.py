@@ -10,7 +10,6 @@ sides live in the same domain).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -329,34 +328,25 @@ def random_batch(rng: np.random.Generator, n_images: int = 8, n_texts: int = 8,
 def kink_gap(batch: Batch, config: LossConfig) -> float:
     """Distance from the nearest non-smooth point of the checked losses:
     hinge arguments at zero (fixed and adaptive margins, both mining
-    modes) and argmax ties in the mining step."""
+    modes), argmax ties in mining, and ordering distances at the clamp.
+    Each text has one row of negatives, NaN marking the excluded ones."""
     sims = batch.image_embs @ batch.text_embs.T
-    deltas = batch.deltas
-    gap = math.inf
-    for j, i in enumerate(batch.image_of_text):
-        t_cand = np.flatnonzero(batch.image_of_text != i)
-        i_cand = np.array([k for k in range(batch.n_images) if k != i], dtype=np.int64)
-        if t_cand.size == 0 or i_cand.size == 0:
-            continue
-        t_sims = sims[i, t_cand]
-        i_sims = sims[i_cand, j]
-        for vals in (t_sims, i_sims):
-            if vals.size >= 2:
-                top = np.sort(vals)[-2:]
-                gap = min(gap, float(top[1] - top[0]))
-        for adaptive in (False, True):
-            if adaptive:
-                margins_t, a_t2i = adaptive_margins(deltas[j], deltas[t_cand], config.tau)
-            else:
-                margins_t = np.full(t_cand.size, config.alpha)
-                a_t2i = config.alpha
-            gap = min(gap, float(np.min(np.abs(margins_t - sims[i, j] + t_sims))))
-            gap = min(gap, float(np.min(np.abs(a_t2i - sims[i, j] + i_sims))))
-    for i, a, b in batch.same_image:
-        for j in (a, b):
-            d = float(np.linalg.norm(batch.image_embs[i] - batch.text_embs[j]))
-            gap = min(gap, abs(d - config.eps_dist))
-    return gap
+    owners = batch.image_of_text
+    t_neg = np.where(owners[:, None] == owners, np.nan, sims[owners])
+    i_neg = np.where(owners[:, None] == np.arange(batch.n_images), np.nan, sims.T)
+    # a text with no negative text (every text of a one-image batch) has no hinges
+    skip = np.isnan(t_neg).all(axis=1)
+    t_neg[skip] = i_neg[skip] = np.nan
+    margins_t, a_t2i = adaptive_margins(batch.deltas[:, None], batch.deltas, config.tau)
+    pos = sims[owners, np.arange(batch.n_texts)][:, None]
+    gaps = [np.abs(margin - pos + neg) for margin, neg in (
+        (config.alpha, t_neg), (config.alpha, i_neg), (margins_t, t_neg), (a_t2i, i_neg))]
+    # top-2 gap of each row, sorted descending with NaN last
+    gaps += [np.diff(np.sort(-neg, axis=1)[:, :2]) for neg in (t_neg, i_neg)]
+    paired = batch.same_image[:, 1:].ravel()
+    dists = geometry.euclid_dists(batch.image_embs[owners[paired]], batch.text_embs[paired])
+    gaps = np.concatenate([g.ravel() for g in gaps + [np.abs(dists - config.eps_dist)]])
+    return float(np.min(gaps[~np.isnan(gaps)], initial=np.inf))
 
 
 _CHECKED_LOSSES = (

@@ -102,26 +102,15 @@ class Dataset:
         return len(self.text_ids)
 
 
-def _load_features(path) -> tuple[list[str], np.ndarray]:
-    """Accept a manifest path, a bare stem, or a JSONL fallback file."""
-    p = Path(path)
-    if p.name.endswith(".manifest.json"):
-        return geometry.read_features(p)
-    if p.name.endswith(".jsonl"):
-        return geometry.read_features_jsonl(p)
-    manifest = p.with_name(p.name + ".manifest.json")
-    if manifest.exists():
-        return geometry.read_features(manifest)
-    raise FileNotFoundError(
-        f"no feature file at {path} (expected *.manifest.json, *.jsonl, or a stem)")
-
-
 def load_dataset(corpus_path, table_path, image_features_path,
                  text_features_path, split: str | None = None) -> Dataset:
-    """Join a corpus file, its descriptiveness table, and feature files.
+    """Join a corpus file, its descriptiveness table, and the image and
+    text feature manifests.
 
-    Every kept sentence must have a feature row and a table entry; images
-    are ordered by first appearance among the kept sentences.
+    Every kept sentence must have a text row, an image row for its owner
+    and a table entry; the first record in corpus order that lacks one
+    raises ValueError naming the file that lacks it and the corpus.
+    Images are ordered by first appearance among the kept sentences.
     """
     corpus = corpus_mod.read_corpus_columns(corpus_path)
     ids, owner_ids, levels = corpus.ids, corpus.image_ids, corpus.levels
@@ -131,20 +120,19 @@ def load_dataset(corpus_path, table_path, image_features_path,
     if not ids:
         raise ValueError(f"no sentences for split {split!r} in {corpus_path}")
     table = corpus_mod.read_table_jsonl(table_path)
-    img_ids, img_feats = _load_features(image_features_path)
-    txt_ids, txt_feats = _load_features(text_features_path)
+    img_ids, img_feats = geometry.read_features(image_features_path)
+    txt_ids, txt_feats = geometry.read_features(text_features_path)
     img_row = {i: k for k, i in enumerate(img_ids)}
     txt_row = {i: k for k, i in enumerate(txt_ids)}
     id_set = set(ids)
     if not (txt_row.keys() >= id_set and table.scores.keys() >= id_set
             and img_row.keys() >= set(owner_ids)):
         for sid, iid in zip(ids, owner_ids):
-            if sid not in txt_row:
-                raise KeyError(f"sentence {sid} missing from text features")
-            if iid not in img_row:
-                raise KeyError(f"image {iid} missing from image features")
-            if sid not in table.scores:
-                raise KeyError(f"sentence {sid} missing from descriptiveness table")
+            for path, keys, kind, key in ((text_features_path, txt_row, "sentence", sid),
+                                          (image_features_path, img_row, "image", iid),
+                                          (table_path, table.scores, "sentence", sid)):
+                if key not in keys:
+                    raise ValueError(f"{path}: lacks {kind} {key!r} of {corpus_path}")
 
     image_ids = list(dict.fromkeys(owner_ids))
     image_index = {iid: k for k, iid in enumerate(image_ids)}

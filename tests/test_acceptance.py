@@ -411,10 +411,10 @@ def test_criterion_6_metric_oracles():
         per = int(rng.integers(1, 6))
         owners = np.repeat(np.arange(n_img), per)
         sims = rng.normal(size=(n_img, n_img * per))
+        suite = E.recall_suite(sims, owners, ks=(1, 5, 10))
         for k in (1, 5, 10):
             for direction in ("i2t", "t2i"):
-                assert (E.recall_at_k(sims, owners, k, direction)
-                        == _oracle_recall(sims, owners, k, direction))
+                assert suite[direction][k] == _oracle_recall(sims, owners, k, direction)
         six = [_oracle_recall(sims, owners, k, d)
                for d in ("i2t", "t2i") for k in (1, 5, 10)]
         assert E.rsum(sims, owners) == math.fsum(six)

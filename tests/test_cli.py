@@ -197,6 +197,27 @@ def checkpoint_bytes(synth_dir, tmp_path_factory):
     return (run / "checkpoint.bin").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("form", ["stem", "jsonl"])
+def test_image_features_must_be_a_manifest_path(synth_dir, checkpoint_bytes, tmp_path,
+                                                capsys, command, form):
+    """A bare feature stem and a JSONL feature file exit 2 naming the path."""
+    if form == "stem":
+        path = synth_dir / "images"
+    else:
+        ids, feats = geometry.read_features(synth_dir / "images.manifest.json")
+        path = tmp_path / "images.jsonl"
+        path.write_text("".join(json.dumps({"id": i, "vec": row.tolist()}) + "\n"
+                                for i, row in zip(ids, feats)))
+    flags = _data_flags(synth_dir)
+    flags[flags.index("--image-features") + 1] = str(path)
+    if command == "eval":
+        (tmp_path / "checkpoint.bin").write_bytes(checkpoint_bytes)
+        flags += ["--checkpoint", str(tmp_path / "checkpoint.bin")]
+    assert cli.main([command, *flags, "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: expected a *.manifest.json path" in capsys.readouterr().err
+
+
 def _header_end(blob: bytes) -> int:
     return 16 + int.from_bytes(blob[8:16], "little")
 

@@ -157,6 +157,21 @@ def test_table_jsonl_names_malformed_line(tmp_path):
         C.read_table_jsonl(path)
 
 
+@pytest.mark.parametrize("value, want", [
+    ("true", "'raw_min' must be a number, got true"),
+    ('"1.5"', "'raw_min' must be a number, got \"1.5\""),
+    ("null", "'raw_min' must be a number, got null"),
+    ("1" + "0" * 400, "int too large to convert to float"),
+], ids=["bool", "string", "null", "huge-int"])
+def test_table_header_values_must_be_numbers(tmp_path, value, want):
+    path = tmp_path / "table.jsonl"
+    path.write_text('{"raw_max": 2.0, "raw_min": %s}\n{"delta": 0.5, "id": "a", "raw": 1.5}\n'
+                    % value)
+    with pytest.raises(ValueError) as exc:
+        C.read_table_jsonl(path)
+    assert str(exc.value) == f"{path}:1: malformed table header: {want}"
+
+
 def test_table_jsonl_round_trip_is_bit_exact(tmp_path):
     _, table = C.build_table(THREE_DOCS)
     path = tmp_path / "table.jsonl"
@@ -296,7 +311,13 @@ def read_table_per_line(path):
                 continue
             try:
                 obj = json.loads(line)
-                delta, sid, raw = float(obj["delta"]), str(obj["id"]), float(obj["raw"])
+                delta, sid, raw = obj["delta"], obj["id"], obj["raw"]
+                for name, value in (("delta", delta), ("raw", raw)):
+                    if type(value) not in (int, float):
+                        raise ValueError(f"{name!r} must be a number, got {json.dumps(value)}")
+                if type(sid) not in (str, int):
+                    raise ValueError(f"'id' must be a string or an integer, got {json.dumps(sid)}")
+                delta, sid, raw = float(delta), str(sid), float(raw)
                 for name, value in (("delta", delta), ("raw", raw)):
                     if not math.isfinite(value):
                         raise ValueError(f"{name!r} must be finite, got {value!r}")
@@ -567,6 +588,18 @@ BAD_ROWS = {
     "delta-above-1": (ROW % ("7.5", "b", "1.5"), "'delta' must lie in [0, 1], got 7.5"),
     "delta-below-0": (ROW % ("-0.25", "b", "1.5"), "'delta' must lie in [0, 1], got -0.25"),
     "delta-huge-int": (ROW % ("1" + "0" * 400, "b", "1.5"), "int too large to convert to float"),
+    "delta-true": (ROW % ("true", "b", "1.5"), "'delta' must be a number, got true"),
+    "raw-false": (ROW % ("0.5", "b", "false"), "'raw' must be a number, got false"),
+    "delta-string": (ROW % ('"0.25"', "b", "1.5"), "'delta' must be a number, got \"0.25\""),
+    "raw-null": (ROW % ("0.5", "b", "null"), "'raw' must be a number, got null"),
+    "id-null": ('{"delta": 0.5, "id": null, "raw": 1.5}',
+                "'id' must be a string or an integer, got null"),
+    "id-list": ('{"delta": 0.5, "id": ["b"], "raw": 1.5}',
+                "'id' must be a string or an integer, got [\"b\"]"),
+    "id-bool": ('{"delta": 0.5, "id": false, "raw": 1.5}',
+                "'id' must be a string or an integer, got false"),
+    "id-float": ('{"delta": 0.5, "id": 2.0, "raw": 1.5}',
+                 "'id' must be a string or an integer, got 2.0"),
 }
 
 
@@ -580,6 +613,14 @@ def test_table_reader_rejects_bad_values(tmp_path, route, case):
     with pytest.raises(ValueError) as exc:
         C.read_table_jsonl(path)
     assert str(exc.value) == f"{path}:3: malformed table record: {want}"
+
+
+def test_table_reader_keeps_integer_ids_and_numbers(tmp_path):
+    path = tmp_path / "table.jsonl"
+    path.write_text(TABLE_HEAD + '\n{"delta": 1, "id": 7, "raw": 2}\n')
+    table = C.read_table_jsonl(path)
+    assert table.scores == {"7": 1.0} and table.raw_scores == {"7": 2.0}
+    assert type(table.scores["7"]) is float and type(table.raw_scores["7"]) is float
 
 
 def test_table_reader_rejects_repeated_id(tmp_path):

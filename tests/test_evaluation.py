@@ -15,11 +15,16 @@ def test_ranked_indices_breaks_ties_low():
     assert E.ranked_indices(np.array([1.0, 1.0, 1.0])).tolist() == [0, 1, 2]
 
 
+def recall_at_k(sims, owners, k, direction):
+    """One recall of the suite: direction "i2t" or "t2i" at k."""
+    return E.recall_suite(sims, owners, ks=(k,))[direction][k]
+
+
 def test_recall_identity_matrix():
     sims = np.eye(4)
     owners = np.arange(4)
     for d in ("i2t", "t2i"):
-        assert E.recall_at_k(sims, owners, 1, d) == 100.0
+        assert recall_at_k(sims, owners, 1, d) == 100.0
 
 
 def test_recall_hand_fixture():
@@ -27,11 +32,11 @@ def test_recall_hand_fixture():
     sims = np.array([[0.2, 0.9],
                      [0.1, 0.8]])
     owners = np.array([0, 1])
-    assert E.recall_at_k(sims, owners, 1, "i2t") == 50.0
-    assert E.recall_at_k(sims, owners, 2, "i2t") == 100.0
+    assert recall_at_k(sims, owners, 1, "i2t") == 50.0
+    assert recall_at_k(sims, owners, 2, "i2t") == 100.0
     # text 0: column [0.2, 0.1], own image 0 ranked first -> hit
     # text 1: column [0.9, 0.8], own image 1 ranked second -> miss at 1
-    assert E.recall_at_k(sims, owners, 1, "t2i") == 50.0
+    assert recall_at_k(sims, owners, 1, "t2i") == 50.0
 
 
 def test_recall_multi_caption_any_hit():
@@ -39,16 +44,14 @@ def test_recall_multi_caption_any_hit():
                      [0.2, 0.3, 0.6]])
     owners = np.array([0, 0, 1])
     # image 0 top-1 is its own text 0 even though text 1 ranks last
-    assert E.recall_at_k(sims, owners, 1, "i2t") == 100.0
+    assert recall_at_k(sims, owners, 1, "i2t") == 100.0
 
 
 def test_recall_validates_inputs():
     with pytest.raises(ValueError, match="k"):
-        E.recall_at_k(np.eye(2), np.arange(2), 0, "i2t")
-    with pytest.raises(ValueError, match="direction"):
-        E.recall_at_k(np.eye(2), np.arange(2), 1, "sideways")
+        E.recall_suite(np.eye(2), np.arange(2), ks=(0,))
     with pytest.raises(ValueError, match="entry per text"):
-        E.recall_at_k(np.eye(2), np.arange(3), 1, "i2t")
+        E.recall_suite(np.eye(2), np.arange(3))
     with pytest.raises(ValueError, match="entry per text"):
         E.exact_ranks(np.eye(2), np.eye(2), np.arange(3))
     with pytest.raises(ValueError, match="dimension"):
@@ -84,7 +87,7 @@ def test_folded_recall_suite_matches_manual_folds():
     for start, stop in E.fold_slices(10, 5):
         keep = np.flatnonzero((owners >= start) & (owners < stop))
         sims = geometry.sim_matrix(imgs[start:stop], txts[keep])
-        manual.append(E.recall_at_k(sims, owners[keep] - start, 1, "i2t"))
+        manual.append(recall_at_k(sims, owners[keep] - start, 1, "i2t"))
     got = [f["i2t"][1] for f in out["folds"]]
     assert got == manual
     assert out["mean"]["i2t"][1] == pytest.approx(np.mean(manual), abs=1e-12)
@@ -314,7 +317,7 @@ def test_recall_matches_brute_force_oracle():
         sims[0, :] = np.round(sims[0, :], 1)
         for k in (1, 2, 5):
             for d in ("i2t", "t2i"):
-                assert E.recall_at_k(sims, owners, k, d) == brute_recall(sims, owners, k, d)
+                assert recall_at_k(sims, owners, k, d) == brute_recall(sims, owners, k, d)
 
 
 def lexsort_recall(sims, owners, k, direction):
@@ -354,7 +357,6 @@ def test_rank_counts_equal_lexsort_path_on_ties(fixture):
     for direction in ("i2t", "t2i"):
         for k in ks:
             want = lexsort_recall(sims, owners, k, direction)
-            assert E.recall_at_k(sims, owners, k, direction) == want
             assert suite[direction][k] == want
     for k in (1, 3, n_img + 1):
         want = {}
@@ -583,8 +585,9 @@ def test_screened_ranks_equal_matrix_ranks(fixture, block):
                   if np.isfinite(imgs).all() and np.isfinite(txts).all() else None)
     finally:
         E._BLOCK_ENTRIES = saved
-    assert np.array_equal(i2t, E.query_ranks(sims, owners, "i2t"))
-    assert np.array_equal(t2i, E.query_ranks(sims, owners, "t2i"))
+    want_i2t, want_t2i = E._matrix_ranks(sims, owners)
+    assert np.array_equal(i2t, want_i2t)
+    assert np.array_equal(t2i, want_t2i)
     assert rsum == E.rsum(sims, owners)
     for k in (1, 2, 5):
         assert E._level_recall(t2i, levels, k) == E.per_level_recall(sims, owners, levels, k)

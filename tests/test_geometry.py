@@ -1,4 +1,3 @@
-import json
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -13,13 +12,6 @@ from descmatch import geometry as G
 def euclid_dist(u, v) -> float:
     """One pair's distance, by definition: the norm of the difference."""
     return float(np.linalg.norm(np.ravel(u) - np.ravel(v)))
-
-
-def write_features_jsonl(path, ids, matrix) -> None:
-    """The JSONL feature format: one {"id", "vec"} record per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid, row in zip(ids, np.atleast_2d(matrix)):
-            fh.write(json.dumps({"id": sid, "vec": row.tolist()}) + "\n")
 
 
 def test_l2_normalize_rows_are_unit():
@@ -149,33 +141,6 @@ def test_feature_read_validates(tmp_path):
         G.read_features(manifest)
 
 
-def test_feature_jsonl_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(2)
-    mat = rng.normal(size=(4, 3))
-    path = tmp_path / "feats.jsonl"
-    write_features_jsonl(path, ["w", "x", "y", "z"], mat)
-    ids, got = G.read_features_jsonl(path)
-    assert ids == ["w", "x", "y", "z"]
-    assert np.array_equal(got, mat)
-
-
-def test_feature_jsonl_rejects_empty(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    path.write_text("")
-    with pytest.raises(ValueError, match="no feature records"):
-        G.read_features_jsonl(path)
-
-
-def test_feature_jsonl_names_malformed_line(tmp_path):
-    path = tmp_path / "feats.jsonl"
-    path.write_text('{"id": "a", "vec": [1.0, 2.0]}\n\n{id: "b"}\n')
-    with pytest.raises(ValueError, match=r"feats\.jsonl:3: malformed feature record"):
-        G.read_features_jsonl(path)
-    path.write_text('{"id": "a", "vec": [1.0, 2.0]}\n{"id": "b"}\n')
-    with pytest.raises(ValueError, match=r"feats\.jsonl:2: .*'vec'"):
-        G.read_features_jsonl(path)
-
-
 def test_unit_vector_distance_similarity_identity():
     rng = np.random.default_rng(3)
     u, v = G.l2_normalize(rng.normal(size=(2, 9)))
@@ -188,10 +153,6 @@ def test_feature_read_rejects_duplicate_ids(tmp_path):
     manifest = G.write_features(tmp_path / "f", ["a", "b", "a"], np.ones((3, 2)))
     with pytest.raises(ValueError, match=r"f\.manifest\.json: duplicate id 'a'"):
         G.read_features(manifest)
-    path = tmp_path / "f.jsonl"
-    write_features_jsonl(path, ["a", "b", "a"], np.ones((3, 2)))
-    with pytest.raises(ValueError, match=r"f\.jsonl:3: duplicate id 'a' \(first on line 1\)"):
-        G.read_features_jsonl(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -201,10 +162,6 @@ def test_feature_read_rejects_non_finite_rows(tmp_path, bad):
     manifest = G.write_features(tmp_path / "f", list("abcde"), mat, dtype="f32")
     with pytest.raises(ValueError, match=r"f\.bin: row 3 \(id 'd'\) is not finite"):
         G.read_features(manifest)
-    path = tmp_path / "f.jsonl"
-    write_features_jsonl(path, list("abcde"), mat)
-    with pytest.raises(ValueError, match=r"f\.jsonl:4: feature 'd' is not finite"):
-        G.read_features_jsonl(path)
 
 
 def test_non_finite_check_spans_row_blocks(tmp_path, monkeypatch):

@@ -291,6 +291,80 @@ def test_kink_gap_detects_exact_tie():
     assert L.kink_gap(batch, L.LossConfig()) == 0.0
 
 
+def kink_gap_per_text(batch, config):
+    """The per-text loop that kink_gap vectorises: each text's negative
+    texts and images, then each same-image pair's two distances."""
+    sims = batch.image_embs @ batch.text_embs.T
+    deltas = batch.deltas
+    gap = math.inf
+    for j, i in enumerate(batch.image_of_text):
+        t_cand = np.flatnonzero(batch.image_of_text != i)
+        i_cand = np.array([k for k in range(batch.n_images) if k != i], dtype=np.int64)
+        if t_cand.size == 0 or i_cand.size == 0:
+            continue
+        t_sims = sims[i, t_cand]
+        i_sims = sims[i_cand, j]
+        for vals in (t_sims, i_sims):
+            if vals.size >= 2:
+                top = np.sort(vals)[-2:]
+                gap = min(gap, float(top[1] - top[0]))
+        for adaptive in (False, True):
+            if adaptive:
+                margins_t, a_t2i = L.adaptive_margins(deltas[j], deltas[t_cand], config.tau)
+            else:
+                margins_t = np.full(t_cand.size, config.alpha)
+                a_t2i = config.alpha
+            gap = min(gap, float(np.min(np.abs(margins_t - sims[i, j] + t_sims))))
+            gap = min(gap, float(np.min(np.abs(a_t2i - sims[i, j] + i_sims))))
+    for i, a, b in batch.same_image:
+        for j in (a, b):
+            d = float(np.linalg.norm(batch.image_embs[i] - batch.text_embs[j]))
+            gap = min(gap, abs(d - config.eps_dist))
+    return gap
+
+
+def _kink_batches(rng):
+    """Random batches of 1-8 images, where images owning one text are
+    common, some with owners redrawn so that one image owns all texts but
+    one or all of them, some with embeddings and deltas rounded onto a
+    coarse grid, which makes exact ties common."""
+    for trial in range(300):
+        n_img = int(rng.integers(1, 9))
+        n_txt = int(rng.integers(n_img, 3 * n_img + 2))
+        batch = L.random_batch(rng, n_images=n_img, n_texts=n_txt, dim=int(rng.integers(2, 17)))
+        imgs, txts, owners, deltas = (batch.image_embs, batch.text_embs,
+                                      batch.image_of_text, batch.deltas)
+        if trial % 3 == 1 and n_img >= 2:
+            owners = np.zeros(n_txt, dtype=np.int64)
+            owners[rng.integers(n_txt)] = trial % 2
+        if trial % 3 == 2:
+            imgs, txts = np.round(2.0 * imgs), np.round(2.0 * txts)
+            imgs[~imgs.any(axis=1), 0] = txts[~txts.any(axis=1), 0] = 1.0
+            imgs /= np.linalg.norm(imgs, axis=1, keepdims=True)
+            txts /= np.linalg.norm(txts, axis=1, keepdims=True)
+            deltas = np.round(deltas, 1)
+        yield L.Batch(imgs, txts, owners, deltas)
+
+
+def test_kink_gap_equals_per_text_loop():
+    rng = np.random.default_rng(17)
+    for config in (L.LossConfig(), L.LossConfig(alpha=0.5, tau=2.0, eps_dist=0.3)):
+        gaps = []
+        for batch in _kink_batches(rng):
+            gap = L.kink_gap(batch, config)
+            assert gap == kink_gap_per_text(batch, config)
+            gaps.append(gap)
+            # an ordering distance at the clamp, for the last text of a group,
+            # which is only ever the second of a pair
+            for i, _, j in batch.same_image[-1:]:
+                eps = float(np.linalg.norm(batch.image_embs[i] - batch.text_embs[j]))
+                if eps > 0.0:
+                    clamp = dataclasses.replace(config, eps_dist=eps)
+                    assert L.kink_gap(batch, clamp) == kink_gap_per_text(batch, clamp) == 0.0
+        # the fixtures reach the tie, single-text and one-image branches
+        assert 0.0 in gaps and math.inf in gaps
+
+
 def test_gradcheck_smoke():
     res = L.run_gradcheck(seed=123, trials=2)
     assert res["passed"]

@@ -232,11 +232,14 @@ def test_checkpoint_bytes_reproducible(tmp_path):
 
 
 def _write_inputs(tmp_path, records, img_ids, img_feats, txt_ids, txt_feats):
+    """Write the four inputs of load_dataset; returns their paths in its
+    argument order."""
     C.write_corpus_jsonl(tmp_path / "corpus.jsonl", records)
     _, table = C.build_table(records)
     C.write_table_jsonl(tmp_path / "table.jsonl", table)
-    geometry.write_features(tmp_path / "images", img_ids, img_feats)
-    geometry.write_features(tmp_path / "texts", txt_ids, txt_feats)
+    return (tmp_path / "corpus.jsonl", tmp_path / "table.jsonl",
+            geometry.write_features(tmp_path / "images", img_ids, img_feats),
+            geometry.write_features(tmp_path / "texts", txt_ids, txt_feats))
 
 
 def test_load_dataset_joins_files(tmp_path):
@@ -247,19 +250,15 @@ def test_load_dataset_joins_files(tmp_path):
         C.SentenceRecord("t3", "imgA", "a zebra herd", split="val", level=2),
     ]
     rng = np.random.default_rng(0)
-    _write_inputs(tmp_path, records, ["imgA", "imgB"], rng.normal(size=(2, 4)),
-                  [r.id for r in records], rng.normal(size=(4, 3)))
-    ds = trainer.load_dataset(tmp_path / "corpus.jsonl", tmp_path / "table.jsonl",
-                              tmp_path / "images.manifest.json",
-                              tmp_path / "texts", split="train")
+    paths = _write_inputs(tmp_path, records, ["imgA", "imgB"], rng.normal(size=(2, 4)),
+                          [r.id for r in records], rng.normal(size=(4, 3)))
+    ds = trainer.load_dataset(*paths, split="train")
     # first-encounter image order: imgB before imgA
     assert ds.image_ids == ["imgB", "imgA"]
     assert ds.text_ids == ["t0", "t1", "t2"]
     assert ds.image_of_text.tolist() == [0, 0, 1]
     assert ds.levels.tolist() == [1, 2, 1]
-    val = trainer.load_dataset(tmp_path / "corpus.jsonl", tmp_path / "table.jsonl",
-                               tmp_path / "images", tmp_path / "texts",
-                               split="val")
+    val = trainer.load_dataset(*paths, split="val")
     assert val.text_ids == ["t3"]
 
 
@@ -267,45 +266,43 @@ def test_load_dataset_reports_missing_ids(tmp_path):
     records = [C.SentenceRecord("t0", "imgA", "a dog"),
                C.SentenceRecord("t1", "imgA", "a cat")]
     rng = np.random.default_rng(0)
-    _write_inputs(tmp_path, records, ["imgA"], rng.normal(size=(1, 4)),
-                  ["t0"], rng.normal(size=(1, 3)))
-    with pytest.raises(KeyError, match="t1"):
-        trainer.load_dataset(tmp_path / "corpus.jsonl", tmp_path / "table.jsonl",
-                             tmp_path / "images", tmp_path / "texts")
+    paths = _write_inputs(tmp_path, records, ["imgA"], rng.normal(size=(1, 4)),
+                          ["t0"], rng.normal(size=(1, 3)))
+    with pytest.raises(ValueError) as exc:
+        trainer.load_dataset(*paths)
+    assert str(exc.value) == f"{paths[3]}: lacks sentence 't1' of {paths[0]}"
 
 
-@pytest.mark.parametrize("text_ids, image_ids, table_ids, want", [
-    (["t0", "t1", "t2"], ["imgA", "imgB"], ["t0", "t2"],
-     "sentence t1 missing from descriptiveness table"),
-    (["t0", "t2"], ["imgA", "imgB"], ["t0", "t2"], "sentence t1 missing from text features"),
-    (["t0", "t1", "t2"], ["imgB"], ["t1", "t2"], "image imgA missing from image features"),
-    (["t0", "t1", "t2"], ["imgA", "imgB"], ["t0", "t1"],
-     "sentence t2 missing from descriptiveness table"),
+@pytest.mark.parametrize("text_ids, image_ids, table_ids, lacking, want", [
+    (["t0", "t1", "t2"], ["imgA", "imgB"], ["t0", "t2"], 1, "sentence 't1'"),
+    (["t0", "t2"], ["imgA", "imgB"], ["t0", "t2"], 3, "sentence 't1'"),
+    (["t0", "t1", "t2"], ["imgB"], ["t1", "t2"], 2, "image 'imgA'"),
+    (["t0", "t1", "t2"], ["imgA", "imgB"], ["t0", "t1"], 1, "sentence 't2'"),
 ], ids=["table", "text-before-table", "image", "last-record"])
-def test_load_dataset_reports_first_missing_id(tmp_path, text_ids, image_ids, table_ids, want):
+def test_load_dataset_reports_first_missing_id(tmp_path, text_ids, image_ids, table_ids,
+                                               lacking, want):
     """The first record in corpus order that lacks a text row, an image row
-    or a table entry, checked in that order, names the error."""
+    or a table entry, checked in that order, names the error, the file
+    that lacks it (paths[lacking]) and the corpus."""
     records = [C.SentenceRecord("t0", "imgA", "a dog"), C.SentenceRecord("t1", "imgB", "a cat"),
                C.SentenceRecord("t2", "imgB", "a cow", split="val")]
     rng = np.random.default_rng(0)
-    _write_inputs(tmp_path, records, image_ids, rng.normal(size=(len(image_ids), 4)),
-                  text_ids, rng.normal(size=(len(text_ids), 3)))
+    paths = _write_inputs(tmp_path, records, image_ids, rng.normal(size=(len(image_ids), 4)),
+                          text_ids, rng.normal(size=(len(text_ids), 3)))
     _, table = C.build_table([r for r in records if r.id in table_ids])
-    C.write_table_jsonl(tmp_path / "table.jsonl", table)
-    with pytest.raises(KeyError) as exc:
-        trainer.load_dataset(tmp_path / "corpus.jsonl", tmp_path / "table.jsonl",
-                             tmp_path / "images", tmp_path / "texts")
-    assert exc.value.args[0] == want
+    C.write_table_jsonl(paths[1], table)
+    with pytest.raises(ValueError) as exc:
+        trainer.load_dataset(*paths)
+    assert str(exc.value) == f"{paths[lacking]}: lacks {want} of {paths[0]}"
 
 
 def test_load_dataset_rejects_empty_split(tmp_path):
     records = [C.SentenceRecord("t0", "imgA", "a dog")]
     rng = np.random.default_rng(0)
-    _write_inputs(tmp_path, records, ["imgA"], rng.normal(size=(1, 4)),
-                  ["t0"], rng.normal(size=(1, 3)))
+    paths = _write_inputs(tmp_path, records, ["imgA"], rng.normal(size=(1, 4)),
+                          ["t0"], rng.normal(size=(1, 3)))
     with pytest.raises(ValueError, match="no sentences"):
-        trainer.load_dataset(tmp_path / "corpus.jsonl", tmp_path / "table.jsonl",
-                             tmp_path / "images", tmp_path / "texts", split="test")
+        trainer.load_dataset(*paths, split="test")
 
 
 def test_checkpoint_write_is_atomic(tmp_path):
