@@ -106,17 +106,17 @@ def gen_features(spec: SynthSpec, records) -> tuple[list[str], np.ndarray, list[
     image_ids = sorted({r.image_id for r in records})
     latents = rng.normal(size=(len(image_ids), spec.feature_dim))
     image_feats = geometry.l2_normalize(latents)
-    latent_of = {img: latents[k] for k, img in enumerate(image_ids)}
-    text_ids = []
-    text_raw = np.empty((len(records), spec.feature_dim))
-    for k, r in enumerate(records):
+    for r in records:
         if r.level is None:
             raise ValueError(f"sentence {r.id} has no level")
-        noise = rng.normal(size=spec.feature_dim)
-        scale = (spec.levels - r.level + 1) * spec.noise_sigma
-        text_ids.append(r.id)
-        text_raw[k] = latent_of[r.image_id] + scale * noise
-    return image_ids, image_feats, text_ids, geometry.l2_normalize(text_raw)
+    row_of = {img: k for k, img in enumerate(image_ids)}
+    owner = np.array([row_of[r.image_id] for r in records], dtype=np.int64)
+    levels = np.array([r.level for r in records], dtype=np.int64)
+    # every text's noise in one draw, row by row: the stream of one draw per text
+    text_raw = rng.normal(size=(len(records), spec.feature_dim))
+    text_raw *= ((spec.levels - levels + 1) * spec.noise_sigma)[:, None]
+    text_raw += latents[owner]  # latent + scale * noise, as + commutes exactly
+    return image_ids, image_feats, [r.id for r in records], geometry.l2_normalize(text_raw)
 
 
 def write_dataset(out_dir, spec: SynthSpec) -> dict[str, str]:

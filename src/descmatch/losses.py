@@ -6,10 +6,17 @@ descriptiveness values as constants, use the exact subgradient 0 at hinge
 kinks, and are checked against central finite differences (the oracle
 perturbs the already-normalized embeddings without re-normalizing, so both
 sides live in the same domain).
+
+Each loss sums its gradient terms with one ``np.bincount`` into image
+rows then text rows, bit for bit as one ``np.add.at`` per term onto zeros:
+bincount adds each weight into its bin in input order from +0.0, the terms
+keep the order of those calls, and a sum from +0.0 never becomes -0.0.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,20 +42,58 @@ class LossConfig:
             raise ValueError("clamps must be positive")
 
 
+_Ownership = collections.namedtuple("_Ownership", "same_image same_owner owns lonely")
+
+
+@functools.lru_cache(maxsize=32)
+def _ownership(owner_bytes: bytes, n_images: int) -> _Ownership:
+    """What the losses derive from an owner array alone, shared read-only by
+    the trainer's batches of equal-sized images: same_image (see Batch),
+    same_owner[j, k] when texts j and k share an image, owns[j, i] when image
+    i owns text j, lonely the first text whose image owns all texts, or -1."""
+    owners = np.frombuffer(owner_bytes, dtype=np.int64)
+    same_owner = owners[None, :] == owners[:, None]
+    # positions a < b of the owner-sorted texts: rows by image, then a, then b
+    order = geometry.texts_by_owner(owners, n_images)[0]
+    a, b = np.nonzero(np.triu(same_owner[np.ix_(order, order)], 1))
+    lonely = np.flatnonzero(same_owner.all(axis=1))
+    own = _Ownership(np.stack([owners[order[a]], order[a], order[b]], axis=1), same_owner,
+                     owners[:, None] == np.arange(n_images), int(lonely[0]) if lonely.size else -1)
+    for arr in own[:3]:
+        arr.flags.writeable = False
+    return own
+
+
+@functools.lru_cache(maxsize=8)
+def _element_index(n_rows: int, dim: int) -> np.ndarray:
+    index = np.arange(n_rows * dim).reshape(n_rows, dim)
+    index.flags.writeable = False
+    return index
+
+
+def _scatter(rows: np.ndarray, vals: np.ndarray, n_rows: int) -> np.ndarray:
+    """np.add.at(np.zeros((n_rows, D)), rows, vals), bit for bit."""
+    dim = vals.shape[1]
+    sums = np.bincount(_element_index(n_rows, dim).take(rows, axis=0).ravel(), vals.ravel(),
+                       minlength=n_rows * dim)
+    return sums.astype(np.float64, copy=False).reshape(n_rows, dim)  # no rows: int zeros
+
+
 @dataclass
 class Batch:
     """Aligned image/text embeddings with ownership and descriptiveness.
 
     ``image_embs`` is (n_images, D) and ``text_embs`` (n_texts, D); rows are
     unit vectors (checked loosely, so finite-difference perturbations of
-    the embeddings remain admissible).  ``image_of_text[j]`` is the image
-    owning text j; an image may own several texts.  Ownership is the only
-    batch structure: every text forms one positive pair with its owner for
-    the ranking losses, and ``same_image`` holds, once per batch, the
-    (image, a, b) rows with a < b of every two texts sharing an image,
-    ordered by image, then a, then b, for the ordering loss.  ``pair_map``
-    is a read-only view of the positive pairs, kept for readers outside
-    the library that count pairs.
+    the embeddings remain admissible; NaN fails every check).  ``image_of_text[j]``
+    is the image owning text j; an image may own several texts.  Ownership
+    is the only batch structure: every text forms one positive pair with
+    its owner for the ranking losses, and ``same_image`` holds the (image,
+    a, b) rows with a < b of every two texts sharing an image, ordered by
+    image, then a, then b, for the ordering loss; it and the rest of
+    ``ownership`` are shared read-only by batches with equal owners.
+    ``pair_map`` is a read-only view of the positive pairs, kept for
+    readers outside the library that count pairs.
     """
 
     image_embs: np.ndarray
@@ -56,6 +101,7 @@ class Batch:
     image_of_text: np.ndarray
     deltas: np.ndarray
     same_image: np.ndarray = field(init=False, repr=False)
+    ownership: _Ownership = field(init=False, repr=False)
 
     def __post_init__(self):
         self.image_embs = np.asarray(self.image_embs, dtype=np.float64)
@@ -69,18 +115,14 @@ class Batch:
             raise ValueError("per-text arrays must have one entry per text")
         if n_txt and (self.image_of_text.min() < 0 or self.image_of_text.max() >= n_img):
             raise ValueError("text owner index out of range")
-        if np.any(self.deltas < 0.0) or np.any(self.deltas > 1.0):
+        if n_txt and not (self.deltas.min() >= 0.0 and self.deltas.max() <= 1.0):
             raise ValueError("deltas must lie in [0, 1]")
         for embs, name in ((self.image_embs, "image"), (self.text_embs, "text")):
-            norms = np.linalg.norm(embs, axis=1)
-            if norms.size and np.max(np.abs(norms - 1.0)) > 1e-3:
+            norms = np.sqrt(np.add.reduce(embs * embs, axis=1))
+            if norms.size and not np.abs(norms - 1.0).max() <= 1e-3:
                 raise ValueError(f"{name} embeddings are not L2-normalized")
-        # sorted position p pairs with every later position of its group
-        order, bounds = geometry.texts_by_owner(self.image_of_text, n_img)
-        later = bounds[self.image_of_text[order] + 1] - np.arange(n_txt) - 1
-        a = np.repeat(np.arange(n_txt), later)
-        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
-        self.same_image = np.stack([self.image_of_text[order[a]], order[a], order[b]], axis=1)
+        self.ownership = _ownership(self.image_of_text.tobytes(), n_img)
+        self.same_image = self.ownership.same_image
 
     @property
     def n_images(self) -> int:
@@ -115,18 +157,16 @@ def hardest_negatives(sims: np.ndarray,
     """
     sims = np.asarray(sims, dtype=np.float64)
     owners = np.asarray(image_of_text, dtype=np.int64)
-    n_img, n_txt = sims.shape
-    banned = owners[None, :] == owners[:, None]
-    dead = np.flatnonzero(banned.all(axis=1))
-    if dead.size:
-        raise ValueError(f"pair ({owners[dead[0]]}, {dead[0]}) has no admissible negative text")
+    n_img = sims.shape[0]
+    own = _ownership(owners.tobytes(), n_img)
+    if own.lonely >= 0:
+        raise ValueError(f"pair ({owners[own.lonely]}, {own.lonely}) has no admissible "
+                         "negative text")
     if n_img < 2:
         raise ValueError(f"pair ({owners[0]}, 0) has no admissible negative image")
-    t_neg = np.where(banned, -np.inf, sims[owners]).argmax(axis=1)
-    img_cols = sims.T.copy()
-    img_cols[np.arange(n_txt), owners] = -np.inf
-    v_neg = img_cols.argmax(axis=1)
-    return t_neg.astype(np.int64), v_neg.astype(np.int64)
+    t_neg = np.where(own.same_owner, -np.inf, sims[owners]).argmax(axis=1)
+    v_neg = np.where(own.owns, -np.inf, sims.T).argmax(axis=1)
+    return t_neg, v_neg
 
 
 def adaptive_margins(delta_t, delta_tneg, tau: float):
@@ -147,65 +187,64 @@ def _ranking_loss(batch: Batch, config: LossConfig, adaptive: bool) -> LossOutpu
     """
     imgs, txts = batch.image_embs, batch.text_embs
     deltas = batch.deltas
+    own = batch.ownership
+    n_img, n_txt = batch.n_images, batch.n_texts
     sims = imgs @ txts.T
-    grad_i = np.zeros_like(imgs)
-    grad_t = np.zeros_like(txts)
-    p_i, p_j = batch.image_of_text, np.arange(batch.n_texts)
+    p_i, p_j = batch.image_of_text, np.arange(n_txt)
     s_pos = sims[p_i, p_j]
 
     if config.use_hardest_mining:
         t_neg, v_neg = hardest_negatives(sims, p_i)
         if adaptive:
-            a_i2t, a_t2i = adaptive_margins(deltas[p_j], deltas[t_neg], config.tau)
+            a_i2t, a_t2i = adaptive_margins(deltas, deltas[t_neg], config.tau)
         else:
-            a_i2t = np.full(batch.n_texts, config.alpha)
-            a_t2i = a_i2t
+            a_i2t = a_t2i = np.full(n_txt, config.alpha)
         h1 = a_i2t - s_pos + sims[p_i, t_neg]
         h2 = a_t2i - s_pos + sims[v_neg, p_j]
         on1 = h1 > 0.0
         on2 = h2 > 0.0
         value = float(h1[on1].sum()) + float(h2[on2].sum())
-        np.add.at(grad_i, p_i[on1], txts[t_neg[on1]] - txts[p_j[on1]])
-        np.add.at(grad_t, p_j[on1], -imgs[p_i[on1]])
-        np.add.at(grad_t, t_neg[on1], imgs[p_i[on1]])
-        np.add.at(grad_i, p_i[on2], -txts[p_j[on2]])
-        np.add.at(grad_i, v_neg[on2], txts[p_j[on2]])
-        np.add.at(grad_t, p_j[on2], imgs[v_neg[on2]] - imgs[p_i[on2]])
-        active = int(on1.sum()) + int(on2.sum())
-        return LossOutput(value, grad_i, grad_t,
-                          {"triplet": value, "ordering": 0.0, "active_hinges": active})
+        # the six add.at calls of the per-hinge form as one scatter, in call order
+        j1, j2 = np.flatnonzero(on1), np.flatnonzero(on2)
+        i1, i2, tn, vn = p_i.take(j1), p_i.take(j2), t_neg.take(j1), v_neg.take(j2)
+        v1, t1, t2 = imgs.take(i1, axis=0), txts.take(j1, axis=0), txts.take(j2, axis=0)
+        grads = _scatter(np.concatenate([i1, n_img + j1, n_img + tn, i2, vn, n_img + j2]),
+                         np.concatenate([txts.take(tn, axis=0) - t1, -v1, v1, -t2, t2,
+                                         imgs.take(vn, axis=0) - imgs.take(i2, axis=0)]),
+                         n_img + n_txt)
+        return LossOutput(value, grads[:n_img], grads[n_img:],
+                          {"triplet": value, "ordering": 0.0, "active_hinges": j1.size + j2.size})
 
-    n_pairs = batch.n_texts
-    allowed_t = batch.image_of_text[None, :] != p_i[:, None]
-    n1 = allowed_t.sum(axis=1)
-    if np.any(n1 == 0) or batch.n_images < 2:
-        bad = int(np.argmin(n1)) if np.any(n1 == 0) else 0
+    if own.lonely >= 0 or n_img < 2:
+        bad = max(own.lonely, 0)
         raise ValueError(f"pair ({p_i[bad]}, {bad}) has no admissible negative")
+    allowed_t = ~own.same_owner
+    n1 = allowed_t.sum(axis=1)
     if adaptive:
-        margins_t, a_t2i = adaptive_margins(deltas[p_j][:, None], deltas[None, :],
-                                            config.tau)
+        margins_t, a_t2i = adaptive_margins(deltas[:, None], deltas[None, :], config.tau)
     else:
-        margins_t = np.full((n_pairs, batch.n_texts), config.alpha)
-        a_t2i = np.full((n_pairs, 1), config.alpha)
+        margins_t = np.full((n_txt, n_txt), config.alpha)
+        a_t2i = np.full((n_txt, 1), config.alpha)
     h1 = margins_t - s_pos[:, None] + sims[p_i]
     act1 = (h1 > 0.0) & allowed_t
     value = float(np.sum(np.sum(h1 * act1, axis=1) / n1))
     c1 = act1.sum(axis=1)
-    np.add.at(grad_i, p_i,
-              (act1 @ txts - c1[:, None] * txts[p_j]) / n1[:, None])
-    np.add.at(grad_t, p_j, -(c1 / n1)[:, None] * imgs[p_i])
-    grad_t += (act1 / n1[:, None]).T @ imgs[p_i]
 
-    n2 = batch.n_images - 1
-    allowed_i = np.ones((n_pairs, batch.n_images), dtype=bool)
-    allowed_i[np.arange(n_pairs), p_i] = False
-    h2 = a_t2i - s_pos[:, None] + sims[:, p_j].T
-    act2 = (h2 > 0.0) & allowed_i
+    n2 = n_img - 1
+    h2 = a_t2i - s_pos[:, None] + sims.T
+    act2 = (h2 > 0.0) & ~own.owns
     value += float(np.sum(np.sum(h2 * act2, axis=1) / n2))
     c2 = act2.sum(axis=1)
-    grad_i += act2.T @ (txts[p_j] / n2)
-    np.add.at(grad_i, p_i, -(c2 / n2)[:, None] * txts[p_j])
-    np.add.at(grad_t, p_j, (act2 @ imgs - c2[:, None] * imgs[p_i]) / n2)
+    img_of = imgs[p_i]
+    # the add.at calls onto zeros as one scatter, those over p_j (each text once) as +=
+    grads = _scatter(np.concatenate([p_i, n_img + p_j]),
+                     np.concatenate([(act1 @ txts - c1[:, None] * txts) / n1[:, None],
+                                     -(c1 / n1)[:, None] * img_of]), n_img + n_txt)
+    grad_i, grad_t = grads[:n_img], grads[n_img:]
+    grad_t += (act1 / n1[:, None]).T @ img_of
+    grad_i += act2.T @ (txts / n2)
+    np.add.at(grad_i, p_i, -(c2 / n2)[:, None] * txts)
+    grad_t += (act2 @ imgs - c2[:, None] * img_of) / n2
     active = int(act1.sum()) + int(act2.sum())
     return LossOutput(value, grad_i, grad_t,
                       {"triplet": value, "ordering": 0.0, "active_hinges": active})
@@ -230,34 +269,22 @@ def ordering_loss(batch: Batch, config: LossConfig) -> LossOutput:
     single batch text contribute nothing.
     """
     imgs, txts = batch.image_embs, batch.text_embs
-    grad_i = np.zeros_like(imgs)
-    grad_t = np.zeros_like(txts)
-    pairs = batch.same_image
-    if not len(pairs):
-        return LossOutput(0.0, grad_i, grad_t,
-                          {"triplet": 0.0, "ordering": 0.0, "active_hinges": 0,
-                           "ordering_pairs": 0})
-    i_arr, a_arr, b_arr = pairs.T
-    diff_a = imgs[i_arr] - txts[a_arr]
-    diff_b = imgs[i_arr] - txts[b_arr]
-    raw_da = np.linalg.norm(diff_a, axis=1)
-    raw_db = np.linalg.norm(diff_b, axis=1)
-    da = np.maximum(raw_da, config.eps_dist)
-    db = np.maximum(raw_db, config.eps_dist)
-    dea = np.maximum(batch.deltas[a_arr], config.eps_delta)
-    deb = np.maximum(batch.deltas[b_arr], config.eps_delta)
-    args = np.log(da / db) - np.log(deb / dea)
-    value = float(np.sum(args * args))
-    coef_a = np.where(raw_da > config.eps_dist, 2.0 * args / (da * da), 0.0)
-    coef_b = np.where(raw_db > config.eps_dist, 2.0 * args / (db * db), 0.0)
-    g_a = coef_a[:, None] * diff_a
-    g_b = coef_b[:, None] * diff_b
-    np.add.at(grad_i, i_arr, g_a - g_b)
-    np.add.at(grad_t, a_arr, -g_a)
-    np.add.at(grad_t, b_arr, g_b)
-    return LossOutput(value, grad_i, grad_t,
+    n_img, n = batch.n_images, len(batch.same_image)
+    # the a text of every pair, then every b; a side's image - text is its text's row
+    sides = batch.same_image[:, 1:].T.ravel()
+    diff = imgs.take(batch.image_of_text, axis=0) - txts
+    raw = np.sqrt(np.add.reduce(diff * diff, axis=1)).take(sides)
+    dist = np.maximum(raw, config.eps_dist)
+    desc = np.maximum(batch.deltas.take(sides), config.eps_delta)
+    args = np.log(dist[:n] / dist[n:]) - np.log(desc[n:] / desc[:n])
+    value = float((args * args).sum())
+    coef = np.where(raw > config.eps_dist, np.concatenate([2.0 * args] * 2) / (dist * dist), 0.0)
+    g = coef[:, None] * diff.take(sides, axis=0)  # g_a rows, then g_b rows
+    grads = _scatter(np.concatenate([batch.same_image[:, 0], n_img + sides]),
+                     np.concatenate([g[:n] - g[n:], -g[:n], g[n:]]), n_img + batch.n_texts)
+    return LossOutput(value, grads[:n_img], grads[n_img:],
                       {"triplet": 0.0, "ordering": value, "active_hinges": 0,
-                       "ordering_pairs": len(pairs)})
+                       "ordering_pairs": n})
 
 
 def overall_loss(batch: Batch, config: LossConfig) -> LossOutput:

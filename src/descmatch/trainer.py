@@ -4,7 +4,9 @@ The model is one linear projection per modality followed by L2
 normalization.  Backpropagation is hand-written: the losses return
 gradients with respect to the normalized embeddings, and the chain rule
 through row normalization is g_z = (g_e - (g_e . e) e) / ||z||.  Updates
-use AdamW with decoupled weight decay (biases excluded).
+use AdamW with decoupled weight decay (biases excluded), one elementwise
+pass over flat buffers whose views are the named arrays: the bits of a
+loop over the arrays, the decay a per-element factor 1.0 on the biases.
 
 Checkpoints are a single binary file: an 8-byte magic, a little-endian
 uint64 header length, a sorted-keys JSON header describing the arrays and
@@ -15,6 +17,7 @@ float64 array bytes in header order.  Equal runs produce equal bytes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -101,6 +104,10 @@ class Dataset:
     def n_texts(self) -> int:
         return len(self.text_ids)
 
+    @functools.cached_property
+    def text_counts(self) -> np.ndarray:
+        return np.bincount(self.image_of_text, minlength=self.n_images)
+
 
 def load_dataset(corpus_path, table_path, image_features_path,
                  text_features_path, split: str | None = None) -> Dataset:
@@ -165,7 +172,8 @@ def init_params(rng: np.random.Generator, d_img: int, d_txt: int,
 
 def _project(feats: np.ndarray, W: np.ndarray, b: np.ndarray):
     z = feats @ W + b
-    norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), geometry.NORM_FLOOR)
+    # np.linalg.norm(z, axis=1, keepdims=True), expression for expression
+    norms = np.maximum(np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True)), geometry.NORM_FLOOR)
     return z / norms, norms
 
 
@@ -182,7 +190,7 @@ def forward(params: dict, img_feats: np.ndarray, txt_feats: np.ndarray):
 
 
 def _norm_backward(g_e: np.ndarray, e: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    dots = np.sum(g_e * e, axis=1, keepdims=True)
+    dots = np.add.reduce(g_e * e, axis=1, keepdims=True)
     return (g_e - dots * e) / norms
 
 
@@ -204,33 +212,43 @@ def backward(cache: dict, g_img_e: np.ndarray, g_txt_e: np.ndarray) -> dict[str,
 _DECAYED = ("W_img", "W_txt")
 
 
+def _opt_state(params: dict, m: dict, v: dict, t: int) -> dict:
+    """AdamW state over one flat buffer each for the parameters and the two
+    moments, in sorted-name order; the dicts are rebound to views into them."""
+    names = sorted(params)
+    cuts = np.cumsum([params[k].size for k in names])[:-1]
+    flats = []
+    for arrays in (params, m, v):
+        flats.append(np.concatenate([arrays[k] for k in names], axis=None, dtype=np.float64))
+        arrays.update([(k, part.reshape(arrays[k].shape))
+                       for k, part in zip(names, np.split(flats[-1], cuts))])
+    decayed = np.concatenate([np.full(params[k].size, k in _DECAYED) for k in names])
+    return {"t": t, "m": m, "v": v, "flat": (*flats, decayed)}
+
+
 def init_opt_state(params: dict) -> dict:
-    return {
-        "t": 0,
-        "m": {k: np.zeros_like(v) for k, v in params.items()},
-        "v": {k: np.zeros_like(v) for k, v in params.items()},
-    }
+    return _opt_state(params, {k: np.zeros_like(v) for k, v in params.items()},
+                      {k: np.zeros_like(v) for k, v in params.items()}, 0)
 
 
 def adamw_step(params: dict, grads: dict, state: dict, lr: float,
                config: TrainConfig) -> None:
-    """One in-place update: decoupled decay on weights only, then Adam."""
+    """One in-place pass over init_opt_state's buffers: decay on weights only, then Adam."""
+    flat_p, m, v, decayed = state["flat"]
+    if any(params[k].base is not flat_p for k in params):
+        raise ValueError("params are not the arrays laid out by init_opt_state")
+    g = np.concatenate([grads[k] for k in sorted(params)], axis=None)
     state["t"] += 1
     t = state["t"]
     b1, b2 = config.beta1, config.beta2
-    for name in sorted(params):
-        g = grads[name]
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        if name in _DECAYED:
-            params[name] *= 1.0 - lr * config.weight_decay
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    flat_p *= np.where(decayed, 1.0 - lr * config.weight_decay, 1.0)
+    flat_p -= lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +287,7 @@ def _make_batch(dataset: Dataset, img_e: np.ndarray, txt_e: np.ndarray,
                 img_idx: list[int], txt_idx: np.ndarray) -> Batch:
     """txt_idx holds each image's texts together, in img_idx order, as
     epoch_plan packs them."""
-    counts = np.bincount(dataset.image_of_text[txt_idx], minlength=dataset.n_images)
-    owners = np.repeat(np.arange(len(img_idx)), counts[img_idx])
+    owners = np.repeat(np.arange(len(img_idx)), dataset.text_counts[img_idx])
     return Batch(img_e, txt_e, owners, dataset.deltas[txt_idx])
 
 
@@ -354,15 +371,11 @@ def load_checkpoint(path) -> dict:
     out: dict[str, np.ndarray] = {}
     for name, shape in shapes:
         count = math.prod(shape)
-        out[name] = np.frombuffer(data, dtype="<f8", count=count,
-                                  offset=offset).reshape(shape).astype(np.float64)
+        out[name] = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
         offset += 8 * count
-    params = {k.split("/", 1)[1]: v for k, v in out.items() if k.startswith("param/")}
-    opt_state = {
-        "t": header["adam_t"],
-        "m": {k.split("/", 1)[1]: v for k, v in out.items() if k.startswith("adam_m/")},
-        "v": {k.split("/", 1)[1]: v for k, v in out.items() if k.startswith("adam_v/")},
-    }
+    params, m, v = ({name: out[f"{slot}/{name}"] for name in _PARAM_NAMES}
+                    for slot in ("param", "adam_m", "adam_v"))
+    opt_state = _opt_state(params, m, v, header["adam_t"])
     return {"params": params, "opt_state": opt_state, "epoch": header["epoch"],
             "rng_state": header["rng_state"], "config": header["config"],
             "history": header["history"]}

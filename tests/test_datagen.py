@@ -1,10 +1,11 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
 
 from descmatch import corpus as C
-from descmatch import datagen, trainer
+from descmatch import datagen, geometry, trainer
 
 
 SMALL = datagen.SynthSpec(n_images=12, levels=3, shared_vocab=6,
@@ -121,3 +122,44 @@ def test_write_dataset_bytes_deterministic(tmp_path):
                  "images.bin", "texts.manifest.json", "texts.bin"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
+
+
+def gen_features_per_record(spec, records):
+    """The per-record loop gen_features vectorises: one noise draw per text."""
+    rng = np.random.default_rng([spec.seed, 1])
+    image_ids = sorted({r.image_id for r in records})
+    latents = rng.normal(size=(len(image_ids), spec.feature_dim))
+    latent_of = {img: latents[k] for k, img in enumerate(image_ids)}
+    text_raw = np.empty((len(records), spec.feature_dim))
+    for k, r in enumerate(records):
+        if r.level is None:
+            raise ValueError(f"sentence {r.id} has no level")
+        noise = rng.normal(size=spec.feature_dim)
+        scale = (spec.levels - r.level + 1) * spec.noise_sigma
+        text_raw[k] = latent_of[r.image_id] + scale * noise
+    return (image_ids, geometry.l2_normalize(latents), [r.id for r in records],
+            geometry.l2_normalize(text_raw))
+
+
+@pytest.mark.parametrize("spec", [
+    SMALL,
+    dataclasses.replace(SMALL, noise_sigma=0.0),
+    dataclasses.replace(SMALL, levels=1, rare_vocab=5, seed=2),
+    datagen.SynthSpec(n_images=40, feature_dim=3, noise_sigma=2.5, seed=11),
+])
+def test_gen_features_equals_per_record_loop(spec):
+    records = datagen.gen_corpus(spec)
+    # records out of image order, so owners are not sorted
+    records = records[1::2] + records[::2]
+    got = datagen.gen_features(spec, records)
+    want = gen_features_per_record(spec, records)
+    assert got[0] == want[0] and got[2] == want[2]
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[3].tobytes() == want[3].tobytes()
+
+
+def test_gen_features_names_a_record_without_level():
+    records = datagen.gen_corpus(SMALL)
+    records[5] = dataclasses.replace(records[5], level=None)
+    with pytest.raises(ValueError, match=f"sentence {records[5].id} has no level"):
+        datagen.gen_features(SMALL, records)
