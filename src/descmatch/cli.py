@@ -36,7 +36,7 @@ _OPTIONS = {
     "score": (
         _CORPUS,
         ("out", str, REQUIRED, "output table JSONL path"),
-        ("pool_split", str, "train", "split defining the pool"),
+        ("pool_split", str, "train", "split defining the pool", corpus_mod.VALID_SPLITS),
     ),
     "synth": (
         _OUT_DIR,
@@ -96,10 +96,10 @@ def _fits(type_, default, value) -> bool:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Defaults, then config-file values, then explicit flags."""
-    options = {key: (type_, default)
-               for key, type_, default, *_ in _OPTIONS[args.command]}
+    options = {key: (type_, default, choices)
+               for key, type_, default, _, *choices in _OPTIONS[args.command]}
     cfg = {key: (None if default is REQUIRED else default)
-           for key, (_, default) in options.items()}
+           for key, (_, default, _) in options.items()}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
@@ -112,15 +112,18 @@ def _merge_config(args: argparse.Namespace) -> dict:
             name = key.replace("-", "_")
             if name not in options:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
-            type_, default = options[name]
+            type_, default, choices = options[name]
             if not _fits(type_, default, value):
                 raise ValueError(f"{args.config}: {key!r} must be "
                                  f"{type_.__name__}, got {json.dumps(value)}")
+            if choices and value not in choices[0]:
+                raise ValueError(f"{args.config}: {key!r} must be one of "
+                                 f"{', '.join(choices[0])}, got {json.dumps(value)}")
             cfg[name] = value
     for key in options:
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
-    for key, (_, default) in options.items():
+    for key, (_, default, _) in options.items():
         if default is REQUIRED and cfg[key] is None:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
     return cfg
@@ -134,7 +137,10 @@ def _write_config_echo(out_dir, cfg: dict) -> None:
 
 def _cmd_score(cfg: dict) -> int:
     records = corpus_mod.read_corpus_jsonl(cfg["corpus"])
-    _, table = corpus_mod.build_table(records, pool_split=cfg["pool_split"])
+    try:
+        _, table = corpus_mod.build_table(records, pool_split=cfg["pool_split"])
+    except ValueError as exc:  # the pool split is one of VALID_SPLITS here
+        raise ValueError(f"{cfg['corpus']}: {exc}") from exc
     corpus_mod.write_table_jsonl(cfg["out"], table)
     print(f"scored {len(table.scores)} sentences "
           f"(pool split {cfg['pool_split']!r}, raw range "
@@ -155,9 +161,15 @@ def _cmd_synth(cfg: dict) -> int:
     return 0
 
 
-def _load_dataset(cfg: dict, split: str) -> trainer.Dataset:
-    return trainer.load_dataset(cfg["corpus"], cfg["table"], cfg["image_features"],
-                                cfg["text_features"], split=split)
+def _load_dataset(cfg: dict, split: str, least: int = 1, need: str = "") -> trainer.Dataset:
+    """The split's dataset; raises naming the corpus unless it holds at
+    least ``least`` images, which ``need`` needs."""
+    dataset = trainer.load_dataset(cfg["corpus"], cfg["table"], cfg["image_features"],
+                                   cfg["text_features"], split=split)
+    if dataset.n_images < least:
+        raise ValueError(f"{cfg['corpus']}: {need} needs at least {least} images, "
+                         f"split {split!r} has {dataset.n_images}")
+    return dataset
 
 
 def _train_config(cfg: dict) -> trainer.TrainConfig:
@@ -172,7 +184,7 @@ def _train_config(cfg: dict) -> trainer.TrainConfig:
 
 
 def _cmd_train(cfg: dict) -> int:
-    dataset = _load_dataset(cfg, cfg["split"])
+    dataset = _load_dataset(cfg, cfg["split"], 2, "training")
     val_split = cfg["val_split"]
     if val_split == "auto":
         present = set(corpus_mod.read_corpus_columns(cfg["corpus"]).splits)
@@ -198,7 +210,7 @@ def _cmd_train(cfg: dict) -> int:
 
 
 def _cmd_eval(cfg: dict) -> int:
-    dataset = _load_dataset(cfg, cfg["split"])
+    dataset = _load_dataset(cfg, cfg["split"], cfg["folds"] or 1, f"--folds {cfg['folds']}")
     saved = trainer.load_checkpoint(cfg["checkpoint"])
     for weight, feats, key in (("W_img", dataset.image_feats, "image_features"),
                                ("W_txt", dataset.text_feats, "text_features")):

@@ -13,10 +13,14 @@ occurrence.  The order is part of its contract because ``sum``
 compensates float additions from Python 3.12 on, and the table bytes
 would then depend on the interpreter.
 
-The JSONL readers parse a file with one ``json.loads`` when that provably
-gives what one ``json.loads`` per line gives (see `_bulk_objects`), and
-fall back to the per-line parser otherwise.  Every message about a bad
-record comes from the per-line parser and names the file and the line.
+Each JSONL format has one rule set, a function from parsed records to
+columns (`_corpus_columns`, `_table_columns`) that raises at the first
+fault.  A reader parses a file with one ``json.loads`` when that provably
+gives what one ``json.loads`` per line gives (see `_bulk_objects`), or
+else line by line, and checks every record with one call of the rule set.
+Only a file that fails is read again line by line, each record checked
+alone by the same rule set, so that the message names the file and the
+first bad line.
 """
 
 from __future__ import annotations
@@ -178,10 +182,6 @@ _SCALARS = {str, int, float, bool, type(None)}
 _encode_id = json.encoder.encode_basestring_ascii
 
 
-def _nonblank(lines: list[str]) -> list[str]:
-    return [line for line in map(str.strip, lines) if line]
-
-
 def _bulk_objects(lines: list[str]) -> list[dict] | None:
     r"""The JSON object on each line, from one ``json.loads``, or None.
 
@@ -225,70 +225,71 @@ def _types(values) -> set:
     return set(map(type, values))
 
 
-def _read_records(path, lines: list[str], start: int, kind: str, columns, fields,
-                  width: int) -> list[list]:
-    """The records on a JSONL file's lines (numbered from ``start``), as
-    ``width`` columns.
+_FAULTS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
 
-    Fast path: `_bulk_objects`, then ``columns(objs)``, which returns None
-    unless every record is valid as it stands.  Otherwise one ``json.loads``
-    per line, then ``fields(obj)``, which returns the record's values (id
-    first) or raises; this raises at the first bad line, a malformed record
-    or an id already seen on an earlier line, and names it.
+
+def _read_records(path, lines: list[str], start: int, kind: str, columns) -> list[list]:
+    """The records on a JSONL file's lines (numbered from ``start``), as
+    the columns of ``columns``, the format's rule set.
+
+    Every non-blank line is parsed, by `_bulk_objects` or else by one
+    ``json.loads`` per line, and ``columns`` checks every record at once.
+    Only if a line does not parse, ``columns`` raises or an id repeats are
+    the lines parsed again one by one, each record checked alone by
+    ``columns([obj])``: this raises at the first bad line, a malformed
+    record or an id already seen on an earlier line, and names it.
     """
-    objs = _bulk_objects(_nonblank(lines))
-    cols = None if objs is None else columns(objs)
-    if cols is not None:
-        return cols
-    rows = []
+    body = [line for line in map(str.strip, lines) if line]
+    try:
+        objs = _bulk_objects(body)
+        cols = columns(list(map(json.loads, body)) if objs is None else objs)
+        if len(set(cols[0])) == len(cols[0]):
+            return cols
+    except _FAULTS:
+        pass
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines, start):
-        line = line.strip()
+    for lineno, line in enumerate(map(str.strip, lines), start):
         if not line:
             continue
         try:
-            row = fields(json.loads(line))
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            sid = columns([json.loads(line)])[0][0]
+        except _FAULTS as exc:
             raise ValueError(f"{path}:{lineno}: malformed {kind} record: {exc}") from exc
-        sid = row[0]
         if sid in first_line:
             raise ValueError(f"{path}:{lineno}: duplicate sentence id {sid!r} "
                              f"(first on line {first_line[sid]})")
         first_line[sid] = lineno
-        rows.append(row)
-    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(width)]
+    raise AssertionError(f"{path}: records rejected together pass one by one")
 
 
-def _corpus_fields(obj) -> tuple[str, str, str, str, int | None]:
-    split = obj.get("split", "train")
-    if split not in VALID_SPLITS:
-        raise ValueError(f"bad split {split!r}")
-    level = obj.get("level")
-    sid, image_id, text = obj["id"], obj["image_id"], obj["text"]
-    for name, value in (("id", sid), ("image_id", image_id)):
-        if type(value) not in (str, int):
-            raise ValueError(f"{name!r} must be a string or an integer")
-    if type(text) is not str:
-        raise ValueError("'text' must be a string")
-    if level is not None and type(level) is not int:
-        raise ValueError("'level' must be an integer or null")
-    return str(sid), str(image_id), text, split, level
+def _require(values: list, types: set, message: str) -> None:
+    """Raise ValueError(message), formatted with the first value whose
+    type is not in ``types`` as JSON, if there is one."""
+    if not _types(values) <= types:
+        raise ValueError(message.format(json.dumps(next(v for v in values
+                                                        if type(v) not in types))))
 
 
-def _corpus_columns(objs: list[dict]) -> list[list] | None:
-    """Columns of bulk-parsed records, or None unless every record is valid
-    as it stands (string ids and text, a known split, an integer or absent
-    level, no repeated id); the rest goes to the per-line parser."""
-    ids = [o.get("id") for o in objs]
-    image_ids = [o.get("image_id") for o in objs]
-    texts = [o.get("text") for o in objs]
+def _strings(values: list) -> list[str]:
+    """String or integer ids as strings."""
+    return values if _types(values) <= {str} else list(map(str, values))
+
+
+def _corpus_columns(objs: list) -> list[list]:
+    """The corpus rule set: the id, image id, text, split and level columns
+    of ``objs``, or an exception at the first fault.  The fields are
+    checked in this order, so a record with several faults names the same
+    one whether it is checked alone or among others."""
     splits = [o.get("split", "train") for o in objs]
+    if not (_types(splits) <= {str} and set(splits) <= set(VALID_SPLITS)):
+        raise ValueError(f"bad split {next(s for s in splits if s not in VALID_SPLITS)!r}")
     levels = [o.get("level") for o in objs]
-    valid = (_types(ids) | _types(image_ids) | _types(texts) <= {str}
-             and set(splits) <= set(VALID_SPLITS)
-             and _types(levels) <= {int, type(None)}
-             and len(set(ids)) == len(ids))
-    return [ids, image_ids, texts, splits, levels] if valid else None
+    ids, image_ids, texts = ([o[key] for o in objs] for key in ("id", "image_id", "text"))
+    for name, values in (("id", ids), ("image_id", image_ids)):
+        _require(values, {str, int}, f"{name!r} must be a string or an integer")
+    _require(texts, {str}, "'text' must be a string")
+    _require(levels, {int, type(None)}, "'level' must be an integer or null")
+    return [_strings(ids), _strings(image_ids), texts, splits, levels]
 
 
 def read_corpus_columns(path) -> CorpusColumns:
@@ -301,8 +302,7 @@ def read_corpus_columns(path) -> CorpusColumns:
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    return CorpusColumns(*_read_records(path, lines, 1, "corpus", _corpus_columns,
-                                        _corpus_fields, width=5))
+    return CorpusColumns(*_read_records(path, lines, 1, "corpus", _corpus_columns))
 
 
 def read_corpus_jsonl(path) -> list[SentenceRecord]:
@@ -338,40 +338,30 @@ def write_table_jsonl(path, table: DescriptivenessTable) -> None:
         fh.write(header + "\n" + "".join(rows))
 
 
-def _table_number(obj, name: str) -> float:
-    if type(obj[name]) not in (int, float):
-        raise ValueError(f"{name!r} must be a number, got {json.dumps(obj[name])}")
-    return float(obj[name])
+def _numbers(objs: list, name: str) -> list[float]:
+    """The ``name`` values of ``objs``, JSON numbers (not bools), as floats."""
+    values = [o[name] for o in objs]
+    _require(values, {int, float}, f"{name!r} must be a number, got {{}}")
+    return values if _types(values) <= {float} else list(map(float, values))
 
 
-def _table_fields(obj) -> tuple[str, float, float]:
-    # read in this order so that a row with several faults names the same one as before
-    delta = _table_number(obj, "delta")
-    sid = obj["id"]
-    if type(sid) not in (str, int):
-        raise ValueError(f"'id' must be a string or an integer, got {json.dumps(sid)}")
-    raw = _table_number(obj, "raw")
-    for name, value in (("delta", delta), ("raw", raw)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name!r} must be finite, got {value!r}")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"'delta' must lie in [0, 1], got {delta!r}")
-    return str(sid), delta, raw
-
-
-def _table_columns(objs: list[dict]) -> list[list] | None:
-    """Columns of bulk-parsed rows, or None unless every row holds a string
-    id, float values and a finite delta in [0, 1] and finite raw, with no
-    repeated id; the rest goes to the per-line parser."""
-    ids = [o.get("id") for o in objs]
-    deltas = [o.get("delta") for o in objs]
-    raws = [o.get("raw") for o in objs]
-    if not (_types(ids) <= {str} and _types(deltas) | _types(raws) <= {float}):
-        return None
-    d = np.array(deltas, dtype=np.float64)
-    valid = (np.isfinite(d).all() and np.isfinite(raws).all()
-             and ((d >= 0.0) & (d <= 1.0)).all() and len(set(ids)) == len(ids))
-    return [ids, deltas, raws] if valid else None
+def _table_columns(objs: list) -> list[list]:
+    """The table rule set: the id, delta and raw columns of ``objs``, or an
+    exception at the first fault, the fields checked in a fixed order as in
+    `_corpus_columns`."""
+    deltas = _numbers(objs, "delta")
+    ids = [o["id"] for o in objs]
+    _require(ids, {str, int}, "'id' must be a string or an integer, got {}")
+    raws = _numbers(objs, "raw")
+    for name, values in (("delta", deltas), ("raw", raws)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"{name!r} must be finite, got {values[int(np.argmin(finite))]!r}")
+    d = np.array(deltas)
+    inside = (d >= 0.0) & (d <= 1.0)
+    if not inside.all():
+        raise ValueError(f"'delta' must lie in [0, 1], got {deltas[int(np.argmin(inside))]!r}")
+    return [_strings(ids), deltas, raws]
 
 
 def read_table_jsonl(path) -> DescriptivenessTable:
@@ -384,14 +374,13 @@ def read_table_jsonl(path) -> DescriptivenessTable:
         head, body = fh.readline(), fh.read()
     try:
         header = json.loads(head)
-        raw_min, raw_max = _table_number(header, "raw_min"), _table_number(header, "raw_max")
+        (raw_min,), (raw_max,) = _numbers([header], "raw_min"), _numbers([header], "raw_max")
     except KeyError as exc:
         raise ValueError(f"{path}:1: missing table header record") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}:1: malformed table header: {exc}") from exc
     if not (math.isfinite(raw_min) and math.isfinite(raw_max)):
         raise ValueError(f"{path}:1: malformed table header: raw_min and raw_max must be finite")
-    ids, deltas, raws = _read_records(path, body.split("\n"), 2, "table", _table_columns,
-                                      _table_fields, width=3)
+    ids, deltas, raws = _read_records(path, body.split("\n"), 2, "table", _table_columns)
     return DescriptivenessTable(scores=dict(zip(ids, deltas)), raw_scores=dict(zip(ids, raws)),
                                 raw_min=raw_min, raw_max=raw_max)

@@ -323,15 +323,11 @@ def folded_recall_suite(image_embs: np.ndarray, text_embs: np.ndarray,
 # Hierarchy-aware diagnostics
 
 
-def nearest_candidate(point: np.ndarray, candidates: np.ndarray) -> int:
-    """Index of the Euclidean-closest candidate; ties go to the lower index."""
-    diffs = candidates - point
-    return int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
-
-
 def _nearest_rows(points: np.ndarray, candidates: np.ndarray,
                   lifted_cands: np.ndarray) -> np.ndarray:
-    """``nearest_candidate`` of every row of points, bit for bit.
+    """The nearest candidate of every row of points: the least squared
+    distance, taken diff-then-square (``einsum`` of c_j - p with itself),
+    the lowest index winning ties.
 
     A gemm screen s_j = |c_j|^2 - 2 p.c_j, the squared distance less |p|^2,
     is one (d+1)-term dot of [-2p, 1] with lifted_cands[j] = [c_j, |c_j|^2].
@@ -379,7 +375,7 @@ def _nearest_rows(points: np.ndarray, candidates: np.ndarray,
 def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
               n_points: int) -> list[list[int]]:
     """``hierarchical_traverse`` of every row of images, each station's
-    top-1 exactly ``nearest_candidate``'s.
+    top-1 the nearest candidate by the rule of ``_nearest_rows``.
 
     Line identity: station p = (1-t) s + t r, for start s and root r, has
     the screen value L_j(t) = |c_j|^2 - 2 p.c_j = (1-t) A_j + t B_j with
@@ -504,7 +500,7 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
 def _walk_tops(starts: np.ndarray, root: np.ndarray, candidates: np.ndarray,
                cuts: np.ndarray, kept: np.ndarray, a_line: np.ndarray,
                b_line: np.ndarray, slack: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Top-1 candidate, exactly ``nearest_candidate``'s, at every station
+    """Top-1 candidate, by the rule of ``_nearest_rows``, at every station
     (the rows of the column t) of every walk in a chunk: walk i runs from
     starts[i] to root over the survivors kept[cuts[i]:cuts[i + 1]]
     (ascending, each walk's nonempty), whose line values A' and B' are
@@ -560,8 +556,9 @@ def hierarchical_traverse(image_emb: np.ndarray, candidates: np.ndarray,
 
     The interpolated points are used as-is (no re-normalization), and the
     result keeps first-encounter order without duplicates: specific
-    retrievals appear before generic ones.  Each top-1 is exactly
-    ``nearest_candidate`` of its station.
+    retrievals appear before generic ones.  Each top-1 is the nearest
+    candidate of its station by the rule of ``_nearest_rows``:
+    diff-then-square distance, the lowest index on ties.
     """
     return _traverse(image_emb, candidates, root_emb, n_points)[0]
 

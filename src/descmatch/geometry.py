@@ -1,13 +1,14 @@
 """Embedding-vector primitives and on-disk feature formats.
 
 All arithmetic is 64-bit.  Every cosine similarity, batched or single,
-comes from one kernel: a fixed-order sum over the embedding dimension,
-``acc = a[0] * b[0]``, then ``acc += a[k] * b[k]`` for k = 1, 2, ..., each
-product and each sum rounded on its own, then clamped into [-1, 1].  The
-kernel is vectorised over blocks of (image, text) pairs, either a full
-block (``sim_matrix``) or a list of pairs (``pair_sims``), and the order of
-the sum never depends on the block, so an entry has the same bits in a
-full matrix, in any sub-block, in any list of pairs and in a single
+comes from one kernel, ``pair_sims``: a fixed-order sum over the embedding
+dimension, ``acc = a[0] * b[0]``, then ``acc += a[k] * b[k]`` for k = 1,
+2, ..., each product and each sum rounded on its own, then clamped into
+[-1, 1].  It is vectorised over a list of (image, text) pairs and the
+order of the sum never depends on the list.  ``sim_matrix`` is
+``pair_sims`` over every pair of a block and ``cosine_sim`` is
+``pair_sims`` on one pair, so an entry has the same bits in a full
+matrix, in any sub-block, in any list of pairs and in a single
 ``cosine_sim`` call.  BLAS gemm only screens: it splits and reorders the
 sum by matrix shape, so on OpenBLAS an entry of a full product can differ
 in the last bit from the same entry of a 1x1 or single-row product.
@@ -53,10 +54,8 @@ def _check_dims(u: np.ndarray, v: np.ndarray) -> None:
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     """Dot product of two unit vectors, clamped into [-1, 1] against
-    rounding drift: the 1x1 case of ``sim_matrix``."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    return float(sim_matrix(u[None, :], v[None, :])[0, 0])
+    rounding drift: ``pair_sims`` on the one pair."""
+    return float(pair_sims(np.ravel(u), np.ravel(v), [0], [0])[0])
 
 
 def euclid_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,31 +83,19 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def sim_matrix(images: np.ndarray, texts: np.ndarray) -> np.ndarray:
-    """Entry (i, j) = cosine_sim(image row i, text row j), bit for bit:
-    the fixed-order sum of the module docstring over blocks of image rows."""
+    """Entry (i, j) = cosine_sim(image row i, text row j): ``pair_sims``
+    over every pair, image rows outer."""
     images = np.atleast_2d(np.asarray(images, dtype=np.float64))
     texts = np.atleast_2d(np.asarray(texts, dtype=np.float64))
-    _check_dims(images, texts)
-    coords = np.ascontiguousarray(texts.T)  # row k: coordinate k of every text
-    out = np.empty((images.shape[0], texts.shape[0]), dtype=np.float64)
-    step = max(1, _BLOCK_ENTRIES // max(1, texts.shape[0]))
-    term = np.empty((min(step, images.shape[0]), texts.shape[0]), dtype=np.float64)
-    for start in range(0, images.shape[0], step):
-        rows = images[start:start + step]
-        acc = out[start:start + step]
-        prod = term[:rows.shape[0]]
-        np.multiply(rows[:, 0:1], coords[0], out=acc)
-        for k in range(1, rows.shape[1]):
-            np.multiply(rows[:, k:k + 1], coords[k], out=prod)
-            acc += prod
-    np.clip(out, -1.0, 1.0, out=out)
-    return out
+    shape = (images.shape[0], texts.shape[0])
+    rows, cols = np.indices(shape).reshape(2, -1)
+    return pair_sims(images, texts, rows, cols).reshape(shape)
 
 
 def pair_sims(images: np.ndarray, texts: np.ndarray, rows: np.ndarray,
               cols: np.ndarray) -> np.ndarray:
-    """Entry m = cosine_sim(images[rows[m]], texts[cols[m]]), bit for bit:
-    the fixed-order sum of the module docstring over a list of pairs."""
+    """Entry m = the similarity of images[rows[m]] and texts[cols[m]]: the
+    fixed-order kernel of the module docstring over a list of pairs."""
     images = np.atleast_2d(np.asarray(images, dtype=np.float64))
     texts = np.atleast_2d(np.asarray(texts, dtype=np.float64))
     _check_dims(images, texts)

@@ -421,9 +421,11 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
         have = dict(saved["config"])
         # epochs is the run target, not part of the training recipe, so a
         # resumed run may extend it
-        want.pop("epochs"), have.pop("epochs")
+        want.pop("epochs"), have.pop("epochs", None)
         if have != want:
-            raise ValueError("resume config disagrees with checkpoint config")
+            key = next(k for k in [*want, *have] if want.get(k) != have.get(k))
+            raise ValueError(f"{resume_from}: resume config disagrees with checkpoint "
+                             f"config at {key!r}")
         params = saved["params"]
         opt_state = saved["opt_state"]
         history = list(saved["history"])

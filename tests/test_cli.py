@@ -98,7 +98,10 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     (json.dumps({"epochs": True}), "'epochs' must be int, got true"),
     (json.dumps({"out": None}), "'out' must be str, got null"),
     ('{"epochs": 3, }', "Expecting property name enclosed in double quotes: line 1 column 15"),
-], ids=["str-for-int", "str-for-float", "bool-for-int", "null-for-required", "invalid-json"])
+    (json.dumps({"variant": "bogus"}),
+     "'variant' must be one of adaptive, baseline, full, got \"bogus\""),
+], ids=["str-for-int", "str-for-float", "bool-for-int", "null-for-required", "invalid-json",
+        "not-a-choice"])
 def test_config_rejects_mistyped_values(tmp_path, capsys, text, want):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

@@ -524,13 +524,20 @@ def test_valid_files_take_the_one_parse_path(tmp_path, monkeypatch):
     _, table = C.build_table(records)
     C.write_table_jsonl(tmp_path / "table.jsonl", table)
 
-    def per_line(obj):
-        raise AssertionError("per-line parser used on a valid file")
+    calls = []
+    for name in ("_bulk_objects", "_corpus_columns", "_table_columns"):
+        def spy(values, _original=getattr(C, name), _name=name):
+            out = _original(values)
+            calls.append((_name, len(values), out is not None))
+            return out
 
-    monkeypatch.setattr(C, "_corpus_fields", per_line)
-    monkeypatch.setattr(C, "_table_fields", per_line)
+        monkeypatch.setattr(C, name, spy)
     assert C.read_corpus_jsonl(tmp_path / "corpus.jsonl") == records
     assert C.read_table_jsonl(tmp_path / "table.jsonl") == table
+    # one parse and one check of all four records per file: no record
+    # reaches the one-record step
+    assert calls == [("_bulk_objects", 4, True), ("_corpus_columns", 4, True),
+                     ("_bulk_objects", 4, True), ("_table_columns", 4, True)]
 
 
 # a line that keeps the one-parse path away from the whole file
@@ -568,6 +575,26 @@ def test_corpus_reader_rejects_mistyped_fields(tmp_path, route, case):
     with pytest.raises(ValueError) as exc:
         C.read_corpus_jsonl(path)
     assert str(exc.value) == f"{path}:2: malformed corpus record: {want}"
+
+
+@pytest.mark.parametrize("route", ["one-parse", "per-line"])
+def test_first_bad_record_named_before_a_later_unparseable_line(tmp_path, route):
+    unparseable = '{"id": "e",'
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join([NESTED_LINE if route == "per-line" else REC % "a", REC % "b",
+                               '{"id": "c", "image_id": "i", "text": 3}', REC % "d",
+                               unparseable, REC % "f"]) + "\n")
+    with pytest.raises(ValueError) as exc:
+        C.read_corpus_jsonl(path)
+    assert str(exc.value) == f"{path}:3: malformed corpus record: 'text' must be a string"
+    first = ('{"delta": 0.5, "extra": {"k": [1]}, "id": "a", "raw": 1.5}' if route == "per-line"
+             else ROW % ("0.5", "a", "1.5"))
+    path = tmp_path / "table.jsonl"
+    path.write_text("\n".join([TABLE_HEAD, first, ROW % ("0.5", "b", "1.5"),
+                               ROW % ("true", "c", "1.5"), unparseable]) + "\n")
+    with pytest.raises(ValueError) as exc:
+        C.read_table_jsonl(path)
+    assert str(exc.value) == f"{path}:4: malformed table record: 'delta' must be a number, got true"
 
 
 def test_corpus_reader_keeps_integer_ids_as_strings(tmp_path):

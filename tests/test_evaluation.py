@@ -93,9 +93,18 @@ def test_folded_recall_suite_matches_manual_folds():
     assert out["mean"]["i2t"][1] == pytest.approx(np.mean(manual), abs=1e-12)
 
 
+def nearest_candidate(point: np.ndarray, candidates: np.ndarray) -> int:
+    """Index of the Euclidean-closest candidate, the squared distance taken
+    diff-then-square; ties go to the lower index."""
+    diffs = candidates - point
+    return int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
+
+
 def test_nearest_candidate_tie_goes_low():
     cands = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert E.nearest_candidate(np.array([0.9, 0.1]), cands) == 0
+    assert nearest_candidate(np.array([0.9, 0.1]), cands) == 0
+    lifted = np.hstack([cands, np.einsum("ij,ij->i", cands, cands)[:, None]])
+    assert E._nearest_rows(np.array([[0.9, 0.1]]), cands, lifted).tolist() == [0]
 
 
 def test_hierarchical_traverse_walks_specific_to_generic():
@@ -370,10 +379,10 @@ def test_rank_counts_equal_lexsort_path_on_ties(fixture):
 
 def station_walk(image, cands, root, n_points):
     """The per-station path: one nearest_candidate call per station."""
-    start = cands[E.nearest_candidate(image, cands)]
+    start = cands[nearest_candidate(image, cands)]
     seen = []
     for t in np.linspace(0.0, 1.0, n_points):
-        idx = E.nearest_candidate((1.0 - t) * start + t * root, cands)
+        idx = nearest_candidate((1.0 - t) * start + t * root, cands)
         if idx not in seen:
             seen.append(idx)
     return seen
@@ -419,7 +428,7 @@ def test_traversal_equals_station_walk(dim):
     # station up to rounding
     mirrored = []
     for image in imgs:
-        start = cands[E.nearest_candidate(image, cands)]
+        start = cands[nearest_candidate(image, cands)]
         axis = (root - start) / np.linalg.norm(root - start)
         off = rng.normal(size=dim)
         off -= np.dot(off, axis) * axis

@@ -105,6 +105,53 @@ def test_pair_sims_bit_identical_to_sim_matrix(monkeypatch):
         G.pair_sims(np.ones((2, 3)), np.ones((2, 4)), [0], [0])
 
 
+def fixed_order_sim(u, v) -> float:
+    """The kernel's definition in Python floats: acc = u[0] * v[0], then
+    acc += u[k] * v[k] in coordinate order, each product and sum rounded
+    on its own, then clamped into [-1, 1] (NaN stays NaN)."""
+    acc = float(u[0]) * float(v[0])
+    for x, y in zip(u[1:], v[1:]):
+        acc += float(x) * float(y)
+    return acc if math.isnan(acc) else min(1.0, max(-1.0, acc))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    # int64 views compare every bit, so -0.0 differs from 0.0
+    assert np.array_equal(got[keep].view(np.int64), want[keep].view(np.int64))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 48])
+def test_kernel_equals_fixed_order_python_sum(dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    # rows scaled past the unit sphere: many dots lie beyond +-1 before the
+    # clamp; exact zeros give signed-zero products and sums
+    a = 1.5 * rng.normal(size=(20, dim))
+    b = 1.5 * rng.normal(size=(30, dim))
+    a[4] = np.nan
+    b[7, -1] = np.nan
+    a[5] = 0.0
+    rows, cols = rng.integers(0, 20, size=400), rng.integers(0, 30, size=400)
+    want = np.array([fixed_order_sim(a[i], b[j]) for i, j in zip(rows, cols)])
+    # chunks of a few pairs, so that the pairs span several of them
+    monkeypatch.setattr(G, "_BLOCK_ENTRIES", 7 * dim)
+    got = G.pair_sims(a, b, rows, cols)
+    assert_same_bits(got, want)
+    finite = (rows != 4) & (cols != 7)
+    assert np.isnan(got[~finite]).all() and (np.abs(got[finite]) <= 1.0).all()
+    assert (np.abs(want[finite]) == 1.0).any()
+    zeros = want[(rows == 5) & finite]
+    assert (zeros == 0.0).all()
+    # -0.0 survives a sum only while every term is -0.0: here in 1 and 2 terms
+    assert np.signbit(zeros).any() == (dim < 48)
+    full = G.sim_matrix(a, b)
+    assert_same_bits(full, [[fixed_order_sim(u, v) for v in b] for u in a])
+    for i, j in zip(rows[:20], cols[:20]):
+        assert_same_bits(G.cosine_sim(a[i], b[j]), fixed_order_sim(a[i], b[j]))
+
+
 def test_feature_round_trip_f64_is_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     mat = rng.normal(size=(6, 5))

@@ -5,9 +5,13 @@ is mutated: one JSON value in a corpus line, a table row, a feature
 manifest, the checkpoint header or the command's config file becomes
 null, true, 1.5, "x", [] or {}, or the file is cut at a random byte.
 ``cli.main`` must then return 0 (the damage did not matter) or 2 (bad
-input) and never raise.
+input) and never raise, and an exit 2 must name the damaged file.  Config
+damage is left out of the naming check: a config value may itself be a
+path, which the message then names instead.
 """
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -112,9 +116,66 @@ def test_damaged_input_exits_zero_or_two(inputs, command, target, data):
                 shutil.copy(path, work)
         path = Path(work) / name
         path.write_bytes(data.draw(damage(target, path.read_bytes())))
+        err = io.StringIO()
         try:
             os.chdir(work)
-            code = cli.main([command, "--config", f"{command}.json"])
+            with contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", f"{command}.json"])
         finally:
             os.chdir(cwd)
     assert code in (0, 2)
+    if code == 2 and target != "config":
+        assert name in err.getvalue()
+
+
+def _one_image(corpus: bytes) -> bytes:
+    """The corpus lines of its first training image."""
+    lines = [json.loads(line) for line in corpus.decode().splitlines()]
+    first = next(obj["image_id"] for obj in lines if obj.get("split", "train") == "train")
+    return "".join(json.dumps(obj) + "\n" for obj in lines
+                   if obj["image_id"] == first and obj.get("split", "train") == "train").encode()
+
+
+def _no_config(checkpoint: bytes) -> bytes:
+    """The checkpoint with an empty training config in its header."""
+    header = json.dumps({**json.loads(checkpoint[16:_header_end(checkpoint)]), "config": {}})
+    return (checkpoint[:8] + len(header).to_bytes(8, "little") + header.encode()
+            + checkpoint[_header_end(checkpoint):])
+
+
+# (command, damaged file, damage, config changes, text the message must hold)
+EXAMPLES = {
+    "score-empty-corpus": ("score", "corpus.jsonl", lambda data: b"", {},
+                           ["corpus.jsonl: pool split 'train' is empty"]),
+    "train-one-image": ("train", "corpus.jsonl", _one_image, {},
+                        ["corpus.jsonl:", "split 'train' has 1"]),
+    "eval-one-image-two-folds": ("eval", "corpus.jsonl", _one_image, {},
+                                 ["corpus.jsonl:", "split 'train' has 1", "--folds 2"]),
+    "resume-config-differs": ("train", None, None, {"lr": 0.5},
+                              ["checkpoint.bin:", "at 'lr'"]),
+    "resume-config-empty": ("train", "checkpoint.bin", _no_config, {},
+                            ["checkpoint.bin:", "at 'embed_dim'"]),
+}
+
+
+@pytest.mark.parametrize("case", list(EXAMPLES))
+def test_exit_two_names_the_file(inputs, tmp_path, capsys, case):
+    command, name, damage_fn, changes, want = EXAMPLES[case]
+    for path in inputs.iterdir():
+        if path.is_file():
+            shutil.copy(path, tmp_path)
+    if damage_fn is not None:
+        path = tmp_path / name
+        path.write_bytes(damage_fn(path.read_bytes()))
+    config = {**CONFIGS[command], **changes}
+    (tmp_path / f"{command}.json").write_text(json.dumps(config))
+    cwd = os.getcwd()
+    try:
+        os.chdir(tmp_path)
+        code = cli.main([command, "--config", f"{command}.json"])
+    finally:
+        os.chdir(cwd)
+    err = capsys.readouterr().err
+    assert code == 2
+    for text in want:
+        assert text in err
