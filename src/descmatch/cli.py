@@ -3,14 +3,20 @@
 Subcommands: score (descriptiveness table), synth (synthetic dataset),
 train, eval, gradcheck.  Every option can also come from a JSON config
 file (--config); explicit flags override the file, unknown config keys
-are rejected.  Commands that write outputs echo their effective config
-next to them.  Exit codes: 0 success, 1 failed check or aborted run,
-2 usage, config, or IO errors.
+are rejected, and a config value is converted by the option's type as
+its flag would be.  An option that sets a library value takes its
+default from the class or function that owns that value (TrainConfig,
+LossConfig, SynthSpec, build_table, evaluate, run_gradcheck); only the
+CLI's own options (split, val_split, folds, resume) spell theirs here.
+Commands that write outputs echo their effective config next to them.
+Exit codes: 0 success, 1 failed check or aborted run, 2 usage, config,
+or IO errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -20,12 +26,25 @@ from . import datagen, evaluation, losses, trainer
 
 REQUIRED = object()  # default marker of an option that must be given
 
+# config keys whose library field or parameter has another name
+_LIBRARY_NAMES = {"images": "n_images", "dim": "feature_dim", "lambda": "lam",
+                  "points": "n_points", "step": "h"}
+
+
+def _owned(owner, *rows) -> tuple:
+    """Option rows (key, type, help[, choices]) given the default that
+    ``owner``, a class or a function, gives the field or parameter each
+    key names."""
+    params = inspect.signature(owner).parameters
+    return tuple((key, type_, params[_LIBRARY_NAMES.get(key, key)].default, *rest)
+                 for key, type_, *rest in rows)
+
+
 # One row per option: (config key, type, default or REQUIRED, help[, choices]).
 # The flag is the key with dashes; config files may spell it either way,
 # and the config echo writes the key itself.
 _CORPUS = ("corpus", str, REQUIRED, "corpus JSONL path")
 _OUT_DIR = ("out", str, REQUIRED, "output directory")
-_SEED = ("seed", int, 0, "rng seed")
 _DATASET = (
     _CORPUS,
     ("table", str, REQUIRED, "descriptiveness table JSONL path"),
@@ -36,36 +55,40 @@ _OPTIONS = {
     "score": (
         _CORPUS,
         ("out", str, REQUIRED, "output table JSONL path"),
-        ("pool_split", str, "train", "split defining the pool", corpus_mod.VALID_SPLITS),
+        *_owned(corpus_mod.build_table, ("pool_split", str, "split defining the pool",
+                                         corpus_mod.VALID_SPLITS)),
     ),
     "synth": (
         _OUT_DIR,
-        ("images", int, 200, "number of images"),
-        ("levels", int, 4, "hierarchy depth"),
-        ("shared_vocab", int, 12, "common-word vocabulary size"),
-        ("rare_vocab", int, 600, "level-word vocabulary size"),
-        ("dim", int, 48, "feature dimension"),
-        ("noise_sigma", float, 0.25, "per-level feature noise"),
-        _SEED,
+        *_owned(datagen.SynthSpec,
+                ("images", int, "number of images"),
+                ("levels", int, "hierarchy depth"),
+                ("shared_vocab", int, "common-word vocabulary size"),
+                ("rare_vocab", int, "level-word vocabulary size"),
+                ("dim", int, "feature dimension"),
+                ("noise_sigma", float, "per-level feature noise"),
+                ("seed", int, "rng seed")),
     ),
     "train": (
         *_DATASET,
         _OUT_DIR,
         ("split", str, "train", "training split"),
         ("val_split", str, "auto", "validation split, 'auto' or 'none'"),
-        ("variant", str, "full", "loss variant", sorted(trainer.LOSS_VARIANTS)),
-        ("embed_dim", int, 64, "shared embedding dimension"),
-        ("batch_size", int, 128, "texts per batch"),
-        ("epochs", int, 25, "training epochs"),
-        ("lr", float, 5e-4, "AdamW learning rate"),
-        ("weight_decay", float, 1e-4, "decoupled weight decay"),
-        ("warmup_epochs", int, 2, "epochs using mean-of-hinges instead of mining"),
-        ("decay_epoch", int, 15, "epoch the lr decays at"),
-        ("decay_factor", float, 0.1, "lr multiplier at the decay epoch"),
-        _SEED,
-        ("alpha", float, 0.2, "fixed margin of the baseline variant"),
-        ("tau", float, 6.0, "adaptive margin divisor"),
-        ("lambda", float, 0.07, "ordering loss weight"),
+        *_owned(trainer.TrainConfig,
+                ("variant", str, "loss variant", sorted(trainer.LOSS_VARIANTS)),
+                ("embed_dim", int, "shared embedding dimension"),
+                ("batch_size", int, "texts per batch"),
+                ("epochs", int, "training epochs"),
+                ("lr", float, "AdamW learning rate"),
+                ("weight_decay", float, "decoupled weight decay"),
+                ("warmup_epochs", int, "epochs using mean-of-hinges instead of mining"),
+                ("decay_epoch", int, "epoch the lr decays at"),
+                ("decay_factor", float, "lr multiplier at the decay epoch"),
+                ("seed", int, "rng seed")),
+        *_owned(losses.LossConfig,
+                ("alpha", float, "fixed margin of the baseline variant"),
+                ("tau", float, "adaptive margin divisor"),
+                ("lambda", float, "ordering loss weight")),
         ("resume", str, None, "checkpoint to resume from"),
     ),
     "eval": (
@@ -74,14 +97,13 @@ _OPTIONS = {
         _OUT_DIR,
         ("split", str, "train", "split to evaluate"),
         ("folds", int, None, "also report fold-averaged recalls"),
-        ("points", int, 50, "stations on the specific-to-generic walk"),
+        *_owned(evaluation.evaluate, ("points", int, "stations on the specific-to-generic walk")),
     ),
-    "gradcheck": (
-        _SEED,
-        ("trials", int, 20, "random batches per loss"),
-        ("step", float, 1e-5, "central-difference step"),
-        ("tol", float, 1e-4, "relative-error threshold"),
-    ),
+    "gradcheck": _owned(losses.run_gradcheck,
+                        ("seed", int, "rng seed"),
+                        ("trials", int, "random batches per loss"),
+                        ("step", float, "central-difference step"),
+                        ("tol", float, "relative-error threshold")),
 }
 
 
@@ -95,7 +117,8 @@ def _fits(type_, default, value) -> bool:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Defaults, then config-file values, then explicit flags."""
+    """Defaults, then config-file values, then explicit flags.  A config
+    value is converted by the option's type, as argparse converts a flag."""
     options = {key: (type_, default, choices)
                for key, type_, default, _, *choices in _OPTIONS[args.command]}
     cfg = {key: (None if default is REQUIRED else default)
@@ -119,19 +142,28 @@ def _merge_config(args: argparse.Namespace) -> dict:
             if choices and value not in choices[0]:
                 raise ValueError(f"{args.config}: {key!r} must be one of "
                                  f"{', '.join(choices[0])}, got {json.dumps(value)}")
-            cfg[name] = value
-    for key in options:
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
+            try:
+                cfg[name] = None if value is None else type_(value)
+            except OverflowError as exc:  # an integer too large for a float
+                raise ValueError(f"{args.config}: {key!r}: {exc}") from exc
+    cfg |= {key: flag for key in options if (flag := getattr(args, key)) is not None}
     for key, (_, default, _) in options.items():
         if default is REQUIRED and cfg[key] is None:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
     return cfg
 
 
-def _write_config_echo(out_dir, cfg: dict) -> None:
-    with open(Path(out_dir) / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+def _settings(cls, cfg: dict, **given):
+    """``cls`` built from the config values that name its fields, plus
+    ``given``; a field neither names keeps its default."""
+    fields = inspect.signature(cls).parameters
+    return cls(**{name: value for key, value in cfg.items()
+                  if (name := _LIBRARY_NAMES.get(key, key)) in fields}, **given)
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -149,13 +181,8 @@ def _cmd_score(cfg: dict) -> int:
 
 
 def _cmd_synth(cfg: dict) -> int:
-    spec = datagen.SynthSpec(
-        n_images=cfg["images"], levels=cfg["levels"],
-        shared_vocab=cfg["shared_vocab"], rare_vocab=cfg["rare_vocab"],
-        feature_dim=cfg["dim"], noise_sigma=cfg["noise_sigma"],
-        seed=cfg["seed"])
-    paths = datagen.write_dataset(cfg["out"], spec)
-    _write_config_echo(cfg["out"], cfg)
+    paths = datagen.write_dataset(cfg["out"], _settings(datagen.SynthSpec, cfg))
+    _write_json(Path(cfg["out"]) / "config.json", cfg)
     for role in sorted(paths):
         print(f"{role}: {paths[role]}")
     return 0
@@ -172,17 +199,6 @@ def _load_dataset(cfg: dict, split: str, least: int = 1, need: str = "") -> trai
     return dataset
 
 
-def _train_config(cfg: dict) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        embed_dim=cfg["embed_dim"], batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"], lr=cfg["lr"], weight_decay=cfg["weight_decay"],
-        warmup_epochs=cfg["warmup_epochs"], decay_epoch=cfg["decay_epoch"],
-        decay_factor=cfg["decay_factor"], seed=cfg["seed"],
-        variant=cfg["variant"],
-        loss=losses.LossConfig(alpha=cfg["alpha"], tau=cfg["tau"],
-                               lam=cfg["lambda"]))
-
-
 def _cmd_train(cfg: dict) -> int:
     dataset = _load_dataset(cfg, cfg["split"], 2, "training")
     val_split = cfg["val_split"]
@@ -192,19 +208,18 @@ def _cmd_train(cfg: dict) -> int:
     val_dataset = None if val_split == "none" else _load_dataset(cfg, val_split)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    _write_config_echo(out, cfg)
+    _write_json(out / "config.json", cfg)
 
     def log(rec):
         print(f"epoch {rec['epoch']:3d} lr {rec['lr']:.2e} "
               f"loss {rec['loss']:.6f} triplet {rec['triplet']:.6f} "
               f"ordering {rec['ordering']:.6f} val_rsum {rec['val_rsum']:.2f}")
 
-    result = trainer.train(dataset, _train_config(cfg), val_dataset=val_dataset,
+    config = _settings(trainer.TrainConfig, cfg, loss=_settings(losses.LossConfig, cfg))
+    result = trainer.train(dataset, config, val_dataset=val_dataset,
                            checkpoint_path=out / "checkpoint.bin",
                            resume_from=cfg["resume"], log_fn=log)
-    with open(out / "history.json", "w", encoding="utf-8") as fh:
-        json.dump(result.history, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "history.json", result.history)
     print(f"checkpoint: {out / 'checkpoint.bin'}")
     return 0
 
@@ -219,13 +234,12 @@ def _cmd_eval(cfg: dict) -> int:
             raise ValueError(f"{cfg['checkpoint']}: {weight} takes {want}-dim features, "
                              f"but {cfg[key]} holds {feats.shape[1]}-dim rows")
     img_e, txt_e = trainer.embed_dataset(saved["params"], dataset)
-    levels = dataset.levels if (dataset.levels >= 0).any() else None
     report = evaluation.evaluate(img_e, txt_e, dataset.image_of_text,
-                                 levels=levels, n_points=cfg["points"],
+                                 levels=dataset.levels, n_points=cfg["points"],
                                  n_folds=cfg["folds"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    _write_config_echo(out, cfg)
+    _write_json(out / "config.json", cfg)
     evaluation.write_report_json(out / "report.json", report)
     if "distance_by_level" in report:
         evaluation.write_distance_csv(out / "distance_by_level.csv",

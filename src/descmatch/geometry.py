@@ -104,13 +104,12 @@ def pair_sims(images: np.ndarray, texts: np.ndarray, rows: np.ndarray,
     out = np.empty(rows.size, dtype=np.float64)
     step = max(1, _BLOCK_ENTRIES // max(1, images.shape[1]))
     for start in range(0, rows.size, step):
-        # row k: coordinate k of every pair in the chunk
-        a = np.take(images.T, rows[start:start + step], axis=1)
-        b = np.take(texts.T, cols[start:start + step], axis=1)
-        acc = out[start:start + step]
-        np.multiply(a[0], b[0], out=acc)
-        for k in range(1, a.shape[0]):
-            acc += a[k] * b[k]
+        # row m: the coordinate products of pair m; accumulate is the
+        # fixed-order sum by definition (acc = p[0], then acc += p[k])
+        prods = images.take(rows[start:start + step], axis=0)
+        prods *= texts.take(cols[start:start + step], axis=0)
+        np.add.accumulate(prods, axis=1, out=prods)
+        out[start:start + step] = prods[:, -1]
     np.clip(out, -1.0, 1.0, out=out)
     return out
 

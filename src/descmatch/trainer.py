@@ -388,9 +388,7 @@ def load_checkpoint(path) -> dict:
 @dataclass
 class TrainResult:
     params: dict
-    opt_state: dict
     history: list[dict]
-    config: TrainConfig
 
 
 def embed_dataset(params: dict, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -480,4 +478,4 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, params, opt_state, epoch,
                             shuffle_rng, config, history)
-    return TrainResult(params, opt_state, history, config)
+    return TrainResult(params, history)

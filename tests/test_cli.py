@@ -1,11 +1,14 @@
+import dataclasses
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from descmatch import cli
 from descmatch import corpus as C
-from descmatch import datagen, geometry, trainer
+from descmatch import datagen, evaluation, geometry, losses, trainer
 
 
 @pytest.fixture(scope="module")
@@ -373,3 +376,132 @@ def test_train_rejects_bad_table_row(synth_dir, tmp_path, capsys, edit, want):
                      "--batch-size", "12", "--embed-dim", "8"])
     assert code == 2
     assert f"{table}:5: malformed table record: {want}" in capsys.readouterr().err
+
+
+def _data_config(synth_dir):
+    """The dataset options of _data_flags, as config-file keys."""
+    flags = _data_flags(synth_dir)
+    return {flag[2:].replace("-", "_"): path for flag, path in zip(flags[::2], flags[1::2])}
+
+
+def test_config_route_gives_the_flag_route_bytes(synth_dir, tmp_path):
+    """Integral values of float options are stored as floats, as their
+    flags store them, so both routes write the same checkpoint and history."""
+    settings = {"epochs": 2, "batch_size": 12, "embed_dim": 8, "lr": 1,
+                "decay_epoch": 1, "decay_factor": 1}
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+    assert cli.main(["train", *_data_flags(synth_dir), *flags,
+                     "--out", str(tmp_path / "flags")]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_data_config(synth_dir), **settings}))
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "config")]) == 0
+    for name in ("checkpoint.bin", "history.json"):
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "config" / name).read_bytes()
+    echoes = [json.loads((tmp_path / run / "config.json").read_text())
+              for run in ("flags", "config")]
+    for echo in echoes:
+        del echo["out"]
+    # dumped, so that 1 and 1.0 differ
+    assert json.dumps(echoes[0], sort_keys=True) == json.dumps(echoes[1], sort_keys=True)
+
+
+@pytest.mark.parametrize("command, key", [("train", "lr"), ("synth", "noise_sigma")])
+def test_config_integer_too_large_for_a_float_exits_two(synth_dir, tmp_path, capsys,
+                                                        command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 10 ** 400}))
+    extra = _data_flags(synth_dir) if command == "train" else []
+    code = cli.main([command, "--config", str(cfg), *extra, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: {key!r}: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+_SYNTH_KEYS = {"images": "n_images", "levels": "levels", "shared_vocab": "shared_vocab",
+               "rare_vocab": "rare_vocab", "dim": "feature_dim",
+               "noise_sigma": "noise_sigma", "seed": "seed"}
+_TRAIN_KEYS = ("variant", "embed_dim", "batch_size", "epochs", "lr", "weight_decay",
+               "warmup_epochs", "decay_epoch", "decay_factor", "seed")
+# every option whose default the library owns: (command, key, owner, name)
+_LIBRARY_DEFAULTS = (
+    ("score", "pool_split", C.build_table, "pool_split"),
+    *(("synth", key, datagen.SynthSpec, name) for key, name in _SYNTH_KEYS.items()),
+    *(("train", key, trainer.TrainConfig, key) for key in _TRAIN_KEYS),
+    ("train", "alpha", losses.LossConfig, "alpha"),
+    ("train", "tau", losses.LossConfig, "tau"),
+    ("train", "lambda", losses.LossConfig, "lam"),
+    ("eval", "points", evaluation.evaluate, "n_points"),
+    ("gradcheck", "seed", losses.run_gradcheck, "seed"),
+    ("gradcheck", "trials", losses.run_gradcheck, "trials"),
+    ("gradcheck", "step", losses.run_gradcheck, "h"),
+    ("gradcheck", "tol", losses.run_gradcheck, "tol"),
+)
+# settings fields no option sets
+_LIBRARY_ONLY = {"beta1", "beta2", "adam_eps", "loss", "eps_delta", "eps_dist",
+                 "use_hardest_mining"}
+
+
+def test_cli_defaults_are_the_library_defaults():
+    rows = {(command, row[0]): row for command, rows in cli._OPTIONS.items() for row in rows}
+    for command, key, owner, name in _LIBRARY_DEFAULTS:
+        _, type_, default, *_ = rows.pop((command, key))
+        if isinstance(owner, type):
+            want = getattr(owner(), name)
+        else:
+            want = inspect.signature(owner).parameters[name].default
+        assert type(default) is type_ and repr(default) == repr(want), (command, key)
+    # the rest are required or the CLI's own
+    assert {key for (_, key), row in rows.items() if row[2] is not cli.REQUIRED} \
+        == {"split", "val_split", "folds", "resume"}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The settings objects synth and train hand to the library, whose
+    dataset writer and trainer are stubbed out."""
+    seen = {}
+
+    def write_dataset(out, spec):
+        seen["synth"] = spec
+        Path(out).mkdir(parents=True, exist_ok=True)
+        return {}
+
+    def train(dataset, config, **kwargs):
+        seen["train"] = config
+        return trainer.TrainResult({}, [])
+
+    monkeypatch.setattr(datagen, "write_dataset", write_dataset)
+    monkeypatch.setattr(trainer, "train", train)
+    return seen
+
+
+def test_default_options_build_the_default_settings(synth_dir, tmp_path, built):
+    assert cli.main(["synth", "--out", str(tmp_path / "synth")]) == 0
+    assert cli.main(["train", *_data_flags(synth_dir), "--out", str(tmp_path / "train")]) == 0
+    # repr tells 6 from 6.0, which == does not
+    assert repr(built["synth"]) == repr(datagen.SynthSpec())
+    assert repr(built["train"]) == repr(trainer.TrainConfig())
+
+
+def test_every_settings_field_is_an_option_or_library_only(synth_dir, tmp_path, built):
+    """Every option set away from its default through a config file: each
+    field of the built settings moves, unless no option sets it."""
+    synth = {"images": 3, "levels": 2, "shared_vocab": 5, "rare_vocab": 50, "dim": 9,
+             "noise_sigma": 0.5, "seed": 4}
+    train = {"variant": "adaptive", "embed_dim": 7, "batch_size": 5, "epochs": 3, "lr": 0.25,
+             "weight_decay": 0.5, "warmup_epochs": 1, "decay_epoch": 2, "decay_factor": 0.5,
+             "seed": 9, "alpha": 0.3, "tau": 2, "lambda": 0.5}
+    for command, values, extra in (("synth", synth, {}),
+                                   ("train", train, _data_config(synth_dir))):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({**values, **extra}))
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    fields = set()
+    for obj in (built["synth"], built["train"], built["train"].loss):
+        fresh = type(obj)()
+        fields |= {f.name for f in dataclasses.fields(obj)}
+        unset = {f.name for f in dataclasses.fields(obj)
+                 if getattr(obj, f.name) == getattr(fresh, f.name)}
+        assert unset <= _LIBRARY_ONLY, type(obj).__name__
+    assert _LIBRARY_ONLY <= fields

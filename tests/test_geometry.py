@@ -124,6 +124,7 @@ def assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 48])
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_kernel_equals_fixed_order_python_sum(dim, monkeypatch):
     rng = np.random.default_rng(dim)
     # rows scaled past the unit sphere: many dots lie beyond +-1 before the
@@ -133,14 +134,23 @@ def test_kernel_equals_fixed_order_python_sum(dim, monkeypatch):
     a[4] = np.nan
     b[7, -1] = np.nan
     a[5] = 0.0
+    # an infinite row, and two rows whose products with each other overflow
+    a[6] = np.inf
+    a[7] *= 1e200
+    b[8] *= 1e200
     rows, cols = rng.integers(0, 20, size=400), rng.integers(0, 30, size=400)
+    rows, cols = np.append(rows, [6, 6, 7, 7]), np.append(cols, [0, 8, 8, 0])
+    assert np.isinf(a[7] * b[8]).all()
     want = np.array([fixed_order_sim(a[i], b[j]) for i, j in zip(rows, cols)])
     # chunks of a few pairs, so that the pairs span several of them
     monkeypatch.setattr(G, "_BLOCK_ENTRIES", 7 * dim)
     got = G.pair_sims(a, b, rows, cols)
     assert_same_bits(got, want)
-    finite = (rows != 4) & (cols != 7)
-    assert np.isnan(got[~finite]).all() and (np.abs(got[finite]) <= 1.0).all()
+    nan_in = (rows == 4) | (cols == 7)
+    finite = ~nan_in & (rows != 6) & ~((rows == 7) & (cols == 8))
+    assert np.isnan(got[nan_in]).all() and (np.abs(got[finite]) <= 1.0).all()
+    rest = got[~nan_in & ~finite]
+    assert (np.isnan(rest) | (np.abs(rest) == 1.0)).all()
     assert (np.abs(want[finite]) == 1.0).any()
     zeros = want[(rows == 5) & finite]
     assert (zeros == 0.0).all()
@@ -148,7 +158,7 @@ def test_kernel_equals_fixed_order_python_sum(dim, monkeypatch):
     assert np.signbit(zeros).any() == (dim < 48)
     full = G.sim_matrix(a, b)
     assert_same_bits(full, [[fixed_order_sim(u, v) for v in b] for u in a])
-    for i, j in zip(rows[:20], cols[:20]):
+    for i, j in zip(rows[-24:], cols[-24:]):
         assert_same_bits(G.cosine_sim(a[i], b[j]), fixed_order_sim(a[i], b[j]))
 
 
