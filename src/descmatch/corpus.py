@@ -312,12 +312,23 @@ def read_corpus_jsonl(path) -> list[SentenceRecord]:
 
 
 def write_corpus_jsonl(path, records: list[SentenceRecord]) -> None:
+    """One line per record, written at once.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True)`` per line,
+    where obj holds the record's fields and leaves out a ``None`` level:
+    keys in the order id, image_id, level, split, text, strings through
+    json's ASCII string encoder, the level as ``int.__repr__``.  The
+    fields must be strings and the level an integer or None, the values
+    `read_corpus_columns` gives back unchanged.
+    """
+    levels = [r.level for r in records]
+    _require(levels, {int, type(None)}, "'level' must be an integer or null, got {}")
+    level_keys = ["" if level is None else f'"level": {int.__repr__(level)}, ' for level in levels]
+    lines = [f'{{"id": {_encode_id(r.id)}, "image_id": {_encode_id(r.image_id)}, {level_key}'
+             f'"split": {_encode_id(r.split)}, "text": {_encode_id(r.text)}}}\n'
+             for r, level_key in zip(records, level_keys)]
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            obj = {"id": r.id, "image_id": r.image_id, "text": r.text, "split": r.split}
-            if r.level is not None:
-                obj["level"] = r.level
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.write("".join(lines))
 
 
 def write_table_jsonl(path, table: DescriptivenessTable) -> None:

@@ -11,7 +11,9 @@ path.
 
 Randomness is split by stream: default_rng([seed, 0]) drives the corpus,
 default_rng([seed, 1]) the features, so editing one stage never shifts
-the other.
+the other.  The corpus stream is one bounded-integer stream in (image,
+level, word slot) order, drawn by a single call; the oracle test in
+tests/test_datagen.py checks it against one call per level and pool.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -69,29 +72,41 @@ def _strata(spec: SynthSpec) -> list[list[str]]:
 
 
 def gen_corpus(spec: SynthSpec) -> list[corpus_mod.SentenceRecord]:
-    """One cumulative sentence chain per image, all in the train split."""
+    """One cumulative sentence chain per image, all in the train split.
+
+    Every word of every sentence comes from one ``rng.integers(0, highs)``
+    call, where ``highs`` holds each word slot's pool size in draw order:
+    image by image, level by level, the level's shared words and then its
+    rare words.  This gives the words that one call per level and pool
+    gives, because numpy's ``Generator`` draws each bounded integer below
+    2**32 from the bit generator's 32-bit stream, and keeps the unused half
+    of a 64-bit output in the bit generator's state between calls; a pool
+    of size 1 draws nothing either way.  That is observed numpy 2.4.6
+    behaviour, not a documented contract: ``tests/test_datagen.py`` keeps
+    the per-call loop as the oracle.
+    """
     rng = np.random.default_rng([spec.seed, 0])
-    shared = [f"s{k:02d}" for k in range(spec.shared_vocab)]
-    strata = _strata(spec)
-    records = []
-    for i in range(spec.n_images):
-        image_id = f"img{i:04d}"
-        words: list[str] = []
-        for level in range(1, spec.levels + 1):
-            n_shared = _BASE_SHARED if level == 1 else _STEP_SHARED
-            n_rare = _BASE_RARE if level == 1 else _STEP_RARE
-            words = list(words)
-            words.extend(shared[k] for k in rng.integers(0, len(shared), n_shared))
-            pool = strata[level - 1]
-            words.extend(pool[k] for k in rng.integers(0, len(pool), n_rare))
-            records.append(corpus_mod.SentenceRecord(
-                id=f"{image_id}-l{level}",
-                image_id=image_id,
-                text=" ".join(words),
-                split="train",
-                level=level,
-            ))
-    return records
+    pools = []  # (first vocabulary index, size) of each word slot of one image
+    vocab = [f"s{k:02d}" for k in range(spec.shared_vocab)]
+    ends = []  # words in each level's sentence
+    for level, stratum in enumerate(_strata(spec), 1):
+        n_shared = _BASE_SHARED if level == 1 else _STEP_SHARED
+        n_rare = _BASE_RARE if level == 1 else _STEP_RARE
+        pools += [(0, spec.shared_vocab)] * n_shared + [(len(vocab), len(stratum))] * n_rare
+        vocab += stratum
+        ends.append(len(pools))
+    starts, sizes = np.array(pools, dtype=np.int64).T
+    draws = rng.integers(0, np.tile(sizes, spec.n_images)) + np.tile(starts, spec.n_images)
+    words = list(map(vocab.__getitem__, draws.tolist()))
+    image_ids = [f"img{i:04d}" for i in range(spec.n_images)]
+    levels = range(1, spec.levels + 1)
+    return list(map(corpus_mod.SentenceRecord,
+                    [f"{image_id}-l{level}" for image_id in image_ids for level in levels],
+                    [image_id for image_id in image_ids for _ in levels],
+                    [" ".join(words[start:start + end])
+                     for start in range(0, len(words), len(pools)) for end in ends],
+                    repeat("train"),
+                    [level for _ in image_ids for level in levels]))
 
 
 def gen_features(spec: SynthSpec, records) -> tuple[list[str], np.ndarray, list[str], np.ndarray]:

@@ -181,7 +181,7 @@ def test_criterion_3_gradient_suite():
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    DETAILS[3] = f"worst rel err {res['worst']['rel_err']:.1e}, {elapsed:.1f}s"
+    DETAILS[3] = f"worst rel err {max(t['rel_err'] for t in res['trials']):.1e}, {elapsed:.1f}s"
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,16 @@ def write_table_per_line(path, table):
                                 sort_keys=True) + "\n")
 
 
+def write_corpus_per_line(path, records):
+    """The json.dumps writer, one call per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            obj = {"id": r.id, "image_id": r.image_id, "text": r.text, "split": r.split}
+            if r.level is not None:
+                obj["level"] = r.level
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
 def _assert_tables_identical(got, want):
     (gpool, gtable), (wpool, wtable) = got, want
     assert gpool == wpool
@@ -443,6 +453,36 @@ def test_write_table_round_trips_like_json_dumps(tmp_path_factory, rows):
     write_table_per_line(tmp / "oracle.jsonl", table)
     assert (tmp / "bulk.jsonl").read_bytes() == (tmp / "oracle.jsonl").read_bytes()
     assert C.read_table_jsonl(tmp / "bulk.jsonl") == read_table_per_line(tmp / "oracle.jsonl")
+
+
+def _assert_corpus_bytes_equal_json_dumps(tmp, records):
+    C.write_corpus_jsonl(tmp / "bulk.jsonl", records)
+    write_corpus_per_line(tmp / "oracle.jsonl", records)
+    assert (tmp / "bulk.jsonl").read_bytes() == (tmp / "oracle.jsonl").read_bytes()
+
+
+def test_write_corpus_bytes_equal_json_dumps(tmp_path):
+    texts = ids_needing_escapes + ["ctrl\x00\x1f\x7f\n\r", "naïve 東京", 'say "hi" \\ bye', ""]
+    records = [C.SentenceRecord(sid, f"i{k}", texts[k % len(texts)], split=C.VALID_SPLITS[k % 3],
+                                level=[None, 0, 1, 12, -3, 10**20][k % 6])
+               for k, sid in enumerate(ids_needing_escapes + ["007", "12", "-1", "1e5", "null"])]
+    _assert_corpus_bytes_equal_json_dumps(tmp_path, records)
+    assert C.read_corpus_jsonl(tmp_path / "bulk.jsonl") == records
+    _assert_corpus_bytes_equal_json_dumps(tmp_path, [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(C.SentenceRecord, st.text(max_size=6), st.text(max_size=6),
+                          st.text(max_size=12), st.sampled_from(C.VALID_SPLITS),
+                          st.none() | st.integers()), max_size=8))
+def test_write_corpus_round_trips_like_json_dumps(tmp_path_factory, records):
+    _assert_corpus_bytes_equal_json_dumps(tmp_path_factory.mktemp("corpus"), records)
+
+
+@pytest.mark.parametrize("level", [True, 2.0, "2"])
+def test_write_corpus_rejects_a_level_the_reader_rejects(tmp_path, level):
+    with pytest.raises(ValueError, match="'level' must be an integer or null"):
+        C.write_corpus_jsonl(tmp_path / "c.jsonl", [C.SentenceRecord("a", "i", "t", level=level)])
 
 
 def test_write_table_rejects_non_finite(tmp_path):

@@ -124,6 +124,44 @@ def test_write_dataset_bytes_deterministic(tmp_path):
             (tmp_path / "b" / name).read_bytes(), name
 
 
+def gen_corpus_per_call(spec):
+    """The per-call loop gen_corpus draws in bulk: two draws per level."""
+    rng = np.random.default_rng([spec.seed, 0])
+    shared = [f"s{k:02d}" for k in range(spec.shared_vocab)]
+    strata = datagen._strata(spec)
+    records = []
+    for i in range(spec.n_images):
+        image_id = f"img{i:04d}"
+        words: list[str] = []
+        for level in range(1, spec.levels + 1):
+            n_shared = datagen._BASE_SHARED if level == 1 else datagen._STEP_SHARED
+            n_rare = datagen._BASE_RARE if level == 1 else datagen._STEP_RARE
+            words = list(words)
+            words.extend(shared[k] for k in rng.integers(0, len(shared), n_shared))
+            pool = strata[level - 1]
+            words.extend(pool[k] for k in rng.integers(0, len(pool), n_rare))
+            records.append(C.SentenceRecord(
+                id=f"{image_id}-l{level}",
+                image_id=image_id,
+                text=" ".join(words),
+                split="train",
+                level=level,
+            ))
+    return records
+
+
+@pytest.mark.parametrize("spec", [
+    *(datagen.SynthSpec(seed=seed, **shape)
+      for seed in (0, 3, 17, 301)
+      for shape in ({}, {"levels": 3, "rare_vocab": 60}, {"levels": 6, "rare_vocab": 5000})),
+    datagen.SynthSpec(shared_vocab=1, seed=5),          # a shared pool of one word draws nothing
+    datagen.SynthSpec(rare_vocab=4, levels=4, seed=6),  # every stratum holds one word
+    datagen.SynthSpec(n_images=10001, seed=2),          # 5-digit image ids
+])
+def test_gen_corpus_equals_per_call_loop(spec):
+    assert datagen.gen_corpus(spec) == gen_corpus_per_call(spec)
+
+
 def gen_features_per_record(spec, records):
     """The per-record loop gen_features vectorises: one noise draw per text."""
     rng = np.random.default_rng([spec.seed, 1])

@@ -368,7 +368,7 @@ def test_kink_gap_equals_per_text_loop():
 def test_gradcheck_smoke():
     res = L.run_gradcheck(seed=123, trials=2)
     assert res["passed"]
-    assert res["worst"]["rel_err"] < 1e-6
+    assert max(t["rel_err"] for t in res["trials"]) < 1e-6
     names = {r["loss"] for r in res["trials"]}
     assert names == {"triplet/mined", "triplet/mean", "adaptive/mined",
                      "adaptive/mean", "ordering", "overall"}
