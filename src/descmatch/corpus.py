@@ -15,12 +15,18 @@ would then depend on the interpreter.
 
 Each JSONL format has one rule set, a function from parsed records to
 columns (`_corpus_columns`, `_table_columns`) that raises at the first
-fault.  A reader parses a file with one ``json.loads`` when that provably
-gives what one ``json.loads`` per line gives (see `_bulk_objects`), or
-else line by line, and checks every record with one call of the rule set.
-Only a file that fails is read again line by line, each record checked
-alone by the same rule set, so that the message names the file and the
-first bad line.
+fault.  A reader takes a file's lines in blocks of `_BLOCK_RECORDS`.  It
+parses a block with one ``json.loads`` when that provably gives what one
+``json.loads`` per line gives (see `_bulk_objects`), or else line by
+line, and checks the block's records with one call of the rule set; ids
+must be unique over the whole file.  Only a file that fails is read again
+line by line, each record checked alone by the same rule set, so that the
+message names the file and the first bad line.
+
+Memory: no pass holds a whole-corpus temporary per record.  The readers
+keep one block's parsed objects at a time, and `build_table` tokenizes
+one block of records at a time, mapping its words to vocabulary ids
+before the next block.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ import numpy as np
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
 VALID_SPLITS = ("train", "val", "test")
+
+# records per block of `build_table`'s tokenization and of a reader's parse
+# and check: the token tuples and parsed objects of one block are alive at a
+# time, not those of the whole corpus
+_BLOCK_RECORDS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -119,10 +130,13 @@ def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tup
 
     The terms are added left to right from 0.0 in first-occurrence order
     (the module docstring says why the order is fixed).  The pass is
-    batched: one `tokenize` per record, one ``math.log`` per vocabulary
-    word (not ``np.log``, which may differ from libm in the last ulp), and
-    the terms summed position by position, so the j-th distinct word of
-    every sentence is added at step j.
+    batched: one `tokenize` per record, in blocks of `_BLOCK_RECORDS`
+    records, each block's words mapped to vocabulary ids (numbered in
+    order of first occurrence over the whole corpus) before the next block
+    is tokenized; one ``math.log`` per vocabulary word (not ``np.log``,
+    which may differ from libm in the last ulp); and the terms summed
+    position by position, so the j-th distinct word of every sentence is
+    added at step j.
     """
     if pool_split not in VALID_SPLITS:
         raise ValueError(f"unknown split {pool_split!r}")
@@ -133,27 +147,32 @@ def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tup
     if len(set(ids)) < len(ids):
         dup = next(sid for sid, n in Counter(ids).items() if n > 1)
         raise ValueError(f"duplicate sentence id {dup!r}")
-    sentences = [tokenize(r.text).tokens for r in records]
-    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    # tokens of one block of records at a time: each block's words get
+    # their vocabulary ids (new words in order of first occurrence) and its
+    # (sentence, word) firsts, in token order, before the next is tokenized
+    vocab: dict[str, int] = {}
+    blocks = []
+    for lo in range(0, len(records), _BLOCK_RECORDS):
+        sentences = [tokenize(r.text).tokens for r in records[lo:lo + _BLOCK_RECORDS]]
+        flat = list(chain.from_iterable(sentences))
+        fresh = [w for w in dict.fromkeys(flat) if w not in vocab]
+        vocab.update(zip(fresh, range(len(vocab), len(vocab) + len(fresh))))
+        words = np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat))
+        lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+        owner = np.repeat(np.arange(lo, lo + len(sentences), dtype=np.int64), lengths)
+        _, first, counts = np.unique(owner * len(vocab) + words, return_index=True,
+                                     return_counts=True)
+        count_at = np.zeros(len(flat), dtype=np.int64)
+        count_at[first] = counts
+        firsts = np.flatnonzero(count_at)
+        blocks.append((lengths, owner[firsts], words[firsts], count_at[firsts]))
+    lengths, sent, word, counts = (np.concatenate(parts) for parts in zip(*blocks))
+    del blocks
     if not lengths.all():
         raise ValueError(f"sentence {ids[int(np.argmin(lengths))]!r} has no tokens")
 
-    # first occurrence of each word in each sentence, in token order, with
-    # the word's count in the sentence
-    flat = list(chain.from_iterable(sentences))
-    vocab = {w: k for k, w in enumerate(dict.fromkeys(flat))}
-    n_words = len(vocab)
-    words = np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat))
-    owner = np.repeat(np.arange(len(records), dtype=np.int64), lengths)
-    _, first, counts = np.unique(owner * n_words + words, return_index=True,
-                                 return_counts=True)
-    count_at = np.zeros(len(flat), dtype=np.int64)
-    count_at[first] = counts
-    firsts = np.flatnonzero(count_at)
-    sent, word, counts = owner[firsts], words[firsts], count_at[firsts]
-
     size = int(in_pool.sum())
-    doc_freq = np.bincount(word[in_pool[sent]], minlength=n_words)
+    doc_freq = np.bincount(word[in_pool[sent]], minlength=len(vocab))
     idf = np.array([math.log(size / m) for m in np.maximum(doc_freq, 1).tolist()])
     terms = counts / lengths[sent] * idf[word]
 
@@ -232,17 +251,24 @@ def _read_records(path, lines: list[str], start: int, kind: str, columns) -> lis
     """The records on a JSONL file's lines (numbered from ``start``), as
     the columns of ``columns``, the format's rule set.
 
-    Every non-blank line is parsed, by `_bulk_objects` or else by one
-    ``json.loads`` per line, and ``columns`` checks every record at once.
-    Only if a line does not parse, ``columns`` raises or an id repeats are
-    the lines parsed again one by one, each record checked alone by
-    ``columns([obj])``: this raises at the first bad line, a malformed
-    record or an id already seen on an earlier line, and names it.
+    The non-blank lines are taken in blocks of `_BLOCK_RECORDS`.  Each
+    block is parsed, by `_bulk_objects` or else by one ``json.loads`` per
+    line, checked by one call of ``columns`` and appended to the columns,
+    so only one block's parsed objects are alive at a time.  Only if a
+    line does not parse, ``columns`` raises or an id repeats anywhere in
+    the file are the lines parsed again one by one, each record checked
+    alone by ``columns([obj])``: this raises at the first bad line, a
+    malformed record or an id already seen on an earlier line, and names
+    it.
     """
     body = [line for line in map(str.strip, lines) if line]
     try:
-        objs = _bulk_objects(body)
-        cols = columns(list(map(json.loads, body)) if objs is None else objs)
+        parts = []  # an empty body is one empty block, so the columns exist
+        for lo in range(0, len(body) or 1, _BLOCK_RECORDS):
+            block = body[lo:lo + _BLOCK_RECORDS]
+            objs = _bulk_objects(block)
+            parts.append(columns(list(map(json.loads, block)) if objs is None else objs))
+        cols = [list(chain.from_iterable(col)) for col in zip(*parts)]
         if len(set(cols[0])) == len(cols[0]):
             return cols
     except _FAULTS:

@@ -133,12 +133,13 @@ def write_features(stem, ids: list[str], matrix: np.ndarray, dtype: str = "f64")
     with open(stem.with_name(stem.name + _MANIFEST_SUFFIX), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True)
         fh.write("\n")
-    matrix.astype(_DTYPES[dtype]).tofile(stem.with_name(stem.name + ".bin"))
+    matrix.astype(_DTYPES[dtype], copy=False).tofile(stem.with_name(stem.name + ".bin"))
     return stem.with_name(stem.name + _MANIFEST_SUFFIX)
 
 
 def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
-    """Load a manifest + binary pair; returns (ids, float64 matrix).
+    """Load a manifest + binary pair; returns (ids, float64 matrix).  The
+    matrix of an f64 file is the C-contiguous array read, not a copy.
 
     The manifest is a JSON object holding ``rows`` and ``dim`` (non-negative
     integers), ``dtype`` (a key of `_DTYPES`) and ``ids`` (a list of string
@@ -187,5 +188,5 @@ def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
         if not finite.all():
             row = start + int(np.argmin(finite))
             raise ValueError(f"{bin_path}: row {row} (id {ids[row]!r}) is not finite")
-    return ids, data.astype(np.float64)
+    return ids, data.astype(np.float64, copy=False)
 

@@ -124,6 +124,7 @@ def load_dataset(corpus_path, table_path, image_features_path,
     if split is not None:
         kept = [s == split for s in corpus.splits]
         ids, owner_ids, levels = (list(compress(c, kept)) for c in (ids, owner_ids, levels))
+    del corpus  # its texts are not needed while the table and features load
     if not ids:
         raise ValueError(f"no sentences for split {split!r} in {corpus_path}")
     table = corpus_mod.read_table_jsonl(table_path)
@@ -143,17 +144,24 @@ def load_dataset(corpus_path, table_path, image_features_path,
 
     image_ids = list(dict.fromkeys(owner_ids))
     image_index = {iid: k for k, iid in enumerate(image_ids)}
-    feat_rows = np.array([img_row[i] for i in image_ids], dtype=np.int64)
-    rows = np.array([txt_row[i] for i in ids], dtype=np.int64)
     return Dataset(
         image_ids=image_ids,
-        image_feats=np.ascontiguousarray(img_feats[feat_rows]),
+        image_feats=_feature_rows(img_feats, [img_row[i] for i in image_ids]),
         text_ids=ids,
-        text_feats=np.ascontiguousarray(txt_feats[rows]),
+        text_feats=_feature_rows(txt_feats, [txt_row[i] for i in ids]),
         image_of_text=np.array([image_index[i] for i in owner_ids], dtype=np.int64),
         deltas=np.array([table.scores[i] for i in ids], dtype=np.float64),
         levels=np.array([-1 if lv is None else lv for lv in levels], dtype=np.int64),
     )
+
+
+def _feature_rows(feats: np.ndarray, rows: list[int]) -> np.ndarray:
+    """feats[rows] as a C-contiguous array: ``feats`` itself when the rows
+    are all of its rows in order (as `read_features` returns it, C-contiguous),
+    else a gathered copy, which holds none of ``feats``'s buffer."""
+    if len(rows) == feats.shape[0] and rows == list(range(len(rows))):
+        return feats
+    return feats[np.array(rows, dtype=np.int64)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,22 +273,23 @@ def epoch_plan(rng: np.random.Generator, dataset: Dataset,
     """
     order, bounds = geometry.texts_by_owner(dataset.image_of_text, dataset.n_images)
     sizes = np.diff(bounds)
-    images = [int(i) for i in rng.permutation(dataset.n_images) if sizes[i]]
-    cuts, held = [0], 0
-    for k, gi in enumerate(images, start=1):
-        held += sizes[gi]
-        if held >= batch_size:
-            cuts.append(k)
-            held = 0
-    if held:
-        cuts.append(len(images))
+    images = rng.permutation(dataset.n_images)
+    images = images[sizes[images] > 0]
+    # held[k]: texts of the first k shuffled images; a batch that starts
+    # after image lo ends at the first image where it holds batch_size texts
+    held = np.concatenate([[0], np.cumsum(sizes[images])])
+    cuts = [0]
+    while cuts[-1] < len(images):
+        cuts.append(min(int(np.searchsorted(held, held[cuts[-1]] + max(batch_size, 1))),
+                        len(images)))
     if len(cuts) > 2 and cuts[-1] - cuts[-2] < 2:
         del cuts[-2]
     if len(cuts) < 2 or cuts[1] < 2:
         raise ValueError("dataset too small: every batch needs at least two images")
-    return [(images[lo:hi], np.concatenate([order[bounds[i]:bounds[i + 1]]
-                                            for i in images[lo:hi]]))
-            for lo, hi in zip(cuts, cuts[1:])]
+    # every image's texts in shuffled order, each image's ascending
+    texts = order[np.arange(held[-1]) + np.repeat(bounds[images] - held[:-1], sizes[images])]
+    images = images.tolist()
+    return [(images[lo:hi], texts[held[lo]:held[hi]]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _make_batch(dataset: Dataset, img_e: np.ndarray, txt_e: np.ndarray,

@@ -99,13 +99,16 @@ def test_build_table_scores_non_pool_splits_against_train_pool():
     assert table.scores["t1"] == 0.0
 
 
-def test_build_table_rejects_empty_pool_and_empty_sentences():
+def test_build_table_rejects_empty_pool_and_empty_sentences(monkeypatch):
     with pytest.raises(ValueError, match="pool split 'train' is empty"):
         C.build_table([C.SentenceRecord("v", "i", "x", split="val")])
     with pytest.raises(ValueError, match="'s' has no tokens"):
         C.build_table([C.SentenceRecord("s", "i", "!!!")])
     with pytest.raises(ValueError, match="'q' has no tokens"):
         C.build_table(THREE_DOCS + [_val("q", "?!")])
+    monkeypatch.setattr(C, "_BLOCK_RECORDS", 2)
+    with pytest.raises(ValueError, match="'q' has no tokens"):
+        C.build_table(THREE_DOCS + [C.SentenceRecord("p", "i", "x"), _val("q", "?!"), _val("r", "")])
     with pytest.raises(ValueError):
         C.build_table(THREE_DOCS, pool_split="nope")
     with pytest.raises(ValueError, match="duplicate sentence id 's1'"):
@@ -248,21 +251,23 @@ def test_out_of_pool_clamp_idempotent(records, text):
 
 def build_table_oracle(records, pool_split="train"):
     """build_table by brute force: doc freq from a Counter over the pool's
-    word sets, then one first-occurrence loop per sentence."""
+    word sets, keyed in order of first occurrence over all records, then
+    one first-occurrence loop per sentence."""
     tokens = {r.id: C.tokenize(r.text).tokens for r in records}
     pool_ids = [r.id for r in records if r.split == pool_split]
     m = len(pool_ids)
-    doc_freq = Counter(w for sid in pool_ids for w in set(tokens[sid]))
+    counts = Counter(w for sid in pool_ids for w in set(tokens[sid]))
+    doc_freq = {w: counts[w] for toks in tokens.values() for w in toks if counts[w]}
     raws = {}
     for sid, toks in tokens.items():
         total = 0.0
         for word in dict.fromkeys(toks):
-            total += (toks.count(word) / len(toks)) * math.log(m / max(doc_freq[word], 1))
+            total += (toks.count(word) / len(toks)) * math.log(m / max(counts[word], 1))
         raws[sid] = total
     lo, hi = min(raws[sid] for sid in pool_ids), max(raws[sid] for sid in pool_ids)
     scores = {sid: 0.5 if hi == lo else min(1.0, max(0.0, (r - lo) / (hi - lo)))
               for sid, r in raws.items()}
-    return C.DocumentPool(m, dict(doc_freq)), C.DescriptivenessTable(scores, raws, lo, hi)
+    return C.DocumentPool(m, doc_freq), C.DescriptivenessTable(scores, raws, lo, hi)
 
 
 def read_corpus_per_line(path):
@@ -357,7 +362,7 @@ def write_corpus_per_line(path, records):
 
 def _assert_tables_identical(got, want):
     (gpool, gtable), (wpool, wtable) = got, want
-    assert gpool == wpool
+    assert gpool == wpool and list(gpool.doc_freq) == list(wpool.doc_freq)
     assert gtable.raw_min == wtable.raw_min and gtable.raw_max == wtable.raw_max
     # == on the dicts compares the float bits of every value (no NaN here)
     assert gtable.raw_scores == wtable.raw_scores
@@ -385,15 +390,17 @@ def split_corpora(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(split_corpora(), st.sampled_from(C.VALID_SPLITS))
-def test_build_table_equals_per_sentence_oracle(records, pool_split):
+@given(split_corpora(), st.sampled_from(C.VALID_SPLITS), st.sampled_from([1, 2, 3, None]))
+def test_build_table_equals_per_sentence_oracle(records, pool_split, block):
     if not any(r.split == pool_split for r in records):
         pool_split = "train"
-    _assert_tables_identical(C.build_table(records, pool_split),
-                             build_table_oracle(records, pool_split))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_BLOCK_RECORDS", block or C._BLOCK_RECORDS)
+        got = C.build_table(records, pool_split)
+    _assert_tables_identical(got, build_table_oracle(records, pool_split))
 
 
-def test_build_table_equals_oracle_on_fixed_cases():
+def test_build_table_equals_oracle_on_fixed_cases(monkeypatch):
     cases = {
         # repeated words, and val/test words absent from the train pool
         "repeats": [C.SentenceRecord("b", "i2", "dog dog a Dog cat"),
@@ -406,11 +413,21 @@ def test_build_table_equals_oracle_on_fixed_cases():
         # idf = ln(21/20): np.log and libm's log disagree on it on some builds
         "libm-log": [C.SentenceRecord(f"s{k}", "i", f"a b{k}") for k in range(20)]
                     + [C.SentenceRecord("s20", "i", "c"), C.SentenceRecord("v", "i", "a", "val")],
+        # in blocks of 2 or 3: words first seen in a later block, words that
+        # repeat across blocks, later-block sentences outside the pool
+        "later-blocks": [C.SentenceRecord("a", "i0", "a dog a"), C.SentenceRecord("b", "i0", "a cat"),
+                         C.SentenceRecord("c", "i1", "zebra dog dog", split="val"),
+                         C.SentenceRecord("d", "i1", "new words new"),
+                         C.SentenceRecord("e", "i2", "a zebra herd cat"),
+                         C.SentenceRecord("f", "i2", "unseen test words", split="test"),
+                         C.SentenceRecord("g", "i3", "herd")],
     }
-    for name, records in cases.items():
-        for pool_split in ("train", "val", "test") if name == "repeats" else ("train",):
-            _assert_tables_identical(C.build_table(records, pool_split),
-                                     build_table_oracle(records, pool_split))
+    for block in (2, 3, C._BLOCK_RECORDS):
+        monkeypatch.setattr(C, "_BLOCK_RECORDS", block)
+        for name, records in cases.items():
+            for pool_split in ("train",) if name in ("degenerate", "libm-log") else C.VALID_SPLITS:
+                _assert_tables_identical(C.build_table(records, pool_split),
+                                         build_table_oracle(records, pool_split))
     _, flat = C.build_table(cases["degenerate"])
     assert set(flat.scores.values()) == {0.5}
 
@@ -514,11 +531,13 @@ def corpus_lines(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(corpus_lines())
-def test_corpus_reader_equals_per_line_reader(tmp_path_factory, lines):
+@given(corpus_lines(), st.sampled_from([1, 2, 3, None]))
+def test_corpus_reader_equals_per_line_reader(tmp_path_factory, lines, block):
     path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    records = C.read_corpus_jsonl(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_BLOCK_RECORDS", block or C._BLOCK_RECORDS)
+        records = C.read_corpus_jsonl(path)
     assert records == read_corpus_per_line(path)
     cols = C.read_corpus_columns(path)
     assert [C.SentenceRecord(*row) for row in zip(cols.ids, cols.image_ids, cols.texts,
@@ -578,6 +597,15 @@ def test_valid_files_take_the_one_parse_path(tmp_path, monkeypatch):
     # reaches the one-record step
     assert calls == [("_bulk_objects", 4, True), ("_corpus_columns", 4, True),
                      ("_bulk_objects", 4, True), ("_table_columns", 4, True)]
+    # in blocks of three records: one parse and one check per block
+    calls.clear()
+    monkeypatch.setattr(C, "_BLOCK_RECORDS", 3)
+    assert C.read_corpus_jsonl(tmp_path / "corpus.jsonl") == records
+    assert C.read_table_jsonl(tmp_path / "table.jsonl") == table
+    assert calls == [("_bulk_objects", 3, True), ("_corpus_columns", 3, True),
+                     ("_bulk_objects", 1, True), ("_corpus_columns", 1, True),
+                     ("_bulk_objects", 3, True), ("_table_columns", 3, True),
+                     ("_bulk_objects", 1, True), ("_table_columns", 1, True)]
 
 
 # a line that keeps the one-parse path away from the whole file
@@ -715,3 +743,61 @@ def test_table_reader_rejects_mutations_like_per_line_reader(tmp_path, name):
     path.write_text("\n".join([TABLE_HEAD, ROW % ("0.5", "z", "1.5"), "  ",
                                *MUTATED_TABLES[name]]) + "\n")
     assert _raises_same(path, C.read_table_jsonl, read_table_per_line).startswith(f"{path}:")
+
+
+# ---------------------------------------------------------------------------
+# Block boundaries: the readers and build_table with blocks of a few records
+
+
+@pytest.fixture(params=[2, 3])
+def small_blocks(request, monkeypatch):
+    monkeypatch.setattr(C, "_BLOCK_RECORDS", request.param)
+    return request.param
+
+
+def test_table_reader_equals_per_line_reader_in_blocks(tmp_path, small_blocks):
+    records = [C.SentenceRecord(f"s{k}", f"i{k % 3}", " ".join(f"w{j * k % 7}" for j in range(k + 1)),
+                                split=("train", "val")[k % 4 == 3]) for k in range(9)]
+    _, table = C.build_table(records)
+    path = tmp_path / "table.jsonl"
+    C.write_table_jsonl(path, table)
+    lines = path.read_text().split("\n")
+    # blank lines, and a nested value in a later block that sends only that
+    # block to the per-line parse
+    lines[4:4] = ["", "  "]
+    lines[7] = lines[7][:-1] + ', "extra": {"k": [1]}}'
+    path.write_text("\n".join(lines))
+    assert C.read_table_jsonl(path) == read_table_per_line(path) == table
+
+
+# later-block faults: (lines, the message after "<path>:")
+LATER_BLOCK_FAULTS = {
+    "unparseable": ([REC % "a", REC % "b", REC % "c", REC % "d", '{"id": "e",', REC % "f"],
+                    "5: malformed corpus record: Expecting property name enclosed in double "
+                    "quotes: line 1 column 12 (char 11)"),
+    "mistyped": ([REC % "a", REC % "b", REC % "c", REC % "d",
+                  '{"id": "e", "image_id": "i", "text": 3}', REC % "f"],
+                 "5: malformed corpus record: 'text' must be a string"),
+    "repeat-in-a-later-block": ([REC % "a", REC % "b", REC % "c", REC % "d", REC % "e",
+                                 REC % "e"],
+                                "6: duplicate sentence id 'e' (first on line 5)"),
+    "repeat-across-blocks": ([REC % "a", REC % "b", REC % "c", REC % "d", REC % "e",
+                              REC % "a"],
+                             "6: duplicate sentence id 'a' (first on line 1)"),
+}
+
+
+@pytest.mark.parametrize("case", list(LATER_BLOCK_FAULTS))
+def test_corpus_reader_names_a_fault_in_a_later_block(tmp_path, small_blocks, case):
+    lines, want = LATER_BLOCK_FAULTS[case]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert _raises_same(path, C.read_corpus_jsonl, read_corpus_per_line) == f"{path}:{want}"
+
+
+def test_table_reader_names_a_repeat_across_blocks(tmp_path, small_blocks):
+    rows = [ROW % ("0.5", sid, "1.5") for sid in "abcde"] + [ROW % ("0.25", "b", "1.25")]
+    path = tmp_path / "table.jsonl"
+    path.write_text("\n".join([TABLE_HEAD, *rows]) + "\n")
+    want = f"{path}:7: duplicate sentence id 'b' (first on line 3)"
+    assert _raises_same(path, C.read_table_jsonl, read_table_per_line) == want

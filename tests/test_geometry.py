@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -180,6 +181,28 @@ def test_feature_round_trip_f32_narrows(tmp_path):
     assert got.dtype == np.float64
     assert np.allclose(got, mat, atol=1e-7)
     assert not np.array_equal(got, mat)
+
+
+def test_feature_files_hold_row_major_bytes_without_a_copy(tmp_path):
+    """Strided and column-major matrices are written row-major, and an f64
+    matrix is written without a float64 copy, then read back as the
+    C-contiguous array read."""
+    mat = np.random.default_rng(2).normal(size=(400, 60))
+    for name, m in (("fortran", np.asfortranarray(mat)), ("strided", mat[::2, 1::3]),
+                    ("f32-of-strided", mat[::3])):
+        dtype = "f32" if name.startswith("f32") else "f64"
+        G.write_features(tmp_path / name, [f"r{k}" for k in range(m.shape[0])], m, dtype=dtype)
+        want = np.ascontiguousarray(m, dtype=G._DTYPES[dtype]).tobytes()
+        assert (tmp_path / f"{name}.bin").read_bytes() == want
+    _, got = G.read_features(tmp_path / "fortran.manifest.json")
+    assert got.flags.c_contiguous and got.flags.owndata is False and got.base.ndim == 1
+    tracemalloc.start()
+    try:
+        G.write_features(tmp_path / "big", [f"r{k}" for k in range(400)], mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mat.nbytes / 2, f"write_features traced {peak} bytes for {mat.nbytes}"
 
 
 def test_feature_write_validates(tmp_path):

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from descmatch import corpus as C
-from descmatch import geometry, losses, trainer
+from descmatch import datagen, geometry, losses, trainer
 
 
 def tiny_dataset(n_images=10, texts_per=3, d_img=7, d_txt=6, seed=0):
@@ -130,6 +131,64 @@ def test_epoch_plan_rejects_single_image_dataset():
     ds = tiny_dataset(n_images=1, texts_per=4)
     with pytest.raises(ValueError, match="two images"):
         trainer.epoch_plan(np.random.default_rng(0), ds, batch_size=4)
+
+
+def epoch_plan_per_image(rng, dataset, batch_size):
+    """epoch_plan with one loop step per shuffled image and one
+    concatenate per batch."""
+    order, bounds = geometry.texts_by_owner(dataset.image_of_text, dataset.n_images)
+    sizes = np.diff(bounds)
+    images = [int(i) for i in rng.permutation(dataset.n_images) if sizes[i]]
+    cuts, held = [0], 0
+    for k, gi in enumerate(images, start=1):
+        held += sizes[gi]
+        if held >= batch_size:
+            cuts.append(k)
+            held = 0
+    if held:
+        cuts.append(len(images))
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] < 2:
+        del cuts[-2]
+    if len(cuts) < 2 or cuts[1] < 2:
+        raise ValueError("dataset too small: every batch needs at least two images")
+    return [(images[lo:hi], np.concatenate([order[bounds[i]:bounds[i + 1]]
+                                            for i in images[lo:hi]]))
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _owners_dataset(owners, n_images):
+    n_txt = len(owners)
+    return trainer.Dataset(
+        image_ids=[f"img{k}" for k in range(n_images)], image_feats=np.zeros((n_images, 2)),
+        text_ids=[f"t{k}" for k in range(n_txt)], text_feats=np.zeros((n_txt, 2)),
+        image_of_text=np.asarray(owners, dtype=np.int64), deltas=np.zeros(n_txt),
+        levels=np.zeros(n_txt, dtype=np.int64))
+
+
+def test_epoch_plan_equals_per_image_loop():
+    """Random text counts per image, zeros among them, texts in shuffled
+    order, and batch sizes from below one image to above the whole set:
+    equal plans (or the same error) and equal generator states after."""
+    gen = np.random.default_rng(11)
+    for trial in range(300):
+        n_images = int(gen.integers(1, 40))
+        sizes = gen.integers(0, 7, size=n_images) * (gen.random(n_images) > 0.2)
+        owners = gen.permutation(np.repeat(np.arange(n_images), sizes))
+        ds = _owners_dataset(owners, n_images)
+        batch_size = int(gen.integers(-1, max(2, 2 * len(owners))))
+        got_rng, want_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+        try:
+            want = epoch_plan_per_image(want_rng, ds, batch_size)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                trainer.epoch_plan(got_rng, ds, batch_size)
+        else:
+            got = trainer.epoch_plan(got_rng, ds, batch_size)
+            assert [imgs for imgs, _ in got] == [imgs for imgs, _ in want]
+            assert all(type(i) is int for imgs, _ in got for i in imgs)
+            for (_, g), (_, w) in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_train_smoke_and_warmup_schedule():
@@ -321,3 +380,62 @@ def test_checkpoint_write_is_atomic(tmp_path):
     assert sorted(tmp_path.iterdir()) == [path]
     trainer.train(ds, cfg, checkpoint_path=path)
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_load_dataset_takes_file_order_features_as_they_are(tmp_path):
+    """Manifests in corpus order and permuted manifests load equal,
+    C-contiguous arrays: the first as the arrays read, the second gathered."""
+    records = [C.SentenceRecord(f"t{k}", f"img{k // 3}", f"a word{k}", level=k % 3 + 1)
+               for k in range(12)]
+    rng = np.random.default_rng(0)
+    img_feats, txt_feats = rng.normal(size=(4, 5)), rng.normal(size=(12, 3))
+    img_ids, txt_ids = [f"img{k}" for k in range(4)], [r.id for r in records]
+    in_order = trainer.load_dataset(*_write_inputs(tmp_path, records, img_ids, img_feats,
+                                                   txt_ids, txt_feats))
+    perm_img, perm_txt = rng.permutation(4), rng.permutation(12)
+    other = tmp_path / "permuted"
+    other.mkdir()
+    permuted = trainer.load_dataset(*_write_inputs(
+        other, records, [img_ids[k] for k in perm_img], img_feats[perm_img],
+        [txt_ids[k] for k in perm_txt], txt_feats[perm_txt]))
+    for ds in (in_order, permuted):
+        assert np.array_equal(ds.image_feats, img_feats)
+        assert np.array_equal(ds.text_feats, txt_feats)
+        assert ds.image_feats.flags.c_contiguous and ds.text_feats.flags.c_contiguous
+    assert in_order.text_ids == permuted.text_ids == txt_ids
+    # a split whose rows are one contiguous range is still a copy of them
+    val = tmp_path / "val"
+    val.mkdir()
+    split = [dataclasses.replace(r, split="val" if k >= 6 else "train")
+             for k, r in enumerate(records)]
+    ds = trainer.load_dataset(*_write_inputs(val, split, img_ids, img_feats, txt_ids, txt_feats),
+                              split="val")
+    assert np.array_equal(ds.text_feats, txt_feats[6:]) and ds.text_feats.base is None
+    assert ds.text_feats.flags.c_contiguous
+
+
+def test_score_and_load_peaks_stay_bounded(tmp_path):
+    """Traced peaks at 2 000 images x 4 levels, above what each call starts
+    with: build_table tokenizes in blocks (5.4 MB measured, 10.4 MB when it
+    held every token tuple at once) and load_dataset keeps the feature arrays
+    it read (8.1 MB, against 13.0 MB with a float64 copy and a gathered copy
+    of each)."""
+    paths = datagen.write_dataset(tmp_path, datagen.SynthSpec(n_images=2000, seed=3))
+    records = C.read_corpus_jsonl(paths["corpus"])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, table = C.build_table(records)
+        build_peak = tracemalloc.get_traced_memory()[1] - start
+        C.write_table_jsonl(tmp_path / "scored.jsonl", table)
+        del table
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        ds = trainer.load_dataset(paths["corpus"], tmp_path / "scored.jsonl",
+                                  paths["image_features"], paths["text_features"])
+        load_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert ds.n_texts == 8000
+    assert build_peak < 8 * 2**20, f"build_table peaked {build_peak / 2**20:.1f} MB above its start"
+    assert load_peak < 10.5 * 2**20, f"load_dataset peaked {load_peak / 2**20:.1f} MB above its start"
