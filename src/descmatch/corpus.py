@@ -5,9 +5,12 @@ term-frequency times inverse document frequency, computed against a fixed
 document pool (one "document" = one sentence).  Raw scores over the pool
 split are min-max normalized into [0, 1]; sentences outside the pool are
 scored with the pool statistics and the stored extremes, then clamped.
-`build_table` is the one implementation of the formula.
+`score_word_ids` is the one implementation of the formula.  It scores
+sentences given as word ids, which only name words: `build_table` takes
+them from tokenized text, and `datagen.write_dataset` passes the ids it
+drew for the synthetic corpus.
 
-Summation order: `build_table` adds a raw score's terms left to right,
+Summation order: `score_word_ids` adds a raw score's terms left to right,
 starting from 0.0, over the sentence's distinct words in order of first
 occurrence.  The order is part of its contract because ``sum``
 compensates float additions from Python 3.12 on, and the table bytes
@@ -24,9 +27,10 @@ line by line, each record checked alone by the same rule set, so that the
 message names the file and the first bad line.
 
 Memory: no pass holds a whole-corpus temporary per record.  The readers
-keep one block's parsed objects at a time, and `build_table` tokenizes
-one block of records at a time, mapping its words to vocabulary ids
-before the next block.
+keep one block's parsed objects at a time.  `score_word_ids` takes its
+sentences in blocks and finds one block's distinct words before it reads
+the next, so `build_table`, whose tokenizer yields the word ids of one
+block of records at a time, never holds more than one block's tokens.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import json
 import math
 import re
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -44,9 +49,9 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
 VALID_SPLITS = ("train", "val", "test")
 
-# records per block of `build_table`'s tokenization and of a reader's parse
-# and check: the token tuples and parsed objects of one block are alive at a
-# time, not those of the whole corpus
+# records per block of `build_table`'s tokenization and scoring and of a
+# reader's parse and check: the token tuples and parsed objects of one block
+# are alive at a time, not those of the whole corpus
 _BLOCK_RECORDS = 1 << 11
 
 
@@ -116,7 +121,49 @@ def tokenize(text: str) -> TokenSequence:
 
 
 def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tuple[DocumentPool, DescriptivenessTable]:
-    """Build the pool from one split and score every record against it.
+    """Build the pool from one split and score every record against it:
+    `score_word_ids` over the blocks of `_word_ids`, the records' own
+    vocabulary numbered in order of first occurrence."""
+    vocab: dict[str, int] = {}
+    splits = [r.split for r in records]
+    doc_freq, table = score_word_ids([r.id for r in records], splits,
+                                     _word_ids([r.text for r in records], vocab), pool_split)
+    pool = DocumentPool(size=splits.count(pool_split),
+                        doc_freq={w: m for w, m in zip(vocab, doc_freq.tolist()) if m})
+    return pool, table
+
+
+def _word_ids(texts: list[str], vocab: dict[str, int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per block of `_BLOCK_RECORDS` texts, each text's token count and its
+    tokens' ids in ``vocab``, where a new word gets the next id: one
+    `tokenize` per text, and the block's tokens mapped in one
+    ``vocab.setdefault`` pass.  A generator, so a block is tokenized only
+    when the scorer asks for it."""
+    for lo in range(0, len(texts), _BLOCK_RECORDS):
+        sentences = [tokenize(t).tokens for t in texts[lo:lo + _BLOCK_RECORDS]]
+        yield (np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences)),
+               np.array([vocab.setdefault(w, len(vocab)) for w in chain.from_iterable(sentences)],
+                        dtype=np.int64))
+
+
+def word_id_blocks(lengths: np.ndarray, words: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Sentences given as flat arrays (sentence k is the next ``lengths[k]``
+    entries of ``words``) cut into the blocks of `_BLOCK_RECORDS`
+    sentences that `score_word_ids` takes."""
+    bounds = range(_BLOCK_RECORDS, len(lengths), _BLOCK_RECORDS)
+    return zip(np.split(lengths, bounds),
+               np.split(words, np.cumsum(lengths)[_BLOCK_RECORDS - 1:-1:_BLOCK_RECORDS]))
+
+
+def score_word_ids(ids: list[str], splits: list[str], blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+                   pool_split: str = "train") -> tuple[np.ndarray, DescriptivenessTable]:
+    """The doc freq of each word id and the table of sentences given as
+    word ids.  ``blocks`` yields (lengths, words) pairs of integer arrays
+    that cover the sentences in order: a block's k-th sentence (the next
+    of ``ids`` and ``splits``) is the next ``lengths[k]`` entries of its
+    ``words``, non-negative integers standing for its tokens, one id per
+    distinct word.  Blocks of `_BLOCK_RECORDS` sentences bound the
+    temporaries; the table does not depend on where blocks are cut.
 
     Records of ``pool_split`` define the pool and the normalization range.
     A record's raw score is the sum over its distinct words w of
@@ -125,61 +172,56 @@ def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tup
     as 1 for a word the pool lacks.  Pool records get (raw - min) / (max -
     min) over the pool, or 0.5 when every pool raw is equal; records of
     other splits get the same value clamped into [0, 1], since the pool
-    extremes need not bound them.  The returned table covers all record
-    ids, in input order.
+    extremes need not bound them.  The returned table covers all ids, in
+    input order.
 
     The terms are added left to right from 0.0 in first-occurrence order
     (the module docstring says why the order is fixed).  The pass is
-    batched: one `tokenize` per record, in blocks of `_BLOCK_RECORDS`
-    records, each block's words mapped to vocabulary ids (numbered in
-    order of first occurrence over the whole corpus) before the next block
-    is tokenized; one ``math.log`` per vocabulary word (not ``np.log``,
-    which may differ from libm in the last ulp); and the terms summed
-    position by position, so the j-th distinct word of every sentence is
-    added at step j.
+    batched: each block's (sentence, word) firsts and counts are found
+    before the next block is read; one ``math.log`` per word id (not
+    ``np.log``, which may differ from libm in the last ulp); and the terms
+    summed position by position, so the j-th distinct word of every
+    sentence is added at step j.
+
+    Only which id is which word matters, not how words are numbered: under
+    any one-to-one renumbering the counts n_w, the doc freqs m_w, the idf
+    values, each sentence's first-occurrence order of its words and so the
+    left-to-right sums are the same, so the table is the same bytes.
     """
     if pool_split not in VALID_SPLITS:
         raise ValueError(f"unknown split {pool_split!r}")
-    in_pool = np.array([r.split == pool_split for r in records], dtype=bool)
+    in_pool = np.array([s == pool_split for s in splits], dtype=bool)
     if not in_pool.any():
         raise ValueError(f"pool split {pool_split!r} is empty")
-    ids = [r.id for r in records]
     if len(set(ids)) < len(ids):
         dup = next(sid for sid, n in Counter(ids).items() if n > 1)
         raise ValueError(f"duplicate sentence id {dup!r}")
-    # tokens of one block of records at a time: each block's words get
-    # their vocabulary ids (new words in order of first occurrence) and its
-    # (sentence, word) firsts, in token order, before the next is tokenized
-    vocab: dict[str, int] = {}
-    blocks = []
-    for lo in range(0, len(records), _BLOCK_RECORDS):
-        sentences = [tokenize(r.text).tokens for r in records[lo:lo + _BLOCK_RECORDS]]
-        flat = list(chain.from_iterable(sentences))
-        fresh = [w for w in dict.fromkeys(flat) if w not in vocab]
-        vocab.update(zip(fresh, range(len(vocab), len(vocab) + len(fresh))))
-        words = np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat))
-        lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-        owner = np.repeat(np.arange(lo, lo + len(sentences), dtype=np.int64), lengths)
-        _, first, counts = np.unique(owner * len(vocab) + words, return_index=True,
-                                     return_counts=True)
-        count_at = np.zeros(len(flat), dtype=np.int64)
+    # one block of sentences at a time: its (sentence, word) firsts, with
+    # the word's count in the sentence, in token order
+    parts, lo = [], 0
+    for lengths, words in blocks:
+        owner = np.repeat(np.arange(lo, lo + len(lengths), dtype=np.int64), lengths)
+        _, first, counts = np.unique(owner * (int(words.max(initial=0)) + 1) + words,
+                                     return_index=True, return_counts=True)
+        count_at = np.zeros(len(words), dtype=np.int64)
         count_at[first] = counts
         firsts = np.flatnonzero(count_at)
-        blocks.append((lengths, owner[firsts], words[firsts], count_at[firsts]))
-    lengths, sent, word, counts = (np.concatenate(parts) for parts in zip(*blocks))
-    del blocks
+        parts.append((lengths, owner[firsts], words[firsts], count_at[firsts]))
+        lo += len(lengths)
+    lengths, sent, word, counts = (np.concatenate(p) for p in zip(*parts))
+    del parts
     if not lengths.all():
         raise ValueError(f"sentence {ids[int(np.argmin(lengths))]!r} has no tokens")
 
     size = int(in_pool.sum())
-    doc_freq = np.bincount(word[in_pool[sent]], minlength=len(vocab))
+    doc_freq = np.bincount(word[in_pool[sent]], minlength=int(word.max()) + 1)
     idf = np.array([math.log(size / m) for m in np.maximum(doc_freq, 1).tolist()])
     terms = counts / lengths[sent] * idf[word]
 
     # sum each sentence's terms left to right: add its j-th terms at step j
-    distinct = np.bincount(sent, minlength=len(records))
+    distinct = np.bincount(sent, minlength=len(ids))
     start = np.cumsum(distinct) - distinct
-    raw = np.zeros(len(records))
+    raw = np.zeros(len(ids))
     for j in range(int(distinct.max())):
         longer = np.flatnonzero(distinct > j)
         raw[longer] += terms[start[longer] + j]
@@ -187,11 +229,10 @@ def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tup
     raw_min = float(raw[in_pool].min())
     raw_max = float(raw[in_pool].max())
     span = raw_max - raw_min
-    scores = np.full(len(records), 0.5) if span == 0.0 else np.clip((raw - raw_min) / span, 0.0, 1.0)
-    pool = DocumentPool(size=size, doc_freq={w: m for w, m in zip(vocab, doc_freq.tolist()) if m})
-    return pool, DescriptivenessTable(scores=dict(zip(ids, scores.tolist())),
-                                      raw_scores=dict(zip(ids, raw.tolist())),
-                                      raw_min=raw_min, raw_max=raw_max)
+    scores = np.full(len(ids), 0.5) if span == 0.0 else np.clip((raw - raw_min) / span, 0.0, 1.0)
+    return doc_freq, DescriptivenessTable(scores=dict(zip(ids, scores.tolist())),
+                                          raw_scores=dict(zip(ids, raw.tolist())),
+                                          raw_min=raw_min, raw_max=raw_max)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +379,12 @@ def read_corpus_jsonl(path) -> list[SentenceRecord]:
 
 
 def write_corpus_jsonl(path, records: list[SentenceRecord]) -> None:
+    """`write_corpus_columns` of the records' fields."""
+    fields = ("id", "image_id", "text", "split", "level")
+    write_corpus_columns(path, CorpusColumns(*([getattr(r, f) for r in records] for f in fields)))
+
+
+def write_corpus_columns(path, columns: CorpusColumns) -> None:
     """One line per record, written at once.
 
     The bytes are those of ``json.dumps(obj, sort_keys=True)`` per line,
@@ -347,12 +394,13 @@ def write_corpus_jsonl(path, records: list[SentenceRecord]) -> None:
     fields must be strings and the level an integer or None, the values
     `read_corpus_columns` gives back unchanged.
     """
-    levels = [r.level for r in records]
+    levels = columns.levels
     _require(levels, {int, type(None)}, "'level' must be an integer or null, got {}")
     level_keys = ["" if level is None else f'"level": {int.__repr__(level)}, ' for level in levels]
-    lines = [f'{{"id": {_encode_id(r.id)}, "image_id": {_encode_id(r.image_id)}, {level_key}'
-             f'"split": {_encode_id(r.split)}, "text": {_encode_id(r.text)}}}\n'
-             for r, level_key in zip(records, level_keys)]
+    lines = [f'{{"id": {_encode_id(sid)}, "image_id": {_encode_id(iid)}, {level_key}'
+             f'"split": {_encode_id(split)}, "text": {_encode_id(text)}}}\n'
+             for sid, iid, level_key, split, text in zip(columns.ids, columns.image_ids,
+                                                         level_keys, columns.splits, columns.texts)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(lines))
 

@@ -14,6 +14,12 @@ default_rng([seed, 1]) the features, so editing one stage never shifts
 the other.  The corpus stream is one bounded-integer stream in (image,
 level, word slot) order, drawn by a single call; the oracle test in
 tests/test_datagen.py checks it against one call per level and pool.
+
+The corpus stays in columns from draw to file: `gen_corpus` returns
+`corpus.CorpusColumns` and the drawn word ids, and no per-sentence
+record is built.  `write_dataset` scores those ids directly, with the
+scorer `corpus.build_table` uses after tokenizing, and never tokenizes
+the text it has just joined (its docstring says why that is exact).
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +76,11 @@ def _strata(spec: SynthSpec) -> list[list[str]]:
     return strata
 
 
-def gen_corpus(spec: SynthSpec) -> list[corpus_mod.SentenceRecord]:
-    """One cumulative sentence chain per image, all in the train split.
+def gen_corpus(spec: SynthSpec) -> tuple[corpus_mod.CorpusColumns, np.ndarray, np.ndarray]:
+    """One cumulative sentence chain per image, all in the train split, as
+    columns, with each sentence's word count and its drawn word ids: the
+    words of sentence k are the next ``lengths[k]`` entries of ``words``,
+    indices into the vocabulary of shared words ``sNN`` then each stratum.
 
     Every word of every sentence comes from one ``rng.integers(0, highs)``
     call, where ``highs`` holds each word slot's pool size in draw order:
@@ -97,54 +105,73 @@ def gen_corpus(spec: SynthSpec) -> list[corpus_mod.SentenceRecord]:
         ends.append(len(pools))
     starts, sizes = np.array(pools, dtype=np.int64).T
     draws = rng.integers(0, np.tile(sizes, spec.n_images)) + np.tile(starts, spec.n_images)
-    words = list(map(vocab.__getitem__, draws.tolist()))
+    names = list(map(vocab.__getitem__, draws.tolist()))
     image_ids = [f"img{i:04d}" for i in range(spec.n_images)]
     levels = range(1, spec.levels + 1)
-    return list(map(corpus_mod.SentenceRecord,
-                    [f"{image_id}-l{level}" for image_id in image_ids for level in levels],
-                    [image_id for image_id in image_ids for _ in levels],
-                    [" ".join(words[start:start + end])
-                     for start in range(0, len(words), len(pools)) for end in ends],
-                    repeat("train"),
-                    [level for _ in image_ids for level in levels]))
+    columns = corpus_mod.CorpusColumns(
+        [f"{image_id}-l{level}" for image_id in image_ids for level in levels],
+        [image_id for image_id in image_ids for _ in levels],
+        [" ".join(names[start:start + end]) for start in range(0, len(names), len(pools))
+         for end in ends],
+        ["train"] * (spec.n_images * spec.levels),
+        [level for _ in image_ids for level in levels])
+    # sentence (image i, level l) is the first ends[l] draws of image i
+    slots = np.concatenate([np.arange(end) for end in ends])
+    words = draws.reshape(spec.n_images, len(pools))[:, slots].ravel()
+    return columns, np.tile(ends, spec.n_images), words
 
 
-def gen_features(spec: SynthSpec, records) -> tuple[list[str], np.ndarray, list[str], np.ndarray]:
+def gen_features(spec: SynthSpec, columns: corpus_mod.CorpusColumns
+                 ) -> tuple[list[str], np.ndarray, list[str], np.ndarray]:
     """Unit-normalized image latents and per-text noisy copies.
 
     A level-l text sits at the image latent plus (levels - l + 1) times
     noise_sigma of Gaussian noise, so deeper (more specific) texts land
     closer to the image.  Noise is always drawn, keeping the stream layout
-    independent of noise_sigma.
+    independent of noise_sigma.  The text rows are built and normalized in
+    place, one block of rows at a time, so no second texts-sized array
+    exists; each row's arithmetic is that of the whole-array expression.
     """
+    if None in columns.levels:
+        raise ValueError(f"sentence {columns.ids[columns.levels.index(None)]} has no level")
     rng = np.random.default_rng([spec.seed, 1])
-    image_ids = sorted({r.image_id for r in records})
+    image_ids = sorted(set(columns.image_ids))
     latents = rng.normal(size=(len(image_ids), spec.feature_dim))
     image_feats = geometry.l2_normalize(latents)
-    for r in records:
-        if r.level is None:
-            raise ValueError(f"sentence {r.id} has no level")
     row_of = {img: k for k, img in enumerate(image_ids)}
-    owner = np.array([row_of[r.image_id] for r in records], dtype=np.int64)
-    levels = np.array([r.level for r in records], dtype=np.int64)
+    owner = np.array(list(map(row_of.__getitem__, columns.image_ids)), dtype=np.int64)
+    levels = np.array(columns.levels, dtype=np.int64)
     # every text's noise in one draw, row by row: the stream of one draw per text
-    text_raw = rng.normal(size=(len(records), spec.feature_dim))
+    text_raw = rng.normal(size=(len(owner), spec.feature_dim))
     text_raw *= ((spec.levels - levels + 1) * spec.noise_sigma)[:, None]
-    text_raw += latents[owner]  # latent + scale * noise, as + commutes exactly
-    return image_ids, image_feats, [r.id for r in records], geometry.l2_normalize(text_raw)
+    step = max(1, geometry._BLOCK_ENTRIES // spec.feature_dim)
+    for lo in range(0, len(owner), step):
+        rows = text_raw[lo:lo + step]
+        rows += latents[owner[lo:lo + step]]  # latent + scale * noise, as + commutes exactly
+        rows[:] = geometry.l2_normalize(rows)
+    return image_ids, image_feats, columns.ids, text_raw
 
 
 def write_dataset(out_dir, spec: SynthSpec) -> dict[str, str]:
     """Emit corpus.jsonl, table.jsonl, image/text feature files, and a
-    spec echo into out_dir.  Returns the paths keyed by role."""
+    spec echo into out_dir.  Returns the paths keyed by role.
+
+    The table scores the drawn word ids with `corpus.score_word_ids`, which
+    gives the bytes of `corpus.build_table` over corpus.jsonl without
+    tokenizing it: every synthetic word is one whole ``[0-9a-z]+`` token
+    and the words are joined by single spaces, so a sentence's tokens are
+    exactly its drawn words; and the scorer depends only on which id is
+    which word, not on how the words are numbered.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = gen_corpus(spec)
-    image_ids, image_feats, text_ids, text_feats = gen_features(spec, records)
+    columns, lengths, words = gen_corpus(spec)
+    image_ids, image_feats, text_ids, text_feats = gen_features(spec, columns)
 
     corpus_path = out / "corpus.jsonl"
-    corpus_mod.write_corpus_jsonl(corpus_path, records)
-    _, table = corpus_mod.build_table(records)
+    corpus_mod.write_corpus_columns(corpus_path, columns)
+    _, table = corpus_mod.score_word_ids(columns.ids, columns.splits,
+                                         corpus_mod.word_id_blocks(lengths, words))
     table_path = out / "table.jsonl"
     corpus_mod.write_table_jsonl(table_path, table)
     img_manifest = geometry.write_features(out / "images", image_ids,

@@ -116,7 +116,9 @@ def load_dataset(corpus_path, table_path, image_features_path,
 
     Every kept sentence must have a text row, an image row for its owner
     and a table entry; the first record in corpus order that lacks one
-    raises ValueError naming the file that lacks it and the corpus.
+    raises ValueError naming the file that lacks it and the corpus.  The
+    rows and deltas are looked up with one ``dict.get`` pass per column;
+    only a lookup that finds nothing starts the scan in corpus order.
     Images are ordered by first appearance among the kept sentences.
     """
     corpus = corpus_mod.read_corpus_columns(corpus_path)
@@ -132,9 +134,11 @@ def load_dataset(corpus_path, table_path, image_features_path,
     txt_ids, txt_feats = geometry.read_features(text_features_path)
     img_row = {i: k for k, i in enumerate(img_ids)}
     txt_row = {i: k for k, i in enumerate(txt_ids)}
-    id_set = set(ids)
-    if not (txt_row.keys() >= id_set and table.scores.keys() >= id_set
-            and img_row.keys() >= set(owner_ids)):
+    image_ids = list(dict.fromkeys(owner_ids))
+    text_rows = list(map(txt_row.get, ids))
+    image_rows = list(map(img_row.get, image_ids))
+    deltas = list(map(table.scores.get, ids))
+    if None in text_rows or None in image_rows or None in deltas:
         for sid, iid in zip(ids, owner_ids):
             for path, keys, kind, key in ((text_features_path, txt_row, "sentence", sid),
                                           (image_features_path, img_row, "image", iid),
@@ -142,15 +146,14 @@ def load_dataset(corpus_path, table_path, image_features_path,
                 if key not in keys:
                     raise ValueError(f"{path}: lacks {kind} {key!r} of {corpus_path}")
 
-    image_ids = list(dict.fromkeys(owner_ids))
     image_index = {iid: k for k, iid in enumerate(image_ids)}
     return Dataset(
         image_ids=image_ids,
-        image_feats=_feature_rows(img_feats, [img_row[i] for i in image_ids]),
+        image_feats=_feature_rows(img_feats, image_rows),
         text_ids=ids,
-        text_feats=_feature_rows(txt_feats, [txt_row[i] for i in ids]),
-        image_of_text=np.array([image_index[i] for i in owner_ids], dtype=np.int64),
-        deltas=np.array([table.scores[i] for i in ids], dtype=np.float64),
+        text_feats=_feature_rows(txt_feats, text_rows),
+        image_of_text=np.array(list(map(image_index.__getitem__, owner_ids)), dtype=np.int64),
+        deltas=np.array(deltas, dtype=np.float64),
         levels=np.array([-1 if lv is None else lv for lv in levels], dtype=np.int64),
     )
 

@@ -31,8 +31,17 @@ def test_strata_partition_grows_with_depth():
     assert len(set(vocab)) == len(vocab)
 
 
+def records_of(columns):
+    return list(map(C.SentenceRecord, columns.ids, columns.image_ids, columns.texts,
+                    columns.splits, columns.levels))
+
+
+def reordered(columns, order):
+    return C.CorpusColumns(*([col[k] for k in order] for col in dataclasses.astuple(columns)))
+
+
 def test_corpus_shape_and_levels():
-    records = datagen.gen_corpus(SMALL)
+    records = records_of(datagen.gen_corpus(SMALL)[0])
     assert len(records) == 12 * 3
     assert len({r.id for r in records}) == len(records)
     assert all(r.split == "train" for r in records)
@@ -43,7 +52,7 @@ def test_corpus_shape_and_levels():
 
 
 def test_sentences_are_cumulative():
-    records = datagen.gen_corpus(SMALL)
+    records = records_of(datagen.gen_corpus(SMALL)[0])
     chains = collections.defaultdict(dict)
     for r in records:
         chains[r.image_id][r.level] = r.text
@@ -53,7 +62,7 @@ def test_sentences_are_cumulative():
 
 
 def test_deltas_increase_with_level():
-    records = datagen.gen_corpus(datagen.SynthSpec())
+    records = records_of(datagen.gen_corpus(datagen.SynthSpec())[0])
     _, table = C.build_table(records)
     chains = collections.defaultdict(dict)
     for r in records:
@@ -66,16 +75,17 @@ def test_deltas_increase_with_level():
 
 
 def test_generation_is_deterministic():
-    a = datagen.gen_corpus(SMALL)
-    b = datagen.gen_corpus(SMALL)
+    a, a_lengths, a_words = datagen.gen_corpus(SMALL)
+    b, b_lengths, b_words = datagen.gen_corpus(SMALL)
     assert a == b
+    assert np.array_equal(a_lengths, b_lengths) and np.array_equal(a_words, b_words)
     ia, fa, ta, xa = datagen.gen_features(SMALL, a)
     ib, fb, tb, xb = datagen.gen_features(SMALL, b)
     assert ia == ib and ta == tb
     assert np.array_equal(fa, fb) and np.array_equal(xa, xb)
     other = datagen.gen_corpus(datagen.SynthSpec(
         n_images=12, levels=3, shared_vocab=6, rare_vocab=60,
-        feature_dim=10, seed=8))
+        feature_dim=10, seed=8))[0]
     assert other != a
 
 
@@ -83,22 +93,22 @@ def test_zero_noise_collapses_texts_onto_images():
     spec = datagen.SynthSpec(n_images=6, levels=3, shared_vocab=6,
                              rare_vocab=30, feature_dim=8,
                              noise_sigma=0.0, seed=1)
-    records = datagen.gen_corpus(spec)
-    img_ids, img_f, txt_ids, txt_f = datagen.gen_features(spec, records)
+    columns = datagen.gen_corpus(spec)[0]
+    img_ids, img_f, txt_ids, txt_f = datagen.gen_features(spec, columns)
     row_of = {i: k for k, i in enumerate(img_ids)}
-    for r, row in zip(records, txt_f):
-        assert np.array_equal(row, img_f[row_of[r.image_id]])
+    for image_id, row in zip(columns.image_ids, txt_f):
+        assert np.array_equal(row, img_f[row_of[image_id]])
 
 
 def test_noise_shrinks_with_depth():
     spec = datagen.SynthSpec(seed=3)
-    records = datagen.gen_corpus(spec)
-    img_ids, img_f, txt_ids, txt_f = datagen.gen_features(spec, records)
+    columns = datagen.gen_corpus(spec)[0]
+    img_ids, img_f, txt_ids, txt_f = datagen.gen_features(spec, columns)
     row_of = {i: k for k, i in enumerate(img_ids)}
     dists = collections.defaultdict(list)
-    for r, row in zip(records, txt_f):
-        d = np.linalg.norm(row - img_f[row_of[r.image_id]])
-        dists[r.level].append(d)
+    for image_id, level, row in zip(columns.image_ids, columns.levels, txt_f):
+        d = np.linalg.norm(row - img_f[row_of[image_id]])
+        dists[level].append(d)
     means = [np.mean(dists[level]) for level in sorted(dists)]
     assert all(a > b for a, b in zip(means, means[1:]))
 
@@ -150,20 +160,65 @@ def gen_corpus_per_call(spec):
     return records
 
 
-@pytest.mark.parametrize("spec", [
+SPECS = [
     *(datagen.SynthSpec(seed=seed, **shape)
       for seed in (0, 3, 17, 301)
       for shape in ({}, {"levels": 3, "rare_vocab": 60}, {"levels": 6, "rare_vocab": 5000})),
     datagen.SynthSpec(shared_vocab=1, seed=5),          # a shared pool of one word draws nothing
     datagen.SynthSpec(rare_vocab=4, levels=4, seed=6),  # every stratum holds one word
     datagen.SynthSpec(n_images=10001, seed=2),          # 5-digit image ids
-])
+]
+
+
+@pytest.mark.parametrize("spec", SPECS)
 def test_gen_corpus_equals_per_call_loop(spec):
-    assert datagen.gen_corpus(spec) == gen_corpus_per_call(spec)
+    columns, lengths, words = datagen.gen_corpus(spec)
+    records = gen_corpus_per_call(spec)
+    assert records_of(columns) == records
+    # each sentence's tokens are exactly its drawn words
+    vocab = [f"s{k:02d}" for k in range(spec.shared_vocab)] + sum(datagen._strata(spec), [])
+    drawn = np.split(np.array(vocab)[words], np.cumsum(lengths)[:-1])
+    assert len(drawn) == len(records)
+    for r, sentence in zip(records, drawn):
+        assert C.tokenize(r.text).tokens == tuple(sentence.tolist())
 
 
-def gen_features_per_record(spec, records):
+@pytest.mark.parametrize("spec", SPECS)
+def test_write_dataset_table_equals_tokenized_route(spec, tmp_path, monkeypatch):
+    """write_dataset scores the drawn ids, building no record and calling
+    no tokenize, and writes the table that build_table gives for the
+    corpus file it writes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("write_dataset must not tokenize or build records")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(C, "tokenize", refuse)
+        patched.setattr(C, "SentenceRecord", refuse)
+        paths = datagen.write_dataset(tmp_path, spec)
+    C.write_table_jsonl(tmp_path / "rescored.jsonl",
+                        C.build_table(C.read_corpus_jsonl(paths["corpus"]))[1])
+    assert (tmp_path / "rescored.jsonl").read_bytes() == (tmp_path / "table.jsonl").read_bytes()
+
+
+def test_score_word_ids_ignores_the_numbering(monkeypatch):
+    """A one-to-one renumbering of the word ids, scored in blocks of 7
+    sentences, gives the same table, and each word keeps its doc freq."""
+    spec = datagen.SynthSpec(levels=3, rare_vocab=60, seed=4)
+    columns, lengths, words = datagen.gen_corpus(spec)
+    splits = [("train", "val", "test")[k % 5 // 3] for k in range(len(columns.ids))]
+    doc_freq, table = C.score_word_ids(columns.ids, splits, C.word_id_blocks(lengths, words))
+    perm = np.random.default_rng(0).permutation(3 * len(doc_freq))
+    monkeypatch.setattr(C, "_BLOCK_RECORDS", 7)
+    permuted_freq, permuted = C.score_word_ids(columns.ids, splits,
+                                               C.word_id_blocks(lengths, perm[words]))
+    assert permuted == table and list(permuted.scores) == list(table.scores)
+    assert np.array_equal(permuted_freq[perm[:len(doc_freq)]], doc_freq)
+    assert permuted_freq.sum() == doc_freq.sum()
+
+
+def gen_features_per_record(spec, columns):
     """The per-record loop gen_features vectorises: one noise draw per text."""
+    records = records_of(columns)
     rng = np.random.default_rng([spec.seed, 1])
     image_ids = sorted({r.image_id for r in records})
     latents = rng.normal(size=(len(image_ids), spec.feature_dim))
@@ -185,19 +240,23 @@ def gen_features_per_record(spec, records):
     dataclasses.replace(SMALL, levels=1, rare_vocab=5, seed=2),
     datagen.SynthSpec(n_images=40, feature_dim=3, noise_sigma=2.5, seed=11),
 ])
-def test_gen_features_equals_per_record_loop(spec):
-    records = datagen.gen_corpus(spec)
+def test_gen_features_equals_per_record_loop(spec, monkeypatch):
+    columns = datagen.gen_corpus(spec)[0]
     # records out of image order, so owners are not sorted
-    records = records[1::2] + records[::2]
-    got = datagen.gen_features(spec, records)
-    want = gen_features_per_record(spec, records)
+    n = len(columns.ids)
+    columns = reordered(columns, [*range(1, n, 2), *range(0, n, 2)])
+    # row blocks of 7 rows or fewer: the blocked add and normalisation
+    # cross block boundaries
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 7 * spec.feature_dim)
+    got = datagen.gen_features(spec, columns)
+    want = gen_features_per_record(spec, columns)
     assert got[0] == want[0] and got[2] == want[2]
     assert got[1].tobytes() == want[1].tobytes()
     assert got[3].tobytes() == want[3].tobytes()
 
 
 def test_gen_features_names_a_record_without_level():
-    records = datagen.gen_corpus(SMALL)
-    records[5] = dataclasses.replace(records[5], level=None)
-    with pytest.raises(ValueError, match=f"sentence {records[5].id} has no level"):
-        datagen.gen_features(SMALL, records)
+    columns = datagen.gen_corpus(SMALL)[0]
+    columns.levels[5] = None
+    with pytest.raises(ValueError, match=f"sentence {columns.ids[5]} has no level"):
+        datagen.gen_features(SMALL, columns)
