@@ -1,0 +1,156 @@
+#!/usr/bin/env bash
+# Byte comparison of this tree against a base tree: a change to the library
+# must not move a byte of what the pipeline, synth, score, train, gradcheck
+# and the ablation write, and scoring and loading may take at most 5% more
+# peak RSS.  Exits non-zero at the first difference.
+#
+# Usage:
+#     bash scripts/compare_trees.sh BASE_TREE [WORK_DIR]
+#
+# BASE_TREE is a checkout of the base commit (a worktree, a clone or an
+# unpacked archive); WORK_DIR (default: a new temporary directory) receives
+# the outputs of both trees.  Needs python3 with numpy.
+set -euo pipefail
+
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: $0 BASE_TREE [WORK_DIR]" >&2
+    exit 2
+fi
+base=$(cd "$1" && pwd)
+head=$(cd "$(dirname "$0")/.." && pwd)
+work=${2:-$(mktemp -d)}
+mkdir -p "$work"
+work=$(cd "$work" && pwd)
+cd "$head"
+echo "base $base, head $head, outputs in $work"
+
+echo "== run the pipeline from both trees"
+python scripts/run_pipeline.py --seed 0 --out "$work/head-out"
+python "$base/scripts/run_pipeline.py" --seed 0 --out "$work/base-out"
+
+echo "== compare the artifacts byte for byte"
+for f in data/corpus.jsonl data/images.bin data/texts.bin data/images.manifest.json \
+         data/texts.manifest.json data/table.jsonl run/history.json run/checkpoint.bin \
+         report/report.json report/distance_by_level.csv; do
+    cmp "$work/base-out/$f" "$work/head-out/$f"
+done
+
+# at 1000 images the traversal's start pass and walks span several blocks,
+# which the pipeline's 200 images never do
+echo "== compare the 1000-image report"
+python scripts/run_pipeline.py --seed 0 --images 1000 --out "$work/head-out-1000"
+python "$base/scripts/run_pipeline.py" --seed 0 --images 1000 --out "$work/base-out-1000"
+for f in report/report.json report/distance_by_level.csv; do
+    cmp "$work/base-out-1000/$f" "$work/head-out-1000/$f"
+done
+
+# the pipeline's 200 images have neither 5-digit image ids nor a word pool
+# of size 1, so synth also runs at the score-load scale, at a non-default
+# spec, and with 5-digit ids, one-word strata and a sentence count that is
+# no multiple of the scorer's block size; config.json echoes the --out path
+# and is skipped
+echo "== compare the synth output from both trees"
+for args in "--images 20000 --seed 3" "--levels 6 --rare-vocab 5000 --shared-vocab 1 --seed 17" \
+            "--images 10001 --rare-vocab 4 --seed 6"; do
+    rm -rf "$work/head-synth" "$work/base-synth"
+    PYTHONPATH=src python -m descmatch.cli synth $args --out "$work/head-synth" > /dev/null
+    PYTHONPATH="$base/src" python -m descmatch.cli synth $args --out "$work/base-synth" > /dev/null
+    for f in corpus.jsonl table.jsonl images.bin texts.bin images.manifest.json \
+             texts.manifest.json synth_config.json; do
+        cmp "$work/base-synth/$f" "$work/head-synth/$f"
+    done
+done
+
+# score-load's memory: read, build_table, write and load_dataset on the
+# 20 000-image synth, in a fresh process per tree; the scored tables must
+# match and the head's peak RSS may exceed the base's by at most 5%
+echo "== compare the peak RSS of scoring and loading"
+rm -rf "$work/rss-data"
+PYTHONPATH=src python -m descmatch.cli synth --images 20000 --seed 3 --out "$work/rss-data" > /dev/null
+cat > "$work/score_load_rss.py" <<'EOF'
+import resource, sys
+from pathlib import Path
+
+from descmatch import corpus, trainer
+
+data, table_path = Path(sys.argv[1]), sys.argv[2]
+records = corpus.read_corpus_jsonl(data / "corpus.jsonl")
+_, table = corpus.build_table(records)
+corpus.write_table_jsonl(table_path, table)
+trainer.load_dataset(data / "corpus.jsonl", table_path, data / "images.manifest.json",
+                     data / "texts.manifest.json")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+EOF
+head_rss=$(PYTHONPATH=src python "$work/score_load_rss.py" "$work/rss-data" "$work/head-scored.jsonl")
+base_rss=$(PYTHONPATH="$base/src" python "$work/score_load_rss.py" "$work/rss-data" "$work/base-scored.jsonl")
+cmp "$work/base-scored.jsonl" "$work/head-scored.jsonl"
+echo "peak RSS (KB): base $base_rss, head $head_rss"
+test $((head_rss * 100)) -le $((base_rss * 105))
+
+# a config value is stored as its flag would store it, so training from a
+# file that holds the pipeline's train settings, an integral "tau" among
+# them, must write the flag route's checkpoint and history
+echo "== train from a config file and compare with the flag route"
+python - "$work/head-out/data" > "$work/train-config.json" <<'EOF'
+import json, sys
+
+data = sys.argv[1]
+print(json.dumps({"corpus": f"{data}/corpus.jsonl", "table": f"{data}/table.jsonl",
+                  "image_features": f"{data}/images.manifest.json",
+                  "text_features": f"{data}/texts.manifest.json",
+                  "variant": "full", "embed_dim": 32, "epochs": 10,
+                  "batch_size": 64, "lr": 0.01, "seed": 0, "tau": 6}))
+EOF
+PYTHONPATH=src python -m descmatch.cli train --config "$work/train-config.json" --out "$work/config-run"
+for f in checkpoint.bin history.json; do
+    cmp "$work/head-out/run/$f" "$work/config-run/$f"
+done
+
+# a nested extra field on the first line keeps the one-parse route away
+# from the whole corpus, so score reads it line by line; the table must
+# still be the pipeline's, byte for byte
+echo "== score a corpus that takes the per-line parse route"
+python - data/corpus.jsonl "$work/nested.jsonl" "$work/head-out" <<'EOF'
+import json, sys
+from pathlib import Path
+
+lines = (Path(sys.argv[3]) / sys.argv[1]).read_text(encoding="utf-8").splitlines(True)
+first = json.loads(lines[0])
+first["extra"] = {"k": [1]}
+lines[0] = json.dumps(first) + "\n"
+Path(sys.argv[2]).write_text("".join(lines), encoding="utf-8")
+EOF
+PYTHONPATH=src python -m descmatch.cli score --corpus "$work/nested.jsonl" --out "$work/head-nested-table.jsonl"
+PYTHONPATH="$base/src" python -m descmatch.cli score --corpus "$work/nested.jsonl" --out "$work/base-nested-table.jsonl"
+cmp "$work/base-nested-table.jsonl" "$work/head-nested-table.jsonl"
+cmp "$work/head-out/data/table.jsonl" "$work/head-nested-table.jsonl"
+
+# the gradient audit prints every loss's worst error to four digits, so a
+# loss or gradient whose bits move shows in its stdout
+echo "== compare the gradcheck output"
+PYTHONPATH=src python -m descmatch.cli gradcheck --seed 0 --trials 20 > "$work/head-gradcheck.txt"
+PYTHONPATH="$base/src" python -m descmatch.cli gradcheck --seed 0 --trials 20 > "$work/base-gradcheck.txt"
+cmp "$work/base-gradcheck.txt" "$work/head-gradcheck.txt"
+
+echo "== run the ablation from both trees"
+python scripts/run_ablation.py --seeds 0 1 --out "$work/head-ablation"
+python "$base/scripts/run_ablation.py" --seeds 0 1 --out "$work/base-ablation"
+
+# wall-clock seconds and the out path are the only fields allowed to differ
+echo "== compare the ablation results"
+python - "$work/base-ablation/ablation.json" "$work/head-ablation/ablation.json" <<'EOF'
+import json, sys
+
+def load(path):
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["config"]["out"]
+    for rows in doc["runs"].values():
+        for row in rows:
+            del row["seconds"]
+    return json.dumps(doc, sort_keys=True)
+
+base, head = map(load, sys.argv[1:])
+sys.exit(0 if base == head else "ablation.json differs from the base commit")
+EOF
+echo "every output matches the base tree"

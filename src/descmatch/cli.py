@@ -225,6 +225,9 @@ def _cmd_train(cfg: dict) -> int:
 
 
 def _cmd_eval(cfg: dict) -> int:
+    for key, least in (("folds", 1), ("points", 2)):
+        if cfg[key] is not None and cfg[key] < least:
+            raise ValueError(f"--{key} must be at least {least}, got {cfg[key]}")
     dataset = _load_dataset(cfg, cfg["split"], cfg["folds"] or 1, f"--folds {cfg['folds']}")
     saved = trainer.load_checkpoint(cfg["checkpoint"])
     for weight, feats, key in (("W_img", dataset.image_feats, "image_features"),

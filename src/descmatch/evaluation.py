@@ -323,59 +323,64 @@ def folded_recall_suite(image_embs: np.ndarray, text_embs: np.ndarray,
 # Hierarchy-aware diagnostics
 
 
-def _nearest_rows(points: np.ndarray, candidates: np.ndarray,
-                  lifted_cands: np.ndarray) -> np.ndarray:
-    """The nearest candidate of every row of points: the least squared
-    distance, taken diff-then-square (``einsum`` of c_j - p with itself),
-    the lowest index winning ties.
+def _nearest(close: np.ndarray, seg: np.ndarray, index: np.ndarray,
+             candidates: np.ndarray, point) -> np.ndarray:
+    """For every (row, segment) of a screen, its nearest candidate: the
+    least squared distance to its point, taken diff-then-square (``einsum``
+    of c - p with itself), the lowest index winning ties.  Returns a
+    (rows, segments) array of candidate indices.
 
-    A gemm screen s_j = |c_j|^2 - 2 p.c_j, the squared distance less |p|^2,
-    is one (d+1)-term dot of [-2p, 1] with lifted_cands[j] = [c_j, |c_j|^2].
-    Every candidate within ``slack`` of the screened minimum is re-checked
-    with the exact diff-then-square distance e_j; a point with a single such
-    candidate needs no re-check.  Bound, with u = 2^-53, g_m = m u/(1 - m u),
-    D_j the true squared distance and R = |p| + max_j |c_j|: a dot of m
-    terms in any order errs by at most g_m times the sum of |terms|, so
-    |s_j - (D_j - |p|^2)| <= 2 g_(d+1) R^2 and |e_j - D_j| <= g_(d+2) R^2.
-    For the exact winner w and the screened minimum m, e_w <= e_m, hence
-    s_w - s_m <= 2 (2 g_(d+1) + g_(d+2)) R^2 <= 6 g_(d+2) R^2.  ``slack`` is
-    twice that, 12 (d+2) u R^2, which also absorbs the rounding of slack
-    itself (barring underflow).
+    Column k of the screen is candidate index[k] of segment seg[k]; seg
+    ascends, and index ascends within a segment.  close marks, per row,
+    at least the columns whose screen value lies within the caller's slack
+    of the least in their segment, so every (row, segment) holds a marked
+    column.
+    point(rows, segs) gives the float points at which the distances are
+    taken.  A (row, segment) with a single marked column needs no
+    re-check; the others take the exact distance e_j of each marked
+    column.  Bound, with u = 2^-53, g_m = m u/(1 - m u), D_j the true
+    squared distance to the float point and R a bound on |p| + |c_j|: a
+    dot of m terms in any order errs by at most g_m times the sum of
+    |terms|, so |e_j - D_j| <= g_(d+2) R^2.  If every screen value s_j
+    lies within E R^2 of D_j less a constant of the (row, segment), then
+    for the exact winner w and the screened minimum m, e_w <= e_m, hence
+    s_w - s_m <= 2 (E + g_(d+2)) R^2.  A slack of at least that, with
+    room for its own rounding, keeps every exact minimiser, ties
+    included, marked.
     """
-    n_pts, dim = points.shape
-    out = np.empty(n_pts, dtype=np.int64)
-    step = max(1, _BLOCK_ENTRIES // max(1, candidates.shape[0]))
-    unit = 12.0 * (dim + 2) * 2.0 ** -53
-    reach = math.sqrt(float(lifted_cands[:, -1].max()))
-    lifted = np.ones((min(step, n_pts), dim + 1))
-    for start in range(0, n_pts, step):
-        block = points[start:start + step]
-        lift = lifted[:block.shape[0]]
-        np.multiply(block, -2.0, out=lift[:, :-1])
-        screen = lift @ lifted_cands.T
-        best = screen.argmin(axis=1)
-        radius = np.sqrt(np.einsum("ij,ij->i", block, block)) + reach
-        slack = unit * radius * radius
-        close = screen <= np.take_along_axis(screen, best[:, None], axis=1) + slack[:, None]
-        multi = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
-        if multi.size:
-            rows, cols = _nonzero(close[multi])
-            diffs = candidates[cols] - block[multi[rows]]
-            dist = np.einsum("ij,ij->i", diffs, diffs)
-            # rows ascend and cols ascend within a row, so the first exact
-            # minimum of each row is its lowest-index nearest candidate
-            least = np.minimum.reduceat(dist, np.searchsorted(rows, np.arange(multi.size)))
-            tied = np.flatnonzero(dist == least[rows])
-            first = np.diff(rows[tied], prepend=-1) != 0
-            best[multi] = cols[tied[first]]
-        out[start:start + step] = best
-    return out
+    n_seg = int(seg[-1]) + 1
+    row, col = _nonzero(close)
+    # one group per (row, segment), in that order, each holding its least
+    group = row * n_seg + seg[col]
+    heads = np.flatnonzero(np.diff(group, prepend=-1))
+    sizes = np.diff(np.append(heads, group.size))
+    top = col[heads]
+    multi = np.flatnonzero(sizes > 1)
+    tied = np.repeat(sizes > 1, sizes)
+    row, col = row[tied], col[tied]
+    diffs = candidates[index[col]] - point(row, seg[col])
+    dist = np.einsum("ij,ij->i", diffs, diffs)
+    member = np.repeat(np.arange(multi.size), sizes[multi])
+    least = np.minimum.reduceat(dist, np.searchsorted(member, np.arange(multi.size)))
+    # columns ascend within a group, so the first exact minimum is the
+    # lowest-index nearest candidate; in a group whose distances are all
+    # NaN, every column is a hit and the first one wins
+    hits = np.flatnonzero(~(dist > least[member]))
+    top[multi] = col[hits[np.diff(member[hits], prepend=-1) != 0]]
+    return index[top].reshape(close.shape[0], n_seg)
 
 
 def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
               n_points: int) -> list[list[int]]:
-    """``hierarchical_traverse`` of every row of images, each station's
-    top-1 the nearest candidate by the rule of ``_nearest_rows``.
+    """``hierarchical_traverse`` of every row of images, each start and
+    each station's top-1 the nearest candidate by the rule of ``_nearest``.
+
+    Start: the screen s_j = |c_j|^2 - 2 p.c_j of image p, its squared
+    distance less |p|^2, is one (d+1)-term dot of [-2p, 1] with the lifted
+    candidate [c_j, |c_j|^2], so E = 2 g_(d+1) with R = |p| + max_j |c_j|
+    in the bound of ``_nearest``: 2 (2 g_(d+1) + g_(d+2)) R^2 <=
+    6 g_(d+2) R^2.  The start slack is twice that, 12 (d+2) u R^2, which
+    also absorbs the rounding of slack itself (barring underflow).
 
     Line identity: station p = (1-t) s + t r, for start s and root r, has
     the screen value L_j(t) = |c_j|^2 - 2 p.c_j = (1-t) A_j + t B_j with
@@ -394,12 +399,12 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     is ill-conditioned (the s and q lines nearly coincide), it must also
     pass the envelope test: its line lies below U = max over stations of
     min(L_s(t), L_q(t)), so min(A_v, B_v) <= U.  The start survives,
-    since L_s(0) = -|s|^2 is the least line value at t = 0.
-    ``_walk_tops`` finds each station's top-1 among the survivors, which
-    ascend, so ties still go to the lowest index.
+    since L_s(0) = -|s|^2 is the least line value at t = 0.  Each
+    station's top-1 is then found among the survivors, which ascend, by
+    the computed line values L'_j = fl(fl(1-t) A'_j) + fl(t B'_j).
 
-    Slack, with u, g_m and the gemm-screen bound of ``_nearest_rows``,
-    R = max(|s|, |r|) + max_j |c_j|, and primes marking computed values:
+    Slack, with R = max(|s|, |r|) + max_j |c_j| and primes marking
+    computed values:
     - A'_j and B'_j err by at most 2 g_(d+1) R^2 each;
     - the float station p' = fl(fl(1-t) s) + fl(t r) lies within g_3 R of
       the exact p, so |L_j(p') - L_j(p)| = 2 |(p' - p).c_j| <= 2 g_3 R^2;
@@ -407,27 +412,29 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
       diff-then-square distance errs by at most g_(d+2) R^2, so
       L_v(p') <= L_k(p') + 2 g_(d+2) R^2 and, at the exact station,
       h_v(t) <= (2 g_(d+2) + 4 g_3) R^2;
-    - a computed line value fl(fl(1-t) A'_k) + fl(t B'_k) is within
-      g_3 R^2 of (1-t) A'_k + t B'_k, which is within 2 g_(d+1) R^2 of
-      L_k(p), so U <= U' + (g_3 + 2 g_(d+1)) R^2;
+    - a computed line value L'_j is within g_3 R^2 of (1-t) A'_j +
+      t B'_j, which is within 2 g_(d+1) R^2 of L_j(p), so
+      U <= U' + (g_3 + 2 g_(d+1)) R^2, and L'_j lies within
+      (3 g_3 + 2 g_(d+1)) R^2 of L_j(p');
     - the crossing values come from one more lifted gemm at the float
       point fl(fl(1-t') s) + fl(t' r), within g_3 R of the exact point of
       the computed crossing t', so they lie within 2 (g_(d+1) + g_3) R^2
       of L_j(t').
     Chaining them, the end tests need 4 g_(d+1) R^2 more than the bound
-    on h_v, the crossing test 4 (g_(d+1) + g_3) R^2 more, and the
-    envelope test min(A'_v, B'_v) <= U' + (6 g_(d+2) + 5 g_3) R^2; each is
-    at most 14 g_(d+3) R^2.  ``slack`` is 24 (d+3) u R^2, which also
-    absorbs the second-order terms and the rounding of the thresholds
-    (barring underflow).  The crossing test adds ``drift`` for the move
-    from t* to t': the slope of h_v is at most 4 R^2 (|A|, |B| <= R^2),
-    and a' = max(A'_q - A'_s, 0) and b' = B'_s - B'_q lie within
-    e = 6 (d+2) u R^2 of a and b, so for t' = a' / (a' + b') clamped
-    into [0, 1], |t' - t*| <= e / (a + b) + 2 u <= e / (a' + b' - 2 e) +
-    2 u.  ``drift`` is twice 4 R^2 times that bound, the factor 2
-    absorbing its own rounding, and infinite unless a' + b' > 2 e; rows
-    whose drift exceeds R^2 take the envelope test too.  So every exact
-    minimiser, ties included, survives.
+    on h_v, the crossing test 4 (g_(d+1) + g_3) R^2 more, the envelope
+    test min(A'_v, B'_v) <= U' + (6 g_(d+2) + 5 g_3) R^2, and the top-1
+    screen, by ``_nearest``'s bound with E = 3 g_3 + 2 g_(d+1),
+    (6 g_3 + 4 g_(d+1) + 2 g_(d+2)) R^2; each is at most 14 g_(d+3) R^2.
+    ``slack`` is 24 (d+3) u R^2, which also absorbs the second-order
+    terms and the rounding of the thresholds (barring underflow).  The
+    crossing test adds ``drift`` for the move from t* to t': the slope of
+    h_v is at most 4 R^2 (|A|, |B| <= R^2), and a' = max(A'_q - A'_s, 0)
+    and b' = B'_s - B'_q lie within e = 6 (d+2) u R^2 of a and b, so for
+    t' = a' / (a' + b') clamped into [0, 1], |t' - t*| <= e / (a + b) +
+    2 u <= e / (a' + b' - 2 e) + 2 u.  ``drift`` is twice 4 R^2 times that
+    bound, the factor 2 absorbing its own rounding, and infinite unless
+    a' + b' > 2 e; rows whose drift exceeds R^2 take the envelope test
+    too.  So every exact minimiser, ties included, survives.
     """
     if n_points < 2:
         raise ValueError("need at least the two endpoints")
@@ -436,7 +443,6 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     root = np.asarray(root, dtype=np.float64)
     n_cand, dim = candidates.shape
     lifted = np.hstack([candidates, np.einsum("ij,ij->i", candidates, candidates)[:, None]])
-    first = _nearest_rows(images, candidates, lifted)
     t = np.linspace(0.0, 1.0, n_points)[:, None]
     rest = 1.0 - t
     root_line = lifted @ np.append(-2.0 * root, 1.0)
@@ -444,13 +450,23 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     reach = math.sqrt(float(lifted[:, -1].max()))
     unit = 24.0 * (dim + 3) * 2.0 ** -53
     root_norm = math.sqrt(float(root @ root))
+    one_seg, every = np.zeros(n_cand, dtype=np.int64), np.arange(n_cand)
     walks = []
     step = max(1, _BLOCK_ENTRIES // max(1, n_cand))
     budget = max(1, _BLOCK_ENTRIES // n_points)
-    for lo in range(0, first.size, step):
-        firsts = first[lo:lo + step]
+    for lo in range(0, images.shape[0], step):
+        block = images[lo:lo + step]
+        lift = np.ones((block.shape[0], dim + 1))
+        np.multiply(block, -2.0, out=lift[:, :-1])
+        screen = lift @ lifted.T
+        radius = np.sqrt(np.einsum("ij,ij->i", block, block)) + reach
+        slack = 12.0 * (dim + 2) * 2.0 ** -53 * radius * radius
+        # a row with a NaN marks every column and, by the tie rule, starts
+        # at candidate 0, as an argmin would
+        firsts = _nearest(~(screen > (screen.min(axis=1) + slack)[:, None]), one_seg, every,
+                          candidates, lambda rows, _: block[rows])[:, 0]
+        del screen
         starts = candidates[firsts]
-        lift = np.ones((firsts.size, dim + 1))
         np.multiply(starts, -2.0, out=lift[:, :-1])
         low = lift @ lifted.T
         own = np.arange(firsts.size)
@@ -483,70 +499,23 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
         if flat.size:
             keep[flat] &= np.minimum(low[flat], root_line) <= bound[flat, None]
         rows, cols = _nonzero(keep)
-        line = low[rows, cols]
+        a_line = low[rows, cols]
         cuts = np.searchsorted(rows, np.arange(firsts.size + 1))
         # chunks of walks whose stations x survivors fit one temporary
         i = 0
         while i < firsts.size:
             j = max(i + 1, int(np.searchsorted(cuts, cuts[i] + budget, "right")) - 1)
             kept = slice(cuts[i], cuts[j])
-            tops = _walk_tops(starts[i:j], root, candidates, cuts[i:j + 1] - cuts[i],
-                              cols[kept], line[kept], root_line[cols[kept]], slack[i:j], t)
+            walk = rows[kept] - i
+            line = rest * a_line[kept] + t * root_line[cols[kept]]
+            least = np.minimum.reduceat(line, cuts[i:j] - cuts[i], axis=1)
+            tops = _nearest(line <= (least + slack[i:j])[:, walk], walk, cols[kept], candidates,
+                            lambda station, w: rest[station] * starts[i + w] + t[station] * root)
             walks += [list(dict.fromkeys(top.tolist())) for top in tops.T]
             i = j
+        # the next block's start screen need not sit beside these
+        del low, mid, keep, line
     return walks
-
-
-def _walk_tops(starts: np.ndarray, root: np.ndarray, candidates: np.ndarray,
-               cuts: np.ndarray, kept: np.ndarray, a_line: np.ndarray,
-               b_line: np.ndarray, slack: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Top-1 candidate, by the rule of ``_nearest_rows``, at every station
-    (the rows of the column t) of every walk in a chunk: walk i runs from
-    starts[i] to root over the survivors kept[cuts[i]:cuts[i + 1]]
-    (ascending, each walk's nonempty), whose line values A' and B' are
-    a_line and b_line.  Returns an (n_points, walks) array of candidate
-    indices.
-
-    One pass screens every station of every walk against its survivors
-    with the computed line values L'_j = fl(fl(1-t) A'_j) + fl(t B'_j);
-    entries within slack[i] of their station's least L' are re-checked
-    with the exact diff-then-square distance e_j to the float station p',
-    the lowest index winning among equal e_j.  A station with a single
-    such entry needs no re-check.  Bound, with the notation and the
-    error terms of ``_traverse``: |L'_j - L_j(p')| <= (3 g_3 + 2 g_(d+1))
-    R^2, the computed line value's rounding plus the move from p to p'.
-    For the exact winner w and the screened minimum m, e_w <= e_m, so
-    L_w(p') <= L_m(p') + 2 g_(d+2) R^2 and L'_w - L'_m <= (2 g_(d+2) +
-    4 g_(d+1) + 6 g_3) R^2 <= 12 g_(d+2) R^2.  The walk's prune slack,
-    24 (d+3) u R^2, is more than twice that and also absorbs the rounding
-    of the threshold, so every exact minimiser, ties included, is
-    re-checked.
-    """
-    n_walks = starts.shape[0]
-    walk = np.repeat(np.arange(n_walks), np.diff(cuts))
-    line = (1.0 - t) * a_line + t * b_line
-    least = np.minimum.reduceat(line, cuts[:-1], axis=1)
-    close = line <= (least + slack)[:, walk]
-    station, pos = _nonzero(close)
-    # one group per (station, walk), in that order, each holding its least
-    group = station * n_walks + walk[pos]
-    heads = np.flatnonzero(np.diff(group, prepend=-1))
-    sizes = np.diff(np.append(heads, group.size))
-    top = pos[heads]
-    multi = np.flatnonzero(sizes > 1)
-    if multi.size:
-        tied = np.repeat(sizes > 1, sizes)
-        station, pos = station[tied], pos[tied]
-        points = (1.0 - t[station]) * starts[walk[pos]] + t[station] * root
-        diffs = candidates[kept[pos]] - points
-        dist = np.einsum("ij,ij->i", diffs, diffs)
-        member = np.repeat(np.arange(multi.size), sizes[multi])
-        least = np.minimum.reduceat(dist, np.searchsorted(member, np.arange(multi.size)))
-        # positions ascend within a group, so the first exact minimum is
-        # the lowest-index nearest candidate
-        hits = np.flatnonzero(dist == least[member])
-        top[multi] = pos[hits[np.diff(member[hits], prepend=-1) != 0]]
-    return kept[top].reshape(t.shape[0], n_walks)
 
 
 def hierarchical_traverse(image_emb: np.ndarray, candidates: np.ndarray,
@@ -556,9 +525,10 @@ def hierarchical_traverse(image_emb: np.ndarray, candidates: np.ndarray,
 
     The interpolated points are used as-is (no re-normalization), and the
     result keeps first-encounter order without duplicates: specific
-    retrievals appear before generic ones.  Each top-1 is the nearest
-    candidate of its station by the rule of ``_nearest_rows``:
-    diff-then-square distance, the lowest index on ties.
+    retrievals appear before generic ones.  The start and each top-1 are
+    the nearest candidate by the rule of ``_nearest``: diff-then-square
+    distance, the lowest index on ties; ``_traverse`` gives the bound that
+    keeps them exact.
     """
     return _traverse(image_emb, candidates, root_emb, n_points)[0]
 

@@ -180,6 +180,30 @@ def test_eval_reports_folds_when_requested(synth_dir, tmp_path):
     assert len(report["folded"]["folds"]) == 3
 
 
+@pytest.mark.parametrize("key, value, want", [
+    ("folds", 0, "--folds must be at least 1, got 0"),
+    ("folds", -2, "--folds must be at least 1, got -2"),
+    ("points", 1, "--points must be at least 2, got 1"),
+    ("points", 0, "--points must be at least 2, got 0"),
+])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_eval_checks_folds_and_points_first(tmp_path, capsys, key, value, want, route):
+    # none of the inputs exists: the option is checked before any is read
+    missing = {name: str(tmp_path / name) for name in
+               ("corpus", "table", "image_features", "text_features", "checkpoint", "out")}
+    if route == "flag":
+        flags = [f"--{key}", str(value)]
+    else:
+        cfg = tmp_path / "eval.json"
+        cfg.write_text(json.dumps({key: value}))
+        flags = ["--config", str(cfg)]
+    args = [part for name, path in missing.items()
+            for part in (f"--{name.replace('_', '-')}", path)]
+    assert cli.main(["eval", *args, *flags]) == 2
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_score_names_malformed_corpus_line(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "a", "image_id": "i", "text": "a dog"}\n{id: "b"}\n')

@@ -100,11 +100,25 @@ def nearest_candidate(point: np.ndarray, candidates: np.ndarray) -> int:
     return int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
 
 
-def test_nearest_candidate_tie_goes_low():
+def test_nearest_candidate_tie_goes_low(monkeypatch):
     cands = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert nearest_candidate(np.array([0.9, 0.1]), cands) == 0
-    lifted = np.hstack([cands, np.einsum("ij,ij->i", cands, cands)[:, None]])
-    assert E._nearest_rows(np.array([[0.9, 0.1]]), cands, lifted).tolist() == [0]
+    point = np.array([[0.9, 0.1]])
+    assert nearest_candidate(point[0], cands) == 0
+    # the exact tie of 0 and 1 is re-checked and goes low
+    close = np.array([[True, True, False]])
+    tops = E._nearest(close, np.zeros(3, dtype=np.int64), np.arange(3), cands,
+                      lambda rows, _: point[rows])
+    assert tops.tolist() == [[0]]
+    # and so it does in the start pass of a traversal, its first call
+    found, nearest = [], E._nearest
+
+    def recording(*args):
+        found.append(nearest(*args))
+        return found[-1]
+
+    monkeypatch.setattr(E, "_nearest", recording)
+    E.hierarchical_traverse(point[0], cands, cands[2], 2)
+    assert found[0].tolist() == [[0]]
 
 
 def test_hierarchical_traverse_walks_specific_to_generic():
@@ -465,29 +479,26 @@ def test_traversal_prunes_to_the_bound(monkeypatch):
     # (0, +-1.2) and (0, 1.5) stay under s's own line (max 3) but above U
     cands = np.array([[0.0, 1.5], [1.0, 0.0], [0.0, 1.2], [0.0, 1.0],
                       [-1.0, 0.0], [0.0, -1.2]])
-    seen, kept = [], []
-    nearest_rows, walk_tops = E._nearest_rows, E._walk_tops
+    seen = []
+    nearest = E._nearest
 
-    def recording(points, candidates, lifted):
-        seen.append(candidates.copy())
-        return nearest_rows(points, candidates, lifted)
+    def recording(close, seg, index, candidates, point):
+        seen.append((index.copy(), candidates.copy()))
+        return nearest(close, seg, index, candidates, point)
 
-    def recording_walks(*args):
-        kept.append(args[4].copy())
-        return walk_tops(*args)
-
-    monkeypatch.setattr(E, "_nearest_rows", recording)
-    monkeypatch.setattr(E, "_walk_tops", recording_walks)
+    monkeypatch.setattr(E, "_nearest", recording)
     assert E.hierarchical_traverse(np.array([-0.9, 0.0]), cands,
                                    np.array([1.0, 0.0]), 3) == [4, 1]
     # the start-point pass sees every candidate, the walk only the survivors
-    assert len(seen) == 1
-    np.testing.assert_array_equal(seen[0], cands)
-    assert len(kept) == 1 and kept[0].tolist() == [1, 3, 4]
+    assert len(seen) == 2
+    for _, candidates in seen:
+        np.testing.assert_array_equal(candidates, cands)
+    assert seen[0][0].tolist() == list(range(6))
+    assert seen[1][0].tolist() == [1, 3, 4]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 5), st.integers(2, 9),
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 40), st.integers(2, 9),
        st.integers(0, 2**32 - 1))
 def test_traversal_equals_station_walk_on_grids(dim, n_cand, n_img, n_points, seed):
     # coordinates on a coarse grid make exact ties and duplicates common
@@ -496,7 +507,14 @@ def test_traversal_equals_station_walk_on_grids(dim, n_cand, n_img, n_points, se
     imgs = rng.integers(-3, 4, size=(n_img, dim)) / 2.0
     root = rng.integers(-3, 4, size=dim) / 2.0
     walks = [station_walk(image, cands, root, n_points) for image in imgs]
-    assert E._traverse(imgs, cands, root, n_points) == walks
+    saved = E._BLOCK_ENTRIES
+    # start-pass blocks of 5 to 64 images and walk chunks of 7 to 32
+    # survivors, so that many draws split both
+    E._BLOCK_ENTRIES = 64
+    try:
+        assert E._traverse(imgs, cands, root, n_points) == walks
+    finally:
+        E._BLOCK_ENTRIES = saved
 
 
 def nudged(fixed, row, want):
