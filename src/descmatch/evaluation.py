@@ -19,6 +19,14 @@ rows through a BLAS gemm that only screens, and every value that decides a
 rank (a target, an entry within the proven gemm error of one) comes from
 the fixed-order kernel.  A given matrix goes through the same count with
 a zero error bound, so there is one rank routine.
+
+Screen precision: a screen (the gemms of ``exact_ranks`` and of the
+traversal, and the masks taken from them) runs in float32 when every norm
+of the call's inputs lies in [2^-40, 2^40] and d < 2^20, and in float64
+otherwise (``_screen_dtype``, chosen once per call).  Each slack takes u,
+the unit roundoff of that dtype, and its proof counts the rounding of the
+float64 inputs to it.  Every decision (a rank, a start, a top-1) is still
+taken in float64, so no result depends on the dtype.
 """
 
 from __future__ import annotations
@@ -50,6 +58,37 @@ _NEVER = np.iinfo(np.int64).max
 # take their entries from the exact kernel (see ``exact_ranks``)
 _NORM_RANGE = (2.0 ** -400, 2.0 ** 400)
 
+# norms that keep a float32 screen clear of overflow and of underflow
+# beyond its slack (see ``exact_ranks`` and ``_traverse``)
+_F32_NORMS = (2.0 ** -40, 2.0 ** 40)
+
+
+def _norms(matrix: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+
+
+def _screen_dtype(dim: int, *norms: np.ndarray) -> np.dtype:
+    """float32 when every norm lies in ``_F32_NORMS`` and dim < 2^20,
+    float64 otherwise (a NaN norm lies in no range)."""
+    lo, hi = _F32_NORMS
+    safe = dim < 1 << 20 and all(bool(((n >= lo) & (n <= hi)).all()) for n in norms)
+    return np.dtype(np.float32 if safe else np.float64)
+
+
+def _unit(dtype: np.dtype) -> float:
+    """Unit roundoff: 2^-24 for float32, 2^-53 for float64."""
+    return float(np.finfo(dtype).eps) / 2.0
+
+
+def _toward(values: np.ndarray, dtype: np.dtype, end: float) -> np.ndarray:
+    """values rounded to dtype toward end (+inf or -inf): the nearest
+    float of dtype on that side, so a screen compares in its own dtype and
+    loses nothing to the rounding."""
+    out = values.astype(dtype)
+    off = out < values if end > 0 else out > values
+    out[off] = np.nextafter(out[off], dtype.type(end))
+    return out
+
 
 def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.nonzero`` of a 2-d mask, in the same order; on sparse masks
@@ -57,14 +96,15 @@ def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
-def _window(values: np.ndarray, slack, clip: bool) -> tuple[np.ndarray, np.ndarray]:
+def _window(values: np.ndarray, slack, clip: bool,
+            dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """Per query, the (lo, hi) outside which a screened entry is decided:
-    values -/+ slack, each rounded one float outward, so lo <= value - slack
-    and hi >= value + slack exactly.  With clip, the exact entries are
-    clamped into [-1, 1], so no screen value decides "above" once hi >= 1
-    or "below" once lo <= -1."""
-    lo = np.nextafter(values - slack, -np.inf)
-    hi = np.nextafter(values + slack, np.inf)
+    values -/+ slack, each rounded outward, one float and then to the
+    screen's dtype, so lo <= value - slack and hi >= value + slack
+    exactly.  With clip, the exact entries are clamped into [-1, 1], so no
+    screen value decides "above" once hi >= 1 or "below" once lo <= -1."""
+    lo = _toward(np.nextafter(values - slack, -np.inf), dtype, -np.inf)
+    hi = _toward(np.nextafter(values + slack, np.inf), dtype, np.inf)
     if clip:
         hi[hi >= 1.0] = np.inf
         lo[lo <= -1.0] = -np.inf
@@ -92,15 +132,17 @@ def _screen(block: np.ndarray, lo: np.ndarray, hi: np.ndarray, axis: int):
 
 
 def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, blocks, exact,
-                 row_slack=0.0, col_slack=0.0, clip: bool = False):
+                 row_slack=0.0, col_slack=0.0, clip: bool = False,
+                 dtype: np.dtype = np.dtype(np.float64)):
     """(i2t, t2i) ranks, as the module docstring defines them, of the exact
     matrix E that ``blocks`` screens.
 
     owned[j] is E[owners[j], j]; ``blocks`` yields (first row, screen
     rows) in row order, covering every row once; ``exact(rows, cols)``
-    returns E at those entries.  Every screen entry g stays within
-    row_slack[i] of E[i, j] (and within col_slack[j]), after the clamp
-    into [-1, 1] when clip is set; NaN entries are allowed.  An entry
+    returns E at those entries.  The blocks are of dtype, and every
+    screen entry g stays within row_slack[i] of E[i, j] (and within
+    col_slack[j]), after the clamp into [-1, 1] when clip is set; NaN
+    entries are allowed.  An entry
     outside its query's ``_window`` is strictly above or below the
     query's target and is counted from the screen alone; the entries
     inside it (the target itself, near ties, NaN) are re-checked with
@@ -120,8 +162,8 @@ def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, blocks, exac
     best[own[first]] = texts[first]
     has[own] = True
     target = owned[best]
-    lo_t, hi_t = _window(owned, col_slack, clip)
-    lo_i, hi_i = _window(target, row_slack, clip)
+    lo_t, hi_t = _window(owned, col_slack, clip, dtype)
+    lo_i, hi_i = _window(target, row_slack, clip, dtype)
     # a query without a relevant item expects no entry in its window
     lo_t[~valid] = hi_t[~valid] = lo_i[~has] = hi_i[~has] = np.inf
     t2i = np.zeros(n_txt, dtype=np.int64)
@@ -170,14 +212,6 @@ def _matrix_ranks(sims: np.ndarray, image_of_text: np.ndarray):
     return _count_ranks(n_img, owners, owned, blocks, lambda r, c: sims[r, c])
 
 
-def _screen_norms(matrix: np.ndarray) -> np.ndarray:
-    """Row norms, 0 for the rows left to the exact kernel (norm outside
-    ``_NORM_RANGE`` or not a number)."""
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    inside = (norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1])
-    return np.where(inside, norms, 0.0)
-
-
 def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
                 image_of_text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i2t, t2i) ranks of ``geometry.sim_matrix(image_embs, text_embs)``,
@@ -186,31 +220,49 @@ def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
     that decides a rank comes from ``geometry.pair_sims``.  Memory is
     O(block x texts).
 
-    Bound, with u = 2^-53 and g_m = m u / (1 - m u): let E = clip(x) be
-    an exact entry, x the fixed-order sum of the d products a_k b_k of
-    image row a and text row b, and g the gemm entry.  Both x and g are
-    float64 sums of those products in some order (gemm may fuse a
-    multiply and an add, which only drops a rounding), so each lies
-    within g_d sum_k |a_k b_k| of a.b (Higham, Accuracy and Stability of
-    Numerical Algorithms, sec. 3.1), and by Cauchy-Schwarz
-        |g - x| <= 2 g_d |a| |b|.
+    Bound, with u the unit roundoff of the screen dtype (``_screen_dtype``;
+    u_64 = 2^-53 is float64's) and g_m = m u / (1 - m u): let E = clip(x)
+    be an exact entry, x the fixed-order float64 sum of the d products
+    a_k b_k of image row a and text row b, and g the gemm entry.  x lies
+    within g_d(u_64) sum_k |a_k b_k| of a.b (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 3.1).  g sums in the screen
+    dtype, in some order (gemm may fuse a multiply and an add, which only
+    drops a rounding), the products of a and b rounded to that dtype: in
+    float64 the rounding is exact and g lies within g_d sum_k |a_k b_k|
+    of a.b; in float32 it multiplies each product by (1 + e)(1 + e'),
+    |e|, |e'| <= u, so g lies within g_(d+2) sum_k |a_k b_k|.  By
+    Cauchy-Schwarz
+        |g - x| <= c |a| |b|,  c = 2 g_d (float64), g_(d+2) + g_d(u_64) (float32).
     The clamp is monotone and 1-Lipschitz, so clip(g) lies as close to
     E.  The slack of entry (i, j) is k n_i N with N the largest text
     norm (for image queries), or k M n_j with M the largest image norm
     (for text queries), where the n are computed norms and k = 2 (d+2) u.
-    A computed norm has n >= |a| sqrt(1 - g_d) (1 - u), and the slack is
-    rounded twice, so it is at least 2 g_d |a| |b| whenever
-    k (1 - u)^4 (1 - g_d) >= 2 g_d, which holds for d^2 u < 1/2, i.e.
-    any d below 6 * 10^7.  ``_window`` rounds each threshold outward, so
-    the comparison itself loses nothing: an entry above its query's hi
-    has clip(g) > value + slack, hence E > value, and likewise below lo.
-    Rows and columns with norms inside ``_NORM_RANGE`` keep every
-    product, partial sum and slack finite and clear of underflow (the
-    absolute errors of subnormal products, at most d 2^-1074, vanish in
-    the margin of k).  The others get their entries from ``pair_sims``
-    inside the gemm block, and a slack of 0, so NaN and infinite rows
-    are exact too.  Targets come from ``pair_sims``: the owned pair of
-    each text, and each image's best owned text.
+    A computed norm has n >= |a| sqrt(1 - g_d(u_64)) (1 - u_64), and the
+    slack is rounded twice in float64, so it is at least c |a| |b|
+    whenever k (1 - u_64)^4 (1 - g_d(u_64)) >= c.  In float64 that holds
+    for d^2 u < 1/2, i.e. any d below 6 * 10^7; in float32 for
+    (d+2) u <= 1/4, since then g_(d+2) <= 4/3 (d+2) u, which d < 2^20
+    ensures.  ``_window`` rounds each threshold outward to the screen
+    dtype, so the comparison itself loses nothing: an entry above its
+    query's hi has clip(g) > value + slack, hence E > value, and likewise
+    below lo.
+
+    Range.  In float64, rows and columns with norms inside
+    ``_NORM_RANGE`` keep every product, partial sum and slack finite and
+    clear of underflow (the absolute errors of subnormal products, at most
+    d 2^-1074, vanish in the margin of k).  The others get their entries
+    from ``pair_sims`` inside the gemm block, and a slack of 0, so NaN
+    and infinite rows are exact too.  float32 is chosen only when every
+    norm lies in ``_F32_NORMS`` = [2^-40, 2^40]: then every rounded
+    component, product and partial sum stays below 2^81, far from
+    overflow, and |a| |b| >= 2^-80.  A rounding that underflows, even one
+    flushed to zero, errs by less than 2^-126 in absolute terms; over the
+    2d conversions (each weighted by a component of the other row) and
+    the 2d - 1 products and sums of an entry that is less than 2^-126
+    (sqrt(d) (|a| + |b|) + 2d) <= 2^-44 d |a| |b|, under 2^-18 of the
+    margin k - c >= (d+2) u / 2.
+    Targets come from ``pair_sims``: the owned pair of each text, and
+    each image's best owned text.
     """
     images = np.atleast_2d(np.asarray(image_embs, dtype=np.float64))
     texts = np.atleast_2d(np.asarray(text_embs, dtype=np.float64))
@@ -222,16 +274,23 @@ def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
     valid = np.flatnonzero((owners >= 0) & (owners < n_img))
     owned = np.zeros(n_txt)
     owned[valid] = geometry.pair_sims(images, texts, owners[valid], valid)
-    img_norms, txt_norms = _screen_norms(images), _screen_norms(texts)
-    unit = 2.0 * (dim + 2) * 2.0 ** -53
+    norms = _norms(images), _norms(texts)
+    dtype = _screen_dtype(dim, *norms)
+    # 0 for the rows left to the exact kernel: outside _NORM_RANGE or NaN
+    img_norms, txt_norms = (np.where((n >= _NORM_RANGE[0]) & (n <= _NORM_RANGE[1]), n, 0.0)
+                            for n in norms)
+    unit = 2.0 * (dim + 2) * _unit(dtype)
     row_slack = unit * img_norms * txt_norms.max(initial=0.0)
     col_slack = unit * img_norms.max(initial=0.0) * txt_norms
+    # never in float32, whose norms all lie in _F32_NORMS
     unscreened = not (img_norms.all() and txt_norms.all())
+    screen_images = images.astype(dtype, copy=False)
+    screen_texts = texts.astype(dtype, copy=False)
     step = max(1, _BLOCK_ENTRIES // max(1, n_txt))
 
     def blocks():
         for start in range(0, n_img, step):
-            block = images[start:start + step] @ texts.T
+            block = screen_images[start:start + step] @ screen_texts.T
             if unscreened:
                 r, c = _nonzero((img_norms[start:start + step, None] == 0.0)
                                   | (txt_norms == 0.0))
@@ -240,7 +299,7 @@ def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
 
     return _count_ranks(n_img, owners, owned, blocks(),
                         lambda r, c: geometry.pair_sims(images, texts, r, c),
-                        row_slack, col_slack, clip=True)
+                        row_slack, col_slack, clip=True, dtype=dtype)
 
 
 def _recall(ranks: np.ndarray, k: int) -> float:
@@ -338,10 +397,11 @@ def _nearest(close: np.ndarray, seg: np.ndarray, index: np.ndarray,
     point(rows, segs) gives the float points at which the distances are
     taken.  A (row, segment) with a single marked column needs no
     re-check; the others take the exact distance e_j of each marked
-    column.  Bound, with u = 2^-53, g_m = m u/(1 - m u), D_j the true
-    squared distance to the float point and R a bound on |p| + |c_j|: a
-    dot of m terms in any order errs by at most g_m times the sum of
-    |terms|, so |e_j - D_j| <= g_(d+2) R^2.  If every screen value s_j
+    column.  Bound, with u the unit roundoff of the caller's screen dtype
+    (at least float64's, in which e_j is taken), g_m = m u/(1 - m u), D_j
+    the true squared distance to the float point and R a bound on
+    |p| + |c_j|: a dot of m terms in any order errs by at most g_m times
+    the sum of |terms|, so |e_j - D_j| <= g_(d+2) R^2.  If every screen value s_j
     lies within E R^2 of D_j less a constant of the (row, segment), then
     for the exact winner w and the screened minimum m, e_w <= e_m, hence
     s_w - s_m <= 2 (E + g_(d+2)) R^2.  A slack of at least that, with
@@ -371,16 +431,38 @@ def _nearest(close: np.ndarray, seg: np.ndarray, index: np.ndarray,
 
 
 def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
-              n_points: int) -> list[list[int]]:
-    """``hierarchical_traverse`` of every row of images, each start and
-    each station's top-1 the nearest candidate by the rule of ``_nearest``.
+              n_points: int) -> np.ndarray:
+    """The walks of ``hierarchical_traverse`` for every row of images, as
+    an (n_points, rows) array: column w holds walk w's top-1 at each
+    station.  Each start and each top-1 is the nearest candidate by the
+    rule of ``_nearest``.
+
+    Screens: the start, ``low`` and ``mid`` gemms and their masks run in
+    the dtype that ``_screen_dtype`` picks from the image, candidate and
+    root norms, with u its unit roundoff; the root's line, the stations,
+    the survivors' line values and every distance are float64, whose
+    roundoff is at most u.  The thresholds of the screen-dtype masks are
+    rounded up to that dtype, so their comparisons lose nothing.  With g_m = m u /
+    (1 - m u), a lifted dot, |c_j|^2 - 2 p.c_j taken as the (d+1)-term
+    dot of [-2p, 1] with [c_j, |c_j|^2] at a float64 point p, errs by at
+    most 2 g_(d+2) R^2 for any R >= |p| + |c_j|.  In float64 each term
+    takes g_(d+1) and the last one also the rounding of |c_j|^2, g_(2d+1)
+    in all, which is at most 2 g_(d+2) for d below 9 * 10^7.  In float32
+    each term takes g_(d+1) and two conversions, and the last one the
+    float64 rounding of |c_j|^2 (below u), g_(d+3) in all, at most
+    2 g_(d+2) for d < 2^20.  float32 is chosen only when every norm lies
+    in ``_F32_NORMS`` = [2^-40, 2^40], so R^2 < 2^83 and R >= 2^-40: no
+    screen value overflows, and the absolute errors of underflow (below
+    2^-126 per rounding even when flushed to zero, over 2d + 2 weighted
+    conversions and 2d + 1 products and sums) total less than 2^-44 d R^2,
+    under 2^-20 of the margin that each slack below keeps.
 
     Start: the screen s_j = |c_j|^2 - 2 p.c_j of image p, its squared
-    distance less |p|^2, is one (d+1)-term dot of [-2p, 1] with the lifted
-    candidate [c_j, |c_j|^2], so E = 2 g_(d+1) with R = |p| + max_j |c_j|
-    in the bound of ``_nearest``: 2 (2 g_(d+1) + g_(d+2)) R^2 <=
-    6 g_(d+2) R^2.  The start slack is twice that, 12 (d+2) u R^2, which
-    also absorbs the rounding of slack itself (barring underflow).
+    distance less |p|^2, is a lifted dot, so E = 2 g_(d+2) with
+    R = |p| + max_j |c_j| in the bound of ``_nearest``:
+    2 (2 g_(d+2) + g_(d+2)) R^2 = 6 g_(d+2) R^2.  The start slack is
+    twice that, 12 (d+2) u R^2, which also absorbs the rounding of slack
+    itself.
 
     Line identity: station p = (1-t) s + t r, for start s and root r, has
     the screen value L_j(t) = |c_j|^2 - 2 p.c_j = (1-t) A_j + t B_j with
@@ -405,7 +487,7 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
 
     Slack, with R = max(|s|, |r|) + max_j |c_j| and primes marking
     computed values:
-    - A'_j and B'_j err by at most 2 g_(d+1) R^2 each;
+    - A'_j and B'_j are lifted dots and err by at most 2 g_(d+2) R^2 each;
     - the float station p' = fl(fl(1-t) s) + fl(t r) lies within g_3 R of
       the exact p, so |L_j(p') - L_j(p)| = 2 |(p' - p).c_j| <= 2 g_3 R^2;
     - the exact minimiser v at p' has e_v <= e_k for k in {s, q}, and a
@@ -413,23 +495,24 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
       L_v(p') <= L_k(p') + 2 g_(d+2) R^2 and, at the exact station,
       h_v(t) <= (2 g_(d+2) + 4 g_3) R^2;
     - a computed line value L'_j is within g_3 R^2 of (1-t) A'_j +
-      t B'_j, which is within 2 g_(d+1) R^2 of L_j(p), so
-      U <= U' + (g_3 + 2 g_(d+1)) R^2, and L'_j lies within
-      (3 g_3 + 2 g_(d+1)) R^2 of L_j(p');
+      t B'_j, which is within 2 g_(d+2) R^2 of L_j(p), so
+      U <= U' + (g_3 + 2 g_(d+2)) R^2, and L'_j lies within
+      (3 g_3 + 2 g_(d+2)) R^2 of L_j(p');
     - the crossing values come from one more lifted gemm at the float
       point fl(fl(1-t') s) + fl(t' r), within g_3 R of the exact point of
-      the computed crossing t', so they lie within 2 (g_(d+1) + g_3) R^2
+      the computed crossing t', so they lie within 2 (g_(d+2) + g_3) R^2
       of L_j(t').
-    Chaining them, the end tests need 4 g_(d+1) R^2 more than the bound
-    on h_v, the crossing test 4 (g_(d+1) + g_3) R^2 more, the envelope
+    Chaining them, the end tests need 4 g_(d+2) R^2 more than the bound
+    on h_v, the crossing test 4 (g_(d+2) + g_3) R^2 more, the envelope
     test min(A'_v, B'_v) <= U' + (6 g_(d+2) + 5 g_3) R^2, and the top-1
-    screen, by ``_nearest``'s bound with E = 3 g_3 + 2 g_(d+1),
-    (6 g_3 + 4 g_(d+1) + 2 g_(d+2)) R^2; each is at most 14 g_(d+3) R^2.
+    screen, by ``_nearest``'s bound with E = 3 g_3 + 2 g_(d+2),
+    (6 g_3 + 6 g_(d+2)) R^2; each is at most 14 g_(d+3) R^2.
     ``slack`` is 24 (d+3) u R^2, which also absorbs the second-order
-    terms and the rounding of the thresholds (barring underflow).  The
-    crossing test adds ``drift`` for the move from t* to t': the slope of
-    h_v is at most 4 R^2 (|A|, |B| <= R^2), and a' = max(A'_q - A'_s, 0)
-    and b' = B'_s - B'_q lie within e = 6 (d+2) u R^2 of a and b, so for
+    terms and the rounding of the slack itself.  The crossing test adds
+    ``drift`` for the move from t* to t': the slope of h_v is at most
+    4 R^2 (|A|, |B| <= R^2), and a' = max(A'_q - A'_s, 0) and
+    b' = B'_s - B'_q lie within e = 6 (d+2) u R^2 of a and b (4 g_(d+2) R^2
+    and the rounding of a difference below 2 R^2), so for
     t' = a' / (a' + b') clamped into [0, 1], |t' - t*| <= e / (a + b) +
     2 u <= e / (a' + b' - 2 e) + 2 u.  ``drift`` is twice 4 R^2 times that
     bound, the factor 2 absorbing its own rounding, and infinite unless
@@ -447,52 +530,57 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     rest = 1.0 - t
     root_line = lifted @ np.append(-2.0 * root, 1.0)
     q = int(root_line.argmin())
-    reach = math.sqrt(float(lifted[:, -1].max()))
-    unit = 24.0 * (dim + 3) * 2.0 ** -53
+    img_norms, cand_norms = _norms(images), np.sqrt(lifted[:, -1])
+    reach = float(cand_norms.max())
     root_norm = math.sqrt(float(root @ root))
+    dtype = _screen_dtype(dim, img_norms, cand_norms, np.array([root_norm]))
+    u = _unit(dtype)
+    screen_lifted = lifted.astype(dtype, copy=False)
+    unit = 24.0 * (dim + 3) * u
     one_seg, every = np.zeros(n_cand, dtype=np.int64), np.arange(n_cand)
-    walks = []
+    tops = np.empty((n_points, images.shape[0]), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // max(1, n_cand))
     budget = max(1, _BLOCK_ENTRIES // n_points)
     for lo in range(0, images.shape[0], step):
         block = images[lo:lo + step]
-        lift = np.ones((block.shape[0], dim + 1))
+        lift = np.ones((block.shape[0], dim + 1), dtype)
         np.multiply(block, -2.0, out=lift[:, :-1])
-        screen = lift @ lifted.T
-        radius = np.sqrt(np.einsum("ij,ij->i", block, block)) + reach
-        slack = 12.0 * (dim + 2) * 2.0 ** -53 * radius * radius
+        screen = lift @ screen_lifted.T
+        radius = img_norms[lo:lo + step] + reach
+        slack = 12.0 * (dim + 2) * u * radius * radius
         # a row with a NaN marks every column and, by the tie rule, starts
         # at candidate 0, as an argmin would
-        firsts = _nearest(~(screen > (screen.min(axis=1) + slack)[:, None]), one_seg, every,
+        limit = _toward(screen.min(axis=1) + slack, dtype, np.inf)
+        firsts = _nearest(~(screen > limit[:, None]), one_seg, every,
                           candidates, lambda rows, _: block[rows])[:, 0]
         del screen
         starts = candidates[firsts]
         np.multiply(starts, -2.0, out=lift[:, :-1])
-        low = lift @ lifted.T
+        low = lift @ screen_lifted.T
         own = np.arange(firsts.size)
         a_s, a_q = low[own, firsts], low[:, q]
         # the envelope U: stations along axis 1, min of the s and q lines,
         # max over stations
         bound = np.minimum(rest.T * a_s[:, None] + t.T * root_line[firsts, None],
                            rest.T * a_q[:, None] + t.T * root_line[q]).max(axis=1)
-        radius = np.maximum(np.sqrt(lifted[firsts, -1]), root_norm) + reach
+        radius = np.maximum(cand_norms[firsts], root_norm) + reach
         slack = unit * radius * radius
         bound += slack
         b_s, b_q = root_line[firsts], root_line[q]
         a = np.maximum(a_q - a_s, 0.0)
         b = b_s - b_q
-        err = 6.0 * (dim + 2) * 2.0 ** -53 * radius * radius
+        err = 6.0 * (dim + 2) * u * radius * radius
         gap = a + b - 2.0 * err
         cross = np.clip(a / np.where(gap > 0.0, a + b, 1.0), 0.0, 1.0)[:, None]
         drift = np.full(firsts.size, np.inf)
         ok = gap > 0.0
-        drift[ok] = 8.0 * radius[ok] ** 2 * (err[ok] / gap[ok] + 2.0 ** -52)
+        drift[ok] = 8.0 * radius[ok] ** 2 * (err[ok] / gap[ok] + 2.0 * u)
         # the crossing t' of the s and q lines, and its screen values
         np.multiply((1.0 - cross) * starts + cross * root, -2.0, out=lift[:, :-1])
-        mid = lift @ lifted.T
+        mid = lift @ screen_lifted.T
         at_cross = np.minimum(mid[own, firsts], mid[:, q])
-        keep = mid <= (at_cross + slack + drift)[:, None]
-        keep |= low <= (np.minimum(a_s, a_q) + slack)[:, None]
+        keep = mid <= _toward(at_cross + slack + drift, dtype, np.inf)[:, None]
+        keep |= low <= _toward(np.minimum(a_s, a_q) + slack, dtype, np.inf)[:, None]
         keep |= root_line <= b_q + slack.max()
         # where the crossing is ill-conditioned, the envelope test prunes
         flat = np.flatnonzero(drift > radius * radius)
@@ -509,13 +597,13 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
             walk = rows[kept] - i
             line = rest * a_line[kept] + t * root_line[cols[kept]]
             least = np.minimum.reduceat(line, cuts[i:j] - cuts[i], axis=1)
-            tops = _nearest(line <= (least + slack[i:j])[:, walk], walk, cols[kept], candidates,
-                            lambda station, w: rest[station] * starts[i + w] + t[station] * root)
-            walks += [list(dict.fromkeys(top.tolist())) for top in tops.T]
+            tops[:, lo + i:lo + j] = _nearest(
+                line <= (least + slack[i:j])[:, walk], walk, cols[kept], candidates,
+                lambda station, w: rest[station] * starts[i + w] + t[station] * root)
             i = j
         # the next block's start screen need not sit beside these
         del low, mid, keep, line
-    return walks
+    return tops
 
 
 def hierarchical_traverse(image_emb: np.ndarray, candidates: np.ndarray,
@@ -530,7 +618,8 @@ def hierarchical_traverse(image_emb: np.ndarray, candidates: np.ndarray,
     distance, the lowest index on ties; ``_traverse`` gives the bound that
     keeps them exact.
     """
-    return _traverse(image_emb, candidates, root_emb, n_points)[0]
+    tops = _traverse(image_emb, candidates, root_emb, n_points)
+    return list(dict.fromkeys(tops[:, 0].tolist()))
 
 
 def set_precision_recall(retrieved, relevant) -> tuple[float, float]:
@@ -553,22 +642,25 @@ def hierarchical_report(image_embs: np.ndarray, text_embs: np.ndarray,
                         image_of_text: np.ndarray, root_emb: np.ndarray | None = None,
                         n_points: int = 50) -> dict:
     """Mean set precision/recall of the traversal retrieval per image,
-    with every text as candidate and the image's own texts as relevant."""
+    with every text as candidate and the image's own texts as relevant:
+    ``set_precision_recall`` of each walk, counted from the tops array."""
     owners = np.asarray(image_of_text, dtype=np.int64)
     if root_emb is None:
         root_emb = centroid_root(text_embs)
-    order, bounds = geometry.texts_by_owner(owners, image_embs.shape[0])
+    _, bounds = geometry.texts_by_owner(owners, image_embs.shape[0])
     owning = np.flatnonzero(np.diff(bounds))
     if owning.size == 0:
         raise ValueError("no image owns any text")
-    walks = _traverse(image_embs[owning], text_embs, root_emb, n_points)
-    precisions, recalls = [], []
-    for i, retrieved in zip(owning, walks):
-        p, r = set_precision_recall(retrieved, order[bounds[i]:bounds[i + 1]].tolist())
-        precisions.append(p)
-        recalls.append(r)
-    return {"precision": float(np.mean(precisions)),
-            "recall": float(np.mean(recalls)),
+    # per walk (column), its distinct tops and those its image owns: the
+    # retrieved set and its overlap with the relevant one
+    tops = np.sort(_traverse(image_embs[owning], text_embs, root_emb, n_points), axis=0)
+    new = np.ones(tops.shape, dtype=bool)
+    np.not_equal(tops[1:], tops[:-1], out=new[1:])
+    hits = np.count_nonzero(new & (owners[tops] == owning), axis=0)
+    precision = 100.0 * hits / np.count_nonzero(new, axis=0)
+    recall = 100.0 * hits / np.diff(bounds)[owning]
+    return {"precision": float(np.mean(precision)),
+            "recall": float(np.mean(recall)),
             "n_points": n_points}
 
 

@@ -130,9 +130,9 @@ def write_features(stem, ids: list[str], matrix: np.ndarray, dtype: str = "f64")
         raise ValueError(f"{len(ids)} ids for {matrix.shape[0]} rows")
     stem = Path(stem)
     manifest = {"rows": matrix.shape[0], "dim": matrix.shape[1], "dtype": dtype, "ids": list(ids)}
+    # one dumps call runs the C encoder, which dump's streaming path skips
     with open(stem.with_name(stem.name + _MANIFEST_SUFFIX), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, sort_keys=True) + "\n")
     matrix.astype(_DTYPES[dtype], copy=False).tofile(stem.with_name(stem.name + ".bin"))
     return stem.with_name(stem.name + _MANIFEST_SUFFIX)
 

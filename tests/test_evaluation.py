@@ -402,6 +402,12 @@ def station_walk(image, cands, root, n_points):
     return seen
 
 
+def first_seen(tops):
+    """The walks of a ``_traverse`` tops array, one per column, in the
+    first-seen order that ``hierarchical_traverse`` returns."""
+    return [list(dict.fromkeys(walk)) for walk in tops.T.tolist()]
+
+
 def flat_line_walks(rng, root, count):
     """Starts s with |s| = |r| and, per start, a candidate whose screen line
     is flat at the prune's bound U.  |s| = |r| puts the segment's point
@@ -457,7 +463,7 @@ def test_traversal_equals_station_walk(dim):
         walks = [station_walk(image, cands, root, n_points) for image in imgs]
         for image, want in zip(imgs, walks):
             assert E.hierarchical_traverse(image, cands, root, n_points) == want
-        assert E._traverse(imgs, cands, root, n_points) == walks
+        assert first_seen(E._traverse(imgs, cands, root, n_points)) == walks
     assert any(n_cand + 1 in walk or n_cand in walk for walk in walks)
     assert walks[-1] == [cands.shape[0] - 1]
     # flat lines at U, one segment at a time so that no other walk's
@@ -468,7 +474,8 @@ def test_traversal_equals_station_walk(dim):
         group = np.vstack([flat, start, flat, root, flat])
         for n_points in (51, 2):
             walks = [station_walk(image, group, root, n_points) for image in (start, root)]
-            assert E._traverse(np.vstack([start, root]), group, root, n_points) == walks
+            assert first_seen(E._traverse(np.vstack([start, root]), group, root,
+                                          n_points)) == walks
             won += 0 in walks[0]
     assert won > 0
 
@@ -497,24 +504,55 @@ def test_traversal_prunes_to_the_bound(monkeypatch):
     assert seen[1][0].tolist() == [1, 3, 4]
 
 
-@settings(max_examples=200, deadline=None)
+# norms outside the float32 screen's range and inside float64's
+EXTREME_SCALES = (2.0 ** 70, 2.0 ** -70, 1e30, 1e-30)
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 40), st.integers(2, 9),
-       st.integers(0, 2**32 - 1))
-def test_traversal_equals_station_walk_on_grids(dim, n_cand, n_img, n_points, seed):
+       st.integers(0, 2**32 - 1), st.sampled_from((1.0,) * 4 + EXTREME_SCALES),
+       st.booleans())
+def test_traversal_equals_station_walk_on_grids(dim, n_cand, n_img, n_points, seed,
+                                                scale, mixed):
     # coordinates on a coarse grid make exact ties and duplicates common
     rng = np.random.default_rng(seed)
     cands = rng.integers(-3, 4, size=(n_cand, dim)) / 2.0
     imgs = rng.integers(-3, 4, size=(n_img, dim)) / 2.0
     root = rng.integers(-3, 4, size=dim) / 2.0
+    if mixed:
+        # extreme rows among grid rows of norm near 1
+        cands[rng.random(n_cand) < 0.5] *= scale
+        imgs[rng.random(n_img) < 0.5] *= scale
+    else:
+        cands, imgs, root = cands * scale, imgs * scale, root * scale
     walks = [station_walk(image, cands, root, n_points) for image in imgs]
     saved = E._BLOCK_ENTRIES
     # start-pass blocks of 5 to 64 images and walk chunks of 7 to 32
     # survivors, so that many draws split both
     E._BLOCK_ENTRIES = 64
     try:
-        assert E._traverse(imgs, cands, root, n_points) == walks
+        assert first_seen(E._traverse(imgs, cands, root, n_points)) == walks
     finally:
         E._BLOCK_ENTRIES = saved
+
+
+@settings(max_examples=100, deadline=None)
+@given(grouped_texts(), st.integers(2, 9))
+def test_hierarchical_report_equals_per_walk_sets(fixture, n_points):
+    # ragged ownership and repeated texts: images without texts are
+    # skipped, and walks revisit tied duplicates
+    imgs, txts, owners, _ = fixture
+    root = np.ones(imgs.shape[1])
+    precisions, recalls = [], []
+    for i, image in enumerate(imgs):
+        relevant = np.flatnonzero(owners == i).tolist()
+        if relevant:
+            p, r = E.set_precision_recall(station_walk(image, txts, root, n_points), relevant)
+            precisions.append(p)
+            recalls.append(r)
+    report = E.hierarchical_report(imgs, txts, owners, root, n_points)
+    assert report == {"precision": float(np.mean(precisions)),
+                      "recall": float(np.mean(recalls)), "n_points": n_points}
 
 
 def nudged(fixed, row, want):
@@ -538,7 +576,9 @@ def screen_fixtures(draw):
     """Embeddings placed like a trained model's (texts near their owner),
     with the cases a screened rank count can get wrong: exact duplicate
     rows and columns, dots above 1 before the clamp, off-target entries
-    one float from a target, a NaN row and images that own no text."""
+    one float from a target, norms outside the float32 screen's range
+    (every row, or some among unit rows), a NaN row and images that own
+    no text."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.sampled_from([1, 2, 5, 16, 48]))
     n_img = draw(st.integers(1, 8))
@@ -569,6 +609,13 @@ def screen_fixtures(draw):
                 txts = np.vstack([txts, twin])
                 owners = np.append(owners, rng.integers(imgs.shape[0]))
     if draw(st.booleans()):
+        scale = draw(st.sampled_from(EXTREME_SCALES))
+        if draw(st.booleans()):
+            imgs[rng.integers(imgs.shape[0], size=2)] *= scale
+            txts[rng.integers(txts.shape[0], size=3)] *= scale
+        else:
+            imgs, txts = imgs * scale, txts * scale
+    if draw(st.booleans()):
         if draw(st.booleans()):
             imgs[rng.integers(imgs.shape[0])] = np.nan
         else:
@@ -591,7 +638,7 @@ def matrix_folds(imgs, txts, owners, n_folds):
     return folds
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(screen_fixtures(), st.sampled_from([1, 16, 1 << 18]))
 def test_screened_ranks_equal_matrix_ranks(fixture, block):
     imgs, txts, owners, levels = fixture
@@ -653,3 +700,24 @@ def test_evaluate_requests_at_most_one_row_block(monkeypatch):
     monkeypatch.undo()
     sims = geometry.sim_matrix(imgs, txts)
     assert report["recall"] == E.recall_suite(sims, owners)
+
+
+def test_unit_norm_screens_run_in_float32(monkeypatch):
+    rng = np.random.default_rng(9)
+    imgs = geometry.l2_normalize(rng.normal(size=(30, 16)))
+    owners = np.repeat(np.arange(30), 2)
+    txts = geometry.l2_normalize(imgs[owners] + 0.3 * rng.normal(size=(60, 16)))
+    picked, original = [], E._screen_dtype
+
+    def recording(*args):
+        picked.append(original(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(E, "_screen_dtype", recording)
+    E.evaluate(imgs, txts, owners, levels=np.tile([1, 2], 30), n_folds=3)
+    # the rank count, the traversal and the rank count of each fold
+    assert picked == [np.float32] * 5
+    # one norm past the range is enough for float64
+    picked.clear()
+    E.exact_ranks(imgs, np.vstack([txts[:-1], 2.0 ** 41 * txts[-1]]), owners)
+    assert picked == [np.float64]
