@@ -106,6 +106,33 @@ for f in checkpoint.bin history.json; do
     cmp "$work/head-out/run/$f" "$work/config-run/$f"
 done
 
+# the pipeline's corpus has no val split, so its train run validates on the
+# training set; with the last 50 images' sentences moved to val and the
+# corpus rescored, train --val-split auto validates on them and must write
+# the same checkpoint and history from both trees
+echo "== train with a validation split"
+python - "$work/head-out/data/corpus.jsonl" "$work/val-corpus.jsonl" <<'EOF'
+import json, sys
+from pathlib import Path
+
+records = [json.loads(line) for line in Path(sys.argv[1]).read_text(encoding="utf-8").splitlines()]
+held = set(list(dict.fromkeys(r["image_id"] for r in records))[-50:])
+Path(sys.argv[2]).write_text("".join(
+    json.dumps({**r, "split": "val"} if r["image_id"] in held else r, sort_keys=True) + "\n"
+    for r in records), encoding="utf-8")
+EOF
+PYTHONPATH=src python -m descmatch.cli score --corpus "$work/val-corpus.jsonl" \
+    --out "$work/val-table.jsonl" > /dev/null
+val_flags=(--corpus "$work/val-corpus.jsonl" --table "$work/val-table.jsonl"
+           --image-features "$work/head-out/data/images.manifest.json"
+           --text-features "$work/head-out/data/texts.manifest.json" --val-split auto
+           --variant full --embed-dim 32 --epochs 10 --batch-size 64 --lr 0.01 --seed 0)
+PYTHONPATH=src python -m descmatch.cli train "${val_flags[@]}" --out "$work/head-val-run" > /dev/null
+PYTHONPATH="$base/src" python -m descmatch.cli train "${val_flags[@]}" --out "$work/base-val-run" > /dev/null
+for f in checkpoint.bin history.json; do
+    cmp "$work/base-val-run/$f" "$work/head-val-run/$f"
+done
+
 # a nested extra field on the first line keeps the one-parse route away
 # from the whole corpus, so score reads it line by line; the table must
 # still be the pipeline's, byte for byte

@@ -188,24 +188,22 @@ def _cmd_synth(cfg: dict) -> int:
     return 0
 
 
-def _load_dataset(cfg: dict, split: str, least: int = 1, need: str = "") -> trainer.Dataset:
-    """The split's dataset; raises naming the corpus unless it holds at
-    least ``least`` images, which ``need`` needs."""
-    dataset = trainer.load_dataset(cfg["corpus"], cfg["table"], cfg["image_features"],
-                                   cfg["text_features"], split=split)
+def _load_splits(cfg: dict, val_split: str, least: int, need: str):
+    """The datasets of the config's split and of ``val_split`` (see
+    `trainer.load_splits`); raises naming the corpus unless the first holds
+    at least ``least`` images, which ``need`` needs."""
+    dataset, val_dataset = trainer.load_splits(cfg["corpus"], cfg["table"],
+                                               cfg["image_features"], cfg["text_features"],
+                                               cfg["split"], val_split)
     if dataset.n_images < least:
         raise ValueError(f"{cfg['corpus']}: {need} needs at least {least} images, "
-                         f"split {split!r} has {dataset.n_images}")
-    return dataset
+                         f"split {cfg['split']!r} has {dataset.n_images}")
+    return dataset, val_dataset
 
 
 def _cmd_train(cfg: dict) -> int:
-    dataset = _load_dataset(cfg, cfg["split"], 2, "training")
-    val_split = cfg["val_split"]
-    if val_split == "auto":
-        present = set(corpus_mod.read_corpus_columns(cfg["corpus"]).splits)
-        val_split = "val" if ("val" in present and cfg["split"] != "val") else "none"
-    val_dataset = None if val_split == "none" else _load_dataset(cfg, val_split)
+    config = _settings(trainer.TrainConfig, cfg, loss=_settings(losses.LossConfig, cfg))
+    dataset, val_dataset = _load_splits(cfg, cfg["val_split"], 2, "training")
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg)
@@ -215,7 +213,6 @@ def _cmd_train(cfg: dict) -> int:
               f"loss {rec['loss']:.6f} triplet {rec['triplet']:.6f} "
               f"ordering {rec['ordering']:.6f} val_rsum {rec['val_rsum']:.2f}")
 
-    config = _settings(trainer.TrainConfig, cfg, loss=_settings(losses.LossConfig, cfg))
     result = trainer.train(dataset, config, val_dataset=val_dataset,
                            checkpoint_path=out / "checkpoint.bin",
                            resume_from=cfg["resume"], log_fn=log)
@@ -228,7 +225,7 @@ def _cmd_eval(cfg: dict) -> int:
     for key, least in (("folds", 1), ("points", 2)):
         if cfg[key] is not None and cfg[key] < least:
             raise ValueError(f"--{key} must be at least {least}, got {cfg[key]}")
-    dataset = _load_dataset(cfg, cfg["split"], cfg["folds"] or 1, f"--folds {cfg['folds']}")
+    dataset, _ = _load_splits(cfg, "none", cfg["folds"] or 1, f"--folds {cfg['folds']}")
     saved = trainer.load_checkpoint(cfg["checkpoint"])
     for weight, feats, key in (("W_img", dataset.image_feats, "image_features"),
                                ("W_txt", dataset.text_feats, "text_features")):

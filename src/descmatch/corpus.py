@@ -67,19 +67,6 @@ class TokenSequence:
 
 
 @dataclass
-class DocumentPool:
-    """Document-frequency statistics over a pool of sentences.
-
-    ``size`` is the number of sentences in the pool; ``doc_freq[w]`` counts
-    the sentences containing ``w`` at least once (presence, not
-    multiplicity), for the words that occur in the pool.
-    """
-
-    size: int
-    doc_freq: dict[str, int]
-
-
-@dataclass
 class DescriptivenessTable:
     """Normalized descriptiveness per sentence id, plus the raw extremes
     of the pool split used for normalization."""
@@ -120,17 +107,17 @@ def tokenize(text: str) -> TokenSequence:
     return TokenSequence(tuple(_TOKEN_RE.findall(text.lower())))
 
 
-def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tuple[DocumentPool, DescriptivenessTable]:
-    """Build the pool from one split and score every record against it:
+def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tuple[dict[str, int], DescriptivenessTable]:
+    """The doc freq of the pool's words and the table of every record:
     `score_word_ids` over the blocks of `_word_ids`, the records' own
-    vocabulary numbered in order of first occurrence."""
+    vocabulary numbered in order of first occurrence.  ``doc_freq[w]``
+    counts the pool sentences that hold ``w`` at least once (presence, not
+    multiplicity), keyed in order of first occurrence over all records,
+    for the words that occur in the pool."""
     vocab: dict[str, int] = {}
-    splits = [r.split for r in records]
-    doc_freq, table = score_word_ids([r.id for r in records], splits,
+    doc_freq, table = score_word_ids([r.id for r in records], [r.split for r in records],
                                      _word_ids([r.text for r in records], vocab), pool_split)
-    pool = DocumentPool(size=splits.count(pool_split),
-                        doc_freq={w: m for w, m in zip(vocab, doc_freq.tolist()) if m})
-    return pool, table
+    return {w: m for w, m in zip(vocab, doc_freq.tolist()) if m}, table
 
 
 def _word_ids(texts: list[str], vocab: dict[str, int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -67,10 +67,11 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        if self.embed_dim < 1 or self.batch_size < 2 or self.epochs < 1:
-            raise ValueError("bad trainer dimensions")
+        for name, least in (("embed_dim", 1), ("batch_size", 2), ("epochs", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise ValueError(f"lr must be positive, got {self.lr}")
         if self.variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
 
@@ -111,51 +112,73 @@ class Dataset:
 
 def load_dataset(corpus_path, table_path, image_features_path,
                  text_features_path, split: str | None = None) -> Dataset:
-    """Join a corpus file, its descriptiveness table, and the image and
-    text feature manifests.
+    """`load_splits` with no validation split: the dataset of one split,
+    or of every sentence when ``split`` is None."""
+    return load_splits(corpus_path, table_path, image_features_path, text_features_path, split)[0]
+
+
+def load_splits(corpus_path, table_path, image_features_path, text_features_path,
+                split: str | None = None,
+                val_split: str = "none") -> tuple[Dataset, Dataset | None]:
+    """The datasets of a training split and of its validation split,
+    joined from one read of each input file: a corpus file, its
+    descriptiveness table, and the image and text feature manifests.
+
+    ``split`` None keeps every sentence.  ``val_split`` is "none" (no
+    validation dataset), "auto" ("val" when the corpus holds a val
+    sentence and ``split`` is not "val", else none) or a split name.  A
+    split without sentences raises ValueError naming it and the corpus,
+    the training split first, before the table and features are read.
 
     Every kept sentence must have a text row, an image row for its owner
-    and a table entry; the first record in corpus order that lacks one
-    raises ValueError naming the file that lacks it and the corpus.  The
-    rows and deltas are looked up with one ``dict.get`` pass per column;
-    only a lookup that finds nothing starts the scan in corpus order.
-    Images are ordered by first appearance among the kept sentences.
+    and a table entry; the first record in corpus order that lacks one,
+    the training split's records before the validation split's, raises
+    ValueError naming the file that lacks it and the corpus.  The rows
+    and deltas are looked up with one ``dict.get`` pass per column; only a
+    lookup that finds nothing starts the scan in corpus order.  Images are
+    ordered by first appearance among the split's sentences.
     """
     corpus = corpus_mod.read_corpus_columns(corpus_path)
-    ids, owner_ids, levels = corpus.ids, corpus.image_ids, corpus.levels
-    if split is not None:
-        kept = [s == split for s in corpus.splits]
-        ids, owner_ids, levels = (list(compress(c, kept)) for c in (ids, owner_ids, levels))
+    if val_split == "auto":
+        val_split = "val" if split != "val" and "val" in corpus.splits else "none"
+    columns = []  # the id, image id and level columns of each split
+    for s in [split] if val_split == "none" else [split, val_split]:
+        kept = None if s is None else [x == s for x in corpus.splits]
+        columns.append([c if kept is None else list(compress(c, kept))
+                        for c in (corpus.ids, corpus.image_ids, corpus.levels)])
+        if not columns[-1][0]:
+            raise ValueError(f"no sentences for split {s!r} in {corpus_path}")
     del corpus  # its texts are not needed while the table and features load
-    if not ids:
-        raise ValueError(f"no sentences for split {split!r} in {corpus_path}")
     table = corpus_mod.read_table_jsonl(table_path)
     img_ids, img_feats = geometry.read_features(image_features_path)
     txt_ids, txt_feats = geometry.read_features(text_features_path)
     img_row = {i: k for k, i in enumerate(img_ids)}
     txt_row = {i: k for k, i in enumerate(txt_ids)}
-    image_ids = list(dict.fromkeys(owner_ids))
-    text_rows = list(map(txt_row.get, ids))
-    image_rows = list(map(img_row.get, image_ids))
-    deltas = list(map(table.scores.get, ids))
-    if None in text_rows or None in image_rows or None in deltas:
-        for sid, iid in zip(ids, owner_ids):
-            for path, keys, kind, key in ((text_features_path, txt_row, "sentence", sid),
-                                          (image_features_path, img_row, "image", iid),
-                                          (table_path, table.scores, "sentence", sid)):
-                if key not in keys:
-                    raise ValueError(f"{path}: lacks {kind} {key!r} of {corpus_path}")
 
-    image_index = {iid: k for k, iid in enumerate(image_ids)}
-    return Dataset(
-        image_ids=image_ids,
-        image_feats=_feature_rows(img_feats, image_rows),
-        text_ids=ids,
-        text_feats=_feature_rows(txt_feats, text_rows),
-        image_of_text=np.array(list(map(image_index.__getitem__, owner_ids)), dtype=np.int64),
-        deltas=np.array(deltas, dtype=np.float64),
-        levels=np.array([-1 if lv is None else lv for lv in levels], dtype=np.int64),
-    )
+    def join(ids: list[str], owner_ids: list[str], levels: list) -> Dataset:
+        image_ids = list(dict.fromkeys(owner_ids))
+        text_rows = list(map(txt_row.get, ids))
+        image_rows = list(map(img_row.get, image_ids))
+        deltas = list(map(table.scores.get, ids))
+        if None in text_rows or None in image_rows or None in deltas:
+            for sid, iid in zip(ids, owner_ids):
+                for path, keys, kind, key in ((text_features_path, txt_row, "sentence", sid),
+                                              (image_features_path, img_row, "image", iid),
+                                              (table_path, table.scores, "sentence", sid)):
+                    if key not in keys:
+                        raise ValueError(f"{path}: lacks {kind} {key!r} of {corpus_path}")
+        image_index = {iid: k for k, iid in enumerate(image_ids)}
+        return Dataset(
+            image_ids=image_ids,
+            image_feats=_feature_rows(img_feats, image_rows),
+            text_ids=ids,
+            text_feats=_feature_rows(txt_feats, text_rows),
+            image_of_text=np.array(list(map(image_index.__getitem__, owner_ids)), dtype=np.int64),
+            deltas=np.array(deltas, dtype=np.float64),
+            levels=np.array([-1 if lv is None else lv for lv in levels], dtype=np.int64),
+        )
+
+    return join(*columns[0]), join(*columns[1]) if len(columns) > 1 else None
 
 
 def _feature_rows(feats: np.ndarray, rows: list[int]) -> np.ndarray:
@@ -416,8 +439,9 @@ def _val_rsum(params: dict, dataset: Dataset) -> float:
 def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = None,
           checkpoint_path=None, resume_from=None, log_fn=None) -> TrainResult:
     """Full training run.  Logs one record per epoch with the mean batch
-    loss, its two components, the epoch lr, and RSUM on the validation
-    set (the training set stands in when no validation split exists).
+    loss, its two components, the epoch lr, and RSUM on val_dataset (the
+    training set stands in when it is None); `load_splits` gives both
+    datasets from one read of the inputs.
 
     With checkpoint_path set the state is rewritten after every epoch, so
     an interrupted run can resume via resume_from.  A non-finite loss

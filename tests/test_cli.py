@@ -1,6 +1,10 @@
+import builtins
+import collections
 import dataclasses
 import inspect
 import json
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +318,116 @@ def test_train_rejects_non_finite_features(synth_dir, tmp_path, capsys):
     assert code == 2
     assert f"{tmp_path / 'images.bin'}: row 3 (id {ids[3]!r}) is not finite" \
         in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def val_dir(synth_dir, tmp_path_factory):
+    """synth_dir's files with the sentences of the last three images moved
+    to the val split."""
+    out = tmp_path_factory.mktemp("val")
+    for path in synth_dir.iterdir():
+        if path.is_file():
+            shutil.copy(path, out)
+    lines = [json.loads(line) for line in (out / "corpus.jsonl").read_text().splitlines()]
+    last = list(dict.fromkeys(obj["image_id"] for obj in lines))[-3:]
+    (out / "corpus.jsonl").write_text("".join(
+        json.dumps({**obj, "split": "val" if obj["image_id"] in last else obj["split"]}) + "\n"
+        for obj in lines))
+    return out
+
+
+_INPUT_NAMES = ("corpus.jsonl", "table.jsonl", "images.manifest.json", "texts.manifest.json",
+                "images.bin", "texts.bin")
+
+
+@pytest.mark.parametrize("data, val_split, want_val", [
+    ("val_dir", "auto", "val"), ("synth_dir", "auto", None),
+    ("val_dir", "val", "val"), ("val_dir", "none", None),
+], ids=["auto-with-val", "auto-without-val", "named", "none"])
+def test_train_reads_each_input_once(request, tmp_path, monkeypatch, data, val_split, want_val):
+    """train opens the corpus, the table and each feature manifest and
+    binary once, and hands the trainer the split that --val-split picks."""
+    root = request.getfixturevalue(data)
+    corpus = C.read_corpus_columns(root / "corpus.jsonl")
+    split_ids = collections.defaultdict(list)
+    for sid, split in zip(corpus.ids, corpus.splits):
+        split_ids[split].append(sid)
+    reads = collections.Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            if args and isinstance(args[0], (str, os.PathLike)) \
+                    and Path(args[0]).name in _INPUT_NAMES:
+                reads[name, Path(args[0]).name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((C, "read_corpus_columns"), (C, "read_table_jsonl"),
+                         (geometry, "read_features"), (builtins, "open")):
+        spy(module, name)
+    seen = {}
+
+    def train(dataset, config, val_dataset=None, **kwargs):
+        seen.update(train=dataset, val=val_dataset)
+        return trainer.TrainResult({}, [])
+    monkeypatch.setattr(trainer, "train", train)
+    assert cli.main(["train", *_data_flags(root), "--out", str(tmp_path / "run"),
+                     "--val-split", val_split]) == 0
+    monkeypatch.undo()
+    assert reads == {("read_corpus_columns", "corpus.jsonl"): 1,
+                     ("read_table_jsonl", "table.jsonl"): 1,
+                     ("read_features", "images.manifest.json"): 1,
+                     ("read_features", "texts.manifest.json"): 1,
+                     **{("open", name): 1 for name in _INPUT_NAMES}}
+    assert seen["train"].text_ids == split_ids["train"]
+    if want_val is None:
+        assert seen["val"] is None
+    else:
+        assert seen["val"].text_ids == split_ids[want_val]
+
+
+def test_train_val_split_faults_name_the_file(synth_dir, val_dir, tmp_path, capsys):
+    """A named val split without sentences, and a table that lacks a val
+    sentence, exit 2 with the messages of a separate load of that split."""
+    run = tmp_path / "run"
+    assert cli.main(["train", *_data_flags(synth_dir), "--out", str(run),
+                     "--val-split", "test"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: no sentences for split 'test' in {synth_dir / 'corpus.jsonl'}\n"
+    corpus = C.read_corpus_columns(val_dir / "corpus.jsonl")
+    lacking = corpus.ids[corpus.splits.index("val")]
+    table = tmp_path / "table.jsonl"
+    table.write_text("".join(line for line in (val_dir / "table.jsonl").open()
+                             if json.loads(line).get("id") != lacking))
+    flags = _data_flags(val_dir)
+    flags[flags.index("--table") + 1] = str(table)
+    assert cli.main(["train", *flags, "--out", str(run)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {table}: lacks sentence {lacking!r} of {val_dir / 'corpus.jsonl'}\n"
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("flag, value, want", [
+    ("--epochs", "0", "epochs must be at least 1, got 0"),
+    ("--batch-size", "1", "batch_size must be at least 2, got 1"),
+    ("--embed-dim", "0", "embed_dim must be at least 1, got 0"),
+    ("--lr", "0", "lr must be positive, got 0.0"),
+])
+def test_train_rejects_bad_recipe_before_reading(synth_dir, tmp_path, capsys, flag, value, want):
+    """A recipe TrainConfig rejects exits 2 naming the field and its value,
+    before any input is read (a missing corpus does not mask it) and
+    without rewriting the run directory's config echo."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "config.json").write_bytes(b'{"epochs": 5}\n')
+    missing = _data_flags(synth_dir)
+    missing[missing.index("--corpus") + 1] = str(tmp_path / "missing.jsonl")
+    for flags in (_data_flags(synth_dir), missing):
+        assert cli.main(["train", *flags, "--out", str(run), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+    assert (run / "config.json").read_bytes() == b'{"epochs": 5}\n'
 
 
 def _set(key, value):

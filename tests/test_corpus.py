@@ -35,9 +35,9 @@ def test_tfidf_worked_example():
 
 
 def test_smoothing_substitutes_unit_doc_freq():
-    pool, table = C.build_table(THREE_DOCS + [_val("q", "unseen")])
+    doc_freq, table = C.build_table(THREE_DOCS + [_val("q", "unseen")])
     assert table.raw_scores["q"] == pytest.approx(math.log(3.0), abs=1e-12)
-    assert "unseen" not in pool.doc_freq
+    assert "unseen" not in doc_freq
 
 
 def test_raw_descriptiveness_worked_examples():
@@ -267,7 +267,7 @@ def build_table_oracle(records, pool_split="train"):
     lo, hi = min(raws[sid] for sid in pool_ids), max(raws[sid] for sid in pool_ids)
     scores = {sid: 0.5 if hi == lo else min(1.0, max(0.0, (r - lo) / (hi - lo)))
               for sid, r in raws.items()}
-    return C.DocumentPool(m, doc_freq), C.DescriptivenessTable(scores, raws, lo, hi)
+    return doc_freq, C.DescriptivenessTable(scores, raws, lo, hi)
 
 
 def read_corpus_per_line(path):
@@ -361,8 +361,8 @@ def write_corpus_per_line(path, records):
 
 
 def _assert_tables_identical(got, want):
-    (gpool, gtable), (wpool, wtable) = got, want
-    assert gpool == wpool and list(gpool.doc_freq) == list(wpool.doc_freq)
+    (gfreq, gtable), (wfreq, wtable) = got, want
+    assert gfreq == wfreq and list(gfreq) == list(wfreq)
     assert gtable.raw_min == wtable.raw_min and gtable.raw_max == wtable.raw_max
     # == on the dicts compares the float bits of every value (no NaN here)
     assert gtable.raw_scores == wtable.raw_scores

@@ -365,6 +365,38 @@ def test_load_dataset_rejects_empty_split(tmp_path):
         trainer.load_dataset(*paths, split="test")
 
 
+def _assert_same_dataset(got, want):
+    assert got.image_ids == want.image_ids and got.text_ids == want.text_ids
+    for name in ("image_feats", "text_feats", "image_of_text", "deltas", "levels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert a.flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("split, val_split, want_val", [
+    ("train", "val", "val"), ("train", "auto", "val"), (None, "test", "test"),
+    ("val", "auto", None), ("train", "none", None), ("test", "train", "train"),
+])
+def test_load_splits_equal_separate_loads(tmp_path, split, val_split, want_val):
+    """Both datasets of one read equal what a separate load of each split
+    gives: ids, image order and every array, bit for bit and C-contiguous."""
+    rng = np.random.default_rng(4)
+    records = [C.SentenceRecord(f"t{k}", f"img{k * 7 % 6}", f"a word{k % 5} w{k}",
+                                split=("train", "val", "train", "test")[k % 4],
+                                level=None if k % 5 == 0 else k % 3 + 1)
+               for k in range(24)]
+    img_ids = [f"img{k}" for k in rng.permutation(6)]
+    txt_ids = [f"t{k}" for k in rng.permutation(24)]
+    paths = _write_inputs(tmp_path, records, img_ids, rng.normal(size=(6, 5)),
+                          txt_ids, rng.normal(size=(24, 3)))
+    got, got_val = trainer.load_splits(*paths, split, val_split)
+    _assert_same_dataset(got, trainer.load_dataset(*paths, split=split))
+    if want_val is None:
+        assert got_val is None
+    else:
+        _assert_same_dataset(got_val, trainer.load_dataset(*paths, split=want_val))
+
+
 def test_checkpoint_write_is_atomic(tmp_path):
     ds = tiny_dataset()
     cfg = trainer.TrainConfig(embed_dim=5, batch_size=8, epochs=1, lr=1e-3)
