@@ -106,6 +106,27 @@ for f in checkpoint.bin history.json; do
     cmp "$work/head-out/run/$f" "$work/config-run/$f"
 done
 
+# no other gate resumes a run: the pipeline's train settings run for 5
+# epochs and resumed to 10 must write the straight 10-epoch run's checkpoint
+# and history, from both trees
+echo "== resume the pipeline's train run from epoch 5"
+resume_flags=(--corpus "$work/head-out/data/corpus.jsonl" --table "$work/head-out/data/table.jsonl"
+              --image-features "$work/head-out/data/images.manifest.json"
+              --text-features "$work/head-out/data/texts.manifest.json"
+              --variant full --embed-dim 32 --batch-size 64 --lr 0.01 --seed 0)
+PYTHONPATH=src python -m descmatch.cli train "${resume_flags[@]}" --epochs 5 \
+    --out "$work/head-resume-run" > /dev/null
+PYTHONPATH=src python -m descmatch.cli train "${resume_flags[@]}" --epochs 10 \
+    --resume "$work/head-resume-run/checkpoint.bin" --out "$work/head-resume-run" > /dev/null
+PYTHONPATH="$base/src" python -m descmatch.cli train "${resume_flags[@]}" --epochs 5 \
+    --out "$work/base-resume-run" > /dev/null
+PYTHONPATH="$base/src" python -m descmatch.cli train "${resume_flags[@]}" --epochs 10 \
+    --resume "$work/base-resume-run/checkpoint.bin" --out "$work/base-resume-run" > /dev/null
+for f in checkpoint.bin history.json; do
+    cmp "$work/head-out/run/$f" "$work/head-resume-run/$f"
+    cmp "$work/base-resume-run/$f" "$work/head-resume-run/$f"
+done
+
 # the pipeline's corpus has no val split, so its train run validates on the
 # training set; with the last 50 images' sentences moved to val and the
 # corpus rescored, train --val-split auto validates on them and must write

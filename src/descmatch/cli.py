@@ -201,9 +201,24 @@ def _load_splits(cfg: dict, val_split: str, least: int, need: str):
     return dataset, val_dataset
 
 
+def _load_checkpoint(path: str, cfg: dict, dataset, config=None) -> dict:
+    """`trainer.load_checkpoint` of ``path``, checked against ``config``
+    when given; raises naming the checkpoint unless its projections take
+    the feature widths of ``dataset``, read from the config's manifests."""
+    saved = trainer.load_checkpoint(path, config)
+    for weight, feats, key in (("W_img", dataset.image_feats, "image_features"),
+                               ("W_txt", dataset.text_feats, "text_features")):
+        want = saved["params"][weight].shape[0]
+        if feats.shape[1] != want:
+            raise ValueError(f"{path}: {weight} takes {want}-dim features, "
+                             f"but {cfg[key]} holds {feats.shape[1]}-dim rows")
+    return saved
+
+
 def _cmd_train(cfg: dict) -> int:
     config = _settings(trainer.TrainConfig, cfg, loss=_settings(losses.LossConfig, cfg))
     dataset, val_dataset = _load_splits(cfg, cfg["val_split"], 2, "training")
+    saved = None if cfg["resume"] is None else _load_checkpoint(cfg["resume"], cfg, dataset, config)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg)
@@ -215,7 +230,7 @@ def _cmd_train(cfg: dict) -> int:
 
     result = trainer.train(dataset, config, val_dataset=val_dataset,
                            checkpoint_path=out / "checkpoint.bin",
-                           resume_from=cfg["resume"], log_fn=log)
+                           resume_from=saved, log_fn=log)
     _write_json(out / "history.json", result.history)
     print(f"checkpoint: {out / 'checkpoint.bin'}")
     return 0
@@ -226,13 +241,7 @@ def _cmd_eval(cfg: dict) -> int:
         if cfg[key] is not None and cfg[key] < least:
             raise ValueError(f"--{key} must be at least {least}, got {cfg[key]}")
     dataset, _ = _load_splits(cfg, "none", cfg["folds"] or 1, f"--folds {cfg['folds']}")
-    saved = trainer.load_checkpoint(cfg["checkpoint"])
-    for weight, feats, key in (("W_img", dataset.image_feats, "image_features"),
-                               ("W_txt", dataset.text_feats, "text_features")):
-        want = saved["params"][weight].shape[0]
-        if feats.shape[1] != want:
-            raise ValueError(f"{cfg['checkpoint']}: {weight} takes {want}-dim features, "
-                             f"but {cfg[key]} holds {feats.shape[1]}-dim rows")
+    saved = _load_checkpoint(cfg["checkpoint"], cfg, dataset)
     img_e, txt_e = trainer.embed_dataset(saved["params"], dataset)
     report = evaluation.evaluate(img_e, txt_e, dataset.image_of_text,
                                  levels=dataset.levels, n_points=cfg["points"],

@@ -52,12 +52,13 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_images < 2 or self.levels < 1 or self.feature_dim < 2:
-            raise ValueError("bad synthetic dimensions")
-        if self.shared_vocab < 1 or self.rare_vocab < self.levels:
-            raise ValueError("vocabularies too small")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        for key, value, least in (("images", self.n_images, 2), ("dim", self.feature_dim, 2),
+                                  ("levels", self.levels, 1), ("shared_vocab", self.shared_vocab, 1),
+                                  # each level's stratum needs a word of its own
+                                  ("rare_vocab", self.rare_vocab, self.levels),
+                                  ("noise_sigma", self.noise_sigma, 0)):
+            if not value >= least:  # NaN included
+                raise ValueError(f"{key} must be at least {least}, got {value}")
 
 
 def _strata(spec: SynthSpec) -> list[list[str]]:

@@ -34,12 +34,12 @@ class LossConfig:
     use_hardest_mining: bool = True
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.eps_delta <= 0 or self.eps_dist <= 0:
-            raise ValueError("clamps must be positive")
+        for key, value, ok, kind in (("tau", self.tau, self.tau > 0, "positive"),
+                                     ("lambda", self.lam, self.lam >= 0, "non-negative"),
+                                     ("eps_delta", self.eps_delta, self.eps_delta > 0, "positive"),
+                                     ("eps_dist", self.eps_dist, self.eps_dist > 0, "positive")):
+            if not ok:
+                raise ValueError(f"{key} must be {kind}, got {value}")
 
 
 _Ownership = collections.namedtuple("_Ownership", "same_image same_owner owns lonely")
@@ -391,10 +391,15 @@ def run_gradcheck(seed: int = 0, trials: int = 20, h: float = 1e-5,
     """Compare analytic gradients against central differences on random
     multi-caption batches, skipping kink-adjacent draws.
 
-    Returns {"passed", "trials": [per-trial records]}.
+    Returns {"passed", "trials": [per-trial records]}.  A ``trials`` below
+    1 and an ``h`` (the CLI's ``step``) or ``tol`` that is not positive
+    raise ValueError before any batch is drawn: no audit passes a
+    ``tol`` of 0 or below.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    for key, value, ok, kind in (("trials", trials, trials >= 1, "at least 1"),
+                                 ("step", h, h > 0, "positive"), ("tol", tol, tol > 0, "positive")):
+        if not ok:
+            raise ValueError(f"{key} must be {kind}, got {value}")
     rng = np.random.default_rng(seed)
     base = LossConfig()
     records = []

@@ -70,7 +70,7 @@ class TrainConfig:
         for name, least in (("embed_dim", 1), ("batch_size", 2), ("epochs", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if self.lr <= 0:
+        if not self.lr > 0:  # NaN included
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
@@ -363,11 +363,20 @@ def save_checkpoint(path, params: dict, opt_state: dict, epoch: int,
         tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(path) -> dict:
-    """Read a checkpoint.  A file whose length disagrees with its header
-    (truncated or with trailing bytes), a header field of the wrong type
-    and a missing header field or parameter array raise ValueError naming
-    the path."""
+def load_checkpoint(path, config: TrainConfig | None = None) -> dict:
+    """Read a checkpoint and decide whether a run may start from it.
+
+    Returns {"params", "opt_state", "epoch", "rng", "config", "history"},
+    where "rng" is the batch-shuffle generator restored from the saved
+    state and "params" are views into "opt_state"'s flat buffers, which
+    `train(..., resume_from=...)` goes on updating in place.
+
+    A file whose length disagrees with its header (truncated or with
+    trailing bytes), a header field of the wrong type and a missing header
+    field or parameter array raise ValueError naming the path.  Given the
+    ``config`` of a run that resumes from it, a saved config that differs
+    in any key but ``epochs`` raises next, naming the first such key; an
+    rng state that cannot be restored raises last."""
     data = Path(path).read_bytes()
     if data[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
@@ -403,6 +412,20 @@ def load_checkpoint(path) -> dict:
     if len(data) != want:
         raise ValueError(f"{path}: checkpoint holds {len(data)} bytes, its header "
                          f"describes {want}")
+    if config is not None:
+        recipe, have = dataclasses.asdict(config), dict(header["config"])
+        # epochs is the run target, not part of the training recipe, so a
+        # resumed run may extend it
+        recipe.pop("epochs"), have.pop("epochs", None)
+        if have != recipe:
+            key = next(k for k in [*recipe, *have] if recipe.get(k) != have.get(k))
+            raise ValueError(f"{path}: resume config disagrees with checkpoint "
+                             f"config at {key!r}")
+    rng = np.random.default_rng()
+    try:
+        rng.bit_generator.state = header["rng_state"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: bad rng_state in checkpoint: {exc!r}") from exc
     out: dict[str, np.ndarray] = {}
     for name, shape in shapes:
         count = math.prod(shape)
@@ -412,8 +435,7 @@ def load_checkpoint(path) -> dict:
                     for slot in ("param", "adam_m", "adam_v"))
     opt_state = _opt_state(params, m, v, header["adam_t"])
     return {"params": params, "opt_state": opt_state, "epoch": header["epoch"],
-            "rng_state": header["rng_state"], "config": header["config"],
-            "history": header["history"]}
+            "rng": rng, "config": header["config"], "history": header["history"]}
 
 
 # ---------------------------------------------------------------------------
@@ -437,46 +459,30 @@ def _val_rsum(params: dict, dataset: Dataset) -> float:
 
 
 def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = None,
-          checkpoint_path=None, resume_from=None, log_fn=None) -> TrainResult:
+          checkpoint_path=None, resume_from: dict | None = None, log_fn=None) -> TrainResult:
     """Full training run.  Logs one record per epoch with the mean batch
     loss, its two components, the epoch lr, and RSUM on val_dataset (the
     training set stands in when it is None); `load_splits` gives both
     datasets from one read of the inputs.
 
     With checkpoint_path set the state is rewritten after every epoch, so
-    an interrupted run can resume via resume_from.  A non-finite loss
-    aborts immediately.
+    an interrupted run can resume: resume_from takes that checkpoint as
+    `load_checkpoint(path, config)` returns it, already checked against
+    this run's config, and continues its params, optimiser state, rng and
+    history from the epoch after its own.  The caller checks that the
+    dataset's feature widths fit its params.  A non-finite loss aborts
+    immediately.
     """
     if dataset.n_images < 2:
         raise ValueError("training needs at least two images")
-    if resume_from is not None:
-        saved = load_checkpoint(resume_from)
-        want = dataclasses.asdict(config)
-        have = dict(saved["config"])
-        # epochs is the run target, not part of the training recipe, so a
-        # resumed run may extend it
-        want.pop("epochs"), have.pop("epochs", None)
-        if have != want:
-            key = next(k for k in [*want, *have] if want.get(k) != have.get(k))
-            raise ValueError(f"{resume_from}: resume config disagrees with checkpoint "
-                             f"config at {key!r}")
-        params = saved["params"]
-        opt_state = saved["opt_state"]
-        history = list(saved["history"])
-        start_epoch = saved["epoch"] + 1
-        shuffle_rng = np.random.default_rng()
-        try:
-            shuffle_rng.bit_generator.state = saved["rng_state"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{resume_from}: bad rng_state in checkpoint: {exc!r}") from exc
-    else:
-        init_rng = np.random.default_rng([config.seed, 2])
-        params = init_params(init_rng, dataset.image_feats.shape[1],
+    if resume_from is None:  # a fresh run starts as from a checkpoint of epoch -1
+        params = init_params(np.random.default_rng([config.seed, 2]), dataset.image_feats.shape[1],
                              dataset.text_feats.shape[1], config.embed_dim)
-        opt_state = init_opt_state(params)
-        history = []
-        start_epoch = 0
-        shuffle_rng = np.random.default_rng([config.seed, 3])
+        resume_from = {"params": params, "opt_state": init_opt_state(params), "history": [],
+                       "epoch": -1, "rng": np.random.default_rng([config.seed, 3])}
+    params, opt_state = resume_from["params"], resume_from["opt_state"]
+    history = list(resume_from["history"])
+    start_epoch, shuffle_rng = resume_from["epoch"] + 1, resume_from["rng"]
 
     eval_set = val_dataset if val_dataset is not None else dataset
     loss_fn = LOSS_VARIANTS[config.variant]

@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import inspect
 import json
+import math
 import os
 import shutil
 from pathlib import Path
@@ -206,6 +207,46 @@ def test_eval_checks_folds_and_points_first(tmp_path, capsys, key, value, want, 
     assert cli.main(["eval", *args, *flags]) == 2
     assert want in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, values, want", [
+    ("train", {"lambda": -1}, "lambda must be non-negative, got -1.0"),
+    ("train", {"tau": 0}, "tau must be positive, got 0.0"),
+    ("train", {"tau": math.nan}, "tau must be positive, got nan"),
+    ("train", {"lr": math.nan}, "lr must be positive, got nan"),
+    ("synth", {"images": 1}, "images must be at least 2, got 1"),
+    ("synth", {"dim": 1}, "dim must be at least 2, got 1"),
+    ("synth", {"rare_vocab": 2, "levels": 4}, "rare_vocab must be at least 4, got 2"),
+    ("synth", {"noise_sigma": -0.5}, "noise_sigma must be at least 0, got -0.5"),
+    ("synth", {"noise_sigma": math.nan}, "noise_sigma must be at least 0, got nan"),
+    ("gradcheck", {"trials": 0}, "trials must be at least 1, got 0"),
+    ("gradcheck", {"tol": 0}, "tol must be positive, got 0.0"),
+    ("gradcheck", {"tol": -1e-4}, "tol must be positive, got -0.0001"),
+    ("gradcheck", {"step": 0}, "step must be positive, got 0.0"),
+], ids=["lambda", "tau", "nan-tau", "nan-lr", "images", "dim", "rare-vocab", "noise-sigma",
+        "nan-noise-sigma", "trials", "tol-zero", "tol-negative", "step"])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_settings_messages_name_the_option_and_value(tmp_path, capsys, command, values, want,
+                                                     route):
+    """A value the library settings reject exits 2 with the option's config
+    key and the value, before any input is read or output written."""
+    # none of the inputs exists: the settings are checked before any is read
+    required = {"train": ("corpus", "table", "image_features", "text_features", "out"),
+                "synth": ("out",), "gradcheck": ()}[command]
+    args = [part for name in required
+            for part in (f"--{name.replace('_', '-')}", str(tmp_path / name))]
+    if route == "flag":
+        flags = [part for key, value in values.items()
+                 for part in (f"--{key.replace('_', '-')}", str(value))]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        flags = ["--config", str(cfg)]
+    assert cli.main([command, *args, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {want}\n" and captured.out == ""
+    assert [path.name for path in tmp_path.iterdir()] == (["cfg.json"] if route == "config"
+                                                          else [])
 
 
 def test_score_names_malformed_corpus_line(tmp_path, capsys):
@@ -486,6 +527,82 @@ def test_eval_rejects_feature_width_of_other_checkpoint(synth_dir, checkpoint_by
     assert code == 2
     assert (f"{ckpt}: {weight} takes 10-dim features, but {manifest} holds 20-dim rows"
             in capsys.readouterr().err)
+    assert not (tmp_path / "rpt").exists()
+
+
+@pytest.fixture(scope="module")
+def wide_dir(tmp_path_factory):
+    """synth_dir's dataset with 20-dim features in place of 10-dim ones."""
+    out = tmp_path_factory.mktemp("wide")
+    assert cli.main(["synth", "--out", str(out), "--images", "12", "--levels", "3",
+                     "--shared-vocab", "6", "--rare-vocab", "60", "--dim", "20",
+                     "--seed", "7"]) == 0
+    return out
+
+
+def _unrestorable_rng(blob: bytes) -> bytes:
+    return _with_header(blob, lambda h: h.update(rng_state={"bit_generator": "MT19937"}))
+
+
+# (damage to the checkpoint, or None for no file; extra flags; the feature
+# flag whose manifest becomes wide_dir's; the message after "error: ", or
+# its start when it ends in numpy's wording)
+_RESUME_FAULTS = {
+    "missing-file": (None, [], None, "[Errno 2] No such file or directory: '{ckpt}'\n"),
+    "truncated": (lambda b: b[:-8], [], None,
+                  "{ckpt}: checkpoint holds {short} bytes, its header describes {size}\n"),
+    "rng-state": (_unrestorable_rng, [], None, "{ckpt}: bad rng_state in checkpoint: "),
+    "lr-differs": (lambda b: b, ["--lr", "0.5"], None,
+                   "{ckpt}: resume config disagrees with checkpoint config at 'lr'\n"),
+    "image-width": (lambda b: b, [], "--image-features",
+                    "{ckpt}: W_img takes 10-dim features, but {manifest} holds 20-dim rows\n"),
+    "text-width": (lambda b: b, [], "--text-features",
+                   "{ckpt}: W_txt takes 10-dim features, but {manifest} holds 20-dim rows\n"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_RESUME_FAULTS))
+@pytest.mark.parametrize("out_state", ["absent", "existing"])
+def test_resume_checks_the_checkpoint_before_writing(synth_dir, wide_dir, checkpoint_bytes,
+                                                     tmp_path, capsys, fault, out_state):
+    """Every fault of the checkpoint train resumes from exits 2 naming it,
+    after the data is read and before <out> is made or its config echo
+    rewritten: a resumed run directory keeps the echo of its checkpoint."""
+    damage, extra, swapped, want = _RESUME_FAULTS[fault]
+    run = tmp_path / "run"
+    if out_state == "existing":
+        run.mkdir()
+        (run / "config.json").write_bytes(b'{"epochs": 1}\n')
+    ckpt = (run if out_state == "existing" else tmp_path) / "checkpoint.bin"
+    if damage is not None:
+        ckpt.write_bytes(damage(checkpoint_bytes))
+    before = {path.name: path.read_bytes() for path in run.iterdir()} if run.exists() else None
+    flags = _data_flags(synth_dir)
+    manifest = None
+    if swapped is not None:
+        manifest = wide_dir / Path(flags[flags.index(swapped) + 1]).name
+        flags[flags.index(swapped) + 1] = str(manifest)
+    code = cli.main(["train", *flags, "--out", str(run), "--epochs", "2", "--batch-size", "12",
+                     "--embed-dim", "8", "--resume", str(ckpt), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    size = len(checkpoint_bytes)
+    assert err.startswith("error: " + want.format(ckpt=ckpt, short=size - 8, size=size,
+                                                  manifest=manifest))
+    assert str(ckpt) in err
+    if before is None:
+        assert not run.exists()
+    else:
+        assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
+def test_eval_rejects_unrestorable_rng_state(synth_dir, checkpoint_bytes, tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(_unrestorable_rng(checkpoint_bytes))
+    code = cli.main(["eval", *_data_flags(synth_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "rpt")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: bad rng_state in checkpoint: ")
     assert not (tmp_path / "rpt").exists()
 
 

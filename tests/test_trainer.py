@@ -265,7 +265,7 @@ def test_resume_reproduces_straight_run(tmp_path):
     part = dataclasses.replace(base, epochs=2)
     path = tmp_path / "ck.bin"
     trainer.train(ds, part, checkpoint_path=path)
-    resumed = trainer.train(ds, base, resume_from=path)
+    resumed = trainer.train(ds, base, resume_from=trainer.load_checkpoint(path, base))
 
     for name in straight.params:
         assert np.array_equal(resumed.params[name], straight.params[name])
@@ -279,7 +279,7 @@ def test_resume_rejects_recipe_changes(tmp_path):
     trainer.train(ds, cfg, checkpoint_path=path)
     other = dataclasses.replace(cfg, epochs=4, lr=5e-3)
     with pytest.raises(ValueError, match="resume config"):
-        trainer.train(ds, other, resume_from=path)
+        trainer.train(ds, other, resume_from=trainer.load_checkpoint(path, other))
 
 
 def test_checkpoint_bytes_reproducible(tmp_path):
