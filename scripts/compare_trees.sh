@@ -173,6 +173,60 @@ PYTHONPATH="$base/src" python -m descmatch.cli score --corpus "$work/nested.json
 cmp "$work/base-nested-table.jsonl" "$work/head-nested-table.jsonl"
 cmp "$work/head-out/data/table.jsonl" "$work/head-nested-table.jsonl"
 
+# the readers match the writers' own lines a block at a time and parse any
+# other line as JSON; the pipeline's 800 lines fill one block, so a 1100-image
+# synth (three blocks) gets texts that need escapes, written by the corpus
+# writer, and a copy with every other block in another JSON form; score must
+# write the same table from both trees and for both copies, and train on a
+# table rewritten the same way must write the same checkpoint and history
+echo "== score and train on escaped and rewritten lines"
+rm -rf "$work/blocks-data"
+PYTHONPATH=src python -m descmatch.cli synth --images 1100 --seed 5 --out "$work/blocks-data" > /dev/null
+PYTHONPATH=src python - "$work/blocks-data" <<'EOF'
+import json, sys
+from pathlib import Path
+
+from descmatch import corpus
+
+data = Path(sys.argv[1])
+
+
+def rewrite(path, out, head=0):
+    """Every other block of the file's lines, after ``head`` lines, with its
+    keys in reverse order."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    block = corpus._BLOCK_RECORDS
+    out.write_text("".join(
+        line + "\n" if k < head or (k - head) // block % 2 == 0
+        else json.dumps(dict(reversed(json.loads(line).items()))) + "\n"
+        for k, line in enumerate(lines)), encoding="utf-8")
+
+
+cols = corpus.read_corpus_columns(data / "corpus.jsonl")
+marks = ['café "quoted"', "back\\slash 東京", "tab\there \U0001f600"]
+cols.texts = [f"{text} {marks[k % 3]}" for k, text in enumerate(cols.texts)]
+corpus.write_corpus_columns(data / "escaped.jsonl", cols)
+rewrite(data / "escaped.jsonl", data / "mixed.jsonl")
+rewrite(data / "table.jsonl", data / "mixed-table.jsonl", head=1)
+EOF
+for variant in escaped mixed; do
+    PYTHONPATH=src python -m descmatch.cli score --corpus "$work/blocks-data/$variant.jsonl" \
+        --out "$work/head-$variant-table.jsonl" > /dev/null
+    PYTHONPATH="$base/src" python -m descmatch.cli score --corpus "$work/blocks-data/$variant.jsonl" \
+        --out "$work/base-$variant-table.jsonl" > /dev/null
+    cmp "$work/base-$variant-table.jsonl" "$work/head-$variant-table.jsonl"
+done
+cmp "$work/head-escaped-table.jsonl" "$work/head-mixed-table.jsonl"
+mixed_flags=(--corpus "$work/blocks-data/corpus.jsonl" --table "$work/blocks-data/mixed-table.jsonl"
+             --image-features "$work/blocks-data/images.manifest.json"
+             --text-features "$work/blocks-data/texts.manifest.json"
+             --variant full --embed-dim 16 --epochs 2 --batch-size 64 --lr 0.01 --seed 0)
+PYTHONPATH=src python -m descmatch.cli train "${mixed_flags[@]}" --out "$work/head-mixed-run" > /dev/null
+PYTHONPATH="$base/src" python -m descmatch.cli train "${mixed_flags[@]}" --out "$work/base-mixed-run" > /dev/null
+for f in checkpoint.bin history.json; do
+    cmp "$work/base-mixed-run/$f" "$work/head-mixed-run/$f"
+done
+
 # the gradient audit prints every loss's worst error to four digits, so a
 # loss or gradient whose bits move shows in its stdout
 echo "== compare the gradcheck output"

@@ -1,4 +1,4 @@
-"""Corpus term statistics and sentence descriptiveness scoring.
+r"""Corpus term statistics and sentence descriptiveness scoring.
 
 A sentence's raw descriptiveness is the sum over its distinct words of
 term-frequency times inverse document frequency, computed against a fixed
@@ -16,21 +16,56 @@ occurrence.  The order is part of its contract because ``sum``
 compensates float additions from Python 3.12 on, and the table bytes
 would then depend on the interpreter.
 
-Each JSONL format has one rule set, a function from parsed records to
-columns (`_corpus_columns`, `_table_columns`) that raises at the first
-fault.  A reader takes a file's lines in blocks of `_BLOCK_RECORDS`.  It
-parses a block with one ``json.loads`` when that provably gives what one
-``json.loads`` per line gives (see `_bulk_objects`), or else line by
-line, and checks the block's records with one call of the rule set; ids
-must be unique over the whole file.  Only a file that fails is read again
-line by line, each record checked alone by the same rule set, so that the
-message names the file and the first bad line.
+Each JSONL format has one rule set, a function from field columns to
+output columns (`_corpus_columns`, `_table_columns`) that raises at the
+first fault.  A reader takes a file's stripped, non-blank lines from the
+open file in blocks of `_BLOCK_RECORDS`.  It matches a block against the
+format's pattern of the exact line its writer emits (`_CORPUS`,
+`_TABLE`) and takes the columns from the match groups; a block in which a
+line does not match is parsed with one ``json.loads`` per line.  Either
+way the block's columns go through one call of the rule set, and ids must
+be unique over the whole file.  Only a file that fails is read again line
+by line, each record parsed and checked alone by the same rule set, so
+that the message names the file and the first bad line.
 
-Memory: no pass holds a whole-corpus temporary per record.  The readers
-keep one block's parsed objects at a time.  `score_word_ids` takes its
-sentences in blocks and finds one block's distinct words before it reads
-the next, so `build_table`, whose tokenizer yields the word ids of one
-block of records at a time, never holds more than one block's tokens.
+Why the groups of a matched line are what ``json.loads(line)`` gives:
+
+1. Lines.  ``pattern.split`` of the block (its lines joined by newlines)
+   gives the text between matches and each match's g groups in one flat
+   list, 1 + m(g + 1) entries for m matches.  The pattern is anchored by
+   ``^`` and ``$`` in multiline mode and matches no newline, so a match is
+   one whole line and a line holds at most one; the k lines all match
+   exactly when the list holds 1 + k(g + 1) entries.
+2. Strings.  A string group, the text between two quotes, holds printable
+   ASCII characters other than ``"`` and ``\`` and JSON escapes: ``\``
+   and one of ``"\/bfnrt``, or ``\u`` and four hex digits.  It holds no
+   unescaped quote, so the JSON string token ends at the pattern's closing
+   quote.  JSON reads each such character as itself, so a group without a
+   backslash is its own value, and a group with one is decoded by
+   ``json.loads`` of the quoted group: the per-line decoder on the same
+   token, surrogate escapes included.
+3. Numbers.  A level group follows JSON's integer grammar with ASCII
+   digits, ``-?(0|[1-9][0-9]*)``, and ``json.loads`` reads such a token as
+   ``int`` of its text.  A table number follows JSON's number grammar with
+   a fraction or an exponent required, and ``json.loads`` reads such a
+   token as ``float`` of its text.  An integer-valued table number written
+   without either does not match, so it keeps the per-line route, where
+   the rule set turns the int into a float (and rejects one too large for
+   a float).  ``1e999`` matches and reads as inf on both routes, which
+   the rule set rejects.
+4. Keys.  The key literals are fixed, distinct and in a fixed order, with
+   JSON's own whitespace between tokens, so ``json.loads`` reads a dict of
+   exactly these keys, none repeated (a repeated key would keep its last
+   value).  A line without the optional level group has no ``level`` key,
+   which both routes read as null.
+
+Memory: neither reader holds the whole file.  One block of lines, its
+joined text and its groups are alive at a time besides the columns built
+so far; only the line-by-line pass after a fault reads the file again,
+one line at a time.  `score_word_ids` takes its sentences in blocks and
+finds one block's distinct words before it reads the next, so
+`build_table`, whose tokenizer yields the word ids of one block of
+records at a time, never holds more than one block's tokens.
 """
 
 from __future__ import annotations
@@ -39,9 +74,9 @@ import json
 import math
 import re
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -50,7 +85,7 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 VALID_SPLITS = ("train", "val", "test")
 
 # records per block of `build_table`'s tokenization and scoring and of a
-# reader's parse and check: the token tuples and parsed objects of one block
+# reader's match, parse and check: the token tuples and lines of one block
 # are alive at a time, not those of the whole corpus
 _BLOCK_RECORDS = 1 << 11
 
@@ -225,95 +260,136 @@ def score_word_ids(ids: list[str], splits: list[str], blocks: Iterable[tuple[np.
 # ---------------------------------------------------------------------------
 # JSONL formats
 
-_SCALARS = {str, int, float, bool, type(None)}
 _encode_id = json.encoder.encode_basestring_ascii
 
+# the JSON tokens of the writers' lines: a string (its group is the text
+# between the quotes), an integer, and a number with a fraction or exponent;
+# a run of plain characters and an escape start with different characters,
+# so a line that does not match fails in time linear in its length
+_STRING = r'"([ !#-\[\]-~]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[ !#-\[\]-~]*)*)"'
+_INTEGER = r"-?(?:0|[1-9][0-9]*)"
+_FLOAT = _INTEGER + r"(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 
-def _bulk_objects(lines: list[str]) -> list[dict] | None:
-    r"""The JSON object on each line, from one ``json.loads``, or None.
-
-    The non-blank, stripped lines l_1..l_k are parsed once as the text
-    T = ``[`` l_1 ``,\n`` l_2 ``,\n`` ... l_k ``]``.  The result is used
-    only if every l_i starts with ``{`` and ends with ``}`` and T holds k
-    flat objects (dicts with scalar values).  Then ``json.loads(l_i)`` is
-    the i-th object, so the result is exactly what the per-line parser
-    gives:
-
-    1. ``json.loads`` is strict: it rejects a raw newline inside a string.
-       Every separator holds one, so no string spans a separator, and
-       none opens before T's first or closes after its last character.
-       Hence the first and last characters of each l_i stand outside
-       strings, and T has at least k ``{`` and k ``}`` outside strings.
-    2. A parsed value holds as many objects as its text has ``{`` outside
-       strings.  The value holds exactly k objects, so each l_i has one
-       ``{`` outside a string, its first character, and one ``}``, its
-       last.
-    3. Objects do not nest, so the j-th ``{`` pairs with the j-th ``}``:
-       object i spans l_i exactly, and ``json.loads(l_i)``, which parses
-       the same text alone, gives the same dict.
-
-    A matching count alone is not enough: ``[1`` and ``2], 3`` on two
-    lines, or two objects on one line followed by a record split over two
-    lines, parse to as many elements as there are lines.
-    """
-    if not ({line[0] for line in lines} <= {"{"} and {line[-1] for line in lines} <= {"}"}):
-        return None
-    try:
-        objs = json.loads("[" + ",\n".join(lines) + "]")
-    except ValueError:
-        return None
-    if len(objs) != len(lines) or not _types(objs) <= {dict} \
-            or not _types(chain.from_iterable(map(dict.values, objs))) <= _SCALARS:
-        return None
-    return objs
+# a field that a parsed line lacks and that has no default
+_MISSING = object()
 
 
-def _types(values) -> set:
-    return set(map(type, values))
+@dataclass(frozen=True)
+class _Format:
+    """A JSONL format: the line its writer emits, the fields of a parsed
+    line, and the rule set that both routes feed."""
+
+    kind: str              # "corpus" or "table", as messages name it
+    line: re.Pattern       # the writer's line, anchored, one group per field
+    groups: Callable       # group columns, whether a backslash occurs -> field columns
+    fields: tuple          # (key, default or _MISSING), in the rule set's order
+    rules: Callable        # field columns -> output columns, ids first
+    header: Callable | None = None  # (path, line 1) -> its value, if line 1 is a header
+
+
+def _unquoted(strings: list[str], escaped: bool) -> list[str]:
+    """The values of string groups: a group without a backslash is its own
+    value, any other is decoded by ``json.loads`` of the quoted group."""
+    if not escaped:
+        return strings
+    return [json.loads(f'"{s}"') if "\\" in s else s for s in strings]
 
 
 _FAULTS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
 
 
-def _read_records(path, lines: list[str], start: int, kind: str, columns) -> list[list]:
-    """The records on a JSONL file's lines (numbered from ``start``), as
-    the columns of ``columns``, the format's rule set.
+def _matched_columns(fmt: _Format, block: list[str]) -> dict | None:
+    """The field columns of a block of stripped, non-blank lines from one
+    ``split`` of the block by ``fmt.line``, or None if a line does not
+    match (the module docstring says why the columns are then what
+    ``json.loads`` of each line gives)."""
+    text = "\n".join(block)
+    parts = fmt.line.split(text)
+    width = fmt.line.groups + 1
+    if len(parts) != 1 + len(block) * width:
+        return None
+    return fmt.groups([parts[j::width] for j in range(1, width)], "\\" in text)
 
-    The non-blank lines are taken in blocks of `_BLOCK_RECORDS`.  Each
-    block is parsed, by `_bulk_objects` or else by one ``json.loads`` per
-    line, checked by one call of ``columns`` and appended to the columns,
-    so only one block's parsed objects are alive at a time.  Only if a
-    line does not parse, ``columns`` raises or an id repeats anywhere in
-    the file are the lines parsed again one by one, each record checked
-    alone by ``columns([obj])``: this raises at the first bad line, a
-    malformed record or an id already seen on an earlier line, and names
-    it.
-    """
-    body = [line for line in map(str.strip, lines) if line]
+
+def _parsed_columns(fmt: _Format, block: list[str]) -> dict:
+    """The field columns of a block of lines, one ``json.loads`` per line:
+    a field a line lacks gets its default, or `_MISSING`.  A field with a
+    default is read with ``get`` and one without by indexing, so a line
+    holding no JSON object fails as that read fails."""
+    objs = list(map(json.loads, block))
+    cols = {}
+    for key, default in fmt.fields:
+        if default is _MISSING:
+            try:
+                cols[key] = [o[key] for o in objs]
+                continue
+            except KeyError:
+                pass
+        cols[key] = [o.get(key, default) for o in objs]
+    return cols
+
+
+def _utf8(line: str) -> str:
+    """``line``, read with ``errors="surrogateescape"``, or ValueError
+    naming its first byte that is not UTF-8."""
     try:
-        parts = []  # an empty body is one empty block, so the columns exist
-        for lo in range(0, len(body) or 1, _BLOCK_RECORDS):
-            block = body[lo:lo + _BLOCK_RECORDS]
-            objs = _bulk_objects(block)
-            parts.append(columns(list(map(json.loads, block)) if objs is None else objs))
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"line is not valid UTF-8 (byte {ord(line[exc.start]) - 0xdc00:#04x} "
+                         f"at column {exc.start + 1})") from None
+    return line
+
+
+def _read_records(path, fmt: _Format) -> tuple[object, list[list]]:
+    """The value of a JSONL file's header line, if ``fmt`` has one (else
+    None), and the records on its other lines, as the columns of
+    ``fmt.rules``.
+
+    The stripped, non-blank lines are taken from the open file in blocks of
+    `_BLOCK_RECORDS`.  Each block goes through `_matched_columns`, or
+    `_parsed_columns` if a line does not match, then one call of
+    ``fmt.rules``, and is appended to the columns, so only one block of
+    lines is alive at a time.  Only if a byte is not UTF-8, the header or a
+    line does not parse, the rules raise or an id repeats anywhere in the
+    file is the file read again line by line, the header checked first and
+    each record alone by the same rules: this raises at the first bad line,
+    a malformed header or record or an id already seen on an earlier line,
+    and names it.
+    """
+    try:
+        parts = []
+        with open(path, "r", encoding="utf-8") as fh:
+            head = fmt.header(path, fh.readline()) if fmt.header else None
+            lines = filter(None, map(str.strip, fh))
+            # an empty file is one empty block, so the columns exist
+            while (block := list(islice(lines, _BLOCK_RECORDS))) or not parts:
+                cols = _matched_columns(fmt, block)
+                parts.append(fmt.rules(_parsed_columns(fmt, block) if cols is None else cols))
         cols = [list(chain.from_iterable(col)) for col in zip(*parts)]
         if len(set(cols[0])) == len(cols[0]):
-            return cols
+            return head, cols
     except _FAULTS:
         pass
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(map(str.strip, lines), start):
-        if not line:
-            continue
-        try:
-            sid = columns([json.loads(line)])[0][0]
-        except _FAULTS as exc:
-            raise ValueError(f"{path}:{lineno}: malformed {kind} record: {exc}") from exc
-        if sid in first_line:
-            raise ValueError(f"{path}:{lineno}: duplicate sentence id {sid!r} "
-                             f"(first on line {first_line[sid]})")
-        first_line[sid] = lineno
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        if fmt.header:
+            fmt.header(path, fh.readline())
+        for lineno, line in enumerate(fh, 2 if fmt.header else 1):
+            if not line.strip():
+                continue
+            try:
+                sid = fmt.rules(_parsed_columns(fmt, [_utf8(line).strip()]))[0][0]
+            except _FAULTS as exc:
+                raise ValueError(f"{path}:{lineno}: malformed {fmt.kind} record: {exc}") from exc
+            if sid in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate sentence id {sid!r} "
+                                 f"(first on line {first_line[sid]})")
+            first_line[sid] = lineno
     raise AssertionError(f"{path}: records rejected together pass one by one")
+
+
+def _types(values) -> set:
+    return set(map(type, values))
 
 
 def _require(values: list, types: set, message: str) -> None:
@@ -329,21 +405,59 @@ def _strings(values: list) -> list[str]:
     return values if _types(values) <= {str} else list(map(str, values))
 
 
-def _corpus_columns(objs: list) -> list[list]:
+def _present(cols: dict, name: str) -> list:
+    """The ``name`` column of ``cols``, or ValueError if a record lacks it."""
+    values = cols[name]
+    if _MISSING in values:
+        raise ValueError(f"missing {name!r}")
+    return values
+
+
+_INT64_END = 1 << 63
+
+
+def _require_int64(levels: list) -> None:
+    """Raise ValueError if an integer level lies outside [-2**63, 2**63),
+    where ``np.int64`` holds it."""
+    known = levels if None not in levels else [v for v in levels if v is not None]
+    if known and not (-_INT64_END <= min(known) and max(known) < _INT64_END):
+        raise ValueError("'level' must be an integer in [-2**63, 2**63) or null")
+
+
+def _corpus_columns(cols: dict) -> list[list]:
     """The corpus rule set: the id, image id, text, split and level columns
-    of ``objs``, or an exception at the first fault.  The fields are
-    checked in this order, so a record with several faults names the same
-    one whether it is checked alone or among others."""
-    splits = [o.get("split", "train") for o in objs]
+    of the field columns ``cols``, or an exception at the first fault.  The
+    fields are checked in this order, so a record with several faults names
+    the same one whether it is checked alone or among others."""
+    splits = cols["split"]
     if not (_types(splits) <= {str} and set(splits) <= set(VALID_SPLITS)):
         raise ValueError(f"bad split {next(s for s in splits if s not in VALID_SPLITS)!r}")
-    levels = [o.get("level") for o in objs]
-    ids, image_ids, texts = ([o[key] for o in objs] for key in ("id", "image_id", "text"))
+    levels = cols["level"]
+    ids, image_ids, texts = (_present(cols, key) for key in ("id", "image_id", "text"))
     for name, values in (("id", ids), ("image_id", image_ids)):
         _require(values, {str, int}, f"{name!r} must be a string or an integer")
     _require(texts, {str}, "'text' must be a string")
     _require(levels, {int, type(None)}, "'level' must be an integer or null")
+    _require_int64(levels)
     return [_strings(ids), _strings(image_ids), texts, splits, levels]
+
+
+def _corpus_groups(groups: list[list], escaped: bool) -> dict:
+    """The corpus field columns of `_CORPUS`'s group columns."""
+    ids, image_ids, levels, splits, texts = groups
+    return {"id": _unquoted(ids, escaped), "image_id": _unquoted(image_ids, escaped),
+            "level": [None if v is None else int(v) for v in levels],
+            "split": _unquoted(splits, escaped), "text": _unquoted(texts, escaped)}
+
+
+_CORPUS = _Format(
+    "corpus",
+    re.compile(rf'^\{{"id": {_STRING}, "image_id": {_STRING}, (?:"level": ({_INTEGER}), )?'
+               rf'"split": {_STRING}, "text": {_STRING}\}}$', re.MULTILINE),
+    _corpus_groups,
+    (("split", "train"), ("level", None), ("id", _MISSING), ("image_id", _MISSING),
+     ("text", _MISSING)),
+    _corpus_columns)
 
 
 def read_corpus_columns(path) -> CorpusColumns:
@@ -351,12 +465,11 @@ def read_corpus_columns(path) -> CorpusColumns:
 
     ``id`` and ``image_id`` are strings or integers (kept as their decimal
     strings), ``text`` is a string, ``split`` one of `VALID_SPLITS`
-    (default "train") and ``level`` an integer or null.  Anything else, and
-    a repeated id, raises ValueError naming the file and the line.
+    (default "train") and ``level`` an integer in [-2**63, 2**63) or null.
+    Anything else, a byte that is not UTF-8 and a repeated id raise
+    ValueError naming the file and the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    return CorpusColumns(*_read_records(path, lines, 1, "corpus", _corpus_columns))
+    return CorpusColumns(*_read_records(path, _CORPUS)[1])
 
 
 def read_corpus_jsonl(path) -> list[SentenceRecord]:
@@ -378,11 +491,12 @@ def write_corpus_columns(path, columns: CorpusColumns) -> None:
     where obj holds the record's fields and leaves out a ``None`` level:
     keys in the order id, image_id, level, split, text, strings through
     json's ASCII string encoder, the level as ``int.__repr__``.  The
-    fields must be strings and the level an integer or None, the values
-    `read_corpus_columns` gives back unchanged.
+    fields must be strings and the level an integer in [-2**63, 2**63) or
+    None, the values `read_corpus_columns` gives back unchanged.
     """
     levels = columns.levels
     _require(levels, {int, type(None)}, "'level' must be an integer or null, got {}")
+    _require_int64(levels)
     level_keys = ["" if level is None else f'"level": {int.__repr__(level)}, ' for level in levels]
     lines = [f'{{"id": {_encode_id(sid)}, "image_id": {_encode_id(iid)}, {level_key}'
              f'"split": {_encode_id(split)}, "text": {_encode_id(text)}}}\n'
@@ -410,21 +524,20 @@ def write_table_jsonl(path, table: DescriptivenessTable) -> None:
         fh.write(header + "\n" + "".join(rows))
 
 
-def _numbers(objs: list, name: str) -> list[float]:
-    """The ``name`` values of ``objs``, JSON numbers (not bools), as floats."""
-    values = [o[name] for o in objs]
+def _numbers(values: list, name: str) -> list[float]:
+    """The values of field ``name``, JSON numbers (not bools), as floats."""
     _require(values, {int, float}, f"{name!r} must be a number, got {{}}")
     return values if _types(values) <= {float} else list(map(float, values))
 
 
-def _table_columns(objs: list) -> list[list]:
-    """The table rule set: the id, delta and raw columns of ``objs``, or an
-    exception at the first fault, the fields checked in a fixed order as in
-    `_corpus_columns`."""
-    deltas = _numbers(objs, "delta")
-    ids = [o["id"] for o in objs]
+def _table_columns(cols: dict) -> list[list]:
+    """The table rule set: the id, delta and raw columns of the field
+    columns ``cols``, or an exception at the first fault, the fields
+    checked in a fixed order as in `_corpus_columns`."""
+    deltas = _numbers(_present(cols, "delta"), "delta")
+    ids = _present(cols, "id")
     _require(ids, {str, int}, "'id' must be a string or an integer, got {}")
-    raws = _numbers(objs, "raw")
+    raws = _numbers(_present(cols, "raw"), "raw")
     for name, values in (("delta", deltas), ("raw", raws)):
         finite = np.isfinite(values)
         if not finite.all():
@@ -436,23 +549,44 @@ def _table_columns(objs: list) -> list[list]:
     return [_strings(ids), deltas, raws]
 
 
-def read_table_jsonl(path) -> DescriptivenessTable:
-    """Header {"raw_min", "raw_max"} on line 1, then one {"id", "delta",
-    "raw"} row per line: ``id`` a string or an integer (kept as its decimal
-    string), the other values JSON numbers (not bools or strings).  A
-    malformed row, a non-finite value, a delta outside [0, 1] or a repeated
-    id raises ValueError naming the line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        head, body = fh.readline(), fh.read()
+def _table_groups(groups: list[list], escaped: bool) -> dict:
+    """The table field columns of `_TABLE`'s group columns."""
+    deltas, ids, raws = groups
+    return {"delta": list(map(float, deltas)), "id": _unquoted(ids, escaped),
+            "raw": list(map(float, raws))}
+
+
+def _table_header(path, head: str) -> tuple[float, float]:
+    """The raw_min and raw_max of a table's header line, or ValueError
+    naming line 1."""
     try:
-        header = json.loads(head)
-        (raw_min,), (raw_max,) = _numbers([header], "raw_min"), _numbers([header], "raw_max")
+        header = json.loads(_utf8(head))
+        (raw_min,), (raw_max,) = (_numbers([header["raw_min"]], "raw_min"),
+                                  _numbers([header["raw_max"]], "raw_max"))
     except KeyError as exc:
         raise ValueError(f"{path}:1: missing table header record") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}:1: malformed table header: {exc}") from exc
     if not (math.isfinite(raw_min) and math.isfinite(raw_max)):
         raise ValueError(f"{path}:1: malformed table header: raw_min and raw_max must be finite")
-    ids, deltas, raws = _read_records(path, body.split("\n"), 2, "table", _table_columns)
+    return raw_min, raw_max
+
+
+_TABLE = _Format(
+    "table",
+    re.compile(rf'^\{{"delta": ({_FLOAT}), "id": {_STRING}, "raw": ({_FLOAT})\}}$', re.MULTILINE),
+    _table_groups,
+    (("delta", _MISSING), ("id", _MISSING), ("raw", _MISSING)),
+    _table_columns,
+    _table_header)
+
+
+def read_table_jsonl(path) -> DescriptivenessTable:
+    """Header {"raw_min", "raw_max"} on line 1, then one {"id", "delta",
+    "raw"} row per line: ``id`` a string or an integer (kept as its decimal
+    string), the other values JSON numbers (not bools or strings).  A
+    malformed row, a non-finite value, a delta outside [0, 1], a byte that
+    is not UTF-8 or a repeated id raises ValueError naming the line."""
+    (raw_min, raw_max), (ids, deltas, raws) = _read_records(path, _TABLE)
     return DescriptivenessTable(scores=dict(zip(ids, deltas)), raw_scores=dict(zip(ids, raws)),
                                 raw_min=raw_min, raw_max=raw_max)

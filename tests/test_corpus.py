@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -270,6 +271,14 @@ def build_table_oracle(records, pool_split="train"):
     return doc_freq, C.DescriptivenessTable(scores, raws, lo, hi)
 
 
+def _field(obj, key):
+    """``obj[key]``, a missing key named as missing."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"missing {key!r}") from None
+
+
 def read_corpus_per_line(path):
     """The per-line corpus reader, with the field types read_corpus_jsonl
     enforces."""
@@ -285,7 +294,7 @@ def read_corpus_per_line(path):
                 if split not in C.VALID_SPLITS:
                     raise ValueError(f"bad split {split!r}")
                 level = obj.get("level")
-                sid, image_id, text = obj["id"], obj["image_id"], obj["text"]
+                sid, image_id, text = (_field(obj, key) for key in ("id", "image_id", "text"))
                 for name, value in (("id", sid), ("image_id", image_id)):
                     if type(value) not in (str, int):
                         raise ValueError(f"{name!r} must be a string or an integer")
@@ -293,6 +302,8 @@ def read_corpus_per_line(path):
                     raise ValueError("'text' must be a string")
                 if level is not None and type(level) is not int:
                     raise ValueError("'level' must be an integer or null")
+                if level is not None and not -2**63 <= level < 2**63:
+                    raise ValueError("'level' must be an integer in [-2**63, 2**63) or null")
                 records.append(C.SentenceRecord(str(sid), str(image_id), text, split, level))
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed corpus record: {exc}") from exc
@@ -316,7 +327,7 @@ def read_table_per_line(path):
                 continue
             try:
                 obj = json.loads(line)
-                delta, sid, raw = obj["delta"], obj["id"], obj["raw"]
+                delta, sid, raw = (_field(obj, key) for key in ("delta", "id", "raw"))
                 for name, value in (("delta", delta), ("raw", raw)):
                     if type(value) not in (int, float):
                         raise ValueError(f"{name!r} must be a number, got {json.dumps(value)}")
@@ -481,7 +492,7 @@ def _assert_corpus_bytes_equal_json_dumps(tmp, records):
 def test_write_corpus_bytes_equal_json_dumps(tmp_path):
     texts = ids_needing_escapes + ["ctrl\x00\x1f\x7f\n\r", "naïve 東京", 'say "hi" \\ bye', ""]
     records = [C.SentenceRecord(sid, f"i{k}", texts[k % len(texts)], split=C.VALID_SPLITS[k % 3],
-                                level=[None, 0, 1, 12, -3, 10**20][k % 6])
+                                level=[None, 0, 1, 12, -3, 2**63 - 1][k % 6])
                for k, sid in enumerate(ids_needing_escapes + ["007", "12", "-1", "1e5", "null"])]
     _assert_corpus_bytes_equal_json_dumps(tmp_path, records)
     assert C.read_corpus_jsonl(tmp_path / "bulk.jsonl") == records
@@ -491,7 +502,7 @@ def test_write_corpus_bytes_equal_json_dumps(tmp_path):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.builds(C.SentenceRecord, st.text(max_size=6), st.text(max_size=6),
                           st.text(max_size=12), st.sampled_from(C.VALID_SPLITS),
-                          st.none() | st.integers()), max_size=8))
+                          st.none() | st.integers(-2**63, 2**63 - 1)), max_size=8))
 def test_write_corpus_round_trips_like_json_dumps(tmp_path_factory, records):
     _assert_corpus_bytes_equal_json_dumps(tmp_path_factory.mktemp("corpus"), records)
 
@@ -499,6 +510,12 @@ def test_write_corpus_round_trips_like_json_dumps(tmp_path_factory, records):
 @pytest.mark.parametrize("level", [True, 2.0, "2"])
 def test_write_corpus_rejects_a_level_the_reader_rejects(tmp_path, level):
     with pytest.raises(ValueError, match="'level' must be an integer or null"):
+        C.write_corpus_jsonl(tmp_path / "c.jsonl", [C.SentenceRecord("a", "i", "t", level=level)])
+
+
+@pytest.mark.parametrize("level", [2**63, -2**63 - 1, 10**30])
+def test_write_corpus_rejects_a_level_beyond_int64(tmp_path, level):
+    with pytest.raises(ValueError, match=r"'level' must be an integer in \[-2\*\*63, 2\*\*63\)"):
         C.write_corpus_jsonl(tmp_path / "c.jsonl", [C.SentenceRecord("a", "i", "t", level=level)])
 
 
@@ -554,8 +571,10 @@ def _raises_same(path, reader, oracle):
 
 
 REC = '{"id": "%s", "image_id": "i", "text": "a dog"}'
+# the form write_corpus_columns gives a record
+CANON = '{"id": "%s", "image_id": "i", "split": "train", "text": "a dog"}'
 
-# corpora the one-parse path must refuse; the per-line reader names the bad line
+# corpora the pattern route must refuse; the per-line reader names the bad line
 MUTATED_CORPORA = {
     "two-objects-one-line": [REC % "a", REC % "b" + ", " + REC % "c", REC % "d"],
     "record-split-over-lines": [REC % "a", '{"id": "b", "image_id": "i",', '"text": "t"}'],
@@ -574,7 +593,31 @@ def test_corpus_reader_rejects_mutations_like_per_line_reader(tmp_path, name):
     path.write_text("\n \n".join(MUTATED_CORPORA[name]) + "\n\t\n")
     msg = _raises_same(path, C.read_corpus_jsonl, read_corpus_per_line)
     assert msg.startswith(f"{path}:")
-    assert C._bulk_objects([line.strip() for line in MUTATED_CORPORA[name]]) is None
+    assert C._matched_columns(C._CORPUS, [line.strip() for line in MUTATED_CORPORA[name]]) is None
+    canonical = [CANON % "a" if line == REC % "a" else line for line in MUTATED_CORPORA[name]]
+    assert C._matched_columns(C._CORPUS, canonical) is None
+
+
+def _spy_routes(monkeypatch) -> list:
+    """Record each block's route and rule-set call as (function, records,
+    whether it gave columns): `_matched_columns` gives None for a block it
+    leaves to `_parsed_columns`."""
+    calls = []
+
+    def spy(original, size):
+        def wrapper(*args):
+            out = original(*args)
+            calls.append((original.__name__, size(*args), out is not None))
+            return out
+        return wrapper
+
+    for name in ("_matched_columns", "_parsed_columns"):
+        monkeypatch.setattr(C, name, spy(getattr(C, name), lambda fmt, block: len(block)))
+    for name in ("_CORPUS", "_TABLE"):
+        fmt = getattr(C, name)
+        monkeypatch.setattr(C, name, dataclasses.replace(
+            fmt, rules=spy(fmt.rules, lambda cols: len(cols["id"]))))
+    return calls
 
 
 def test_valid_files_take_the_one_parse_path(tmp_path, monkeypatch):
@@ -583,32 +626,25 @@ def test_valid_files_take_the_one_parse_path(tmp_path, monkeypatch):
     _, table = C.build_table(records)
     C.write_table_jsonl(tmp_path / "table.jsonl", table)
 
-    calls = []
-    for name in ("_bulk_objects", "_corpus_columns", "_table_columns"):
-        def spy(values, _original=getattr(C, name), _name=name):
-            out = _original(values)
-            calls.append((_name, len(values), out is not None))
-            return out
-
-        monkeypatch.setattr(C, name, spy)
+    calls = _spy_routes(monkeypatch)
     assert C.read_corpus_jsonl(tmp_path / "corpus.jsonl") == records
     assert C.read_table_jsonl(tmp_path / "table.jsonl") == table
-    # one parse and one check of all four records per file: no record
-    # reaches the one-record step
-    assert calls == [("_bulk_objects", 4, True), ("_corpus_columns", 4, True),
-                     ("_bulk_objects", 4, True), ("_table_columns", 4, True)]
-    # in blocks of three records: one parse and one check per block
+    # one match and one check of all four records per file: no line is
+    # parsed and no record reaches the one-record step
+    assert calls == [("_matched_columns", 4, True), ("_corpus_columns", 4, True),
+                     ("_matched_columns", 4, True), ("_table_columns", 4, True)]
+    # in blocks of three records: one match and one check per block
     calls.clear()
     monkeypatch.setattr(C, "_BLOCK_RECORDS", 3)
     assert C.read_corpus_jsonl(tmp_path / "corpus.jsonl") == records
     assert C.read_table_jsonl(tmp_path / "table.jsonl") == table
-    assert calls == [("_bulk_objects", 3, True), ("_corpus_columns", 3, True),
-                     ("_bulk_objects", 1, True), ("_corpus_columns", 1, True),
-                     ("_bulk_objects", 3, True), ("_table_columns", 3, True),
-                     ("_bulk_objects", 1, True), ("_table_columns", 1, True)]
+    assert calls == [("_matched_columns", 3, True), ("_corpus_columns", 3, True),
+                     ("_matched_columns", 1, True), ("_corpus_columns", 1, True),
+                     ("_matched_columns", 3, True), ("_table_columns", 3, True),
+                     ("_matched_columns", 1, True), ("_table_columns", 1, True)]
 
 
-# a line that keeps the one-parse path away from the whole file
+# a line that sends its block to the per-line parse: it matches no pattern
 NESTED_LINE = '{"id": "n", "image_id": "i", "text": "t", "extra": {"k": [1]}}'
 
 
@@ -627,6 +663,14 @@ MISTYPED = {
     "level-float": ("level", "2.7", "'level' must be an integer or null"),
     "level-integral-float": ("level", "2.0", "'level' must be an integer or null"),
     "level-string": ("level", '"2"', "'level' must be an integer or null"),
+    "level-beyond-int64": ("level", "1" + "0" * 30,
+                           "'level' must be an integer in [-2**63, 2**63) or null"),
+    "level-below-int64": ("level", str(-2**63 - 1),
+                          "'level' must be an integer in [-2**63, 2**63) or null"),
+    # None: the line lacks the field
+    "id-missing": ("id", None, "missing 'id'"),
+    "image_id-missing": ("image_id", None, "missing 'image_id'"),
+    "text-missing": ("text", None, "missing 'text'"),
 }
 
 
@@ -634,10 +678,17 @@ MISTYPED = {
 @pytest.mark.parametrize("case", list(MISTYPED))
 def test_corpus_reader_rejects_mistyped_fields(tmp_path, route, case):
     field, value, want = MISTYPED[case]
-    fields = {"id": '"b"', "image_id": '"i"', "text": '"a cat"', "level": "1"}
-    fields[field] = value
+    if route == "per-line":
+        fields = {"id": '"b"', "image_id": '"i"', "text": '"a cat"', "level": "1"}
+        first = NESTED_LINE
+    else:  # the writer's form, which only the fault itself can break
+        fields = {"id": '"b"', "image_id": '"i"', "level": "1", "split": '"train"', "text": '"a cat"'}
+        first = CANON % "a"
+    if value is None:
+        del fields[field]
+    else:
+        fields[field] = value
     bad = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
-    first = NESTED_LINE if route == "per-line" else REC % "a"
     path = tmp_path / "corpus.jsonl"
     path.write_text(first + "\n" + bad + "\n")
     with pytest.raises(ValueError) as exc:
@@ -649,9 +700,12 @@ def test_corpus_reader_rejects_mistyped_fields(tmp_path, route, case):
 def test_first_bad_record_named_before_a_later_unparseable_line(tmp_path, route):
     unparseable = '{"id": "e",'
     path = tmp_path / "corpus.jsonl"
-    path.write_text("\n".join([NESTED_LINE if route == "per-line" else REC % "a", REC % "b",
-                               '{"id": "c", "image_id": "i", "text": 3}', REC % "d",
-                               unparseable, REC % "f"]) + "\n")
+    if route == "per-line":
+        lines = [NESTED_LINE, REC % "b", '{"id": "c", "image_id": "i", "text": 3}', REC % "d"]
+    else:
+        lines = [CANON % "a", CANON % "b", '{"id": "c", "image_id": "i", "split": "train", "text": 3}',
+                 CANON % "d"]
+    path.write_text("\n".join(lines + [unparseable, REC % "f"]) + "\n")
     with pytest.raises(ValueError) as exc:
         C.read_corpus_jsonl(path)
     assert str(exc.value) == f"{path}:3: malformed corpus record: 'text' must be a string"
@@ -695,6 +749,10 @@ BAD_ROWS = {
                 "'id' must be a string or an integer, got false"),
     "id-float": ('{"delta": 0.5, "id": 2.0, "raw": 1.5}',
                  "'id' must be a string or an integer, got 2.0"),
+    "delta-overflow": (ROW % ("1e999", "b", "1.5"), "'delta' must be finite, got inf"),
+    "delta-missing": ('{"id": "b", "raw": 1.5}', "missing 'delta'"),
+    "id-missing": ('{"delta": 0.5, "raw": 1.5}', "missing 'id'"),
+    "raw-missing": ('{"delta": 0.5, "id": "b"}', "missing 'raw'"),
 }
 
 
@@ -801,3 +859,206 @@ def test_table_reader_names_a_repeat_across_blocks(tmp_path, small_blocks):
     path.write_text("\n".join([TABLE_HEAD, *rows]) + "\n")
     want = f"{path}:7: duplicate sentence id 'b' (first on line 3)"
     assert _raises_same(path, C.read_table_jsonl, read_table_per_line) == want
+
+
+# ---------------------------------------------------------------------------
+# The pattern route: the writers' own lines are matched, not parsed
+
+
+def _bits(table):
+    """A table's ids, values as float bits, and extremes."""
+    return (list(table.scores), [v.hex() for v in table.scores.values()],
+            [v.hex() for v in table.raw_scores.values()], table.raw_min.hex(), table.raw_max.hex())
+
+
+# characters that the writers escape: quotes, backslashes, control and
+# non-ASCII characters, and lone surrogates (a high surrogate followed by a
+# low one would be written as a pair, which JSON reads back as one character)
+_ESCAPED = st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "é", "東",
+                            "\U0001f600", "\ud800", "\udbff", "\udfff"])
+escaped_texts = st.text(st.characters(exclude_categories=()) | _ESCAPED, max_size=8).filter(
+    lambda s: not any("\ud800" <= a <= "\udbff" and "\udc00" <= b <= "\udfff"
+                      for a, b in zip(s, s[1:])))
+_FLOAT_EXTREMES = [-0.0, 5e-324, 1e308, -1e308, 1e16, 1e-05, 2.5e-300]
+
+
+@st.composite
+def written_columns(draw):
+    """A corpus and a table of the same ids, as the writers take them."""
+    n = draw(st.integers(0, 9))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    ids = draw(st.lists(escaped_texts, min_size=n, max_size=n, unique=True))
+    corpus = C.CorpusColumns(ids, column(escaped_texts), column(escaped_texts),
+                             column(st.sampled_from(C.VALID_SPLITS)),
+                             column(st.none() | st.sampled_from([0, -1, 2**63 - 1, -2**63])
+                                    | st.integers(-2**63, 2**63 - 1)))
+    raws = st.sampled_from(_FLOAT_EXTREMES) | st.floats(allow_nan=False, allow_infinity=False)
+    deltas = column(st.sampled_from([0.0, -0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0))
+    table = C.DescriptivenessTable(dict(zip(ids, deltas)), dict(zip(ids, column(raws))),
+                                   raw_min=draw(raws), raw_max=draw(raws))
+    return corpus, table
+
+
+def _write(tmp, columns):
+    corpus, table = columns
+    C.write_corpus_columns(tmp / "corpus.jsonl", corpus)
+    C.write_table_jsonl(tmp / "table.jsonl", table)
+    return tmp / "corpus.jsonl", tmp / "table.jsonl"
+
+
+def _took_the_pattern(calls, records, block):
+    """Every block of a file of ``records`` records went through one match
+    and none was parsed (an empty file is one empty block)."""
+    routes = [c for c in calls if c[0] in ("_matched_columns", "_parsed_columns")]
+    return routes == [("_matched_columns", min(block, records - lo), True)
+                      for lo in range(0, records or 1, block)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(written_columns(), st.sampled_from([1, 2, 3, None]))
+def test_written_files_read_back_through_the_pattern(tmp_path_factory, columns, block):
+    corpus_path, table_path = _write(tmp_path_factory.mktemp("written"), columns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_BLOCK_RECORDS", block or C._BLOCK_RECORDS)
+        calls = _spy_routes(mp)
+        assert C.read_corpus_columns(corpus_path) == columns[0]
+        assert _took_the_pattern(calls, len(columns[0].ids), C._BLOCK_RECORDS)
+        calls.clear()
+        assert _bits(C.read_table_jsonl(table_path)) == _bits(columns[1])
+        assert _took_the_pattern(calls, len(columns[0].ids), C._BLOCK_RECORDS)
+
+
+def _number(x: float) -> str:
+    """``x`` in a form the table writer never emits: an integer where x is
+    integral (``-0`` for -0.0, which JSON reads as the integer 0), else an
+    upper-case exponent."""
+    if x.is_integer():
+        return ("-" if math.copysign(1.0, x) < 0 else "") + str(abs(int(x)))
+    text = repr(x)
+    return text.replace("e", "E") if "e" in text else text + "E0"
+
+
+def _rewritten(line: str, kind: int, k: int) -> str:
+    """A written line in another JSON form: 0 as written, 1 keys in reverse
+    order, 2 spaces around every token, 3 the integer id k, 4 a
+    ``"level": null`` for an absent level, and in a table integer or
+    upper-case-exponent numbers."""
+    obj = json.loads(line)
+    if kind == 1:
+        return json.dumps(dict(reversed(obj.items())))
+    if kind == 2:
+        return "  " + json.dumps(obj, sort_keys=True, separators=(" ,  ", " :  ")) + " "
+    if kind == 3:
+        return json.dumps({**obj, "id": k}, sort_keys=True)
+    if kind == 4 and "delta" in obj:
+        return (f'{{"delta": {_number(obj["delta"])}, "id": {json.dumps(obj["id"])}, '
+                f'"raw": {_number(obj["raw"])}}}')
+    if kind == 4:
+        return json.dumps({"level": None, **obj}, sort_keys=True)
+    return line
+
+
+def _same_as_oracle(path, reader, oracle, key=lambda x: x):
+    """``reader(path)`` gives what ``oracle(path)`` gives, or its message."""
+    try:
+        want = oracle(path)
+    except ValueError:
+        _raises_same(path, reader, oracle)
+    else:
+        assert key(reader(path)) == key(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(written_columns(), st.lists(st.integers(0, 4), min_size=20, max_size=20),
+       st.sampled_from([1, 2, 3, None]))
+def test_rewritten_lines_read_like_the_per_line_oracle(tmp_path_factory, columns, kinds, block):
+    # each line rewritten or not by its own draw, so canonical and rewritten
+    # lines share blocks and fill blocks of their own
+    corpus_path, table_path = _write(tmp_path_factory.mktemp("rewritten"), columns)
+    for path, head in ((corpus_path, 0), (table_path, 1)):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[head:] = [_rewritten(line, kinds[k % len(kinds)], k)
+                        for k, line in enumerate(lines[head:])]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_BLOCK_RECORDS", block or C._BLOCK_RECORDS)
+        _same_as_oracle(corpus_path, C.read_corpus_jsonl, read_corpus_per_line)
+        _same_as_oracle(table_path, C.read_table_jsonl, read_table_per_line, key=_bits)
+
+
+# faults that a line in the writer's form can hold, each in the third block
+# of blocks of two: (corpus or table, line number, that line)
+PATTERN_FAULTS = {
+    "level-beyond-int64": (
+        "corpus", 6, '{"id": "s5", "image_id": "i", "level": 1%s, "split": "train", '
+                     '"text": "a dog"}' % ("0" * 30)),
+    "repeat-two-blocks-apart": (
+        "corpus", 6, '{"id": "s0", "image_id": "i", "split": "train", "text": "a dog"}'),
+    "delta-overflow": ("table", 6, '{"delta": 1e999, "id": "s4", "raw": 1.5}'),
+    "delta-above-1": ("table", 6, '{"delta": 7.5, "id": "s4", "raw": 1.5}'),
+}
+
+
+@pytest.mark.parametrize("case", list(PATTERN_FAULTS))
+def test_faults_on_the_pattern_route_are_named_like_the_oracle(tmp_path, monkeypatch, case):
+    kind, lineno, bad = PATTERN_FAULTS[case]
+    ids = [f"s{k}" for k in range(7)]
+    columns = (C.CorpusColumns(ids, ["i"] * 7, ["a dog"] * 7, ["train"] * 7, [None] * 7),
+               C.DescriptivenessTable(dict.fromkeys(ids, 0.5), dict.fromkeys(ids, 1.5), 1.0, 2.0))
+    paths = dict(zip(("corpus", "table"), _write(tmp_path, columns)))
+    lines = paths[kind].read_text().splitlines()
+    assert C._matched_columns(getattr(C, f"_{kind.upper()}"), [lines[lineno - 1]]) is not None
+    lines[lineno - 1] = bad
+    paths[kind].write_text("".join(line + "\n" for line in lines))
+    monkeypatch.setattr(C, "_BLOCK_RECORDS", 2)
+    calls = _spy_routes(monkeypatch)
+    reader, oracle = ((C.read_corpus_jsonl, read_corpus_per_line) if kind == "corpus"
+                      else (C.read_table_jsonl, read_table_per_line))
+    msg = _raises_same(paths[kind], reader, oracle)
+    assert msg.startswith(f"{paths[kind]}:{lineno}: ")
+    # the first pass, up to the line-by-line pass, matched every block it
+    # read, the bad line's among them
+    matched = [c for c in calls[:calls.index(("_parsed_columns", 1, True))]
+               if c[0] == "_matched_columns"]
+    assert matched[:3] == [("_matched_columns", 2, True)] * 3
+    assert all(ok for _, _, ok in matched)
+
+
+@pytest.mark.parametrize("kind, lineno, bad", [("corpus", 5, 0xff), ("table", 6, 0xfe),
+                                               ("table", 1, 0xfe)])
+def test_readers_name_a_line_that_is_not_utf8(tmp_path, small_blocks, kind, lineno, bad):
+    ids = [f"s{k}" for k in range(6)]
+    columns = (C.CorpusColumns(ids, ["i"] * 6, ["a dog"] * 6, ["train"] * 6, [None] * 6),
+               C.DescriptivenessTable(dict.fromkeys(ids, 0.5), dict.fromkeys(ids, 1.5), 1.0, 2.0))
+    path = dict(zip(("corpus", "table"), _write(tmp_path, columns)))[kind]
+    reader = C.read_corpus_columns if kind == "corpus" else C.read_table_jsonl
+    # a byte that no UTF-8 text holds, before the closing brace of a line in
+    # a block after the first (or of the table's header)
+    lines = path.read_bytes().split(b"\n")
+    good = lines[lineno - 1]
+    lines[lineno - 1] = good[:-1] + bytes([bad]) + good[-1:]
+    path.write_bytes(b"\n".join(lines))
+    what = "table header" if lineno == 1 else f"{kind} record"
+    with pytest.raises(ValueError) as exc:
+        reader(path)
+    assert str(exc.value) == (f"{path}:{lineno}: malformed {what}: line is not valid UTF-8 "
+                              f"(byte {bad:#04x} at column {len(good)})")
+    # an earlier malformed line is named first
+    if lineno > 2:
+        lines[1] = b'{"id": '
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as exc:
+            reader(path)
+        assert str(exc.value).startswith(f"{path}:2: malformed {kind} record: Expecting value")
+
+
+def test_integer_numbers_keep_the_json_route(tmp_path):
+    # json.loads reads -0 as the integer 0, where float("-0") is -0.0
+    path = tmp_path / "table.jsonl"
+    path.write_text(TABLE_HEAD + '\n{"delta": -0, "id": "a", "raw": 2}\n')
+    assert C._matched_columns(C._TABLE, ['{"delta": -0, "id": "a", "raw": 2}']) is None
+    assert _bits(C.read_table_jsonl(path)) == _bits(read_table_per_line(path))
+    assert C.read_table_jsonl(path).scores["a"].hex() == "0x0.0p+0"
