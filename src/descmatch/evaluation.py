@@ -20,13 +20,14 @@ rank (a target, an entry within the proven gemm error of one) comes from
 the fixed-order kernel.  A given matrix goes through the same count with
 a zero error bound, so there is one rank routine.
 
-Screen precision: a screen (the gemms of ``exact_ranks`` and of the
-traversal, and the masks taken from them) runs in float32 when every norm
-of the call's inputs lies in [2^-40, 2^40] and d < 2^20, and in float64
-otherwise (``_screen_dtype``, chosen once per call).  Each slack takes u,
-the unit roundoff of that dtype, and its proof counts the rounding of the
-float64 inputs to it.  Every decision (a rank, a start, a top-1) is still
-taken in float64, so no result depends on the dtype.
+Norm contract: every embedding row that ``exact_ranks`` and the
+traversal take (image, text, candidate and root) has norm 1 within
+``geometry.UNIT_TOL`` = 1e-3, and d < 2^20; anything else raises
+ValueError naming the row (``geometry.check_unit_rows``).  The screens
+(the gemms of ``exact_ranks`` and of the traversal, and the masks taken
+from them) run in float32, each slack's proof counting the rounding of
+the float64 inputs to it, and every decision (a rank, a start, a top-1)
+is taken in float64.
 """
 
 from __future__ import annotations
@@ -54,30 +55,20 @@ _BLOCK_ENTRIES = 1 << 18
 # rank of a query with no relevant item: no k reaches it
 _NEVER = np.iinfo(np.int64).max
 
-# screened rows and columns keep their norms in [2^-400, 2^400]; the rest
-# take their entries from the exact kernel (see ``exact_ranks``)
-_NORM_RANGE = (2.0 ** -400, 2.0 ** 400)
+# the screens' dtype and its unit roundoff
+_SCREEN = np.dtype(np.float32)
+_U = 2.0 ** -24
 
-# norms that keep a float32 screen clear of overflow and of underflow
-# beyond its slack (see ``exact_ranks`` and ``_traverse``)
-_F32_NORMS = (2.0 ** -40, 2.0 ** 40)
-
-
-def _norms(matrix: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+# the screens' slacks are proven for embeddings of fewer dimensions
+_MAX_DIM = 1 << 20
 
 
-def _screen_dtype(dim: int, *norms: np.ndarray) -> np.dtype:
-    """float32 when every norm lies in ``_F32_NORMS`` and dim < 2^20,
-    float64 otherwise (a NaN norm lies in no range)."""
-    lo, hi = _F32_NORMS
-    safe = dim < 1 << 20 and all(bool(((n >= lo) & (n <= hi)).all()) for n in norms)
-    return np.dtype(np.float32 if safe else np.float64)
-
-
-def _unit(dtype: np.dtype) -> float:
-    """Unit roundoff: 2^-24 for float32, 2^-53 for float64."""
-    return float(np.finfo(dtype).eps) / 2.0
+def _screen_norms(name: str, rows: np.ndarray) -> np.ndarray:
+    """The norms of rows that the norm contract admits; raises otherwise."""
+    if rows.shape[1] >= _MAX_DIM:
+        raise ValueError(f"{name} embeddings have {rows.shape[1]} dimensions; "
+                         f"the float32 screens take fewer than 2^20")
+    return geometry.check_unit_rows(name, rows)
 
 
 def _toward(values: np.ndarray, dtype: np.dtype, end: float) -> np.ndarray:
@@ -220,47 +211,37 @@ def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
     that decides a rank comes from ``geometry.pair_sims``.  Memory is
     O(block x texts).
 
-    Bound, with u the unit roundoff of the screen dtype (``_screen_dtype``;
-    u_64 = 2^-53 is float64's) and g_m = m u / (1 - m u): let E = clip(x)
-    be an exact entry, x the fixed-order float64 sum of the d products
+    Bound, with u = 2^-24 the unit roundoff of the float32 screen,
+    u_64 = 2^-53 float64's and g_m = m u / (1 - m u): let E = clip(x) be
+    an exact entry, x the fixed-order float64 sum of the d products
     a_k b_k of image row a and text row b, and g the gemm entry.  x lies
     within g_d(u_64) sum_k |a_k b_k| of a.b (Higham, Accuracy and
-    Stability of Numerical Algorithms, sec. 3.1).  g sums in the screen
-    dtype, in some order (gemm may fuse a multiply and an add, which only
-    drops a rounding), the products of a and b rounded to that dtype: in
-    float64 the rounding is exact and g lies within g_d sum_k |a_k b_k|
-    of a.b; in float32 it multiplies each product by (1 + e)(1 + e'),
-    |e|, |e'| <= u, so g lies within g_(d+2) sum_k |a_k b_k|.  By
-    Cauchy-Schwarz
-        |g - x| <= c |a| |b|,  c = 2 g_d (float64), g_(d+2) + g_d(u_64) (float32).
+    Stability of Numerical Algorithms, sec. 3.1).  g sums in float32, in
+    some order (gemm may fuse a multiply and an add, which only drops a
+    rounding), the products of a and b rounded to float32, which
+    multiplies each product by (1 + e)(1 + e'), |e|, |e'| <= u, so g lies
+    within g_(d+2) sum_k |a_k b_k| of a.b.  By Cauchy-Schwarz
+        |g - x| <= c |a| |b|,  c = g_(d+2) + g_d(u_64).
     The clamp is monotone and 1-Lipschitz, so clip(g) lies as close to
     E.  The slack of entry (i, j) is k n_i N with N the largest text
     norm (for image queries), or k M n_j with M the largest image norm
     (for text queries), where the n are computed norms and k = 2 (d+2) u.
     A computed norm has n >= |a| sqrt(1 - g_d(u_64)) (1 - u_64), and the
     slack is rounded twice in float64, so it is at least c |a| |b|
-    whenever k (1 - u_64)^4 (1 - g_d(u_64)) >= c.  In float64 that holds
-    for d^2 u < 1/2, i.e. any d below 6 * 10^7; in float32 for
-    (d+2) u <= 1/4, since then g_(d+2) <= 4/3 (d+2) u, which d < 2^20
-    ensures.  ``_window`` rounds each threshold outward to the screen
-    dtype, so the comparison itself loses nothing: an entry above its
-    query's hi has clip(g) > value + slack, hence E > value, and likewise
-    below lo.
+    whenever k (1 - u_64)^4 (1 - g_d(u_64)) >= c, which holds for
+    (d+2) u <= 1/4, since then g_(d+2) <= 4/3 (d+2) u; d < 2^20 ensures
+    that.  ``_window`` rounds each threshold outward to float32, so the
+    comparison itself loses nothing: an entry above its query's hi has
+    clip(g) > value + slack, hence E > value, and likewise below lo.
 
-    Range.  In float64, rows and columns with norms inside
-    ``_NORM_RANGE`` keep every product, partial sum and slack finite and
-    clear of underflow (the absolute errors of subnormal products, at most
-    d 2^-1074, vanish in the margin of k).  The others get their entries
-    from ``pair_sims`` inside the gemm block, and a slack of 0, so NaN
-    and infinite rows are exact too.  float32 is chosen only when every
-    norm lies in ``_F32_NORMS`` = [2^-40, 2^40]: then every rounded
-    component, product and partial sum stays below 2^81, far from
-    overflow, and |a| |b| >= 2^-80.  A rounding that underflows, even one
-    flushed to zero, errs by less than 2^-126 in absolute terms; over the
-    2d conversions (each weighted by a component of the other row) and
-    the 2d - 1 products and sums of an entry that is less than 2^-126
-    (sqrt(d) (|a| + |b|) + 2d) <= 2^-44 d |a| |b|, under 2^-18 of the
-    margin k - c >= (d+2) u / 2.
+    Range.  Every norm lies within 1e-3 of 1, so every rounded component,
+    product and partial sum is below 2 in magnitude, far from overflow,
+    and |a| |b| > 1/2.  A rounding that underflows, even one flushed to
+    zero, errs by less than 2^-126 in absolute terms; over the 2d
+    conversions (each weighted by a component of the other row) and the
+    2d - 1 products and sums of an entry that is less than 2^-126
+    (sqrt(d) (|a| + |b|) + 2d) < 2^-122 d |a| |b|, far under the margin
+    k - c >= (d+2) u / 2.
     Targets come from ``pair_sims``: the owned pair of each text, and
     each image's best owned text.
     """
@@ -274,32 +255,18 @@ def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
     valid = np.flatnonzero((owners >= 0) & (owners < n_img))
     owned = np.zeros(n_txt)
     owned[valid] = geometry.pair_sims(images, texts, owners[valid], valid)
-    norms = _norms(images), _norms(texts)
-    dtype = _screen_dtype(dim, *norms)
-    # 0 for the rows left to the exact kernel: outside _NORM_RANGE or NaN
-    img_norms, txt_norms = (np.where((n >= _NORM_RANGE[0]) & (n <= _NORM_RANGE[1]), n, 0.0)
-                            for n in norms)
-    unit = 2.0 * (dim + 2) * _unit(dtype)
+    img_norms, txt_norms = _screen_norms("image", images), _screen_norms("text", texts)
+    unit = 2.0 * (dim + 2) * _U
     row_slack = unit * img_norms * txt_norms.max(initial=0.0)
     col_slack = unit * img_norms.max(initial=0.0) * txt_norms
-    # never in float32, whose norms all lie in _F32_NORMS
-    unscreened = not (img_norms.all() and txt_norms.all())
-    screen_images = images.astype(dtype, copy=False)
-    screen_texts = texts.astype(dtype, copy=False)
+    screen_images = images.astype(_SCREEN)
+    screen_texts = texts.astype(_SCREEN)
     step = max(1, _BLOCK_ENTRIES // max(1, n_txt))
-
-    def blocks():
-        for start in range(0, n_img, step):
-            block = screen_images[start:start + step] @ screen_texts.T
-            if unscreened:
-                r, c = _nonzero((img_norms[start:start + step, None] == 0.0)
-                                  | (txt_norms == 0.0))
-                block[r, c] = geometry.pair_sims(images, texts, start + r, c)
-            yield start, block
-
-    return _count_ranks(n_img, owners, owned, blocks(),
+    blocks = ((start, screen_images[start:start + step] @ screen_texts.T)
+              for start in range(0, n_img, step))
+    return _count_ranks(n_img, owners, owned, blocks,
                         lambda r, c: geometry.pair_sims(images, texts, r, c),
-                        row_slack, col_slack, clip=True, dtype=dtype)
+                        row_slack, col_slack, clip=True, dtype=_SCREEN)
 
 
 def _recall(ranks: np.ndarray, k: int) -> float:
@@ -397,8 +364,8 @@ def _nearest(close: np.ndarray, seg: np.ndarray, index: np.ndarray,
     point(rows, segs) gives the float points at which the distances are
     taken.  A (row, segment) with a single marked column needs no
     re-check; the others take the exact distance e_j of each marked
-    column.  Bound, with u the unit roundoff of the caller's screen dtype
-    (at least float64's, in which e_j is taken), g_m = m u/(1 - m u), D_j
+    column.  Bound, with u = 2^-24 the unit roundoff of the float32
+    screens (above float64's, in which e_j is taken), g_m = m u/(1 - m u), D_j
     the true squared distance to the float point and R a bound on
     |p| + |c_j|: a dot of m terms in any order errs by at most g_m times
     the sum of |terms|, so |e_j - D_j| <= g_(d+2) R^2.  If every screen value s_j
@@ -423,9 +390,8 @@ def _nearest(close: np.ndarray, seg: np.ndarray, index: np.ndarray,
     member = np.repeat(np.arange(multi.size), sizes[multi])
     least = np.minimum.reduceat(dist, np.searchsorted(member, np.arange(multi.size)))
     # columns ascend within a group, so the first exact minimum is the
-    # lowest-index nearest candidate; in a group whose distances are all
-    # NaN, every column is a hit and the first one wins
-    hits = np.flatnonzero(~(dist > least[member]))
+    # lowest-index nearest candidate
+    hits = np.flatnonzero(dist == least[member])
     top[multi] = col[hits[np.diff(member[hits], prepend=-1) != 0]]
     return index[top].reshape(close.shape[0], n_seg)
 
@@ -438,24 +404,20 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     rule of ``_nearest``.
 
     Screens: the start, ``low`` and ``mid`` gemms and their masks run in
-    the dtype that ``_screen_dtype`` picks from the image, candidate and
-    root norms, with u its unit roundoff; the root's line, the stations,
-    the survivors' line values and every distance are float64, whose
-    roundoff is at most u.  The thresholds of the screen-dtype masks are
-    rounded up to that dtype, so their comparisons lose nothing.  With g_m = m u /
+    float32, with u = 2^-24; the root's line, the stations, the
+    survivors' line values and every distance are float64, whose
+    roundoff is below u.  The thresholds of the float32 masks are rounded
+    up to float32, so their comparisons lose nothing.  With g_m = m u /
     (1 - m u), a lifted dot, |c_j|^2 - 2 p.c_j taken as the (d+1)-term
     dot of [-2p, 1] with [c_j, |c_j|^2] at a float64 point p, errs by at
-    most 2 g_(d+2) R^2 for any R >= |p| + |c_j|.  In float64 each term
-    takes g_(d+1) and the last one also the rounding of |c_j|^2, g_(2d+1)
-    in all, which is at most 2 g_(d+2) for d below 9 * 10^7.  In float32
-    each term takes g_(d+1) and two conversions, and the last one the
-    float64 rounding of |c_j|^2 (below u), g_(d+3) in all, at most
-    2 g_(d+2) for d < 2^20.  float32 is chosen only when every norm lies
-    in ``_F32_NORMS`` = [2^-40, 2^40], so R^2 < 2^83 and R >= 2^-40: no
-    screen value overflows, and the absolute errors of underflow (below
-    2^-126 per rounding even when flushed to zero, over 2d + 2 weighted
-    conversions and 2d + 1 products and sums) total less than 2^-44 d R^2,
-    under 2^-20 of the margin that each slack below keeps.
+    most 2 g_(d+2) R^2 for any R >= |p| + |c_j|: each term takes g_(d+1)
+    and two conversions, and the last one the float64 rounding of
+    |c_j|^2 (below u), g_(d+3) in all, at most 2 g_(d+2) for d < 2^20.
+    Every norm lies within 1e-3 of 1, so R^2 < 5 and R > 1/2: no screen
+    value overflows, and the absolute errors of underflow (below 2^-126
+    per rounding even when flushed to zero, over 2d + 2 weighted
+    conversions and 2d + 1 products and sums) total less than
+    2^-120 d R^2, far under the margin that each slack below keeps.
 
     Start: the screen s_j = |c_j|^2 - 2 p.c_j of image p, its squared
     distance less |p|^2, is a lifted dot, so E = 2 g_(d+2) with
@@ -525,32 +487,29 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     candidates = np.asarray(candidates, dtype=np.float64)
     root = np.asarray(root, dtype=np.float64)
     n_cand, dim = candidates.shape
+    img_norms = _screen_norms("image", images)
+    cand_norms = _screen_norms("candidate", candidates)
+    root_norm = float(_screen_norms("root", root[None, :])[0])
     lifted = np.hstack([candidates, np.einsum("ij,ij->i", candidates, candidates)[:, None]])
     t = np.linspace(0.0, 1.0, n_points)[:, None]
     rest = 1.0 - t
     root_line = lifted @ np.append(-2.0 * root, 1.0)
     q = int(root_line.argmin())
-    img_norms, cand_norms = _norms(images), np.sqrt(lifted[:, -1])
     reach = float(cand_norms.max())
-    root_norm = math.sqrt(float(root @ root))
-    dtype = _screen_dtype(dim, img_norms, cand_norms, np.array([root_norm]))
-    u = _unit(dtype)
-    screen_lifted = lifted.astype(dtype, copy=False)
-    unit = 24.0 * (dim + 3) * u
+    screen_lifted = lifted.astype(_SCREEN)
+    unit = 24.0 * (dim + 3) * _U
     one_seg, every = np.zeros(n_cand, dtype=np.int64), np.arange(n_cand)
     tops = np.empty((n_points, images.shape[0]), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // max(1, n_cand))
     budget = max(1, _BLOCK_ENTRIES // n_points)
     for lo in range(0, images.shape[0], step):
         block = images[lo:lo + step]
-        lift = np.ones((block.shape[0], dim + 1), dtype)
+        lift = np.ones((block.shape[0], dim + 1), _SCREEN)
         np.multiply(block, -2.0, out=lift[:, :-1])
         screen = lift @ screen_lifted.T
         radius = img_norms[lo:lo + step] + reach
-        slack = 12.0 * (dim + 2) * u * radius * radius
-        # a row with a NaN marks every column and, by the tie rule, starts
-        # at candidate 0, as an argmin would
-        limit = _toward(screen.min(axis=1) + slack, dtype, np.inf)
+        slack = 12.0 * (dim + 2) * _U * radius * radius
+        limit = _toward(screen.min(axis=1) + slack, _SCREEN, np.inf)
         firsts = _nearest(~(screen > limit[:, None]), one_seg, every,
                           candidates, lambda rows, _: block[rows])[:, 0]
         del screen
@@ -569,18 +528,18 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
         b_s, b_q = root_line[firsts], root_line[q]
         a = np.maximum(a_q - a_s, 0.0)
         b = b_s - b_q
-        err = 6.0 * (dim + 2) * u * radius * radius
+        err = 6.0 * (dim + 2) * _U * radius * radius
         gap = a + b - 2.0 * err
         cross = np.clip(a / np.where(gap > 0.0, a + b, 1.0), 0.0, 1.0)[:, None]
         drift = np.full(firsts.size, np.inf)
         ok = gap > 0.0
-        drift[ok] = 8.0 * radius[ok] ** 2 * (err[ok] / gap[ok] + 2.0 * u)
+        drift[ok] = 8.0 * radius[ok] ** 2 * (err[ok] / gap[ok] + 2.0 * _U)
         # the crossing t' of the s and q lines, and its screen values
         np.multiply((1.0 - cross) * starts + cross * root, -2.0, out=lift[:, :-1])
         mid = lift @ screen_lifted.T
         at_cross = np.minimum(mid[own, firsts], mid[:, q])
-        keep = mid <= _toward(at_cross + slack + drift, dtype, np.inf)[:, None]
-        keep |= low <= _toward(np.minimum(a_s, a_q) + slack, dtype, np.inf)[:, None]
+        keep = mid <= _toward(at_cross + slack + drift, _SCREEN, np.inf)[:, None]
+        keep |= low <= _toward(np.minimum(a_s, a_q) + slack, _SCREEN, np.inf)[:, None]
         keep |= root_line <= b_q + slack.max()
         # where the crossing is ill-conditioned, the envelope test prunes
         flat = np.flatnonzero(drift > radius * radius)

@@ -47,6 +47,22 @@ def l2_normalize(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms[:, None]
 
 
+# how far from 1 the norm of an embedding row may lie: loose enough for
+# the finite-difference perturbations of the loss gradient check
+UNIT_TOL = 1e-3
+
+
+def check_unit_rows(name: str, rows: np.ndarray) -> np.ndarray:
+    """The L2 norms of rows, each of which must lie within ``UNIT_TOL`` of
+    1.  Raises naming the first row that does not (a NaN row never does)."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))
+    if bad.size:
+        raise ValueError(f"{name} row {bad[0]} is not L2-normalized: norm "
+                         f"{norms[bad[0]]:.6g}, not 1 within {UNIT_TOL:g}")
+    return norms
+
+
 def _check_dims(u: np.ndarray, v: np.ndarray) -> None:
     if u.shape[-1] != v.shape[-1]:
         raise ValueError(f"dimension mismatch: {u.shape[-1]} vs {v.shape[-1]}")

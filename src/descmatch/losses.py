@@ -84,8 +84,7 @@ class Batch:
     """Aligned image/text embeddings with ownership and descriptiveness.
 
     ``image_embs`` is (n_images, D) and ``text_embs`` (n_texts, D); rows are
-    unit vectors (checked loosely, so finite-difference perturbations of
-    the embeddings remain admissible; NaN fails every check).  ``image_of_text[j]``
+    unit vectors (``geometry.check_unit_rows``).  ``image_of_text[j]``
     is the image owning text j; an image may own several texts.  Ownership
     is the only batch structure: every text forms one positive pair with
     its owner for the ranking losses, and ``same_image`` holds the (image,
@@ -117,10 +116,8 @@ class Batch:
             raise ValueError("text owner index out of range")
         if n_txt and not (self.deltas.min() >= 0.0 and self.deltas.max() <= 1.0):
             raise ValueError("deltas must lie in [0, 1]")
-        for embs, name in ((self.image_embs, "image"), (self.text_embs, "text")):
-            norms = np.sqrt(np.add.reduce(embs * embs, axis=1))
-            if norms.size and not np.abs(norms - 1.0).max() <= 1e-3:
-                raise ValueError(f"{name} embeddings are not L2-normalized")
+        geometry.check_unit_rows("image", self.image_embs)
+        geometry.check_unit_rows("text", self.text_embs)
         self.ownership = _ownership(self.image_of_text.tobytes(), n_img)
         self.same_image = self.ownership.same_image
 

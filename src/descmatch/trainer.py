@@ -376,7 +376,8 @@ def load_checkpoint(path, config: TrainConfig | None = None) -> dict:
     field or parameter array raise ValueError naming the path.  Given the
     ``config`` of a run that resumes from it, a saved config that differs
     in any key but ``epochs`` raises next, naming the first such key; an
-    rng state that cannot be restored raises last."""
+    rng state that cannot be restored raises next, and a parameter or
+    moment array holding NaN or inf raises last, naming the array."""
     data = Path(path).read_bytes()
     if data[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
@@ -433,6 +434,11 @@ def load_checkpoint(path, config: TrainConfig | None = None) -> dict:
         offset += 8 * count
     params, m, v = ({name: out[f"{slot}/{name}"] for name in _PARAM_NAMES}
                     for slot in ("param", "adam_m", "adam_v"))
+    for slot, arrays in (("param", params), ("adam_m", m), ("adam_v", v)):
+        for name in _PARAM_NAMES:
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"{path}: checkpoint array '{slot}/{name}' "
+                                 f"holds NaN or inf")
     opt_state = _opt_state(params, m, v, header["adam_t"])
     return {"params": params, "opt_state": opt_state, "epoch": header["epoch"],
             "rng": rng, "config": header["config"], "history": header["history"]}

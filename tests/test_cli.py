@@ -606,6 +606,57 @@ def test_eval_rejects_unrestorable_rng_state(synth_dir, checkpoint_bytes, tmp_pa
     assert not (tmp_path / "rpt").exists()
 
 
+def _saved_checkpoint(path, edit) -> None:
+    """A checkpoint of synth_dir's widths, saved after ``edit`` of its
+    params and optimiser state, with the recipe that the resume flags of
+    ``test_non_finite_checkpoint_array_exits_two`` give."""
+    config = trainer.TrainConfig(embed_dim=8, batch_size=12, epochs=1)
+    params = trainer.init_params(np.random.default_rng(0), 10, 10, 8)
+    opt_state = trainer.init_opt_state(params)
+    edit(params, opt_state)
+    trainer.save_checkpoint(path, params, opt_state, 0, np.random.default_rng(1), config, [])
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("slot, value", [("param", np.nan), ("adam_m", -np.inf),
+                                         ("adam_v", np.inf)])
+def test_non_finite_checkpoint_array_exits_two(synth_dir, tmp_path, capsys, command, slot,
+                                               value):
+    """A parameter or moment array holding NaN or inf exits 2 naming the
+    checkpoint and the array, before an embedding is made or <out> written."""
+    ckpt = tmp_path / "checkpoint.bin"
+
+    def poison(params, opt_state):
+        arrays = params if slot == "param" else opt_state[slot[-1]]
+        arrays["W_img"][0, 0] = value
+
+    _saved_checkpoint(ckpt, poison)
+    flags = (["--checkpoint", str(ckpt)] if command == "eval" else
+             ["--resume", str(ckpt), "--epochs", "2", "--batch-size", "12", "--embed-dim", "8"])
+    code = cli.main([command, *_data_flags(synth_dir), "--out", str(tmp_path / "out"), *flags])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: {ckpt}: checkpoint array '{slot}/W_img' "
+                                       f"holds NaN or inf\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_rejects_checkpoint_mapping_rows_below_the_norm_floor(synth_dir, tmp_path,
+                                                                    capsys):
+    """Zero image projections map every image to a row of norm 0."""
+    ckpt = tmp_path / "checkpoint.bin"
+
+    def zero(params, opt_state):
+        params["W_img"][:] = 0.0
+
+    _saved_checkpoint(ckpt, zero)
+    code = cli.main(["eval", *_data_flags(synth_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: image row 0 is not L2-normalized: norm 0, not 1 within 0.001")
+    assert not (tmp_path / "out").exists()
+
+
 def test_score_rejects_mistyped_corpus_field(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "a", "image_id": "i", "text": "a dog"}\n'
