@@ -2,7 +2,8 @@
 # Byte comparison of this tree against a base tree: a change to the library
 # must not move a byte of what the pipeline, synth, score, train, gradcheck
 # and the ablation write, and scoring and loading may take at most 5% more
-# peak RSS.  Exits non-zero at the first difference.
+# peak RSS and 1% more traced peak memory.  Exits non-zero at the first
+# difference.
 #
 # Usage:
 #     bash scripts/compare_trees.sh BASE_TREE [WORK_DIR]
@@ -86,6 +87,56 @@ base_rss=$(PYTHONPATH="$base/src" python "$work/score_load_rss.py" "$work/rss-da
 cmp "$work/base-scored.jsonl" "$work/head-scored.jsonl"
 echo "peak RSS (KB): base $base_rss, head $head_rss"
 test $((head_rss * 100)) -le $((base_rss * 105))
+
+# the same score-and-load script with tracemalloc started before the imports:
+# numpy reports its buffers to it, and unlike ru_maxrss its peak does not
+# move with the allocator or the checkout.  Each stage's traced peak is
+# printed; the head's overall peak may exceed the base's by at most 1%, and
+# a rise names the stages that rose
+echo "== compare the traced peak of each scoring and loading stage"
+cat > "$work/score_load_traced.py" <<'EOF'
+import tracemalloc
+
+tracemalloc.start()
+
+import sys
+from pathlib import Path
+
+from descmatch import corpus, trainer
+
+data, table_path = Path(sys.argv[1]), sys.argv[2]
+peaks = []
+
+
+def stage(name, fn, *args):
+    tracemalloc.reset_peak()
+    out = fn(*args)
+    peaks.append(f"{name}={tracemalloc.get_traced_memory()[1]}")
+    return out
+
+
+records = stage("read", corpus.read_corpus_jsonl, data / "corpus.jsonl")
+_, table = stage("score", corpus.build_table, records)
+stage("write", corpus.write_table_jsonl, table_path, table)
+stage("load", trainer.load_dataset, data / "corpus.jsonl", table_path,
+      data / "images.manifest.json", data / "texts.manifest.json")
+print(" ".join(peaks))
+EOF
+head_traced=$(PYTHONPATH=src python "$work/score_load_traced.py" "$work/rss-data" "$work/head-traced.jsonl")
+base_traced=$(PYTHONPATH="$base/src" python "$work/score_load_traced.py" "$work/rss-data" "$work/base-traced.jsonl")
+cmp "$work/base-traced.jsonl" "$work/head-traced.jsonl"
+python - "$base_traced" "$head_traced" <<'EOF'
+import sys
+
+base, head = (dict((name, int(peak)) for name, peak in (p.split("=") for p in arg.split()))
+              for arg in sys.argv[1:])
+for name in base:
+    print(f"traced peak (bytes) of {name}: base {base[name]}, head {head[name]} "
+          f"({head[name] / base[name] - 1:+.2%})")
+if max(head.values()) * 100 > max(base.values()) * 101:
+    rose = [name for name in base if head[name] * 100 > base[name] * 101]
+    sys.exit(f"traced peak rose by more than 1% over the base's, in: {', '.join(rose)}")
+EOF
 
 # a config value is stored as its flag would store it, so training from a
 # file that holds the pipeline's train settings, an integral "tau" among

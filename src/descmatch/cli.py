@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import datagen, evaluation, losses, trainer
+from . import datagen, evaluation, geometry, losses, trainer
 
 REQUIRED = object()  # default marker of an option that must be given
 
@@ -243,6 +243,12 @@ def _cmd_eval(cfg: dict) -> int:
     dataset, _ = _load_splits(cfg, "none", cfg["folds"] or 1, f"--folds {cfg['folds']}")
     saved = _load_checkpoint(cfg["checkpoint"], cfg, dataset)
     img_e, txt_e = trainer.embed_dataset(saved["params"], dataset)
+    for name, embs, key in (("image", img_e, "image_features"), ("text", txt_e, "text_features")):
+        try:
+            geometry.check_unit_rows(name, embs)
+        except ValueError as exc:
+            raise ValueError(f"{cfg['checkpoint']}: maps a row of {cfg[key]} off the unit "
+                             f"sphere: {exc}") from None
     report = evaluation.evaluate(img_e, txt_e, dataset.image_of_text,
                                  levels=dataset.levels, n_points=cfg["points"],
                                  n_folds=cfg["folds"])

@@ -62,10 +62,17 @@ Why the groups of a matched line are what ``json.loads(line)`` gives:
 Memory: neither reader holds the whole file.  One block of lines, its
 joined text and its groups are alive at a time besides the columns built
 so far; only the line-by-line pass after a fault reads the file again,
-one line at a time.  `score_word_ids` takes its sentences in blocks and
-finds one block's distinct words before it reads the next, so
-`build_table`, whose tokenizer yields the word ids of one block of
-records at a time, never holds more than one block's tokens.
+one line at a time.  The corpus rule set keeps one string object per
+distinct image id and per distinct split within a block (the first of
+each, through a per-block dict, not a global intern), so the four
+captions of an image and every sentence of a split share their values in
+the columns and in the records built from them.  The writers check every
+record first, then format and write one block of `_BLOCK_RECORDS` lines
+at a time, so neither holds the whole file's text.  `score_word_ids`
+takes its sentences in blocks and finds one block's distinct words
+before it reads the next, so `build_table`, whose tokenizer yields the
+word ids of one block of records at a time, never holds more than one
+block's tokens.
 """
 
 from __future__ import annotations
@@ -84,9 +91,10 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
 VALID_SPLITS = ("train", "val", "test")
 
-# records per block of `build_table`'s tokenization and scoring and of a
-# reader's match, parse and check: the token tuples and lines of one block
-# are alive at a time, not those of the whole corpus
+# records per block of `build_table`'s tokenization and scoring, of a
+# reader's match, parse and check and of a writer's formatting: the token
+# tuples and lines of one block are alive at a time, not those of the whole
+# corpus
 _BLOCK_RECORDS = 1 << 11
 
 
@@ -405,6 +413,13 @@ def _strings(values: list) -> list[str]:
     return values if _types(values) <= {str} else list(map(str, values))
 
 
+def _shared(values: list[str]) -> list[str]:
+    """``values`` with one object per distinct value, the first of each,
+    so that repeated image ids and splits do not each hold a copy."""
+    first: dict[str, str] = {}
+    return list(map(first.setdefault, values, values))
+
+
 def _present(cols: dict, name: str) -> list:
     """The ``name`` column of ``cols``, or ValueError if a record lacks it."""
     values = cols[name]
@@ -439,7 +454,7 @@ def _corpus_columns(cols: dict) -> list[list]:
     _require(texts, {str}, "'text' must be a string")
     _require(levels, {int, type(None)}, "'level' must be an integer or null")
     _require_int64(levels)
-    return [_strings(ids), _strings(image_ids), texts, splits, levels]
+    return [_strings(ids), _shared(_strings(image_ids)), texts, _shared(splits), levels]
 
 
 def _corpus_groups(groups: list[list], escaped: bool) -> dict:
@@ -485,43 +500,65 @@ def write_corpus_jsonl(path, records: list[SentenceRecord]) -> None:
 
 
 def write_corpus_columns(path, columns: CorpusColumns) -> None:
-    """One line per record, written at once.
+    """One line per record, written a block of `_BLOCK_RECORDS` lines at a
+    time.
 
     The bytes are those of ``json.dumps(obj, sort_keys=True)`` per line,
     where obj holds the record's fields and leaves out a ``None`` level:
     keys in the order id, image_id, level, split, text, strings through
     json's ASCII string encoder, the level as ``int.__repr__``.  The
     fields must be strings and the level an integer in [-2**63, 2**63) or
-    None, the values `read_corpus_columns` gives back unchanged.
+    None, the values `read_corpus_columns` gives back unchanged; every
+    field is checked before the file is opened.
     """
-    levels = columns.levels
-    _require(levels, {int, type(None)}, "'level' must be an integer or null, got {}")
-    _require_int64(levels)
-    level_keys = ["" if level is None else f'"level": {int.__repr__(level)}, ' for level in levels]
-    lines = [f'{{"id": {_encode_id(sid)}, "image_id": {_encode_id(iid)}, {level_key}'
-             f'"split": {_encode_id(split)}, "text": {_encode_id(text)}}}\n'
-             for sid, iid, level_key, split, text in zip(columns.ids, columns.image_ids,
-                                                         level_keys, columns.splits, columns.texts)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    c = columns
+    for name, values in (("id", c.ids), ("image_id", c.image_ids), ("split", c.splits),
+                         ("text", c.texts)):
+        _require(values, {str}, f"{name!r} must be a string, got {{}}")
+    _require(c.levels, {int, type(None)}, "'level' must be an integer or null, got {}")
+    _require_int64(c.levels)
+    _write_blocks(path, "", _corpus_line, [c.ids, c.image_ids, c.levels, c.splits, c.texts])
 
 
 def write_table_jsonl(path, table: DescriptivenessTable) -> None:
-    """Header record carries the normalization extremes; one row per id.
+    """Header record carries the normalization extremes; one row per id,
+    written a block of `_BLOCK_RECORDS` rows at a time.
 
     The bytes are those of ``json.dumps(row, sort_keys=True)`` per line:
     floats as ``float.__repr__``, ids through json's ASCII string encoder.
-    Every value must be finite, as `read_table_jsonl` requires.
+    Every id must be a string and every value finite, as
+    `read_table_jsonl` gives them; both are checked before the file is
+    opened.
     """
+    ids = list(table.scores)
     deltas = list(table.scores.values())
-    raws = [table.raw_scores[sid] for sid in table.scores]
-    if not np.isfinite(deltas + raws + [table.raw_min, table.raw_max]).all():
+    raws = list(map(table.raw_scores.__getitem__, ids))
+    _require(ids, {str}, "'id' must be a string, got {}")
+    if not all(np.isfinite(v).all() for v in (deltas, raws, [table.raw_min, table.raw_max])):
         raise ValueError("cannot write a table holding a non-finite value")
     header = json.dumps({"raw_min": table.raw_min, "raw_max": table.raw_max}, sort_keys=True)
-    rows = [f'{{"delta": {float.__repr__(d)}, "id": {_encode_id(sid)}, "raw": {float.__repr__(r)}}}\n'
-            for sid, d, r in zip(table.scores, deltas, raws)]
+    _write_blocks(path, header + "\n", _table_line, [ids, deltas, raws])
+
+
+def _write_blocks(path, head: str, line: Callable[..., str], columns: list[list]) -> None:
+    """``head``, then the ``line`` of each row of the parallel ``columns``,
+    written one block of `_BLOCK_RECORDS` rows at a time, so the text of
+    one block is alive at a time, not that of the file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n" + "".join(rows))
+        fh.write(head)
+        for lo in range(0, len(columns[0]), _BLOCK_RECORDS):
+            fh.write("".join(map(line, *(c[lo:lo + _BLOCK_RECORDS] for c in columns))))
+
+
+def _corpus_line(sid: str, iid: str, level: int | None, split: str, text: str) -> str:
+    level_key = "" if level is None else f'"level": {int.__repr__(level)}, '
+    return (f'{{"id": {_encode_id(sid)}, "image_id": {_encode_id(iid)}, {level_key}'
+            f'"split": {_encode_id(split)}, "text": {_encode_id(text)}}}\n')
+
+
+def _table_line(sid: str, delta: float, raw: float) -> str:
+    return (f'{{"delta": {float.__repr__(delta)}, "id": {_encode_id(sid)}, '
+            f'"raw": {float.__repr__(raw)}}}\n')
 
 
 def _numbers(values: list, name: str) -> list[float]:

@@ -132,11 +132,17 @@ def load_splits(corpus_path, table_path, image_features_path, text_features_path
 
     Every kept sentence must have a text row, an image row for its owner
     and a table entry; the first record in corpus order that lacks one,
-    the training split's records before the validation split's, raises
-    ValueError naming the file that lacks it and the corpus.  The rows
-    and deltas are looked up with one ``dict.get`` pass per column; only a
-    lookup that finds nothing starts the scan in corpus order.  Images are
-    ordered by first appearance among the split's sentences.
+    checked in that order, the training split's records before the
+    validation split's, raises ValueError naming the file that lacks it
+    and the corpus.  The rows and deltas are looked up with one
+    ``dict.get`` pass per column; only a lookup that finds nothing starts
+    the scan in corpus order.  Images are ordered by first appearance
+    among the split's sentences.
+
+    Memory: the corpus texts are released before the table is read, and
+    the table, once each split's deltas are looked up (None where it lacks
+    a sentence), before either feature file is read; the scan reads those
+    deltas, so the error order is the same.
     """
     corpus = corpus_mod.read_corpus_columns(corpus_path)
     if val_split == "auto":
@@ -149,23 +155,26 @@ def load_splits(corpus_path, table_path, image_features_path, text_features_path
         if not columns[-1][0]:
             raise ValueError(f"no sentences for split {s!r} in {corpus_path}")
     del corpus  # its texts are not needed while the table and features load
-    table = corpus_mod.read_table_jsonl(table_path)
+    scores = corpus_mod.read_table_jsonl(table_path).scores
+    for c in columns:  # each split's deltas, None where the table lacks the sentence
+        c.append(list(map(scores.get, c[0])))
+    del scores  # the table is not needed while the features load
     img_ids, img_feats = geometry.read_features(image_features_path)
     txt_ids, txt_feats = geometry.read_features(text_features_path)
     img_row = {i: k for k, i in enumerate(img_ids)}
     txt_row = {i: k for k, i in enumerate(txt_ids)}
 
-    def join(ids: list[str], owner_ids: list[str], levels: list) -> Dataset:
+    def join(ids: list[str], owner_ids: list[str], levels: list, deltas: list) -> Dataset:
         image_ids = list(dict.fromkeys(owner_ids))
         text_rows = list(map(txt_row.get, ids))
         image_rows = list(map(img_row.get, image_ids))
-        deltas = list(map(table.scores.get, ids))
         if None in text_rows or None in image_rows or None in deltas:
-            for sid, iid in zip(ids, owner_ids):
-                for path, keys, kind, key in ((text_features_path, txt_row, "sentence", sid),
-                                              (image_features_path, img_row, "image", iid),
-                                              (table_path, table.scores, "sentence", sid)):
-                    if key not in keys:
+            for sid, iid, delta in zip(ids, owner_ids, deltas):
+                for path, lacks, kind, key in (
+                        (text_features_path, sid not in txt_row, "sentence", sid),
+                        (image_features_path, iid not in img_row, "image", iid),
+                        (table_path, delta is None, "sentence", sid)):
+                    if lacks:
                         raise ValueError(f"{path}: lacks {kind} {key!r} of {corpus_path}")
         image_index = {iid: k for k, iid in enumerate(image_ids)}
         return Dataset(
@@ -185,7 +194,7 @@ def _feature_rows(feats: np.ndarray, rows: list[int]) -> np.ndarray:
     """feats[rows] as a C-contiguous array: ``feats`` itself when the rows
     are all of its rows in order (as `read_features` returns it, C-contiguous),
     else a gathered copy, which holds none of ``feats``'s buffer."""
-    if len(rows) == feats.shape[0] and rows == list(range(len(rows))):
+    if len(rows) == feats.shape[0] and all(map(int.__eq__, rows, range(len(rows)))):
         return feats
     return feats[np.array(rows, dtype=np.int64)]
 

@@ -640,21 +640,36 @@ def test_non_finite_checkpoint_array_exits_two(synth_dir, tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
-def test_eval_rejects_checkpoint_mapping_rows_below_the_norm_floor(synth_dir, tmp_path,
-                                                                    capsys):
-    """Zero image projections map every image to a row of norm 0."""
+def _assert_eval_rejects_zero_projection(synth_dir, tmp_path, capsys, side, name, flag):
+    """Zero projections of one side map every row of that side to norm 0:
+    eval exits 2 naming the checkpoint, the manifest the row came from and
+    the row, before <out> is written."""
     ckpt = tmp_path / "checkpoint.bin"
 
     def zero(params, opt_state):
-        params["W_img"][:] = 0.0
+        params[f"W_{side}"][:] = 0.0
 
     _saved_checkpoint(ckpt, zero)
-    code = cli.main(["eval", *_data_flags(synth_dir), "--checkpoint", str(ckpt),
-                     "--out", str(tmp_path / "out")])
+    flags = _data_flags(synth_dir)
+    code = cli.main(["eval", *flags, "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.startswith(
-        "error: image row 0 is not L2-normalized: norm 0, not 1 within 0.001")
+    manifest = flags[flags.index(flag) + 1]
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: maps a row of {manifest} off the unit sphere: {name} row 0 is not "
+        f"L2-normalized: norm 0, not 1 within 0.001\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_rejects_checkpoint_mapping_rows_below_the_norm_floor(synth_dir, tmp_path,
+                                                                    capsys):
+    _assert_eval_rejects_zero_projection(synth_dir, tmp_path, capsys, "img", "image",
+                                         "--image-features")
+
+
+def test_eval_rejects_checkpoint_mapping_text_rows_below_the_norm_floor(synth_dir, tmp_path,
+                                                                         capsys):
+    _assert_eval_rejects_zero_projection(synth_dir, tmp_path, capsys, "txt", "text",
+                                         "--text-features")
 
 
 def test_score_rejects_mistyped_corpus_field(tmp_path, capsys):

@@ -526,6 +526,107 @@ def test_write_table_rejects_non_finite(tmp_path):
         C.write_table_jsonl(tmp_path / "t.jsonl", table)
 
 
+def _records_across_blocks():
+    """2 blocks + 1 records with ids and texts that need escapes, and null,
+    negative and 19-digit levels."""
+    texts = ids_needing_escapes + ["ctrl\x00\x1f\x7f\n\r", "naïve 東京", 'say "hi" \\ bye', ""]
+    levels = [None, -3, 0, 2**63 - 1, -2**63, 4, 10**18]
+    return [C.SentenceRecord(f"{ids_needing_escapes[k % 6]}{k}", f'i"{k // 4}',
+                             texts[k % len(texts)], split=C.VALID_SPLITS[k % 3],
+                             level=levels[k % len(levels)])
+            for k in range(2 * C._BLOCK_RECORDS + 1)]
+
+
+def _columns(records) -> C.CorpusColumns:
+    return C.CorpusColumns(*([getattr(r, f) for r in records]
+                             for f in ("id", "image_id", "text", "split", "level")))
+
+
+def test_writers_across_blocks_equal_json_dumps(tmp_path):
+    """Each writer writes a block at a time; the lines of every block, the
+    last one short, are the per-line json.dumps oracle's."""
+    records = _records_across_blocks()
+    C.write_corpus_columns(tmp_path / "corpus.jsonl", _columns(records))
+    write_corpus_per_line(tmp_path / "corpus-oracle.jsonl", records)
+    assert (tmp_path / "corpus.jsonl").read_bytes() == \
+        (tmp_path / "corpus-oracle.jsonl").read_bytes()
+    assert C.read_corpus_jsonl(tmp_path / "corpus.jsonl") == records
+    values = [0.0, 1.0, 5e-324, 0.1, 1 / 3, 2.5e-05, 0.9999999999999999]
+    table = C.DescriptivenessTable(
+        scores={r.id: values[k % len(values)] for k, r in enumerate(records)},
+        raw_scores={r.id: -values[k % 5] * 1e300 for k, r in enumerate(records)},
+        raw_min=-1e300, raw_max=0.0)
+    C.write_table_jsonl(tmp_path / "table.jsonl", table)
+    write_table_per_line(tmp_path / "table-oracle.jsonl", table)
+    assert (tmp_path / "table.jsonl").read_bytes() == (tmp_path / "table-oracle.jsonl").read_bytes()
+    assert C.read_table_jsonl(tmp_path / "table.jsonl") == table
+
+
+def _bad_corpus_id(path):
+    records = _records_across_blocks()
+    records[-1] = dataclasses.replace(records[-1], id=7)
+    C.write_corpus_columns(path, _columns(records))
+
+
+def _bad_table(last_id, score):
+    """A table writer whose last row, in the third block, has this id and
+    delta."""
+    def write(path):
+        ids = [r.id for r in _records_across_blocks()][:-1] + [last_id]
+        scores = dict.fromkeys(ids, 0.5) | {last_id: score}
+        C.write_table_jsonl(path, C.DescriptivenessTable(
+            scores=scores, raw_scores=dict.fromkeys(ids, 1.0), raw_min=0.0, raw_max=1.0))
+    return write
+
+
+@pytest.mark.parametrize("write, message", [
+    (_bad_corpus_id, "'id' must be a string, got 7"),
+    (_bad_table(7, 0.5), "'id' must be a string, got 7"),
+    (_bad_table("x", float("inf")), "non-finite"),
+    (_bad_table("x", float("nan")), "non-finite"),
+], ids=["corpus-int-id", "table-int-id", "table-inf", "table-nan"])
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_writers_check_every_block_before_opening(tmp_path, write, message, exists):
+    """A fault in the last block raises before the first block is written:
+    the target is neither created nor truncated."""
+    target = tmp_path / "out.jsonl"
+    if exists:
+        target.write_bytes(b"kept\n")
+    with pytest.raises(ValueError, match=message):
+        write(target)
+    assert target.read_bytes() == b"kept\n" if exists else not target.exists()
+
+
+def _assert_shared_per_block(columns: C.CorpusColumns, block: int) -> None:
+    """Within each block, equal image ids are one object, and so are equal
+    splits."""
+    for values in (columns.image_ids, columns.splits):
+        for lo in range(0, len(values), block):
+            part = values[lo:lo + block]
+            assert len(set(map(id, part))) == len(set(part))
+
+
+@pytest.mark.parametrize("route", ["matched", "json", "integer"])
+def test_read_corpus_columns_shares_repeated_values_per_block(tmp_path, monkeypatch, route):
+    """Each block's image ids and splits hold one object per distinct value,
+    on the pattern route, on the json route (a block with a key-reordered
+    line) and for integer image ids, which are read as strings."""
+    monkeypatch.setattr(C, "_BLOCK_RECORDS", 8)
+    lines = [json.dumps({"id": f"s{k}", "image_id": k // 4 if route == "integer" else f"i{k // 4}",
+                         "split": C.VALID_SPLITS[k // 2 % 2], "text": "a dog"}, sort_keys=True)
+             for k in range(20)]
+    if route == "json":
+        lines[9] = json.dumps(dict(reversed(json.loads(lines[9]).items())))
+    (tmp_path / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    calls = _spy_routes(monkeypatch)
+    columns = C.read_corpus_columns(tmp_path / "corpus.jsonl")
+    assert columns.image_ids == [str(k // 4) if route == "integer" else f"i{k // 4}"
+                                 for k in range(20)]
+    parsed = [c[1] for c in calls if c[0] == "_parsed_columns"]
+    assert parsed == {"matched": [], "json": [8], "integer": [8, 8, 4]}[route]
+    _assert_shared_per_block(columns, 8)
+
+
 @st.composite
 def corpus_lines(draw):
     """Valid corpus lines: string or integer ids, any text, optional split
