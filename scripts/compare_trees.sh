@@ -225,11 +225,14 @@ cmp "$work/base-nested-table.jsonl" "$work/head-nested-table.jsonl"
 cmp "$work/head-out/data/table.jsonl" "$work/head-nested-table.jsonl"
 
 # the readers match the writers' own lines a block at a time and parse any
-# other line as JSON; the pipeline's 800 lines fill one block, so a 1100-image
-# synth (three blocks) gets texts that need escapes, written by the corpus
-# writer, and a copy with every other block in another JSON form; score must
-# write the same table from both trees and for both copies, and train on a
-# table rewritten the same way must write the same checkpoint and history
+# other line as JSON, and the scorer tokenizes a block of texts at a time;
+# the pipeline's 800 lines fill one block, so a 1100-image synth (three
+# blocks) gets texts that need escapes or that lowercasing changes (İ grows
+# by a code point, the Kelvin sign becomes k, a final sigma), written by the
+# corpus writer, and a copy with every other block in another JSON form;
+# score must write the same table from both trees and for both copies, and
+# train on a table rewritten the same way must write the same checkpoint and
+# history
 echo "== score and train on escaped and rewritten lines"
 rm -rf "$work/blocks-data"
 PYTHONPATH=src python -m descmatch.cli synth --images 1100 --seed 5 --out "$work/blocks-data" > /dev/null
@@ -254,8 +257,9 @@ def rewrite(path, out, head=0):
 
 
 cols = corpus.read_corpus_columns(data / "corpus.jsonl")
-marks = ['café "quoted"', "back\\slash 東京", "tab\there \U0001f600"]
-cols.texts = [f"{text} {marks[k % 3]}" for k, text in enumerate(cols.texts)]
+marks = ['café "quoted"', "back\\slash 東京", "tab\there \U0001f600",
+         "Upper CASE İstanbul \u212a ΟΔΟΣ Straße"]
+cols.texts = [f"{text} {marks[k % 4]}" for k, text in enumerate(cols.texts)]
 corpus.write_corpus_columns(data / "escaped.jsonl", cols)
 rewrite(data / "escaped.jsonl", data / "mixed.jsonl")
 rewrite(data / "table.jsonl", data / "mixed-table.jsonl", head=1)

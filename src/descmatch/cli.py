@@ -201,10 +201,12 @@ def _load_splits(cfg: dict, val_split: str, least: int, need: str):
     return dataset, val_dataset
 
 
-def _load_checkpoint(path: str, cfg: dict, dataset, config=None) -> dict:
+def _load_checkpoint(path: str, cfg: dict, dataset, config=None) -> tuple:
     """`trainer.load_checkpoint` of ``path``, checked against ``config``
-    when given; raises naming the checkpoint unless its projections take
-    the feature widths of ``dataset``, read from the config's manifests."""
+    when given, and the image and text embeddings of ``dataset`` under its
+    params; raises naming the checkpoint unless its projections take the
+    feature widths of ``dataset`` and map every row onto the unit sphere,
+    naming the manifest that holds a row they do not."""
     saved = trainer.load_checkpoint(path, config)
     for weight, feats, key in (("W_img", dataset.image_feats, "image_features"),
                                ("W_txt", dataset.text_feats, "text_features")):
@@ -212,13 +214,21 @@ def _load_checkpoint(path: str, cfg: dict, dataset, config=None) -> dict:
         if feats.shape[1] != want:
             raise ValueError(f"{path}: {weight} takes {want}-dim features, "
                              f"but {cfg[key]} holds {feats.shape[1]}-dim rows")
-    return saved
+    img_e, txt_e = trainer.embed_dataset(saved["params"], dataset)
+    for name, embs, key in (("image", img_e, "image_features"), ("text", txt_e, "text_features")):
+        try:
+            geometry.check_unit_rows(name, embs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: maps a row of {cfg[key]} off the unit "
+                             f"sphere: {exc}") from None
+    return saved, img_e, txt_e
 
 
 def _cmd_train(cfg: dict) -> int:
     config = _settings(trainer.TrainConfig, cfg, loss=_settings(losses.LossConfig, cfg))
     dataset, val_dataset = _load_splits(cfg, cfg["val_split"], 2, "training")
-    saved = None if cfg["resume"] is None else _load_checkpoint(cfg["resume"], cfg, dataset, config)
+    saved = (None if cfg["resume"] is None
+             else _load_checkpoint(cfg["resume"], cfg, dataset, config)[0])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg)
@@ -241,14 +251,7 @@ def _cmd_eval(cfg: dict) -> int:
         if cfg[key] is not None and cfg[key] < least:
             raise ValueError(f"--{key} must be at least {least}, got {cfg[key]}")
     dataset, _ = _load_splits(cfg, "none", cfg["folds"] or 1, f"--folds {cfg['folds']}")
-    saved = _load_checkpoint(cfg["checkpoint"], cfg, dataset)
-    img_e, txt_e = trainer.embed_dataset(saved["params"], dataset)
-    for name, embs, key in (("image", img_e, "image_features"), ("text", txt_e, "text_features")):
-        try:
-            geometry.check_unit_rows(name, embs)
-        except ValueError as exc:
-            raise ValueError(f"{cfg['checkpoint']}: maps a row of {cfg[key]} off the unit "
-                             f"sphere: {exc}") from None
+    _, img_e, txt_e = _load_checkpoint(cfg["checkpoint"], cfg, dataset)
     report = evaluation.evaluate(img_e, txt_e, dataset.image_of_text,
                                  levels=dataset.levels, n_points=cfg["points"],
                                  n_folds=cfg["folds"])

@@ -70,9 +70,10 @@ the columns and in the records built from them.  The writers check every
 record first, then format and write one block of `_BLOCK_RECORDS` lines
 at a time, so neither holds the whole file's text.  `score_word_ids`
 takes its sentences in blocks and finds one block's distinct words
-before it reads the next, so `build_table`, whose tokenizer yields the
-word ids of one block of records at a time, never holds more than one
-block's tokens.
+before it reads the next, and `build_table`'s tokenizer, `_word_ids`,
+tokenizes a block of records only when the scorer asks for it, so one
+block's lowercased texts, their joined text, its UTF-8 bytes and its
+tokens are alive at a time, never the whole corpus's.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 VALID_SPLITS = ("train", "val", "test")
 
 # records per block of `build_table`'s tokenization and scoring, of a
-# reader's match, parse and check and of a writer's formatting: the token
-# tuples and lines of one block are alive at a time, not those of the whole
-# corpus
+# reader's match, parse and check and of a writer's formatting: the joined
+# text, tokens and lines of one block are alive at a time, not those of the
+# whole corpus
 _BLOCK_RECORDS = 1 << 11
 
 
@@ -152,9 +153,11 @@ def tokenize(text: str) -> TokenSequence:
 
 def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tuple[dict[str, int], DescriptivenessTable]:
     """The doc freq of the pool's words and the table of every record:
-    `score_word_ids` over the blocks of `_word_ids`, the records' own
-    vocabulary numbered in order of first occurrence.  ``doc_freq[w]``
-    counts the pool sentences that hold ``w`` at least once (presence, not
+    `score_word_ids` over the blocks of `_word_ids`, which tokenizes each
+    block of `_BLOCK_RECORDS` texts with one `tokenize` call and gives the
+    tokens of one `tokenize` per text, the records' own vocabulary
+    numbered in order of first occurrence.  ``doc_freq[w]`` counts the
+    pool sentences that hold ``w`` at least once (presence, not
     multiplicity), keyed in order of first occurrence over all records,
     for the words that occur in the pool."""
     vocab: dict[str, int] = {}
@@ -165,15 +168,48 @@ def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tup
 
 def _word_ids(texts: list[str], vocab: dict[str, int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per block of `_BLOCK_RECORDS` texts, each text's token count and its
-    tokens' ids in ``vocab``, where a new word gets the next id: one
-    `tokenize` per text, and the block's tokens mapped in one
-    ``vocab.setdefault`` pass.  A generator, so a block is tokenized only
-    when the scorer asks for it."""
+    tokens' ids in ``vocab``, where a new word gets the next id.  A
+    generator, so a block is tokenized only when the scorer asks for it.
+
+    A block is tokenized by one `tokenize` of its texts, each lowercased on
+    its own and joined by single spaces.  A token's start is a token
+    character after a non-token one, found over the joined text's UTF-8
+    bytes, and a text's tokens are those that start within its bytes.  The
+    counts and tokens are those of one `tokenize` per text:
+
+    - a space is not a token character, so no token crosses two texts and
+      ``findall`` on the joined text gives each text's tokens in turn;
+    - ``str.lower`` maps one code point at a time except for a final
+      sigma, whose context a space ends, so lowercasing the joined text
+      gives the lowercased texts joined;
+    - ``lower`` is idempotent (checked over every code point), so
+      `tokenize` lowercasing the joined text again changes nothing;
+    - each text is lowercased on its own, so its span in the joined text
+      is right even where lowercasing changes its length (``İ``);
+    - the token characters are ASCII, and UTF-8 (a lone surrogate passed
+      through as three bytes) encodes every other code point in bytes of
+      0x80 and above, so a token starts at the same bytes of the joined
+      text as of its own text's encoding.  The bytes are a quarter of
+      UTF-32's for ASCII text.
+
+    The block's new words get the next ids in order of first occurrence,
+    and its tokens are mapped in one pass.
+    """
     for lo in range(0, len(texts), _BLOCK_RECORDS):
-        sentences = [tokenize(t).tokens for t in texts[lo:lo + _BLOCK_RECORDS]]
-        yield (np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences)),
-               np.array([vocab.setdefault(w, len(vocab)) for w in chain.from_iterable(sentences)],
-                        dtype=np.int64))
+        lowered = list(map(str.lower, texts[lo:lo + _BLOCK_RECORDS]))
+        joined = " ".join(lowered)
+        tokens = tokenize(joined).tokens
+        # the bytes of `_TOKEN_RE`'s characters, [0-9a-z]
+        data = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        is_token = ((data >= 0x30) & (data <= 0x39)) | ((data >= 0x61) & (data <= 0x7a))
+        starts = np.flatnonzero(is_token & np.diff(is_token, prepend=False))
+        # text k + 1 starts at byte ends[k] of the joined text
+        sizes = [len(t.encode("utf-8", "surrogatepass")) for t in lowered]
+        ends = np.cumsum(np.array(sizes, dtype=np.int64) + 1)
+        new = [w for w in dict.fromkeys(tokens) if w not in vocab]
+        vocab.update(zip(new, range(len(vocab), len(vocab) + len(new))))
+        yield (np.diff(np.searchsorted(starts, ends), prepend=0),
+               np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens)))
 
 
 def word_id_blocks(lengths: np.ndarray, words: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:

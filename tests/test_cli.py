@@ -640,10 +640,12 @@ def test_non_finite_checkpoint_array_exits_two(synth_dir, tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
-def _assert_eval_rejects_zero_projection(synth_dir, tmp_path, capsys, side, name, flag):
+def _assert_rejects_zero_projection(synth_dir, tmp_path, capsys, side, name, flag,
+                                    command="eval"):
     """Zero projections of one side map every row of that side to norm 0:
-    eval exits 2 naming the checkpoint, the manifest the row came from and
-    the row, before <out> is written."""
+    eval, or train resuming from the checkpoint, exits 2 naming the
+    checkpoint, the manifest the row came from and the row, before <out>
+    is made."""
     ckpt = tmp_path / "checkpoint.bin"
 
     def zero(params, opt_state):
@@ -651,7 +653,9 @@ def _assert_eval_rejects_zero_projection(synth_dir, tmp_path, capsys, side, name
 
     _saved_checkpoint(ckpt, zero)
     flags = _data_flags(synth_dir)
-    code = cli.main(["eval", *flags, "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
+    extra = (["--checkpoint", str(ckpt)] if command == "eval" else
+             ["--resume", str(ckpt), "--epochs", "2", "--batch-size", "12", "--embed-dim", "8"])
+    code = cli.main([command, *flags, *extra, "--out", str(tmp_path / "out")])
     assert code == 2
     manifest = flags[flags.index(flag) + 1]
     assert capsys.readouterr().err == (
@@ -662,14 +666,21 @@ def _assert_eval_rejects_zero_projection(synth_dir, tmp_path, capsys, side, name
 
 def test_eval_rejects_checkpoint_mapping_rows_below_the_norm_floor(synth_dir, tmp_path,
                                                                     capsys):
-    _assert_eval_rejects_zero_projection(synth_dir, tmp_path, capsys, "img", "image",
-                                         "--image-features")
+    _assert_rejects_zero_projection(synth_dir, tmp_path, capsys, "img", "image",
+                                    "--image-features")
 
 
 def test_eval_rejects_checkpoint_mapping_text_rows_below_the_norm_floor(synth_dir, tmp_path,
                                                                          capsys):
-    _assert_eval_rejects_zero_projection(synth_dir, tmp_path, capsys, "txt", "text",
-                                         "--text-features")
+    _assert_rejects_zero_projection(synth_dir, tmp_path, capsys, "txt", "text",
+                                    "--text-features")
+
+
+@pytest.mark.parametrize("side, name, flag", [("img", "image", "--image-features"),
+                                              ("txt", "text", "--text-features")])
+def test_resume_rejects_checkpoint_mapping_rows_below_the_norm_floor(synth_dir, tmp_path,
+                                                                     capsys, side, name, flag):
+    _assert_rejects_zero_projection(synth_dir, tmp_path, capsys, side, name, flag, "train")
 
 
 def test_score_rejects_mistyped_corpus_field(tmp_path, capsys):

@@ -453,6 +453,70 @@ def test_build_table_equals_oracle_at_corpus_scale():
     _assert_tables_identical(C.build_table(records), build_table_oracle(records))
 
 
+# fragments that lowercasing and tokenizing treat apart: mixed-case ASCII,
+# digits, punctuation, NUL, a lone surrogate, İ (two code points in lower
+# case), the Kelvin sign (k in lower case), ß, the fi ligature and a final
+# capital sigma; an empty draw gives an empty text
+case_fragments = st.sampled_from(["Dog", "CAT", "mIxEd", "a1", "9", "Zebra0", "x", " ", "  ", ",", "-!",
+                                  "\x00", "\ud800", "İ", "İstanbul", "K", "Straße",
+                                  "ﬁne", "ΟΔΟΣ", "ΟΔΟΣ ", "Σ"])
+case_texts = st.lists(case_fragments, max_size=8).map("".join)
+
+
+def _word_ids_oracle(texts):
+    """One `tokenize` per text: the lengths, the word ids and the
+    vocabulary of `_word_ids`, new words numbered in order of first
+    occurrence."""
+    vocab = {}
+    sentences = [C.tokenize(t).tokens for t in texts]
+    ids = [vocab.setdefault(w, len(vocab)) for toks in sentences for w in toks]
+    return list(map(len, sentences)), ids, list(vocab)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(case_texts, min_size=1, max_size=12), st.sampled_from([1, 2, 3, None]))
+def test_word_ids_equal_one_tokenize_per_text(texts, block):
+    size = block or C._BLOCK_RECORDS
+    lengths, ids, words = _word_ids_oracle(texts)
+    records = [C.SentenceRecord(f"s{k}", f"i{k}", t) for k, t in enumerate(texts)]
+    vocab = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_BLOCK_RECORDS", size)
+        blocks = list(C._word_ids(texts, vocab))
+        assert [len(b[0]) for b in blocks] == [len(texts[lo:lo + size])
+                                               for lo in range(0, len(texts), size)]
+        assert np.concatenate([b[0] for b in blocks]).tolist() == lengths
+        assert np.concatenate([b[1] for b in blocks]).tolist() == ids
+        assert list(vocab) == words and list(vocab.values()) == list(range(len(words)))
+        if 0 in lengths:
+            with pytest.raises(ValueError, match=f"^sentence 's{lengths.index(0)}' has no tokens$"):
+                C.build_table(records)
+        else:
+            _assert_tables_identical(C.build_table(records), build_table_oracle(records))
+
+
+@pytest.mark.parametrize("block", [3, None])
+def test_build_table_tokenizes_once_per_block(monkeypatch, block):
+    """The `.n` of every `tokenize` call of one `build_table` sums to the
+    corpus's tokens, in at most one call per block of texts."""
+    if block:
+        monkeypatch.setattr(C, "_BLOCK_RECORDS", block)
+    texts = ["A dog, a CAT", "İstanbul Kelvin", "x", "Straße 9 ΟΔΟΣ", "one two three"] * 3
+    total = sum(_word_ids_oracle(texts)[0])
+    counts = []
+    tokenize = C.tokenize
+
+    def counted(text):
+        seq = tokenize(text)
+        counts.append(seq.n)
+        return seq
+
+    monkeypatch.setattr(C, "tokenize", counted)
+    C.build_table([C.SentenceRecord(f"s{k}", "i", t) for k, t in enumerate(texts)])
+    assert sum(counts) == total
+    assert len(counts) <= math.ceil(len(texts) / C._BLOCK_RECORDS)
+
+
 ids_needing_escapes = ['q"uote', "back\\slash", "café", " sep", "tab\there", "\U0001f600"]
 
 
