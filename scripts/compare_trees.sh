@@ -45,6 +45,21 @@ for f in report/report.json report/distance_by_level.csv; do
     cmp "$work/base-out-1000/$f" "$work/head-out-1000/$f"
 done
 
+# the pipeline's eval does not fold; each tree evaluates the head's
+# 1000-image checkpoint with --folds 5, and config.json, which echoes the
+# --out path, is skipped
+echo "== compare the 1000-image report with five folds"
+folds_flags=(--corpus "$work/head-out-1000/data/corpus.jsonl"
+             --table "$work/head-out-1000/data/table.jsonl"
+             --image-features "$work/head-out-1000/data/images.manifest.json"
+             --text-features "$work/head-out-1000/data/texts.manifest.json"
+             --checkpoint "$work/head-out-1000/run/checkpoint.bin" --folds 5)
+PYTHONPATH=src python -m descmatch.cli eval "${folds_flags[@]}" --out "$work/head-folds" > /dev/null
+PYTHONPATH="$base/src" python -m descmatch.cli eval "${folds_flags[@]}" --out "$work/base-folds" > /dev/null
+for f in report.json distance_by_level.csv; do
+    cmp "$work/base-folds/$f" "$work/head-folds/$f"
+done
+
 # the pipeline's 200 images have neither 5-digit image ids nor a word pool
 # of size 1, so synth also runs at the score-load scale, at a non-default
 # spec, and with 5-digit ids, one-word strata and a sentence count that is

@@ -28,6 +28,12 @@ ValueError naming the row (``geometry.check_unit_rows``).  The screens
 from them) run in float32, each slack's proof counting the rounding of
 the float64 inputs to it, and every decision (a rank, a start, a top-1)
 is taken in float64.
+
+Split contract: the paper defines its metrics on complete splits, and
+every entry point takes one: at least one image, each text's owner an
+image index (``geometry.check_owners``) and every image owning a text;
+anything else raises ValueError naming the text or the image
+(``_split``).
 """
 
 from __future__ import annotations
@@ -52,15 +58,24 @@ def ranked_indices(scores: np.ndarray) -> np.ndarray:
 # entries per temporary of the blocked rank count and traversal screen
 _BLOCK_ENTRIES = 1 << 18
 
-# rank of a query with no relevant item: no k reaches it
-_NEVER = np.iinfo(np.int64).max
-
 # the screens' dtype and its unit roundoff
 _SCREEN = np.dtype(np.float32)
 _U = 2.0 ** -24
 
 # the screens' slacks are proven for embeddings of fewer dimensions
 _MAX_DIM = 1 << 20
+
+
+def _split(n_img: int, image_of_text, n_txt: int) -> np.ndarray:
+    """The owners of a split that the split contract admits; raises
+    otherwise."""
+    owners = geometry.check_owners(image_of_text, n_img, n_txt)
+    if n_img == 0:
+        raise ValueError("the split has no images")
+    bare = np.flatnonzero(np.bincount(owners, minlength=n_img) == 0)
+    if bare.size:
+        raise ValueError(f"image {bare[0]} owns no text")
+    return owners
 
 
 def _screen_norms(name: str, rows: np.ndarray) -> np.ndarray:
@@ -128,13 +143,13 @@ def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, blocks, exac
     """(i2t, t2i) ranks, as the module docstring defines them, of the exact
     matrix E that ``blocks`` screens.
 
-    owned[j] is E[owners[j], j]; ``blocks`` yields (first row, screen
-    rows) in row order, covering every row once; ``exact(rows, cols)``
-    returns E at those entries.  The blocks are of dtype, and every
-    screen entry g stays within row_slack[i] of E[i, j] (and within
-    col_slack[j]), after the clamp into [-1, 1] when clip is set; NaN
-    entries are allowed.  An entry
-    outside its query's ``_window`` is strictly above or below the
+    owners are those of a complete split (``_split``) and owned[j] is
+    E[owners[j], j]; ``blocks`` yields (first row, screen rows) in row
+    order, covering every row once; ``exact(rows, cols)`` returns E at
+    those entries.  The blocks are of dtype, and every screen entry g
+    stays within row_slack[i] of E[i, j] (and within col_slack[j]), after
+    the clamp into [-1, 1] when clip is set; NaN entries are allowed.  An
+    entry outside its query's ``_window`` is strictly above or below the
     query's target and is counted from the screen alone; the entries
     inside it (the target itself, near ties, NaN) are re-checked with
     ``exact``.  The target always lies inside its own window, so a query
@@ -142,21 +157,13 @@ def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, blocks, exac
     A matrix is its own screen with zero slack (``_matrix_ranks``).
     """
     n_txt = owners.size
-    valid = (owners >= 0) & (owners < n_img)
-    texts = np.flatnonzero(valid)
-    # by owner, then descending similarity, then text index
-    texts = texts[np.lexsort((texts, -owned[texts], owners[texts]))]
-    own = owners[texts]
-    first = np.diff(own, prepend=-1) != 0
-    best = np.zeros(n_img, dtype=np.int64)
-    has = np.zeros(n_img, dtype=bool)
-    best[own[first]] = texts[first]
-    has[own] = True
+    # by owner, then descending similarity, then text index: each image's
+    # best text heads its group, and every image has a group
+    texts = np.lexsort((np.arange(n_txt), -owned, owners))
+    best = texts[np.diff(owners[texts], prepend=-1) != 0]
     target = owned[best]
     lo_t, hi_t = _window(owned, col_slack, clip, dtype)
     lo_i, hi_i = _window(target, row_slack, clip, dtype)
-    # a query without a relevant item expects no entry in its window
-    lo_t[~valid] = hi_t[~valid] = lo_i[~has] = hi_i[~has] = np.inf
     t2i = np.zeros(n_txt, dtype=np.int64)
     i2t = np.zeros(n_img, dtype=np.int64)
     for start, block in blocks:
@@ -164,8 +171,8 @@ def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, blocks, exac
         # text queries: the columns of the block
         above, inside = _screen(block, lo_t, hi_t, 0)
         t2i += above
-        inside -= valid & (owners >= start) & (owners < stop)
-        cols = np.flatnonzero((inside != 0) & valid)
+        inside -= (owners >= start) & (owners < stop)
+        cols = np.flatnonzero(inside)
         if cols.size:
             r, k = _nonzero(_inside(block[:, cols], lo_t[cols], hi_t[cols]))
             r, k = start + r, cols[k]
@@ -175,29 +182,23 @@ def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, blocks, exac
         # image queries: the rows of the block
         lo_r, hi_r = lo_i[start:stop, None], hi_i[start:stop, None]
         i2t[start:stop], inside = _screen(block, lo_r, hi_r, 1)
-        inside -= has[start:stop]
-        rows = np.flatnonzero((inside != 0) & has[start:stop])
+        inside -= 1
+        rows = np.flatnonzero(inside)
         if rows.size:
             r, k = _nonzero(_inside(block[rows], lo_r[rows], hi_r[rows]))
             r = start + rows[r]
             e = exact(r, k)
             ahead = (e > target[r]) | ((e == target[r]) & (k < best[r]))
             i2t += np.bincount(r[ahead], minlength=n_img)
-    t2i[~valid] = _NEVER
-    i2t[~has] = _NEVER
     return i2t, t2i
 
 
 def _matrix_ranks(sims: np.ndarray, image_of_text: np.ndarray):
     """(i2t, t2i) ranks of a given matrix: the zero-slack screen."""
     sims = np.asarray(sims, dtype=np.float64)
-    owners = np.asarray(image_of_text, dtype=np.int64)
     n_img, n_txt = sims.shape
-    if owners.shape != (n_txt,):
-        raise ValueError("image_of_text must have one entry per text")
-    valid = (owners >= 0) & (owners < n_img)
-    owned = np.zeros(n_txt)
-    owned[valid] = sims[owners[valid], np.flatnonzero(valid)]
+    owners = _split(n_img, image_of_text, n_txt)
+    owned = sims[owners, np.arange(n_txt)]
     step = max(1, _BLOCK_ENTRIES // max(1, n_txt))
     blocks = ((start, sims[start:start + step]) for start in range(0, n_img, step))
     return _count_ranks(n_img, owners, owned, blocks, lambda r, c: sims[r, c])
@@ -247,18 +248,14 @@ def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
     """
     images = np.atleast_2d(np.asarray(image_embs, dtype=np.float64))
     texts = np.atleast_2d(np.asarray(text_embs, dtype=np.float64))
-    owners = np.asarray(image_of_text, dtype=np.int64)
     (n_img, dim), n_txt = images.shape, texts.shape[0]
-    if owners.shape != (n_txt,):
-        raise ValueError("image_of_text must have one entry per text")
+    owners = _split(n_img, image_of_text, n_txt)
     # pair_sims checks the dimensions before any gemm
-    valid = np.flatnonzero((owners >= 0) & (owners < n_img))
-    owned = np.zeros(n_txt)
-    owned[valid] = geometry.pair_sims(images, texts, owners[valid], valid)
+    owned = geometry.pair_sims(images, texts, owners, np.arange(n_txt))
     img_norms, txt_norms = _screen_norms("image", images), _screen_norms("text", texts)
     unit = 2.0 * (dim + 2) * _U
-    row_slack = unit * img_norms * txt_norms.max(initial=0.0)
-    col_slack = unit * img_norms.max(initial=0.0) * txt_norms
+    row_slack = unit * img_norms * txt_norms.max()
+    col_slack = unit * img_norms.max() * txt_norms
     screen_images = images.astype(_SCREEN)
     screen_texts = texts.astype(_SCREEN)
     step = max(1, _BLOCK_ENTRIES // max(1, n_txt))
@@ -327,12 +324,10 @@ def folded_recall_suite(image_embs: np.ndarray, text_embs: np.ndarray,
                         ks: tuple[int, ...] = KS) -> dict:
     """Evaluate each contiguous image fold against its own texts, then
     average the recalls and RSUM arithmetically over folds."""
-    owners = np.asarray(image_of_text, dtype=np.int64)
+    owners = _split(image_embs.shape[0], image_of_text, text_embs.shape[0])
     folds = []
     for start, stop in fold_slices(image_embs.shape[0], n_folds):
         keep = np.flatnonzero((owners >= start) & (owners < stop))
-        if keep.size == 0:
-            raise ValueError("a fold has no texts")
         suite = _suite(exact_ranks(image_embs[start:stop], text_embs[keep],
                                    owners[keep] - start), ks)
         suite["rsum"] = _suite_rsum(suite, ks)
@@ -603,21 +598,18 @@ def hierarchical_report(image_embs: np.ndarray, text_embs: np.ndarray,
     """Mean set precision/recall of the traversal retrieval per image,
     with every text as candidate and the image's own texts as relevant:
     ``set_precision_recall`` of each walk, counted from the tops array."""
-    owners = np.asarray(image_of_text, dtype=np.int64)
+    n_img = image_embs.shape[0]
+    owners = _split(n_img, image_of_text, text_embs.shape[0])
     if root_emb is None:
         root_emb = centroid_root(text_embs)
-    _, bounds = geometry.texts_by_owner(owners, image_embs.shape[0])
-    owning = np.flatnonzero(np.diff(bounds))
-    if owning.size == 0:
-        raise ValueError("no image owns any text")
     # per walk (column), its distinct tops and those its image owns: the
     # retrieved set and its overlap with the relevant one
-    tops = np.sort(_traverse(image_embs[owning], text_embs, root_emb, n_points), axis=0)
+    tops = np.sort(_traverse(image_embs, text_embs, root_emb, n_points), axis=0)
     new = np.ones(tops.shape, dtype=bool)
     np.not_equal(tops[1:], tops[:-1], out=new[1:])
-    hits = np.count_nonzero(new & (owners[tops] == owning), axis=0)
+    hits = np.count_nonzero(new & (owners[tops] == np.arange(n_img)), axis=0)
     precision = 100.0 * hits / np.count_nonzero(new, axis=0)
-    recall = 100.0 * hits / np.diff(bounds)[owning]
+    recall = 100.0 * hits / np.bincount(owners, minlength=n_img)
     return {"precision": float(np.mean(precision)),
             "recall": float(np.mean(recall)),
             "n_points": n_points}
@@ -654,18 +646,14 @@ def d_corr(image_embs: np.ndarray, text_embs: np.ndarray,
     exact, and so is Sxx Syy while below 2^49.  rho then takes two
     roundings, and a perfect ordering scores exactly 1.
     """
-    owners = np.asarray(image_of_text, dtype=np.int64)
+    owners = _split(image_embs.shape[0], image_of_text, text_embs.shape[0])
     levels = np.asarray(levels, dtype=np.int64)
     order, bounds = geometry.texts_by_owner(owners, image_embs.shape[0])
-    owned = order[bounds[0]:bounds[-1]]
-    if owned.size == 0:
-        raise ValueError("no image owns any text")
-    groups = owners[owned]
-    dists = geometry.euclid_dists(image_embs[groups], text_embs[owned])
-    starts = np.flatnonzero(np.diff(groups, prepend=-1))
-    sizes = np.diff(np.append(starts, groups.size))
+    groups = owners[order]
+    dists = geometry.euclid_dists(image_embs[groups], text_embs[order])
+    starts, sizes = bounds[:-1], np.diff(bounds)
     centre = np.repeat(0.5 * (sizes + 1.0), sizes)
-    x = _average_ranks(groups, levels[owned]) - centre
+    x = _average_ranks(groups, levels[order]) - centre
     y = _average_ranks(groups, -dists) - centre
     sxy, sxx, syy = (np.add.reduceat(a * b, starts) for a, b in ((x, y), (x, x), (y, y)))
     defined = (sxx > 0.0) & (syy > 0.0)
@@ -692,7 +680,7 @@ def distance_by_level(image_embs: np.ndarray, text_embs: np.ndarray,
     """Mean image-to-owned-text Euclidean distance per hierarchy level.
     Each sum runs left to right in text order (cumsum; np.sum would pair
     the terms and move the last bits of the report)."""
-    owners = np.asarray(image_of_text, dtype=np.int64)
+    owners = _split(image_embs.shape[0], image_of_text, text_embs.shape[0])
     levels = np.asarray(levels, dtype=np.int64)
     known = np.flatnonzero(levels >= 0)
     dists = geometry.euclid_dists(image_embs[owners[known]], text_embs[known])
@@ -714,7 +702,7 @@ def evaluate(image_embs: np.ndarray, text_embs: np.ndarray,
     """One-call evaluation over a split.  Level diagnostics appear only
     when levels are provided; fold averaging only when n_folds is set.
     """
-    owners = np.asarray(image_of_text, dtype=np.int64)
+    owners = _split(image_embs.shape[0], image_of_text, text_embs.shape[0])
     if levels is not None:
         levels = np.asarray(levels, dtype=np.int64)
     with_levels = levels is not None and bool(np.any(levels >= 0))

@@ -85,6 +85,19 @@ def euclid_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
 
+def check_owners(image_of_text, n_images: int, n_texts: int) -> np.ndarray:
+    """The owners as int64: one per text, each an image index in
+    [0, n_images).  Raises naming the first text whose owner is not."""
+    owners = np.asarray(image_of_text, dtype=np.int64)
+    if owners.shape != (n_texts,):
+        raise ValueError("image_of_text must have one entry per text")
+    bad = np.flatnonzero((owners < 0) | (owners >= n_images))
+    if bad.size:
+        raise ValueError(f"text {bad[0]} has owner {owners[bad[0]]}, outside the "
+                         f"{n_images} images")
+    return owners
+
+
 def texts_by_owner(owners: np.ndarray, n_images: int) -> tuple[np.ndarray, np.ndarray]:
     """Texts grouped by owning image: image i owns
     order[bounds[i]:bounds[i + 1]], in ascending text index."""

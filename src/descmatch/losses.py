@@ -105,15 +105,13 @@ class Batch:
     def __post_init__(self):
         self.image_embs = np.asarray(self.image_embs, dtype=np.float64)
         self.text_embs = np.asarray(self.text_embs, dtype=np.float64)
-        self.image_of_text = np.asarray(self.image_of_text, dtype=np.int64)
         self.deltas = np.asarray(self.deltas, dtype=np.float64)
         n_img, n_txt = self.image_embs.shape[0], self.text_embs.shape[0]
         if self.image_embs.shape[1] != self.text_embs.shape[1]:
             raise ValueError("image/text embedding dims differ")
-        if self.image_of_text.shape != (n_txt,) or self.deltas.shape != (n_txt,):
-            raise ValueError("per-text arrays must have one entry per text")
-        if n_txt and (self.image_of_text.min() < 0 or self.image_of_text.max() >= n_img):
-            raise ValueError("text owner index out of range")
+        self.image_of_text = geometry.check_owners(self.image_of_text, n_img, n_txt)
+        if self.deltas.shape != (n_txt,):
+            raise ValueError("deltas must have one entry per text")
         if n_txt and not (self.deltas.min() >= 0.0 and self.deltas.max() <= 1.0):
             raise ValueError("deltas must lie in [0, 1]")
         geometry.check_unit_rows("image", self.image_embs)
@@ -355,9 +353,9 @@ def kink_gap(batch: Batch, config: LossConfig) -> float:
     modes), argmax ties in mining, and ordering distances at the clamp.
     Each text has one row of negatives, NaN marking the excluded ones."""
     sims = batch.image_embs @ batch.text_embs.T
-    owners = batch.image_of_text
-    t_neg = np.where(owners[:, None] == owners, np.nan, sims[owners])
-    i_neg = np.where(owners[:, None] == np.arange(batch.n_images), np.nan, sims.T)
+    owners, own = batch.image_of_text, batch.ownership
+    t_neg = np.where(own.same_owner, np.nan, sims[owners])
+    i_neg = np.where(own.owns, np.nan, sims.T)
     # a text with no negative text (every text of a one-image batch) has no hinges
     skip = np.isnan(t_neg).all(axis=1)
     t_neg[skip] = i_neg[skip] = np.nan

@@ -92,8 +92,8 @@ class Dataset:
         n_img, n_txt = len(self.image_ids), len(self.text_ids)
         if self.image_feats.shape[0] != n_img or self.text_feats.shape[0] != n_txt:
             raise ValueError("feature row counts disagree with id lists")
-        for arr, name in ((self.image_of_text, "image_of_text"),
-                          (self.deltas, "deltas"), (self.levels, "levels")):
+        self.image_of_text = geometry.check_owners(self.image_of_text, n_img, n_txt)
+        for arr, name in ((self.deltas, "deltas"), (self.levels, "levels")):
             if arr.shape != (n_txt,):
                 raise ValueError(f"{name} must have one entry per text")
 
@@ -384,9 +384,13 @@ def load_checkpoint(path, config: TrainConfig | None = None) -> dict:
     trailing bytes), a header field of the wrong type and a missing header
     field or parameter array raise ValueError naming the path.  Given the
     ``config`` of a run that resumes from it, a saved config that differs
-    in any key but ``epochs`` raises next, naming the first such key; an
-    rng state that cannot be restored raises next, and a parameter or
-    moment array holding NaN or inf raises last, naming the array."""
+    in any key but ``epochs`` raises next, naming the first such key.  An
+    array of the wrong shape raises next, naming it: W_img must be
+    (d_img, e), W_txt (d_txt, e), b_img and b_txt (e,), with e the
+    ``config``'s ``embed_dim`` if given, and each moment its parameter's
+    shape.  An rng state that cannot be restored raises next, and a
+    parameter or moment array holding NaN or inf raises last, naming the
+    array."""
     data = Path(path).read_bytes()
     if data[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
@@ -431,6 +435,17 @@ def load_checkpoint(path, config: TrainConfig | None = None) -> dict:
             key = next(k for k in [*recipe, *have] if recipe.get(k) != have.get(k))
             raise ValueError(f"{path}: resume config disagrees with checkpoint "
                              f"config at {key!r}")
+    shape_of = dict(shapes)
+    w_img = shape_of["param/W_img"]
+    embed = config.embed_dim if config is not None else w_img[1] if len(w_img) == 2 else None
+    for name in _PARAM_NAMES:
+        have = shape_of[f"param/{name}"]
+        want = have[:1] + [embed] if name[0] == "W" else [embed]
+        for slot in ("param", "adam_m", "adam_v"):
+            if shape_of[f"{slot}/{name}"] != want:
+                raise ValueError(f"{path}: checkpoint array '{slot}/{name}' has shape "
+                                 f"{shape_of[f'{slot}/{name}']}, not "
+                                 f"{'(d_img, e)' if embed is None else want}")
     rng = np.random.default_rng()
     try:
         rng.bit_generator.state = header["rng_state"]

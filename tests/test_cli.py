@@ -640,6 +640,48 @@ def test_non_finite_checkpoint_array_exits_two(synth_dir, tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
+def _cut(names, slots=("param", "adam_m", "adam_v")):
+    """An edit for ``_saved_checkpoint`` that keeps the first 4 of the 8
+    embedding columns of the named arrays in the given slots."""
+    def edit(params, opt_state):
+        for slot in slots:
+            arrays = params if slot == "param" else opt_state[slot[-1]]
+            for name in names:
+                arrays[name] = arrays[name][..., :4]
+    return edit
+
+
+# (the arrays cut, the commands that reject them, the message after the
+# checkpoint path); eval takes a checkpoint of any one embedding width
+_SHAPE_FAULTS = {
+    "moment": (_cut(["W_img"], ["adam_m"]), ["eval", "train"],
+               "checkpoint array 'adam_m/W_img' has shape [10, 4], not [10, 8]"),
+    "text-side": (_cut(["W_txt", "b_txt"]), ["eval", "train"],
+                  "checkpoint array 'param/W_txt' has shape [10, 4], not [10, 8]"),
+    "every-array": (_cut(trainer._PARAM_NAMES), ["train"],
+                    "checkpoint array 'param/W_img' has shape [10, 4], not [10, 8]"),
+}
+
+
+@pytest.mark.parametrize("fault, command", [(fault, command) for fault, (_, commands, _)
+                                             in _SHAPE_FAULTS.items() for command in commands])
+def test_checkpoint_array_of_the_wrong_shape_exits_two(synth_dir, tmp_path, capsys, fault,
+                                                       command):
+    """A moment whose shape is not its parameter's, parameters that
+    disagree on the embedding width, and (for a resumed run) a width other
+    than --embed-dim exit 2 naming the checkpoint and the array, before
+    <out> is made."""
+    cut, _, want = _SHAPE_FAULTS[fault]
+    ckpt = tmp_path / "checkpoint.bin"
+    _saved_checkpoint(ckpt, cut)
+    flags = (["--checkpoint", str(ckpt)] if command == "eval" else
+             ["--resume", str(ckpt), "--epochs", "2", "--batch-size", "12", "--embed-dim", "8"])
+    code = cli.main([command, *_data_flags(synth_dir), "--out", str(tmp_path / "out"), *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {ckpt}: {want}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _assert_rejects_zero_projection(synth_dir, tmp_path, capsys, side, name, flag,
                                     command="eval"):
     """Zero projections of one side map every row of that side to norm 0:

@@ -219,8 +219,6 @@ def dcorr_reference(imgs, txts, owners, levels):
     rhos = []
     for i in range(imgs.shape[0]):
         mine = np.flatnonzero(owners == i)
-        if mine.size == 0:
-            continue
         x = average_ranks([int(levels[j]) for j in mine])
         y = average_ranks([-np.linalg.norm(imgs[i] - txts[j]) for j in mine])
         if mine.size < 2 or np.ptp(x) == 0 or np.ptp(y) == 0:
@@ -233,9 +231,8 @@ def dcorr_reference(imgs, txts, owners, levels):
 @st.composite
 def grouped_texts(draw):
     n_img = draw(st.integers(1, 6))
-    # ragged groups: images with no text, one text, or several
-    sizes = draw(st.lists(st.integers(0, 6), min_size=n_img, max_size=n_img)
-                 .filter(lambda v: sum(v) > 0))
+    # ragged groups: images with one text or several
+    sizes = draw(st.lists(st.integers(1, 6), min_size=n_img, max_size=n_img))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     owners = rng.permutation(np.repeat(np.arange(n_img), sizes))
     levels = rng.integers(0, draw(st.integers(1, 4)), size=owners.size)
@@ -356,10 +353,10 @@ def lexsort_recall(sims, owners, k, direction):
 @st.composite
 def tie_heavy_fixtures(draw):
     n_img = draw(st.integers(2, 7))
-    n_txt = draw(st.integers(1, 14))
-    # the last image owns no text
-    owners = np.array(draw(st.lists(st.integers(0, n_img - 2),
-                                    min_size=n_txt, max_size=n_txt)))
+    owners = np.array(draw(st.lists(st.integers(0, n_img - 2), min_size=1, max_size=14)))
+    # the last image, and any other the draw missed, owns one text at the end
+    owners = np.append(owners, np.setdiff1d(np.arange(n_img), owners))
+    n_txt = owners.size
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     sims = np.round(rng.uniform(-1.0, 1.0, size=(n_img, n_txt)), 1)
@@ -537,17 +534,15 @@ def test_traversal_equals_station_walk_on_grids(dim, n_cand, n_img, n_points, se
 @settings(max_examples=100, deadline=None)
 @given(grouped_texts(), st.integers(2, 9))
 def test_hierarchical_report_equals_per_walk_sets(fixture, n_points):
-    # ragged ownership and repeated texts: images without texts are
-    # skipped, and walks revisit tied duplicates
+    # ragged ownership and repeated texts: walks revisit tied duplicates
     imgs, txts, owners, _ = fixture
     root = geometry.l2_normalize(np.ones(imgs.shape[1]))[0]
     precisions, recalls = [], []
     for i, image in enumerate(imgs):
         relevant = np.flatnonzero(owners == i).tolist()
-        if relevant:
-            p, r = E.set_precision_recall(station_walk(image, txts, root, n_points), relevant)
-            precisions.append(p)
-            recalls.append(r)
+        p, r = E.set_precision_recall(station_walk(image, txts, root, n_points), relevant)
+        precisions.append(p)
+        recalls.append(r)
     report = E.hierarchical_report(imgs, txts, owners, root, n_points)
     assert report == {"precision": float(np.mean(precisions)),
                       "recall": float(np.mean(recalls)), "n_points": n_points}
@@ -574,13 +569,14 @@ def screen_fixtures(draw):
     """Embeddings placed like a trained model's (texts near their owner),
     with the cases a screened rank count can get wrong: exact duplicate
     rows and columns, dots above 1 before the clamp, off-target entries
-    one float from a target and images that own no text."""
+    one float from a target and images that own just one text, appended
+    last."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.sampled_from([1, 2, 5, 16, 48]))
     n_img = draw(st.integers(1, 8))
     n_txt = draw(st.integers(1, 24))
     imgs = geometry.l2_normalize(rng.normal(size=(n_img, dim)))
-    # the last image owns no text when the draw says so
+    # the last image owns only the text appended for it when the draw says so
     owners = rng.integers(0, max(1, n_img - draw(st.integers(0, 1))), size=n_txt)
     noise = draw(st.sampled_from([0.05, 0.5, 3.0]))
     txts = geometry.l2_normalize(imgs[owners] + noise * rng.normal(size=(n_txt, dim)))
@@ -607,6 +603,11 @@ def screen_fixtures(draw):
             if twin is not None:
                 txts = np.vstack([txts, twin])
                 owners = np.append(owners, rng.integers(imgs.shape[0]))
+    # one text near each image that owns none yet, twins included
+    bare = np.setdiff1d(np.arange(imgs.shape[0]), owners)
+    txts = np.vstack([txts, geometry.l2_normalize(
+        imgs[bare] + noise * rng.normal(size=(bare.size, dim)))])
+    owners = np.append(owners, bare)
     levels = rng.integers(-1, 4, size=owners.size)
     return imgs, txts, owners, levels
 
@@ -616,8 +617,6 @@ def matrix_folds(imgs, txts, owners, n_folds):
     folds = []
     for start, stop in E.fold_slices(imgs.shape[0], n_folds):
         keep = np.flatnonzero((owners >= start) & (owners < stop))
-        if keep.size == 0:
-            raise ValueError("a fold has no texts")
         sims = geometry.sim_matrix(imgs[start:stop], txts[keep])
         suite = E.recall_suite(sims, owners[keep] - start)
         suite["rsum"] = E.rsum(sims, owners[keep] - start)
@@ -637,10 +636,7 @@ def test_screened_ranks_equal_matrix_ranks(fixture, block):
         i2t, t2i = E.exact_ranks(imgs, txts, owners)
         rsum = E.embedding_rsum(imgs, txts, owners)
         n_folds = min(2, imgs.shape[0])
-        try:
-            folded = E.folded_recall_suite(imgs, txts, owners, n_folds)["folds"]
-        except ValueError as exc:
-            folded = str(exc)
+        folded = E.folded_recall_suite(imgs, txts, owners, n_folds)["folds"]
         # a given root: the texts' centroid may be the origin here
         report = E.evaluate(imgs, txts, owners, levels=levels,
                             root_emb=geometry.l2_normalize(np.ones(imgs.shape[1]))[0])
@@ -652,11 +648,7 @@ def test_screened_ranks_equal_matrix_ranks(fixture, block):
     assert rsum == E.rsum(sims, owners)
     for k in (1, 2, 5):
         assert E._level_recall(t2i, levels, k) == E.per_level_recall(sims, owners, levels, k)
-    try:
-        want = matrix_folds(imgs, txts, owners, n_folds)
-    except ValueError as exc:
-        want = str(exc)
-    assert folded == want
+    assert folded == matrix_folds(imgs, txts, owners, n_folds)
     assert report["recall"] == E.recall_suite(sims, owners)
     assert report["rsum"] == E.rsum(sims, owners)
     if (levels >= 0).any():
@@ -737,3 +729,34 @@ def test_screens_reject_a_root_off_the_sphere_and_wide_embeddings():
         E.exact_ranks(wide, wide, [0])
     with pytest.raises(ValueError, match=r"^image embeddings have 1048576 dimensions"):
         E.hierarchical_traverse(wide[0], wide, wide[0], 2)
+
+
+# (owners of six texts, or of none, the number of images, the message)
+INCOMPLETE_SPLITS = {
+    "owner-minus-one": ([0, 0, 1, 1, 2, -1], 3, "^text 5 has owner -1, outside the 3 images$"),
+    "owner-n-images": ([0, 0, 1, 3, 2, 2], 3, "^text 3 has owner 3, outside the 3 images$"),
+    "image-owning-no-text": ([0, 0, 2, 2, 0, 2], 3, "^image 1 owns no text$"),
+    "no-images": ([], 0, "^the split has no images$"),
+}
+
+
+@pytest.mark.parametrize("case", list(INCOMPLETE_SPLITS))
+def test_every_entry_point_takes_only_a_complete_split(case):
+    owners, n_img, want = INCOMPLETE_SPLITS[case]
+    rng = np.random.default_rng(10)
+    imgs = geometry.l2_normalize(rng.normal(size=(n_img, 4)))
+    txts = geometry.l2_normalize(rng.normal(size=(len(owners), 4)))
+    sims, levels, root = imgs @ txts.T, np.arange(len(owners)) % 2, np.eye(4)[0]
+    for call in (lambda: E.exact_ranks(imgs, txts, owners),
+                 lambda: E.recall_suite(sims, owners),
+                 lambda: E.rsum(sims, owners),
+                 lambda: E.per_level_recall(sims, owners, levels),
+                 lambda: E.embedding_rsum(imgs, txts, owners),
+                 lambda: E.folded_recall_suite(imgs, txts, owners, 1),
+                 lambda: E.hierarchical_report(imgs, txts, owners, root),
+                 lambda: E.d_corr(imgs, txts, owners, levels),
+                 lambda: E.distance_by_level(imgs, txts, owners, levels),
+                 lambda: E.evaluate(imgs, txts, owners, levels=levels, root_emb=root,
+                                    n_folds=1)):
+        with pytest.raises(ValueError, match=want):
+            call()

@@ -115,3 +115,13 @@ def test_same_image_rows_equal_dict_oracle(ownership):
     assert batch.same_image.shape == (len(want), 3)
     assert [tuple(row) for row in batch.same_image.tolist()] == want
     assert batch.pair_map == [(int(owners[j]), j) for j in range(owners.size)]
+
+
+@pytest.mark.parametrize("owner", [-1, 3])
+def test_batch_and_dataset_reject_an_owner_outside_the_images(owner):
+    owners = np.array([0, 1, 2, owner, 1])
+    want = f"^text 3 has owner {owner}, outside the 3 images$"
+    with pytest.raises(ValueError, match=want):
+        losses.Batch(unit_rows(3), unit_rows(5), owners, np.full(5, 0.5))
+    with pytest.raises(ValueError, match=want):
+        dataset_of(3, owners)
