@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Byte comparison of this tree against a base tree: a change to the library
-# must not move a byte of what the pipeline, synth, score, train, gradcheck
-# and the ablation write, and scoring and loading may take at most 5% more
-# peak RSS and 1% more traced peak memory.  Exits non-zero at the first
-# difference.
+# must not move a byte of what the pipeline, synth, score, train (each loss
+# variant), gradcheck and the ablation write, and scoring and loading may
+# take at most 5% more peak RSS and 1% more traced peak memory.  Exits
+# non-zero at the first difference.
 #
 # Usage:
 #     bash scripts/compare_trees.sh BASE_TREE [WORK_DIR]
@@ -191,6 +191,24 @@ PYTHONPATH="$base/src" python -m descmatch.cli train "${resume_flags[@]}" --epoc
 for f in checkpoint.bin history.json; do
     cmp "$work/head-out/run/$f" "$work/head-resume-run/$f"
     cmp "$work/base-resume-run/$f" "$work/head-resume-run/$f"
+done
+
+# the pipeline trains the full variant only: the baseline and adaptive
+# variants, on the pipeline's data and train settings, must write the same
+# checkpoint and history from both trees
+echo "== train the baseline and adaptive variants"
+for variant in baseline adaptive; do
+    variant_flags=(--corpus "$work/head-out/data/corpus.jsonl" --table "$work/head-out/data/table.jsonl"
+                   --image-features "$work/head-out/data/images.manifest.json"
+                   --text-features "$work/head-out/data/texts.manifest.json"
+                   --variant "$variant" --embed-dim 32 --epochs 10 --batch-size 64 --lr 0.01 --seed 0)
+    PYTHONPATH=src python -m descmatch.cli train "${variant_flags[@]}" \
+        --out "$work/head-$variant-run" > /dev/null
+    PYTHONPATH="$base/src" python -m descmatch.cli train "${variant_flags[@]}" \
+        --out "$work/base-$variant-run" > /dev/null
+    for f in checkpoint.bin history.json; do
+        cmp "$work/base-$variant-run/$f" "$work/head-$variant-run/$f"
+    done
 done
 
 # the pipeline's corpus has no val split, so its train run validates on the

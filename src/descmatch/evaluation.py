@@ -636,8 +636,11 @@ def d_corr(image_embs: np.ndarray, text_embs: np.ndarray,
            image_of_text: np.ndarray, levels: np.ndarray) -> float:
     """Mean over images of the Spearman correlation between a text's
     hierarchy level and its negated distance to the owning image, times
-    100.  Deeper levels should sit closer, so perfect ordering scores 100.
-    Undefined correlations (single text, constant ranks) count as 0.
+    100, over the texts of known level (a level of -1 is unknown and its
+    text is skipped, as in `per_level_recall` and `distance_by_level`).
+    Deeper levels should sit closer, so perfect ordering scores 100.
+    Undefined correlations (fewer than two known texts, constant ranks)
+    count as 0.
 
     One grouped pass: average ranks within each image, then the Pearson
     correlation of the ranks, rho = Sxy / sqrt(Sxx Syy).  The n average
@@ -646,19 +649,24 @@ def d_corr(image_embs: np.ndarray, text_embs: np.ndarray,
     exact, and so is Sxx Syy while below 2^49.  rho then takes two
     roundings, and a perfect ordering scores exactly 1.
     """
-    owners = _split(image_embs.shape[0], image_of_text, text_embs.shape[0])
+    n_img = image_embs.shape[0]
+    owners = _split(n_img, image_of_text, text_embs.shape[0])
     levels = np.asarray(levels, dtype=np.int64)
-    order, bounds = geometry.texts_by_owner(owners, image_embs.shape[0])
-    groups = owners[order]
-    dists = geometry.euclid_dists(image_embs[groups], text_embs[order])
-    starts, sizes = bounds[:-1], np.diff(bounds)
-    centre = np.repeat(0.5 * (sizes + 1.0), sizes)
-    x = _average_ranks(groups, levels[order]) - centre
-    y = _average_ranks(groups, -dists) - centre
-    sxy, sxx, syy = (np.add.reduceat(a * b, starts) for a, b in ((x, y), (x, x), (y, y)))
-    defined = (sxx > 0.0) & (syy > 0.0)
-    rho = np.zeros(starts.size)
-    rho[defined] = sxy[defined] / np.sqrt(sxx[defined] * syy[defined])
+    known = np.flatnonzero(levels >= 0)
+    order, bounds = geometry.texts_by_owner(owners[known], n_img)
+    order = known[order]
+    sizes = np.diff(bounds)
+    rho = np.zeros(n_img)
+    held = np.flatnonzero(sizes)  # images with a known text; reduceat takes no empty group
+    if held.size:
+        groups = owners[order]
+        dists = geometry.euclid_dists(image_embs[groups], text_embs[order])
+        centre = np.repeat(0.5 * (sizes + 1.0), sizes)
+        x = _average_ranks(groups, levels[order]) - centre
+        y = _average_ranks(groups, -dists) - centre
+        sxy, sxx, syy = (np.add.reduceat(a * b, bounds[held]) for a, b in ((x, y), (x, x), (y, y)))
+        defined = (sxx > 0.0) & (syy > 0.0)
+        rho[held[defined]] = sxy[defined] / np.sqrt(sxx[defined] * syy[defined])
     return 100.0 * float(np.mean(rho))
 
 

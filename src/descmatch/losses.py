@@ -1,11 +1,13 @@
 """Ranking and ordering objectives over a batch of cross-modal embeddings.
 
-Every loss returns its scalar value together with analytic gradients with
-respect to both embedding matrices.  Gradients treat per-sentence
-descriptiveness values as constants, use the exact subgradient 0 at hinge
-kinks, and are checked against central finite differences (the oracle
-perturbs the already-normalized embeddings without re-normalizing, so both
-sides live in the same domain).
+Every loss returns its scalar value together with its analytic gradient
+with respect to both embedding matrices as one stacked array, image rows
+first, then text rows, the layout of the trainer's forward pass;
+``grad_images`` and ``grad_texts`` are views of its two parts.  Gradients
+treat per-sentence descriptiveness values as constants, use the exact
+subgradient 0 at hinge kinks, and are checked against central finite
+differences (the oracle perturbs the already-normalized embeddings without
+re-normalizing, so both sides live in the same domain).
 
 Each loss sums its gradient terms with one ``np.bincount`` into image
 rows then text rows, bit for bit as one ``np.add.at`` per term onto zeros:
@@ -42,7 +44,8 @@ class LossConfig:
                 raise ValueError(f"{key} must be {kind}, got {value}")
 
 
-_Ownership = collections.namedtuple("_Ownership", "same_image same_owner owns lonely")
+_Ownership = collections.namedtuple(
+    "_Ownership", "same_image same_owner owns lonely sides order_rows")
 
 
 @functools.lru_cache(maxsize=32)
@@ -50,17 +53,24 @@ def _ownership(owner_bytes: bytes, n_images: int) -> _Ownership:
     """What the losses derive from an owner array alone, shared read-only by
     the trainer's batches of equal-sized images: same_image (see Batch),
     same_owner[j, k] when texts j and k share an image, owns[j, i] when image
-    i owns text j, lonely the first text whose image owns all texts, or -1."""
+    i owns text j, lonely the first text whose image owns all texts, or -1;
+    for the ordering loss, sides the a text of every same_image row, then
+    every b, and order_rows the stacked-gradient rows of its scatter: each
+    row's image, then the rows of sides."""
     owners = np.frombuffer(owner_bytes, dtype=np.int64)
     same_owner = owners[None, :] == owners[:, None]
     # positions a < b of the owner-sorted texts: rows by image, then a, then b
     order = geometry.texts_by_owner(owners, n_images)[0]
     a, b = np.nonzero(np.triu(same_owner[np.ix_(order, order)], 1))
+    a, b = order[a], order[b]
     lonely = np.flatnonzero(same_owner.all(axis=1))
-    own = _Ownership(np.stack([owners[order[a]], order[a], order[b]], axis=1), same_owner,
-                     owners[:, None] == np.arange(n_images), int(lonely[0]) if lonely.size else -1)
-    for arr in own[:3]:
-        arr.flags.writeable = False
+    sides = np.concatenate([a, b])
+    own = _Ownership(np.stack([owners[a], a, b], axis=1), same_owner,
+                     owners[:, None] == np.arange(n_images), int(lonely[0]) if lonely.size else -1,
+                     sides, np.concatenate([owners[a], n_images + sides]))
+    for arr in own:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
     return own
 
 
@@ -134,10 +144,22 @@ class Batch:
 
 @dataclass
 class LossOutput:
+    """A loss value and its gradient ``grad``: the image rows' (n_images of
+    them), then the text rows', stacked; ``grad_images`` and ``grad_texts``
+    are views of the two parts."""
+
     value: float
-    grad_images: np.ndarray
-    grad_texts: np.ndarray
+    grad: np.ndarray
+    n_images: int
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def grad_images(self) -> np.ndarray:
+        return self.grad[:self.n_images]
+
+    @property
+    def grad_texts(self) -> np.ndarray:
+        return self.grad[self.n_images:]
 
 
 def hardest_negatives(sims: np.ndarray,
@@ -207,7 +229,7 @@ def _ranking_loss(batch: Batch, config: LossConfig, adaptive: bool) -> LossOutpu
                          np.concatenate([txts.take(tn, axis=0) - t1, -v1, v1, -t2, t2,
                                          imgs.take(vn, axis=0) - imgs.take(i2, axis=0)]),
                          n_img + n_txt)
-        return LossOutput(value, grads[:n_img], grads[n_img:],
+        return LossOutput(value, grads, n_img,
                           {"triplet": value, "ordering": 0.0, "active_hinges": j1.size + j2.size})
 
     if own.lonely >= 0 or n_img < 2:
@@ -241,7 +263,7 @@ def _ranking_loss(batch: Batch, config: LossConfig, adaptive: bool) -> LossOutpu
     np.add.at(grad_i, p_i, -(c2 / n2)[:, None] * txts)
     grad_t += (act2 @ imgs - c2[:, None] * img_of) / n2
     active = int(act1.sum()) + int(act2.sum())
-    return LossOutput(value, grad_i, grad_t,
+    return LossOutput(value, grads, n_img,
                       {"triplet": value, "ordering": 0.0, "active_hinges": active})
 
 
@@ -263,11 +285,11 @@ def ordering_loss(batch: Batch, config: LossConfig) -> LossOutput:
     ratios (a clamped quantity contributes no gradient); images owning a
     single batch text contribute nothing.
     """
-    imgs, txts = batch.image_embs, batch.text_embs
-    n_img, n = batch.n_images, len(batch.same_image)
+    own = batch.ownership
+    n = len(own.same_image)
     # the a text of every pair, then every b; a side's image - text is its text's row
-    sides = batch.same_image[:, 1:].T.ravel()
-    diff = imgs.take(batch.image_of_text, axis=0) - txts
+    sides = own.sides
+    diff = batch.image_embs.take(batch.image_of_text, axis=0) - batch.text_embs
     raw = np.sqrt(np.add.reduce(diff * diff, axis=1)).take(sides)
     dist = np.maximum(raw, config.eps_dist)
     desc = np.maximum(batch.deltas.take(sides), config.eps_delta)
@@ -275,9 +297,9 @@ def ordering_loss(batch: Batch, config: LossConfig) -> LossOutput:
     value = float((args * args).sum())
     coef = np.where(raw > config.eps_dist, np.concatenate([2.0 * args] * 2) / (dist * dist), 0.0)
     g = coef[:, None] * diff.take(sides, axis=0)  # g_a rows, then g_b rows
-    grads = _scatter(np.concatenate([batch.same_image[:, 0], n_img + sides]),
-                     np.concatenate([g[:n] - g[n:], -g[:n], g[n:]]), n_img + batch.n_texts)
-    return LossOutput(value, grads[:n_img], grads[n_img:],
+    grads = _scatter(own.order_rows, np.concatenate([g[:n] - g[n:], -g[:n], g[n:]]),
+                     batch.n_images + batch.n_texts)
+    return LossOutput(value, grads, batch.n_images,
                       {"triplet": 0.0, "ordering": value, "active_hinges": 0,
                        "ordering_pairs": n})
 
@@ -288,8 +310,8 @@ def overall_loss(batch: Batch, config: LossConfig) -> LossOutput:
     order = ordering_loss(batch, config)
     return LossOutput(
         ada.value + config.lam * order.value,
-        ada.grad_images + config.lam * order.grad_images,
-        ada.grad_texts + config.lam * order.grad_texts,
+        ada.grad + config.lam * order.grad,
+        ada.n_images,
         {"triplet": ada.value, "ordering": order.value,
          "active_hinges": ada.diagnostics["active_hinges"],
          "ordering_pairs": order.diagnostics["ordering_pairs"]},

@@ -1,12 +1,18 @@
 """Shared-embedding trainer over precomputed image and sentence features.
 
 The model is one linear projection per modality followed by L2
-normalization.  Backpropagation is hand-written: the losses return
-gradients with respect to the normalized embeddings, and the chain rule
-through row normalization is g_z = (g_e - (g_e . e) e) / ||z||.  Updates
-use AdamW with decoupled weight decay (biases excluded), one elementwise
-pass over flat buffers whose views are the named arrays: the bits of a
-loop over the arrays, the decay a per-element factor 1.0 on the biases.
+normalization.  Both projections of a batch land in one stacked array,
+image rows first, then text rows, normalized in one pass; the image and
+text embeddings are views of it.  Backpropagation is hand-written: the
+losses return one stacked gradient with respect to those normalized rows,
+and the chain rule through row normalization, g_z = (g_e - (g_e . e) e) /
+||z||, runs once over the stack before each modality's weight and bias
+gradients are taken from its rows.  Every step is row-wise or
+elementwise, so the stack gives the bits of one pass per modality.
+Updates use AdamW with decoupled weight decay (biases excluded), one
+in-place elementwise pass over flat buffers whose views are the named
+arrays: the bits of a loop over the arrays, in the same operation order,
+the decay a per-element factor 1.0 on the biases.
 
 Checkpoints are a single binary file: an 8-byte magic, a little-endian
 uint64 header length, a sorted-keys JSON header describing the arrays and
@@ -139,10 +145,12 @@ def load_splits(corpus_path, table_path, image_features_path, text_features_path
     the scan in corpus order.  Images are ordered by first appearance
     among the split's sentences.
 
-    Memory: the corpus texts are released before the table is read, and
-    the table, once each split's deltas are looked up (None where it lacks
-    a sentence), before either feature file is read; the scan reads those
-    deltas, so the error order is the same.
+    Memory: the corpus texts are released before the table is read, the
+    table, once each split's deltas are looked up (None where it lacks a
+    sentence), before either feature file is read, and the image features,
+    once each split's rows are gathered (when the file holds them all),
+    before the text features are read; the scan reads those deltas and the
+    image ids, so the error order is the same.
     """
     corpus = corpus_mod.read_corpus_columns(corpus_path)
     if val_split == "auto":
@@ -160,15 +168,19 @@ def load_splits(corpus_path, table_path, image_features_path, text_features_path
         c.append(list(map(scores.get, c[0])))
     del scores  # the table is not needed while the features load
     img_ids, img_feats = geometry.read_features(image_features_path)
-    txt_ids, txt_feats = geometry.read_features(text_features_path)
     img_row = {i: k for k, i in enumerate(img_ids)}
+    for c in columns:  # each split's images and their feature rows, gathered when all are found
+        c.append(list(dict.fromkeys(c[1])))
+        rows = list(map(img_row.get, c[-1]))
+        c.append(rows if None in rows else _feature_rows(img_feats, rows))
+    del img_feats  # a split that lacks an image row fails the scan
+    txt_ids, txt_feats = geometry.read_features(text_features_path)
     txt_row = {i: k for k, i in enumerate(txt_ids)}
 
-    def join(ids: list[str], owner_ids: list[str], levels: list, deltas: list) -> Dataset:
-        image_ids = list(dict.fromkeys(owner_ids))
+    def join(ids: list[str], owner_ids: list[str], levels: list, deltas: list,
+             image_ids: list[str], image_feats) -> Dataset:
         text_rows = list(map(txt_row.get, ids))
-        image_rows = list(map(img_row.get, image_ids))
-        if None in text_rows or None in image_rows or None in deltas:
+        if None in text_rows or isinstance(image_feats, list) or None in deltas:
             for sid, iid, delta in zip(ids, owner_ids, deltas):
                 for path, lacks, kind, key in (
                         (text_features_path, sid not in txt_row, "sentence", sid),
@@ -179,7 +191,7 @@ def load_splits(corpus_path, table_path, image_features_path, text_features_path
         image_index = {iid: k for k, iid in enumerate(image_ids)}
         return Dataset(
             image_ids=image_ids,
-            image_feats=_feature_rows(img_feats, image_rows),
+            image_feats=image_feats,
             text_ids=ids,
             text_feats=_feature_rows(txt_feats, text_rows),
             image_of_text=np.array(list(map(image_index.__getitem__, owner_ids)), dtype=np.int64),
@@ -213,23 +225,23 @@ def init_params(rng: np.random.Generator, d_img: int, d_txt: int,
     }
 
 
-def _project(feats: np.ndarray, W: np.ndarray, b: np.ndarray):
-    z = feats @ W + b
-    # np.linalg.norm(z, axis=1, keepdims=True), expression for expression
-    norms = np.maximum(np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True)), geometry.NORM_FLOOR)
-    return z / norms, norms
-
-
 def forward(params: dict, img_feats: np.ndarray, txt_feats: np.ndarray):
     """Project both modalities onto the shared unit sphere.
 
-    Returns (image_embs, text_embs, cache) where cache feeds backward.
+    Returns (image_embs, text_embs, cache): the embeddings are the image
+    and text rows of one stacked array, which cache holds for backward.
     """
-    img_e, img_n = _project(img_feats, params["W_img"], params["b_img"])
-    txt_e, txt_n = _project(txt_feats, params["W_txt"], params["b_txt"])
-    cache = {"img_feats": img_feats, "txt_feats": txt_feats,
-             "img_e": img_e, "img_n": img_n, "txt_e": txt_e, "txt_n": txt_n}
-    return img_e, txt_e, cache
+    n_img = img_feats.shape[0]
+    e = np.empty((n_img + txt_feats.shape[0], params["W_img"].shape[1]))
+    np.matmul(img_feats, params["W_img"], out=e[:n_img])
+    np.matmul(txt_feats, params["W_txt"], out=e[n_img:])
+    e[:n_img] += params["b_img"]
+    e[n_img:] += params["b_txt"]
+    # np.linalg.norm(e, axis=1, keepdims=True), expression for expression
+    norms = np.maximum(np.sqrt(np.add.reduce(e * e, axis=1, keepdims=True)), geometry.NORM_FLOOR)
+    e /= norms
+    cache = {"img_feats": img_feats, "txt_feats": txt_feats, "e": e, "norms": norms}
+    return e[:n_img], e[n_img:], cache
 
 
 def _norm_backward(g_e: np.ndarray, e: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -237,10 +249,12 @@ def _norm_backward(g_e: np.ndarray, e: np.ndarray, norms: np.ndarray) -> np.ndar
     return (g_e - dots * e) / norms
 
 
-def backward(cache: dict, g_img_e: np.ndarray, g_txt_e: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the loss with respect to the projection parameters."""
-    g_zi = _norm_backward(g_img_e, cache["img_e"], cache["img_n"])
-    g_zt = _norm_backward(g_txt_e, cache["txt_e"], cache["txt_n"])
+def backward(cache: dict, grad: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of the loss with respect to the projection parameters,
+    given its gradient with respect to forward's stacked embeddings."""
+    n_img = cache["img_feats"].shape[0]
+    g_z = _norm_backward(grad, cache["e"], cache["norms"])
+    g_zi, g_zt = g_z[:n_img], g_z[n_img:]
     return {
         "W_img": cache["img_feats"].T @ g_zi,
         "b_img": g_zi.sum(axis=0),
@@ -257,7 +271,9 @@ _DECAYED = ("W_img", "W_txt")
 
 def _opt_state(params: dict, m: dict, v: dict, t: int) -> dict:
     """AdamW state over one flat buffer each for the parameters and the two
-    moments, in sorted-name order; the dicts are rebound to views into them."""
+    moments, in sorted-name order; the dicts are rebound to views into them.
+    "work" holds adamw_step's three temporaries, "decay" its last
+    (lr, weight decay) and their per-element decay factors."""
     names = sorted(params)
     cuts = np.cumsum([params[k].size for k in names])[:-1]
     flats = []
@@ -266,7 +282,8 @@ def _opt_state(params: dict, m: dict, v: dict, t: int) -> dict:
         arrays.update([(k, part.reshape(arrays[k].shape))
                        for k, part in zip(names, np.split(flats[-1], cuts))])
     decayed = np.concatenate([np.full(params[k].size, k in _DECAYED) for k in names])
-    return {"t": t, "m": m, "v": v, "flat": (*flats, decayed)}
+    return {"t": t, "m": m, "v": v, "flat": (*flats, decayed),
+            "work": np.empty((3, flats[0].size)), "decay": (None, None)}
 
 
 def init_opt_state(params: dict) -> dict:
@@ -276,22 +293,35 @@ def init_opt_state(params: dict) -> dict:
 
 def adamw_step(params: dict, grads: dict, state: dict, lr: float,
                config: TrainConfig) -> None:
-    """One in-place pass over init_opt_state's buffers: decay on weights only, then Adam."""
+    """One in-place pass over init_opt_state's buffers: decay on weights
+    only, then Adam.  Each product and quotient keeps the operation order
+    of the plain form, (1 - b2) * g * g and lr * m_hat / (sqrt(v_hat) +
+    eps), so the bits are the same."""
     flat_p, m, v, decayed = state["flat"]
     if any(params[k].base is not flat_p for k in params):
         raise ValueError("params are not the arrays laid out by init_opt_state")
-    g = np.concatenate([grads[k] for k in sorted(params)], axis=None)
+    g, step, denom = state["work"]
+    np.concatenate([grads[k] for k in sorted(params)], axis=None, out=g)
     state["t"] += 1
     t = state["t"]
     b1, b2 = config.beta1, config.beta2
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=step)
     v *= b2
-    v += (1.0 - b2) * g * g
-    m_hat = m / (1.0 - b1 ** t)
-    v_hat = v / (1.0 - b2 ** t)
-    flat_p *= np.where(decayed, 1.0 - lr * config.weight_decay, 1.0)
-    flat_p -= lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    np.multiply(g, 1.0 - b2, out=step)
+    step *= g
+    v += step
+    np.divide(v, 1.0 - b2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += config.adam_eps
+    np.divide(m, 1.0 - b1 ** t, out=step)
+    step *= lr
+    step /= denom
+    key = (lr, config.weight_decay)
+    if state["decay"][0] != key:
+        state["decay"] = key, np.where(decayed, 1.0 - lr * config.weight_decay, 1.0)
+    flat_p *= state["decay"][1]
+    flat_p -= step
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +357,21 @@ def epoch_plan(rng: np.random.Generator, dataset: Dataset,
     return [(images[lo:hi], texts[held[lo]:held[hi]]) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _make_batch(dataset: Dataset, img_e: np.ndarray, txt_e: np.ndarray,
-                img_idx: list[int], txt_idx: np.ndarray) -> Batch:
-    """txt_idx holds each image's texts together, in img_idx order, as
-    epoch_plan packs them."""
-    owners = np.repeat(np.arange(len(img_idx)), dataset.text_counts[img_idx])
-    return Batch(img_e, txt_e, owners, dataset.deltas[txt_idx])
+def _epoch_rows(dataset: Dataset, plan: list[tuple[list[int], np.ndarray]]) -> list[tuple]:
+    """Per batch of the plan: its image and text feature rows, its
+    batch-local owners and its deltas, as views of one gather per epoch.
+    epoch_plan packs each image's texts together in image order, so an
+    image's local owner index is its position in its batch."""
+    images = [i for imgs, _ in plan for i in imgs]
+    texts = np.concatenate([txts for _, txts in plan])
+    img_cuts = np.cumsum([0] + [len(imgs) for imgs, _ in plan])
+    txt_cuts = np.cumsum([0] + [len(txts) for _, txts in plan])
+    local = np.arange(len(images)) - np.repeat(img_cuts[:-1], np.diff(img_cuts))
+    owners = np.repeat(local, dataset.text_counts[images])
+    img_feats, txt_feats = dataset.image_feats[images], dataset.text_feats[texts]
+    deltas = dataset.deltas[texts]
+    return [(img_feats[a:b], txt_feats[c:d], owners[c:d], deltas[c:d])
+            for a, b, c, d in zip(img_cuts, img_cuts[1:], txt_cuts, txt_cuts[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -520,21 +559,22 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
         lr = config.lr * (config.decay_factor if epoch >= config.decay_epoch else 1.0)
         mining = epoch >= config.warmup_epochs
         loss_cfg = dataclasses.replace(config.loss, use_hardest_mining=mining)
-        plan = epoch_plan(shuffle_rng, dataset, config.batch_size)
+        rows = _epoch_rows(dataset, epoch_plan(shuffle_rng, dataset, config.batch_size))
         tot_loss = tot_trip = tot_order = 0.0
-        for img_idx, txt_idx in plan:
-            img_e, txt_e, cache = forward(params, dataset.image_feats[img_idx],
-                                          dataset.text_feats[txt_idx])
-            batch = _make_batch(dataset, img_e, txt_e, img_idx, txt_idx)
-            out = loss_fn(batch, loss_cfg)
+        for img_feats, txt_feats, owners, deltas in rows:
+            img_e, txt_e, cache = forward(params, img_feats, txt_feats)
+            out = loss_fn(Batch(img_e, txt_e, owners, deltas), loss_cfg)
             if not math.isfinite(out.value):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}")
-            grads = backward(cache, out.grad_images, out.grad_texts)
+            grads = backward(cache, out.grad)
             adamw_step(params, grads, opt_state, lr, config)
             tot_loss += out.value
             tot_trip += out.diagnostics["triplet"]
             tot_order += out.diagnostics["ordering"]
-        n_b = len(plan)
+        n_b = len(rows)
+        # every view of the epoch's gather, released before validation and
+        # the next epoch's gather
+        del rows, img_feats, txt_feats, owners, deltas, cache
         record = {
             "epoch": epoch,
             "lr": lr,

@@ -164,7 +164,7 @@ def test_criterion_3_gradient_suite():
 
     ie, te, cache = trainer.forward(params, img_f, txt_f)
     out = L.overall_loss(L.Batch(ie, te, owners, deltas), cfg)
-    grads = trainer.backward(cache, out.grad_images, out.grad_texts)
+    grads = trainer.backward(cache, out.grad)
     h = 1e-5
     for name, arr in params.items():
         fd = np.zeros_like(arr)

@@ -1,13 +1,18 @@
 """The per-batch training path against the per-array forms it replaced.
 
 The losses sum their gradient contributions with one ``np.bincount`` per
-loss and AdamW updates one flat buffer; the oracles below are the
-``np.add.at`` loss bodies and the per-array AdamW loop they replaced, and
-every comparison is bit for bit (signed zeros included), not within a
-tolerance.
+loss into one stacked gradient, forward and backward handle both
+modalities as one stacked array, train gathers each epoch's rows once,
+and AdamW updates one flat buffer in place; the oracles below are the
+``np.add.at`` loss bodies, the per-modality projection and normalization
+backward, the per-batch gather and the per-array AdamW loop they
+replaced, and every comparison is bit for bit (signed zeros included),
+not within a tolerance.
 """
 
 import dataclasses
+import json
+import math
 import re
 
 import numpy as np
@@ -15,8 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from descmatch import evaluation, geometry, trainer
 from descmatch import losses as L
-from descmatch import trainer
 
 
 def same_bits(a, b) -> bool:
@@ -247,6 +252,26 @@ def test_hardest_negatives_equal_oracle_on_ties():
         assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
+def test_each_checked_loss_returns_one_stacked_gradient(seed, kind):
+    batch = make_batch(seed, kind)
+    n_img, rows = batch.n_images, batch.n_images + batch.n_texts
+    for _, fn, mining in L._CHECKED_LOSSES:
+        try:
+            out = fn(batch, L.LossConfig(use_hardest_mining=mining))
+        except ValueError:
+            continue
+        assert out.grad.shape == (rows, batch.image_embs.shape[1])
+        assert out.grad.dtype == np.float64 and out.grad.flags.c_contiguous
+        assert out.n_images == n_img
+        assert np.shares_memory(out.grad_images, out.grad)
+        assert np.shares_memory(out.grad_texts, out.grad)
+        assert same_bits(out.grad_images, out.grad[:n_img])
+        assert same_bits(out.grad_texts, out.grad[n_img:])
+        assert same_bits(out.grad, np.concatenate([out.grad_images, out.grad_texts]))
+
+
 def test_bincount_sums_in_add_at_order_with_signed_zeros():
     """The identity every scatter rests on: np.bincount adds each weight
     into its bin in input order starting from +0.0, as np.add.at does onto
@@ -355,3 +380,147 @@ def test_adamw_rejects_params_it_did_not_lay_out():
         trainer.adamw_step(copies, grads, state, 1e-3, trainer.TrainConfig())
     assert state["t"] == 0
     assert all(same_bits(params[k], copies[k]) for k in params)
+
+
+# ---------------------------------------------------------------------------
+# Forward and backward: one pass per modality
+
+
+def oracle_project(feats, W, b):
+    z = feats @ W + b
+    norms = np.maximum(np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True)), geometry.NORM_FLOOR)
+    return z / norms, norms
+
+
+def oracle_norm_backward(g_e, e, norms):
+    dots = np.add.reduce(g_e * e, axis=1, keepdims=True)
+    return (g_e - dots * e) / norms
+
+
+def oracle_forward(params, img_feats, txt_feats):
+    img_e, img_n = oracle_project(img_feats, params["W_img"], params["b_img"])
+    txt_e, txt_n = oracle_project(txt_feats, params["W_txt"], params["b_txt"])
+    return img_e, txt_e, (img_feats, txt_feats, img_e, img_n, txt_e, txt_n)
+
+
+def oracle_backward(cache, g_img_e, g_txt_e):
+    img_feats, txt_feats, img_e, img_n, txt_e, txt_n = cache
+    g_zi = oracle_norm_backward(g_img_e, img_e, img_n)
+    g_zt = oracle_norm_backward(g_txt_e, txt_e, txt_n)
+    return {"W_img": img_feats.T @ g_zi, "b_img": g_zi.sum(axis=0),
+            "W_txt": txt_feats.T @ g_zt, "b_txt": g_zt.sum(axis=0)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.integers(1, 130), st.integers(1, 40),
+       st.booleans())
+@example(0, 16, 64, 32, False)
+def test_stacked_forward_and_backward_equal_per_modality_oracles(seed, n_img, n_txt, dim,
+                                                                 zero_row):
+    rng = np.random.default_rng(seed)
+    d_img, d_txt = int(rng.integers(1, 50)), int(rng.integers(1, 50))
+    params = trainer.init_params(rng, d_img, d_txt, dim)
+    params["b_img"] = rng.normal(size=dim)
+    img_feats = rng.normal(size=(n_img, d_img))
+    txt_feats = rng.normal(size=(n_txt, d_txt))
+    if zero_row:  # a row below the norm floor
+        params["b_txt"][:] = 0.0
+        txt_feats[-1] = 0.0
+    img_e, txt_e, cache = trainer.forward(params, img_feats, txt_feats)
+    want_i, want_t, want_cache = oracle_forward(params, img_feats, txt_feats)
+    assert same_bits(img_e, want_i) and same_bits(txt_e, want_t)
+    assert img_e.base is txt_e.base is not None
+    assert img_e.flags.c_contiguous and txt_e.flags.c_contiguous
+    grad = rng.normal(size=(n_img + n_txt, dim)) * 10.0 ** rng.integers(-5, 5)
+    grad[rng.random(grad.shape) < 0.1] = -0.0
+    kept = grad.copy()
+    got = trainer.backward(cache, grad)
+    want = oracle_backward(want_cache, grad[:n_img], grad[n_img:])
+    assert same_bits(grad, kept)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert same_bits(got[name], want[name]), name
+
+
+# ---------------------------------------------------------------------------
+# Training: one gather per epoch against a gather per batch
+
+
+def oracle_train(dataset, config, val_dataset=None):
+    """train() as a loop over epoch_plan's batches that gathers each batch's
+    rows itself, through the per-modality oracles and the per-array AdamW."""
+    params = trainer.init_params(np.random.default_rng([config.seed, 2]),
+                                 dataset.image_feats.shape[1], dataset.text_feats.shape[1],
+                                 config.embed_dim)
+    state = {"t": 0, "m": {k: np.zeros_like(v) for k, v in params.items()},
+             "v": {k: np.zeros_like(v) for k, v in params.items()}}
+    shuffle_rng = np.random.default_rng([config.seed, 3])
+    eval_set = val_dataset if val_dataset is not None else dataset
+    history = []
+    for epoch in range(config.epochs):
+        lr = config.lr * (config.decay_factor if epoch >= config.decay_epoch else 1.0)
+        mining = epoch >= config.warmup_epochs
+        loss_cfg = dataclasses.replace(config.loss, use_hardest_mining=mining)
+        plan = trainer.epoch_plan(shuffle_rng, dataset, config.batch_size)
+        totals = [0.0, 0.0, 0.0]
+        for img_idx, txt_idx in plan:
+            img_e, txt_e, cache = oracle_forward(params, dataset.image_feats[img_idx],
+                                                 dataset.text_feats[txt_idx])
+            owners = np.repeat(np.arange(len(img_idx)), dataset.text_counts[img_idx])
+            out = trainer.LOSS_VARIANTS[config.variant](
+                L.Batch(img_e, txt_e, owners, dataset.deltas[txt_idx]), loss_cfg)
+            grads = oracle_backward(cache, out.grad_images, out.grad_texts)
+            oracle_adamw_step(params, grads, state, lr, config)
+            for k, value in enumerate((out.value, out.diagnostics["triplet"],
+                                       out.diagnostics["ordering"])):
+                totals[k] += value
+        img_e, txt_e, _ = oracle_forward(params, eval_set.image_feats, eval_set.text_feats)
+        history.append({"epoch": epoch, "lr": lr, "mining": mining,
+                        "loss": totals[0] / len(plan), "triplet": totals[1] / len(plan),
+                        "ordering": totals[2] / len(plan),
+                        "val_rsum": evaluation.embedding_rsum(img_e, txt_e,
+                                                              eval_set.image_of_text)})
+    return params, history
+
+
+def ragged_dataset(n_images, seed):
+    """Images owning one to four texts, in shuffled text order."""
+    rng = np.random.default_rng(seed)
+    owners = rng.permutation(np.repeat(np.arange(n_images), rng.integers(1, 5, n_images)))
+    n_txt = owners.size
+    return trainer.Dataset(
+        image_ids=[f"i{k}" for k in range(n_images)], image_feats=rng.normal(size=(n_images, 7)),
+        text_ids=[f"t{k}" for k in range(n_txt)], text_feats=rng.normal(size=(n_txt, 5)),
+        image_of_text=owners, deltas=rng.uniform(0.0, 1.0, n_txt),
+        levels=rng.integers(1, 5, n_txt))
+
+
+def assert_same_run(params, history, want_params, want_history):
+    assert json.dumps(history, sort_keys=True) == json.dumps(want_history, sort_keys=True)
+    assert all(math.isfinite(r["loss"]) for r in history)
+    for name in want_params:
+        assert same_bits(params[name], want_params[name]), name
+
+
+@pytest.mark.parametrize("variant", sorted(trainer.LOSS_VARIANTS))
+def test_train_equals_per_batch_reference_loop(variant):
+    dataset, val = ragged_dataset(30, 41), ragged_dataset(8, 42)
+    config = trainer.TrainConfig(embed_dim=4, batch_size=10, epochs=5, lr=5e-2,
+                                 warmup_epochs=2, decay_epoch=3, seed=7, variant=variant)
+    for val_dataset in (None, val):
+        got = trainer.train(dataset, config, val_dataset=val_dataset)
+        want = oracle_train(dataset, config, val_dataset)
+        assert [r["mining"] for r in got.history] == [False, False, True, True, True]
+        assert_same_run(got.params, got.history, *want)
+
+
+@pytest.mark.parametrize("variant", sorted(trainer.LOSS_VARIANTS))
+def test_resumed_train_equals_per_batch_reference_loop(variant, tmp_path):
+    dataset = ragged_dataset(30, 43)
+    config = trainer.TrainConfig(embed_dim=4, batch_size=10, epochs=5, lr=5e-2,
+                                 warmup_epochs=2, decay_epoch=3, seed=8, variant=variant)
+    path = tmp_path / "ck.bin"
+    trainer.train(dataset, dataclasses.replace(config, epochs=2), checkpoint_path=path)
+    got = trainer.train(dataset, config, checkpoint_path=path,
+                        resume_from=trainer.load_checkpoint(path, config))
+    assert_same_run(got.params, got.history, *oracle_train(dataset, config))

@@ -215,10 +215,11 @@ def average_ranks(values):
 
 
 def dcorr_reference(imgs, txts, owners, levels):
-    """Per image: the Pearson correlation of average ranks, 0 when undefined."""
+    """Per image: the Pearson correlation of average ranks over its texts of
+    known level, 0 when undefined."""
     rhos = []
     for i in range(imgs.shape[0]):
-        mine = np.flatnonzero(owners == i)
+        mine = np.flatnonzero((owners == i) & (levels >= 0))
         x = average_ranks([int(levels[j]) for j in mine])
         y = average_ranks([-np.linalg.norm(imgs[i] - txts[j]) for j in mine])
         if mine.size < 2 or np.ptp(x) == 0 or np.ptp(y) == 0:
@@ -235,7 +236,8 @@ def grouped_texts(draw):
     sizes = draw(st.lists(st.integers(1, 6), min_size=n_img, max_size=n_img))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     owners = rng.permutation(np.repeat(np.arange(n_img), sizes))
-    levels = rng.integers(0, draw(st.integers(1, 4)), size=owners.size)
+    # some texts of unknown level (-1) when the lower bound is drawn as -1
+    levels = rng.integers(draw(st.integers(-1, 0)), draw(st.integers(1, 4)), size=owners.size)
     imgs = geometry.l2_normalize(rng.normal(size=(n_img, 3)))
     # texts drawn from a small pool, so an image's texts repeat and tie
     pool = geometry.l2_normalize(rng.normal(size=(draw(st.integers(1, 8)), 3)))
@@ -249,6 +251,25 @@ def test_d_corr_equals_per_image_spearman(fixture):
     imgs, txts, owners, levels = fixture
     assert abs(E.d_corr(imgs, txts, owners, levels)
                - dcorr_reference(imgs, txts, owners, levels)) <= 1e-12
+
+
+def test_d_corr_skips_texts_of_unknown_level():
+    """A text of level -1 is left out of its image's ranks, as per_level_recall
+    and distance_by_level leave it out; an image with fewer than two known
+    texts counts as 0."""
+    angles = np.linspace(0.0, 1.2, 4)
+    txts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    imgs = np.array([[1.0, 0.0]])
+    owners = np.zeros(4, dtype=np.int64)
+    assert E.d_corr(imgs, txts, owners, np.array([4, 3, 2, 1])) == 100.0
+    assert E.d_corr(imgs, txts, owners, np.array([-1, 3, 2, 1])) == 100.0
+    assert E.d_corr(imgs[:, ::-1], txts, owners, np.array([-1, 3, 2, 1])) == -100.0
+    assert E.d_corr(imgs, txts, owners, np.array([-1, -1, -1, 2])) == 0.0
+    assert E.d_corr(imgs, txts, owners, np.full(4, -1)) == 0.0
+    # a second image whose texts are all unknown halves the mean
+    two = np.concatenate([imgs, imgs])
+    assert E.d_corr(two, np.concatenate([txts, txts]), np.repeat([0, 1], 4),
+                    np.array([-1, 3, 2, 1, -1, -1, -1, -1])) == 50.0
 
 
 def test_per_level_recall_pools_texts():

@@ -72,9 +72,9 @@ def dataset_of(n_images, owners):
     n_txt = owners.size
     return trainer.Dataset(
         image_ids=[f"i{k}" for k in range(n_images)],
-        image_feats=np.zeros((n_images, 1)),
+        image_feats=np.arange(n_images, dtype=np.float64)[:, None],
         text_ids=[f"t{k}" for k in range(n_txt)],
-        text_feats=np.zeros((n_txt, 1)),
+        text_feats=np.arange(n_txt, dtype=np.float64)[:, None],
         image_of_text=owners,
         deltas=np.linspace(0.0, 1.0, n_txt),
         levels=np.zeros(n_txt, dtype=np.int64),
@@ -97,11 +97,18 @@ def test_epoch_plan_and_batches_equal_dict_oracles(ownership, batch_size, seed):
     got = trainer.epoch_plan(got_rng, ds, batch_size)
     assert [(imgs, txts.tolist()) for imgs, txts in got] == want
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    for imgs, txts in got:
-        batch = trainer._make_batch(ds, unit_rows(len(imgs)), unit_rows(len(txts)),
-                                    imgs, txts)
-        assert batch.image_of_text.tolist() == oracle_local_owners(ds, imgs, txts)
-        assert np.array_equal(batch.deltas, ds.deltas[txts])
+    rows = trainer._epoch_rows(ds, got)
+    assert len(rows) == len(got)
+    for (imgs, txts), (img_feats, txt_feats, owners, deltas) in zip(got, rows):
+        assert img_feats[:, 0].tolist() == imgs
+        assert txt_feats[:, 0].tolist() == txts.tolist()
+        assert owners.tolist() == oracle_local_owners(ds, imgs, txts)
+        assert np.array_equal(deltas, ds.deltas[txts])
+        # views of one gather per epoch
+        for view, first in zip((img_feats, txt_feats, owners, deltas), rows[0]):
+            assert view.base is first.base is not None
+        batch = losses.Batch(unit_rows(len(imgs)), unit_rows(len(txts)), owners, deltas)
+        assert batch.image_of_text.tolist() == owners.tolist()
 
 
 @settings(max_examples=200, deadline=None)

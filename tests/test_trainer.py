@@ -58,7 +58,7 @@ def test_parameter_gradients_match_finite_differences():
     img_e, txt_e, cache = trainer.forward(params, ds.image_feats, ds.text_feats)
     batch = losses.Batch(img_e, txt_e, ds.image_of_text, ds.deltas)
     out = losses.overall_loss(batch, cfg)
-    grads = trainer.backward(cache, out.grad_images, out.grad_texts)
+    grads = trainer.backward(cache, out.grad)
 
     h = 1e-6
     for name in params:
@@ -228,7 +228,7 @@ def test_warmup_epochs_never_mine(monkeypatch):
 
 def test_non_finite_loss_aborts(monkeypatch):
     ds = tiny_dataset()
-    bad = losses.LossOutput(float("nan"), np.zeros((1, 1)), np.zeros((1, 1)), {})
+    bad = losses.LossOutput(float("nan"), np.zeros((2, 1)), 1, {})
     monkeypatch.setitem(trainer.LOSS_VARIANTS, "full", lambda b, c: bad)
     cfg = trainer.TrainConfig(embed_dim=5, batch_size=8, epochs=1)
     with pytest.raises(RuntimeError, match="non-finite"):
@@ -338,7 +338,8 @@ def test_load_dataset_reports_missing_ids(tmp_path):
     (["t0", "t2"], ["imgA", "imgB"], ["t0", "t2"], 3, "sentence 't1'"),
     (["t0", "t1", "t2"], ["imgB"], ["t1", "t2"], 2, "image 'imgA'"),
     (["t0", "t1", "t2"], ["imgA", "imgB"], ["t0", "t1"], 1, "sentence 't2'"),
-], ids=["table", "text-before-table", "image", "last-record"])
+    (["t0", "t1", "t2"], ["imgA"], ["t0", "t1", "t2"], 2, "image 'imgB'"),
+], ids=["table", "text-before-table", "image", "last-record", "image-alone"])
 def test_load_dataset_reports_first_missing_id(tmp_path, text_ids, image_ids, table_ids,
                                                lacking, want):
     """The first record in corpus order that lacks a text row, an image row
@@ -353,6 +354,24 @@ def test_load_dataset_reports_first_missing_id(tmp_path, text_ids, image_ids, ta
     C.write_table_jsonl(paths[1], table)
     with pytest.raises(ValueError) as exc:
         trainer.load_dataset(*paths)
+    assert str(exc.value) == f"{paths[lacking]}: lacks {want} of {paths[0]}"
+
+
+@pytest.mark.parametrize("val_images, lacking, want", [
+    (["imgA", "imgB"], 3, "sentence 't3'"),
+    (["imgA"], 2, "image 'imgB'"),
+], ids=["val-text", "val-image"])
+def test_load_splits_reports_what_only_the_val_split_lacks(tmp_path, val_images, lacking, want):
+    """The training split is whole; the validation split's first fault is
+    named, whether its image rows were gathered or not."""
+    records = [C.SentenceRecord("t0", "imgA", "a dog"), C.SentenceRecord("t1", "imgA", "a cat"),
+               C.SentenceRecord("t2", "imgB", "a cow", split="val"),
+               C.SentenceRecord("t3", "imgB", "a hen", split="val")]
+    rng = np.random.default_rng(0)
+    paths = _write_inputs(tmp_path, records, val_images, rng.normal(size=(len(val_images), 4)),
+                          ["t0", "t1", "t2"], rng.normal(size=(3, 3)))
+    with pytest.raises(ValueError) as exc:
+        trainer.load_splits(*paths, split="train", val_split="val")
     assert str(exc.value) == f"{paths[lacking]}: lacks {want} of {paths[0]}"
 
 
@@ -444,6 +463,30 @@ def test_load_dataset_takes_file_order_features_as_they_are(tmp_path):
                               split="val")
     assert np.array_equal(ds.text_feats, txt_feats[6:]) and ds.text_feats.base is None
     assert ds.text_feats.flags.c_contiguous
+
+
+def test_load_drops_the_image_features_before_the_text_features_load(tmp_path):
+    """With both manifests out of corpus order, each split's image rows are
+    gathered and the file's matrix dropped before the text features load:
+    the traced peak holds one image matrix beside the two text matrices
+    (the read and its gather), not two."""
+    n_img, n_txt = 1000, 2000
+    records = [C.SentenceRecord(f"t{k}", f"img{k // 2}", f"a word{k}") for k in range(n_txt)]
+    rng = np.random.default_rng(0)
+    img_feats, txt_feats = rng.normal(size=(n_img, 512)), rng.normal(size=(n_txt, 256))
+    perm_img, perm_txt = rng.permutation(n_img), rng.permutation(n_txt)
+    paths = _write_inputs(tmp_path, records, [f"img{k}" for k in perm_img], img_feats[perm_img],
+                          [f"t{k}" for k in perm_txt], txt_feats[perm_txt])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ds = trainer.load_dataset(*paths)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ds.image_feats, img_feats) and np.array_equal(ds.text_feats, txt_feats)
+    bound = img_feats.nbytes + 2 * txt_feats.nbytes + 2 * 2**20
+    assert peak < bound, f"load_dataset peaked {peak / 2**20:.1f} MB, above {bound / 2**20:.1f} MB"
 
 
 def test_score_and_load_peaks_stay_bounded(tmp_path):
