@@ -116,6 +116,18 @@ def _fits(type_, default, value) -> bool:
     return isinstance(value, (int, float) if type_ is float else type_)
 
 
+def _once_each(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; raises on a key given twice, the
+    dash and underscore spellings of a key counting as one."""
+    seen = set()
+    for key, _ in pairs:
+        name = key.replace("-", "_")
+        if name in seen:
+            raise ValueError(f"config key {name!r} is given twice")
+        seen.add(name)
+    return dict(pairs)
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     """Defaults, then config-file values, then explicit flags.  A config
     value is converted by the option's type, as argparse converts a flag."""
@@ -126,7 +138,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                loaded = json.load(fh)
+                loaded = json.load(fh, object_pairs_hook=_once_each)
             except ValueError as exc:
                 raise ValueError(f"{args.config}: {exc}") from exc
         if not isinstance(loaded, dict):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,6 +60,8 @@ class SynthSpec:
                                   ("noise_sigma", self.noise_sigma, 0)):
             if not value >= least:  # NaN included
                 raise ValueError(f"{key} must be at least {least}, got {value}")
+        if not math.isfinite(self.noise_sigma):
+            raise ValueError(f"noise_sigma must be finite, got {self.noise_sigma}")
 
 
 def _strata(spec: SynthSpec) -> list[list[str]]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,10 @@ class LossConfig:
                                      ("eps_dist", self.eps_dist, self.eps_dist > 0, "positive")):
             if not ok:
                 raise ValueError(f"{key} must be {kind}, got {value}")
+        for key, value in (("alpha", self.alpha), ("tau", self.tau), ("lambda", self.lam),
+                           ("eps_delta", self.eps_delta), ("eps_dist", self.eps_dist)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
 
 
 _Ownership = collections.namedtuple(

@@ -78,6 +78,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not self.lr > 0:  # NaN included
             raise ValueError(f"lr must be positive, got {self.lr}")
+        for name in ("lr", "weight_decay", "decay_factor", "beta1", "beta2", "adam_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
 

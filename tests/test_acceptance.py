@@ -2,9 +2,10 @@
 
 Every criterion recomputes its expected values with an oracle local to
 this file (brute-force double loops, closed-form ranks, central finite
-differences) rather than trusting the library's own arithmetic.  The
-verdict lines collect in conftest.ACCEPTANCE_LINES and are printed in a
-terminal section after the run.
+differences) rather than trusting the library's own arithmetic; d_corr's
+is the one in test_evaluation, dcorr_reference.  The verdict lines
+collect in conftest.ACCEPTANCE_LINES and are printed in a terminal
+section after the run.
 """
 
 import functools
@@ -15,6 +16,7 @@ import time
 import numpy as np
 
 from conftest import ACCEPTANCE_LINES
+from test_evaluation import dcorr_reference
 
 from descmatch import cli, datagen, trainer
 from descmatch import corpus as C
@@ -366,34 +368,6 @@ def _oracle_per_level(sims, owners, levels, k):
     return out
 
 
-def _ranks(vals: list[float]) -> list[float]:
-    order = sorted(range(len(vals)), key=lambda i: vals[i])
-    ranks = [0.0] * len(vals)
-    for rank, i in enumerate(order, start=1):
-        ranks[i] = float(rank)
-    return ranks
-
-
-def _oracle_dcorr(imgs, txts, owners, levels) -> float:
-    """Closed-form Spearman over tie-free fixtures; singleton or constant
-    inputs contribute zero, matching the library's nan handling."""
-    rhos = []
-    for i in range(imgs.shape[0]):
-        mine = [j for j in range(txts.shape[0]) if owners[j] == i]
-        if not mine:
-            continue
-        dists = [float(np.linalg.norm(imgs[i] - txts[j])) for j in mine]
-        n = len(mine)
-        if n < 2 or len(set(dists)) < 2:
-            rhos.append(0.0)
-            continue
-        x = _ranks([float(levels[j]) for j in mine])
-        y = _ranks([-d for d in dists])
-        d2 = sum((a - b) ** 2 for a, b in zip(x, y))
-        rhos.append(1.0 - 6.0 * d2 / (n * (n * n - 1.0)))
-    return 100.0 * (sum(rhos) / len(rhos))
-
-
 def _unit(rng, n, dim):
     rows = rng.normal(size=(n, dim))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -442,10 +416,12 @@ def test_criterion_6_metric_oracles():
         n_img = int(rng.integers(2, 8))
         owners = np.repeat(np.arange(n_img), 4)
         levels = np.tile(np.arange(1, 5), n_img)
+        # about a quarter of the texts of unknown level (-1), which d_corr skips
+        levels[rng.random(levels.size) < 0.25] = -1
         imgs = _unit(rng, n_img, 8)
         txts = _unit(rng, 4 * n_img, 8)
         worst = max(worst, abs(E.d_corr(imgs, txts, owners, levels)
-                               - _oracle_dcorr(imgs, txts, owners, levels)))
+                               - dcorr_reference(imgs, txts, owners, levels)))
     assert worst <= 1e-12
 
     # undefined correlations (singleton text, constant distances) count as 0
@@ -455,7 +431,7 @@ def test_criterion_6_metric_oracles():
     owners = np.array([0, 0, 0, 0, 1, 2, 2, 2, 2])
     levels = np.array([1, 2, 3, 4, 1, 1, 2, 3, 4])
     assert abs(E.d_corr(imgs, txts, owners, levels)
-               - _oracle_dcorr(imgs, txts, owners, levels)) <= 1e-12
+               - dcorr_reference(imgs, txts, owners, levels)) <= 1e-12
 
     # the six published recalls sum to the published rank sum either way
     printed = [83.7, 97.4, 99.2, 70.1, 92.8, 97.1]

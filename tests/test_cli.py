@@ -1,6 +1,7 @@
 import builtins
 import collections
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -42,6 +43,30 @@ def test_score_matches_library(synth_dir, tmp_path):
     got = C.read_table_jsonl(out)
     assert got.scores == want.scores
     assert got.raw_min == want.raw_min
+
+
+# sha256 of every file a default synth writes but config.json, which echoes
+# --out.  Neither synth nor score calls BLAS, so every Python and numpy of
+# the CI matrix must write these bytes.
+DEFAULT_SYNTH_SHA256 = {
+    "corpus.jsonl": "4ef93a8df8b17d3c36ec6b86f6dcb1e4e8e494eac2ecaa77f59163794db7d3a4",
+    "images.bin": "7cc4aa96343caa53ab67f1dbbe708f6278bde0008f1c7073b7948ea42392e3e5",
+    "images.manifest.json": "85a2e0c50f560f7041813ad2652426588b8222a64c8b3350a5581a9e4d975f0e",
+    "synth_config.json": "07737884186a907fb686671539c56ffc16c8d3f71fecd06411ae78e9f68a9859",
+    "table.jsonl": "7df9f77f36b6e42ea2788db3ee94506a63c0a835996bb7d1a357ad69559bb025",
+    "texts.bin": "452aef6c6fd34f2df52e8f675eafa669a7968143abbeec37aa8ea1d53da84632",
+    "texts.manifest.json": "8c5872c17ae367e57d51732a17c39dba138d54b5412509d295b92232a2ea3c3a",
+}
+
+
+def test_default_synth_and_score_bytes_are_pinned(tmp_path):
+    out = tmp_path / "synth"
+    assert cli.main(["synth", "--out", str(out)]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir() if path.name != "config.json"} == DEFAULT_SYNTH_SHA256
+    table = tmp_path / "table.jsonl"
+    assert cli.main(["score", "--corpus", str(out / "corpus.jsonl"), "--out", str(table)]) == 0
+    assert table.read_bytes() == (out / "table.jsonl").read_bytes()
 
 
 def test_train_and_eval_pipeline(synth_dir, tmp_path):
@@ -108,8 +133,10 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ('{"epochs": 3, }', "Expecting property name enclosed in double quotes: line 1 column 15"),
     (json.dumps({"variant": "bogus"}),
      "'variant' must be one of adaptive, baseline, full, got \"bogus\""),
+    ('{"seed": 1, "seed": 2}', "config key 'seed' is given twice"),
+    ('{"weight_decay": 0.1, "weight-decay": 0.9}', "config key 'weight_decay' is given twice"),
 ], ids=["str-for-int", "str-for-float", "bool-for-int", "null-for-required", "invalid-json",
-        "not-a-choice"])
+        "not-a-choice", "repeated-key", "repeated-key-two-spellings"])
 def test_config_rejects_mistyped_values(tmp_path, capsys, text, want):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -214,17 +241,26 @@ def test_eval_checks_folds_and_points_first(tmp_path, capsys, key, value, want, 
     ("train", {"tau": 0}, "tau must be positive, got 0.0"),
     ("train", {"tau": math.nan}, "tau must be positive, got nan"),
     ("train", {"lr": math.nan}, "lr must be positive, got nan"),
+    ("train", {"lr": math.inf}, "lr must be finite, got inf"),
+    ("train", {"weight_decay": math.nan}, "weight_decay must be finite, got nan"),
+    ("train", {"weight_decay": math.inf}, "weight_decay must be finite, got inf"),
+    ("train", {"decay_factor": math.nan, "decay_epoch": 1}, "decay_factor must be finite, got nan"),
+    ("train", {"variant": "baseline", "alpha": math.nan}, "alpha must be finite, got nan"),
+    ("train", {"lambda": math.inf}, "lambda must be finite, got inf"),
     ("synth", {"images": 1}, "images must be at least 2, got 1"),
     ("synth", {"dim": 1}, "dim must be at least 2, got 1"),
     ("synth", {"rare_vocab": 2, "levels": 4}, "rare_vocab must be at least 4, got 2"),
     ("synth", {"noise_sigma": -0.5}, "noise_sigma must be at least 0, got -0.5"),
     ("synth", {"noise_sigma": math.nan}, "noise_sigma must be at least 0, got nan"),
+    ("synth", {"noise_sigma": math.inf}, "noise_sigma must be finite, got inf"),
     ("gradcheck", {"trials": 0}, "trials must be at least 1, got 0"),
     ("gradcheck", {"tol": 0}, "tol must be positive, got 0.0"),
     ("gradcheck", {"tol": -1e-4}, "tol must be positive, got -0.0001"),
     ("gradcheck", {"step": 0}, "step must be positive, got 0.0"),
-], ids=["lambda", "tau", "nan-tau", "nan-lr", "images", "dim", "rare-vocab", "noise-sigma",
-        "nan-noise-sigma", "trials", "tol-zero", "tol-negative", "step"])
+], ids=["lambda", "tau", "nan-tau", "nan-lr", "inf-lr", "nan-weight-decay", "inf-weight-decay",
+        "nan-decay-factor", "nan-alpha", "inf-lambda", "images", "dim", "rare-vocab",
+        "noise-sigma", "nan-noise-sigma", "inf-noise-sigma", "trials", "tol-zero",
+        "tol-negative", "step"])
 @pytest.mark.parametrize("route", ["flag", "config"])
 def test_settings_messages_name_the_option_and_value(tmp_path, capsys, command, values, want,
                                                      route):
