@@ -27,11 +27,22 @@ is the one routine that groups texts by owning image for all of them.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 NORM_FLOOR = 1e-12
+
+
+def is_finite(value) -> bool:
+    """``math.isfinite(value)``, but False for an integer too large for a
+    float, where math.isfinite raises OverflowError: the settings' float
+    fields use it to reject such a value with a message naming the field."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def l2_normalize(matrix: np.ndarray) -> np.ndarray:

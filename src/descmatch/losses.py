@@ -13,13 +13,22 @@ Each loss sums its gradient terms with one ``np.bincount`` into image
 rows then text rows, bit for bit as one ``np.add.at`` per term onto zeros:
 bincount adds each weight into its bin in input order from +0.0, the terms
 keep the order of those calls, and a sum from +0.0 never becomes -0.0.
+
+Each fact of a batch is checked once, where it becomes true.  ``Batch``
+checks all of them for any caller: the widths, the owners (inside the
+cached ``_ownership`` build, so equal owners are checked on the first
+batch only), the deltas and the unit rows.  The trainer's batches come
+from ``_trusted_batch``, which skips the checks its caller has already
+made: ``Dataset`` checks the owners and deltas of the whole split,
+``_epoch_rows`` derives the batch-local owners, which ``_ownership``
+checks on a cache miss, and ``train`` checks the norms ``forward`` divided
+by.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,12 +54,12 @@ class LossConfig:
                 raise ValueError(f"{key} must be {kind}, got {value}")
         for key, value in (("alpha", self.alpha), ("tau", self.tau), ("lambda", self.lam),
                            ("eps_delta", self.eps_delta), ("eps_dist", self.eps_dist)):
-            if not math.isfinite(value):
+            if not geometry.is_finite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
 
 
 _Ownership = collections.namedtuple(
-    "_Ownership", "same_image same_owner owns lonely sides order_rows")
+    "_Ownership", "same_image same_owner owns texts_of lonely sides order_rows")
 
 
 @functools.lru_cache(maxsize=32)
@@ -58,11 +67,17 @@ def _ownership(owner_bytes: bytes, n_images: int) -> _Ownership:
     """What the losses derive from an owner array alone, shared read-only by
     the trainer's batches of equal-sized images: same_image (see Batch),
     same_owner[j, k] when texts j and k share an image, owns[j, i] when image
-    i owns text j, lonely the first text whose image owns all texts, or -1;
-    for the ordering loss, sides the a text of every same_image row, then
-    every b, and order_rows the stacked-gradient rows of its scatter: each
-    row's image, then the rows of sides."""
+    i owns text j and texts_of its transpose (both C-ordered: the layout of
+    a mask decides the layout, and so the summation order, of the arrays
+    computed with it), lonely the first text whose image owns all texts, or
+    -1; for the ordering loss, sides the a text of every same_image row,
+    then every b, and order_rows the stacked-gradient rows of its scatter:
+    each row's image, then the rows of sides.
+
+    The owners are checked here (``geometry.check_owners``), so an owner
+    array is checked once per cache entry; a failed check caches nothing."""
     owners = np.frombuffer(owner_bytes, dtype=np.int64)
+    geometry.check_owners(owners, n_images, owners.size)
     same_owner = owners[None, :] == owners[:, None]
     # positions a < b of the owner-sorted texts: rows by image, then a, then b
     order = geometry.texts_by_owner(owners, n_images)[0]
@@ -70,8 +85,9 @@ def _ownership(owner_bytes: bytes, n_images: int) -> _Ownership:
     a, b = order[a], order[b]
     lonely = np.flatnonzero(same_owner.all(axis=1))
     sides = np.concatenate([a, b])
-    own = _Ownership(np.stack([owners[a], a, b], axis=1), same_owner,
-                     owners[:, None] == np.arange(n_images), int(lonely[0]) if lonely.size else -1,
+    owns = owners[:, None] == np.arange(n_images)
+    own = _Ownership(np.stack([owners[a], a, b], axis=1), same_owner, owns,
+                     np.ascontiguousarray(owns.T), int(lonely[0]) if lonely.size else -1,
                      sides, np.concatenate([owners[a], n_images + sides]))
     for arr in own:
         if isinstance(arr, np.ndarray):
@@ -124,15 +140,17 @@ class Batch:
         n_img, n_txt = self.image_embs.shape[0], self.text_embs.shape[0]
         if self.image_embs.shape[1] != self.text_embs.shape[1]:
             raise ValueError("image/text embedding dims differ")
-        self.image_of_text = geometry.check_owners(self.image_of_text, n_img, n_txt)
+        self.image_of_text = np.asarray(self.image_of_text, dtype=np.int64)
+        if self.image_of_text.shape != (n_txt,):
+            raise ValueError("image_of_text must have one entry per text")
+        self.ownership = _ownership(self.image_of_text.tobytes(), n_img)  # checks the owners
+        self.same_image = self.ownership.same_image
         if self.deltas.shape != (n_txt,):
             raise ValueError("deltas must have one entry per text")
         if n_txt and not (self.deltas.min() >= 0.0 and self.deltas.max() <= 1.0):
             raise ValueError("deltas must lie in [0, 1]")
         geometry.check_unit_rows("image", self.image_embs)
         geometry.check_unit_rows("text", self.text_embs)
-        self.ownership = _ownership(self.image_of_text.tobytes(), n_img)
-        self.same_image = self.ownership.same_image
 
     @property
     def n_images(self) -> int:
@@ -145,6 +163,20 @@ class Batch:
     @property
     def pair_map(self) -> list[tuple[int, int]]:
         return [(int(i), j) for j, i in enumerate(self.image_of_text)]
+
+
+def _trusted_batch(image_embs: np.ndarray, text_embs: np.ndarray, image_of_text: np.ndarray,
+                   deltas: np.ndarray) -> Batch:
+    """A Batch built without ``Batch``'s checks, for a caller that has fixed
+    its facts already: float64 unit rows of equal width, one int64 owner per
+    text and float64 deltas in [0, 1].  Only the owners are still checked,
+    by ``_ownership`` on a cache miss."""
+    batch = object.__new__(Batch)
+    batch.image_embs, batch.text_embs = image_embs, text_embs
+    batch.image_of_text, batch.deltas = image_of_text, deltas
+    batch.ownership = _ownership(image_of_text.tobytes(), image_embs.shape[0])
+    batch.same_image = batch.ownership.same_image
+    return batch
 
 
 @dataclass
@@ -175,20 +207,23 @@ def hardest_negatives(sims: np.ndarray,
     Texts owned by the pair's image are excluded from the text-negative
     candidates (multi-caption batches); the pair's own image is excluded on
     the image side.  Ties break toward the lowest index (argmax keeps the
-    first maximum).
+    first maximum).  Both come from one masked copy of ``sims``: the texts
+    of an image share its row of candidates, so each image's row is mined
+    once and taken by its texts, and each text's column holds its image
+    candidates.
     """
     sims = np.asarray(sims, dtype=np.float64)
     owners = np.asarray(image_of_text, dtype=np.int64)
     n_img = sims.shape[0]
+    if n_img < 2:  # and when every text shares one owner, no negative text either
+        side = "text" if (owners == owners[0]).all() else "image"
+        raise ValueError(f"pair ({owners[0]}, 0) has no admissible negative {side}")
     own = _ownership(owners.tobytes(), n_img)
     if own.lonely >= 0:
         raise ValueError(f"pair ({owners[own.lonely]}, {own.lonely}) has no admissible "
                          "negative text")
-    if n_img < 2:
-        raise ValueError(f"pair ({owners[0]}, 0) has no admissible negative image")
-    t_neg = np.where(own.same_owner, -np.inf, sims[owners]).argmax(axis=1)
-    v_neg = np.where(own.owns, -np.inf, sims.T).argmax(axis=1)
-    return t_neg, v_neg
+    masked = np.where(own.texts_of, -np.inf, sims)
+    return masked.argmax(axis=1).take(owners), masked.argmax(axis=0)
 
 
 def adaptive_margins(delta_t, delta_tneg, tau: float):

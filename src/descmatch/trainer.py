@@ -12,7 +12,19 @@ elementwise, so the stack gives the bits of one pass per modality.
 Updates use AdamW with decoupled weight decay (biases excluded), one
 in-place elementwise pass over flat buffers whose views are the named
 arrays: the bits of a loop over the arrays, in the same operation order,
-the decay a per-element factor 1.0 on the biases.
+the decay a per-element factor 1.0 on the biases.  In training, backward
+writes the gradients straight into views of the optimiser's flat gradient
+buffer.
+
+Each fact of a training batch is checked once, where it becomes true:
+``Dataset`` checks the split's owners and deltas; ``losses._ownership``
+checks the batch-local owners that ``_epoch_rows`` derives, once per
+distinct owner array; and ``train`` checks the norms that ``forward``
+divided by, one min and one max per batch, so that every row is a unit
+vector.  A row that fails raises ``geometry.check_unit_rows``'s message
+prefixed by the epoch and the batch.  ``losses._trusted_batch`` then
+builds each Batch without re-checking these facts; ``Batch`` itself keeps
+every check for other callers.
 
 Checkpoints are a single binary file: an 8-byte magic, a little-endian
 uint64 header length, a sorted-keys JSON header describing the arrays and
@@ -36,7 +48,9 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation, geometry
-from .losses import (Batch, LossConfig, adaptive_triplet_loss, overall_loss,
+# train's batches are Batch instances built by _trusted_batch; the traced
+# benchmark still times Batch under this module's name
+from .losses import (Batch, LossConfig, _trusted_batch, adaptive_triplet_loss, overall_loss,
                      triplet_loss)
 
 _CKPT_MAGIC = b"DMCK0001"
@@ -79,7 +93,7 @@ class TrainConfig:
         if not self.lr > 0:  # NaN included
             raise ValueError(f"lr must be positive, got {self.lr}")
         for name in ("lr", "weight_decay", "decay_factor", "beta1", "beta2", "adam_eps"):
-            if not math.isfinite(getattr(self, name)):
+            if not geometry.is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
@@ -87,7 +101,9 @@ class TrainConfig:
 
 @dataclass
 class Dataset:
-    """Feature-level view of one corpus split, ready for batching."""
+    """Feature-level view of one corpus split, ready for batching.  Its
+    owners and its deltas, float64 in [0, 1], are checked here, once for
+    every batch that train draws from it."""
 
     image_ids: list[str]
     image_feats: np.ndarray
@@ -102,9 +118,14 @@ class Dataset:
         if self.image_feats.shape[0] != n_img or self.text_feats.shape[0] != n_txt:
             raise ValueError("feature row counts disagree with id lists")
         self.image_of_text = geometry.check_owners(self.image_of_text, n_img, n_txt)
+        self.deltas = np.asarray(self.deltas, dtype=np.float64)
         for arr, name in ((self.deltas, "deltas"), (self.levels, "levels")):
             if arr.shape != (n_txt,):
                 raise ValueError(f"{name} must have one entry per text")
+        if n_txt and not (self.deltas.min() >= 0.0 and self.deltas.max() <= 1.0):
+            k = np.flatnonzero(~((self.deltas >= 0.0) & (self.deltas <= 1.0)))[0]
+            raise ValueError(f"text {self.text_ids[k]!r} has delta {self.deltas[k]}, "
+                             "outside [0, 1]")
 
     @property
     def n_images(self) -> int:
@@ -252,18 +273,25 @@ def _norm_backward(g_e: np.ndarray, e: np.ndarray, norms: np.ndarray) -> np.ndar
     return (g_e - dots * e) / norms
 
 
-def backward(cache: dict, grad: np.ndarray) -> dict[str, np.ndarray]:
+def backward(cache: dict, grad: np.ndarray, out: dict | None = None) -> dict[str, np.ndarray]:
     """Gradients of the loss with respect to the projection parameters,
-    given its gradient with respect to forward's stacked embeddings."""
-    n_img = cache["img_feats"].shape[0]
+    given its gradient with respect to forward's stacked embeddings.  They
+    are written into ``out`` (float64 arrays of the parameters' shapes by
+    name, such as an optimiser state's "grads"), or into new arrays when it
+    is None, and returned."""
+    img_feats, txt_feats = cache["img_feats"], cache["txt_feats"]
+    n_img = img_feats.shape[0]
     g_z = _norm_backward(grad, cache["e"], cache["norms"])
     g_zi, g_zt = g_z[:n_img], g_z[n_img:]
-    return {
-        "W_img": cache["img_feats"].T @ g_zi,
-        "b_img": g_zi.sum(axis=0),
-        "W_txt": cache["txt_feats"].T @ g_zt,
-        "b_txt": g_zt.sum(axis=0),
-    }
+    if out is None:
+        dim = g_z.shape[1]
+        out = {"W_img": np.empty((img_feats.shape[1], dim)), "b_img": np.empty(dim),
+               "W_txt": np.empty((txt_feats.shape[1], dim)), "b_txt": np.empty(dim)}
+    np.matmul(img_feats.T, g_zi, out=out["W_img"])
+    np.add.reduce(g_zi, axis=0, out=out["b_img"])
+    np.matmul(txt_feats.T, g_zt, out=out["W_txt"])
+    np.add.reduce(g_zt, axis=0, out=out["b_txt"])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +303,10 @@ _DECAYED = ("W_img", "W_txt")
 def _opt_state(params: dict, m: dict, v: dict, t: int) -> dict:
     """AdamW state over one flat buffer each for the parameters and the two
     moments, in sorted-name order; the dicts are rebound to views into them.
-    "work" holds adamw_step's three temporaries, "decay" its last
-    (lr, weight decay) and their per-element decay factors."""
+    "work" holds adamw_step's three temporaries, the first the flat
+    gradient, and "grads" views of it by parameter name, for backward to
+    write into; "decay" holds adamw_step's last (lr, weight decay) and
+    their per-element decay factors."""
     names = sorted(params)
     cuts = np.cumsum([params[k].size for k in names])[:-1]
     flats = []
@@ -285,8 +315,10 @@ def _opt_state(params: dict, m: dict, v: dict, t: int) -> dict:
         arrays.update([(k, part.reshape(arrays[k].shape))
                        for k, part in zip(names, np.split(flats[-1], cuts))])
     decayed = np.concatenate([np.full(params[k].size, k in _DECAYED) for k in names])
-    return {"t": t, "m": m, "v": v, "flat": (*flats, decayed),
-            "work": np.empty((3, flats[0].size)), "decay": (None, None)}
+    work = np.empty((3, flats[0].size))
+    grads = {k: part.reshape(params[k].shape) for k, part in zip(names, np.split(work[0], cuts))}
+    return {"t": t, "m": m, "v": v, "flat": (*flats, decayed), "work": work, "grads": grads,
+            "decay": (None, None)}
 
 
 def init_opt_state(params: dict) -> dict:
@@ -299,12 +331,15 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float,
     """One in-place pass over init_opt_state's buffers: decay on weights
     only, then Adam.  Each product and quotient keeps the operation order
     of the plain form, (1 - b2) * g * g and lr * m_hat / (sqrt(v_hat) +
-    eps), so the bits are the same."""
+    eps), so the bits are the same.  ``grads`` is the state's own "grads"
+    once backward has written them, or any arrays by name, which are copied
+    into the flat gradient first."""
     flat_p, m, v, decayed = state["flat"]
     if any(params[k].base is not flat_p for k in params):
         raise ValueError("params are not the arrays laid out by init_opt_state")
     g, step, denom = state["work"]
-    np.concatenate([grads[k] for k in sorted(params)], axis=None, out=g)
+    if grads is not state["grads"]:
+        np.concatenate([grads[k] for k in sorted(params)], axis=None, out=g)
     state["t"] += 1
     t = state["t"]
     b1, b2 = config.beta1, config.beta2
@@ -530,6 +565,21 @@ def _val_rsum(params: dict, dataset: Dataset) -> float:
     return evaluation.embedding_rsum(img_e, txt_e, dataset.image_of_text)
 
 
+def _check_rows(norms: np.ndarray, img_e: np.ndarray, txt_e: np.ndarray, epoch: int,
+                batch: int) -> None:
+    """The one check that a training batch's rows are unit vectors: every
+    norm forward divided by is finite and above the floor.  Only when one
+    is not are the rows themselves checked, raising
+    ``geometry.check_unit_rows``'s message prefixed by the epoch and batch."""
+    if norms.min() > geometry.NORM_FLOOR and norms.max() < np.inf:
+        return
+    try:
+        geometry.check_unit_rows("image", img_e)
+        geometry.check_unit_rows("text", txt_e)
+    except ValueError as exc:
+        raise ValueError(f"epoch {epoch}, batch {batch}: {exc}") from None
+
+
 def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = None,
           checkpoint_path=None, resume_from: dict | None = None, log_fn=None) -> TrainResult:
     """Full training run.  Logs one record per epoch with the mean batch
@@ -542,8 +592,10 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
     `load_checkpoint(path, config)` returns it, already checked against
     this run's config, and continues its params, optimiser state, rng and
     history from the epoch after its own.  The caller checks that the
-    dataset's feature widths fit its params.  A non-finite loss aborts
-    immediately.
+    dataset's feature widths fit its params.  A diverged run stops at the
+    first batch, or validation, whose embedding rows do not normalize
+    (ValueError) or whose loss is not finite (RuntimeError), naming the
+    epoch and the batch; numpy's floating-point warnings are off meanwhile.
     """
     if dataset.n_images < 2:
         raise ValueError("training needs at least two images")
@@ -558,39 +610,48 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
 
     eval_set = val_dataset if val_dataset is not None else dataset
     loss_fn = LOSS_VARIANTS[config.variant]
-    for epoch in range(start_epoch, config.epochs):
-        lr = config.lr * (config.decay_factor if epoch >= config.decay_epoch else 1.0)
-        mining = epoch >= config.warmup_epochs
-        loss_cfg = dataclasses.replace(config.loss, use_hardest_mining=mining)
-        rows = _epoch_rows(dataset, epoch_plan(shuffle_rng, dataset, config.batch_size))
-        tot_loss = tot_trip = tot_order = 0.0
-        for img_feats, txt_feats, owners, deltas in rows:
-            img_e, txt_e, cache = forward(params, img_feats, txt_feats)
-            out = loss_fn(Batch(img_e, txt_e, owners, deltas), loss_cfg)
-            if not math.isfinite(out.value):
-                raise RuntimeError(f"non-finite loss at epoch {epoch}")
-            grads = backward(cache, out.grad)
-            adamw_step(params, grads, opt_state, lr, config)
-            tot_loss += out.value
-            tot_trip += out.diagnostics["triplet"]
-            tot_order += out.diagnostics["ordering"]
-        n_b = len(rows)
-        # every view of the epoch's gather, released before validation and
-        # the next epoch's gather
-        del rows, img_feats, txt_feats, owners, deltas, cache
-        record = {
-            "epoch": epoch,
-            "lr": lr,
-            "mining": mining,
-            "loss": tot_loss / n_b,
-            "triplet": tot_trip / n_b,
-            "ordering": tot_order / n_b,
-            "val_rsum": _val_rsum(params, eval_set),
-        }
-        history.append(record)
-        if log_fn is not None:
-            log_fn(record)
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, params, opt_state, epoch,
-                            shuffle_rng, config, history)
+    # a diverged run raises below, naming its epoch and batch, with numpy's
+    # floating-point warnings kept off stderr
+    with np.errstate(all="ignore"):
+        for epoch in range(start_epoch, config.epochs):
+            lr = config.lr * (config.decay_factor if epoch >= config.decay_epoch else 1.0)
+            mining = epoch >= config.warmup_epochs
+            loss_cfg = dataclasses.replace(config.loss, use_hardest_mining=mining)
+            rows = _epoch_rows(dataset, epoch_plan(shuffle_rng, dataset, config.batch_size))
+            tot_loss = tot_trip = tot_order = 0.0
+            for b, (img_feats, txt_feats, owners, deltas) in enumerate(rows):
+                img_e, txt_e, cache = forward(params, img_feats, txt_feats)
+                _check_rows(cache["norms"], img_e, txt_e, epoch, b)
+                out = loss_fn(_trusted_batch(img_e, txt_e, owners, deltas), loss_cfg)
+                if not math.isfinite(out.value):
+                    raise RuntimeError(f"non-finite loss at epoch {epoch}, batch {b}")
+                adamw_step(params, backward(cache, out.grad, opt_state["grads"]), opt_state, lr,
+                           config)
+                tot_loss += out.value
+                tot_trip += out.diagnostics["triplet"]
+                tot_order += out.diagnostics["ordering"]
+            n_b = len(rows)
+            # every view of the epoch's gather, released before validation and
+            # the next epoch's gather
+            del rows, img_feats, txt_feats, owners, deltas, cache
+            try:
+                val_rsum = _val_rsum(params, eval_set)
+            except ValueError as exc:  # the last update left rows off the unit sphere
+                raise ValueError(f"epoch {epoch}, validation after batch {n_b - 1}: "
+                                 f"{exc}") from None
+            record = {
+                "epoch": epoch,
+                "lr": lr,
+                "mining": mining,
+                "loss": tot_loss / n_b,
+                "triplet": tot_trip / n_b,
+                "ordering": tot_order / n_b,
+                "val_rsum": val_rsum,
+            }
+            history.append(record)
+            if log_fn is not None:
+                log_fn(record)
+            if checkpoint_path is not None:
+                save_checkpoint(checkpoint_path, params, opt_state, epoch,
+                                shuffle_rng, config, history)
     return TrainResult(params, history)

@@ -2,12 +2,13 @@
 
 The losses sum their gradient contributions with one ``np.bincount`` per
 loss into one stacked gradient, forward and backward handle both
-modalities as one stacked array, train gathers each epoch's rows once,
-and AdamW updates one flat buffer in place; the oracles below are the
-``np.add.at`` loss bodies, the per-modality projection and normalization
-backward, the per-batch gather and the per-array AdamW loop they
-replaced, and every comparison is bit for bit (signed zeros included),
-not within a tolerance.
+modalities as one stacked array, backward writes into AdamW's flat
+gradient, train gathers each epoch's rows once and builds its batches
+without ``Batch``'s re-checks, and AdamW updates one flat buffer in place;
+the oracles below are the ``np.add.at`` loss bodies, the per-modality
+projection and normalization backward, the per-batch gather, the checked
+``Batch`` and the per-array AdamW loop they replaced, and every
+comparison is bit for bit (signed zeros included), not within a tolerance.
 """
 
 import dataclasses
@@ -355,7 +356,12 @@ def test_flat_adamw_equals_per_array_loop(tmp_path):
         grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-8, 3)
                  for k, v in params.items()}
         grads["b_txt"][step % 4] = 0.0 if step % 2 else -0.0
-        trainer.adamw_step(params, grads, state, lr, config)
+        if step % 3:
+            trainer.adamw_step(params, grads, state, lr, config)
+        else:  # as train passes them: written into the state's own flat gradient
+            for name, g in state["grads"].items():
+                g[...] = grads[name]
+            trainer.adamw_step(params, state["grads"], state, lr, config)
         oracle_adamw_step(want, grads, want_state, lr, config)
         if step == 100:
             # a checkpoint resumes onto its own flat buffers
@@ -440,6 +446,10 @@ def test_stacked_forward_and_backward_equal_per_modality_oracles(seed, n_img, n_
     assert sorted(got) == sorted(want)
     for name in want:
         assert same_bits(got[name], want[name]), name
+    # written into the optimiser's flat gradient, in sorted-name order
+    state = trainer.init_opt_state(params)
+    assert trainer.backward(cache, grad, state["grads"]) is state["grads"]
+    assert same_bits(state["work"][0], np.concatenate([want[k] for k in sorted(want)], axis=None))
 
 
 # ---------------------------------------------------------------------------
@@ -524,3 +534,67 @@ def test_resumed_train_equals_per_batch_reference_loop(variant, tmp_path):
     got = trainer.train(dataset, config, checkpoint_path=path,
                         resume_from=trainer.load_checkpoint(path, config))
     assert_same_run(got.params, got.history, *oracle_train(dataset, config))
+
+
+# ---------------------------------------------------------------------------
+# Each batch fact checked once: train's batches against checked Batches
+
+
+@pytest.mark.parametrize("variant", sorted(trainer.LOSS_VARIANTS))
+def test_train_batches_equal_checked_batches(variant, monkeypatch):
+    """train builds its batches without Batch's re-checks; each is a Batch
+    holding the arrays and ownership that the public, checked Batch holds,
+    and a run whose batches are checked Batches writes the same history and
+    params, warm-up and mined epochs alike."""
+    dataset = ragged_dataset(30, 44)
+    config = trainer.TrainConfig(embed_dim=4, batch_size=10, epochs=4, lr=5e-2,
+                                 warmup_epochs=2, seed=9, variant=variant)
+    want = trainer.train(dataset, config)
+    trusted = L._trusted_batch
+    built = []
+
+    def checked(image_embs, text_embs, image_of_text, deltas):
+        batch = L.Batch(image_embs, text_embs, image_of_text, deltas)
+        fast = trusted(image_embs, text_embs, image_of_text, deltas)
+        assert type(fast) is L.Batch
+        for name in ("image_embs", "text_embs", "image_of_text", "deltas", "same_image"):
+            assert same_bits(getattr(fast, name), getattr(batch, name)), name
+        assert fast.ownership is batch.ownership
+        built.append(batch)
+        return batch
+
+    monkeypatch.setattr(trainer, "_trusted_batch", checked)
+    got = trainer.train(dataset, config)
+    assert len(built) >= 2 * config.epochs
+    assert [r["mining"] for r in got.history] == [False, False, True, True]
+    assert_same_run(got.params, got.history, want.params, want.history)
+
+
+def test_ownership_checks_the_owners_of_a_cache_miss():
+    owners = np.array([0, 2, 1, 7, 1, 0, 2, 2, 1, 0, 1])
+    L._ownership.cache_clear()
+    want = "^text 3 has owner 7, outside the 3 images$"
+    with pytest.raises(ValueError, match=want):
+        L._ownership(owners.tobytes(), 3)
+    assert L._ownership.cache_info().currsize == 0  # a failed check caches nothing
+    with pytest.raises(ValueError, match=want):
+        L._trusted_batch(np.eye(3), np.eye(3)[owners % 3], owners, np.full(11, 0.5))
+    with pytest.raises(ValueError, match="^text 0 has owner -1, outside the 8 images$"):
+        L.hardest_negatives(np.zeros((8, 2)), np.array([-1, 3]))
+    # the same owners are valid for 8 images, and a hit needs no new check
+    own = L._ownership(owners.tobytes(), 8)
+    assert L._ownership(owners.tobytes(), 8) is own
+    assert L._ownership.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, np.nan, np.inf])
+def test_dataset_rejects_a_delta_outside_the_unit_interval(bad):
+    dataset = ragged_dataset(6, 45)
+    deltas = dataset.deltas.copy()
+    deltas[[4, 7]] = bad
+    with pytest.raises(ValueError, match=rf"^text 't4' has delta {bad}, outside \[0, 1\]$"):
+        dataclasses.replace(dataset, deltas=deltas)
+    # the loader's float64 deltas are kept as they are; others become float64
+    assert dataset.deltas.dtype == np.float64
+    ints = dataclasses.replace(dataset, deltas=(dataset.deltas > 0.5).astype(int))
+    assert same_bits(ints.deltas, (dataset.deltas > 0.5).astype(np.float64))

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,19 @@ def test_train_rejects_non_finite_features(synth_dir, tmp_path, capsys):
     assert code == 2
     assert f"{tmp_path / 'images.bin'}: row 3 (id {ids[3]!r}) is not finite" \
         in capsys.readouterr().err
+
+
+def test_diverged_train_exits_two_with_one_line(synth_dir, tmp_path, capsys):
+    """An lr that overflows the params exits 2 with one stderr line naming
+    the epoch and the batch, and no numpy warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["train", *_data_flags(synth_dir), "--out", str(tmp_path / "run"),
+                         "--lr", "1e308", "--epochs", "2", "--embed-dim", "8"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: epoch 0, validation after batch 0: image row 0 is not "
+                   "L2-normalized: norm nan, not 1 within 0.001\n")
 
 
 @pytest.fixture(scope="module")

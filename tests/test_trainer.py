@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,33 @@ def test_non_finite_loss_aborts(monkeypatch):
     cfg = trainer.TrainConfig(embed_dim=5, batch_size=8, epochs=1)
     with pytest.raises(RuntimeError, match="non-finite"):
         trainer.train(ds, cfg)
+
+
+@pytest.mark.parametrize("batch_size, where", [
+    (8, "epoch 0, batch 1"),  # the first batch after the update that diverged
+    (64, "epoch 0, validation after batch 0"),  # one batch per epoch
+])
+def test_diverged_run_names_the_epoch_and_batch(batch_size, where):
+    """An update that overflows the params stops the run at the next rows it
+    embeds, naming them, with no numpy warning on the way."""
+    cfg = trainer.TrainConfig(embed_dim=5, batch_size=batch_size, epochs=2, lr=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{where}: image row 0 is not L2-normalized: "
+                                             "norm nan, not 1 within 0.001$"):
+            trainer.train(tiny_dataset(), cfg)
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: trainer.TrainConfig(lr=10 ** 400), "lr"),
+    (lambda: trainer.TrainConfig(weight_decay=-10 ** 400), "weight_decay"),
+    (lambda: losses.LossConfig(tau=10 ** 400), "tau"),
+    (lambda: losses.LossConfig(alpha=10 ** 400), "alpha"),
+    (lambda: datagen.SynthSpec(noise_sigma=10 ** 400), "noise_sigma"),
+], ids=["lr", "weight_decay", "tau", "alpha", "noise_sigma"])
+def test_settings_reject_an_integer_too_large_for_a_float(make, key):
+    with pytest.raises(ValueError, match=rf"^{key} must be finite, got -?10{{400}}$"):
+        make()
 
 
 def test_checkpoint_round_trip(tmp_path):
