@@ -177,10 +177,8 @@ def write_dataset(out_dir, spec: SynthSpec) -> dict[str, str]:
                                          corpus_mod.word_id_blocks(lengths, words))
     table_path = out / "table.jsonl"
     corpus_mod.write_table_jsonl(table_path, table)
-    img_manifest = geometry.write_features(out / "images", image_ids,
-                                           image_feats, dtype="f64")
-    txt_manifest = geometry.write_features(out / "texts", text_ids,
-                                           text_feats, dtype="f64")
+    img_manifest = geometry.write_features(out / "images", image_ids, image_feats)
+    txt_manifest = geometry.write_features(out / "texts", text_ids, text_feats)
     spec_path = out / "synth_config.json"
     with open(spec_path, "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(spec), fh, indent=2, sort_keys=True)

@@ -267,42 +267,31 @@ def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
 
 
 def _recall(ranks: np.ndarray, k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return 100.0 * int(np.count_nonzero(ranks < k)) / ranks.size
 
 
-def _suite(ranks, ks: tuple[int, ...]) -> dict:
-    """Recalls of (i2t, t2i) ranks, keyed by direction and k."""
-    return {d: {k: _recall(r, k) for k in ks} for d, r in zip(("i2t", "t2i"), ranks)}
+def _suite(ranks) -> dict:
+    """Recalls of (i2t, t2i) ranks, keyed by direction and k in KS."""
+    return {d: {k: _recall(r, k) for k in KS} for d, r in zip(("i2t", "t2i"), ranks)}
 
 
-def _suite_rsum(suite: dict, ks: tuple[int, ...]) -> float:
-    return rsum_from_recalls([suite[d][k] for d in ("i2t", "t2i") for k in ks])
+def _suite_rsum(suite: dict) -> float:
+    """Correctly rounded float64 sum of the suite's six recall percentages."""
+    return math.fsum(suite[d][k] for d in ("i2t", "t2i") for k in KS)
 
 
-def recall_suite(sims: np.ndarray, image_of_text: np.ndarray,
-                 ks: tuple[int, ...] = KS) -> dict:
-    return _suite(_matrix_ranks(sims, image_of_text), ks)
+def recall_suite(sims: np.ndarray, image_of_text: np.ndarray) -> dict:
+    return _suite(_matrix_ranks(sims, image_of_text))
 
 
-def rsum_from_recalls(recalls) -> float:
-    """Correctly rounded float64 sum of the six recall percentages."""
-    vals = list(recalls)
-    if len(vals) != 6:
-        raise ValueError("rsum needs exactly six recall values")
-    return math.fsum(vals)
-
-
-def rsum(sims: np.ndarray, image_of_text: np.ndarray,
-         ks: tuple[int, ...] = KS) -> float:
-    return _suite_rsum(recall_suite(sims, image_of_text, ks), ks)
+def rsum(sims: np.ndarray, image_of_text: np.ndarray) -> float:
+    return _suite_rsum(recall_suite(sims, image_of_text))
 
 
 def embedding_rsum(image_embs: np.ndarray, text_embs: np.ndarray,
-                   image_of_text: np.ndarray, ks: tuple[int, ...] = KS) -> float:
+                   image_of_text: np.ndarray) -> float:
     """``rsum`` of the embeddings' similarity matrix, from ``exact_ranks``."""
-    return _suite_rsum(_suite(exact_ranks(image_embs, text_embs, image_of_text), ks), ks)
+    return _suite_rsum(_suite(exact_ranks(image_embs, text_embs, image_of_text)))
 
 
 def fold_slices(n_images: int, n_folds: int) -> list[tuple[int, int]]:
@@ -320,8 +309,7 @@ def fold_slices(n_images: int, n_folds: int) -> list[tuple[int, int]]:
 
 
 def folded_recall_suite(image_embs: np.ndarray, text_embs: np.ndarray,
-                        image_of_text: np.ndarray, n_folds: int = 5,
-                        ks: tuple[int, ...] = KS) -> dict:
+                        image_of_text: np.ndarray, n_folds: int = 5) -> dict:
     """Evaluate each contiguous image fold against its own texts, then
     average the recalls and RSUM arithmetically over folds."""
     owners = _split(image_embs.shape[0], image_of_text, text_embs.shape[0])
@@ -329,11 +317,11 @@ def folded_recall_suite(image_embs: np.ndarray, text_embs: np.ndarray,
     for start, stop in fold_slices(image_embs.shape[0], n_folds):
         keep = np.flatnonzero((owners >= start) & (owners < stop))
         suite = _suite(exact_ranks(image_embs[start:stop], text_embs[keep],
-                                   owners[keep] - start), ks)
-        suite["rsum"] = _suite_rsum(suite, ks)
+                                   owners[keep] - start))
+        suite["rsum"] = _suite_rsum(suite)
         folds.append(suite)
     mean = {
-        d: {k: float(np.mean([f[d][k] for f in folds])) for k in ks}
+        d: {k: float(np.mean([f[d][k] for f in folds])) for k in KS}
         for d in ("i2t", "t2i")
     }
     mean["rsum"] = float(np.mean([f["rsum"] for f in folds]))
@@ -561,7 +549,7 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
 
 
 def hierarchical_traverse(image_emb: np.ndarray, candidates: np.ndarray,
-                          root_emb: np.ndarray, n_points: int = 50) -> list[int]:
+                          root: np.ndarray, n_points: int = 50) -> list[int]:
     """Walk the segment from the image's nearest candidate to the root and
     collect the top-1 candidate at n_points equally spaced stations.
 
@@ -572,7 +560,7 @@ def hierarchical_traverse(image_emb: np.ndarray, candidates: np.ndarray,
     distance, the lowest index on ties; ``_traverse`` gives the bound that
     keeps them exact.
     """
-    tops = _traverse(image_emb, candidates, root_emb, n_points)
+    tops = _traverse(image_emb, candidates, root, n_points)
     return list(dict.fromkeys(tops[:, 0].tolist()))
 
 
@@ -593,18 +581,16 @@ def centroid_root(text_embs: np.ndarray) -> np.ndarray:
 
 
 def hierarchical_report(image_embs: np.ndarray, text_embs: np.ndarray,
-                        image_of_text: np.ndarray, root_emb: np.ndarray | None = None,
-                        n_points: int = 50) -> dict:
-    """Mean set precision/recall of the traversal retrieval per image,
-    with every text as candidate and the image's own texts as relevant:
-    ``set_precision_recall`` of each walk, counted from the tops array."""
+                        image_of_text: np.ndarray, n_points: int = 50) -> dict:
+    """Mean set precision/recall of the traversal retrieval per image toward
+    ``centroid_root``, with every text as candidate and the image's own texts
+    as relevant: ``set_precision_recall`` of each walk, from the tops array."""
     n_img = image_embs.shape[0]
     owners = _split(n_img, image_of_text, text_embs.shape[0])
-    if root_emb is None:
-        root_emb = centroid_root(text_embs)
     # per walk (column), its distinct tops and those its image owns: the
     # retrieved set and its overlap with the relevant one
-    tops = np.sort(_traverse(image_embs, text_embs, root_emb, n_points), axis=0)
+    tops = np.sort(_traverse(image_embs, text_embs, centroid_root(text_embs), n_points),
+                   axis=0)
     new = np.ones(tops.shape, dtype=bool)
     np.not_equal(tops[1:], tops[:-1], out=new[1:])
     hits = np.count_nonzero(new & (owners[tops] == np.arange(n_img)), axis=0)
@@ -671,14 +657,14 @@ def d_corr(image_embs: np.ndarray, text_embs: np.ndarray,
 
 
 def per_level_recall(sims: np.ndarray, image_of_text: np.ndarray,
-                     levels: np.ndarray, k: int = 1) -> dict[int, float]:
-    """Text-to-image R@k pooled over all texts of each level."""
-    return _level_recall(_matrix_ranks(sims, image_of_text)[1], levels, k)
+                     levels: np.ndarray) -> dict[int, float]:
+    """Text-to-image R@1 pooled over all texts of each level."""
+    return _level_recall(_matrix_ranks(sims, image_of_text)[1], levels)
 
 
-def _level_recall(ranks: np.ndarray, levels: np.ndarray, k: int) -> dict[int, float]:
+def _level_recall(ranks: np.ndarray, levels: np.ndarray) -> dict[int, float]:
     levels = np.asarray(levels, dtype=np.int64)
-    return {int(level): _recall(ranks[levels == level], k)
+    return {int(level): _recall(ranks[levels == level], 1)
             for level in np.unique(levels[levels >= 0])}
 
 
@@ -704,31 +690,27 @@ def distance_by_level(image_embs: np.ndarray, text_embs: np.ndarray,
 
 
 def evaluate(image_embs: np.ndarray, text_embs: np.ndarray,
-             image_of_text: np.ndarray, levels: np.ndarray | None = None,
-             root_emb: np.ndarray | None = None, ks: tuple[int, ...] = KS,
+             image_of_text: np.ndarray, levels: np.ndarray,
              n_points: int = 50, n_folds: int | None = None) -> dict:
     """One-call evaluation over a split.  Level diagnostics appear only
-    when levels are provided; fold averaging only when n_folds is set.
+    when some level is >= 0; fold averaging only when n_folds is set.
     """
     owners = _split(image_embs.shape[0], image_of_text, text_embs.shape[0])
-    if levels is not None:
-        levels = np.asarray(levels, dtype=np.int64)
-    with_levels = levels is not None and bool(np.any(levels >= 0))
+    levels = np.asarray(levels, dtype=np.int64)
+    with_levels = bool(np.any(levels >= 0))
     ranks = exact_ranks(image_embs, text_embs, owners)
-    suite = _suite(ranks, ks)
+    suite = _suite(ranks)
     report = {
         "n_images": int(image_embs.shape[0]),
         "n_texts": int(text_embs.shape[0]),
         "recall": suite,
-        "rsum": _suite_rsum(suite, ks),
+        "rsum": _suite_rsum(suite),
     }
     if with_levels:
-        report["per_level_recall"] = _level_recall(ranks[1], levels, 1)
-    report["hierarchical"] = hierarchical_report(image_embs, text_embs, owners,
-                                                 root_emb, n_points)
+        report["per_level_recall"] = _level_recall(ranks[1], levels)
+    report["hierarchical"] = hierarchical_report(image_embs, text_embs, owners, n_points)
     if n_folds is not None:
-        report["folded"] = folded_recall_suite(image_embs, text_embs, owners,
-                                               n_folds, ks)
+        report["folded"] = folded_recall_suite(image_embs, text_embs, owners, n_folds)
     if with_levels:
         report["d_corr"] = d_corr(image_embs, text_embs, owners, levels)
         report["distance_by_level"] = distance_by_level(

@@ -161,19 +161,17 @@ _DTYPES = {"f32": "<f4", "f64": "<f8"}
 _MANIFEST_SUFFIX = ".manifest.json"
 
 
-def write_features(stem, ids: list[str], matrix: np.ndarray, dtype: str = "f64") -> Path:
-    """Write ``<stem>.manifest.json`` and ``<stem>.bin`` (row-major)."""
-    if dtype not in _DTYPES:
-        raise ValueError(f"unknown dtype {dtype!r}")
+def write_features(stem, ids: list[str], matrix: np.ndarray) -> Path:
+    """Write ``<stem>.manifest.json`` and a row-major f64 ``<stem>.bin`` (read: f32 or f64)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if len(ids) != matrix.shape[0]:
         raise ValueError(f"{len(ids)} ids for {matrix.shape[0]} rows")
     stem = Path(stem)
-    manifest = {"rows": matrix.shape[0], "dim": matrix.shape[1], "dtype": dtype, "ids": list(ids)}
+    manifest = {"rows": matrix.shape[0], "dim": matrix.shape[1], "dtype": "f64", "ids": list(ids)}
     # one dumps call runs the C encoder, which dump's streaming path skips
     with open(stem.with_name(stem.name + _MANIFEST_SUFFIX), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True) + "\n")
-    matrix.astype(_DTYPES[dtype], copy=False).tofile(stem.with_name(stem.name + ".bin"))
+    matrix.astype(_DTYPES["f64"], copy=False).tofile(stem.with_name(stem.name + ".bin"))
     return stem.with_name(stem.name + _MANIFEST_SUFFIX)
 
 

@@ -444,9 +444,9 @@ _CHECKED_LOSSES = (
 
 
 def run_gradcheck(seed: int = 0, trials: int = 20, h: float = 1e-5,
-                  tol: float = 1e-4, n_images: int = 8, dim: int = 16) -> dict:
+                  tol: float = 1e-4) -> dict:
     """Compare analytic gradients against central differences on random
-    multi-caption batches, skipping kink-adjacent draws.
+    8-image, 16-text batches of dimension 16, skipping kink-adjacent draws.
 
     Returns {"passed", "trials": [per-trial records]}.  A ``trials`` below
     1 and an ``h`` (the CLI's ``step``) or ``tol`` that is not positive
@@ -462,7 +462,7 @@ def run_gradcheck(seed: int = 0, trials: int = 20, h: float = 1e-5,
     records = []
     for trial in range(trials):
         for _ in range(200):
-            batch = random_batch(rng, n_images=n_images, n_texts=2 * n_images, dim=dim)
+            batch = random_batch(rng, n_images=8, n_texts=16, dim=16)
             if kink_gap(batch, base) > 10.0 * h:
                 break
         else:

@@ -12,9 +12,9 @@ elementwise, so the stack gives the bits of one pass per modality.
 Updates use AdamW with decoupled weight decay (biases excluded), one
 in-place elementwise pass over flat buffers whose views are the named
 arrays: the bits of a loop over the arrays, in the same operation order,
-the decay a per-element factor 1.0 on the biases.  In training, backward
-writes the gradients straight into views of the optimiser's flat gradient
-buffer.
+the decay one factor on the weights, which lead the sorted names.
+backward always writes the gradients into views of the optimiser's flat
+gradient buffer, which adamw_step reads.
 
 Each fact of a training batch is checked once, where it becomes true:
 ``Dataset`` checks the split's owners and deltas; ``losses._ownership``
@@ -273,40 +273,31 @@ def _norm_backward(g_e: np.ndarray, e: np.ndarray, norms: np.ndarray) -> np.ndar
     return (g_e - dots * e) / norms
 
 
-def backward(cache: dict, grad: np.ndarray, out: dict | None = None) -> dict[str, np.ndarray]:
+def backward(cache: dict, grad: np.ndarray, out: dict) -> None:
     """Gradients of the loss with respect to the projection parameters,
-    given its gradient with respect to forward's stacked embeddings.  They
-    are written into ``out`` (float64 arrays of the parameters' shapes by
-    name, such as an optimiser state's "grads"), or into new arrays when it
-    is None, and returned."""
+    given its gradient with respect to forward's stacked embeddings,
+    written into ``out``: an optimiser state's "grads", float64 arrays of
+    the parameters' shapes by name."""
     img_feats, txt_feats = cache["img_feats"], cache["txt_feats"]
     n_img = img_feats.shape[0]
     g_z = _norm_backward(grad, cache["e"], cache["norms"])
     g_zi, g_zt = g_z[:n_img], g_z[n_img:]
-    if out is None:
-        dim = g_z.shape[1]
-        out = {"W_img": np.empty((img_feats.shape[1], dim)), "b_img": np.empty(dim),
-               "W_txt": np.empty((txt_feats.shape[1], dim)), "b_txt": np.empty(dim)}
     np.matmul(img_feats.T, g_zi, out=out["W_img"])
     np.add.reduce(g_zi, axis=0, out=out["b_img"])
     np.matmul(txt_feats.T, g_zt, out=out["W_txt"])
     np.add.reduce(g_zt, axis=0, out=out["b_txt"])
-    return out
 
 
 # ---------------------------------------------------------------------------
 # AdamW
 
-_DECAYED = ("W_img", "W_txt")
-
 
 def _opt_state(params: dict, m: dict, v: dict, t: int) -> dict:
     """AdamW state over one flat buffer each for the parameters and the two
-    moments, in sorted-name order; the dicts are rebound to views into them.
-    "work" holds adamw_step's three temporaries, the first the flat
-    gradient, and "grads" views of it by parameter name, for backward to
-    write into; "decay" holds adamw_step's last (lr, weight decay) and
-    their per-element decay factors."""
+    moments, in sorted-name order (W_img, W_txt, b_img, b_txt); the dicts
+    are rebound to views into them.  "work" holds adamw_step's three
+    temporaries, the first the flat gradient, and "grads" views of it by
+    parameter name, for backward to write into."""
     names = sorted(params)
     cuts = np.cumsum([params[k].size for k in names])[:-1]
     flats = []
@@ -314,11 +305,9 @@ def _opt_state(params: dict, m: dict, v: dict, t: int) -> dict:
         flats.append(np.concatenate([arrays[k] for k in names], axis=None, dtype=np.float64))
         arrays.update([(k, part.reshape(arrays[k].shape))
                        for k, part in zip(names, np.split(flats[-1], cuts))])
-    decayed = np.concatenate([np.full(params[k].size, k in _DECAYED) for k in names])
     work = np.empty((3, flats[0].size))
     grads = {k: part.reshape(params[k].shape) for k, part in zip(names, np.split(work[0], cuts))}
-    return {"t": t, "m": m, "v": v, "flat": (*flats, decayed), "work": work, "grads": grads,
-            "decay": (None, None)}
+    return {"t": t, "m": m, "v": v, "flat": tuple(flats), "work": work, "grads": grads}
 
 
 def init_opt_state(params: dict) -> dict:
@@ -326,20 +315,16 @@ def init_opt_state(params: dict) -> dict:
                       {k: np.zeros_like(v) for k, v in params.items()}, 0)
 
 
-def adamw_step(params: dict, grads: dict, state: dict, lr: float,
-               config: TrainConfig) -> None:
-    """One in-place pass over init_opt_state's buffers: decay on weights
-    only, then Adam.  Each product and quotient keeps the operation order
-    of the plain form, (1 - b2) * g * g and lr * m_hat / (sqrt(v_hat) +
-    eps), so the bits are the same.  ``grads`` is the state's own "grads"
-    once backward has written them, or any arrays by name, which are copied
-    into the flat gradient first."""
-    flat_p, m, v, decayed = state["flat"]
+def adamw_step(params: dict, state: dict, lr: float, config: TrainConfig) -> None:
+    """One in-place pass over init_opt_state's buffers, with the gradient
+    that backward wrote into the state's "grads": decay on weights only,
+    then Adam.  Each product and quotient keeps the operation order of the
+    plain form, (1 - b2) * g * g and lr * m_hat / (sqrt(v_hat) + eps), so
+    the bits are the same."""
+    flat_p, m, v = state["flat"]
     if any(params[k].base is not flat_p for k in params):
         raise ValueError("params are not the arrays laid out by init_opt_state")
     g, step, denom = state["work"]
-    if grads is not state["grads"]:
-        np.concatenate([grads[k] for k in sorted(params)], axis=None, out=g)
     state["t"] += 1
     t = state["t"]
     b1, b2 = config.beta1, config.beta2
@@ -355,10 +340,8 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float,
     np.divide(m, 1.0 - b1 ** t, out=step)
     step *= lr
     step /= denom
-    key = (lr, config.weight_decay)
-    if state["decay"][0] != key:
-        state["decay"] = key, np.where(decayed, 1.0 - lr * config.weight_decay, 1.0)
-    flat_p *= state["decay"][1]
+    # the weights lead the sorted names
+    flat_p[:params["W_img"].size + params["W_txt"].size] *= 1.0 - lr * config.weight_decay
     flat_p -= step
 
 
@@ -625,8 +608,8 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
                 out = loss_fn(_trusted_batch(img_e, txt_e, owners, deltas), loss_cfg)
                 if not math.isfinite(out.value):
                     raise RuntimeError(f"non-finite loss at epoch {epoch}, batch {b}")
-                adamw_step(params, backward(cache, out.grad, opt_state["grads"]), opt_state, lr,
-                           config)
+                backward(cache, out.grad, opt_state["grads"])
+                adamw_step(params, opt_state, lr, config)
                 tot_loss += out.value
                 tot_trip += out.diagnostics["triplet"]
                 tot_order += out.diagnostics["ordering"]

@@ -2,8 +2,9 @@
 
 Every criterion recomputes its expected values with an oracle local to
 this file (brute-force double loops, closed-form ranks, central finite
-differences) rather than trusting the library's own arithmetic; d_corr's
-is the one in test_evaluation, dcorr_reference.  The verdict lines
+differences) rather than trusting the library's own arithmetic; those of
+d_corr, recall and the nearest candidate are test_evaluation's
+dcorr_reference, brute_recall and nearest_candidate.  The verdict lines
 collect in conftest.ACCEPTANCE_LINES and are printed in a terminal
 section after the run.
 """
@@ -16,7 +17,7 @@ import time
 import numpy as np
 
 from conftest import ACCEPTANCE_LINES
-from test_evaluation import dcorr_reference
+from test_evaluation import brute_recall, dcorr_reference, nearest_candidate
 
 from descmatch import cli, datagen, trainer
 from descmatch import corpus as C
@@ -145,8 +146,7 @@ def test_criterion_2_normalization_contract():
               "end-to-end features-to-loss check, under 30 s")
 def test_criterion_3_gradient_suite():
     start = time.perf_counter()
-    res = L.run_gradcheck(seed=0, trials=20, h=1e-5, tol=1e-4,
-                          n_images=8, dim=16)
+    res = L.run_gradcheck(seed=0, trials=20, h=1e-5, tol=1e-4)
     assert res["passed"]
     assert len({r["trial"] for r in res["trials"]}) == 20
 
@@ -166,7 +166,8 @@ def test_criterion_3_gradient_suite():
 
     ie, te, cache = trainer.forward(params, img_f, txt_f)
     out = L.overall_loss(L.Batch(ie, te, owners, deltas), cfg)
-    grads = trainer.backward(cache, out.grad)
+    grads = trainer.init_opt_state(params)["grads"]
+    trainer.backward(cache, out.grad, grads)
     h = 1e-5
     for name, arr in params.items():
         fd = np.zeros_like(arr)
@@ -313,40 +314,15 @@ def test_criterion_5_mining_oracle():
 # Criterion 6: retrieval metrics vs brute-force oracles
 
 
-def _oracle_recall(sims, owners, k, direction) -> float:
-    n_img, n_txt = sims.shape
-    if direction == "i2t":
-        hits = 0
-        for i in range(n_img):
-            order = sorted(range(n_txt), key=lambda j: (-sims[i, j], j))
-            hits += any(owners[j] == i for j in order[:k])
-        return 100.0 * hits / n_img
-    hits = 0
-    for j in range(n_txt):
-        order = sorted(range(n_img), key=lambda i: (-sims[i, j], i))
-        hits += owners[j] in order[:k]
-    return 100.0 * hits / n_txt
-
-
-def _oracle_nearest(point, cands) -> int:
-    best, best_d = -1, None
-    for j in range(cands.shape[0]):
-        diff = cands[j] - point
-        d = float(np.dot(diff, diff))
-        if best_d is None or d < best_d:
-            best, best_d = j, d
-    return best
-
-
 def _oracle_traversal_pr(imgs, txts, owners, n_points):
     mean_vec = txts.mean(axis=0)
     root = mean_vec / np.linalg.norm(mean_vec)
     ps, rs = [], []
     for i in range(imgs.shape[0]):
-        start = txts[_oracle_nearest(imgs[i], txts)]
+        start = txts[nearest_candidate(imgs[i], txts)]
         seen: list[int] = []
         for t in np.linspace(0.0, 1.0, n_points):
-            idx = _oracle_nearest((1.0 - t) * start + t * root, txts)
+            idx = nearest_candidate((1.0 - t) * start + t * root, txts)
             if idx not in seen:
                 seen.append(idx)
         relevant = {j for j in range(len(owners)) if owners[j] == i}
@@ -385,11 +361,11 @@ def test_criterion_6_metric_oracles():
         per = int(rng.integers(1, 6))
         owners = np.repeat(np.arange(n_img), per)
         sims = rng.normal(size=(n_img, n_img * per))
-        suite = E.recall_suite(sims, owners, ks=(1, 5, 10))
+        suite = E.recall_suite(sims, owners)
         for k in (1, 5, 10):
             for direction in ("i2t", "t2i"):
-                assert suite[direction][k] == _oracle_recall(sims, owners, k, direction)
-        six = [_oracle_recall(sims, owners, k, d)
+                assert suite[direction][k] == brute_recall(sims, owners, k, direction)
+        six = [brute_recall(sims, owners, k, d)
                for d in ("i2t", "t2i") for k in (1, 5, 10)]
         assert E.rsum(sims, owners) == math.fsum(six)
 
@@ -406,7 +382,7 @@ def test_criterion_6_metric_oracles():
 
         levels = np.tile(np.arange(1, per + 1), n_img)
         sims = rng.normal(size=(n_img, n_img * per))
-        assert (E.per_level_recall(sims, owners, levels, k=1)
+        assert (E.per_level_recall(sims, owners, levels)
                 == _oracle_per_level(sims, owners, levels, 1))
 
     # hierarchy correlation: two correct Spearman evaluations can differ in
@@ -435,7 +411,8 @@ def test_criterion_6_metric_oracles():
 
     # the six published recalls sum to the published rank sum either way
     printed = [83.7, 97.4, 99.2, 70.1, 92.8, 97.1]
-    assert E.rsum_from_recalls(printed) == 540.3
+    assert E._suite_rsum({"i2t": dict(zip((1, 5, 10), printed[:3])),
+                          "t2i": dict(zip((1, 5, 10), printed[3:]))}) == 540.3
     running = 0.0
     for v in printed:
         running += v

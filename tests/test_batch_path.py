@@ -156,19 +156,26 @@ def assert_same_output(got, want):
 # ---------------------------------------------------------------------------
 # Batches
 
-KINDS = ("random", "grid", "one_text_images", "all_but_one", "duplicates")
+KINDS = ("random", "grid", "one_text_images", "all_but_one", "duplicates", "train")
 
 
 def make_batch(seed: int, kind: str) -> L.Batch:
-    """A batch of 1-7 images.  ``grid`` rounds embeddings and deltas onto a
-    coarse grid (tied similarities, deltas of exactly 0 and 1);
-    ``one_text_images`` gives every image one text; ``all_but_one`` lets
-    image 0 own every text but one; ``duplicates`` repeats text rows and
-    gives a text its image's own vector."""
+    """A batch of 8-16 images at dimension 32 for an even seed, the sizes
+    of training batches, whose summation orders differ from small ones;
+    of 1-7 images and 2-8 dimensions for an odd one.  ``grid`` rounds
+    embeddings and deltas onto a coarse grid (tied similarities, deltas of
+    exactly 0 and 1); ``one_text_images`` gives every image one text;
+    ``all_but_one`` lets image 0 own every text but one; ``duplicates``
+    repeats text rows and gives a text its image's own vector; ``train``
+    is shaped like train's batches: 16 images owning 64 texts, ragged and
+    in image order, at dimension 32."""
     rng = np.random.default_rng(seed)
-    n_img = int(rng.integers(1, 8))
-    n_txt = n_img if kind == "one_text_images" else int(rng.integers(n_img, 3 * n_img + 3))
-    dim = int(rng.integers(2, 9))
+    if kind == "train":
+        n_img, n_txt, dim = 16, 64, 32
+    else:
+        n_img = int(rng.integers(8, 17) if seed % 2 == 0 else rng.integers(1, 8))
+        n_txt = n_img if kind == "one_text_images" else int(rng.integers(n_img, 3 * n_img + 3))
+        dim = 32 if seed % 2 == 0 else int(rng.integers(2, 9))
     batch = L.random_batch(rng, n_images=n_img, n_texts=n_txt, dim=dim)
     imgs, txts, owners, deltas = (batch.image_embs, batch.text_embs,
                                   batch.image_of_text, batch.deltas)
@@ -186,6 +193,8 @@ def make_batch(seed: int, kind: str) -> L.Batch:
         txts = txts[rng.integers(0, n_txt, n_txt)]
         txts[0] = imgs[owners[0]]
         deltas = deltas[rng.integers(0, n_txt, n_txt)]
+    elif kind == "train":
+        owners = np.sort(owners)
     return L.Batch(imgs, txts, owners, deltas)
 
 
@@ -213,6 +222,7 @@ def oracle_or_error(fn, *args):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.booleans())
 @example(3, "all_but_one", True)
 @example(5, "grid", False)
+@example(1, "train", False)
 def test_losses_equal_add_at_oracles_bit_for_bit(seed, kind, mining):
     batch = make_batch(seed, kind)
     for config in configs(batch, mining):
@@ -356,12 +366,10 @@ def test_flat_adamw_equals_per_array_loop(tmp_path):
         grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-8, 3)
                  for k, v in params.items()}
         grads["b_txt"][step % 4] = 0.0 if step % 2 else -0.0
-        if step % 3:
-            trainer.adamw_step(params, grads, state, lr, config)
-        else:  # as train passes them: written into the state's own flat gradient
-            for name, g in state["grads"].items():
-                g[...] = grads[name]
-            trainer.adamw_step(params, state["grads"], state, lr, config)
+        # as backward writes them: into the state's own flat gradient
+        for name, g in state["grads"].items():
+            g[...] = grads[name]
+        trainer.adamw_step(params, state, lr, config)
         oracle_adamw_step(want, grads, want_state, lr, config)
         if step == 100:
             # a checkpoint resumes onto its own flat buffers
@@ -380,10 +388,10 @@ def test_adamw_rejects_params_it_did_not_lay_out():
     rng = np.random.default_rng(24)
     params = trainer.init_params(rng, 2, 2, 2)
     state = trainer.init_opt_state(params)
-    grads = {k: np.ones_like(v) for k, v in params.items()}
+    state["work"][0] = 1.0
     copies = {k: v.copy() for k, v in params.items()}
     with pytest.raises(ValueError, match="init_opt_state"):
-        trainer.adamw_step(copies, grads, state, 1e-3, trainer.TrainConfig())
+        trainer.adamw_step(copies, state, 1e-3, trainer.TrainConfig())
     assert state["t"] == 0
     assert all(same_bits(params[k], copies[k]) for k in params)
 
@@ -440,15 +448,15 @@ def test_stacked_forward_and_backward_equal_per_modality_oracles(seed, n_img, n_
     grad = rng.normal(size=(n_img + n_txt, dim)) * 10.0 ** rng.integers(-5, 5)
     grad[rng.random(grad.shape) < 0.1] = -0.0
     kept = grad.copy()
-    got = trainer.backward(cache, grad)
+    state = trainer.init_opt_state(params)
+    got = state["grads"]
+    assert trainer.backward(cache, grad, got) is None
     want = oracle_backward(want_cache, grad[:n_img], grad[n_img:])
     assert same_bits(grad, kept)
     assert sorted(got) == sorted(want)
     for name in want:
         assert same_bits(got[name], want[name]), name
     # written into the optimiser's flat gradient, in sorted-name order
-    state = trainer.init_opt_state(params)
-    assert trainer.backward(cache, grad, state["grads"]) is state["grads"]
     assert same_bits(state["work"][0], np.concatenate([want[k] for k in sorted(want)], axis=None))
 
 

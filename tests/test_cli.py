@@ -490,8 +490,8 @@ def test_train_val_split_faults_name_the_file(synth_dir, val_dir, tmp_path, caps
     corpus = C.read_corpus_columns(val_dir / "corpus.jsonl")
     lacking = corpus.ids[corpus.splits.index("val")]
     table = tmp_path / "table.jsonl"
-    table.write_text("".join(line for line in (val_dir / "table.jsonl").open()
-                             if json.loads(line).get("id") != lacking))
+    with (val_dir / "table.jsonl").open() as fh:
+        table.write_text("".join(line for line in fh if json.loads(line).get("id") != lacking))
     flags = _data_flags(val_dir)
     flags[flags.index("--table") + 1] = str(table)
     assert cli.main(["train", *flags, "--out", str(run)]) == 2

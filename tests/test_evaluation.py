@@ -16,8 +16,10 @@ def test_ranked_indices_breaks_ties_low():
 
 
 def recall_at_k(sims, owners, k, direction):
-    """One recall of the suite: direction "i2t" or "t2i" at k."""
-    return E.recall_suite(sims, owners, ks=(k,))[direction][k]
+    """Direction "i2t" or "t2i" at any k, counted from the matrix ranks
+    that the suite's R@{1,5,10} count."""
+    ranks = E._matrix_ranks(sims, owners)[0 if direction == "i2t" else 1]
+    return 100.0 * int(np.count_nonzero(ranks < k)) / ranks.size
 
 
 def test_recall_identity_matrix():
@@ -48,8 +50,6 @@ def test_recall_multi_caption_any_hit():
 
 
 def test_recall_validates_inputs():
-    with pytest.raises(ValueError, match="k"):
-        E.recall_suite(np.eye(2), np.arange(2), ks=(0,))
     with pytest.raises(ValueError, match="entry per text"):
         E.recall_suite(np.eye(2), np.arange(3))
     with pytest.raises(ValueError, match="entry per text"):
@@ -58,10 +58,9 @@ def test_recall_validates_inputs():
         E.exact_ranks(np.eye(2), np.ones((2, 3)), np.arange(2))
 
 
-def test_rsum_from_recalls_reproduces_printed_total():
-    assert E.rsum_from_recalls([83.7, 97.4, 99.2, 70.1, 92.8, 97.1]) == 540.3
-    with pytest.raises(ValueError):
-        E.rsum_from_recalls([1.0, 2.0])
+def test_suite_rsum_reproduces_printed_total():
+    suite = {"i2t": {1: 83.7, 5: 97.4, 10: 99.2}, "t2i": {1: 70.1, 5: 92.8, 10: 97.1}}
+    assert E._suite_rsum(suite) == 540.3
 
 
 def test_rsum_full_marks():
@@ -277,12 +276,12 @@ def test_per_level_recall_pools_texts():
                      [0.1, 0.9, 0.2, 0.5]])
     owners = np.array([0, 1, 0, 1])
     levels = np.array([1, 1, 2, 2])
-    out = E.per_level_recall(sims, owners, levels, k=1)
+    out = E.per_level_recall(sims, owners, levels)
     # level 1: both texts rank their own image first
     # level 2: text 2 hits (column [0.9, 0.2]); text 3 misses ([0.6, 0.5])
     assert out == {1: 100.0, 2: 50.0}
     # unknown levels are excluded entirely
-    out2 = E.per_level_recall(sims, owners, np.array([-1, -1, 2, 2]), k=1)
+    out2 = E.per_level_recall(sims, owners, np.array([-1, -1, 2, 2]))
     assert set(out2) == {2}
 
 
@@ -325,7 +324,8 @@ def test_evaluate_without_levels_omits_diagnostics():
     rng = np.random.default_rng(3)
     imgs = geometry.l2_normalize(rng.normal(size=(4, 5)))
     txts = geometry.l2_normalize(rng.normal(size=(4, 5)))
-    report = E.evaluate(imgs, txts, np.arange(4))
+    report = E.evaluate(imgs, txts, np.arange(4), np.full(4, -1))
+    assert "per_level_recall" not in report
     assert "d_corr" not in report
     assert "distance_by_level" not in report
     assert "folded" not in report
@@ -391,20 +391,25 @@ def tie_heavy_fixtures(draw):
 def test_rank_counts_equal_lexsort_path_on_ties(fixture):
     sims, owners, levels = fixture
     n_img, n_txt = sims.shape
-    ks = (1, 2, 5, n_img + n_txt + 3)
-    suite = E.recall_suite(sims, owners, ks)
+    suite = E.recall_suite(sims, owners)
     for direction in ("i2t", "t2i"):
-        for k in ks:
+        for k in (1, 2, 5, 10, n_img + n_txt + 3):
             want = lexsort_recall(sims, owners, k, direction)
-            assert suite[direction][k] == want
+            assert recall_at_k(sims, owners, k, direction) == want
+            if k in E.KS:
+                assert suite[direction][k] == want
+    t2i = E._matrix_ranks(sims, owners)[1]
     for k in (1, 3, n_img + 1):
-        want = {}
+        want, got = {}, {}
         for level in sorted(set(int(v) for v in levels if v >= 0)):
             members = np.flatnonzero(levels == level)
             hits = sum(1 for j in members
                        if owners[j] in E.ranked_indices(sims[:, j])[:k])
             want[level] = 100.0 * hits / members.size
-        assert E.per_level_recall(sims, owners, levels, k) == want
+            got[level] = 100.0 * int(np.count_nonzero(t2i[members] < k)) / members.size
+        assert got == want
+        if k == 1:
+            assert E.per_level_recall(sims, owners, levels) == want
 
 
 def station_walk(image, cands, root, n_points):
@@ -557,14 +562,14 @@ def test_traversal_equals_station_walk_on_grids(dim, n_cand, n_img, n_points, se
 def test_hierarchical_report_equals_per_walk_sets(fixture, n_points):
     # ragged ownership and repeated texts: walks revisit tied duplicates
     imgs, txts, owners, _ = fixture
-    root = geometry.l2_normalize(np.ones(imgs.shape[1]))[0]
+    root = E.centroid_root(txts)
     precisions, recalls = [], []
     for i, image in enumerate(imgs):
         relevant = np.flatnonzero(owners == i).tolist()
         p, r = E.set_precision_recall(station_walk(image, txts, root, n_points), relevant)
         precisions.append(p)
         recalls.append(r)
-    report = E.hierarchical_report(imgs, txts, owners, root, n_points)
+    report = E.hierarchical_report(imgs, txts, owners, n_points)
     assert report == {"precision": float(np.mean(precisions)),
                       "recall": float(np.mean(recalls)), "n_points": n_points}
 
@@ -650,25 +655,24 @@ def matrix_folds(imgs, txts, owners, n_folds):
 def test_screened_ranks_equal_matrix_ranks(fixture, block):
     imgs, txts, owners, levels = fixture
     sims = geometry.sim_matrix(imgs, txts)
-    saved = E._BLOCK_ENTRIES
+    saved = E._BLOCK_ENTRIES, E.centroid_root
     # a block of 1 entry screens one image row at a time
     E._BLOCK_ENTRIES = block
+    # a fixed root for the report: the texts' centroid may be the origin here
+    E.centroid_root = lambda _: geometry.l2_normalize(np.ones(imgs.shape[1]))[0]
     try:
         i2t, t2i = E.exact_ranks(imgs, txts, owners)
         rsum = E.embedding_rsum(imgs, txts, owners)
         n_folds = min(2, imgs.shape[0])
         folded = E.folded_recall_suite(imgs, txts, owners, n_folds)["folds"]
-        # a given root: the texts' centroid may be the origin here
-        report = E.evaluate(imgs, txts, owners, levels=levels,
-                            root_emb=geometry.l2_normalize(np.ones(imgs.shape[1]))[0])
+        report = E.evaluate(imgs, txts, owners, levels=levels)
     finally:
-        E._BLOCK_ENTRIES = saved
+        E._BLOCK_ENTRIES, E.centroid_root = saved
     want_i2t, want_t2i = E._matrix_ranks(sims, owners)
     assert np.array_equal(i2t, want_i2t)
     assert np.array_equal(t2i, want_t2i)
     assert rsum == E.rsum(sims, owners)
-    for k in (1, 2, 5):
-        assert E._level_recall(t2i, levels, k) == E.per_level_recall(sims, owners, levels, k)
+    assert E._level_recall(t2i, levels) == E.per_level_recall(sims, owners, levels)
     assert folded == matrix_folds(imgs, txts, owners, n_folds)
     assert report["recall"] == E.recall_suite(sims, owners)
     assert report["rsum"] == E.rsum(sims, owners)
@@ -727,19 +731,21 @@ def test_screens_reject_rows_off_the_unit_sphere(case):
     for call in (lambda: E.exact_ranks(imgs, txts, owners),
                  lambda: E.embedding_rsum(imgs, txts, owners),
                  lambda: E.folded_recall_suite(imgs, txts, owners, 3),
-                 lambda: E.evaluate(imgs, txts, owners, root_emb=root)):
+                 lambda: E.evaluate(imgs, txts, owners, np.full(owners.size, -1))):
         with pytest.raises(ValueError, match=f"^{which} row {first} is not L2-normalized"):
             call()
-    # the traversal takes the texts as candidates
+    # the traversal takes the texts as candidates, here with the root of
+    # the texts before the change (the centroid of texts scaled by 1e-30 is
+    # below l2_normalize's floor)
     name = "image" if which == "image" else "candidate"
     with pytest.raises(ValueError, match=f"^{name} row {first} is not L2-normalized"):
-        E.hierarchical_report(imgs, txts, owners, root)
+        E._traverse(imgs, txts, root, 50)
 
 
 def test_screens_reject_a_root_off_the_sphere_and_wide_embeddings():
     imgs, txts, owners = sphere_fixture()
     with pytest.raises(ValueError, match="^root row 0 is not L2-normalized: norm 2,"):
-        E.hierarchical_report(imgs, txts, owners, 2.0 * E.centroid_root(txts))
+        E.hierarchical_traverse(imgs[0], txts, 2.0 * E.centroid_root(txts))
     with pytest.raises(ValueError, match="^root row 0 is not L2-normalized: norm nan,"):
         E.hierarchical_traverse(imgs[0], txts, np.full(imgs.shape[1], np.nan))
     # the float32 screens' slacks hold for d < 2^20
@@ -767,17 +773,16 @@ def test_every_entry_point_takes_only_a_complete_split(case):
     rng = np.random.default_rng(10)
     imgs = geometry.l2_normalize(rng.normal(size=(n_img, 4)))
     txts = geometry.l2_normalize(rng.normal(size=(len(owners), 4)))
-    sims, levels, root = imgs @ txts.T, np.arange(len(owners)) % 2, np.eye(4)[0]
+    sims, levels = imgs @ txts.T, np.arange(len(owners)) % 2
     for call in (lambda: E.exact_ranks(imgs, txts, owners),
                  lambda: E.recall_suite(sims, owners),
                  lambda: E.rsum(sims, owners),
                  lambda: E.per_level_recall(sims, owners, levels),
                  lambda: E.embedding_rsum(imgs, txts, owners),
                  lambda: E.folded_recall_suite(imgs, txts, owners, 1),
-                 lambda: E.hierarchical_report(imgs, txts, owners, root),
+                 lambda: E.hierarchical_report(imgs, txts, owners),
                  lambda: E.d_corr(imgs, txts, owners, levels),
                  lambda: E.distance_by_level(imgs, txts, owners, levels),
-                 lambda: E.evaluate(imgs, txts, owners, levels=levels, root_emb=root,
-                                    n_folds=1)):
+                 lambda: E.evaluate(imgs, txts, owners, levels=levels, n_folds=1)):
         with pytest.raises(ValueError, match=want):
             call()

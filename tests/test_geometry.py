@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -167,16 +168,28 @@ def test_feature_round_trip_f64_is_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     mat = rng.normal(size=(6, 5))
     ids = [f"id{k}" for k in range(6)]
-    manifest = G.write_features(tmp_path / "feats", ids, mat, dtype="f64")
+    manifest = G.write_features(tmp_path / "feats", ids, mat)
+    assert json.loads(manifest.read_text())["dtype"] == "f64"
     got_ids, got = G.read_features(manifest)
     assert got_ids == ids
     assert np.array_equal(got, mat)
     assert got.dtype == np.float64
 
 
+def write_f32(stem, ids, matrix):
+    """An f32 feature file, which read_features reads and write_features
+    does not write: write_features' f64 manifest, relabelled, beside the
+    float32 bytes of the matrix."""
+    manifest = G.write_features(stem, ids, matrix)
+    fields = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**fields, "dtype": "f32"}))
+    np.asarray(matrix, dtype="<f4").tofile(stem.with_name(stem.name + ".bin"))
+    return manifest
+
+
 def test_feature_round_trip_f32_narrows(tmp_path):
     mat = np.array([[0.1, 0.2], [0.3, 0.4]])
-    manifest = G.write_features(tmp_path / "feats", ["a", "b"], mat, dtype="f32")
+    manifest = write_f32(tmp_path / "feats", ["a", "b"], mat)
     _, got = G.read_features(manifest)
     assert got.dtype == np.float64
     assert np.allclose(got, mat, atol=1e-7)
@@ -189,10 +202,9 @@ def test_feature_files_hold_row_major_bytes_without_a_copy(tmp_path):
     C-contiguous array read."""
     mat = np.random.default_rng(2).normal(size=(400, 60))
     for name, m in (("fortran", np.asfortranarray(mat)), ("strided", mat[::2, 1::3]),
-                    ("f32-of-strided", mat[::3])):
-        dtype = "f32" if name.startswith("f32") else "f64"
-        G.write_features(tmp_path / name, [f"r{k}" for k in range(m.shape[0])], m, dtype=dtype)
-        want = np.ascontiguousarray(m, dtype=G._DTYPES[dtype]).tobytes()
+                    ("row-strided", mat[::3])):
+        G.write_features(tmp_path / name, [f"r{k}" for k in range(m.shape[0])], m)
+        want = np.ascontiguousarray(m, dtype="<f8").tobytes()
         assert (tmp_path / f"{name}.bin").read_bytes() == want
     _, got = G.read_features(tmp_path / "fortran.manifest.json")
     assert got.flags.c_contiguous and got.flags.owndata is False and got.base.ndim == 1
@@ -206,8 +218,6 @@ def test_feature_files_hold_row_major_bytes_without_a_copy(tmp_path):
 
 
 def test_feature_write_validates(tmp_path):
-    with pytest.raises(ValueError, match="dtype"):
-        G.write_features(tmp_path / "x", ["a"], np.ones((1, 2)), dtype="f16")
     with pytest.raises(ValueError, match="ids"):
         G.write_features(tmp_path / "x", ["a", "b"], np.ones((1, 2)))
 
@@ -218,6 +228,9 @@ def test_feature_read_validates(tmp_path):
         G.read_features(tmp_path / "f.bin")
     (tmp_path / "f.bin").write_bytes(b"\x00" * 8)
     with pytest.raises(ValueError, match="expected"):
+        G.read_features(manifest)
+    manifest.write_text(json.dumps({"rows": 2, "dim": 3, "dtype": "f16", "ids": ["a", "b"]}))
+    with pytest.raises(ValueError, match="unknown dtype 'f16'"):
         G.read_features(manifest)
 
 
@@ -239,7 +252,7 @@ def test_feature_read_rejects_duplicate_ids(tmp_path):
 def test_feature_read_rejects_non_finite_rows(tmp_path, bad):
     mat = np.ones((5, 3))
     mat[3, 2] = mat[4, 0] = bad
-    manifest = G.write_features(tmp_path / "f", list("abcde"), mat, dtype="f32")
+    manifest = write_f32(tmp_path / "f", list("abcde"), mat)
     with pytest.raises(ValueError, match=r"f\.bin: row 3 \(id 'd'\) is not finite"):
         G.read_features(manifest)
 

@@ -59,7 +59,8 @@ def test_parameter_gradients_match_finite_differences():
     img_e, txt_e, cache = trainer.forward(params, ds.image_feats, ds.text_feats)
     batch = losses.Batch(img_e, txt_e, ds.image_of_text, ds.deltas)
     out = losses.overall_loss(batch, cfg)
-    grads = trainer.backward(cache, out.grad)
+    grads = trainer.init_opt_state(params)["grads"]
+    trainer.backward(cache, out.grad, grads)
 
     h = 1e-6
     for name in params:
@@ -79,12 +80,14 @@ def test_parameter_gradients_match_finite_differences():
 def test_adamw_decays_weights_but_not_biases():
     params = {"W_img": np.full((2, 2), 2.0), "b_img": np.full(2, 2.0),
               "W_txt": np.full((2, 2), 2.0), "b_txt": np.full(2, 2.0)}
-    zeros = {k: np.zeros_like(v) for k, v in params.items()}
     state = trainer.init_opt_state(params)
+    state["work"][0] = 0.0
     cfg = trainer.TrainConfig(lr=0.1, weight_decay=0.5)
-    trainer.adamw_step(params, zeros, state, lr=0.1, config=cfg)
+    trainer.adamw_step(params, state, lr=0.1, config=cfg)
     assert np.allclose(params["W_img"], 2.0 * (1 - 0.1 * 0.5))
     assert np.allclose(params["b_img"], 2.0)
+    assert np.allclose(params["W_txt"], 2.0 * (1 - 0.1 * 0.5))
+    assert np.allclose(params["b_txt"], 2.0)
     assert state["t"] == 1
 
 
@@ -94,8 +97,10 @@ def test_adamw_matches_manual_reference():
     g = {"W_img": np.array([[0.5]]), "b_img": np.zeros(1),
          "W_txt": np.zeros((1, 1)), "b_txt": np.zeros(1)}
     state = trainer.init_opt_state(p)
+    for name, grad in state["grads"].items():
+        grad[...] = g[name]
     cfg = trainer.TrainConfig(lr=0.01, weight_decay=0.1)
-    trainer.adamw_step(p, g, state, lr=0.01, config=cfg)
+    trainer.adamw_step(p, state, lr=0.01, config=cfg)
     m = 0.1 * 0.5
     v = 0.001 * 0.25
     m_hat = m / 0.1
