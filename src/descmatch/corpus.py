@@ -68,11 +68,13 @@ each, through a per-block dict, not a global intern), so the four
 captions of an image and every sentence of a split share their values in
 the columns and in the records built from them.  The writers check every
 record first, then format and write one block of `_BLOCK_RECORDS` lines
-at a time, so neither holds the whole file's text.  `score_word_ids`
-takes its sentences in blocks and finds one block's distinct words
-before it reads the next, and `build_table`'s tokenizer, `_word_ids`,
-tokenizes a block of records only when the scorer asks for it, so one
-block's lowercased texts, their joined text, its UTF-8 bytes and its
+at a time, so neither holds the whole file's text.  A table block's text
+is one join of a list of six strings per row, the row's three values
+between constant separators.  `score_word_ids` takes its sentences in
+blocks and finds one block's distinct words before it reads the next,
+and `build_table`'s tokenizer, `_word_ids`, tokenizes a block of records
+only when the scorer asks for it, so one block's lowercased texts, their
+joined text, its UTF-8 bytes (as encoded and as translated) and its
 tokens are alive at a time, never the whole corpus's.
 """
 
@@ -81,14 +83,21 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import attrgetter, eq, methodcaller
 
 import numpy as np
 
-_TOKEN_RE = re.compile(r"[0-9a-z]+")
+# the UTF-8 bytes of a token character and a `bytes.translate` table that
+# keeps them and makes every other byte a space
+_TOKEN_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz"
+_SPACED = bytes(b if b in _TOKEN_BYTES else 0x20 for b in range(256))
+
+# a text's UTF-8 bytes, a lone surrogate passed through as three bytes
+_utf8_bytes = methodcaller("encode", "utf-8", "surrogatepass")
 
 VALID_SPLITS = ("train", "val", "test")
 
@@ -121,10 +130,11 @@ class DescriptivenessTable:
     raw_max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceRecord:
     """One corpus line: a caption tied to an image, with an optional
-    hierarchy level (1 = most generic)."""
+    hierarchy level (1 = most generic).  Its fields are slots, so a record
+    has no ``__dict__`` and takes no weak reference."""
 
     id: str
     image_id: str
@@ -145,10 +155,24 @@ class CorpusColumns:
     levels: list[int | None]
 
 
+# each `SentenceRecord` field, whose column in `CorpusColumns` is its name
+# plus "s"
+_RECORD_FIELDS = ("id", "image_id", "text", "split", "level")
+
+
 def tokenize(text: str) -> TokenSequence:
-    """Lowercase and split on every non-alphanumeric character, dropping
-    empty fragments.  Deterministic; no stemming or stop-word removal."""
-    return TokenSequence(tuple(_TOKEN_RE.findall(text.lower())))
+    """Lowercase and split on every character outside [0-9a-z], dropping
+    empty fragments: the tokens of ``re.findall("[0-9a-z]+", text.lower())``.
+    Deterministic; no stemming or stop-word removal.
+
+    The lowercased text's UTF-8 bytes go through one `_SPACED` translate,
+    which leaves ASCII, then one decode and one split.  The token
+    characters are ASCII, and UTF-8 (a lone surrogate passed through as
+    three bytes) encodes every other code point in bytes of 0x80 and
+    above, so the runs of token bytes are the runs of token characters.
+    """
+    spaced = _utf8_bytes(text.lower()).translate(_SPACED)
+    return TokenSequence(tuple(spaced.decode("ascii").split()))
 
 
 def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tuple[dict[str, int], DescriptivenessTable]:
@@ -161,8 +185,8 @@ def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tup
     multiplicity), keyed in order of first occurrence over all records,
     for the words that occur in the pool."""
     vocab: dict[str, int] = {}
-    doc_freq, table = score_word_ids([r.id for r in records], [r.split for r in records],
-                                     _word_ids([r.text for r in records], vocab), pool_split)
+    ids, splits, texts = (list(map(attrgetter(name), records)) for name in ("id", "split", "text"))
+    doc_freq, table = score_word_ids(ids, splits, _word_ids(texts, vocab), pool_split)
     return {w: m for w, m in zip(vocab, doc_freq.tolist()) if m}, table
 
 
@@ -172,13 +196,15 @@ def _word_ids(texts: list[str], vocab: dict[str, int]) -> Iterator[tuple[np.ndar
     generator, so a block is tokenized only when the scorer asks for it.
 
     A block is tokenized by one `tokenize` of its texts, each lowercased on
-    its own and joined by single spaces.  A token's start is a token
-    character after a non-token one, found over the joined text's UTF-8
-    bytes, and a text's tokens are those that start within its bytes.  The
-    counts and tokens are those of one `tokenize` per text:
+    its own and joined by single spaces.  A token's start is a token byte
+    after a space in the joined text's UTF-8 bytes translated by
+    `_SPACED`, as `tokenize` translates them, and a text's tokens are those
+    that start within its bytes.  The counts and tokens are those of one
+    `tokenize` per text:
 
     - a space is not a token character, so no token crosses two texts and
-      ``findall`` on the joined text gives each text's tokens in turn;
+      splitting the joined text's translated bytes gives each text's
+      tokens in turn;
     - ``str.lower`` maps one code point at a time except for a final
       sigma, whose context a space ends, so lowercasing the joined text
       gives the lowercased texts joined;
@@ -186,11 +212,10 @@ def _word_ids(texts: list[str], vocab: dict[str, int]) -> Iterator[tuple[np.ndar
       `tokenize` lowercasing the joined text again changes nothing;
     - each text is lowercased on its own, so its span in the joined text
       is right even where lowercasing changes its length (``İ``);
-    - the token characters are ASCII, and UTF-8 (a lone surrogate passed
-      through as three bytes) encodes every other code point in bytes of
-      0x80 and above, so a token starts at the same bytes of the joined
-      text as of its own text's encoding.  The bytes are a quarter of
-      UTF-32's for ASCII text.
+    - the joined text's bytes are its texts' bytes joined by spaces, and
+      the translate maps each byte alone, so a token starts at the same
+      bytes of the joined text as of its own text's encoding.  The bytes
+      are a quarter of UTF-32's for ASCII text.
 
     The block's new words get the next ids in order of first occurrence,
     and its tokens are mapped in one pass.
@@ -199,13 +224,11 @@ def _word_ids(texts: list[str], vocab: dict[str, int]) -> Iterator[tuple[np.ndar
         lowered = list(map(str.lower, texts[lo:lo + _BLOCK_RECORDS]))
         joined = " ".join(lowered)
         tokens = tokenize(joined).tokens
-        # the bytes of `_TOKEN_RE`'s characters, [0-9a-z]
-        data = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-        is_token = ((data >= 0x30) & (data <= 0x39)) | ((data >= 0x61) & (data <= 0x7a))
+        is_token = np.frombuffer(_utf8_bytes(joined).translate(_SPACED), dtype=np.uint8) != 0x20
         starts = np.flatnonzero(is_token & np.diff(is_token, prepend=False))
         # text k + 1 starts at byte ends[k] of the joined text
-        sizes = [len(t.encode("utf-8", "surrogatepass")) for t in lowered]
-        ends = np.cumsum(np.array(sizes, dtype=np.int64) + 1)
+        sizes = np.fromiter(map(len, map(_utf8_bytes, lowered)), dtype=np.int64, count=len(lowered))
+        ends = np.cumsum(sizes + 1)
         new = [w for w in dict.fromkeys(tokens) if w not in vocab]
         vocab.update(zip(new, range(len(vocab), len(vocab) + len(new))))
         yield (np.diff(np.searchsorted(starts, ends), prepend=0),
@@ -256,7 +279,7 @@ def score_word_ids(ids: list[str], splits: list[str], blocks: Iterable[tuple[np.
     """
     if pool_split not in VALID_SPLITS:
         raise ValueError(f"unknown split {pool_split!r}")
-    in_pool = np.array([s == pool_split for s in splits], dtype=bool)
+    in_pool = np.fromiter(map(eq, splits, repeat(pool_split)), dtype=bool, count=len(splits))
     if not in_pool.any():
         raise ValueError(f"pool split {pool_split!r} is empty")
     if len(set(ids)) < len(ids):
@@ -524,15 +547,23 @@ def read_corpus_columns(path) -> CorpusColumns:
 
 
 def read_corpus_jsonl(path) -> list[SentenceRecord]:
-    """The records of `read_corpus_columns`, in file order."""
+    """The records of `read_corpus_columns`, in file order.  The columns
+    are checked already, so each record is a bare object whose fields are
+    set column by column through their slots' descriptors, not by
+    ``__init__`` (which a frozen dataclass runs through
+    ``object.__setattr__``, one call per field)."""
     c = read_corpus_columns(path)
-    return list(map(SentenceRecord, c.ids, c.image_ids, c.texts, c.splits, c.levels))
+    records = list(map(object.__new__, repeat(SentenceRecord, len(c.ids))))
+    for name in _RECORD_FIELDS:
+        deque(map(getattr(SentenceRecord, name).__set__, records, getattr(c, name + "s")),
+              maxlen=0)
+    return records
 
 
 def write_corpus_jsonl(path, records: list[SentenceRecord]) -> None:
     """`write_corpus_columns` of the records' fields."""
-    fields = ("id", "image_id", "text", "split", "level")
-    write_corpus_columns(path, CorpusColumns(*([getattr(r, f) for r in records] for f in fields)))
+    write_corpus_columns(path, CorpusColumns(**{name + "s": list(map(attrgetter(name), records))
+                                                for name in _RECORD_FIELDS}))
 
 
 def write_corpus_columns(path, columns: CorpusColumns) -> None:
@@ -553,7 +584,7 @@ def write_corpus_columns(path, columns: CorpusColumns) -> None:
         _require(values, {str}, f"{name!r} must be a string, got {{}}")
     _require(c.levels, {int, type(None)}, "'level' must be an integer or null, got {}")
     _require_int64(c.levels)
-    _write_blocks(path, "", _corpus_line, [c.ids, c.image_ids, c.levels, c.splits, c.texts])
+    _write_blocks(path, "", _corpus_block, [c.ids, c.image_ids, c.levels, c.splits, c.texts])
 
 
 def write_table_jsonl(path, table: DescriptivenessTable) -> None:
@@ -564,7 +595,8 @@ def write_table_jsonl(path, table: DescriptivenessTable) -> None:
     floats as ``float.__repr__``, ids through json's ASCII string encoder.
     Every id must be a string and every value finite, as
     `read_table_jsonl` gives them; both are checked before the file is
-    opened.
+    opened.  A block's text is one join of its values, in C
+    (`_table_block`).
     """
     ids = list(table.scores)
     deltas = list(table.scores.values())
@@ -573,17 +605,21 @@ def write_table_jsonl(path, table: DescriptivenessTable) -> None:
     if not all(np.isfinite(v).all() for v in (deltas, raws, [table.raw_min, table.raw_max])):
         raise ValueError("cannot write a table holding a non-finite value")
     header = json.dumps({"raw_min": table.raw_min, "raw_max": table.raw_max}, sort_keys=True)
-    _write_blocks(path, header + "\n", _table_line, [ids, deltas, raws])
+    _write_blocks(path, header + "\n", _table_block, [ids, deltas, raws])
 
 
-def _write_blocks(path, head: str, line: Callable[..., str], columns: list[list]) -> None:
-    """``head``, then the ``line`` of each row of the parallel ``columns``,
-    written one block of `_BLOCK_RECORDS` rows at a time, so the text of
-    one block is alive at a time, not that of the file."""
+def _write_blocks(path, head: str, block: Callable[..., str], columns: list[list]) -> None:
+    """``head``, then the ``block`` text of each block of `_BLOCK_RECORDS`
+    rows of the parallel ``columns``, written one block at a time, so the
+    text of one block is alive at a time, not that of the file."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head)
         for lo in range(0, len(columns[0]), _BLOCK_RECORDS):
-            fh.write("".join(map(line, *(c[lo:lo + _BLOCK_RECORDS] for c in columns))))
+            fh.write(block(*(c[lo:lo + _BLOCK_RECORDS] for c in columns)))
+
+
+def _corpus_block(*columns: list) -> str:
+    return "".join(map(_corpus_line, *columns))
 
 
 def _corpus_line(sid: str, iid: str, level: int | None, split: str, text: str) -> str:
@@ -592,9 +628,18 @@ def _corpus_line(sid: str, iid: str, level: int | None, split: str, text: str) -
             f'"split": {_encode_id(split)}, "text": {_encode_id(text)}}}\n')
 
 
-def _table_line(sid: str, delta: float, raw: float) -> str:
-    return (f'{{"delta": {float.__repr__(delta)}, "id": {_encode_id(sid)}, '
-            f'"raw": {float.__repr__(raw)}}}\n')
+def _table_block(ids: list[str], deltas: list[float], raws: list[float]) -> str:
+    """The lines of a non-empty block of table rows, ``{"delta": D, "id":
+    I, "raw": R}``: the values, through ``float.__repr__`` and the id
+    encoder by ``map``, set between the constant separators by slice
+    assignment and joined once, so no Python function runs per row."""
+    parts = ['}\n{"delta": ', "", ', "id": ', "", ', "raw": ', ""] * len(ids)
+    parts[0] = '{"delta": '
+    parts[1::6] = map(float.__repr__, deltas)
+    parts[3::6] = map(_encode_id, ids)
+    parts[5::6] = map(float.__repr__, raws)
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def _numbers(values: list, name: str) -> list[float]:

@@ -130,11 +130,9 @@ def _inside(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _screen(block: np.ndarray, lo: np.ndarray, hi: np.ndarray, axis: int):
     """Per query along axis: the entries above its window, and the number
-    inside it."""
-    above = block > hi
-    decided = block < lo
-    decided |= above
-    return _count(above, axis), block.shape[axis] - _count(decided, axis)
+    inside it (lo <= hi, so no entry is both above and below)."""
+    above = _count(block > hi, axis)
+    return above, block.shape[axis] - above - _count(block < lo, axis)
 
 
 def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, blocks, exact,
@@ -493,7 +491,8 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
         radius = img_norms[lo:lo + step] + reach
         slack = 12.0 * (dim + 2) * _U * radius * radius
         limit = _toward(screen.min(axis=1) + slack, _SCREEN, np.inf)
-        firsts = _nearest(~(screen > limit[:, None]), one_seg, every,
+        # unit rows make every screen value finite, so no NaN goes unmarked
+        firsts = _nearest(screen <= limit[:, None], one_seg, every,
                           candidates, lambda rows, _: block[rows])[:, 0]
         del screen
         starts = candidates[firsts]
@@ -575,9 +574,14 @@ def set_precision_recall(retrieved, relevant) -> tuple[float, float]:
 
 def centroid_root(text_embs: np.ndarray) -> np.ndarray:
     """Embedding standing in for the empty description: the normalized
-    centroid of the candidate texts."""
-    mean = np.asarray(text_embs, dtype=np.float64).mean(axis=0)
-    return geometry.l2_normalize(mean[None, :])[0]
+    centroid of the candidate texts.  Raises if the centroid's norm is
+    below ``geometry.NORM_FLOOR``."""
+    mean = np.asarray(text_embs, dtype=np.float64).mean(axis=0)[None, :]
+    norm = np.linalg.norm(mean, axis=1)[0]
+    if norm < geometry.NORM_FLOOR:
+        raise ValueError(f"the text centroid (the traversal's root) has near-zero norm "
+                         f"{norm:.3e}: the text embeddings cancel out")
+    return geometry.l2_normalize(mean)[0]
 
 
 def hierarchical_report(image_embs: np.ndarray, text_embs: np.ndarray,

@@ -192,14 +192,14 @@ def load_splits(corpus_path, table_path, image_features_path, text_features_path
         c.append(list(map(scores.get, c[0])))
     del scores  # the table is not needed while the features load
     img_ids, img_feats = geometry.read_features(image_features_path)
-    img_row = {i: k for k, i in enumerate(img_ids)}
+    img_row = dict(zip(img_ids, range(len(img_ids))))
     for c in columns:  # each split's images and their feature rows, gathered when all are found
         c.append(list(dict.fromkeys(c[1])))
         rows = list(map(img_row.get, c[-1]))
         c.append(rows if None in rows else _feature_rows(img_feats, rows))
     del img_feats  # a split that lacks an image row fails the scan
     txt_ids, txt_feats = geometry.read_features(text_features_path)
-    txt_row = {i: k for k, i in enumerate(txt_ids)}
+    txt_row = dict(zip(txt_ids, range(len(txt_ids))))
 
     def join(ids: list[str], owner_ids: list[str], levels: list, deltas: list,
              image_ids: list[str], image_feats) -> Dataset:
@@ -212,7 +212,7 @@ def load_splits(corpus_path, table_path, image_features_path, text_features_path
                         (table_path, delta is None, "sentence", sid)):
                     if lacks:
                         raise ValueError(f"{path}: lacks {kind} {key!r} of {corpus_path}")
-        image_index = {iid: k for k, iid in enumerate(image_ids)}
+        image_index = dict(zip(image_ids, range(len(image_ids))))
         return Dataset(
             image_ids=image_ids,
             image_feats=image_feats,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -122,6 +123,36 @@ def test_corpus_jsonl_round_trip(tmp_path):
     path = tmp_path / "corpus.jsonl"
     C.write_corpus_jsonl(path, records)
     assert C.read_corpus_jsonl(path) == records
+
+
+def test_read_records_behave_like_records_built_by_keyword(tmp_path):
+    """`read_corpus_jsonl` sets each field through its slot, bypassing
+    ``__init__``: the records compare, hash and print like constructed
+    ones, stay frozen and go through ``dataclasses.replace``.  Each field
+    is set from the column named after it plus "s", and no
+    ``__post_init__`` exists for that path to skip."""
+    names = [f.name for f in dataclasses.fields(C.SentenceRecord)]
+    assert list(C._RECORD_FIELDS) == names
+    assert [n + "s" for n in names] == [f.name for f in dataclasses.fields(C.CorpusColumns)]
+    assert not hasattr(C.SentenceRecord, "__post_init__")
+    built = [C.SentenceRecord(id=sid, image_id=f'i"{k // 2}', text=f"a dog {k}",
+                              split=C.VALID_SPLITS[k % 3], level=[None, 0, -3, 2**63 - 1][k % 4])
+             for k, sid in enumerate(ids_needing_escapes + ["007", "12"])]
+    C.write_corpus_jsonl(tmp_path / "corpus.jsonl", built)
+    read = C.read_corpus_jsonl(tmp_path / "corpus.jsonl")
+    assert [type(r) for r in read] == [C.SentenceRecord] * len(built)
+    assert read == built
+    assert list(map(hash, read)) == list(map(hash, built))
+    assert list(map(repr, read)) == list(map(repr, built))
+    for r, b in zip(read, built):
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.text = "changed"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del r.level
+        assert r.text == b.text
+        assert dataclasses.replace(r, split="val", level=7) == \
+            C.SentenceRecord(b.id, b.image_id, b.text, "val", 7)
 
 
 def test_corpus_jsonl_rejects_bad_records(tmp_path):
@@ -462,6 +493,21 @@ case_fragments = st.sampled_from(["Dog", "CAT", "mIxEd", "a1", "9", "Zebra0", "x
                                   "ﬁne", "ΟΔΟΣ", "ΟΔΟΣ ", "Σ"])
 case_texts = st.lists(case_fragments, max_size=8).map("".join)
 
+# beside the case fragments: the characters just outside the token ranges
+# ("/", ":", "@", "[", "`", "{"), "_" (a word character to \w), every
+# code point below 0x100 (ASCII controls, DEL, Latin-1), non-BMP
+# characters and lone surrogates
+tokenizer_texts = st.lists(
+    case_fragments | st.sampled_from("/:@[`{_") | st.integers(0, 0xff).map(chr)
+    | st.integers(0x10000, 0x10ffff).map(chr) | st.integers(0xd800, 0xdfff).map(chr),
+    max_size=12).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokenizer_texts)
+def test_tokenize_equals_findall_of_token_characters(text):
+    assert C.tokenize(text).tokens == tuple(re.findall("[0-9a-z]+", text.lower()))
+
 
 def _word_ids_oracle(texts):
     """One `tokenize` per text: the lengths, the word ids and the
@@ -520,17 +566,26 @@ def test_build_table_tokenizes_once_per_block(monkeypatch, block):
 ids_needing_escapes = ['q"uote', "back\\slash", "café", " sep", "tab\there", "\U0001f600"]
 
 
-def test_write_table_bytes_equal_json_dumps(tmp_path):
-    values = [0.0, 1.0, 1e-300, 5e-324, 0.1, 1 / 3, 2.5e-05]
+def test_write_table_bytes_equal_json_dumps(tmp_path, monkeypatch):
+    """The whole table in one block, then its first 0, 2, 3 and 4 rows in
+    blocks of 3: the empty table, one short block, one full block, and a
+    full block and a short one."""
+    values = [0.0, -0.0, 1.0, 1e-300, 5e-324, 0.1, 1 / 3, 2.5e-05, np.float64(0.7),
+              np.float64(5e-324)]
     ids = ids_needing_escapes + [f"s{k}" for k in range(len(values))]
-    table = C.DescriptivenessTable(
-        scores={sid: values[k % len(values)] for k, sid in enumerate(ids)},
-        raw_scores={sid: values[-1 - k % len(values)] * 7 for k, sid in enumerate(ids)},
-        raw_min=5e-324, raw_max=1e-300)
-    C.write_table_jsonl(tmp_path / "bulk.jsonl", table)
-    write_table_per_line(tmp_path / "oracle.jsonl", table)
-    assert (tmp_path / "bulk.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
-    assert C.read_table_jsonl(tmp_path / "bulk.jsonl") == table
+    scores = {sid: values[k % len(values)] for k, sid in enumerate(ids)}
+    raws = {sid: values[-1 - k % len(values)] * 7 for k, sid in enumerate(ids)}
+    for block, sizes in ((C._BLOCK_RECORDS, [len(ids)]), (3, [0, 2, 3, 4])):
+        monkeypatch.setattr(C, "_BLOCK_RECORDS", block)
+        for n in sizes:
+            table = C.DescriptivenessTable(scores={sid: scores[sid] for sid in ids[:n]},
+                                           raw_scores={sid: raws[sid] for sid in ids[:n]},
+                                           raw_min=5e-324, raw_max=1e-300)
+            C.write_table_jsonl(tmp_path / "bulk.jsonl", table)
+            write_table_per_line(tmp_path / "oracle.jsonl", table)
+            assert (tmp_path / "bulk.jsonl").read_bytes() == \
+                (tmp_path / "oracle.jsonl").read_bytes()
+            assert C.read_table_jsonl(tmp_path / "bulk.jsonl") == table
 
 
 @settings(max_examples=100, deadline=None)

@@ -161,6 +161,17 @@ def test_centroid_root_is_unit():
     rng = np.random.default_rng(1)
     root = E.centroid_root(geometry.l2_normalize(rng.normal(size=(7, 5))))
     assert np.linalg.norm(root) == pytest.approx(1.0, abs=1e-12)
+    texts = rng.normal(size=(3, 5))
+    assert E.centroid_root(texts).tobytes() == \
+        geometry.l2_normalize(texts.mean(axis=0)[None, :])[0].tobytes()
+
+
+def test_evaluate_names_a_vanishing_text_centroid():
+    embs = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^the text centroid \(the traversal's root\) has "
+                                         r"near-zero norm 0\.000e\+00: the text embeddings "
+                                         r"cancel out$"):
+        E.evaluate(embs, embs, np.array([0, 1]), np.array([1, 2]))
 
 
 def test_hierarchical_report_perfect_retrieval():
