@@ -723,15 +723,12 @@ def evaluate(image_embs: np.ndarray, text_embs: np.ndarray,
 
 
 def write_report_json(path, report: dict) -> None:
+    # integer keys (levels, k) become strings before sort_keys orders them
     def _clean(obj):
         if isinstance(obj, dict):
             return {str(k): _clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
+        if isinstance(obj, list):
             return [_clean(v) for v in obj]
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, (np.floating,)):
-            return float(obj)
         return obj
 
     with open(path, "w", encoding="utf-8") as fh:

@@ -179,10 +179,10 @@ def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
     """Load a manifest + binary pair; returns (ids, float64 matrix).  The
     matrix of an f64 file is the C-contiguous array read, not a copy.
 
-    The manifest is a JSON object holding ``rows`` and ``dim`` (non-negative
-    integers), ``dtype`` (a key of `_DTYPES`) and ``ids`` (a list of string
-    or integer ids, kept as strings).  Anything else raises ValueError
-    naming the manifest.
+    The manifest is a JSON object holding ``rows`` (a non-negative integer),
+    ``dim`` (a positive integer), ``dtype`` (a key of `_DTYPES`) and ``ids``
+    (a list of string or integer ids, kept as strings).  Anything else
+    raises ValueError naming the manifest.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.name.endswith(_MANIFEST_SUFFIX):
@@ -202,6 +202,8 @@ def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
         if type(value) is not int or value < 0:
             raise ValueError(f"{manifest_path}: {key!r} must be a non-negative integer, "
                              f"got {json.dumps(value)}")
+    if dim == 0:
+        raise ValueError(f"{manifest_path}: 'dim' must be at least 1, got 0")
     if type(dtype) is not str or dtype not in _DTYPES:
         raise ValueError(f"{manifest_path}: unknown dtype {dtype!r}")
     if type(ids) is not list or not {type(s) for s in ids} <= {str, int}:
@@ -220,7 +222,7 @@ def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
         raise ValueError(f"{bin_path}: expected {rows * dim} values, found {data.size}")
     data = data.reshape(rows, dim)
     # row blocks keep the check's boolean temporary small
-    step = max(1, _BLOCK_ENTRIES // max(1, dim))
+    step = max(1, _BLOCK_ENTRIES // dim)
     for start in range(0, rows, step):
         finite = np.isfinite(data[start:start + step]).all(axis=1)
         if not finite.all():

@@ -95,6 +95,10 @@ class TrainConfig:
         for name in ("lr", "weight_decay", "decay_factor", "beta1", "beta2", "adam_eps"):
             if not geometry.is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.decay_factor <= 0:
+            raise ValueError(f"decay_factor must be positive, got {self.decay_factor}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
 

@@ -1,30 +1,35 @@
 """Acceptance gate: one test per shipped guarantee, one verdict line each.
 
-Every criterion recomputes its expected values with an oracle local to
-this file (brute-force double loops, closed-form ranks, central finite
-differences) rather than trusting the library's own arithmetic; those of
-d_corr, recall and the nearest candidate are test_evaluation's
-dcorr_reference, brute_recall and nearest_candidate.  The verdict lines
-collect in conftest.ACCEPTANCE_LINES and are printed in a terminal
+Every criterion recomputes its expected values with a brute-force
+reference from shared_oracles.py (double loops, stable sorts,
+station-by-station walks) or with closed forms and central finite
+differences, rather than trusting the library's own arithmetic; criteria
+7 and 8 run the scripts that reproduce the paper's trends.  The verdict
+lines collect in conftest.ACCEPTANCE_LINES and are printed in a terminal
 section after the run.
 """
 
 import functools
+import importlib.util
+import json
 import math
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 
+import shared_oracles as oracles
 from conftest import ACCEPTANCE_LINES
-from test_evaluation import brute_recall, dcorr_reference, nearest_candidate
 
-from descmatch import cli, datagen, trainer
+from descmatch import cli, trainer
 from descmatch import corpus as C
 from descmatch import evaluation as E
 from descmatch import losses as L
 
 DETAILS: dict[int, str] = {}
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def criterion(num: int, desc: str):
@@ -56,15 +61,6 @@ def _random_sentences(rng) -> list[list[str]]:
     ]
 
 
-def _oracle_raw(tokens: list[str], pool: list[list[str]], log=math.log) -> float:
-    m = len(pool)
-    total = 0.0
-    for word in dict.fromkeys(tokens):
-        m_w = sum(1 for sent in pool if word in sent)
-        total += (tokens.count(word) / len(tokens)) * log(m / max(m_w, 1))
-    return total
-
-
 def _as_records(sentences: list[list[str]]) -> list[C.SentenceRecord]:
     return [C.SentenceRecord(id=f"s{i}", image_id=f"img{i}",
                              text=" ".join(toks))
@@ -81,9 +77,10 @@ def test_criterion_1_tfidf_oracle():
         sentences = _random_sentences(rng)
         records = _as_records(sentences)
         _, table = C.build_table(records)
+        freq = oracles.doc_freq(sentences)
         for rec, sent in zip(records, sentences):
             got = table.raw_scores[rec.id]
-            worst = max(worst, abs(got - _oracle_raw(sent, sentences)))
+            worst = max(worst, abs(got - oracles.tfidf_raw(sent, freq, len(sentences))))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
     assert elapsed < 5.0
@@ -117,7 +114,8 @@ def test_criterion_2_normalization_contract():
         assert all(0.0 <= s <= 1.0 for s in scores)
 
         # independent base-10 recomputation of the whole normalized table
-        raw10 = [_oracle_raw(s, sentences, log=math.log10) for s in sentences]
+        freq = oracles.doc_freq(sentences)
+        raw10 = [oracles.tfidf_raw(s, freq, len(sentences), log=math.log10) for s in sentences]
         lo, span = min(raw10), max(raw10) - min(raw10)
         for rec, r10 in zip(records, raw10):
             assert abs(table.scores[rec.id] - (r10 - lo) / span) <= 1e-9
@@ -269,26 +267,6 @@ def test_criterion_4_loss_identities():
 # Criterion 5: hardest-negative mining vs an exhaustive scan
 
 
-def _oracle_mine(sims, pair_map, owners):
-    t_neg, v_neg = [], []
-    for i, j in pair_map:
-        best_t, best_ts = -1, None
-        for u in range(sims.shape[1]):
-            if owners[u] == i:
-                continue
-            if best_ts is None or sims[i, u] > best_ts:
-                best_t, best_ts = u, sims[i, u]
-        best_v, best_vs = -1, None
-        for k in range(sims.shape[0]):
-            if k == i:
-                continue
-            if best_vs is None or sims[k, j] > best_vs:
-                best_v, best_vs = k, sims[k, j]
-        t_neg.append(best_t)
-        v_neg.append(best_v)
-    return np.array(t_neg), np.array(v_neg)
-
-
 @criterion(5, "hardest-negative indices match an exhaustive scan on 200 "
               "random batches, including the same-image caption exclusion")
 def test_criterion_5_mining_oracle():
@@ -303,45 +281,14 @@ def test_criterion_5_mining_oracle():
             sims = rng.integers(0, 4, size=(n_img, n_txt)) * 0.25
         else:
             sims = rng.normal(size=(n_img, n_txt))
-        pair_map = [(int(owners[j]), j) for j in range(n_txt)]
         got_t, got_v = L.hardest_negatives(sims, owners)
-        want_t, want_v = _oracle_mine(sims, pair_map, owners)
+        want_t, want_v = oracles.hardest_negatives(sims, owners)
         assert np.array_equal(got_t, want_t)
         assert np.array_equal(got_v, want_v)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 6: retrieval metrics vs brute-force oracles
-
-
-def _oracle_traversal_pr(imgs, txts, owners, n_points):
-    mean_vec = txts.mean(axis=0)
-    root = mean_vec / np.linalg.norm(mean_vec)
-    ps, rs = [], []
-    for i in range(imgs.shape[0]):
-        start = txts[nearest_candidate(imgs[i], txts)]
-        seen: list[int] = []
-        for t in np.linspace(0.0, 1.0, n_points):
-            idx = nearest_candidate((1.0 - t) * start + t * root, txts)
-            if idx not in seen:
-                seen.append(idx)
-        relevant = {j for j in range(len(owners)) if owners[j] == i}
-        inter = len(set(seen) & relevant)
-        ps.append(100.0 * inter / len(seen))
-        rs.append(100.0 * inter / len(relevant))
-    return sum(ps) / len(ps), sum(rs) / len(rs)
-
-
-def _oracle_per_level(sims, owners, levels, k):
-    out = {}
-    for level in sorted(set(int(v) for v in levels if v >= 0)):
-        members = [j for j in range(len(levels)) if levels[j] == level]
-        hits = 0
-        for j in members:
-            order = sorted(range(sims.shape[0]), key=lambda i: (-sims[i, j], i))
-            hits += owners[j] in order[:k]
-        out[level] = 100.0 * hits / len(members)
-    return out
 
 
 def _unit(rng, n, dim):
@@ -364,8 +311,8 @@ def test_criterion_6_metric_oracles():
         suite = E.recall_suite(sims, owners)
         for k in (1, 5, 10):
             for direction in ("i2t", "t2i"):
-                assert suite[direction][k] == brute_recall(sims, owners, k, direction)
-        six = [brute_recall(sims, owners, k, d)
+                assert suite[direction][k] == oracles.recall(sims, owners, k, direction)
+        six = [oracles.recall(sims, owners, k, d)
                for d in ("i2t", "t2i") for k in (1, 5, 10)]
         assert E.rsum(sims, owners) == math.fsum(six)
 
@@ -376,14 +323,16 @@ def test_criterion_6_metric_oracles():
         imgs = _unit(rng, n_img, 8)
         txts = _unit(rng, n_img * per, 8)
         report = E.hierarchical_report(imgs, txts, owners)
-        want_p, want_r = _oracle_traversal_pr(imgs, txts, owners, 50)
+        mean_vec = txts.mean(axis=0)
+        want_p, want_r = oracles.traversal_pr(imgs, txts, owners,
+                                              mean_vec / np.linalg.norm(mean_vec), 50)
         assert report["precision"] == want_p
         assert report["recall"] == want_r
 
         levels = np.tile(np.arange(1, per + 1), n_img)
         sims = rng.normal(size=(n_img, n_img * per))
         assert (E.per_level_recall(sims, owners, levels)
-                == _oracle_per_level(sims, owners, levels, 1))
+                == oracles.per_level_recall(sims, owners, levels))
 
     # hierarchy correlation: two correct Spearman evaluations can differ in
     # the final ulp, so this one comparison carries a 1e-12 budget
@@ -397,7 +346,7 @@ def test_criterion_6_metric_oracles():
         imgs = _unit(rng, n_img, 8)
         txts = _unit(rng, 4 * n_img, 8)
         worst = max(worst, abs(E.d_corr(imgs, txts, owners, levels)
-                               - dcorr_reference(imgs, txts, owners, levels)))
+                               - oracles.dcorr_reference(imgs, txts, owners, levels)))
     assert worst <= 1e-12
 
     # undefined correlations (singleton text, constant distances) count as 0
@@ -407,7 +356,7 @@ def test_criterion_6_metric_oracles():
     owners = np.array([0, 0, 0, 0, 1, 2, 2, 2, 2])
     levels = np.array([1, 2, 3, 4, 1, 1, 2, 3, 4])
     assert abs(E.d_corr(imgs, txts, owners, levels)
-               - dcorr_reference(imgs, txts, owners, levels)) <= 1e-12
+               - oracles.dcorr_reference(imgs, txts, owners, levels)) <= 1e-12
 
     # the six published recalls sum to the published rank sum either way
     printed = [83.7, 97.4, 99.2, 70.1, 92.8, 97.1]
@@ -424,30 +373,29 @@ def test_criterion_6_metric_oracles():
 # Criterion 7: ablation trend on the synthetic hierarchy
 
 
+def _script(name: str):
+    """The module of scripts/<name>.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @criterion(7, "synthetic ablation (200 images x 4 levels, dim 32, 10 epochs, "
               "5 seeds): median hierarchy correlation orders baseline <= "
               "adaptive <= full with a gap of at least 5 points, under "
               "2 min per seed")
 def test_criterion_7_ablation_trend(tmp_path):
     variants = ("baseline", "adaptive", "full")
-    scores = {v: [] for v in variants}
-    seed_times = []
-    for seed in range(5):
-        paths = datagen.write_dataset(tmp_path / f"s{seed}",
-                                      datagen.SynthSpec(seed=seed))
-        ds = trainer.load_dataset(paths["corpus"], paths["table"],
-                                  paths["image_features"],
-                                  paths["text_features"])
-        tick = time.perf_counter()
-        for variant in variants:
-            cfg = trainer.TrainConfig(embed_dim=32, batch_size=64, epochs=10,
-                                      lr=1e-2, seed=seed, variant=variant)
-            res = trainer.train(ds, cfg)
-            img_e, txt_e = trainer.embed_dataset(res.params, ds)
-            scores[variant].append(
-                E.d_corr(img_e, txt_e, ds.image_of_text, ds.levels))
-        seed_times.append(time.perf_counter() - tick)
-    med = {v: statistics.median(scores[v]) for v in variants}
+    assert _script("run_ablation").main([
+        "--out", str(tmp_path), "--seeds", "0", "1", "2", "3", "4", "--images", "200",
+        "--levels", "4", "--embed-dim", "32", "--epochs", "10", "--batch-size", "64",
+        "--lr", "0.01", "--variants", *variants]) == 0
+    runs = json.loads((tmp_path / "ablation.json").read_text())["runs"]
+    med = {v: statistics.median(r["d_corr"] for r in runs[v]) for v in variants}
+    # a seed's time: training and evaluating its three variants
+    seed_times = [sum(r["seconds"] for v in variants for r in runs[v] if r["seed"] == seed)
+                  for seed in range(5)]
     assert med["baseline"] <= med["adaptive"] <= med["full"]
     assert med["full"] >= med["baseline"] + 5.0
     assert max(seed_times) < 120.0
@@ -462,20 +410,10 @@ def test_criterion_7_ablation_trend(tmp_path):
 @criterion(8, "after full-model training, mean image-text distance strictly "
               "decreases from level 1 to level 4 in the emitted CSV")
 def test_criterion_8_distance_trend(tmp_path):
-    data, run, rpt = tmp_path / "data", tmp_path / "run", tmp_path / "rpt"
-    assert cli.main(["synth", "--out", str(data), "--images", "200",
-                     "--levels", "4", "--shared-vocab", "12",
-                     "--rare-vocab", "600", "--dim", "48", "--seed", "0"]) == 0
-    common = ["--corpus", str(data / "corpus.jsonl"),
-              "--table", str(data / "table.jsonl"),
-              "--image-features", str(data / "images.manifest.json"),
-              "--text-features", str(data / "texts.manifest.json")]
-    assert cli.main(["train", *common, "--out", str(run), "--variant", "full",
-                     "--embed-dim", "32", "--batch-size", "64",
-                     "--epochs", "10", "--lr", "1e-2", "--seed", "0"]) == 0
-    assert cli.main(["eval", *common, "--checkpoint",
-                     str(run / "checkpoint.bin"), "--out", str(rpt)]) == 0
-    lines = (rpt / "distance_by_level.csv").read_text().strip().splitlines()
+    assert _script("run_pipeline").main([
+        "--out", str(tmp_path), "--images", "200", "--levels", "4", "--embed-dim", "32",
+        "--epochs", "10", "--batch-size", "64", "--lr", "0.01", "--seed", "0"]) == 0
+    lines = (tmp_path / "report" / "distance_by_level.csv").read_text().strip().splitlines()
     assert lines[0] == "level,mean_distance"
     vals = {int(ln.split(",")[0]): float(ln.split(",")[1]) for ln in lines[1:]}
     assert sorted(vals) == [1, 2, 3, 4]

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import shared_oracles as oracles
 from descmatch import evaluation, geometry, trainer
 from descmatch import losses as L
 
@@ -34,28 +35,6 @@ def same_bits(a, b) -> bool:
 # Loss oracles: one np.add.at per gradient contribution
 
 
-def oracle_same_image(owners):
-    pairs = []
-    for i in sorted(set(owners.tolist())):
-        mine = np.flatnonzero(owners == i)
-        pairs += [(i, a, b) for k, a in enumerate(mine) for b in mine[k + 1:]]
-    return np.array(pairs, dtype=np.int64).reshape(-1, 3)
-
-
-def oracle_hardest_negatives(sims, owners):
-    n_img, n_txt = sims.shape
-    banned = owners[None, :] == owners[:, None]
-    dead = np.flatnonzero(banned.all(axis=1))
-    if dead.size:
-        raise ValueError(f"pair ({owners[dead[0]]}, {dead[0]}) has no admissible negative text")
-    if n_img < 2:
-        raise ValueError(f"pair ({owners[0]}, 0) has no admissible negative image")
-    t_neg = np.where(banned, -np.inf, sims[owners]).argmax(axis=1)
-    img_cols = sims.T.copy()
-    img_cols[np.arange(n_txt), owners] = -np.inf
-    return t_neg.astype(np.int64), img_cols.argmax(axis=1).astype(np.int64)
-
-
 def oracle_ranking_loss(batch, config, adaptive):
     imgs, txts = batch.image_embs, batch.text_embs
     deltas = batch.deltas
@@ -66,7 +45,7 @@ def oracle_ranking_loss(batch, config, adaptive):
     s_pos = sims[p_i, p_j]
 
     if config.use_hardest_mining:
-        t_neg, v_neg = oracle_hardest_negatives(sims, p_i)
+        t_neg, v_neg = oracles.hardest_negatives(sims, p_i)
         if adaptive:
             a_i2t, a_t2i = L.adaptive_margins(deltas[p_j], deltas[t_neg], config.tau)
         else:
@@ -122,7 +101,7 @@ def oracle_ordering_loss(batch, config):
     imgs, txts = batch.image_embs, batch.text_embs
     grad_i = np.zeros_like(imgs)
     grad_t = np.zeros_like(txts)
-    pairs = oracle_same_image(batch.image_of_text)
+    pairs = np.array(oracles.same_image_pairs(batch.image_of_text), dtype=np.int64).reshape(-1, 3)
     if not len(pairs):
         return 0.0, grad_i, grad_t, 0
     i_arr, a_arr, b_arr = pairs.T
@@ -254,7 +233,7 @@ def test_hardest_negatives_equal_oracle_on_ties():
         n_img, n_txt = int(rng.integers(2, 6)), int(rng.integers(2, 12))
         sims = rng.integers(-2, 3, size=(n_img, n_txt)) / 2.0
         owners = rng.integers(0, n_img, n_txt)
-        want, error = oracle_or_error(oracle_hardest_negatives, sims, owners)
+        want, error = oracle_or_error(oracles.hardest_negatives, sims, owners)
         if error is not None:
             with pytest.raises(ValueError, match=re.escape(error)):
                 L.hardest_negatives(sims, owners)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import shared_oracles as oracles
 from descmatch import cli
 from descmatch import corpus as C
 from descmatch import datagen, evaluation, geometry, losses, trainer
@@ -246,6 +247,8 @@ def test_eval_checks_folds_and_points_first(tmp_path, capsys, key, value, want, 
     ("train", {"weight_decay": math.nan}, "weight_decay must be finite, got nan"),
     ("train", {"weight_decay": math.inf}, "weight_decay must be finite, got inf"),
     ("train", {"decay_factor": math.nan, "decay_epoch": 1}, "decay_factor must be finite, got nan"),
+    ("train", {"decay_factor": -1, "decay_epoch": 1}, "decay_factor must be positive, got -1.0"),
+    ("train", {"weight_decay": -5}, "weight_decay must be non-negative, got -5.0"),
     ("train", {"variant": "baseline", "alpha": math.nan}, "alpha must be finite, got nan"),
     ("train", {"lambda": math.inf}, "lambda must be finite, got inf"),
     ("synth", {"images": 1}, "images must be at least 2, got 1"),
@@ -259,7 +262,7 @@ def test_eval_checks_folds_and_points_first(tmp_path, capsys, key, value, want, 
     ("gradcheck", {"tol": -1e-4}, "tol must be positive, got -0.0001"),
     ("gradcheck", {"step": 0}, "step must be positive, got 0.0"),
 ], ids=["lambda", "tau", "nan-tau", "nan-lr", "inf-lr", "nan-weight-decay", "inf-weight-decay",
-        "nan-decay-factor", "nan-alpha", "inf-lambda", "images", "dim", "rare-vocab",
+        "nan-decay-factor", "negative-decay-factor", "negative-weight-decay", "nan-alpha", "inf-lambda", "images", "dim", "rare-vocab",
         "noise-sigma", "nan-noise-sigma", "inf-noise-sigma", "trials", "tol-zero",
         "tol-negative", "step"])
 @pytest.mark.parametrize("route", ["flag", "config"])
@@ -330,36 +333,27 @@ def test_image_features_must_be_a_manifest_path(synth_dir, checkpoint_bytes, tmp
     assert f"{path}: expected a *.manifest.json path" in capsys.readouterr().err
 
 
-def _header_end(blob: bytes) -> int:
-    return 16 + int.from_bytes(blob[8:16], "little")
-
-
-def _with_header(blob: bytes, edit) -> bytes:
-    """The checkpoint with its JSON header passed through ``edit``."""
-    header = json.loads(blob[16:_header_end(blob)])
-    edit(header)
-    text = json.dumps(header, sort_keys=True).encode("utf-8")
-    return blob[:8] + len(text).to_bytes(8, "little") + text + blob[_header_end(blob):]
-
-
 def _rename_array(old, new):
     def edit(header):
         next(e for e in header["arrays"] if e["name"] == old)["name"] = new
+        return header
     return edit
 
 
 @pytest.mark.parametrize("corrupt, want", [
     (lambda b: b[:10], "no header length"),
-    (lambda b: b[:_header_end(b) - 5], "truncated checkpoint header"),
+    (lambda b: b[:oracles.header_end(b) - 5], "truncated checkpoint header"),
     (lambda b: b[:-8], "header describes"),
     (lambda b: b + b"\x00" * 8, "header describes"),
-    *[(lambda b, key=key: _with_header(b, lambda h: h.pop(key)),
+    *[(lambda b, key=key: oracles.with_header(b, lambda h: {k: v for k, v in h.items()
+                                                            if k != key}),
        f"checkpoint header lacks {key!r}")
       for key in ("epoch", "adam_t", "rng_state", "config", "history")],
-    *[(lambda b, name=name: _with_header(b, _rename_array(f"param/{name}", "param/other")),
+    *[(lambda b, name=name: oracles.with_header(b, _rename_array(f"param/{name}",
+                                                                  "param/other")),
        f"checkpoint lacks the array 'param/{name}'")
       for name in ("W_img", "b_img", "W_txt", "b_txt")],
-    (lambda b: _with_header(b, lambda h: h.update(adam_t="x")),
+    (lambda b: oracles.with_header(b, lambda h: {**h, "adam_t": "x"}),
      "checkpoint header 'adam_t' must be a non-negative integer, got \"x\""),
 ], ids=["short-length-prefix", "truncated-header", "truncated-array", "trailing-bytes",
         "no-epoch", "no-adam_t", "no-rng_state", "no-config", "no-history",
@@ -536,12 +530,13 @@ def _set_first_id(value):
      "manifest lacks 'rows'"),
     (_set("ids", None), "'ids' must be a list of strings or integers"),
     (_set("dim", None), "'dim' must be a non-negative integer, got null"),
+    (_set("dim", 0), "'dim' must be at least 1, got 0"),
     (_set("dtype", ["f64"]), "unknown dtype ['f64']"),
     (lambda text: json.dumps([json.loads(text)]), "manifest must be a JSON object"),
     (_set("rows", 1.5), "'rows' must be a non-negative integer, got 1.5"),
     (_set("rows", True), "'rows' must be a non-negative integer, got true"),
     (_set_first_id(None), "'ids' must be a list of strings or integers"),
-], ids=["truncated", "no-rows", "null-ids", "null-dim", "list-dtype", "list-manifest",
+], ids=["truncated", "no-rows", "null-ids", "null-dim", "zero-dim", "list-dtype", "list-manifest",
         "float-rows", "bool-rows", "null-id"])
 def test_eval_rejects_malformed_manifest(synth_dir, checkpoint_bytes, tmp_path, capsys,
                                          corrupt, want):
@@ -556,6 +551,18 @@ def test_eval_rejects_malformed_manifest(synth_dir, checkpoint_bytes, tmp_path, 
     assert code == 2
     assert f"{manifest}: {want}" in capsys.readouterr().err
     assert not (tmp_path / "rpt").exists()
+
+
+def test_train_rejects_a_zero_dim_manifest(synth_dir, tmp_path, capsys):
+    """Zero-width features, whose empty binary holds the rows * 0 values the
+    manifest promises, exit 2 with one line naming the manifest."""
+    manifest = tmp_path / "images.manifest.json"
+    manifest.write_text(_set("dim", 0)((synth_dir / "images.manifest.json").read_text()))
+    (tmp_path / "images.bin").write_bytes(b"")
+    flags = _data_flags(synth_dir)
+    flags[flags.index("--image-features") + 1] = str(manifest)
+    assert cli.main(["train", *flags, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: 'dim' must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("weight, flag, role", [
@@ -591,7 +598,7 @@ def wide_dir(tmp_path_factory):
 
 
 def _unrestorable_rng(blob: bytes) -> bytes:
-    return _with_header(blob, lambda h: h.update(rng_state={"bit_generator": "MT19937"}))
+    return oracles.with_header(blob, lambda h: {**h, "rng_state": {"bit_generator": "MT19937"}})
 
 
 # (damage to the checkpoint, or None for no file; extra flags; the feature

@@ -2,13 +2,13 @@ import dataclasses
 import json
 import math
 import re
-from collections import Counter
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import shared_oracles as oracles
 from descmatch import corpus as C
 
 THREE_DOCS = [
@@ -237,24 +237,15 @@ def corpora(draw, max_sentences=25):
     return [C.SentenceRecord(f"s{k}", f"i{k}", t) for k, t in enumerate(texts)]
 
 
-def brute_force_raw(text: str, texts: list[str]) -> float:
-    """Independent double-loop TF-IDF sum over distinct words."""
-    tokens = C.tokenize(text).tokens
-    total = 0.0
-    for word in dict.fromkeys(tokens):
-        tf = tokens.count(word) / len(tokens)
-        df = sum(1 for other in texts if word in C.tokenize(other).tokens)
-        total += tf * math.log(len(texts) / max(df, 1))
-    return total
-
-
 @settings(max_examples=50, deadline=None)
 @given(corpora())
 def test_raw_matches_brute_force(records):
     _, table = C.build_table(records)
-    texts = [r.text for r in records]
-    for r in records:
-        assert table.raw_scores[r.id] == pytest.approx(brute_force_raw(r.text, texts), abs=1e-9)
+    tokens = [C.tokenize(r.text).tokens for r in records]
+    freq = oracles.doc_freq(tokens)
+    for r, toks in zip(records, tokens):
+        assert table.raw_scores[r.id] == pytest.approx(oracles.tfidf_raw(toks, freq, len(records)),
+                                                       abs=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
@@ -284,18 +275,12 @@ def test_out_of_pool_clamp_idempotent(records, text):
 def build_table_oracle(records, pool_split="train"):
     """build_table by brute force: doc freq from a Counter over the pool's
     word sets, keyed in order of first occurrence over all records, then
-    one first-occurrence loop per sentence."""
+    ``oracles.tfidf_raw`` per sentence."""
     tokens = {r.id: C.tokenize(r.text).tokens for r in records}
     pool_ids = [r.id for r in records if r.split == pool_split]
-    m = len(pool_ids)
-    counts = Counter(w for sid in pool_ids for w in set(tokens[sid]))
+    counts = oracles.doc_freq(tokens[sid] for sid in pool_ids)
     doc_freq = {w: counts[w] for toks in tokens.values() for w in toks if counts[w]}
-    raws = {}
-    for sid, toks in tokens.items():
-        total = 0.0
-        for word in dict.fromkeys(toks):
-            total += (toks.count(word) / len(toks)) * math.log(m / max(counts[word], 1))
-        raws[sid] = total
+    raws = {sid: oracles.tfidf_raw(toks, counts, len(pool_ids)) for sid, toks in tokens.items()}
     lo, hi = min(raws[sid] for sid in pool_ids), max(raws[sid] for sid in pool_ids)
     scores = {sid: 0.5 if hi == lo else min(1.0, max(0.0, (r - lo) / (hi - lo)))
               for sid, r in raws.items()}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import shared_oracles as oracles
 from descmatch import evaluation as E
 from descmatch import geometry
 
@@ -92,17 +93,10 @@ def test_folded_recall_suite_matches_manual_folds():
     assert out["mean"]["i2t"][1] == pytest.approx(np.mean(manual), abs=1e-12)
 
 
-def nearest_candidate(point: np.ndarray, candidates: np.ndarray) -> int:
-    """Index of the Euclidean-closest candidate, the squared distance taken
-    diff-then-square; ties go to the lower index."""
-    diffs = candidates - point
-    return int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
-
-
 def test_nearest_candidate_tie_goes_low(monkeypatch):
     cands = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     point = np.array([[0.8, 0.6]])
-    assert nearest_candidate(point[0], cands) == 0
+    assert oracles.nearest_candidate(point[0], cands) == 0
     # the exact tie of 0 and 1 is re-checked and goes low
     close = np.array([[True, True, False]])
     tops = E._nearest(close, np.zeros(3, dtype=np.int64), np.arange(3), cands,
@@ -209,36 +203,6 @@ def test_d_corr_undefined_counts_as_zero():
     assert E.d_corr(imgs, txts, owners, levels) == 0.0
 
 
-def average_ranks(values):
-    """1-based ranks; equal values share the mean of their positions."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
-
-
-def dcorr_reference(imgs, txts, owners, levels):
-    """Per image: the Pearson correlation of average ranks over its texts of
-    known level, 0 when undefined."""
-    rhos = []
-    for i in range(imgs.shape[0]):
-        mine = np.flatnonzero((owners == i) & (levels >= 0))
-        x = average_ranks([int(levels[j]) for j in mine])
-        y = average_ranks([-np.linalg.norm(imgs[i] - txts[j]) for j in mine])
-        if mine.size < 2 or np.ptp(x) == 0 or np.ptp(y) == 0:
-            rhos.append(0.0)
-        else:
-            rhos.append(float(np.corrcoef(x, y)[0, 1]))
-    return 100.0 * float(np.mean(rhos))
-
-
 @st.composite
 def grouped_texts(draw):
     n_img = draw(st.integers(1, 6))
@@ -260,7 +224,7 @@ def grouped_texts(draw):
 def test_d_corr_equals_per_image_spearman(fixture):
     imgs, txts, owners, levels = fixture
     assert abs(E.d_corr(imgs, txts, owners, levels)
-               - dcorr_reference(imgs, txts, owners, levels)) <= 1e-12
+               - oracles.dcorr_reference(imgs, txts, owners, levels)) <= 1e-12
 
 
 def test_d_corr_skips_texts_of_unknown_level():
@@ -342,21 +306,6 @@ def test_evaluate_without_levels_omits_diagnostics():
     assert "folded" not in report
 
 
-def brute_recall(sims, owners, k, direction):
-    """Independent oracle with explicit stable sorting."""
-    n_img, n_txt = sims.shape
-    hits = 0
-    if direction == "i2t":
-        for i in range(n_img):
-            order = sorted(range(n_txt), key=lambda j: (-sims[i, j], j))
-            hits += any(owners[j] == i for j in order[:k])
-        return 100.0 * hits / n_img
-    for j in range(n_txt):
-        order = sorted(range(n_img), key=lambda i: (-sims[i, j], i))
-        hits += owners[j] in order[:k]
-    return 100.0 * hits / n_txt
-
-
 def test_recall_matches_brute_force_oracle():
     rng = np.random.default_rng(4)
     for _ in range(25):
@@ -367,7 +316,7 @@ def test_recall_matches_brute_force_oracle():
         sims[0, :] = np.round(sims[0, :], 1)
         for k in (1, 2, 5):
             for d in ("i2t", "t2i"):
-                assert recall_at_k(sims, owners, k, d) == brute_recall(sims, owners, k, d)
+                assert recall_at_k(sims, owners, k, d) == oracles.recall(sims, owners, k, d)
 
 
 def lexsort_recall(sims, owners, k, direction):
@@ -411,27 +360,14 @@ def test_rank_counts_equal_lexsort_path_on_ties(fixture):
                 assert suite[direction][k] == want
     t2i = E._matrix_ranks(sims, owners)[1]
     for k in (1, 3, n_img + 1):
-        want, got = {}, {}
+        got = {}
         for level in sorted(set(int(v) for v in levels if v >= 0)):
             members = np.flatnonzero(levels == level)
-            hits = sum(1 for j in members
-                       if owners[j] in E.ranked_indices(sims[:, j])[:k])
-            want[level] = 100.0 * hits / members.size
             got[level] = 100.0 * int(np.count_nonzero(t2i[members] < k)) / members.size
+        want = oracles.per_level_recall(sims, owners, levels, k)
         assert got == want
         if k == 1:
             assert E.per_level_recall(sims, owners, levels) == want
-
-
-def station_walk(image, cands, root, n_points):
-    """The per-station path: one nearest_candidate call per station."""
-    start = cands[nearest_candidate(image, cands)]
-    seen = []
-    for t in np.linspace(0.0, 1.0, n_points):
-        idx = nearest_candidate((1.0 - t) * start + t * root, cands)
-        if idx not in seen:
-            seen.append(idx)
-    return seen
 
 
 def first_seen(tops):
@@ -486,7 +422,7 @@ def test_traversal_equals_station_walk(dim):
     # equidistant from every station up to rounding
     mirrored = []
     for image in imgs:
-        start = cands[nearest_candidate(image, cands)]
+        start = cands[oracles.nearest_candidate(image, cands)]
         centre = geometry.l2_normalize(25.0 * start + 24.0 * root)[0]
         off = orthogonal_offset(rng, start, root, 0.005)
         mirrored += list(geometry.l2_normalize(np.stack([centre + off, centre - off])))
@@ -495,7 +431,7 @@ def test_traversal_equals_station_walk(dim):
     cands = np.vstack([cands, mirrored, root])
     imgs = np.vstack([imgs, root])
     for n_points in (2, 50):
-        walks = [station_walk(image, cands, root, n_points) for image in imgs]
+        walks = [oracles.traversal(image, cands, root, n_points) for image in imgs]
         for image, want in zip(imgs, walks):
             assert E.hierarchical_traverse(image, cands, root, n_points) == want
         assert first_seen(E._traverse(imgs, cands, root, n_points)) == walks
@@ -508,7 +444,7 @@ def test_traversal_equals_station_walk(dim):
     for start, flat in zip(*flat_line_walks(rng, root, 100)):
         group = np.vstack([flat, start, flat, root, flat])
         for n_points in (51, 2):
-            walks = [station_walk(image, group, root, n_points) for image in (start, root)]
+            walks = [oracles.traversal(image, group, root, n_points) for image in (start, root)]
             assert first_seen(E._traverse(np.vstack([start, root]), group, root,
                                           n_points)) == walks
             won += 0 in walks[0]
@@ -557,7 +493,7 @@ def test_traversal_equals_station_walk_on_grids(dim, n_cand, n_img, n_points, se
     rng = np.random.default_rng(seed)
     cands, imgs = dyadic_units(rng, n_cand, dim), dyadic_units(rng, n_img, dim)
     root = dyadic_units(rng, 1, dim)[0]
-    walks = [station_walk(image, cands, root, n_points) for image in imgs]
+    walks = [oracles.traversal(image, cands, root, n_points) for image in imgs]
     saved = E._BLOCK_ENTRIES
     # start-pass blocks of 5 to 64 images and walk chunks of 7 to 32
     # survivors, so that many draws split both
@@ -573,16 +509,9 @@ def test_traversal_equals_station_walk_on_grids(dim, n_cand, n_img, n_points, se
 def test_hierarchical_report_equals_per_walk_sets(fixture, n_points):
     # ragged ownership and repeated texts: walks revisit tied duplicates
     imgs, txts, owners, _ = fixture
-    root = E.centroid_root(txts)
-    precisions, recalls = [], []
-    for i, image in enumerate(imgs):
-        relevant = np.flatnonzero(owners == i).tolist()
-        p, r = E.set_precision_recall(station_walk(image, txts, root, n_points), relevant)
-        precisions.append(p)
-        recalls.append(r)
+    precision, recall = oracles.traversal_pr(imgs, txts, owners, E.centroid_root(txts), n_points)
     report = E.hierarchical_report(imgs, txts, owners, n_points)
-    assert report == {"precision": float(np.mean(precisions)),
-                      "recall": float(np.mean(recalls)), "n_points": n_points}
+    assert report == {"precision": precision, "recall": recall, "n_points": n_points}
 
 
 def nudged(fixed, row, want):
@@ -714,6 +643,42 @@ def test_evaluate_requests_at_most_one_row_block(monkeypatch):
     monkeypatch.undo()
     sims = geometry.sim_matrix(imgs, txts)
     assert report["recall"] == E.recall_suite(sims, owners)
+
+
+def test_screen_decides_every_entry_outside_its_window(monkeypatch):
+    """The exact re-check sees only what the screen cannot decide: on a
+    matrix of distinct values 1/70 apart no entry, and on well-separated
+    unit embeddings no pair beyond the targets that exact_ranks takes from
+    pair_sims anyway."""
+    rechecked = []
+    count_ranks = E._count_ranks
+
+    def spy(n_img, owners, owned, blocks, exact, *args, **kwargs):
+        def counted(rows, cols):
+            rechecked.append(len(rows))
+            return exact(rows, cols)
+        return count_ranks(n_img, owners, owned, blocks, counted, *args, **kwargs)
+
+    monkeypatch.setattr(E, "_count_ranks", spy)
+    sims = (np.random.default_rng(13).permutation(140).reshape(7, 20) - 70) / 70.0
+    owners = np.arange(20) % 7
+    assert [r.tolist() for r in E._matrix_ranks(sims, owners)] == [
+        r.tolist() for r in oracles.stable_ranks(sims, owners)]
+    assert sum(rechecked) == 0
+    monkeypatch.undo()
+    rng = np.random.default_rng(14)
+    imgs = geometry.l2_normalize(rng.normal(size=(30, 16)))
+    owners = np.repeat(np.arange(30), 4)
+    txts = geometry.l2_normalize(imgs[owners] + 0.3 * rng.normal(size=(120, 16)))
+    pairs, pair_sims = [], geometry.pair_sims
+
+    def counting(images, texts, rows, cols):
+        pairs.append(len(rows))
+        return pair_sims(images, texts, rows, cols)
+
+    monkeypatch.setattr(geometry, "pair_sims", counting)
+    E.exact_ranks(imgs, txts, owners)
+    assert pairs == [120]
 
 
 def sphere_fixture():

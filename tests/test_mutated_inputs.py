@@ -22,6 +22,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import shared_oracles as oracles
 from descmatch import cli
 
 REPLACEMENTS = (None, True, 1.5, "x", [], {})
@@ -77,17 +78,12 @@ def mutated(draw, value, top=True):
     return draw(st.sampled_from(REPLACEMENTS))
 
 
-def _header_end(blob: bytes) -> int:
-    return 16 + int.from_bytes(blob[8:16], "little")
-
-
 def _replace_value(draw, target: str, data: bytes) -> bytes:
     if target in ("corpus", "table"):
         lines = [json.loads(line) for line in data.decode().splitlines()]
         return "".join(json.dumps(obj) + "\n" for obj in draw(mutated(lines))).encode()
     if target == "checkpoint":
-        header = json.dumps(draw(mutated(json.loads(data[16:_header_end(data)])))).encode()
-        return data[:8] + len(header).to_bytes(8, "little") + header + data[_header_end(data):]
+        return oracles.with_header(data, lambda header: draw(mutated(header)))
     return json.dumps(draw(mutated(json.loads(data)))).encode()
 
 
@@ -138,9 +134,7 @@ def _one_image(corpus: bytes) -> bytes:
 
 def _no_config(checkpoint: bytes) -> bytes:
     """The checkpoint with an empty training config in its header."""
-    header = json.dumps({**json.loads(checkpoint[16:_header_end(checkpoint)]), "config": {}})
-    return (checkpoint[:8] + len(header).to_bytes(8, "little") + header.encode()
-            + checkpoint[_header_end(checkpoint):])
+    return oracles.with_header(checkpoint, lambda header: {**header, "config": {}})
 
 
 # (command, damaged file, damage, config changes, text the message must hold)

@@ -1,54 +1,19 @@
 """Batch structures derived from text ownership, checked against the
-dict-based groupings they replaced, which live on here as oracles."""
+dict-based groupings they replaced, which live on as shared_oracles.py's
+epoch_plan and same_image_pairs."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import shared_oracles as oracles
 from descmatch import losses, trainer
-
-
-def oracle_epoch_plan(rng, dataset, batch_size):
-    texts_of: dict[int, list[int]] = {}
-    for j, owner in enumerate(dataset.image_of_text):
-        texts_of.setdefault(int(owner), []).append(j)
-    order = [int(i) for i in rng.permutation(dataset.n_images) if int(i) in texts_of]
-    batches: list[tuple[list[int], list[int]]] = []
-    cur_i: list[int] = []
-    cur_t: list[int] = []
-    for gi in order:
-        cur_i.append(gi)
-        cur_t.extend(texts_of[gi])
-        if len(cur_t) >= batch_size:
-            batches.append((cur_i, cur_t))
-            cur_i, cur_t = [], []
-    if cur_i:
-        batches.append((cur_i, cur_t))
-    if len(batches) >= 2 and len(batches[-1][0]) < 2:
-        last_i, last_t = batches.pop()
-        batches[-1] = (batches[-1][0] + last_i, batches[-1][1] + last_t)
-    if not batches or len(batches[0][0]) < 2:
-        raise ValueError("dataset too small: every batch needs at least two images")
-    return batches
 
 
 def oracle_local_owners(dataset, img_idx, txt_idx):
     local = {gi: k for k, gi in enumerate(img_idx)}
     return [local[int(dataset.image_of_text[j])] for j in txt_idx]
-
-
-def oracle_same_image_pairs(image_of_text):
-    groups: dict[int, list[int]] = {}
-    for j, owner in enumerate(image_of_text):
-        groups.setdefault(int(owner), []).append(j)
-    pairs = []
-    for owner in sorted(groups):
-        members = groups[owner]
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                pairs.append((owner, members[a], members[b]))
-    return pairs
 
 
 @st.composite
@@ -89,13 +54,14 @@ def test_epoch_plan_and_batches_equal_dict_oracles(ownership, batch_size, seed):
     ds = dataset_of(*ownership)
     want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     try:
-        want = oracle_epoch_plan(want_rng, ds, batch_size)
+        want = oracles.epoch_plan(want_rng, ds, batch_size)
     except ValueError:
         with pytest.raises(ValueError, match="two images"):
             trainer.epoch_plan(got_rng, ds, batch_size)
         return
     got = trainer.epoch_plan(got_rng, ds, batch_size)
-    assert [(imgs, txts.tolist()) for imgs, txts in got] == want
+    assert [(imgs, txts.tolist()) for imgs, txts in got] == [
+        (imgs, txts.tolist()) for imgs, txts in want]
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     rows = trainer._epoch_rows(ds, got)
     assert len(rows) == len(got)
@@ -118,7 +84,7 @@ def test_same_image_rows_equal_dict_oracle(ownership):
     n_images, owners = ownership
     batch = losses.Batch(unit_rows(n_images), unit_rows(owners.size), owners,
                          np.full(owners.size, 0.5))
-    want = oracle_same_image_pairs(owners)
+    want = oracles.same_image_pairs(owners)
     assert batch.same_image.shape == (len(want), 3)
     assert [tuple(row) for row in batch.same_image.tolist()] == want
     assert batch.pair_map == [(int(owners[j]), j) for j in range(owners.size)]

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import shared_oracles as oracles
 from descmatch import corpus as C
 from descmatch import datagen, geometry, losses, trainer
 
@@ -139,29 +140,6 @@ def test_epoch_plan_rejects_single_image_dataset():
         trainer.epoch_plan(np.random.default_rng(0), ds, batch_size=4)
 
 
-def epoch_plan_per_image(rng, dataset, batch_size):
-    """epoch_plan with one loop step per shuffled image and one
-    concatenate per batch."""
-    order, bounds = geometry.texts_by_owner(dataset.image_of_text, dataset.n_images)
-    sizes = np.diff(bounds)
-    images = [int(i) for i in rng.permutation(dataset.n_images) if sizes[i]]
-    cuts, held = [0], 0
-    for k, gi in enumerate(images, start=1):
-        held += sizes[gi]
-        if held >= batch_size:
-            cuts.append(k)
-            held = 0
-    if held:
-        cuts.append(len(images))
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] < 2:
-        del cuts[-2]
-    if len(cuts) < 2 or cuts[1] < 2:
-        raise ValueError("dataset too small: every batch needs at least two images")
-    return [(images[lo:hi], np.concatenate([order[bounds[i]:bounds[i + 1]]
-                                            for i in images[lo:hi]]))
-            for lo, hi in zip(cuts, cuts[1:])]
-
-
 def _owners_dataset(owners, n_images):
     n_txt = len(owners)
     return trainer.Dataset(
@@ -184,7 +162,7 @@ def test_epoch_plan_equals_per_image_loop():
         batch_size = int(gen.integers(-1, max(2, 2 * len(owners))))
         got_rng, want_rng = np.random.default_rng(trial), np.random.default_rng(trial)
         try:
-            want = epoch_plan_per_image(want_rng, ds, batch_size)
+            want = oracles.epoch_plan(want_rng, ds, batch_size)
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
                 trainer.epoch_plan(got_rng, ds, batch_size)
