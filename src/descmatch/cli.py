@@ -259,9 +259,8 @@ def _cmd_train(cfg: dict) -> int:
 
 
 def _cmd_eval(cfg: dict) -> int:
-    for key, least in (("folds", 1), ("points", 2)):
-        if cfg[key] is not None and cfg[key] < least:
-            raise ValueError(f"--{key} must be at least {least}, got {cfg[key]}")
+    geometry.check_settings([(f"--{key}", cfg[key], cfg[key] is None or cfg[key] >= least,
+                              f"at least {least}") for key, least in (("folds", 1), ("points", 2))])
     dataset, _ = _load_splits(cfg, "none", cfg["folds"] or 1, f"--folds {cfg['folds']}")
     _, img_e, txt_e = _load_checkpoint(cfg["checkpoint"], cfg, dataset)
     report = evaluation.evaluate(img_e, txt_e, dataset.image_of_text,

@@ -52,15 +52,14 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for key, value, least in (("images", self.n_images, 2), ("dim", self.feature_dim, 2),
-                                  ("levels", self.levels, 1), ("shared_vocab", self.shared_vocab, 1),
-                                  # each level's stratum needs a word of its own
-                                  ("rare_vocab", self.rare_vocab, self.levels),
-                                  ("noise_sigma", self.noise_sigma, 0)):
-            if not value >= least:  # NaN included
-                raise ValueError(f"{key} must be at least {least}, got {value}")
-        if not geometry.is_finite(self.noise_sigma):
-            raise ValueError(f"noise_sigma must be finite, got {self.noise_sigma}")
+        geometry.check_settings(
+            [(key, value, value >= least, f"at least {least}") for key, value, least in (
+                ("images", self.n_images, 2), ("dim", self.feature_dim, 2),
+                ("levels", self.levels, 1), ("shared_vocab", self.shared_vocab, 1),
+                # each level's stratum needs a word of its own
+                ("rare_vocab", self.rare_vocab, self.levels),
+                ("noise_sigma", self.noise_sigma, 0), ("seed", self.seed, 0))]
+            + [("noise_sigma", self.noise_sigma, geometry.is_finite(self.noise_sigma), "finite")])
 
 
 def _strata(spec: SynthSpec) -> list[list[str]]:

@@ -45,6 +45,16 @@ def is_finite(value) -> bool:
         return False
 
 
+def check_settings(rows) -> None:
+    """The one bounds check of every setting: rows of (name, value, ok,
+    kind), checked in order.  Raises ValueError("<name> must be <kind>, got
+    <value>") at the first row whose ok is false; an ok written as
+    ``value > 0`` or ``value >= least`` is false for NaN too."""
+    for name, value, ok, kind in rows:
+        if not ok:
+            raise ValueError(f"{name} must be {kind}, got {value}")
+
+
 def l2_normalize(matrix: np.ndarray) -> np.ndarray:
     """Divide each row by its L2 norm.  Raises naming the first row whose
     norm falls below the representable floor."""

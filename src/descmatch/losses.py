@@ -46,16 +46,14 @@ class LossConfig:
     use_hardest_mining: bool = True
 
     def __post_init__(self):
-        for key, value, ok, kind in (("tau", self.tau, self.tau > 0, "positive"),
-                                     ("lambda", self.lam, self.lam >= 0, "non-negative"),
-                                     ("eps_delta", self.eps_delta, self.eps_delta > 0, "positive"),
-                                     ("eps_dist", self.eps_dist, self.eps_dist > 0, "positive")):
-            if not ok:
-                raise ValueError(f"{key} must be {kind}, got {value}")
-        for key, value in (("alpha", self.alpha), ("tau", self.tau), ("lambda", self.lam),
-                           ("eps_delta", self.eps_delta), ("eps_dist", self.eps_dist)):
-            if not geometry.is_finite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
+        geometry.check_settings(
+            [("tau", self.tau, self.tau > 0, "positive"),
+             ("lambda", self.lam, self.lam >= 0, "non-negative"),
+             ("eps_delta", self.eps_delta, self.eps_delta > 0, "positive"),
+             ("eps_dist", self.eps_dist, self.eps_dist > 0, "positive")]
+            + [(key, value, geometry.is_finite(value), "finite")
+               for key, value in (("alpha", self.alpha), ("tau", self.tau), ("lambda", self.lam),
+                                  ("eps_delta", self.eps_delta), ("eps_dist", self.eps_dist))])
 
 
 _Ownership = collections.namedtuple(
@@ -368,8 +366,7 @@ def finite_diff_grad(loss_fn, batch: Batch, h: float = 1e-5) -> tuple[np.ndarray
     Perturbations are applied directly to the stored embeddings, without
     re-normalization, matching the domain of the analytic gradients.
     """
-    if h <= 0:
-        raise ValueError("step must be positive")
+    geometry.check_settings([("step", h, h > 0, "positive")])
     grads = []
     for embs in (batch.image_embs, batch.text_embs):
         grad = np.zeros_like(embs)
@@ -448,15 +445,18 @@ def run_gradcheck(seed: int = 0, trials: int = 20, h: float = 1e-5,
     """Compare analytic gradients against central differences on random
     8-image, 16-text batches of dimension 16, skipping kink-adjacent draws.
 
-    Returns {"passed", "trials": [per-trial records]}.  A ``trials`` below
-    1 and an ``h`` (the CLI's ``step``) or ``tol`` that is not positive
-    raise ValueError before any batch is drawn: no audit passes a
-    ``tol`` of 0 or below.
+    Returns {"passed", "trials": [per-trial records]}.  A negative
+    ``seed``, a ``trials`` below 1, and an ``h`` (the CLI's ``step``) or
+    ``tol`` that is not positive and finite raise ValueError before any
+    batch is drawn: no audit passes a ``tol`` of 0 or below, and none
+    fails one of inf.
     """
-    for key, value, ok, kind in (("trials", trials, trials >= 1, "at least 1"),
-                                 ("step", h, h > 0, "positive"), ("tol", tol, tol > 0, "positive")):
-        if not ok:
-            raise ValueError(f"{key} must be {kind}, got {value}")
+    geometry.check_settings([("seed", seed, seed >= 0, "at least 0"),
+                             ("trials", trials, trials >= 1, "at least 1"),
+                             ("step", h, h > 0, "positive"),
+                             ("step", h, geometry.is_finite(h), "finite"),
+                             ("tol", tol, tol > 0, "positive"),
+                             ("tol", tol, geometry.is_finite(tol), "finite")])
     rng = np.random.default_rng(seed)
     base = LossConfig()
     records = []

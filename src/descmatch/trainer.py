@@ -87,18 +87,15 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        for name, least in (("embed_dim", 1), ("batch_size", 2), ("epochs", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if not self.lr > 0:  # NaN included
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        for name in ("lr", "weight_decay", "decay_factor", "beta1", "beta2", "adam_eps"):
-            if not geometry.is_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.decay_factor <= 0:
-            raise ValueError(f"decay_factor must be positive, got {self.decay_factor}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        geometry.check_settings(
+            [(name, getattr(self, name), getattr(self, name) >= least, f"at least {least}")
+             for name, least in (("embed_dim", 1), ("batch_size", 2), ("epochs", 1),
+                                 ("warmup_epochs", 0), ("decay_epoch", 0), ("seed", 0))]
+            + [("lr", self.lr, self.lr > 0, "positive")]
+            + [(name, getattr(self, name), geometry.is_finite(getattr(self, name)), "finite")
+               for name in ("lr", "weight_decay", "decay_factor", "beta1", "beta2", "adam_eps")]
+            + [("decay_factor", self.decay_factor, self.decay_factor > 0, "positive"),
+               ("weight_decay", self.weight_decay, self.weight_decay >= 0, "non-negative")])
         if self.variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
 
@@ -356,26 +353,27 @@ def adamw_step(params: dict, state: dict, lr: float, config: TrainConfig) -> Non
 def epoch_plan(rng: np.random.Generator, dataset: Dataset,
                batch_size: int) -> list[tuple[list[int], np.ndarray]]:
     """Shuffle images and pack whole images until a batch holds at least
-    batch_size texts.  Images keep all their texts together, each image's
-    in ascending index, so same-image pairs for the ordering loss are
-    never split.  A trailing single-image batch is merged into its
-    predecessor: mining needs two images.
+    batch_size texts and at least two images: mining needs two.  Images
+    keep all their texts together, each image's in ascending index, so
+    same-image pairs for the ordering loss are never split.  A trailing
+    single-image batch is merged into its predecessor.
     """
     order, bounds = geometry.texts_by_owner(dataset.image_of_text, dataset.n_images)
     sizes = np.diff(bounds)
     images = rng.permutation(dataset.n_images)
     images = images[sizes[images] > 0]
+    if len(images) < 2:
+        raise ValueError("dataset too small: fewer than two images own texts")
     # held[k]: texts of the first k shuffled images; a batch that starts
-    # after image lo ends at the first image where it holds batch_size texts
+    # after image lo ends at the first image where it holds batch_size
+    # texts, or at its second image if that comes later
     held = np.concatenate([[0], np.cumsum(sizes[images])])
     cuts = [0]
     while cuts[-1] < len(images):
-        cuts.append(min(int(np.searchsorted(held, held[cuts[-1]] + max(batch_size, 1))),
-                        len(images)))
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] < 2:
+        end = int(np.searchsorted(held, held[cuts[-1]] + batch_size))
+        cuts.append(min(max(end, cuts[-1] + 2), len(images)))
+    if cuts[-1] - cuts[-2] < 2:
         del cuts[-2]
-    if len(cuts) < 2 or cuts[1] < 2:
-        raise ValueError("dataset too small: every batch needs at least two images")
     # every image's texts in shuffled order, each image's ascending
     texts = order[np.arange(held[-1]) + np.repeat(bounds[images] - held[:-1], sizes[images])]
     images = images.tolist()

@@ -92,10 +92,11 @@ def epoch_plan(rng, dataset, batch_size):
     """One epoch's batches: [(images, texts)], texts an int64 array.  The
     images are taken in the order of ``rng.permutation(n_images)``, those
     owning no text dropped, and packed whole, each with its texts in
-    ascending index, until a batch holds at least batch_size texts.  A
-    trailing batch of one image joins the batch before it; a plan whose
-    first batch has fewer than two images raises ValueError("dataset too
-    small: every batch needs at least two images")."""
+    ascending index, until a batch holds at least batch_size texts and at
+    least two images.  A trailing batch of one image joins the batch before
+    it.  When fewer than two images own texts, no batch can hold two: the
+    plan raises ValueError("dataset too small: fewer than two images own
+    texts")."""
     texts_of = _texts_of(dataset.image_of_text)
     batches: list[tuple[list[int], list[int]]] = []
     cur_i: list[int] = []
@@ -105,7 +106,7 @@ def epoch_plan(rng, dataset, batch_size):
             continue
         cur_i.append(image)
         cur_t.extend(texts_of[image])
-        if len(cur_t) >= batch_size:
+        if len(cur_t) >= batch_size and len(cur_i) >= 2:
             batches.append((cur_i, cur_t))
             cur_i, cur_t = [], []
     if cur_i:
@@ -114,7 +115,7 @@ def epoch_plan(rng, dataset, batch_size):
         last_i, last_t = batches.pop()
         batches[-1] = (batches[-1][0] + last_i, batches[-1][1] + last_t)
     if not batches or len(batches[0][0]) < 2:
-        raise ValueError("dataset too small: every batch needs at least two images")
+        raise ValueError("dataset too small: fewer than two images own texts")
     return [(imgs, np.array(txts, dtype=np.int64)) for imgs, txts in batches]
 
 

@@ -261,10 +261,19 @@ def test_eval_checks_folds_and_points_first(tmp_path, capsys, key, value, want, 
     ("gradcheck", {"tol": 0}, "tol must be positive, got 0.0"),
     ("gradcheck", {"tol": -1e-4}, "tol must be positive, got -0.0001"),
     ("gradcheck", {"step": 0}, "step must be positive, got 0.0"),
+    ("train", {"warmup_epochs": -2}, "warmup_epochs must be at least 0, got -2"),
+    ("train", {"decay_epoch": -1}, "decay_epoch must be at least 0, got -1"),
+    ("train", {"seed": -3}, "seed must be at least 0, got -3"),
+    ("synth", {"seed": -1}, "seed must be at least 0, got -1"),
+    ("gradcheck", {"seed": -1}, "seed must be at least 0, got -1"),
+    ("gradcheck", {"tol": math.inf}, "tol must be finite, got inf"),
+    ("gradcheck", {"step": math.inf}, "step must be finite, got inf"),
 ], ids=["lambda", "tau", "nan-tau", "nan-lr", "inf-lr", "nan-weight-decay", "inf-weight-decay",
         "nan-decay-factor", "negative-decay-factor", "negative-weight-decay", "nan-alpha", "inf-lambda", "images", "dim", "rare-vocab",
         "noise-sigma", "nan-noise-sigma", "inf-noise-sigma", "trials", "tol-zero",
-        "tol-negative", "step"])
+        "tol-negative", "step", "negative-warmup-epochs", "negative-decay-epoch",
+        "negative-train-seed", "negative-synth-seed", "negative-gradcheck-seed", "inf-tol",
+        "inf-step"])
 @pytest.mark.parametrize("route", ["flag", "config"])
 def test_settings_messages_name_the_option_and_value(tmp_path, capsys, command, values, want,
                                                      route):
@@ -302,6 +311,33 @@ def _data_flags(synth_dir):
             "--table", str(synth_dir / "table.jsonl"),
             "--image-features", str(synth_dir / "images.manifest.json"),
             "--text-features", str(synth_dir / "texts.manifest.json")]
+
+
+@pytest.fixture(scope="module")
+def ragged_dir(tmp_path_factory):
+    """A 20-image synth whose every other image lost its last caption,
+    rescored: images of four and of three texts."""
+    out = tmp_path_factory.mktemp("ragged")
+    assert cli.main(["synth", "--out", str(out), "--images", "20", "--seed", "0"]) == 0
+    records = [json.loads(line) for line in (out / "corpus.jsonl").read_text().splitlines()]
+    images = list(dict.fromkeys(r["image_id"] for r in records))
+    last = {r["image_id"]: r["id"] for r in records}
+    cut = {last[i] for i in images[::2]}
+    (out / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records
+                                              if r["id"] not in cut))
+    assert cli.main(["score", "--corpus", str(out / "corpus.jsonl"),
+                     "--out", str(out / "table.jsonl")]) == 0
+    return out
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_train_packs_two_images_into_every_batch(ragged_dir, tmp_path, capsys, seed):
+    """A batch size that one image's texts reach alone still trains: every
+    batch takes a second image, so mining finds a negative for each pair."""
+    assert cli.main(["train", *_data_flags(ragged_dir), "--out", str(tmp_path / "run"),
+                     "--batch-size", "4", "--epochs", "3", "--embed-dim", "8",
+                     "--seed", seed]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.fixture(scope="module")
@@ -499,6 +535,7 @@ def test_train_val_split_faults_name_the_file(synth_dir, val_dir, tmp_path, caps
     ("--batch-size", "1", "batch_size must be at least 2, got 1"),
     ("--embed-dim", "0", "embed_dim must be at least 1, got 0"),
     ("--lr", "0", "lr must be positive, got 0.0"),
+    ("--seed", "-1", "seed must be at least 0, got -1"),
 ])
 def test_train_rejects_bad_recipe_before_reading(synth_dir, tmp_path, capsys, flag, value, want):
     """A recipe TrainConfig rejects exits 2 naming the field and its value,

@@ -175,6 +175,25 @@ def test_epoch_plan_equals_per_image_loop():
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("batch_size", [2, 3, 4, 5])
+def test_every_batch_holds_two_images_on_ragged_data(batch_size):
+    """Images of four and of three texts, so that one image can fill a
+    batch alone: over 10 epochs of one shuffle generator, every batch still
+    holds at least two images, the batches partition the texts, and the
+    plans equal the per-image oracle's."""
+    n_images = 20
+    owners = np.repeat(np.arange(n_images), np.tile([4, 3], n_images // 2))
+    ds = _owners_dataset(owners, n_images)
+    got_rng, want_rng = np.random.default_rng([0, 3]), np.random.default_rng([0, 3])
+    for _ in range(10):
+        got = trainer.epoch_plan(got_rng, ds, batch_size)
+        want = oracles.epoch_plan(want_rng, ds, batch_size)
+        assert [(imgs, txts.tolist()) for imgs, txts in got] == [
+            (imgs, txts.tolist()) for imgs, txts in want]
+        assert all(len(imgs) >= 2 for imgs, _ in got)
+        assert sorted(j for _, txts in got for j in txts) == list(range(ds.n_texts))
+
+
 def test_train_smoke_and_warmup_schedule():
     ds = tiny_dataset()
     cfg = trainer.TrainConfig(embed_dim=5, batch_size=8, epochs=4, lr=1e-3,
@@ -240,7 +259,8 @@ def test_diverged_run_names_the_epoch_and_batch(batch_size, where):
     (lambda: losses.LossConfig(tau=10 ** 400), "tau"),
     (lambda: losses.LossConfig(alpha=10 ** 400), "alpha"),
     (lambda: datagen.SynthSpec(noise_sigma=10 ** 400), "noise_sigma"),
-], ids=["lr", "weight_decay", "tau", "alpha", "noise_sigma"])
+    (lambda: losses.run_gradcheck(tol=10 ** 400), "tol"),
+], ids=["lr", "weight_decay", "tau", "alpha", "noise_sigma", "tol"])
 def test_settings_reject_an_integer_too_large_for_a_float(make, key):
     with pytest.raises(ValueError, match=rf"^{key} must be finite, got -?10{{400}}$"):
         make()
