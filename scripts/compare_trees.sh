@@ -166,6 +166,15 @@ gates=(
             --image-features "$p1k/data/images.manifest.json" \
             --text-features "$p1k/data/texts.manifest.json" \
             --checkpoint "$p1k/run/checkpoint.bin" --folds 5 --out "$out"'
+    # the same checkpoint on that corpus with its lines shuffled: texts
+    # interleaved across images, so the rank count gathers them into owner
+    # order, and 3 uneven folds of 334, 333 and 333 images
+    'folds-interleaved | base head | | report.json distance_by_level.csv
+        | shuffle_lines "$p1k/data/corpus.jsonl" "$out/corpus.jsonl"; \
+          dm eval --corpus "$out/corpus.jsonl" --table "$p1k/data/table.jsonl" \
+            --image-features "$p1k/data/images.manifest.json" \
+            --text-features "$p1k/data/texts.manifest.json" \
+            --checkpoint "$p1k/run/checkpoint.bin" --folds 3 --out "$out"'
     # the pipeline's 200 images have neither 5-digit image ids nor a word
     # pool of size 1, so synth also runs at the score-load scale, at a
     # non-default spec, and with 5-digit ids, one-word strata and a sentence
@@ -215,6 +224,18 @@ gates=(
 )
 
 dm() { python -m descmatch.cli "$@"; }
+
+# the lines of file $1 written to $2 in a fixed shuffled order
+shuffle_lines() {
+    python - "$1" "$2" <<'EOF'
+import random, sys
+from pathlib import Path
+
+lines = Path(sys.argv[1]).read_text(encoding="utf-8").splitlines(True)
+random.Random(0).shuffle(lines)
+Path(sys.argv[2]).write_text("".join(lines), encoding="utf-8")
+EOF
+}
 
 for row in "${gates[@]}"; do
     IFS='|' read -r -d '' name trees ref files cmd <<< "$row" || true

@@ -17,17 +17,20 @@ The ranks of embeddings are those of ``geometry.sim_matrix``, bit for bit,
 but that matrix is never formed: ``exact_ranks`` streams blocks of image
 rows through a BLAS gemm that only screens, and every value that decides a
 rank (a target, an entry within the proven gemm error of one) comes from
-the fixed-order kernel.  A given matrix goes through the same count with
-a zero error bound, so there is one rank routine.
+the fixed-order kernel.  The same pass counts each query's rank within
+its fold of the folded protocol (``folded_recall_suite``, ``evaluate``'s
+n_folds), so the folds take no screen of their own.  A given matrix goes
+through the same count with a zero error bound, so there is one rank
+routine.
 
 Norm contract: every embedding row that ``exact_ranks`` and the
 traversal take (image, text, candidate and root) has norm 1 within
 ``geometry.UNIT_TOL`` = 1e-3, and d < 2^20; anything else raises
 ValueError naming the row (``geometry.check_unit_rows``).  The screens
-(the gemms of ``exact_ranks`` and of the traversal, and the masks taken
-from them) run in float32, each slack's proof counting the rounding of
-the float64 inputs to it, and every decision (a rank, a start, a top-1)
-is taken in float64.
+(the gemms of ``exact_ranks`` and of the traversal, the traversal's walk
+screen, and the masks taken from them) run in float32, each slack's
+proof counting the rounding of the float64 inputs to it, and every
+decision (a rank, a start, a top-1) is taken in float64.
 
 Split contract: the paper defines its metrics on complete splits, and
 every entry point takes one: at least one image, each text's owner an
@@ -118,9 +121,11 @@ def _window(values: np.ndarray, slack, clip: bool,
 
 
 def _count(mask: np.ndarray, axis: int) -> np.ndarray:
-    """True entries along an axis: the bytes summed into int32, the fast
-    accumulator (no block axis nears 2^31 entries)."""
-    return np.add.reduce(mask.view(np.uint8), axis=axis, dtype=np.int32)
+    """True entries along an axis, as int64: the bytes summed in the
+    narrowest integer type that cannot overflow, the fast accumulator."""
+    n = mask.shape[axis]
+    acc = np.uint8 if n < 1 << 8 else np.uint16 if n < 1 << 16 else np.int64
+    return np.add.reduce(mask.view(np.uint8), axis=axis, dtype=acc).astype(np.int64)
 
 
 def _inside(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -128,23 +133,21 @@ def _inside(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return ~((block > hi) | (block < lo))
 
 
-def _screen(block: np.ndarray, lo: np.ndarray, hi: np.ndarray, axis: int):
-    """Per query along axis: the entries above its window, and the number
-    inside it (lo <= hi, so no entry is both above and below)."""
-    above = _count(block > hi, axis)
-    return above, block.shape[axis] - above - _count(block < lo, axis)
-
-
-def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, blocks, exact,
-                 row_slack=0.0, col_slack=0.0, clip: bool = False,
+def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, screens, exact,
+                 folds: list, row_slack=0.0, col_slack=0.0, clip: bool = False,
                  dtype: np.dtype = np.dtype(np.float64)):
-    """(i2t, t2i) ranks, as the module docstring defines them, of the exact
-    matrix E that ``blocks`` screens.
+    """The (i2t, t2i) ranks, as the module docstring defines them, of the
+    exact matrix E that ``screens`` screens, and those of each of its
+    folds, the (first, stop) image ranges that cover its rows in order, a
+    fold's images ranked against the texts they own, in one pass:
+    ((i2t, t2i), (fold i2t, fold t2i)), each array in image or text order.
 
     owners are those of a complete split (``_split``) and owned[j] is
-    E[owners[j], j]; ``blocks`` yields (first row, screen rows) in row
-    order, covering every row once; ``exact(rows, cols)`` returns E at
-    those entries.  The blocks are of dtype, and every screen entry g
+    E[owners[j], j].  The texts are taken in owner order, one stable
+    gather: ``screens(order, spans)`` yields, for each (start, stop) of
+    spans, the screen of image rows start:stop with the matrix's columns
+    taken in that order; ``exact(rows, cols)`` returns E at those entries,
+    in text indices.  The screens are of dtype, and every screen entry g
     stays within row_slack[i] of E[i, j] (and within col_slack[j]), after
     the clamp into [-1, 1] when clip is set; NaN entries are allowed.  An
     entry outside its query's ``_window`` is strictly above or below the
@@ -153,42 +156,72 @@ def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, blocks, exac
     ``exact``.  The target always lies inside its own window, so a query
     whose window holds no other entry of the block needs no re-check.
     A matrix is its own screen with zero slack (``_matrix_ranks``).
+
+    Each span lies inside one fold, whose texts are one run of columns, so
+    every count of a query splits into the part inside its own fold and
+    the part outside: a fold rank is the first, a full rank the sum.  A
+    fold's own screen would take slacks from its own norms; the slacks
+    here hold for every entry of the matrix, so they hold for every fold,
+    and only more entries are re-checked.
     """
     n_txt = owners.size
-    # by owner, then descending similarity, then text index: each image's
-    # best text heads its group, and every image has a group
-    texts = np.lexsort((np.arange(n_txt), -owned, owners))
+    order, bounds = geometry.texts_by_owner(owners, n_img)
+    # by owner, then descending similarity (NaN last), then text index, in
+    # two stable sorts: each image's best text heads its group, and every
+    # image has a group
+    texts = np.argsort(-owned, kind="stable")
+    texts = texts[np.argsort(owners[texts], kind="stable")]
     best = texts[np.diff(owners[texts], prepend=-1) != 0]
     target = owned[best]
-    lo_t, hi_t = _window(owned, col_slack, clip, dtype)
+    lo_t, hi_t = (w[order] for w in _window(owned, col_slack, clip, dtype))
     lo_i, hi_i = _window(target, row_slack, clip, dtype)
-    t2i = np.zeros(n_txt, dtype=np.int64)
-    i2t = np.zeros(n_img, dtype=np.int64)
-    for start, block in blocks:
-        stop = start + block.shape[0]
+    owners, owned = owners[order], owned[order]
+    step = max(1, _BLOCK_ENTRIES // max(1, n_txt))
+    spans = [(start, min(start + step, stop)) for first, stop in folds
+             for start in range(first, stop, step)]
+    # the run of columns that holds each span's fold
+    runs = [slice(bounds[first], bounds[stop]) for first, stop in folds
+            for _ in range(first, stop, step)]
+    t2i, fold_t2i = np.zeros(n_txt, dtype=np.int64), np.zeros(n_txt, dtype=np.int64)
+    i2t, fold_i2t = np.zeros(n_img, dtype=np.int64), np.zeros(n_img, dtype=np.int64)
+    for (start, stop), fold, block in zip(spans, runs, screens(order, spans)):
+        # the columns of the texts the block's rows own
+        own = slice(bounds[start], bounds[stop])
         # text queries: the columns of the block
-        above, inside = _screen(block, lo_t, hi_t, 0)
-        t2i += above
-        inside -= (owners >= start) & (owners < stop)
+        above = _count(block > hi_t, 0)
+        inside = block.shape[0] - above - _count(block < lo_t, 0)
+        inside[own] -= 1
         cols = np.flatnonzero(inside)
         if cols.size:
             r, k = _nonzero(_inside(block[:, cols], lo_t[cols], hi_t[cols]))
             r, k = start + r, cols[k]
-            e = exact(r, k)
+            e = exact(r, order[k])
             ahead = (e > owned[k]) | ((e == owned[k]) & (r < owners[k]))
-            t2i += np.bincount(k[ahead], minlength=n_txt)
+            above += np.bincount(k[ahead], minlength=n_txt)
+        t2i += above
+        fold_t2i[fold] += above[fold]
         # image queries: the rows of the block
         lo_r, hi_r = lo_i[start:stop, None], hi_i[start:stop, None]
-        i2t[start:stop], inside = _screen(block, lo_r, hi_r, 1)
-        inside -= 1
+        # inside its fold and outside, counted over slices: np.add.reduceat
+        # would first cast the whole mask into the accumulator type
+        above = block > hi_r
+        mine = _count(above[:, fold], 1)
+        other = _count(above[:, :fold.start], 1) + _count(above[:, fold.stop:], 1)
+        inside = n_txt - mine - other - _count(block < lo_r, 1) - 1
         rows = np.flatnonzero(inside)
         if rows.size:
             r, k = _nonzero(_inside(block[rows], lo_r[rows], hi_r[rows]))
-            r = start + rows[r]
-            e = exact(r, k)
-            ahead = (e > target[r]) | ((e == target[r]) & (k < best[r]))
-            i2t += np.bincount(r[ahead], minlength=n_img)
-    return i2t, t2i
+            r, text = rows[r], order[k]
+            e, want = exact(start + r, text), target[start + r]
+            ahead = (e > want) | ((e == want) & (text < best[start + r]))
+            held = (k >= fold.start) & (k < fold.stop)
+            mine += np.bincount(r[ahead & held], minlength=stop - start)
+            other += np.bincount(r[ahead & ~held], minlength=stop - start)
+        fold_i2t[start:stop] = mine
+        i2t[start:stop] = mine + other
+    # back from owner order to text order
+    t2i[order], fold_t2i[order] = t2i.copy(), fold_t2i.copy()
+    return (i2t, t2i), (fold_i2t, fold_t2i)
 
 
 def _matrix_ranks(sims: np.ndarray, image_of_text: np.ndarray):
@@ -197,9 +230,9 @@ def _matrix_ranks(sims: np.ndarray, image_of_text: np.ndarray):
     n_img, n_txt = sims.shape
     owners = _split(n_img, image_of_text, n_txt)
     owned = sims[owners, np.arange(n_txt)]
-    step = max(1, _BLOCK_ENTRIES // max(1, n_txt))
-    blocks = ((start, sims[start:start + step]) for start in range(0, n_img, step))
-    return _count_ranks(n_img, owners, owned, blocks, lambda r, c: sims[r, c])
+    return _count_ranks(n_img, owners, owned,
+                        lambda order, spans: (sims[start:stop, order] for start, stop in spans),
+                        lambda r, c: sims[r, c], [(0, n_img)])[0]
 
 
 def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
@@ -242,12 +275,22 @@ def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
     (sqrt(d) (|a| + |b|) + 2d) < 2^-122 d |a| |b|, far under the margin
     k - c >= (d+2) u / 2.
     Targets come from ``pair_sims``: the owned pair of each text, and
-    each image's best owned text.
+    each image's best owned text.  This is the one-fold case of
+    ``_screened_ranks``.
     """
+    return _screened_ranks(image_embs, text_embs, image_of_text, 1)[0]
+
+
+def _screened_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
+                    image_of_text: np.ndarray, n_folds: int):
+    """((i2t, t2i), (fold i2t, fold t2i)): the ranks of ``exact_ranks``
+    and those of its n_folds ``fold_slices`` folds, from one pass of its
+    screen (``_count_ranks``)."""
     images = np.atleast_2d(np.asarray(image_embs, dtype=np.float64))
     texts = np.atleast_2d(np.asarray(text_embs, dtype=np.float64))
     (n_img, dim), n_txt = images.shape, texts.shape[0]
     owners = _split(n_img, image_of_text, n_txt)
+    folds = fold_slices(n_img, n_folds)
     # pair_sims checks the dimensions before any gemm
     owned = geometry.pair_sims(images, texts, owners, np.arange(n_txt))
     img_norms, txt_norms = _screen_norms("image", images), _screen_norms("text", texts)
@@ -255,13 +298,15 @@ def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
     row_slack = unit * img_norms * txt_norms.max()
     col_slack = unit * img_norms.max() * txt_norms
     screen_images = images.astype(_SCREEN)
-    screen_texts = texts.astype(_SCREEN)
-    step = max(1, _BLOCK_ENTRIES // max(1, n_txt))
-    blocks = ((start, screen_images[start:start + step] @ screen_texts.T)
-              for start in range(0, n_img, step))
-    return _count_ranks(n_img, owners, owned, blocks,
+
+    def screens(order, spans):
+        # row-major: BLAS packs a transposed operand far more slowly
+        cols = np.ascontiguousarray(texts.astype(_SCREEN)[order].T)
+        return (screen_images[start:stop] @ cols for start, stop in spans)
+
+    return _count_ranks(n_img, owners, owned, screens,
                         lambda r, c: geometry.pair_sims(images, texts, r, c),
-                        row_slack, col_slack, clip=True, dtype=_SCREEN)
+                        folds, row_slack, col_slack, clip=True, dtype=_SCREEN)
 
 
 def _recall(ranks: np.ndarray, k: int) -> float:
@@ -309,13 +354,19 @@ def fold_slices(n_images: int, n_folds: int) -> list[tuple[int, int]]:
 def folded_recall_suite(image_embs: np.ndarray, text_embs: np.ndarray,
                         image_of_text: np.ndarray, n_folds: int = 5) -> dict:
     """Evaluate each contiguous image fold against its own texts, then
-    average the recalls and RSUM arithmetically over folds."""
+    average the recalls and RSUM arithmetically over folds.  The fold
+    ranks come from one screen pass over the whole split
+    (``_screened_ranks``)."""
     owners = _split(image_embs.shape[0], image_of_text, text_embs.shape[0])
+    return _folded(owners, _screened_ranks(image_embs, text_embs, owners, n_folds)[1], n_folds)
+
+
+def _folded(owners: np.ndarray, ranks, n_folds: int) -> dict:
+    """``folded_recall_suite``'s report from the fold (i2t, t2i) ranks."""
+    i2t, t2i = ranks
     folds = []
-    for start, stop in fold_slices(image_embs.shape[0], n_folds):
-        keep = np.flatnonzero((owners >= start) & (owners < stop))
-        suite = _suite(exact_ranks(image_embs[start:stop], text_embs[keep],
-                                   owners[keep] - start))
+    for start, stop in fold_slices(i2t.size, n_folds):
+        suite = _suite((i2t[start:stop], t2i[(owners >= start) & (owners < stop)]))
         suite["rsum"] = _suite_rsum(suite)
         folds.append(suite)
     mean = {
@@ -384,10 +435,10 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     station.  Each start and each top-1 is the nearest candidate by the
     rule of ``_nearest``.
 
-    Screens: the start, ``low`` and ``mid`` gemms and their masks run in
-    float32, with u = 2^-24; the root's line, the stations, the
-    survivors' line values and every distance are float64, whose
-    roundoff is below u.  The thresholds of the float32 masks are rounded
+    Screens: the start, ``low`` and ``mid`` gemms, the survivors' line
+    values and their masks run in float32, with u = 2^-24; the root's
+    line, the stations and every distance are float64, whose roundoff is
+    below u.  The thresholds of the float32 masks are rounded
     up to float32, so their comparisons lose nothing.  With g_m = m u /
     (1 - m u), a lifted dot, |c_j|^2 - 2 p.c_j taken as the (d+1)-term
     dot of [-2p, 1] with [c_j, |c_j|^2] at a float64 point p, errs by at
@@ -426,7 +477,8 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     min(L_s(t), L_q(t)), so min(A_v, B_v) <= U.  The start survives,
     since L_s(0) = -|s|^2 is the least line value at t = 0.  Each
     station's top-1 is then found among the survivors, which ascend, by
-    the computed line values L'_j = fl(fl(1-t) A'_j) + fl(t B'_j).
+    the float32 line values L'_j = fl(fl(T A'_j) + fl(t~ B~_j)), where
+    T, t~ and B~_j are 1-t, t and B'_j rounded to float32.
 
     Slack, with R = max(|s|, |r|) + max_j |c_j| and primes marking
     computed values:
@@ -437,10 +489,13 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
       diff-then-square distance errs by at most g_(d+2) R^2, so
       L_v(p') <= L_k(p') + 2 g_(d+2) R^2 and, at the exact station,
       h_v(t) <= (2 g_(d+2) + 4 g_3) R^2;
-    - a computed line value L'_j is within g_3 R^2 of (1-t) A'_j +
-      t B'_j, which is within 2 g_(d+2) R^2 of L_j(p), so
-      U <= U' + (g_3 + 2 g_(d+2)) R^2, and L'_j lies within
-      (3 g_3 + 2 g_(d+2)) R^2 of L_j(p');
+    - a float64 line value, as the envelope U' takes it, is within
+      g_3 R^2 of (1-t) A'_j + t B'_j, which is within 2 g_(d+2) R^2 of
+      L_j(p), so U <= U' + (g_3 + 2 g_(d+2)) R^2;
+    - a float32 line value L'_j adds the roundings of 1-t, t and B'_j,
+      each at most u R^2 (|A'_j|, |B'_j| <= R^2), so it is within
+      (g_3 + 3 u) R^2 of (1-t) A'_j + t B'_j, and L'_j lies within
+      (3 g_3 + 3 u + 2 g_(d+2)) R^2 of L_j(p');
     - the crossing values come from one more lifted gemm at the float
       point fl(fl(1-t') s) + fl(t' r), within g_3 R of the exact point of
       the computed crossing t', so they lie within 2 (g_(d+2) + g_3) R^2
@@ -448,8 +503,8 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     Chaining them, the end tests need 4 g_(d+2) R^2 more than the bound
     on h_v, the crossing test 4 (g_(d+2) + g_3) R^2 more, the envelope
     test min(A'_v, B'_v) <= U' + (6 g_(d+2) + 5 g_3) R^2, and the top-1
-    screen, by ``_nearest``'s bound with E = 3 g_3 + 2 g_(d+2),
-    (6 g_3 + 6 g_(d+2)) R^2; each is at most 14 g_(d+3) R^2.
+    screen, by ``_nearest``'s bound with E = 3 g_3 + 3 u + 2 g_(d+2),
+    (6 g_3 + 6 u + 6 g_(d+2)) R^2; each is at most 14 g_(d+3) R^2.
     ``slack`` is 24 (d+3) u R^2, which also absorbs the second-order
     terms and the rounding of the slack itself.  The crossing test adds
     ``drift`` for the move from t* to t': the slope of h_v is at most
@@ -476,8 +531,11 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     rest = 1.0 - t
     root_line = lifted @ np.append(-2.0 * root, 1.0)
     q = int(root_line.argmin())
+    # the walk screen's copies of t, 1 - t and B
+    screen_t, screen_rest, screen_root_line = (v.astype(_SCREEN) for v in (t, rest, root_line))
     reach = float(cand_norms.max())
-    screen_lifted = lifted.astype(_SCREEN)
+    # row-major: BLAS packs a transposed operand far more slowly
+    screen_lifted = np.ascontiguousarray(lifted.T, dtype=_SCREEN)
     unit = 24.0 * (dim + 3) * _U
     one_seg, every = np.zeros(n_cand, dtype=np.int64), np.arange(n_cand)
     tops = np.empty((n_points, images.shape[0]), dtype=np.int64)
@@ -487,7 +545,7 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
         block = images[lo:lo + step]
         lift = np.ones((block.shape[0], dim + 1), _SCREEN)
         np.multiply(block, -2.0, out=lift[:, :-1])
-        screen = lift @ screen_lifted.T
+        screen = lift @ screen_lifted
         radius = img_norms[lo:lo + step] + reach
         slack = 12.0 * (dim + 2) * _U * radius * radius
         limit = _toward(screen.min(axis=1) + slack, _SCREEN, np.inf)
@@ -497,7 +555,7 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
         del screen
         starts = candidates[firsts]
         np.multiply(starts, -2.0, out=lift[:, :-1])
-        low = lift @ screen_lifted.T
+        low = lift @ screen_lifted
         own = np.arange(firsts.size)
         a_s, a_q = low[own, firsts], low[:, q]
         # the envelope U: stations along axis 1, min of the s and q lines,
@@ -518,7 +576,7 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
         drift[ok] = 8.0 * radius[ok] ** 2 * (err[ok] / gap[ok] + 2.0 * _U)
         # the crossing t' of the s and q lines, and its screen values
         np.multiply((1.0 - cross) * starts + cross * root, -2.0, out=lift[:, :-1])
-        mid = lift @ screen_lifted.T
+        mid = lift @ screen_lifted
         at_cross = np.minimum(mid[own, firsts], mid[:, q])
         keep = mid <= _toward(at_cross + slack + drift, _SCREEN, np.inf)[:, None]
         keep |= low <= _toward(np.minimum(a_s, a_q) + slack, _SCREEN, np.inf)[:, None]
@@ -528,7 +586,7 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
         if flat.size:
             keep[flat] &= np.minimum(low[flat], root_line) <= bound[flat, None]
         rows, cols = _nonzero(keep)
-        a_line = low[rows, cols]
+        a_line, b_line = low[rows, cols], screen_root_line[cols]
         cuts = np.searchsorted(rows, np.arange(firsts.size + 1))
         # chunks of walks whose stations x survivors fit one temporary
         i = 0
@@ -536,10 +594,13 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
             j = max(i + 1, int(np.searchsorted(cuts, cuts[i] + budget, "right")) - 1)
             kept = slice(cuts[i], cuts[j])
             walk = rows[kept] - i
-            line = rest * a_line[kept] + t * root_line[cols[kept]]
+            line = screen_rest * a_line[kept] + screen_t * b_line[kept]
             least = np.minimum.reduceat(line, cuts[i:j] - cuts[i], axis=1)
+            limit = _toward(least + slack[i:j], _SCREEN, np.inf)
+            # each walk's limit beside its survivors: a repeat, not a gather
+            limit = np.repeat(limit, np.diff(cuts[i:j + 1]), axis=1)
             tops[:, lo + i:lo + j] = _nearest(
-                line <= (least + slack[i:j])[:, walk], walk, cols[kept], candidates,
+                line <= limit, walk, cols[kept], candidates,
                 lambda station, w: rest[station] * starts[i + w] + t[station] * root)
             i = j
         # the next block's start screen need not sit beside these
@@ -702,7 +763,9 @@ def evaluate(image_embs: np.ndarray, text_embs: np.ndarray,
     owners = _split(image_embs.shape[0], image_of_text, text_embs.shape[0])
     levels = np.asarray(levels, dtype=np.int64)
     with_levels = bool(np.any(levels >= 0))
-    ranks = exact_ranks(image_embs, text_embs, owners)
+    # the fold ranks come from the same pass
+    ranks, fold_ranks = _screened_ranks(image_embs, text_embs, owners,
+                                        1 if n_folds is None else n_folds)
     suite = _suite(ranks)
     report = {
         "n_images": int(image_embs.shape[0]),
@@ -714,7 +777,7 @@ def evaluate(image_embs: np.ndarray, text_embs: np.ndarray,
         report["per_level_recall"] = _level_recall(ranks[1], levels)
     report["hierarchical"] = hierarchical_report(image_embs, text_embs, owners, n_points)
     if n_folds is not None:
-        report["folded"] = folded_recall_suite(image_embs, text_embs, owners, n_folds)
+        report["folded"] = _folded(owners, fold_ranks, n_folds)
     if with_levels:
         report["d_corr"] = d_corr(image_embs, text_embs, owners, levels)
         report["distance_by_level"] = distance_by_level(

@@ -603,9 +603,11 @@ def test_screened_ranks_equal_matrix_ranks(fixture, block):
     try:
         i2t, t2i = E.exact_ranks(imgs, txts, owners)
         rsum = E.embedding_rsum(imgs, txts, owners)
-        n_folds = min(2, imgs.shape[0])
-        folded = E.folded_recall_suite(imgs, txts, owners, n_folds)["folds"]
-        report = E.evaluate(imgs, txts, owners, levels=levels)
+        # texts in random owner order, folds from one to one per image
+        folded, reports = {}, {None: E.evaluate(imgs, txts, owners, levels=levels)}
+        for n_folds in {1, min(2, imgs.shape[0]), imgs.shape[0]}:
+            folded[n_folds] = E.folded_recall_suite(imgs, txts, owners, n_folds)["folds"]
+            reports[n_folds] = E.evaluate(imgs, txts, owners, levels=levels, n_folds=n_folds)
     finally:
         E._BLOCK_ENTRIES, E.centroid_root = saved
     want_i2t, want_t2i = E._matrix_ranks(sims, owners)
@@ -613,11 +615,15 @@ def test_screened_ranks_equal_matrix_ranks(fixture, block):
     assert np.array_equal(t2i, want_t2i)
     assert rsum == E.rsum(sims, owners)
     assert E._level_recall(t2i, levels) == E.per_level_recall(sims, owners, levels)
-    assert folded == matrix_folds(imgs, txts, owners, n_folds)
-    assert report["recall"] == E.recall_suite(sims, owners)
-    assert report["rsum"] == E.rsum(sims, owners)
-    if (levels >= 0).any():
-        assert report["per_level_recall"] == E.per_level_recall(sims, owners, levels)
+    for n_folds, folds in folded.items():
+        want = matrix_folds(imgs, txts, owners, n_folds)
+        assert folds == want
+        assert reports[n_folds]["folded"]["folds"] == want
+    for report in reports.values():
+        assert report["recall"] == E.recall_suite(sims, owners)
+        assert report["rsum"] == E.rsum(sims, owners)
+        if (levels >= 0).any():
+            assert report["per_level_recall"] == E.per_level_recall(sims, owners, levels)
 
 
 def test_evaluate_requests_at_most_one_row_block(monkeypatch):
@@ -679,6 +685,45 @@ def test_screen_decides_every_entry_outside_its_window(monkeypatch):
     monkeypatch.setattr(geometry, "pair_sims", counting)
     E.exact_ranks(imgs, txts, owners)
     assert pairs == [120]
+
+
+@pytest.mark.parametrize("n", [255, 256, 65535, 65536])
+def test_count_sums_each_axis_in_an_accumulator_that_cannot_overflow(n):
+    """``_count``'s accumulator narrows with the axis length (uint8 below
+    256 entries, uint16 below 65 536); at each edge, full and random masks,
+    and the strided column slices that split a row by fold, count as
+    numpy's int64 sum does."""
+    rng = np.random.default_rng(n)
+    for mask in (np.ones((n, 3), dtype=bool), rng.random((n, 3)) < 0.5):
+        wide = np.hstack([mask.T, mask.T])
+        for axis, m in ((0, mask), (1, mask.T), (1, wide[:, 1:n + 1])):
+            got = E._count(m, axis)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, m.sum(axis=axis))
+
+
+def test_walk_screen_marks_about_one_candidate_per_station(monkeypatch):
+    """The float32 walk screen leaves ``_nearest`` about one column per
+    (station, walk) to take: on 300 images with 1 200 candidate texts, 16
+    more than the 15 000 (station, walk) pairs."""
+    rng = np.random.default_rng(15)
+    imgs = geometry.l2_normalize(rng.normal(size=(300, 16)))
+    owners = np.repeat(np.arange(300), 4)
+    txts = geometry.l2_normalize(imgs[owners] + 0.5 * rng.normal(size=(1200, 16)))
+    marked, pairs, nearest = [], [], E._nearest
+
+    def spy(close, seg, index, candidates, point):
+        # the start pass screens blocks of 218 and 82 images; a walk
+        # chunk has one row per station
+        if close.shape[0] == 50:
+            marked.append(int(np.count_nonzero(close)))
+            pairs.append(close.shape[0] * (int(seg[-1]) + 1))
+        return nearest(close, seg, index, candidates, point)
+
+    monkeypatch.setattr(E, "_nearest", spy)
+    E.hierarchical_report(imgs, txts, owners, 50)
+    assert sum(pairs) == 50 * 300
+    assert sum(pairs) <= sum(marked) <= 1.01 * sum(pairs)
 
 
 def sphere_fixture():
