@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Byte comparison of this tree against a base tree: a change to the library
 # must not move a byte of what the pipeline, synth, score, train (each loss
-# variant), gradcheck and the ablation write, and scoring and loading may
-# take at most 5% more peak RSS and 1% more traced peak memory.  Exits
-# non-zero at the first difference.
+# variant), gradcheck, the config echoes and the ablation write, and scoring
+# and loading may take at most 5% more peak RSS and 1% more traced peak
+# memory.  Exits non-zero at the first difference.
 #
 # Usage:
 #     bash scripts/compare_trees.sh BASE_TREE [WORK_DIR]
@@ -148,7 +148,8 @@ synth_files="corpus.jsonl table.jsonl images.bin texts.bin images.manifest.json
 # compared between the base's and the head's $out when both trees run, and
 # between $work/REFERENCE and the head's $out when a reference is named.
 # Rows run in order, so a row may read what an earlier row's head wrote.
-# config.json, which echoes the --out path, is never compared.
+# config.json echoes the paths it was given, so only the echo row, whose
+# paths are relative, compares it.
 gates=(
     'pipeline | base head | |
         data/corpus.jsonl data/images.bin data/texts.bin data/images.manifest.json
@@ -218,6 +219,18 @@ gates=(
             --image-features "$blocks/images.manifest.json" \
             --text-features "$blocks/texts.manifest.json" --variant full --embed-dim 16 \
             --epochs 2 --batch-size 64 --lr 0.01 --seed 0 --out "$out"'
+    # synth, train and eval each echo their config; run from inside $out
+    # with relative paths, the echoes hold no path of the tree or $work
+    'echo | base head | | data/config.json run/config.json report/config.json
+        | cd "$out"; dm synth --images 20 --seed 0 --out data; \
+          dm train --corpus data/corpus.jsonl --table data/table.jsonl \
+            --image-features data/images.manifest.json \
+            --text-features data/texts.manifest.json --embed-dim 8 --epochs 2 \
+            --batch-size 16 --out run; \
+          dm eval --corpus data/corpus.jsonl --table data/table.jsonl \
+            --image-features data/images.manifest.json \
+            --text-features data/texts.manifest.json --checkpoint run/checkpoint.bin \
+            --folds 2 --out report'
     # the gradient audit prints every loss's worst error to four digits, so
     # a loss or gradient whose bits move shows in its stdout
     'gradcheck | base head | | stdout.txt | dm gradcheck --seed 0 --trials 20'

@@ -173,10 +173,13 @@ def _settings(cls, cfg: dict, **given):
                   if (name := _LIBRARY_NAMES.get(key, key)) in fields}, **given)
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _echo(cfg: dict) -> Path:
+    """Make the command's output directory and write its effective config
+    there as config.json; returns the directory."""
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    geometry.write_json(out / "config.json", cfg)
+    return out
 
 
 def _cmd_score(cfg: dict) -> int:
@@ -194,7 +197,7 @@ def _cmd_score(cfg: dict) -> int:
 
 def _cmd_synth(cfg: dict) -> int:
     paths = datagen.write_dataset(cfg["out"], _settings(datagen.SynthSpec, cfg))
-    _write_json(Path(cfg["out"]) / "config.json", cfg)
+    _echo(cfg)
     for role in sorted(paths):
         print(f"{role}: {paths[role]}")
     return 0
@@ -241,9 +244,7 @@ def _cmd_train(cfg: dict) -> int:
     dataset, val_dataset = _load_splits(cfg, cfg["val_split"], 2, "training")
     saved = (None if cfg["resume"] is None
              else _load_checkpoint(cfg["resume"], cfg, dataset, config)[0])
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", cfg)
+    out = _echo(cfg)
 
     def log(rec):
         print(f"epoch {rec['epoch']:3d} lr {rec['lr']:.2e} "
@@ -253,7 +254,7 @@ def _cmd_train(cfg: dict) -> int:
     result = trainer.train(dataset, config, val_dataset=val_dataset,
                            checkpoint_path=out / "checkpoint.bin",
                            resume_from=saved, log_fn=log)
-    _write_json(out / "history.json", result.history)
+    geometry.write_json(out / "history.json", result.history)
     print(f"checkpoint: {out / 'checkpoint.bin'}")
     return 0
 
@@ -266,9 +267,7 @@ def _cmd_eval(cfg: dict) -> int:
     report = evaluation.evaluate(img_e, txt_e, dataset.image_of_text,
                                  levels=dataset.levels, n_points=cfg["points"],
                                  n_folds=cfg["folds"])
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", cfg)
+    out = _echo(cfg)
     evaluation.write_report_json(out / "report.json", report)
     if "distance_by_level" in report:
         evaluation.write_distance_csv(out / "distance_by_level.csv",

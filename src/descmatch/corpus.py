@@ -18,8 +18,13 @@ would then depend on the interpreter.
 
 Each JSONL format has one rule set, a function from field columns to
 output columns (`_corpus_columns`, `_table_columns`) that raises at the
-first fault.  A reader takes a file's stripped, non-blank lines from the
-open file in blocks of `_BLOCK_RECORDS`.  It matches a block against the
+first fault, and its writer holds to it.  A writer checks every record
+before it opens the file, with the rule set's own checks of a split
+(`_check_splits`), a level (`_require_int64`) and a delta's range
+(`_check_deltas`), and types its fields as the writer's lines need them,
+so it writes only lines its reader takes.  A reader takes a file's
+stripped, non-blank lines from the open file in blocks of
+`_BLOCK_RECORDS`.  It matches a block against the
 format's pattern of the exact line its writer emits (`_CORPUS`,
 `_TABLE`) and takes the columns from the match groups; a block in which a
 line does not match is parsed with one ``json.loads`` per line.  Either
@@ -498,14 +503,19 @@ def _require_int64(levels: list) -> None:
         raise ValueError("'level' must be an integer in [-2**63, 2**63) or null")
 
 
+def _check_splits(splits: list) -> None:
+    """Raise ValueError naming the first split outside `VALID_SPLITS`."""
+    if not (_types(splits) <= {str} and set(splits) <= set(VALID_SPLITS)):
+        raise ValueError(f"bad split {next(s for s in splits if s not in VALID_SPLITS)!r}")
+
+
 def _corpus_columns(cols: dict) -> list[list]:
     """The corpus rule set: the id, image id, text, split and level columns
     of the field columns ``cols``, or an exception at the first fault.  The
     fields are checked in this order, so a record with several faults names
     the same one whether it is checked alone or among others."""
     splits = cols["split"]
-    if not (_types(splits) <= {str} and set(splits) <= set(VALID_SPLITS)):
-        raise ValueError(f"bad split {next(s for s in splits if s not in VALID_SPLITS)!r}")
+    _check_splits(splits)
     levels = cols["level"]
     ids, image_ids, texts = (_present(cols, key) for key in ("id", "image_id", "text"))
     for name, values in (("id", ids), ("image_id", image_ids)):
@@ -574,14 +584,15 @@ def write_corpus_columns(path, columns: CorpusColumns) -> None:
     where obj holds the record's fields and leaves out a ``None`` level:
     keys in the order id, image_id, level, split, text, strings through
     json's ASCII string encoder, the level as ``int.__repr__``.  The
-    fields must be strings and the level an integer in [-2**63, 2**63) or
-    None, the values `read_corpus_columns` gives back unchanged; every
-    field is checked before the file is opened.
+    fields must be strings, the split one of `VALID_SPLITS` and the level
+    an integer in [-2**63, 2**63) or None, the values `read_corpus_columns`
+    gives back unchanged; every field is checked before the file is opened.
     """
     c = columns
     for name, values in (("id", c.ids), ("image_id", c.image_ids), ("split", c.splits),
                          ("text", c.texts)):
         _require(values, {str}, f"{name!r} must be a string, got {{}}")
+    _check_splits(c.splits)
     _require(c.levels, {int, type(None)}, "'level' must be an integer or null, got {}")
     _require_int64(c.levels)
     _write_blocks(path, "", _corpus_block, [c.ids, c.image_ids, c.levels, c.splits, c.texts])
@@ -593,8 +604,9 @@ def write_table_jsonl(path, table: DescriptivenessTable) -> None:
 
     The bytes are those of ``json.dumps(row, sort_keys=True)`` per line:
     floats as ``float.__repr__``, ids through json's ASCII string encoder.
-    Every id must be a string and every value finite, as
-    `read_table_jsonl` gives them; both are checked before the file is
+    Every id must be a string, every delta and raw a float (``np.float64``
+    included), every value finite and every delta in [0, 1], as
+    `read_table_jsonl` gives them; all are checked before the file is
     opened.  A block's text is one join of its values, in C
     (`_table_block`).
     """
@@ -602,8 +614,11 @@ def write_table_jsonl(path, table: DescriptivenessTable) -> None:
     deltas = list(table.scores.values())
     raws = list(map(table.raw_scores.__getitem__, ids))
     _require(ids, {str}, "'id' must be a string, got {}")
+    for name, values in (("delta", deltas), ("raw", raws)):
+        _require(values, {float, np.float64}, f"{name!r} must be a float, got {{}}")
     if not all(np.isfinite(v).all() for v in (deltas, raws, [table.raw_min, table.raw_max])):
         raise ValueError("cannot write a table holding a non-finite value")
+    _check_deltas(deltas)
     header = json.dumps({"raw_min": table.raw_min, "raw_max": table.raw_max}, sort_keys=True)
     _write_blocks(path, header + "\n", _table_block, [ids, deltas, raws])
 
@@ -660,11 +675,16 @@ def _table_columns(cols: dict) -> list[list]:
         finite = np.isfinite(values)
         if not finite.all():
             raise ValueError(f"{name!r} must be finite, got {values[int(np.argmin(finite))]!r}")
+    _check_deltas(deltas)
+    return [_strings(ids), deltas, raws]
+
+
+def _check_deltas(deltas: list[float]) -> None:
+    """Raise ValueError naming the first delta outside [0, 1]."""
     d = np.array(deltas)
     inside = (d >= 0.0) & (d <= 1.0)
     if not inside.all():
-        raise ValueError(f"'delta' must lie in [0, 1], got {deltas[int(np.argmin(inside))]!r}")
-    return [_strings(ids), deltas, raws]
+        raise ValueError(f"'delta' must lie in [0, 1], got {d[np.argmin(inside)].item()!r}")
 
 
 def _table_groups(groups: list[list], escaped: bool) -> dict:

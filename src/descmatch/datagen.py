@@ -25,7 +25,6 @@ the text it has just joined (its docstring says why that is exact).
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -179,9 +178,7 @@ def write_dataset(out_dir, spec: SynthSpec) -> dict[str, str]:
     img_manifest = geometry.write_features(out / "images", image_ids, image_feats)
     txt_manifest = geometry.write_features(out / "texts", text_ids, text_feats)
     spec_path = out / "synth_config.json"
-    with open(spec_path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    geometry.write_json(spec_path, dataclasses.asdict(spec))
     return {
         "corpus": str(corpus_path),
         "table": str(table_path),

@@ -42,7 +42,6 @@ anything else raises ValueError naming the text or the image
 from __future__ import annotations
 
 import csv
-import json
 import math
 
 import numpy as np
@@ -794,9 +793,7 @@ def write_report_json(path, report: dict) -> None:
             return [_clean(v) for v in obj]
         return obj
 
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_clean(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    geometry.write_json(path, _clean(report))
 
 
 def write_distance_csv(path, dist: dict[int, float]) -> None:

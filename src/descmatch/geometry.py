@@ -22,6 +22,12 @@ one row, so no row depends on the others.
 Text ownership (``image_of_text``) is the only structure that batches,
 losses and evaluation derive their groupings from, and ``texts_by_owner``
 is the one routine that groups texts by owning image for all of them.
+
+Files: ``write_json`` writes every JSON run file (the config echoes, the
+synth spec, the training history and the evaluation report) in one form,
+indent 2, sorted keys and a final newline.  A feature file is a JSON
+manifest beside a flat binary; ``write_features`` refuses what
+``read_features`` rejects, through the checks the two share.
 """
 
 from __future__ import annotations
@@ -164,6 +170,13 @@ def pair_sims(images: np.ndarray, texts: np.ndarray, rows: np.ndarray,
     return out
 
 
+def write_json(path, obj) -> None:
+    """Write ``obj`` to ``path`` as a JSON run file: indent 2, sorted keys,
+    a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Feature files: a JSON manifest beside a flat little-endian binary
 
@@ -171,18 +184,51 @@ _DTYPES = {"f32": "<f4", "f64": "<f8"}
 _MANIFEST_SUFFIX = ".manifest.json"
 
 
+def _check_manifest(manifest_path, ids: list[str], dim: int) -> None:
+    """The manifest facts that `read_features` checks and `write_features`
+    keeps: ``dim`` at least 1 and no id twice.  Raises naming the manifest
+    and the first repeated id."""
+    if dim == 0:
+        raise ValueError(f"{manifest_path}: 'dim' must be at least 1, got 0")
+    if len(set(ids)) < len(ids):  # only then the loop that finds the first repeat
+        seen: set[str] = set()
+        for sid in ids:
+            if sid in seen:
+                raise ValueError(f"{manifest_path}: duplicate id {sid!r}")
+            seen.add(sid)
+
+
+def _check_rows(bin_path, ids: list[str], data: np.ndarray) -> None:
+    """The binary fact that `read_features` checks and `write_features`
+    keeps: every row finite.  Raises naming the binary, the first row that
+    is not and its id as read back (a string); row blocks keep the boolean
+    temporary small."""
+    step = max(1, _BLOCK_ENTRIES // data.shape[1])
+    for start in range(0, data.shape[0], step):
+        finite = np.isfinite(data[start:start + step]).all(axis=1)
+        if not finite.all():
+            row = start + int(np.argmin(finite))
+            raise ValueError(f"{bin_path}: row {row} (id {str(ids[row])!r}) is not finite")
+
+
 def write_features(stem, ids: list[str], matrix: np.ndarray) -> Path:
-    """Write ``<stem>.manifest.json`` and a row-major f64 ``<stem>.bin`` (read: f32 or f64)."""
+    """Write ``<stem>.manifest.json`` and a row-major f64 ``<stem>.bin``
+    (read: f32 or f64).  Ids and rows that `read_features` would reject (a
+    repeated id, zero columns, a row holding NaN or inf) raise its message
+    before either file is written."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if len(ids) != matrix.shape[0]:
         raise ValueError(f"{len(ids)} ids for {matrix.shape[0]} rows")
     stem = Path(stem)
+    manifest_path, bin_path = (Path(f"{stem}{end}") for end in (_MANIFEST_SUFFIX, ".bin"))
+    _check_manifest(manifest_path, list(map(str, ids)), matrix.shape[1])  # the ids as read back
+    _check_rows(bin_path, ids, matrix)
     manifest = {"rows": matrix.shape[0], "dim": matrix.shape[1], "dtype": "f64", "ids": list(ids)}
     # one dumps call runs the C encoder, which dump's streaming path skips
-    with open(stem.with_name(stem.name + _MANIFEST_SUFFIX), "w", encoding="utf-8") as fh:
+    with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True) + "\n")
-    matrix.astype(_DTYPES["f64"], copy=False).tofile(stem.with_name(stem.name + ".bin"))
-    return stem.with_name(stem.name + _MANIFEST_SUFFIX)
+    matrix.astype(_DTYPES["f64"], copy=False).tofile(bin_path)
+    return manifest_path
 
 
 def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
@@ -212,8 +258,6 @@ def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
         if type(value) is not int or value < 0:
             raise ValueError(f"{manifest_path}: {key!r} must be a non-negative integer, "
                              f"got {json.dumps(value)}")
-    if dim == 0:
-        raise ValueError(f"{manifest_path}: 'dim' must be at least 1, got 0")
     if type(dtype) is not str or dtype not in _DTYPES:
         raise ValueError(f"{manifest_path}: unknown dtype {dtype!r}")
     if type(ids) is not list or not {type(s) for s in ids} <= {str, int}:
@@ -221,22 +265,12 @@ def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
     ids = [str(s) for s in ids]
     if len(ids) != rows:
         raise ValueError(f"{manifest_path}: {len(ids)} ids for {rows} rows")
-    seen: set[str] = set()
-    for sid in ids:
-        if sid in seen:
-            raise ValueError(f"{manifest_path}: duplicate id {sid!r}")
-        seen.add(sid)
+    _check_manifest(manifest_path, ids, dim)
     bin_path = manifest_path.with_name(manifest_path.name[: -len(_MANIFEST_SUFFIX)] + ".bin")
     data = np.fromfile(bin_path, dtype=_DTYPES[dtype])
     if data.size != rows * dim:
         raise ValueError(f"{bin_path}: expected {rows * dim} values, found {data.size}")
     data = data.reshape(rows, dim)
-    # row blocks keep the check's boolean temporary small
-    step = max(1, _BLOCK_ENTRIES // dim)
-    for start in range(0, rows, step):
-        finite = np.isfinite(data[start:start + step]).all(axis=1)
-        if not finite.all():
-            row = start + int(np.argmin(finite))
-            raise ValueError(f"{bin_path}: row {row} (id {ids[row]!r}) is not finite")
+    _check_rows(bin_path, ids, data)
     return ids, data.astype(np.float64, copy=False)
 

@@ -9,6 +9,12 @@ subgradient 0 at hinge kinks, and are checked against central finite
 differences (the oracle perturbs the already-normalized embeddings without
 re-normalizing, so both sides live in the same domain).
 
+The hinge margin has one spelling, ``_margins``, which both ranking
+branches (mined and mean-of-hinges) and ``kink_gap`` take their margins
+from: the fixed ``alpha`` of the paper's baseline on both sides, as a
+scalar that broadcasts, or ``adaptive_margins``, which scales them with
+the descriptiveness of the positive and the negative sentence.
+
 Each loss sums its gradient terms with one ``np.bincount`` into image
 rows then text rows, bit for bit as one ``np.add.at`` per term onto zeros:
 bincount adds each weight into its bin in input order from +0.0, the terms
@@ -232,6 +238,15 @@ def adaptive_margins(delta_t, delta_tneg, tau: float):
     return (delta_t + delta_tneg) / tau, (delta_t + delta_t) / tau
 
 
+def _margins(config: LossConfig, adaptive: bool, delta_t, delta_tneg):
+    """The hinge margins (text side, image side): `adaptive_margins` of the
+    descriptiveness values, or the fixed ``config.alpha`` on both sides, a
+    scalar that broadcasts into the same elementwise operations."""
+    if adaptive:
+        return adaptive_margins(delta_t, delta_tneg, config.tau)
+    return config.alpha, config.alpha
+
+
 def _ranking_loss(batch: Batch, config: LossConfig, adaptive: bool) -> LossOutput:
     """Shared hinge-ranking core.
 
@@ -250,10 +265,7 @@ def _ranking_loss(batch: Batch, config: LossConfig, adaptive: bool) -> LossOutpu
 
     if config.use_hardest_mining:
         t_neg, v_neg = hardest_negatives(sims, p_i)
-        if adaptive:
-            a_i2t, a_t2i = adaptive_margins(deltas, deltas[t_neg], config.tau)
-        else:
-            a_i2t = a_t2i = np.full(n_txt, config.alpha)
+        a_i2t, a_t2i = _margins(config, adaptive, deltas, deltas[t_neg])
         h1 = a_i2t - s_pos + sims[p_i, t_neg]
         h2 = a_t2i - s_pos + sims[v_neg, p_j]
         on1 = h1 > 0.0
@@ -275,11 +287,7 @@ def _ranking_loss(batch: Batch, config: LossConfig, adaptive: bool) -> LossOutpu
         raise ValueError(f"pair ({p_i[bad]}, {bad}) has no admissible negative")
     allowed_t = ~own.same_owner
     n1 = allowed_t.sum(axis=1)
-    if adaptive:
-        margins_t, a_t2i = adaptive_margins(deltas[:, None], deltas[None, :], config.tau)
-    else:
-        margins_t = np.full((n_txt, n_txt), config.alpha)
-        a_t2i = np.full((n_txt, 1), config.alpha)
+    margins_t, a_t2i = _margins(config, adaptive, deltas[:, None], deltas[None, :])
     h1 = margins_t - s_pos[:, None] + sims[p_i]
     act1 = (h1 > 0.0) & allowed_t
     value = float(np.sum(np.sum(h1 * act1, axis=1) / n1))
@@ -396,10 +404,8 @@ def random_batch(rng: np.random.Generator, n_images: int = 8, n_texts: int = 8,
     """Random unit embeddings with every image owning at least one text."""
     if n_texts < n_images:
         raise ValueError("need at least one text per image")
-    imgs = rng.normal(size=(n_images, dim))
-    imgs /= np.linalg.norm(imgs, axis=1, keepdims=True)
-    txts = rng.normal(size=(n_texts, dim))
-    txts /= np.linalg.norm(txts, axis=1, keepdims=True)
+    imgs = geometry.l2_normalize(rng.normal(size=(n_images, dim)))
+    txts = geometry.l2_normalize(rng.normal(size=(n_texts, dim)))
     owners = np.concatenate([np.arange(n_images),
                              rng.integers(0, n_images, size=n_texts - n_images)])
     deltas = rng.uniform(0.05, 1.0, size=n_texts)
@@ -418,10 +424,9 @@ def kink_gap(batch: Batch, config: LossConfig) -> float:
     # a text with no negative text (every text of a one-image batch) has no hinges
     skip = np.isnan(t_neg).all(axis=1)
     t_neg[skip] = i_neg[skip] = np.nan
-    margins_t, a_t2i = adaptive_margins(batch.deltas[:, None], batch.deltas, config.tau)
     pos = sims[owners, np.arange(batch.n_texts)][:, None]
-    gaps = [np.abs(margin - pos + neg) for margin, neg in (
-        (config.alpha, t_neg), (config.alpha, i_neg), (margins_t, t_neg), (a_t2i, i_neg))]
+    gaps = [np.abs(margin - pos + neg) for adaptive in (False, True) for margin, neg in
+            zip(_margins(config, adaptive, batch.deltas[:, None], batch.deltas), (t_neg, i_neg))]
     # top-2 gap of each row, sorted descending with NaN last
     gaps += [np.diff(np.sort(-neg, axis=1)[:, :2]) for neg in (t_neg, i_neg)]
     paired = batch.same_image[:, 1:].ravel()

@@ -54,11 +54,15 @@ from .losses import (Batch, LossConfig, _trusted_batch, adaptive_triplet_loss, o
                      triplet_loss)
 
 _CKPT_MAGIC = b"DMCK0001"
-# header fields besides "arrays", with their JSON types
-_CKPT_FIELDS = {"epoch": int, "adam_t": int, "rng_state": dict, "config": dict,
-                "history": list}
-_CKPT_FIELD_KINDS = {int: "a non-negative integer", dict: "an object", list: "a list"}
+# header fields besides "arrays", with their JSON types and how messages name them
+_CKPT_FIELDS = {"epoch": (int, "a non-negative integer"), "adam_t": (int, "a non-negative integer"),
+                "rng_state": (dict, "an object"), "config": (dict, "an object"),
+                "history": (list, "a list")}
+# the array slots, each holding one array per parameter, "<slot>/<name>"; the
+# checks go through them in this order, so it fixes which fault is named first
+_CKPT_SLOTS = ("param", "adam_m", "adam_v")
 _PARAM_NAMES = ("W_img", "b_img", "W_txt", "b_txt")
+_CKPT_ARRAYS = tuple(f"{slot}/{name}" for slot in _CKPT_SLOTS for name in _PARAM_NAMES)
 
 # ablation variants: fixed-margin ranking, descriptiveness-scaled margins,
 # and the full objective with the ordering penalty
@@ -404,12 +408,9 @@ def _epoch_rows(dataset: Dataset, plan: list[tuple[list[int], np.ndarray]]) -> l
 def save_checkpoint(path, params: dict, opt_state: dict, epoch: int,
                     rng: np.random.Generator, config: TrainConfig,
                     history: list[dict]) -> None:
-    arrays: list[tuple[str, np.ndarray]] = []
-    for name in sorted(params):
-        arrays.append((f"param/{name}", params[name]))
-    for slot in ("m", "v"):
-        for name in sorted(opt_state[slot]):
-            arrays.append((f"adam_{slot}/{name}", opt_state[slot][name]))
+    arrays = [(f"{slot}/{name}", group[name])
+              for slot, group in zip(_CKPT_SLOTS, (params, opt_state["m"], opt_state["v"]))
+              for name in sorted(group)]
     header = {
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
         "epoch": epoch,
@@ -446,13 +447,16 @@ def load_checkpoint(path, config: TrainConfig | None = None) -> dict:
     trailing bytes), a header field of the wrong type and a missing header
     field or parameter array raise ValueError naming the path.  Given the
     ``config`` of a run that resumes from it, a saved config that differs
-    in any key but ``epochs`` raises next, naming the first such key.  An
-    array of the wrong shape raises next, naming it: W_img must be
-    (d_img, e), W_txt (d_txt, e), b_img and b_txt (e,), with e the
-    ``config``'s ``embed_dim`` if given, and each moment its parameter's
-    shape.  An rng state that cannot be restored raises next, and a
-    parameter or moment array holding NaN or inf raises last, naming the
-    array."""
+    in any key but ``epochs`` raises next, naming the first such key, and
+    then a checkpoint that already holds ``config.epochs`` epochs or more,
+    which leaves the run nothing to train.  An array of the wrong shape
+    raises next, naming it: W_img must be (d_img, e), W_txt (d_txt, e),
+    b_img and b_txt (e,), with e the ``config``'s ``embed_dim`` if given,
+    and each moment its parameter's shape.  An rng state that cannot be
+    restored raises next, and a parameter or moment array holding NaN or
+    inf raises last, naming the array.  Every check of the arrays runs
+    over the slots of `_CKPT_SLOTS` ("param", "adam_m", "adam_v"), which
+    `save_checkpoint` also writes from."""
     data = Path(path).read_bytes()
     if data[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
@@ -472,17 +476,16 @@ def load_checkpoint(path, config: TrainConfig | None = None) -> dict:
                 or not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"{path}: malformed checkpoint header: array entry "
                              f"{json.dumps(name)} with shape {json.dumps(shape)}")
-    for key, type_ in _CKPT_FIELDS.items():
+    for key, (type_, kind) in _CKPT_FIELDS.items():
         if key not in header:
             raise ValueError(f"{path}: checkpoint header lacks {key!r}")
         if type(header[key]) is not type_ or (type_ is int and header[key] < 0):
-            raise ValueError(f"{path}: checkpoint header {key!r} must be "
-                             f"{_CKPT_FIELD_KINDS[type_]}, got {json.dumps(header[key])}")
-    names = [name for name, _ in shapes]
-    for slot in ("param", "adam_m", "adam_v"):
-        for name in _PARAM_NAMES:
-            if f"{slot}/{name}" not in names:
-                raise ValueError(f"{path}: checkpoint lacks the array '{slot}/{name}'")
+            raise ValueError(f"{path}: checkpoint header {key!r} must be {kind}, "
+                             f"got {json.dumps(header[key])}")
+    shape_of = dict(shapes)
+    for key in _CKPT_ARRAYS:
+        if key not in shape_of:
+            raise ValueError(f"{path}: checkpoint lacks the array {key!r}")
     offset = start + blob_len
     want = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
     if len(data) != want:
@@ -497,13 +500,15 @@ def load_checkpoint(path, config: TrainConfig | None = None) -> dict:
             key = next(k for k in [*recipe, *have] if recipe.get(k) != have.get(k))
             raise ValueError(f"{path}: resume config disagrees with checkpoint "
                              f"config at {key!r}")
-    shape_of = dict(shapes)
+        if header["epoch"] + 1 >= config.epochs:
+            raise ValueError(f"{path}: checkpoint holds {header['epoch'] + 1} epochs and "
+                             f"epochs is {config.epochs}: nothing is left to train")
     w_img = shape_of["param/W_img"]
     embed = config.embed_dim if config is not None else w_img[1] if len(w_img) == 2 else None
     for name in _PARAM_NAMES:
         have = shape_of[f"param/{name}"]
         want = have[:1] + [embed] if name[0] == "W" else [embed]
-        for slot in ("param", "adam_m", "adam_v"):
+        for slot in _CKPT_SLOTS:
             if shape_of[f"{slot}/{name}"] != want:
                 raise ValueError(f"{path}: checkpoint array '{slot}/{name}' has shape "
                                  f"{shape_of[f'{slot}/{name}']}, not "
@@ -518,15 +523,12 @@ def load_checkpoint(path, config: TrainConfig | None = None) -> dict:
         count = math.prod(shape)
         out[name] = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
         offset += 8 * count
-    params, m, v = ({name: out[f"{slot}/{name}"] for name in _PARAM_NAMES}
-                    for slot in ("param", "adam_m", "adam_v"))
-    for slot, arrays in (("param", params), ("adam_m", m), ("adam_v", v)):
-        for name in _PARAM_NAMES:
-            if not np.isfinite(arrays[name]).all():
-                raise ValueError(f"{path}: checkpoint array '{slot}/{name}' "
-                                 f"holds NaN or inf")
-    opt_state = _opt_state(params, m, v, header["adam_t"])
-    return {"params": params, "opt_state": opt_state, "epoch": header["epoch"],
+    for key in _CKPT_ARRAYS:
+        if not np.isfinite(out[key]).all():
+            raise ValueError(f"{path}: checkpoint array {key!r} holds NaN or inf")
+    groups = [{name: out[f"{slot}/{name}"] for name in _PARAM_NAMES} for slot in _CKPT_SLOTS]
+    opt_state = _opt_state(*groups, header["adam_t"])  # rebinds each group to views
+    return {"params": groups[0], "opt_state": opt_state, "epoch": header["epoch"],
             "rng": rng, "config": header["config"], "history": header["history"]}
 
 
@@ -543,11 +545,6 @@ class TrainResult:
 def embed_dataset(params: dict, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     img_e, txt_e, _ = forward(params, dataset.image_feats, dataset.text_feats)
     return img_e, txt_e
-
-
-def _val_rsum(params: dict, dataset: Dataset) -> float:
-    img_e, txt_e = embed_dataset(params, dataset)
-    return evaluation.embedding_rsum(img_e, txt_e, dataset.image_of_text)
 
 
 def _check_rows(norms: np.ndarray, img_e: np.ndarray, txt_e: np.ndarray, epoch: int,
@@ -620,7 +617,8 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
             # the next epoch's gather
             del rows, img_feats, txt_feats, owners, deltas, cache
             try:
-                val_rsum = _val_rsum(params, eval_set)
+                val_rsum = evaluation.embedding_rsum(*embed_dataset(params, eval_set),
+                                                     eval_set.image_of_text)
             except ValueError as exc:  # the last update left rows off the unit sphere
                 raise ValueError(f"epoch {epoch}, validation after batch {n_b - 1}: "
                                  f"{exc}") from None

@@ -1,6 +1,6 @@
 """Brute-force references for the paper's metrics, the losses' mining and
-batching, and the checkpoint format: one per concept, shared by every test
-that needs it.
+batching, and the checkpoint and feature-file formats: one per concept,
+shared by every test that needs it.
 
 Each reference is written from the contract it encodes, by loops, sorts
 and dicts, and never calls the library code it checks.  The contracts the
@@ -245,3 +245,21 @@ def with_header(blob: bytes, edit) -> bytes:
     back with ``json.dumps``'s defaults and its new length."""
     text = json.dumps(edit(json.loads(blob[16:header_end(blob)]))).encode("utf-8")
     return blob[:8] + len(text).to_bytes(8, "little") + text + blob[header_end(blob):]
+
+
+# ---------------------------------------------------------------------------
+# Feature files
+
+
+def write_feature_files(stem, ids, matrix, dtype: str = "f64"):
+    """A feature file pair as its format defines it, a sorted-keys JSON
+    manifest beside the row-major little-endian binary, written without the
+    library writer's checks, so a test can hand the reader ids and rows that
+    the writer refuses.  Returns the manifest's path."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    manifest = stem.with_name(stem.name + ".manifest.json")
+    manifest.write_text(json.dumps({"rows": matrix.shape[0], "dim": matrix.shape[1],
+                                    "dtype": dtype, "ids": list(ids)}, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    matrix.astype({"f32": "<f4", "f64": "<f8"}[dtype]).tofile(stem.with_name(stem.name + ".bin"))
+    return manifest

@@ -418,7 +418,7 @@ def test_score_rejects_duplicate_sentence_id(tmp_path, capsys):
 def test_train_rejects_non_finite_features(synth_dir, tmp_path, capsys):
     ids, feats = geometry.read_features(synth_dir / "images.manifest.json")
     feats[3, 1] = np.nan
-    manifest = geometry.write_features(tmp_path / "images", ids, feats)
+    manifest = oracles.write_feature_files(tmp_path / "images", ids, feats)
     flags = _data_flags(synth_dir)
     flags[flags.index("--image-features") + 1] = str(manifest)
     code = cli.main(["train", *flags, "--out", str(tmp_path / "run"), "--epochs", "1",
@@ -688,6 +688,33 @@ def test_resume_checks_the_checkpoint_before_writing(synth_dir, wide_dir, checkp
         assert not run.exists()
     else:
         assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
+@pytest.fixture(scope="module")
+def three_epoch_checkpoint(synth_dir, tmp_path_factory):
+    run = tmp_path_factory.mktemp("three_epochs")
+    assert cli.main(["train", *_data_flags(synth_dir), "--out", str(run), "--epochs", "3",
+                     "--batch-size", "12", "--embed-dim", "8"]) == 0
+    return run / "checkpoint.bin"
+
+
+@pytest.mark.parametrize("epochs", [2, 3])
+def test_resume_with_nothing_left_to_train_exits_two(synth_dir, three_epoch_checkpoint,
+                                                     tmp_path, capsys, epochs):
+    """A checkpoint that already holds --epochs epochs or more leaves the run
+    nothing to train: exit 2 naming the checkpoint, its epoch count and
+    epochs, before <out> is made, instead of a run that claims a checkpoint
+    it never wrote."""
+    ckpt, run = three_epoch_checkpoint, tmp_path / "run"
+    code = cli.main(["train", *_data_flags(synth_dir), "--out", str(run), "--epochs", str(epochs),
+                     "--batch-size", "12", "--embed-dim", "8", "--resume", str(ckpt)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: {ckpt}: checkpoint holds 3 epochs and epochs "
+                                       f"is {epochs}: nothing is left to train\n")
+    assert not run.exists()
+    assert cli.main(["train", *_data_flags(synth_dir), "--out", str(run), "--epochs", "4",
+                     "--batch-size", "12", "--embed-dim", "8", "--resume", str(ckpt)]) == 0
+    assert [r["epoch"] for r in json.loads((run / "history.json").read_text())] == [0, 1, 2, 3]
 
 
 def test_eval_rejects_unrestorable_rng_state(synth_dir, checkpoint_bytes, tmp_path, capsys):

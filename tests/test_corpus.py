@@ -666,29 +666,41 @@ def test_writers_across_blocks_equal_json_dumps(tmp_path):
     assert C.read_table_jsonl(tmp_path / "table.jsonl") == table
 
 
-def _bad_corpus_id(path):
-    records = _records_across_blocks()
-    records[-1] = dataclasses.replace(records[-1], id=7)
-    C.write_corpus_columns(path, _columns(records))
+def _bad_corpus(**fields):
+    """A corpus writer whose last record, in the third block, has these
+    fields."""
+    def write(path):
+        records = _records_across_blocks()
+        records[-1] = dataclasses.replace(records[-1], **fields)
+        C.write_corpus_columns(path, _columns(records))
+    return write
 
 
-def _bad_table(last_id, score):
-    """A table writer whose last row, in the third block, has this id and
-    delta."""
+def _bad_table(last_id, score, raw=1.0):
+    """A table writer whose last row, in the third block, has this id,
+    delta and raw."""
     def write(path):
         ids = [r.id for r in _records_across_blocks()][:-1] + [last_id]
         scores = dict.fromkeys(ids, 0.5) | {last_id: score}
         C.write_table_jsonl(path, C.DescriptivenessTable(
-            scores=scores, raw_scores=dict.fromkeys(ids, 1.0), raw_min=0.0, raw_max=1.0))
+            scores=scores, raw_scores=dict.fromkeys(ids, 1.0) | {last_id: raw}, raw_min=0.0,
+            raw_max=1.0))
     return write
 
 
 @pytest.mark.parametrize("write, message", [
-    (_bad_corpus_id, "'id' must be a string, got 7"),
+    (_bad_corpus(id=7), "'id' must be a string, got 7"),
     (_bad_table(7, 0.5), "'id' must be a string, got 7"),
     (_bad_table("x", float("inf")), "non-finite"),
     (_bad_table("x", float("nan")), "non-finite"),
-], ids=["corpus-int-id", "table-int-id", "table-inf", "table-nan"])
+    # what the readers reject, with their messages
+    (_bad_corpus(split="foo"), "bad split 'foo'"),
+    (_bad_table("x", np.float64(7.5)), r"'delta' must lie in \[0, 1\], got 7\.5"),
+    # an int would fail to format only once the file is open
+    (_bad_table("x", 1), "'delta' must be a float, got 1"),
+    (_bad_table("x", 0.5, raw=2), "'raw' must be a float, got 2"),
+], ids=["corpus-int-id", "table-int-id", "table-inf", "table-nan", "corpus-bad-split",
+        "table-delta-above-1", "table-int-delta", "table-int-raw"])
 @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
 def test_writers_check_every_block_before_opening(tmp_path, write, message, exists):
     """A fault in the last block raises before the first block is written:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import shared_oracles as oracles
 from descmatch import geometry as G
 
 
@@ -178,13 +179,8 @@ def test_feature_round_trip_f64_is_bit_exact(tmp_path):
 
 def write_f32(stem, ids, matrix):
     """An f32 feature file, which read_features reads and write_features
-    does not write: write_features' f64 manifest, relabelled, beside the
-    float32 bytes of the matrix."""
-    manifest = G.write_features(stem, ids, matrix)
-    fields = json.loads(manifest.read_text())
-    manifest.write_text(json.dumps({**fields, "dtype": "f32"}))
-    np.asarray(matrix, dtype="<f4").tofile(stem.with_name(stem.name + ".bin"))
-    return manifest
+    does not write."""
+    return oracles.write_feature_files(stem, ids, matrix, "f32")
 
 
 def test_feature_round_trip_f32_narrows(tmp_path):
@@ -222,6 +218,30 @@ def test_feature_write_validates(tmp_path):
         G.write_features(tmp_path / "x", ["a", "b"], np.ones((1, 2)))
 
 
+def _with_nan(row: int) -> np.ndarray:
+    mat = np.ones((5, 3))
+    mat[row, 1] = np.nan
+    return mat
+
+
+@pytest.mark.parametrize("ids, matrix, message", [
+    (["a", "b", "a"], np.ones((3, 2)), r"f\.manifest\.json: duplicate id 'a'"),
+    # an integer id is read back as its decimal string
+    (["1", "b", 1], np.ones((3, 2)), r"f\.manifest\.json: duplicate id '1'"),
+    (list("abcde"), _with_nan(3), r"f\.bin: row 3 \(id 'd'\) is not finite"),
+    (list("abc"), np.ones((3, 0)), r"f\.manifest\.json: 'dim' must be at least 1, got 0"),
+], ids=["duplicate-id", "duplicate-as-read", "non-finite-row", "zero-dim"])
+def test_feature_write_refuses_what_read_rejects(tmp_path, ids, matrix, message):
+    """What read_features would reject raises its message before either
+    file is written."""
+    with pytest.raises(ValueError, match=message):
+        G.write_features(tmp_path / "f", ids, matrix)
+    assert list(tmp_path.iterdir()) == []
+    oracles.write_feature_files(tmp_path / "f", ids, matrix)
+    with pytest.raises(ValueError, match=message):
+        G.read_features(tmp_path / "f.manifest.json")
+
+
 def test_feature_read_validates(tmp_path):
     manifest = G.write_features(tmp_path / "f", ["a", "b"], np.ones((2, 3)))
     with pytest.raises(ValueError, match="manifest"):
@@ -243,7 +263,7 @@ def test_unit_vector_distance_similarity_identity():
 
 
 def test_feature_read_rejects_duplicate_ids(tmp_path):
-    manifest = G.write_features(tmp_path / "f", ["a", "b", "a"], np.ones((3, 2)))
+    manifest = oracles.write_feature_files(tmp_path / "f", ["a", "b", "a"], np.ones((3, 2)))
     with pytest.raises(ValueError, match=r"f\.manifest\.json: duplicate id 'a'"):
         G.read_features(manifest)
 
@@ -261,6 +281,6 @@ def test_non_finite_check_spans_row_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(G, "_BLOCK_ENTRIES", 6)
     mat = np.ones((7, 3))
     mat[5, 1] = np.nan
-    manifest = G.write_features(tmp_path / "f", list("abcdefg"), mat)
+    manifest = oracles.write_feature_files(tmp_path / "f", list("abcdefg"), mat)
     with pytest.raises(ValueError, match=r"row 5 \(id 'f'\)"):
         G.read_features(manifest)
