@@ -176,6 +176,16 @@ gates=(
             --image-features "$p1k/data/images.manifest.json" \
             --text-features "$p1k/data/texts.manifest.json" \
             --checkpoint "$p1k/run/checkpoint.bin" --folds 3 --out "$out"'
+    # every other eval walks 50 stations; the same checkpoint also walks
+    # only the two endpoints, and 51 stations, whose midpoint t = 1/2 is a
+    # station
+    'points | base head | | points-2/report.json points-51/report.json
+        | for n in 2 51; do \
+            dm eval --corpus "$p1k/data/corpus.jsonl" --table "$p1k/data/table.jsonl" \
+              --image-features "$p1k/data/images.manifest.json" \
+              --text-features "$p1k/data/texts.manifest.json" \
+              --checkpoint "$p1k/run/checkpoint.bin" --points "$n" --out "$out/points-$n"; \
+          done'
     # the pipeline's 200 images have neither 5-digit image ids nor a word
     # pool of size 1, so synth also runs at the score-load scale, at a
     # non-default spec, and with 5-digit ids, one-word strata and a sentence

@@ -88,7 +88,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -287,9 +287,7 @@ def score_word_ids(ids: list[str], splits: list[str], blocks: Iterable[tuple[np.
     in_pool = np.fromiter(map(eq, splits, repeat(pool_split)), dtype=bool, count=len(splits))
     if not in_pool.any():
         raise ValueError(f"pool split {pool_split!r} is empty")
-    if len(set(ids)) < len(ids):
-        dup = next(sid for sid, n in Counter(ids).items() if n > 1)
-        raise ValueError(f"duplicate sentence id {dup!r}")
+    _check_unique(ids)
     # one block of sentences at a time: its (sentence, word) firsts, with
     # the word's count in the sentence, in token order
     parts, lo = [], 0
@@ -466,10 +464,25 @@ def _types(values) -> set:
 
 def _require(values: list, types: set, message: str) -> None:
     """Raise ValueError(message), formatted with the first value whose
-    type is not in ``types`` as JSON, if there is one."""
+    type is not in ``types``, if there is one: as JSON, or as its repr
+    where json cannot encode it (an ``np.float32``, say)."""
     if not _types(values) <= types:
-        raise ValueError(message.format(json.dumps(next(v for v in values
-                                                        if type(v) not in types))))
+        bad = next(v for v in values if type(v) not in types)
+        try:
+            shown = json.dumps(bad)
+        except TypeError:
+            shown = repr(bad)
+        raise ValueError(message.format(shown))
+
+
+def _check_unique(ids: list[str]) -> None:
+    """Raise ValueError naming the first id that repeats an earlier one."""
+    if len(set(ids)) < len(ids):  # only then the loop that finds it
+        seen: set[str] = set()
+        for sid in ids:
+            if sid in seen:
+                raise ValueError(f"duplicate sentence id {sid!r}")
+            seen.add(sid)
 
 
 def _strings(values: list) -> list[str]:
@@ -584,9 +597,10 @@ def write_corpus_columns(path, columns: CorpusColumns) -> None:
     where obj holds the record's fields and leaves out a ``None`` level:
     keys in the order id, image_id, level, split, text, strings through
     json's ASCII string encoder, the level as ``int.__repr__``.  The
-    fields must be strings, the split one of `VALID_SPLITS` and the level
-    an integer in [-2**63, 2**63) or None, the values `read_corpus_columns`
-    gives back unchanged; every field is checked before the file is opened.
+    fields must be strings, the split one of `VALID_SPLITS`, the level an
+    integer in [-2**63, 2**63) or None and no id repeated, the values
+    `read_corpus_columns` gives back unchanged; every field is checked
+    before the file is opened.
     """
     c = columns
     for name, values in (("id", c.ids), ("image_id", c.image_ids), ("split", c.splits),
@@ -595,6 +609,7 @@ def write_corpus_columns(path, columns: CorpusColumns) -> None:
     _check_splits(c.splits)
     _require(c.levels, {int, type(None)}, "'level' must be an integer or null, got {}")
     _require_int64(c.levels)
+    _check_unique(c.ids)
     _write_blocks(path, "", _corpus_block, [c.ids, c.image_ids, c.levels, c.splits, c.texts])
 
 

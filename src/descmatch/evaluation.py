@@ -26,11 +26,13 @@ routine.
 Norm contract: every embedding row that ``exact_ranks`` and the
 traversal take (image, text, candidate and root) has norm 1 within
 ``geometry.UNIT_TOL`` = 1e-3, and d < 2^20; anything else raises
-ValueError naming the row (``geometry.check_unit_rows``).  The screens
-(the gemms of ``exact_ranks`` and of the traversal, the traversal's walk
-screen, and the masks taken from them) run in float32, each slack's
-proof counting the rounding of the float64 inputs to it, and every
-decision (a rank, a start, a top-1) is taken in float64.
+ValueError naming the row (``geometry.check_unit_rows``).  So every true
+norm is below ``_NORM_MAX``, and each screen (the gemms of
+``exact_ranks`` and of the traversal, the traversal's walk screen, and
+the masks taken from them) runs in float32 with one slack, a constant of
+d and ``_NORM_MAX`` whose proof counts the rounding of the float64
+inputs to the screen.  Every decision (a rank, a start, a top-1) is
+taken in float64.
 
 Split contract: the paper defines its metrics on complete splits, and
 every entry point takes one: at least one image, each text's owner an
@@ -67,6 +69,13 @@ _U = 2.0 ** -24
 # the screens' slacks are proven for embeddings of fewer dimensions
 _MAX_DIM = 1 << 20
 
+# a bound on the true norm of every row that _check_screen_rows admits: its
+# computed norm lies within UNIT_TOL of 1, and the true norm within a
+# relative 2^-32 of that (fewer than 2^20 squares summed in float64, then a
+# square root).  A float64 scalar, so a float32 screen value plus a slack
+# made from it is summed in float64.
+_NORM_MAX = np.float64(1.0 + 2.0 * geometry.UNIT_TOL)
+
 
 def _split(n_img: int, image_of_text, n_txt: int) -> np.ndarray:
     """The owners of a split that the split contract admits; raises
@@ -80,21 +89,21 @@ def _split(n_img: int, image_of_text, n_txt: int) -> np.ndarray:
     return owners
 
 
-def _screen_norms(name: str, rows: np.ndarray) -> np.ndarray:
-    """The norms of rows that the norm contract admits; raises otherwise."""
+def _check_screen_rows(name: str, rows: np.ndarray) -> None:
+    """Raises unless the norm contract admits rows."""
     if rows.shape[1] >= _MAX_DIM:
         raise ValueError(f"{name} embeddings have {rows.shape[1]} dimensions; "
                          f"the float32 screens take fewer than 2^20")
-    return geometry.check_unit_rows(name, rows)
+    geometry.check_unit_rows(name, rows)
 
 
-def _toward(values: np.ndarray, dtype: np.dtype, end: float) -> np.ndarray:
-    """values rounded to dtype toward end (+inf or -inf): the nearest
-    float of dtype on that side, so a screen compares in its own dtype and
-    loses nothing to the rounding."""
-    out = values.astype(dtype)
+def _toward(values: np.ndarray, end: float) -> np.ndarray:
+    """values rounded to float32 toward end (+inf or -inf): the nearest
+    float32 on that side, so a screen compares in its own dtype and loses
+    nothing to the rounding."""
+    out = values.astype(_SCREEN)
     off = out < values if end > 0 else out > values
-    out[off] = np.nextafter(out[off], dtype.type(end))
+    out[off] = np.nextafter(out[off], _SCREEN.type(end))
     return out
 
 
@@ -104,18 +113,18 @@ def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
-def _window(values: np.ndarray, slack, clip: bool,
-            dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Per query, the (lo, hi) outside which a screened entry is decided:
-    values -/+ slack, each rounded outward, one float and then to the
-    screen's dtype, so lo <= value - slack and hi >= value + slack
-    exactly.  With clip, the exact entries are clamped into [-1, 1], so no
-    screen value decides "above" once hi >= 1 or "below" once lo <= -1."""
-    lo = _toward(np.nextafter(values - slack, -np.inf), dtype, -np.inf)
-    hi = _toward(np.nextafter(values + slack, np.inf), dtype, np.inf)
-    if clip:
-        hi[hi >= 1.0] = np.inf
-        lo[lo <= -1.0] = -np.inf
+def _window(values: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per query, the float32 (lo, hi) outside which a screened entry is
+    decided: values -/+ slack, each rounded outward, one float and then to
+    float32, so lo <= value - slack and hi >= value + slack exactly.  A
+    screen entry is within slack of the exact entry only once clamped into
+    [-1, 1], so no screen value decides "above" once hi >= 1 or "below"
+    once lo <= -1; a screen that is its own exact matrix loses nothing by
+    it, since an entry inside a window is decided by its exact value."""
+    lo = _toward(np.nextafter(values - slack, -np.inf), -np.inf)
+    hi = _toward(np.nextafter(values + slack, np.inf), np.inf)
+    hi[hi >= 1.0] = np.inf
+    lo[lo <= -1.0] = -np.inf
     return lo, hi
 
 
@@ -133,8 +142,7 @@ def _inside(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, screens, exact,
-                 folds: list, row_slack=0.0, col_slack=0.0, clip: bool = False,
-                 dtype: np.dtype = np.dtype(np.float64)):
+                 folds: list, slack: float = 0.0):
     """The (i2t, t2i) ranks, as the module docstring defines them, of the
     exact matrix E that ``screens`` screens, and those of each of its
     folds, the (first, stop) image ranges that cover its rows in order, a
@@ -146,22 +154,18 @@ def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, screens, exa
     gather: ``screens(order, spans)`` yields, for each (start, stop) of
     spans, the screen of image rows start:stop with the matrix's columns
     taken in that order; ``exact(rows, cols)`` returns E at those entries,
-    in text indices.  The screens are of dtype, and every screen entry g
-    stays within row_slack[i] of E[i, j] (and within col_slack[j]), after
-    the clamp into [-1, 1] when clip is set; NaN entries are allowed.  An
-    entry outside its query's ``_window`` is strictly above or below the
-    query's target and is counted from the screen alone; the entries
-    inside it (the target itself, near ties, NaN) are re-checked with
-    ``exact``.  The target always lies inside its own window, so a query
-    whose window holds no other entry of the block needs no re-check.
-    A matrix is its own screen with zero slack (``_matrix_ranks``).
+    in text indices.  Every screen entry g is E[i, j] itself (a matrix is
+    its own screen with zero slack: ``_matrix_ranks``) or, clamped into
+    [-1, 1], lies within slack of it; NaN entries are allowed.  An entry
+    outside its query's ``_window`` is strictly above or below the query's
+    target and is counted from the screen alone; the entries inside it
+    (the target itself, near ties, NaN) are re-checked with ``exact``.
+    The target always lies inside its own window, so a query whose window
+    holds no other entry of the block needs no re-check.
 
     Each span lies inside one fold, whose texts are one run of columns, so
     every count of a query splits into the part inside its own fold and
-    the part outside: a fold rank is the first, a full rank the sum.  A
-    fold's own screen would take slacks from its own norms; the slacks
-    here hold for every entry of the matrix, so they hold for every fold,
-    and only more entries are re-checked.
+    the part outside: a fold rank is the first, a full rank the sum.
     """
     n_txt = owners.size
     order, bounds = geometry.texts_by_owner(owners, n_img)
@@ -172,8 +176,9 @@ def _count_ranks(n_img: int, owners: np.ndarray, owned: np.ndarray, screens, exa
     texts = texts[np.argsort(owners[texts], kind="stable")]
     best = texts[np.diff(owners[texts], prepend=-1) != 0]
     target = owned[best]
-    lo_t, hi_t = (w[order] for w in _window(owned, col_slack, clip, dtype))
-    lo_i, hi_i = _window(target, row_slack, clip, dtype)
+    # one window per text; an image query's is its best text's
+    lo, hi = _window(owned, slack)
+    lo_t, hi_t, lo_i, hi_i = lo[order], hi[order], lo[best], hi[best]
     owners, owned = owners[order], owned[order]
     step = max(1, _BLOCK_ENTRIES // max(1, n_txt))
     spans = [(start, min(start + step, stop)) for first, stop in folds
@@ -254,16 +259,13 @@ def exact_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
     within g_(d+2) sum_k |a_k b_k| of a.b.  By Cauchy-Schwarz
         |g - x| <= c |a| |b|,  c = g_(d+2) + g_d(u_64).
     The clamp is monotone and 1-Lipschitz, so clip(g) lies as close to
-    E.  The slack of entry (i, j) is k n_i N with N the largest text
-    norm (for image queries), or k M n_j with M the largest image norm
-    (for text queries), where the n are computed norms and k = 2 (d+2) u.
-    A computed norm has n >= |a| sqrt(1 - g_d(u_64)) (1 - u_64), and the
-    slack is rounded twice in float64, so it is at least c |a| |b|
-    whenever k (1 - u_64)^4 (1 - g_d(u_64)) >= c, which holds for
-    (d+2) u <= 1/4, since then g_(d+2) <= 4/3 (d+2) u; d < 2^20 ensures
-    that.  ``_window`` rounds each threshold outward to float32, so the
-    comparison itself loses nothing: an entry above its query's hi has
-    clip(g) > value + slack, hence E > value, and likewise below lo.
+    E.  The slack of every entry is k M^2 with M = ``_NORM_MAX`` and
+    k = 2 (d+2) u, rounded twice in float64: |a|, |b| < M with room to
+    spare, and d < 2^20 gives (d+2) u < 1/15, so c < 15/14 (d+2) u +
+    2 d u_64 < k / 1.8 and the slack exceeds c |a| |b|.  ``_window`` rounds
+    each threshold outward to float32, so the comparison itself loses
+    nothing: an entry above its query's hi has clip(g) > value + slack,
+    hence E > value, and likewise below lo.
 
     Range.  Every norm lies within 1e-3 of 1, so every rounded component,
     product and partial sum is below 2 in magnitude, far from overflow,
@@ -292,10 +294,8 @@ def _screened_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
     folds = fold_slices(n_img, n_folds)
     # pair_sims checks the dimensions before any gemm
     owned = geometry.pair_sims(images, texts, owners, np.arange(n_txt))
-    img_norms, txt_norms = _screen_norms("image", images), _screen_norms("text", texts)
-    unit = 2.0 * (dim + 2) * _U
-    row_slack = unit * img_norms * txt_norms.max()
-    col_slack = unit * img_norms.max() * txt_norms
+    _check_screen_rows("image", images)
+    _check_screen_rows("text", texts)
     screen_images = images.astype(_SCREEN)
 
     def screens(order, spans):
@@ -305,7 +305,7 @@ def _screened_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
 
     return _count_ranks(n_img, owners, owned, screens,
                         lambda r, c: geometry.pair_sims(images, texts, r, c),
-                        folds, row_slack, col_slack, clip=True, dtype=_SCREEN)
+                        folds, 2.0 * (dim + 2) * _U * _NORM_MAX ** 2)
 
 
 def _recall(ranks: np.ndarray, k: int) -> float:
@@ -397,8 +397,10 @@ def _nearest(close: np.ndarray, seg: np.ndarray, index: np.ndarray,
     re-check; the others take the exact distance e_j of each marked
     column.  Bound, with u = 2^-24 the unit roundoff of the float32
     screens (above float64's, in which e_j is taken), g_m = m u/(1 - m u), D_j
-    the true squared distance to the float point and R a bound on
-    |p| + |c_j|: a dot of m terms in any order errs by at most g_m times
+    the true squared distance to the float point and R = 2 ``_NORM_MAX``,
+    which bounds |p| + |c_j| for every point p of a traversal (an image,
+    or a station between its start and the root) and every candidate c_j
+    with room to spare: a dot of m terms in any order errs by at most g_m times
     the sum of |terms|, so |e_j - D_j| <= g_(d+2) R^2.  If every screen value s_j
     lies within E R^2 of D_j less a constant of the (row, segment), then
     for the exact winner w and the screened minimum m, e_w <= e_m, hence
@@ -444,18 +446,18 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     most 2 g_(d+2) R^2 for any R >= |p| + |c_j|: each term takes g_(d+1)
     and two conversions, and the last one the float64 rounding of
     |c_j|^2 (below u), g_(d+3) in all, at most 2 g_(d+2) for d < 2^20.
-    Every norm lies within 1e-3 of 1, so R^2 < 5 and R > 1/2: no screen
-    value overflows, and the absolute errors of underflow (below 2^-126
-    per rounding even when flushed to zero, over 2d + 2 weighted
-    conversions and 2d + 1 products and sums) total less than
-    2^-120 d R^2, far under the margin that each slack below keeps.
+    Every slack below is a constant times R^2 for ``_nearest``'s
+    R = 2 ``_NORM_MAX``.  R^2 < 5, so no screen value overflows, and the
+    absolute errors of underflow (below 2^-126 per rounding even when
+    flushed to zero, over 2d + 2 weighted conversions and 2d + 1 products
+    and sums) total less than 2^-120 d R^2, far under the margin that
+    each slack keeps.
 
     Start: the screen s_j = |c_j|^2 - 2 p.c_j of image p, its squared
-    distance less |p|^2, is a lifted dot, so E = 2 g_(d+2) with
-    R = |p| + max_j |c_j| in the bound of ``_nearest``:
-    2 (2 g_(d+2) + g_(d+2)) R^2 = 6 g_(d+2) R^2.  The start slack is
-    twice that, 12 (d+2) u R^2, which also absorbs the rounding of slack
-    itself.
+    distance less |p|^2, is a lifted dot, so E = 2 g_(d+2) in the bound
+    of ``_nearest``: 2 (2 g_(d+2) + g_(d+2)) R^2 = 6 g_(d+2) R^2.  The
+    start slack is twice that, 12 (d+2) u R^2, which also absorbs the
+    rounding of slack itself.
 
     Line identity: station p = (1-t) s + t r, for start s and root r, has
     the screen value L_j(t) = |c_j|^2 - 2 p.c_j = (1-t) A_j + t B_j with
@@ -471,16 +473,17 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     t = 0, at t = 1 or at t*: A_v <= min(A_s, A_q), B_v <= B_q, or
     L_v(t*) <= L_s(t*) = L_q(t*).  A candidate survives if it passes one
     of these three tests, each with the slack below.  Where the crossing
-    is ill-conditioned (the s and q lines nearly coincide), it must also
-    pass the envelope test: its line lies below U = max over stations of
-    min(L_s(t), L_q(t)), so min(A_v, B_v) <= U.  The start survives,
-    since L_s(0) = -|s|^2 is the least line value at t = 0.  Each
-    station's top-1 is then found among the survivors, which ascend, by
+    is ill-conditioned (the s and q lines nearly coincide, as when s = q),
+    the crossing test is skipped and the end test at t = 1 is taken
+    against s's own line instead, B_v <= B_s: h_v >= L_v - L_s, which is
+    linear, so it lies below a bound at some station only if it does at
+    t = 0, the first test (A_s = min(A_s, A_q)), or at t = 1.  The start
+    survives, since L_s(0) = -|s|^2 is the least line value at t = 0.
+    Each station's top-1 is then found among the survivors, which ascend, by
     the float32 line values L'_j = fl(fl(T A'_j) + fl(t~ B~_j)), where
     T, t~ and B~_j are 1-t, t and B'_j rounded to float32.
 
-    Slack, with R = max(|s|, |r|) + max_j |c_j| and primes marking
-    computed values:
+    Slack, with primes marking computed values:
     - A'_j and B'_j are lifted dots and err by at most 2 g_(d+2) R^2 each;
     - the float station p' = fl(fl(1-t) s) + fl(t r) lies within g_3 R of
       the exact p, so |L_j(p') - L_j(p)| = 2 |(p' - p).c_j| <= 2 g_3 R^2;
@@ -488,9 +491,6 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
       diff-then-square distance errs by at most g_(d+2) R^2, so
       L_v(p') <= L_k(p') + 2 g_(d+2) R^2 and, at the exact station,
       h_v(t) <= (2 g_(d+2) + 4 g_3) R^2;
-    - a float64 line value, as the envelope U' takes it, is within
-      g_3 R^2 of (1-t) A'_j + t B'_j, which is within 2 g_(d+2) R^2 of
-      L_j(p), so U <= U' + (g_3 + 2 g_(d+2)) R^2;
     - a float32 line value L'_j adds the roundings of 1-t, t and B'_j,
       each at most u R^2 (|A'_j|, |B'_j| <= R^2), so it is within
       (g_3 + 3 u) R^2 of (1-t) A'_j + t B'_j, and L'_j lies within
@@ -499,11 +499,11 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
       point fl(fl(1-t') s) + fl(t' r), within g_3 R of the exact point of
       the computed crossing t', so they lie within 2 (g_(d+2) + g_3) R^2
       of L_j(t').
-    Chaining them, the end tests need 4 g_(d+2) R^2 more than the bound
-    on h_v, the crossing test 4 (g_(d+2) + g_3) R^2 more, the envelope
-    test min(A'_v, B'_v) <= U' + (6 g_(d+2) + 5 g_3) R^2, and the top-1
-    screen, by ``_nearest``'s bound with E = 3 g_3 + 3 u + 2 g_(d+2),
-    (6 g_3 + 6 u + 6 g_(d+2)) R^2; each is at most 14 g_(d+3) R^2.
+    Chaining them, the end tests (against s or q) need 4 g_(d+2) R^2
+    more than the bound on h_v, the crossing test 4 (g_(d+2) + g_3) R^2
+    more, and the top-1 screen, by ``_nearest``'s bound with E = 3 g_3 +
+    3 u + 2 g_(d+2), (6 g_3 + 6 u + 6 g_(d+2)) R^2; each is at most
+    14 g_(d+3) R^2.
     ``slack`` is 24 (d+3) u R^2, which also absorbs the second-order
     terms and the rounding of the slack itself.  The crossing test adds
     ``drift`` for the move from t* to t': the slope of h_v is at most
@@ -513,8 +513,9 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     t' = a' / (a' + b') clamped into [0, 1], |t' - t*| <= e / (a + b) +
     2 u <= e / (a' + b' - 2 e) + 2 u.  ``drift`` is twice 4 R^2 times that
     bound, the factor 2 absorbing its own rounding, and infinite unless
-    a' + b' > 2 e; rows whose drift exceeds R^2 take the envelope test
-    too.  So every exact minimiser, ties included, survives.
+    a' + b' > 2 e; rows whose drift exceeds R^2 take the end test against
+    s in place of the crossing test.  So every exact minimiser, ties
+    included, survives.
     """
     if n_points < 2:
         raise ValueError("need at least the two endpoints")
@@ -522,9 +523,9 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     candidates = np.asarray(candidates, dtype=np.float64)
     root = np.asarray(root, dtype=np.float64)
     n_cand, dim = candidates.shape
-    img_norms = _screen_norms("image", images)
-    cand_norms = _screen_norms("candidate", candidates)
-    root_norm = float(_screen_norms("root", root[None, :])[0])
+    _check_screen_rows("image", images)
+    _check_screen_rows("candidate", candidates)
+    _check_screen_rows("root", root[None, :])
     lifted = np.hstack([candidates, np.einsum("ij,ij->i", candidates, candidates)[:, None]])
     t = np.linspace(0.0, 1.0, n_points)[:, None]
     rest = 1.0 - t
@@ -532,10 +533,11 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     q = int(root_line.argmin())
     # the walk screen's copies of t, 1 - t and B
     screen_t, screen_rest, screen_root_line = (v.astype(_SCREEN) for v in (t, rest, root_line))
-    reach = float(cand_norms.max())
     # row-major: BLAS packs a transposed operand far more slowly
     screen_lifted = np.ascontiguousarray(lifted.T, dtype=_SCREEN)
-    unit = 24.0 * (dim + 3) * _U
+    # R^2 of the bounds above, R = 2 _NORM_MAX
+    r2 = (2.0 * _NORM_MAX) ** 2
+    slack, err = 24.0 * (dim + 3) * _U * r2, 6.0 * (dim + 2) * _U * r2
     one_seg, every = np.zeros(n_cand, dtype=np.int64), np.arange(n_cand)
     tops = np.empty((n_points, images.shape[0]), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // max(1, n_cand))
@@ -545,9 +547,7 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
         lift = np.ones((block.shape[0], dim + 1), _SCREEN)
         np.multiply(block, -2.0, out=lift[:, :-1])
         screen = lift @ screen_lifted
-        radius = img_norms[lo:lo + step] + reach
-        slack = 12.0 * (dim + 2) * _U * radius * radius
-        limit = _toward(screen.min(axis=1) + slack, _SCREEN, np.inf)
+        limit = _toward(screen.min(axis=1) + 12.0 * (dim + 2) * _U * r2, np.inf)
         # unit rows make every screen value finite, so no NaN goes unmarked
         firsts = _nearest(screen <= limit[:, None], one_seg, every,
                           candidates, lambda rows, _: block[rows])[:, 0]
@@ -557,33 +557,25 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
         low = lift @ screen_lifted
         own = np.arange(firsts.size)
         a_s, a_q = low[own, firsts], low[:, q]
-        # the envelope U: stations along axis 1, min of the s and q lines,
-        # max over stations
-        bound = np.minimum(rest.T * a_s[:, None] + t.T * root_line[firsts, None],
-                           rest.T * a_q[:, None] + t.T * root_line[q]).max(axis=1)
-        radius = np.maximum(cand_norms[firsts], root_norm) + reach
-        slack = unit * radius * radius
-        bound += slack
         b_s, b_q = root_line[firsts], root_line[q]
         a = np.maximum(a_q - a_s, 0.0)
         b = b_s - b_q
-        err = 6.0 * (dim + 2) * _U * radius * radius
         gap = a + b - 2.0 * err
         cross = np.clip(a / np.where(gap > 0.0, a + b, 1.0), 0.0, 1.0)[:, None]
         drift = np.full(firsts.size, np.inf)
         ok = gap > 0.0
-        drift[ok] = 8.0 * radius[ok] ** 2 * (err[ok] / gap[ok] + 2.0 * _U)
+        drift[ok] = 8.0 * r2 * (err / gap[ok] + 2.0 * _U)
         # the crossing t' of the s and q lines, and its screen values
         np.multiply((1.0 - cross) * starts + cross * root, -2.0, out=lift[:, :-1])
         mid = lift @ screen_lifted
         at_cross = np.minimum(mid[own, firsts], mid[:, q])
-        keep = mid <= _toward(at_cross + slack + drift, _SCREEN, np.inf)[:, None]
-        keep |= low <= _toward(np.minimum(a_s, a_q) + slack, _SCREEN, np.inf)[:, None]
-        keep |= root_line <= b_q + slack.max()
-        # where the crossing is ill-conditioned, the envelope test prunes
-        flat = np.flatnonzero(drift > radius * radius)
-        if flat.size:
-            keep[flat] &= np.minimum(low[flat], root_line) <= bound[flat, None]
+        keep = mid <= _toward(at_cross + slack + drift, np.inf)[:, None]
+        # where the crossing is ill-conditioned, the end test against s
+        # stands in for the crossing test
+        flat = drift > r2
+        keep[flat] = root_line <= b_s[flat, None] + slack
+        keep |= low <= _toward(np.minimum(a_s, a_q) + slack, np.inf)[:, None]
+        keep |= root_line <= b_q + slack
         rows, cols = _nonzero(keep)
         a_line, b_line = low[rows, cols], screen_root_line[cols]
         cuts = np.searchsorted(rows, np.arange(firsts.size + 1))
@@ -595,7 +587,7 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
             walk = rows[kept] - i
             line = screen_rest * a_line[kept] + screen_t * b_line[kept]
             least = np.minimum.reduceat(line, cuts[i:j] - cuts[i], axis=1)
-            limit = _toward(least + slack[i:j], _SCREEN, np.inf)
+            limit = _toward(least + slack, np.inf)
             # each walk's limit beside its survivors: a repeat, not a gather
             limit = np.repeat(limit, np.diff(cuts[i:j + 1]), axis=1)
             tops[:, lo + i:lo + j] = _nearest(

@@ -79,15 +79,14 @@ def l2_normalize(matrix: np.ndarray) -> np.ndarray:
 UNIT_TOL = 1e-3
 
 
-def check_unit_rows(name: str, rows: np.ndarray) -> np.ndarray:
-    """The L2 norms of rows, each of which must lie within ``UNIT_TOL`` of
-    1.  Raises naming the first row that does not (a NaN row never does)."""
+def check_unit_rows(name: str, rows: np.ndarray) -> None:
+    """Raises naming the first row whose L2 norm does not lie within
+    ``UNIT_TOL`` of 1 (a NaN norm never does)."""
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))
     if bad.size:
         raise ValueError(f"{name} row {bad[0]} is not L2-normalized: norm "
                          f"{norms[bad[0]]:.6g}, not 1 within {UNIT_TOL:g}")
-    return norms
 
 
 def _check_dims(u: np.ndarray, v: np.ndarray) -> None:

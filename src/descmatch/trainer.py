@@ -408,9 +408,15 @@ def _epoch_rows(dataset: Dataset, plan: list[tuple[list[int], np.ndarray]]) -> l
 def save_checkpoint(path, params: dict, opt_state: dict, epoch: int,
                     rng: np.random.Generator, config: TrainConfig,
                     history: list[dict]) -> None:
-    arrays = [(f"{slot}/{name}", group[name])
-              for slot, group in zip(_CKPT_SLOTS, (params, opt_state["m"], opt_state["v"]))
-              for name in sorted(group)]
+    """Write a checkpoint that `load_checkpoint` reads back.  A parameter
+    or moment array that params or opt_state lacks raises ValueError naming
+    it before any file is opened."""
+    groups = dict(zip(_CKPT_SLOTS, (params, opt_state["m"], opt_state["v"])))
+    keys = [(slot, name) for slot in _CKPT_SLOTS for name in sorted(_PARAM_NAMES)]
+    missing = [f"{slot}/{name}" for slot, name in keys if name not in groups[slot]]
+    if missing:
+        raise ValueError(f"{path}: cannot save a checkpoint without the array {missing[0]!r}")
+    arrays = [(f"{slot}/{name}", groups[slot][name]) for slot, name in keys]
     header = {
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
         "epoch": epoch,

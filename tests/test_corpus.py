@@ -603,10 +603,12 @@ def test_write_corpus_bytes_equal_json_dumps(tmp_path):
     _assert_corpus_bytes_equal_json_dumps(tmp_path, [])
 
 
+# ids unique, as the writer requires
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.builds(C.SentenceRecord, st.text(max_size=6), st.text(max_size=6),
                           st.text(max_size=12), st.sampled_from(C.VALID_SPLITS),
-                          st.none() | st.integers(-2**63, 2**63 - 1)), max_size=8))
+                          st.none() | st.integers(-2**63, 2**63 - 1)), max_size=8,
+                unique_by=lambda r: r.id))
 def test_write_corpus_round_trips_like_json_dumps(tmp_path_factory, records):
     _assert_corpus_bytes_equal_json_dumps(tmp_path_factory.mktemp("corpus"), records)
 
@@ -699,8 +701,13 @@ def _bad_table(last_id, score, raw=1.0):
     # an int would fail to format only once the file is open
     (_bad_table("x", 1), "'delta' must be a float, got 1"),
     (_bad_table("x", 0.5, raw=2), "'raw' must be a float, got 2"),
+    # the last record repeats the first one's id
+    (_bad_corpus(id='q"uote0'), "duplicate sentence id 'q\"uote0'"),
+    # a value json cannot encode is shown by its repr
+    (_bad_table("x", np.float32(0.5)), r"'delta' must be a float, got (np\.float32\()?0\.5"),
 ], ids=["corpus-int-id", "table-int-id", "table-inf", "table-nan", "corpus-bad-split",
-        "table-delta-above-1", "table-int-delta", "table-int-raw"])
+        "table-delta-above-1", "table-int-delta", "table-int-raw", "corpus-duplicate-id",
+        "table-float32-delta"])
 @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
 def test_writers_check_every_block_before_opening(tmp_path, write, message, exists):
     """A fault in the last block raises before the first block is written:

@@ -475,6 +475,58 @@ def test_traversal_prunes_to_the_bound(monkeypatch):
     assert seen[1][0].tolist() == [1, 3, 4]
 
 
+def test_ill_conditioned_walks_take_the_end_tests_against_their_start(monkeypatch):
+    """Where the lines of the start s and of q, the candidate nearest the
+    root r, nearly coincide, the crossing test gives way to the end tests
+    against s's own line, A_v <= A_s and B_v <= B_s.  Two walks: one that
+    starts at q, and one from s, a hair off q and 2.5e-5 lower toward the
+    equator, so that B_s exceeds B_q by 5e-5, more than the slack
+    (3.5e-5 at d = 3).  Their survivors are those of the two end tests and
+    no more: the candidate at 0, whose line dips under the s and q lines'
+    envelope but stays above both at each end, is pruned, and the one at
+    6, with B_q + slack < B_6 < B_s, survives the walk from s only."""
+    r = np.array([0.0, 0.0, 1.0])
+    q = geometry.l2_normalize(np.array([1.0, 0.0, 0.2]))[0]
+
+    def turned(angle, drop):
+        """q turned about r by angle, its last coordinate lowered by drop."""
+        return geometry.l2_normalize(np.array([q[0] * math.cos(angle), q[0] * math.sin(angle),
+                                               q[2] - drop]))[0]
+
+    s = turned(1e-4, 2.6e-5)
+    far = geometry.l2_normalize(np.array([[0.6, 0.8, 0.1], [-1.0, 0.1, 0.0], [0.2, -1.0, -0.3]]))
+    # q again at 5: an exact tie that the lower index wins
+    cands = np.vstack([far[0], q, s, far[1:], q, turned(0.1, 2.15e-5)])
+    images = np.vstack([s, q])
+    seen = []
+    nearest = E._nearest
+
+    def recording(close, seg, index, candidates, point):
+        seen.append((seg.copy(), index.copy()))
+        return nearest(close, seg, index, candidates, point)
+
+    monkeypatch.setattr(E, "_nearest", recording)
+    sq = np.einsum("ij,ij->i", cands, cands)
+    b = sq - 2.0 * cands @ r
+    assert 3.5e-5 < b[6] - b[1] < b[2] - b[1] < 7e-5
+    for n_points in (2, 50):
+        seen.clear()
+        tops = E._traverse(images, cands, r, n_points)
+        assert first_seen(tops) == [oracles.traversal(image, cands, r, n_points)
+                                    for image in images]
+        # the start pass, then one walk chunk
+        seg, index = seen[1]
+        for w, (image, survivors) in enumerate(zip(images, ([1, 2, 5, 6], [1, 2, 5]))):
+            first = oracles.nearest_candidate(image, cands)
+            a = sq - 2.0 * cands @ cands[first]
+            # a + b of the prune, under ten times the crossing's error bound
+            assert (a[1] - a[first]) + (b[first] - b[1]) < 7e-5
+            # every line value clears its threshold by more than 1e-5
+            want = np.flatnonzero((a <= a[first] + 1e-5) | (b <= b[first] + 1e-5))
+            assert want.tolist() == survivors
+            assert index[seg == w].tolist() == survivors
+
+
 def dyadic_units(rng, n, dim):
     """Rows of exactly unit norm on a grid: one entry +-1, or four entries
     +-1/2, the rest 0.  Their distances to dyadic stations are exact."""
@@ -505,6 +557,45 @@ def test_traversal_equals_station_walk_on_grids(dim, n_cand, n_img, n_points, se
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 5, 16]), st.integers(2, 51), st.integers(0, 2**32 - 1))
+def test_traversal_equals_station_walk_at_the_norm_contract_edge(dim, n_points, seed):
+    """Images, candidates and root all at norm 1 -/+ 0.999e-3, candidates
+    clustered around the images and one duplicated: the slacks, fixed by
+    the contract's bound on every norm, keep every walk exact."""
+    rng = np.random.default_rng(seed)
+    imgs = edge_rows(rng, rng.normal(size=(8, dim)))
+    cands = edge_rows(rng, np.vstack([imgs + 0.3 * rng.normal(size=(8, dim)),
+                                      rng.normal(size=(24, dim))]))
+    cands[5] = cands[2]
+    root = edge_rows(rng, rng.normal(size=(1, dim)))[0]
+    walks = [oracles.traversal(image, cands, root, n_points) for image in imgs]
+    assert first_seen(E._traverse(imgs, cands, root, n_points)) == walks
+
+
+def test_matrix_ranks_decide_every_entry_the_window_leaves():
+    """A given matrix is its own screen, whose float32 windows stop at +-1:
+    entries past +-1, NaN entries (never ahead, as an entry below every
+    target is not) and near ties one float32 ulp apart, or closer, rank as
+    the oracle ranks them."""
+    rng = np.random.default_rng(16)
+    values = [-1.5, -1.0 - 2.0 ** -23, -1.0, -1.0 + 2.0 ** -24, 0.5 - 2.0 ** -25, 0.5,
+              0.5 + 2.0 ** -40, 0.5 + 2.0 ** -24, 1.0 - 2.0 ** -24, 1.0, 1.0 + 2.0 ** -40,
+              1.0 + 2.0 ** -23, 1.5]
+    for _ in range(200):
+        n_img = int(rng.integers(1, 6))
+        owners = rng.permutation(np.append(np.arange(n_img),
+                                           rng.integers(0, n_img, size=rng.integers(0, 10))))
+        n_txt = owners.size
+        sims = rng.choice(values, size=(n_img, n_txt))
+        off_target = rng.random(sims.shape) < 0.2
+        off_target[owners, np.arange(n_txt)] = False
+        sims[off_target] = np.nan
+        want = oracles.stable_ranks(np.where(off_target, -3.0, sims), owners)
+        got = E._matrix_ranks(sims, owners)
+        assert [r.tolist() for r in got] == [r.tolist() for r in want]
+
+
+@settings(max_examples=100, deadline=None)
 @given(grouped_texts(), st.integers(2, 9))
 def test_hierarchical_report_equals_per_walk_sets(fixture, n_points):
     # ragged ownership and repeated texts: walks revisit tied duplicates
@@ -530,13 +621,20 @@ def nudged(fixed, row, want):
     return None
 
 
+def edge_rows(rng, rows):
+    """The rows rescaled to norm 1 - 0.999e-3 or 1 + 0.999e-3 at random,
+    the edge of the norm contract."""
+    return geometry.l2_normalize(rows) * (
+        1.0 + 0.999e-3 * rng.choice([-1.0, 1.0], size=(rows.shape[0], 1)))
+
+
 @st.composite
 def screen_fixtures(draw):
     """Embeddings placed like a trained model's (texts near their owner),
     with the cases a screened rank count can get wrong: exact duplicate
-    rows and columns, dots above 1 before the clamp, off-target entries
-    one float from a target and images that own just one text, appended
-    last."""
+    rows and columns, dots above 1 before the clamp, rows at the edge of
+    the norm contract, off-target entries one float from a target and
+    images that own just one text, appended last."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.sampled_from([1, 2, 5, 16, 48]))
     n_img = draw(st.integers(1, 8))
@@ -556,6 +654,9 @@ def screen_fixtures(draw):
         picked = rng.integers(n_img, size=2)
         imgs[picked] *= 1.0 + 2.0 ** -11
         txts[rng.integers(n_txt, size=4)] = imgs[rng.choice(picked, size=4)]
+    if draw(st.booleans()):
+        # every row at the norm contract's edge, 1 -/+ 0.999e-3
+        imgs, txts = edge_rows(rng, imgs), edge_rows(rng, txts)
     if draw(st.booleans()) and dim > 1:
         # one float above or below a text's target: an extra image next to
         # its owner, and an extra text next to the owner's best text

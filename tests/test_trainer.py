@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -454,14 +455,40 @@ def test_checkpoint_write_is_atomic(tmp_path):
     trainer.train(ds, cfg, checkpoint_path=path)
     before = path.read_bytes()
     # the header is written before this array fails to convert to float64
-    broken = {"W_img": np.array([object()])}
+    full = dict.fromkeys(trainer._PARAM_NAMES, np.zeros(1))
+    broken = full | {"W_img": np.array([object()])}
     with pytest.raises(TypeError):
-        trainer.save_checkpoint(path, broken, {"t": 0, "m": {}, "v": {}}, 0,
+        trainer.save_checkpoint(path, broken, {"t": 0, "m": full, "v": full}, 0,
                                 np.random.default_rng(0), cfg, [])
     assert path.read_bytes() == before
     assert sorted(tmp_path.iterdir()) == [path]
     trainer.train(ds, cfg, checkpoint_path=path)
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_checkpoint_save_refuses_missing_arrays(tmp_path, exists):
+    """A parameter or moment array that the state lacks, which
+    load_checkpoint would reject, raises naming the first in write order
+    before the target or its temporary file is opened."""
+    cfg = trainer.TrainConfig(embed_dim=5, batch_size=8, epochs=1, lr=1e-3)
+    params = trainer.init_params(np.random.default_rng(0), 4, 3, 5)
+
+    def without(name):
+        return {k: a for k, a in params.items() if k != name}
+
+    path = tmp_path / "ck.bin"
+    if exists:
+        path.write_bytes(b"kept")
+    for given, m, v, first in ((params, {}, {}, "adam_m/W_img"),
+                               (without("b_img"), params, params, "param/b_img"),
+                               (params, params, without("b_txt"), "adam_v/b_txt")):
+        want = f"{path}: cannot save a checkpoint without the array '{first}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            trainer.save_checkpoint(path, given, {"t": 0, "m": m, "v": v}, 0,
+                                    np.random.default_rng(0), cfg, [])
+        assert sorted(tmp_path.iterdir()) == ([path] if exists else [])
+    assert not exists or path.read_bytes() == b"kept"
 
 
 def test_load_dataset_takes_file_order_features_as_they_are(tmp_path):
