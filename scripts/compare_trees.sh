@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Byte comparison of this tree against a base tree: a change to the library
 # must not move a byte of what the pipeline, synth, score, train (each loss
-# variant), gradcheck, the config echoes and the ablation write, and scoring
-# and loading may take at most 5% more peak RSS and 1% more traced peak
-# memory.  Exits non-zero at the first difference.
+# variant, and from f32 feature files), eval, gradcheck, the config echoes and
+# the ablation write, and scoring and loading may take at most 5% more peak
+# RSS and 1% more traced peak memory.  Exits non-zero at the first
+# difference.
 #
 # Usage:
 #     bash scripts/compare_trees.sh BASE_TREE [WORK_DIR]
@@ -217,6 +218,16 @@ gates=(
         | dm train --corpus "$work/ragged-corpus.jsonl" --table "$work/ragged-table.jsonl" \
             "${feats[@]}" --variant full --embed-dim 32 --epochs 10 --batch-size 64 \
             --lr 0.01 --seed 0 --out "$out"'
+    # no other row reads an f32 feature file: the pipeline's features
+    # narrowed to f32 (to_f32), trained on for 2 epochs and evaluated
+    'f32 | base head | | checkpoint.bin history.json report/report.json
+        | for role in images texts; do to_f32 "$pipe/$role" "$out/$role"; done; \
+          narrow=(--corpus "$pipe/corpus.jsonl" --table "$pipe/table.jsonl" \
+                  --image-features "$out/images.manifest.json" \
+                  --text-features "$out/texts.manifest.json"); \
+          dm train "${narrow[@]}" --variant full --embed-dim 32 --epochs 2 --batch-size 64 \
+              --lr 0.01 --seed 0 --out "$out"; \
+          dm eval "${narrow[@]}" --checkpoint "$out/checkpoint.bin" --out "$out/report"'
     # the per-line route must still write the pipeline's table
     'nested | base head | head/pipeline/data | table.jsonl
         | dm score --corpus "$work/nested.jsonl" --out "$out/table.jsonl"'
@@ -257,6 +268,23 @@ from pathlib import Path
 lines = Path(sys.argv[1]).read_text(encoding="utf-8").splitlines(True)
 random.Random(0).shuffle(lines)
 Path(sys.argv[2]).write_text("".join(lines), encoding="utf-8")
+EOF
+}
+
+# the f64 feature file at stem $1 written at stem $2 as f32: the manifest
+# with dtype "f32" beside a little-endian float32 binary
+to_f32() {
+    python - "$1" "$2" <<'EOF'
+import json, sys
+from pathlib import Path
+
+import numpy as np
+
+src, dst = sys.argv[1:]
+manifest = json.loads(Path(f"{src}.manifest.json").read_text(encoding="utf-8"))
+Path(f"{dst}.manifest.json").write_text(json.dumps({**manifest, "dtype": "f32"}, sort_keys=True)
+                                        + "\n", encoding="utf-8")
+np.fromfile(f"{src}.bin", dtype="<f8").astype("<f4").tofile(f"{dst}.bin")
 EOF
 }
 

@@ -96,6 +96,8 @@ from operator import attrgetter, eq, methodcaller
 
 import numpy as np
 
+from . import geometry
+
 # the UTF-8 bytes of a token character and a `bytes.translate` table that
 # keeps them and makes every other byte a space
 _TOKEN_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz"
@@ -477,12 +479,8 @@ def _require(values: list, types: set, message: str) -> None:
 
 def _check_unique(ids: list[str]) -> None:
     """Raise ValueError naming the first id that repeats an earlier one."""
-    if len(set(ids)) < len(ids):  # only then the loop that finds it
-        seen: set[str] = set()
-        for sid in ids:
-            if sid in seen:
-                raise ValueError(f"duplicate sentence id {sid!r}")
-            seen.add(sid)
+    if (k := geometry.first_repeat(ids)) is not None:
+        raise ValueError(f"duplicate sentence id {ids[k]!r}")
 
 
 def _strings(values: list) -> list[str]:
@@ -619,19 +617,21 @@ def write_table_jsonl(path, table: DescriptivenessTable) -> None:
 
     The bytes are those of ``json.dumps(row, sort_keys=True)`` per line:
     floats as ``float.__repr__``, ids through json's ASCII string encoder.
-    Every id must be a string, every delta and raw a float (``np.float64``
-    included), every value finite and every delta in [0, 1], as
-    `read_table_jsonl` gives them; all are checked before the file is
-    opened.  A block's text is one join of its values, in C
+    Every id must be a string, every delta and raw and both extremes a
+    float (``np.float64`` included), every value finite and every delta in
+    [0, 1], as `read_table_jsonl` gives them; all are checked before the
+    file is opened.  A block's text is one join of its values, in C
     (`_table_block`).
     """
     ids = list(table.scores)
     deltas = list(table.scores.values())
     raws = list(map(table.raw_scores.__getitem__, ids))
+    extremes = [table.raw_min, table.raw_max]
     _require(ids, {str}, "'id' must be a string, got {}")
-    for name, values in (("delta", deltas), ("raw", raws)):
+    for name, values in (("delta", deltas), ("raw", raws), ("raw_min", extremes[:1]),
+                         ("raw_max", extremes[1:])):
         _require(values, {float, np.float64}, f"{name!r} must be a float, got {{}}")
-    if not all(np.isfinite(v).all() for v in (deltas, raws, [table.raw_min, table.raw_max])):
+    if not all(np.isfinite(v).all() for v in (deltas, raws, extremes)):
         raise ValueError("cannot write a table holding a non-finite value")
     _check_deltas(deltas)
     header = json.dumps({"raw_min": table.raw_min, "raw_max": table.raw_max}, sort_keys=True)

@@ -58,7 +58,11 @@ class SynthSpec:
                 # each level's stratum needs a word of its own
                 ("rare_vocab", self.rare_vocab, self.levels),
                 ("noise_sigma", self.noise_sigma, 0), ("seed", self.seed, 0))]
-            + [("noise_sigma", self.noise_sigma, geometry.is_finite(self.noise_sigma), "finite")])
+            + [("noise_sigma", self.noise_sigma, geometry.is_finite(self.noise_sigma), "finite")]
+            + [(key, value, value <= geometry.MAX_INT_SETTING, "at most 2**62")
+               for key, value in (("images", self.n_images), ("dim", self.feature_dim),
+                                  ("levels", self.levels), ("shared_vocab", self.shared_vocab),
+                                  ("rare_vocab", self.rare_vocab))])
 
 
 def _strata(spec: SynthSpec) -> list[list[str]]:

@@ -24,15 +24,15 @@ through the same count with a zero error bound, so there is one rank
 routine.
 
 Norm contract: every embedding row that ``exact_ranks`` and the
-traversal take (image, text, candidate and root) has norm 1 within
-``geometry.UNIT_TOL`` = 1e-3, and d < 2^20; anything else raises
-ValueError naming the row (``geometry.check_unit_rows``).  So every true
-norm is below ``_NORM_MAX``, and each screen (the gemms of
-``exact_ranks`` and of the traversal, the traversal's walk screen, and
-the masks taken from them) runs in float32 with one slack, a constant of
-d and ``_NORM_MAX`` whose proof counts the rounding of the float64
-inputs to the screen.  Every decision (a rank, a start, a top-1) is
-taken in float64.
+traversal take (image, text, candidate and root) holds to geometry's norm
+contract, norm 1 within ``geometry.UNIT_TOL`` = 1e-3 and d < 2^20;
+anything else raises ValueError naming the row or the width
+(``geometry.check_unit_rows``).  So every true norm is below
+``_NORM_MAX``, and each screen (the gemms of ``exact_ranks`` and of the
+traversal, the traversal's walk screen, and the masks taken from them)
+runs in float32 with one slack, a constant of d and ``_NORM_MAX`` whose
+proof counts the rounding of the float64 inputs to the screen.  Every
+decision (a rank, a start, a top-1) is taken in float64.
 
 Split contract: the paper defines its metrics on complete splits, and
 every entry point takes one: at least one image, each text's owner an
@@ -66,14 +66,11 @@ _BLOCK_ENTRIES = 1 << 18
 _SCREEN = np.dtype(np.float32)
 _U = 2.0 ** -24
 
-# the screens' slacks are proven for embeddings of fewer dimensions
-_MAX_DIM = 1 << 20
-
-# a bound on the true norm of every row that _check_screen_rows admits: its
-# computed norm lies within UNIT_TOL of 1, and the true norm within a
-# relative 2^-32 of that (fewer than 2^20 squares summed in float64, then a
-# square root).  A float64 scalar, so a float32 screen value plus a slack
-# made from it is summed in float64.
+# a bound on the true norm of every row that geometry.check_unit_rows admits
+# (geometry's norm contract): its computed norm lies within UNIT_TOL of 1,
+# and the true norm within a relative 2^-32 of that (fewer than 2^20
+# squares summed in float64, then a square root).  A float64 scalar, so a
+# float32 screen value plus a slack made from it is summed in float64.
 _NORM_MAX = np.float64(1.0 + 2.0 * geometry.UNIT_TOL)
 
 
@@ -87,14 +84,6 @@ def _split(n_img: int, image_of_text, n_txt: int) -> np.ndarray:
     if bare.size:
         raise ValueError(f"image {bare[0]} owns no text")
     return owners
-
-
-def _check_screen_rows(name: str, rows: np.ndarray) -> None:
-    """Raises unless the norm contract admits rows."""
-    if rows.shape[1] >= _MAX_DIM:
-        raise ValueError(f"{name} embeddings have {rows.shape[1]} dimensions; "
-                         f"the float32 screens take fewer than 2^20")
-    geometry.check_unit_rows(name, rows)
 
 
 def _toward(values: np.ndarray, end: float) -> np.ndarray:
@@ -294,8 +283,8 @@ def _screened_ranks(image_embs: np.ndarray, text_embs: np.ndarray,
     folds = fold_slices(n_img, n_folds)
     # pair_sims checks the dimensions before any gemm
     owned = geometry.pair_sims(images, texts, owners, np.arange(n_txt))
-    _check_screen_rows("image", images)
-    _check_screen_rows("text", texts)
+    geometry.check_unit_rows("image", images)
+    geometry.check_unit_rows("text", texts)
     screen_images = images.astype(_SCREEN)
 
     def screens(order, spans):
@@ -341,13 +330,8 @@ def fold_slices(n_images: int, n_folds: int) -> list[tuple[int, int]]:
     if not 1 <= n_folds <= n_images:
         raise ValueError("need at least one image per fold")
     base, extra = divmod(n_images, n_folds)
-    slices = []
-    start = 0
-    for f in range(n_folds):
-        size = base + (1 if f < extra else 0)
-        slices.append((start, start + size))
-        start += size
-    return slices
+    edges = [k * base + min(k, extra) for k in range(n_folds + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def folded_recall_suite(image_embs: np.ndarray, text_embs: np.ndarray,
@@ -523,9 +507,9 @@ def _traverse(images: np.ndarray, candidates: np.ndarray, root: np.ndarray,
     candidates = np.asarray(candidates, dtype=np.float64)
     root = np.asarray(root, dtype=np.float64)
     n_cand, dim = candidates.shape
-    _check_screen_rows("image", images)
-    _check_screen_rows("candidate", candidates)
-    _check_screen_rows("root", root[None, :])
+    geometry.check_unit_rows("image", images)
+    geometry.check_unit_rows("candidate", candidates)
+    geometry.check_unit_rows("root", root[None, :])
     lifted = np.hstack([candidates, np.einsum("ij,ij->i", candidates, candidates)[:, None]])
     t = np.linspace(0.0, 1.0, n_points)[:, None]
     rest = 1.0 - t
@@ -749,11 +733,11 @@ def evaluate(image_embs: np.ndarray, text_embs: np.ndarray,
              image_of_text: np.ndarray, levels: np.ndarray,
              n_points: int = 50, n_folds: int | None = None) -> dict:
     """One-call evaluation over a split.  Level diagnostics appear only
-    when some level is >= 0; fold averaging only when n_folds is set.
+    when some level is >= 0; fold averaging only when n_folds is set.  The
+    report's keys are sorted when written (``write_report_json``).
     """
     owners = _split(image_embs.shape[0], image_of_text, text_embs.shape[0])
     levels = np.asarray(levels, dtype=np.int64)
-    with_levels = bool(np.any(levels >= 0))
     # the fold ranks come from the same pass
     ranks, fold_ranks = _screened_ranks(image_embs, text_embs, owners,
                                         1 if n_folds is None else n_folds)
@@ -763,16 +747,14 @@ def evaluate(image_embs: np.ndarray, text_embs: np.ndarray,
         "n_texts": int(text_embs.shape[0]),
         "recall": suite,
         "rsum": _suite_rsum(suite),
+        "hierarchical": hierarchical_report(image_embs, text_embs, owners, n_points),
     }
-    if with_levels:
-        report["per_level_recall"] = _level_recall(ranks[1], levels)
-    report["hierarchical"] = hierarchical_report(image_embs, text_embs, owners, n_points)
     if n_folds is not None:
         report["folded"] = _folded(owners, fold_ranks, n_folds)
-    if with_levels:
+    if np.any(levels >= 0):
+        report["per_level_recall"] = _level_recall(ranks[1], levels)
         report["d_corr"] = d_corr(image_embs, text_embs, owners, levels)
-        report["distance_by_level"] = distance_by_level(
-            image_embs, text_embs, owners, levels)
+        report["distance_by_level"] = distance_by_level(image_embs, text_embs, owners, levels)
     return report
 
 

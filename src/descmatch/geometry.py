@@ -19,15 +19,24 @@ keep the same contract another way: ``euclid_dists`` sums each squared
 difference with its own BLAS dot call, the (1, d) @ (d, 1) product of
 one row, so no row depends on the others.
 
+Norm contract: every embedding row that the losses, the trainer's
+validation and evaluation take has an L2 norm within ``UNIT_TOL`` = 1e-3
+of 1, and fewer than ``_MAX_DIM`` = 2^20 columns; ``check_unit_rows`` is
+its one check, and evaluation's screens prove their slacks from it.
+
 Text ownership (``image_of_text``) is the only structure that batches,
-losses and evaluation derive their groupings from, and ``texts_by_owner``
-is the one routine that groups texts by owning image for all of them.
+losses and evaluation derive their groupings from: ``check_owners`` is the
+one check of an owner array and ``texts_by_owner`` the one routine that
+groups texts by owning image for all of them.
 
 Files: ``write_json`` writes every JSON run file (the config echoes, the
 synth spec, the training history and the evaluation report) in one form,
 indent 2, sorted keys and a final newline.  A feature file is a JSON
-manifest beside a flat binary; ``write_features`` refuses what
-``read_features`` rejects, through the checks the two share.
+manifest beside a flat binary.  ``_check_manifest`` is the one validator of
+a manifest: ``read_features`` runs it on the object it loads and
+``write_features`` on the object it is about to write, so the writer
+refuses exactly the manifests the reader rejects.  ``first_repeat`` is the
+one scan for a repeated id, of feature manifests and of corpora alike.
 """
 
 from __future__ import annotations
@@ -49,6 +58,11 @@ def is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+# the bound of every integer setting but a seed: the sum of two such values
+# stays inside int64, so no setting wraps numpy's integer arithmetic
+MAX_INT_SETTING = 1 << 62
 
 
 def check_settings(rows) -> None:
@@ -79,9 +93,18 @@ def l2_normalize(matrix: np.ndarray) -> np.ndarray:
 UNIT_TOL = 1e-3
 
 
+# the widest rows the norm contract admits: evaluation's float32 screens
+# prove their slacks for fewer dimensions
+_MAX_DIM = 1 << 20
+
+
 def check_unit_rows(name: str, rows: np.ndarray) -> None:
-    """Raises naming the first row whose L2 norm does not lie within
+    """The norm contract: raises if rows have ``_MAX_DIM`` columns or more,
+    else naming the first row whose L2 norm does not lie within
     ``UNIT_TOL`` of 1 (a NaN norm never does)."""
+    if rows.shape[1] >= _MAX_DIM:
+        raise ValueError(f"{name} embeddings have {rows.shape[1]} dimensions; "
+                         f"the float32 screens take fewer than 2^20")
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))
     if bad.size:
@@ -89,7 +112,8 @@ def check_unit_rows(name: str, rows: np.ndarray) -> None:
                          f"{norms[bad[0]]:.6g}, not 1 within {UNIT_TOL:g}")
 
 
-def _check_dims(u: np.ndarray, v: np.ndarray) -> None:
+def check_dims(u: np.ndarray, v: np.ndarray) -> None:
+    """Raises unless u and v have rows of one width."""
     if u.shape[-1] != v.shape[-1]:
         raise ValueError(f"dimension mismatch: {u.shape[-1]} vs {v.shape[-1]}")
 
@@ -106,7 +130,7 @@ def euclid_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     matmul of a row), as ``np.linalg.norm`` does for one vector."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    _check_dims(a, b)
+    check_dims(a, b)
     diff = a - b
     return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
@@ -153,7 +177,7 @@ def pair_sims(images: np.ndarray, texts: np.ndarray, rows: np.ndarray,
     fixed-order kernel of the module docstring over a list of pairs."""
     images = np.atleast_2d(np.asarray(images, dtype=np.float64))
     texts = np.atleast_2d(np.asarray(texts, dtype=np.float64))
-    _check_dims(images, texts)
+    check_dims(images, texts)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     out = np.empty(rows.size, dtype=np.float64)
@@ -183,70 +207,25 @@ _DTYPES = {"f32": "<f4", "f64": "<f8"}
 _MANIFEST_SUFFIX = ".manifest.json"
 
 
-def _check_manifest(manifest_path, ids: list[str], dim: int) -> None:
-    """The manifest facts that `read_features` checks and `write_features`
-    keeps: ``dim`` at least 1 and no id twice.  Raises naming the manifest
-    and the first repeated id."""
-    if dim == 0:
-        raise ValueError(f"{manifest_path}: 'dim' must be at least 1, got 0")
-    if len(set(ids)) < len(ids):  # only then the loop that finds the first repeat
-        seen: set[str] = set()
-        for sid in ids:
-            if sid in seen:
-                raise ValueError(f"{manifest_path}: duplicate id {sid!r}")
-            seen.add(sid)
+def first_repeat(values: list) -> int | None:
+    """The index of the first value equal to an earlier one, or None if no
+    value repeats: a set-size test, and only then a scan."""
+    if len(set(values)) == len(values):
+        return None
+    seen = set()
+    for k, value in enumerate(values):
+        if value in seen:
+            return k
+        seen.add(value)
 
 
-def _check_rows(bin_path, ids: list[str], data: np.ndarray) -> None:
-    """The binary fact that `read_features` checks and `write_features`
-    keeps: every row finite.  Raises naming the binary, the first row that
-    is not and its id as read back (a string); row blocks keep the boolean
-    temporary small."""
-    step = max(1, _BLOCK_ENTRIES // data.shape[1])
-    for start in range(0, data.shape[0], step):
-        finite = np.isfinite(data[start:start + step]).all(axis=1)
-        if not finite.all():
-            row = start + int(np.argmin(finite))
-            raise ValueError(f"{bin_path}: row {row} (id {str(ids[row])!r}) is not finite")
-
-
-def write_features(stem, ids: list[str], matrix: np.ndarray) -> Path:
-    """Write ``<stem>.manifest.json`` and a row-major f64 ``<stem>.bin``
-    (read: f32 or f64).  Ids and rows that `read_features` would reject (a
-    repeated id, zero columns, a row holding NaN or inf) raise its message
-    before either file is written."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    if len(ids) != matrix.shape[0]:
-        raise ValueError(f"{len(ids)} ids for {matrix.shape[0]} rows")
-    stem = Path(stem)
-    manifest_path, bin_path = (Path(f"{stem}{end}") for end in (_MANIFEST_SUFFIX, ".bin"))
-    _check_manifest(manifest_path, list(map(str, ids)), matrix.shape[1])  # the ids as read back
-    _check_rows(bin_path, ids, matrix)
-    manifest = {"rows": matrix.shape[0], "dim": matrix.shape[1], "dtype": "f64", "ids": list(ids)}
-    # one dumps call runs the C encoder, which dump's streaming path skips
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True) + "\n")
-    matrix.astype(_DTYPES["f64"], copy=False).tofile(bin_path)
-    return manifest_path
-
-
-def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
-    """Load a manifest + binary pair; returns (ids, float64 matrix).  The
-    matrix of an f64 file is the C-contiguous array read, not a copy.
-
-    The manifest is a JSON object holding ``rows`` (a non-negative integer),
-    ``dim`` (a positive integer), ``dtype`` (a key of `_DTYPES`) and ``ids``
-    (a list of string or integer ids, kept as strings).  Anything else
-    raises ValueError naming the manifest.
-    """
-    manifest_path = Path(manifest_path)
-    if not manifest_path.name.endswith(_MANIFEST_SUFFIX):
-        raise ValueError(f"{manifest_path}: expected a *{_MANIFEST_SUFFIX} path")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from exc
+def _check_manifest(manifest_path, manifest) -> tuple[int, int, str, list[str]]:
+    """The one check of a feature manifest, read or about to be written: a
+    dict holding ``rows`` (a non-negative integer), ``dim`` (a positive
+    integer), ``dtype`` (a key of `_DTYPES`) and ``ids`` (a list of
+    ``rows`` string or integer ids, none repeated once read as strings).
+    Returns (rows, dim, dtype, the ids as strings); raises ValueError naming
+    the manifest at the first fault."""
     if type(manifest) is not dict:
         raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     for key in ("rows", "dim", "dtype", "ids"):
@@ -259,12 +238,66 @@ def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
                              f"got {json.dumps(value)}")
     if type(dtype) is not str or dtype not in _DTYPES:
         raise ValueError(f"{manifest_path}: unknown dtype {dtype!r}")
-    if type(ids) is not list or not {type(s) for s in ids} <= {str, int}:
+    # the type test runs in C, and the ids are copied only if one is an int
+    if type(ids) is not list or not (types := set(map(type, ids))) <= {str, int}:
         raise ValueError(f"{manifest_path}: 'ids' must be a list of strings or integers")
-    ids = [str(s) for s in ids]
+    if int in types:
+        ids = list(map(str, ids))
     if len(ids) != rows:
         raise ValueError(f"{manifest_path}: {len(ids)} ids for {rows} rows")
-    _check_manifest(manifest_path, ids, dim)
+    if dim == 0:
+        raise ValueError(f"{manifest_path}: 'dim' must be at least 1, got 0")
+    if (k := first_repeat(ids)) is not None:
+        raise ValueError(f"{manifest_path}: duplicate id {ids[k]!r}")
+    return rows, dim, dtype, ids
+
+
+def _check_rows(bin_path, ids: list[str], data: np.ndarray) -> None:
+    """The binary fact that `read_features` checks and `write_features`
+    keeps: every row finite.  Raises naming the binary, the first row that
+    is not and its id; row blocks keep the boolean temporary small."""
+    step = max(1, _BLOCK_ENTRIES // data.shape[1])
+    for start in range(0, data.shape[0], step):
+        finite = np.isfinite(data[start:start + step]).all(axis=1)
+        if not finite.all():
+            row = start + int(np.argmin(finite))
+            raise ValueError(f"{bin_path}: row {row} (id {ids[row]!r}) is not finite")
+
+
+def write_features(stem, ids: list[str], matrix: np.ndarray) -> Path:
+    """Write ``<stem>.manifest.json`` and a row-major f64 ``<stem>.bin``
+    (read: f32 or f64).  A manifest that `_check_manifest` rejects (an id
+    that is neither a str nor an int, one id too many or too few, a
+    repeated id, zero columns) and a row holding NaN or inf raise
+    `read_features`' message before either file is opened."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    stem = Path(stem)
+    manifest_path, bin_path = (Path(f"{stem}{end}") for end in (_MANIFEST_SUFFIX, ".bin"))
+    manifest = {"rows": matrix.shape[0], "dim": matrix.shape[1], "dtype": "f64", "ids": list(ids)}
+    _check_rows(bin_path, _check_manifest(manifest_path, manifest)[3], matrix)
+    # one dumps call runs the C encoder, which dump's streaming path skips
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True) + "\n")
+    matrix.astype(_DTYPES["f64"], copy=False).tofile(bin_path)
+    return manifest_path
+
+
+def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
+    """Load a manifest + binary pair; returns (ids as strings, float64
+    matrix).  The matrix of an f64 file is the C-contiguous array read, not
+    a copy.  A manifest that is not JSON or that `_check_manifest` rejects,
+    a binary of the wrong size and a row holding NaN or inf raise
+    ValueError naming the file.
+    """
+    manifest_path = Path(manifest_path)
+    if not manifest_path.name.endswith(_MANIFEST_SUFFIX):
+        raise ValueError(f"{manifest_path}: expected a *{_MANIFEST_SUFFIX} path")
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    rows, dim, dtype, ids = _check_manifest(manifest_path, manifest)
     bin_path = manifest_path.with_name(manifest_path.name[: -len(_MANIFEST_SUFFIX)] + ".bin")
     data = np.fromfile(bin_path, dtype=_DTYPES[dtype])
     if data.size != rows * dim:
@@ -272,4 +305,3 @@ def read_features(manifest_path) -> tuple[list[str], np.ndarray]:
     data = data.reshape(rows, dim)
     _check_rows(bin_path, ids, data)
     return ids, data.astype(np.float64, copy=False)
-

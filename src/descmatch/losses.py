@@ -20,15 +20,15 @@ rows then text rows, bit for bit as one ``np.add.at`` per term onto zeros:
 bincount adds each weight into its bin in input order from +0.0, the terms
 keep the order of those calls, and a sum from +0.0 never becomes -0.0.
 
-Each fact of a batch is checked once, where it becomes true.  ``Batch``
-checks all of them for any caller: the widths, the owners (inside the
-cached ``_ownership`` build, so equal owners are checked on the first
-batch only), the deltas and the unit rows.  The trainer's batches come
-from ``_trusted_batch``, which skips the checks its caller has already
-made: ``Dataset`` checks the owners and deltas of the whole split,
-``_epoch_rows`` derives the batch-local owners, which ``_ownership``
-checks on a cache miss, and ``train`` checks the norms ``forward`` divided
-by.
+Each fact of a batch is checked where it becomes true, by geometry's one
+check of it.  ``Batch`` checks all of them for any caller: the widths
+(``geometry.check_dims``), the owners (``geometry.check_owners``), the
+deltas and the unit rows (``geometry.check_unit_rows``).  The trainer's
+batches come from ``_trusted_batch``, which skips the checks its caller
+has already made: ``Dataset`` checks the owners and deltas of the whole
+split, ``_epoch_rows`` derives the batch-local owners, which the cached
+``_ownership`` build checks on a cache miss, and ``train`` checks the
+norms ``forward`` divided by.
 """
 
 from __future__ import annotations
@@ -142,12 +142,9 @@ class Batch:
         self.text_embs = np.asarray(self.text_embs, dtype=np.float64)
         self.deltas = np.asarray(self.deltas, dtype=np.float64)
         n_img, n_txt = self.image_embs.shape[0], self.text_embs.shape[0]
-        if self.image_embs.shape[1] != self.text_embs.shape[1]:
-            raise ValueError("image/text embedding dims differ")
-        self.image_of_text = np.asarray(self.image_of_text, dtype=np.int64)
-        if self.image_of_text.shape != (n_txt,):
-            raise ValueError("image_of_text must have one entry per text")
-        self.ownership = _ownership(self.image_of_text.tobytes(), n_img)  # checks the owners
+        geometry.check_dims(self.image_embs, self.text_embs)
+        self.image_of_text = geometry.check_owners(self.image_of_text, n_img, n_txt)
+        self.ownership = _ownership(self.image_of_text.tobytes(), n_img)
         self.same_image = self.ownership.same_image
         if self.deltas.shape != (n_txt,):
             raise ValueError("deltas must have one entry per text")

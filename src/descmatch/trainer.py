@@ -99,7 +99,10 @@ class TrainConfig:
             + [(name, getattr(self, name), geometry.is_finite(getattr(self, name)), "finite")
                for name in ("lr", "weight_decay", "decay_factor", "beta1", "beta2", "adam_eps")]
             + [("decay_factor", self.decay_factor, self.decay_factor > 0, "positive"),
-               ("weight_decay", self.weight_decay, self.weight_decay >= 0, "non-negative")])
+               ("weight_decay", self.weight_decay, self.weight_decay >= 0, "non-negative")]
+            + [(name, getattr(self, name), getattr(self, name) <= geometry.MAX_INT_SETTING,
+                "at most 2**62")
+               for name in ("embed_dim", "batch_size", "epochs", "warmup_epochs", "decay_epoch")])
         if self.variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
 

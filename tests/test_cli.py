@@ -268,12 +268,16 @@ def test_eval_checks_folds_and_points_first(tmp_path, capsys, key, value, want, 
     ("gradcheck", {"seed": -1}, "seed must be at least 0, got -1"),
     ("gradcheck", {"tol": math.inf}, "tol must be finite, got inf"),
     ("gradcheck", {"step": math.inf}, "step must be finite, got inf"),
+    # beyond int64, numpy's arithmetic on these would overflow
+    ("synth", {"images": 10**20}, "images must be at most 2**62, got 100000000000000000000"),
+    ("train", {"batch_size": 10**20},
+     "batch_size must be at most 2**62, got 100000000000000000000"),
 ], ids=["lambda", "tau", "nan-tau", "nan-lr", "inf-lr", "nan-weight-decay", "inf-weight-decay",
         "nan-decay-factor", "negative-decay-factor", "negative-weight-decay", "nan-alpha", "inf-lambda", "images", "dim", "rare-vocab",
         "noise-sigma", "nan-noise-sigma", "inf-noise-sigma", "trials", "tol-zero",
         "tol-negative", "step", "negative-warmup-epochs", "negative-decay-epoch",
         "negative-train-seed", "negative-synth-seed", "negative-gradcheck-seed", "inf-tol",
-        "inf-step"])
+        "inf-step", "huge-images", "huge-batch-size"])
 @pytest.mark.parametrize("route", ["flag", "config"])
 def test_settings_messages_name_the_option_and_value(tmp_path, capsys, command, values, want,
                                                      route):

@@ -678,14 +678,14 @@ def _bad_corpus(**fields):
     return write
 
 
-def _bad_table(last_id, score, raw=1.0):
+def _bad_table(last_id, score, raw=1.0, raw_min=0.0):
     """A table writer whose last row, in the third block, has this id,
-    delta and raw."""
+    delta and raw, and whose header has this raw_min."""
     def write(path):
         ids = [r.id for r in _records_across_blocks()][:-1] + [last_id]
         scores = dict.fromkeys(ids, 0.5) | {last_id: score}
         C.write_table_jsonl(path, C.DescriptivenessTable(
-            scores=scores, raw_scores=dict.fromkeys(ids, 1.0) | {last_id: raw}, raw_min=0.0,
+            scores=scores, raw_scores=dict.fromkeys(ids, 1.0) | {last_id: raw}, raw_min=raw_min,
             raw_max=1.0))
     return write
 
@@ -705,9 +705,15 @@ def _bad_table(last_id, score, raw=1.0):
     (_bad_corpus(id='q"uote0'), "duplicate sentence id 'q\"uote0'"),
     # a value json cannot encode is shown by its repr
     (_bad_table("x", np.float32(0.5)), r"'delta' must be a float, got (np\.float32\()?0\.5"),
+    # the header's extremes follow the rows' rules
+    (_bad_table("x", 0.5, raw_min=True), "'raw_min' must be a float, got true"),
+    (_bad_table("x", 0.5, raw_min=np.float32(0.5)),
+     r"'raw_min' must be a float, got (np\.float32\()?0\.5"),
+    (_bad_table("x", 0.5, raw_min="0.5"), "'raw_min' must be a float, got \"0.5\""),
 ], ids=["corpus-int-id", "table-int-id", "table-inf", "table-nan", "corpus-bad-split",
         "table-delta-above-1", "table-int-delta", "table-int-raw", "corpus-duplicate-id",
-        "table-float32-delta"])
+        "table-float32-delta", "table-bool-raw-min", "table-float32-raw-min",
+        "table-string-raw-min"])
 @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
 def test_writers_check_every_block_before_opening(tmp_path, write, message, exists):
     """A fault in the last block raises before the first block is written:

@@ -165,6 +165,13 @@ def test_kernel_equals_fixed_order_python_sum(dim, monkeypatch):
         assert_same_bits(G.cosine_sim(a[i], b[j]), fixed_order_sim(a[i], b[j]))
 
 
+@pytest.mark.parametrize("values, want", [
+    ([], None), (["a"], None), (["a", "b", "c"], None), (["a", "b", "b", "a"], 2),
+    (["a", "b", "a", "b"], 2), ([3, 1, 2, 1, 3], 3)])
+def test_first_repeat_is_the_first_value_seen_before(values, want):
+    assert G.first_repeat(values) == want
+
+
 def test_feature_round_trip_f64_is_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     mat = rng.normal(size=(6, 5))
@@ -230,7 +237,12 @@ def _with_nan(row: int) -> np.ndarray:
     (["1", "b", 1], np.ones((3, 2)), r"f\.manifest\.json: duplicate id '1'"),
     (list("abcde"), _with_nan(3), r"f\.bin: row 3 \(id 'd'\) is not finite"),
     (list("abc"), np.ones((3, 0)), r"f\.manifest\.json: 'dim' must be at least 1, got 0"),
-], ids=["duplicate-id", "duplicate-as-read", "non-finite-row", "zero-dim"])
+    # ids the manifest cannot hold
+    *((["a", bad, "c"], np.ones((3, 2)),
+       r"f\.manifest\.json: 'ids' must be a list of strings or integers")
+      for bad in (1.5, True, None)),
+], ids=["duplicate-id", "duplicate-as-read", "non-finite-row", "zero-dim", "float-id", "bool-id",
+        "null-id"])
 def test_feature_write_refuses_what_read_rejects(tmp_path, ids, matrix, message):
     """What read_features would reject raises its message before either
     file is written."""

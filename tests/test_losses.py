@@ -41,6 +41,16 @@ def test_batch_validation():
     assert batch.pair_map == [(0, 0), (1, 1), (2, 2)]
 
 
+def test_batch_takes_geometrys_width_and_owner_checks():
+    embs = np.eye(3)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 3 vs 2$"):
+        L.Batch(embs, np.eye(2), np.array([0, 1]), np.full(2, 0.5))
+    with pytest.raises(ValueError, match="^image_of_text must have one entry per text$"):
+        L.Batch(embs, embs, np.array([0, 1]), np.full(3, 0.5))
+    with pytest.raises(ValueError, match="^text 2 has owner 3, outside the 3 images$"):
+        L.Batch(embs, embs, np.array([0, 1, 3]), np.full(3, 0.5))
+
+
 def test_adaptive_margins_formulas():
     a_i2t, a_t2i = L.adaptive_margins(0.2, 0.8, 6.0)
     assert a_i2t == pytest.approx(1.0 / 6.0, abs=1e-15)
