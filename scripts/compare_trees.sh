@@ -93,10 +93,25 @@ lines[0] = json.dumps(first) + "\n"
 Path(sys.argv[2]).write_text("".join(lines), encoding="utf-8")
 EOF
 
-# the readers match the writers' own lines a block at a time and parse any
-# other line as JSON, and the scorer tokenizes a block of texts at a time;
-# the pipeline's 800 lines fill one block, so a 1100-image synth (three
-# blocks) gets texts that need escapes or that lowercasing changes (İ grows
+# padded lines, blank and whitespace lines, CRLF endings and no final
+# newline send the readers' blocks to their route over stripped lines: the
+# pipeline's corpus laid out so must score to the pipeline's table
+python - "$work/data/corpus.jsonl" "$work/spaced.jsonl" <<'EOF'
+import sys
+from pathlib import Path
+
+lines = Path(sys.argv[1]).read_text(encoding="utf-8").splitlines()
+spaced = []
+for k, line in enumerate(lines):
+    spaced.append(f"  {line} \t" if k % 3 == 0 else line)
+    spaced.extend(["", " \t "] if k % 3 == 1 else [])
+Path(sys.argv[2]).write_bytes("\r\n".join(spaced).encode("utf-8"))
+EOF
+
+# the readers match the writers' own lines a block of text at a time and
+# parse any other line as JSON, and the scorer tokenizes a block of texts at
+# a time; the pipeline's 800 lines (about 100 KB) fill one block of each,
+# so a 1100-image synth (three blocks of each) gets texts that need escapes or that lowercasing changes (İ grows
 # by a code point, the Kelvin sign becomes k, a final sigma), written by the
 # corpus writer, and a copy with every other block in another JSON form,
 # and its table is rewritten the same way
@@ -157,6 +172,13 @@ gates=(
         data/texts.manifest.json data/table.jsonl run/history.json run/checkpoint.bin
         report/report.json report/distance_by_level.csv
         | python "$tree/scripts/run_pipeline.py" --seed 0 --out "$out"'
+    # the CLI runs one BLAS thread unless the environment sets a count
+    # (README); the pipeline run with two must write the pipeline row's bytes
+    'threads-2 | head | head/pipeline |
+        data/corpus.jsonl data/images.bin data/texts.bin data/images.manifest.json
+        data/texts.manifest.json data/table.jsonl run/history.json run/checkpoint.bin
+        report/report.json report/distance_by_level.csv
+        | OPENBLAS_NUM_THREADS=2 python "$tree/scripts/run_pipeline.py" --seed 0 --out "$out"'
     # at 1000 images the traversal's start pass and walks span several
     # blocks, which the pipeline's 200 images never do
     'pipeline-1000 | base head | | report/report.json report/distance_by_level.csv
@@ -231,6 +253,8 @@ gates=(
     # the per-line route must still write the pipeline's table
     'nested | base head | head/pipeline/data | table.jsonl
         | dm score --corpus "$work/nested.jsonl" --out "$out/table.jsonl"'
+    'spaced | base head | head/pipeline/data | table.jsonl
+        | dm score --corpus "$work/spaced.jsonl" --out "$out/table.jsonl"'
     'escaped | base head | | table.jsonl
         | dm score --corpus "$blocks/escaped.jsonl" --out "$out/table.jsonl"'
     'mixed | base head | head/escaped | table.jsonl

@@ -18,8 +18,20 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 from pathlib import Path
+
+# A command runs numpy's BLAS on one thread unless the user set a thread
+# count: its products are small, so more threads mostly wait on each other,
+# and they slow down sharply while another process holds a core.  OpenBLAS
+# reads the variables once, when numpy loads, so they are set here, before
+# the library imports below, and only while numpy is not loaded: when this
+# module starts the `descmatch` script or `python -m descmatch.cli`.  The
+# library modules set no variable.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(map(os.environ.__contains__, BLAS_THREAD_VARS)):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 from . import corpus as corpus_mod
 from . import datagen, evaluation, geometry, losses, trainer

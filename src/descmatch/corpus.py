@@ -22,25 +22,33 @@ first fault, and its writer holds to it.  A writer checks every record
 before it opens the file, with the rule set's own checks of a split
 (`_check_splits`), a level (`_require_int64`) and a delta's range
 (`_check_deltas`), and types its fields as the writer's lines need them,
-so it writes only lines its reader takes.  A reader takes a file's
-stripped, non-blank lines from the open file in blocks of
-`_BLOCK_RECORDS`.  It matches a block against the
-format's pattern of the exact line its writer emits (`_CORPUS`,
-`_TABLE`) and takes the columns from the match groups; a block in which a
-line does not match is parsed with one ``json.loads`` per line.  Either
-way the block's columns go through one call of the rule set, and ids must
-be unique over the whole file.  Only a file that fails is read again line
+so it writes only lines its reader takes.  A reader takes the file's text
+after the header in blocks of `_BLOCK_CHARS` characters, each run on to
+the end of its last line, and splits a block once by the format's pattern
+of the exact line its writer emits (`_CORPUS`, `_TABLE`).  If the text
+between the matches is only newlines, the columns come from the match
+groups.  Any other block (a padded, blank, reordered or nested line)
+takes the route of its stripped, non-blank lines, split on newlines only,
+as iterating the file splits them (the file is read with universal
+newlines, so CRLF and CR endings arrive as newlines): those lines are
+matched the same way, and if one does not match they are parsed with one
+``json.loads`` per line.  Either way the block's columns go through one
+call of the rule set, and ids must be unique over the whole file.  Only a file that fails is read again line
 by line, each record parsed and checked alone by the same rule set, so
 that the message names the file and the first bad line.
 
 Why the groups of a matched line are what ``json.loads(line)`` gives:
 
-1. Lines.  ``pattern.split`` of the block (its lines joined by newlines)
-   gives the text between matches and each match's g groups in one flat
-   list, 1 + m(g + 1) entries for m matches.  The pattern is anchored by
+1. Lines.  ``pattern.split`` of a text gives the text between matches
+   and each match's g groups in one flat list, the text between matches
+   at every (g + 1)-th entry from the first.  The pattern is anchored by
    ``^`` and ``$`` in multiline mode and matches no newline, so a match is
-   one whole line and a line holds at most one; the k lines all match
-   exactly when the list holds 1 + k(g + 1) entries.
+   one whole line and a line holds at most one.  When the text between
+   the matches is only newlines, every other character lies in a match,
+   so every non-blank line is one whole match, unpadded: the lines that
+   the per-line route reads (split on newlines, stripped, blank ones
+   dropped) are the matched lines, in order.  Stripped, non-blank lines
+   joined by newlines pass this test exactly when every line matches.
 2. Strings.  A string group, the text between two quotes, holds printable
    ASCII characters other than ``"`` and ``\`` and JSON escapes: ``\``
    and one of ``"\/bfnrt``, or ``\u`` and four hex digits.  It holds no
@@ -64,9 +72,9 @@ Why the groups of a matched line are what ``json.loads(line)`` gives:
    value).  A line without the optional level group has no ``level`` key,
    which both routes read as null.
 
-Memory: neither reader holds the whole file.  One block of lines, its
-joined text and its groups are alive at a time besides the columns built
-so far; only the line-by-line pass after a fault reads the file again,
+Memory: neither reader holds the whole file.  One block of text, its
+split and its groups (on the other route, also its stripped lines and
+their joined text) are alive at a time besides the columns built so far; only the line-by-line pass after a fault reads the file again,
 one line at a time.  The corpus rule set keeps one string object per
 distinct image id and per distinct split within a block (the first of
 each, through a per-block dict, not a global intern), so the four
@@ -79,8 +87,9 @@ between constant separators.  `score_word_ids` takes its sentences in
 blocks and finds one block's distinct words before it reads the next,
 and `build_table`'s tokenizer, `_word_ids`, tokenizes a block of records
 only when the scorer asks for it, so one block's lowercased texts, their
-joined text, its UTF-8 bytes (as encoded and as translated) and its
-tokens are alive at a time, never the whole corpus's.
+joined text, its UTF-8 bytes (as encoded and as translated), the
+positions of its continuation bytes and its tokens are alive at a time,
+never the whole corpus's.
 """
 
 from __future__ import annotations
@@ -88,10 +97,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import attrgetter, eq, methodcaller
 
 import numpy as np
@@ -108,11 +117,14 @@ _utf8_bytes = methodcaller("encode", "utf-8", "surrogatepass")
 
 VALID_SPLITS = ("train", "val", "test")
 
-# records per block of `build_table`'s tokenization and scoring, of a
-# reader's match, parse and check and of a writer's formatting: the joined
-# text, tokens and lines of one block are alive at a time, not those of the
-# whole corpus
+# records per block of `build_table`'s tokenization and scoring and of a
+# writer's formatting: the joined text, tokens and lines of one block are
+# alive at a time, not those of the whole corpus
 _BLOCK_RECORDS = 1 << 11
+
+# characters per block of a reader's match, parse and check, about 256 KiB
+# of the writers' ASCII lines; a block runs on to the end of its last line
+_BLOCK_CHARS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -191,23 +203,26 @@ def build_table(records: list[SentenceRecord], pool_split: str = "train") -> tup
     pool sentences that hold ``w`` at least once (presence, not
     multiplicity), keyed in order of first occurrence over all records,
     for the words that occur in the pool."""
-    vocab: dict[str, int] = {}
+    # a word's id is the vocabulary's size when the word is first looked up
+    vocab = defaultdict()
+    vocab.default_factory = vocab.__len__
     ids, splits, texts = (list(map(attrgetter(name), records)) for name in ("id", "split", "text"))
     doc_freq, table = score_word_ids(ids, splits, _word_ids(texts, vocab), pool_split)
     return {w: m for w, m in zip(vocab, doc_freq.tolist()) if m}, table
 
 
-def _word_ids(texts: list[str], vocab: dict[str, int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _word_ids(texts: list[str], vocab: defaultdict) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per block of `_BLOCK_RECORDS` texts, each text's token count and its
-    tokens' ids in ``vocab``, where a new word gets the next id.  A
-    generator, so a block is tokenized only when the scorer asks for it.
+    tokens' ids in ``vocab``, a dict whose ``default_factory`` is its own
+    ``__len__``, so a new word gets the next id.  A generator, so a block is
+    tokenized only when the scorer asks for it.
 
     A block is tokenized by one `tokenize` of its texts, each lowercased on
     its own and joined by single spaces.  A token's start is a token byte
     after a space in the joined text's UTF-8 bytes translated by
     `_SPACED`, as `tokenize` translates them, and a text's tokens are those
-    that start within its bytes.  The counts and tokens are those of one
-    `tokenize` per text:
+    that start before its end byte, the byte of the space after it.  The
+    counts and tokens are those of one `tokenize` per text:
 
     - a space is not a token character, so no token crosses two texts and
       splitting the joined text's translated bytes gives each text's
@@ -222,22 +237,28 @@ def _word_ids(texts: list[str], vocab: dict[str, int]) -> Iterator[tuple[np.ndar
     - the joined text's bytes are its texts' bytes joined by spaces, and
       the translate maps each byte alone, so a token starts at the same
       bytes of the joined text as of its own text's encoding.  The bytes
-      are a quarter of UTF-32's for ASCII text.
+      are a quarter of UTF-32's for ASCII text;
+    - UTF-8 encodes each code point (a lone surrogate too) as one lead
+      byte and its continuation bytes, ``0b10xxxxxx``, so code point c
+      starts at byte c plus the continuation bytes before it.  The i-th
+      continuation byte, at byte p, belongs to code point p - i - 1.
 
-    The block's new words get the next ids in order of first occurrence,
-    and its tokens are mapped in one pass.
+    The tokens are mapped in one pass, new words numbered in order of
+    first occurrence.
     """
     for lo in range(0, len(texts), _BLOCK_RECORDS):
         lowered = list(map(str.lower, texts[lo:lo + _BLOCK_RECORDS]))
         joined = " ".join(lowered)
         tokens = tokenize(joined).tokens
-        is_token = np.frombuffer(_utf8_bytes(joined).translate(_SPACED), dtype=np.uint8) != 0x20
+        utf8 = _utf8_bytes(joined)
+        is_token = np.frombuffer(utf8.translate(_SPACED), dtype=np.uint8) != 0x20
         starts = np.flatnonzero(is_token & np.diff(is_token, prepend=False))
-        # text k + 1 starts at byte ends[k] of the joined text
-        sizes = np.fromiter(map(len, map(_utf8_bytes, lowered)), dtype=np.int64, count=len(lowered))
-        ends = np.cumsum(sizes + 1)
-        new = [w for w in dict.fromkeys(tokens) if w not in vocab]
-        vocab.update(zip(new, range(len(vocab), len(vocab) + len(new))))
+        # the code point of the space after each text, the last one's past
+        # the end, and its byte
+        sizes = np.fromiter(map(len, lowered), dtype=np.int64, count=len(lowered))
+        spaces = np.cumsum(sizes + 1) - 1
+        continued = np.flatnonzero((np.frombuffer(utf8, dtype=np.uint8) & 0xC0) == 0x80)
+        ends = spaces + np.searchsorted(continued - np.arange(continued.size), spaces, "right")
         yield (np.diff(np.searchsorted(starts, ends), prepend=0),
                np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens)))
 
@@ -370,15 +391,15 @@ def _unquoted(strings: list[str], escaped: bool) -> list[str]:
 _FAULTS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
 
 
-def _matched_columns(fmt: _Format, block: list[str]) -> dict | None:
-    """The field columns of a block of stripped, non-blank lines from one
-    ``split`` of the block by ``fmt.line``, or None if a line does not
-    match (the module docstring says why the columns are then what
+def _matched_columns(fmt: _Format, text: str) -> dict | None:
+    """The field columns of the lines of ``text`` from one ``split`` by
+    ``fmt.line``, or None if the text between the matches is not only
+    newlines: a line that does not match, or one padded with whitespace
+    (the module docstring says why the columns are then what
     ``json.loads`` of each line gives)."""
-    text = "\n".join(block)
     parts = fmt.line.split(text)
     width = fmt.line.groups + 1
-    if len(parts) != 1 + len(block) * width:
+    if "".join(parts[::width]).strip("\n"):
         return None
     return fmt.groups([parts[j::width] for j in range(1, width)], "\\" in text)
 
@@ -417,26 +438,32 @@ def _read_records(path, fmt: _Format) -> tuple[object, list[list]]:
     None), and the records on its other lines, as the columns of
     ``fmt.rules``.
 
-    The stripped, non-blank lines are taken from the open file in blocks of
-    `_BLOCK_RECORDS`.  Each block goes through `_matched_columns`, or
-    `_parsed_columns` if a line does not match, then one call of
-    ``fmt.rules``, and is appended to the columns, so only one block of
-    lines is alive at a time.  Only if a byte is not UTF-8, the header or a
-    line does not parse, the rules raise or an id repeats anywhere in the
-    file is the file read again line by line, the header checked first and
-    each record alone by the same rules: this raises at the first bad line,
-    a malformed header or record or an id already seen on an earlier line,
-    and names it.
+    The text after the header is read in blocks of `_BLOCK_CHARS`
+    characters, each run on to the end of its last line.  A block's columns
+    are `_matched_columns` of its text, else of its stripped, non-blank
+    lines joined by newlines (columns are a dict that is never empty), else
+    `_parsed_columns` of those lines.  They go through one call of
+    ``fmt.rules`` and are appended to the columns, so only one block of text
+    is alive at a time.
+
+    Only if a byte is not UTF-8, the header or a line does not parse, the
+    rules raise or an id repeats anywhere in the file is the file read
+    again line by line, the header checked first and each record alone by
+    the same rules: this raises at the first bad line, a malformed header
+    or record or an id already seen on an earlier line, and names it.
     """
     try:
         parts = []
         with open(path, "r", encoding="utf-8") as fh:
             head = fmt.header(path, fh.readline()) if fmt.header else None
-            lines = filter(None, map(str.strip, fh))
             # an empty file is one empty block, so the columns exist
-            while (block := list(islice(lines, _BLOCK_RECORDS))) or not parts:
-                cols = _matched_columns(fmt, block)
-                parts.append(fmt.rules(_parsed_columns(fmt, block) if cols is None else cols))
+            while (text := fh.read(_BLOCK_CHARS)) or not parts:
+                if not text.endswith("\n"):
+                    text += fh.readline()
+                if (cols := _matched_columns(fmt, text)) is None:
+                    lines = list(filter(None, map(str.strip, text.split("\n"))))
+                    cols = _matched_columns(fmt, "\n".join(lines)) or _parsed_columns(fmt, lines)
+                parts.append(fmt.rules(cols))
         cols = [list(chain.from_iterable(col)) for col in zip(*parts)]
         if len(set(cols[0])) == len(cols[0]):
             return head, cols
@@ -540,8 +567,9 @@ def _corpus_columns(cols: dict) -> list[list]:
 def _corpus_groups(groups: list[list], escaped: bool) -> dict:
     """The corpus field columns of `_CORPUS`'s group columns."""
     ids, image_ids, levels, splits, texts = groups
+    value = {v: None if v is None else int(v) for v in set(levels)}
     return {"id": _unquoted(ids, escaped), "image_id": _unquoted(image_ids, escaped),
-            "level": [None if v is None else int(v) for v in levels],
+            "level": list(map(value.__getitem__, levels)),
             "split": _unquoted(splits, escaped), "text": _unquoted(texts, escaped)}
 
 

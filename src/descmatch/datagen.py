@@ -33,6 +33,11 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import geometry
 
+# the most words a synth pool may hold: the vocabulary is one Python string
+# per word, built before any sentence is drawn, about 70 MB per pool at this
+# bound
+_MAX_VOCAB = 1 << 20
+
 # words added on top of the inherited prefix at each level
 _BASE_SHARED = 3
 _BASE_RARE = 1
@@ -61,7 +66,9 @@ class SynthSpec:
             + [("noise_sigma", self.noise_sigma, geometry.is_finite(self.noise_sigma), "finite")]
             + [(key, value, value <= geometry.MAX_INT_SETTING, "at most 2**62")
                for key, value in (("images", self.n_images), ("dim", self.feature_dim),
-                                  ("levels", self.levels), ("shared_vocab", self.shared_vocab),
+                                  ("levels", self.levels))]
+            + [(key, value, value <= _MAX_VOCAB, "at most 2**20")
+               for key, value in (("shared_vocab", self.shared_vocab),
                                   ("rare_vocab", self.rare_vocab))])
 
 

@@ -26,8 +26,9 @@ its one check, and evaluation's screens prove their slacks from it.
 
 Text ownership (``image_of_text``) is the only structure that batches,
 losses and evaluation derive their groupings from: ``check_owners`` is the
-one check of an owner array and ``texts_by_owner`` the one routine that
-groups texts by owning image for all of them.
+one check of an owner array, made of ``owner_array``'s count check and a
+range check, and ``texts_by_owner`` the one routine that groups texts by
+owning image for all of them.
 
 Files: ``write_json`` writes every JSON run file (the config echoes, the
 synth spec, the training history and the evaluation report) in one form,
@@ -135,12 +136,18 @@ def euclid_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
 
-def check_owners(image_of_text, n_images: int, n_texts: int) -> np.ndarray:
-    """The owners as int64: one per text, each an image index in
-    [0, n_images).  Raises naming the first text whose owner is not."""
+def owner_array(image_of_text, n_texts: int) -> np.ndarray:
+    """The owners as int64, one per text, or ValueError."""
     owners = np.asarray(image_of_text, dtype=np.int64)
     if owners.shape != (n_texts,):
         raise ValueError("image_of_text must have one entry per text")
+    return owners
+
+
+def check_owners(image_of_text, n_images: int, n_texts: int) -> np.ndarray:
+    """`owner_array`, each owner an image index in [0, n_images).  Raises
+    naming the first text whose owner is not."""
+    owners = owner_array(image_of_text, n_texts)
     bad = np.flatnonzero((owners < 0) | (owners >= n_images))
     if bad.size:
         raise ValueError(f"text {bad[0]} has owner {owners[bad[0]]}, outside the "

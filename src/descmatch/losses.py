@@ -22,13 +22,14 @@ keep the order of those calls, and a sum from +0.0 never becomes -0.0.
 
 Each fact of a batch is checked where it becomes true, by geometry's one
 check of it.  ``Batch`` checks all of them for any caller: the widths
-(``geometry.check_dims``), the owners (``geometry.check_owners``), the
-deltas and the unit rows (``geometry.check_unit_rows``).  The trainer's
-batches come from ``_trusted_batch``, which skips the checks its caller
-has already made: ``Dataset`` checks the owners and deltas of the whole
-split, ``_epoch_rows`` derives the batch-local owners, which the cached
-``_ownership`` build checks on a cache miss, and ``train`` checks the
-norms ``forward`` divided by.
+(``geometry.check_dims``), the owners (``geometry.owner_array``'s count,
+then ``geometry.check_owners`` once, in the cached ``_ownership`` build on
+a miss), the deltas and the unit rows (``geometry.check_unit_rows``).
+The trainer's batches come from ``_trusted_batch``, which skips the checks
+its caller has already made: ``Dataset`` checks the owners and deltas of
+the whole split, ``_epoch_rows`` derives the batch-local owners, which the
+cached ``_ownership`` build checks on a cache miss, and ``train`` checks
+the norms ``forward`` divided by.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ class Batch:
         self.deltas = np.asarray(self.deltas, dtype=np.float64)
         n_img, n_txt = self.image_embs.shape[0], self.text_embs.shape[0]
         geometry.check_dims(self.image_embs, self.text_embs)
-        self.image_of_text = geometry.check_owners(self.image_of_text, n_img, n_txt)
+        self.image_of_text = geometry.owner_array(self.image_of_text, n_txt)
+        # checks the owners on a cache miss; a hit's owners passed that check
         self.ownership = _ownership(self.image_of_text.tobytes(), n_img)
         self.same_image = self.ownership.same_image
         if self.deltas.shape != (n_txt,):

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -272,12 +274,15 @@ def test_eval_checks_folds_and_points_first(tmp_path, capsys, key, value, want, 
     ("synth", {"images": 10**20}, "images must be at most 2**62, got 100000000000000000000"),
     ("train", {"batch_size": 10**20},
      "batch_size must be at most 2**62, got 100000000000000000000"),
+    # a vocabulary is built word by word before anything is drawn
+    ("synth", {"shared_vocab": 2**20 + 1}, "shared_vocab must be at most 2**20, got 1048577"),
+    ("synth", {"rare_vocab": 2**20 + 1}, "rare_vocab must be at most 2**20, got 1048577"),
 ], ids=["lambda", "tau", "nan-tau", "nan-lr", "inf-lr", "nan-weight-decay", "inf-weight-decay",
         "nan-decay-factor", "negative-decay-factor", "negative-weight-decay", "nan-alpha", "inf-lambda", "images", "dim", "rare-vocab",
         "noise-sigma", "nan-noise-sigma", "inf-noise-sigma", "trials", "tol-zero",
         "tol-negative", "step", "negative-warmup-epochs", "negative-decay-epoch",
         "negative-train-seed", "negative-synth-seed", "negative-gradcheck-seed", "inf-tol",
-        "inf-step", "huge-images", "huge-batch-size"])
+        "inf-step", "huge-images", "huge-batch-size", "huge-shared-vocab", "huge-rare-vocab"])
 @pytest.mark.parametrize("route", ["flag", "config"])
 def test_settings_messages_name_the_option_and_value(tmp_path, capsys, command, values, want,
                                                      route):
@@ -1004,3 +1009,48 @@ def test_every_settings_field_is_an_option_or_library_only(synth_dir, tmp_path, 
                  if getattr(obj, f.name) == getattr(fresh, f.name)}
         assert unset <= _LIBRARY_ONLY, type(obj).__name__
     assert _LIBRARY_ONLY <= fields
+
+
+# Run in a fresh interpreter: imports `module` first, as the `descmatch`
+# script imports descmatch.cli, then numpy, and prints the thread count in
+# force of each loaded OpenBLAS and the three variables.
+_THREADS_PROBE = """
+import ctypes, importlib, json, os, sys
+importlib.import_module(sys.argv[1])
+import numpy
+names = [p + "_get_num_threads" + s for p in ("scipy_openblas", "openblas") for s in ("64_", "")]
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()
+                    and line.split()[-1].startswith("/")})
+threads = [getattr(lib, name)() for lib in map(ctypes.CDLL, paths) for name in names
+           if hasattr(lib, name)]
+print(json.dumps({"threads": threads,
+                  "env": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS",
+                                                         "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}))
+"""
+
+
+def _threads_in_force(module: str, **env: str) -> dict:
+    base = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _THREADS_PROBE, module], env=base | env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+def test_commands_run_one_blas_thread_unless_the_user_sets_a_count():
+    """The CLI sets the three variables to 1 before numpy loads when none is
+    set, so one BLAS thread is in force; a user's own count wins; importing
+    the library sets nothing."""
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("the probe finds OpenBLAS through /proc/self/maps")
+    pinned = _threads_in_force("descmatch.cli")
+    if not pinned["threads"]:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert pinned == {"threads": [1], "env": dict.fromkeys(cli.BLAS_THREAD_VARS, "1")}
+    two = _threads_in_force("descmatch.cli", OPENBLAS_NUM_THREADS="2")
+    assert two["env"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None,
+                          "MKL_NUM_THREADS": None}
+    assert two["threads"] == [min(2, os.cpu_count())]
+    for module in ("descmatch.trainer", "descmatch.evaluation"):
+        assert _threads_in_force(module)["env"] == dict.fromkeys(cli.BLAS_THREAD_VARS)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from collections import defaultdict
 
 import hypothesis.strategies as st
 import numpy as np
@@ -510,7 +511,8 @@ def test_word_ids_equal_one_tokenize_per_text(texts, block):
     size = block or C._BLOCK_RECORDS
     lengths, ids, words = _word_ids_oracle(texts)
     records = [C.SentenceRecord(f"s{k}", f"i{k}", t) for k, t in enumerate(texts)]
-    vocab = {}
+    vocab = defaultdict()
+    vocab.default_factory = vocab.__len__
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(C, "_BLOCK_RECORDS", size)
         blocks = list(C._word_ids(texts, vocab))
@@ -524,6 +526,24 @@ def test_word_ids_equal_one_tokenize_per_text(texts, block):
                 C.build_table(records)
         else:
             _assert_tables_identical(C.build_table(records), build_table_oracle(records))
+
+
+def test_word_ids_equal_one_tokenize_per_text_on_length_changing_characters(monkeypatch):
+    """Before each text's end: İ, whose lower case is two code points of
+    three UTF-8 bytes, a final capital sigma, a lone surrogate (three bytes
+    passed through) and the fi ligature (three bytes, kept by ``lower``), so
+    each text's end byte lies past its end code point."""
+    texts = ["İİ dog", "ΟΔΟΣ cat", "ΟΔΟΣ", "a\ud800b", "\ud800", "ﬁne ﬁsh", "x İ",
+             "zebra Σ", "\ud800\udfff 9"]
+    lengths, ids, words = _word_ids_oracle(texts)
+    for block in (1, 2, 4, C._BLOCK_RECORDS):
+        monkeypatch.setattr(C, "_BLOCK_RECORDS", block)
+        vocab = defaultdict()
+        vocab.default_factory = vocab.__len__
+        blocks = list(C._word_ids(texts, vocab))
+        assert np.concatenate([b[0] for b in blocks]).tolist() == lengths
+        assert np.concatenate([b[1] for b in blocks]).tolist() == ids
+        assert list(vocab) == words
 
 
 @pytest.mark.parametrize("block", [3, None])
@@ -726,12 +746,34 @@ def test_writers_check_every_block_before_opening(tmp_path, write, message, exis
     assert target.read_bytes() == b"kept\n" if exists else not target.exists()
 
 
-def _assert_shared_per_block(columns: C.CorpusColumns, block: int) -> None:
-    """Within each block, equal image ids are one object, and so are equal
-    splits."""
+def _block_sizes(path, header=False) -> list[int]:
+    """The records of each block a reader cuts ``path`` into: a block is
+    the next `_BLOCK_CHARS` characters after the header, run on to the end
+    of its last line (an empty file is one empty block)."""
+    text = path.read_text(encoding="utf-8")
+    if header:
+        text = text.partition("\n")[2]
+    sizes, lo = [], 0
+    while lo < len(text) or not sizes:
+        hi = lo + C._BLOCK_CHARS
+        if not text[lo:hi].endswith("\n"):
+            hi = text.find("\n", hi) + 1 or len(text)
+        sizes.append(_records(text[lo:hi]))
+        lo = hi
+    return sizes
+
+
+def _records(text: str) -> int:
+    """The non-blank lines of ``text``."""
+    return sum(1 for line in text.split("\n") if line.strip())
+
+
+def _assert_shared_per_block(columns: C.CorpusColumns, sizes: list[int]) -> None:
+    """Within each block of ``sizes`` records, equal image ids are one
+    object, and so are equal splits."""
     for values in (columns.image_ids, columns.splits):
-        for lo in range(0, len(values), block):
-            part = values[lo:lo + block]
+        for lo, hi in zip(np.cumsum([0] + sizes), np.cumsum(sizes)):
+            part = values[lo:hi]
             assert len(set(map(id, part))) == len(set(part))
 
 
@@ -740,7 +782,7 @@ def test_read_corpus_columns_shares_repeated_values_per_block(tmp_path, monkeypa
     """Each block's image ids and splits hold one object per distinct value,
     on the pattern route, on the json route (a block with a key-reordered
     line) and for integer image ids, which are read as strings."""
-    monkeypatch.setattr(C, "_BLOCK_RECORDS", 8)
+    monkeypatch.setattr(C, "_BLOCK_CHARS", 500)
     lines = [json.dumps({"id": f"s{k}", "image_id": k // 4 if route == "integer" else f"i{k // 4}",
                          "split": C.VALID_SPLITS[k // 2 % 2], "text": "a dog"}, sort_keys=True)
              for k in range(20)]
@@ -751,9 +793,13 @@ def test_read_corpus_columns_shares_repeated_values_per_block(tmp_path, monkeypa
     columns = C.read_corpus_columns(tmp_path / "corpus.jsonl")
     assert columns.image_ids == [str(k // 4) if route == "integer" else f"i{k // 4}"
                                  for k in range(20)]
+    sizes = _block_sizes(tmp_path / "corpus.jsonl")
+    assert len(sizes) == 3
     parsed = [c[1] for c in calls if c[0] == "_parsed_columns"]
-    assert parsed == {"matched": [], "json": [8], "integer": [8, 8, 4]}[route]
-    _assert_shared_per_block(columns, 8)
+    # line 10 is the key-reordered one
+    assert parsed == {"matched": [], "json": [sizes[int(np.searchsorted(np.cumsum(sizes), 10))]],
+                      "integer": sizes}[route]
+    _assert_shared_per_block(columns, sizes)
 
 
 @st.composite
@@ -777,13 +823,18 @@ def corpus_lines(draw):
     return lines
 
 
+# reader blocks of a few characters, so that cuts land anywhere, or the
+# default
+block_chars = st.none() | st.integers(1, 200)
+
+
 @settings(max_examples=200, deadline=None)
-@given(corpus_lines(), st.sampled_from([1, 2, 3, None]))
+@given(corpus_lines(), block_chars)
 def test_corpus_reader_equals_per_line_reader(tmp_path_factory, lines, block):
     path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C, "_BLOCK_RECORDS", block or C._BLOCK_RECORDS)
+        mp.setattr(C, "_BLOCK_CHARS", block or C._BLOCK_CHARS)
         records = C.read_corpus_jsonl(path)
     assert records == read_corpus_per_line(path)
     cols = C.read_corpus_columns(path)
@@ -823,15 +874,16 @@ def test_corpus_reader_rejects_mutations_like_per_line_reader(tmp_path, name):
     path.write_text("\n \n".join(MUTATED_CORPORA[name]) + "\n\t\n")
     msg = _raises_same(path, C.read_corpus_jsonl, read_corpus_per_line)
     assert msg.startswith(f"{path}:")
-    assert C._matched_columns(C._CORPUS, [line.strip() for line in MUTATED_CORPORA[name]]) is None
+    lines = [line.strip() for line in MUTATED_CORPORA[name]]
+    assert C._matched_columns(C._CORPUS, "\n".join(lines)) is None
     canonical = [CANON % "a" if line == REC % "a" else line for line in MUTATED_CORPORA[name]]
-    assert C._matched_columns(C._CORPUS, canonical) is None
+    assert C._matched_columns(C._CORPUS, "\n".join(canonical)) is None
 
 
 def _spy_routes(monkeypatch) -> list:
     """Record each block's route and rule-set call as (function, records,
-    whether it gave columns): `_matched_columns` gives None for a block it
-    leaves to `_parsed_columns`."""
+    whether it gave columns): `_matched_columns` gives None for a text it
+    leaves to the next route, and counts the text's non-blank lines."""
     calls = []
 
     def spy(original, size):
@@ -841,8 +893,10 @@ def _spy_routes(monkeypatch) -> list:
             return out
         return wrapper
 
-    for name in ("_matched_columns", "_parsed_columns"):
-        monkeypatch.setattr(C, name, spy(getattr(C, name), lambda fmt, block: len(block)))
+    monkeypatch.setattr(C, "_matched_columns",
+                        spy(C._matched_columns, lambda fmt, text: _records(text)))
+    monkeypatch.setattr(C, "_parsed_columns",
+                        spy(C._parsed_columns, lambda fmt, block: len(block)))
     for name in ("_CORPUS", "_TABLE"):
         fmt = getattr(C, name)
         monkeypatch.setattr(C, name, dataclasses.replace(
@@ -863,15 +917,14 @@ def test_valid_files_take_the_one_parse_path(tmp_path, monkeypatch):
     # parsed and no record reaches the one-record step
     assert calls == [("_matched_columns", 4, True), ("_corpus_columns", 4, True),
                      ("_matched_columns", 4, True), ("_table_columns", 4, True)]
-    # in blocks of three records: one match and one check per block
+    # in blocks of one character, each run on to the end of its line: one
+    # match and one check per line
     calls.clear()
-    monkeypatch.setattr(C, "_BLOCK_RECORDS", 3)
+    monkeypatch.setattr(C, "_BLOCK_CHARS", 1)
     assert C.read_corpus_jsonl(tmp_path / "corpus.jsonl") == records
     assert C.read_table_jsonl(tmp_path / "table.jsonl") == table
-    assert calls == [("_matched_columns", 3, True), ("_corpus_columns", 3, True),
-                     ("_matched_columns", 1, True), ("_corpus_columns", 1, True),
-                     ("_matched_columns", 3, True), ("_table_columns", 3, True),
-                     ("_matched_columns", 1, True), ("_table_columns", 1, True)]
+    assert calls == ([("_matched_columns", 1, True), ("_corpus_columns", 1, True)] * 4
+                     + [("_matched_columns", 1, True), ("_table_columns", 1, True)] * 4)
 
 
 # a line that sends its block to the per-line parse: it matches no pattern
@@ -1034,12 +1087,14 @@ def test_table_reader_rejects_mutations_like_per_line_reader(tmp_path, name):
 
 
 # ---------------------------------------------------------------------------
-# Block boundaries: the readers and build_table with blocks of a few records
+# Block boundaries: the readers with blocks of a few characters
 
 
 @pytest.fixture(params=[2, 3])
 def small_blocks(request, monkeypatch):
-    monkeypatch.setattr(C, "_BLOCK_RECORDS", request.param)
+    """Reader blocks of 2 or 3 characters, each run on to the end of its
+    line: every line is a block of its own."""
+    monkeypatch.setattr(C, "_BLOCK_CHARS", request.param)
     return request.param
 
 
@@ -1056,6 +1111,46 @@ def test_table_reader_equals_per_line_reader_in_blocks(tmp_path, small_blocks):
     lines[7] = lines[7][:-1] + ', "extra": {"k": [1]}}'
     path.write_text("\n".join(lines))
     assert C.read_table_jsonl(path) == read_table_per_line(path) == table
+
+
+def _respaced(lines: list[str], form: str) -> bytes:
+    """A file of ``lines`` as UTF-8 in another layout: each line padded
+    with spaces and tabs, blank and whitespace lines after each line, CRLF
+    endings, or no final newline; "clean" and "escaped" keep the lines."""
+    if form == "padded":
+        lines = [f" \t{line}  " for line in lines]
+    if form == "blank-lines":
+        lines = [part for line in lines for part in (line, "", " \t ")]
+    end = "\r\n" if form == "crlf" else "\n"
+    text = end.join(lines) + ("" if form == "no-final-newline" else end)
+    return text.encode("utf-8")
+
+
+@pytest.mark.parametrize("form", ["clean", "escaped", "padded", "blank-lines", "crlf",
+                                  "no-final-newline"])
+def test_cut_blocks_read_like_one_json_loads_per_line(tmp_path, monkeypatch, form):
+    """Reader blocks of a few characters cut the lines anywhere; every
+    layout of the writers' lines reads as one ``json.loads`` per line,
+    through the pattern (on the text, or on its stripped lines), never
+    parsed."""
+    records = (_records_across_blocks()[:24] if form == "escaped" else
+               [C.SentenceRecord(f"s{k}", f"i{k // 4}", f"a dog {k}", C.VALID_SPLITS[k % 3],
+                                 [None, k][k % 2]) for k in range(24)])
+    ids = [r.id for r in records]
+    table = C.DescriptivenessTable(dict(zip(ids, np.linspace(0.0, 1.0, 24).tolist())),
+                                   dict(zip(ids, np.linspace(-3.0, 5e3, 24).tolist())), -3.0, 5e3)
+    written = _write(tmp_path, (_columns(records), table))
+    for path in written:
+        path.write_bytes(_respaced(path.read_text(encoding="utf-8").splitlines(), form))
+    corpus_path, table_path = written
+    for block in (1, 2, 5, 17, 64, 300, None):
+        monkeypatch.setattr(C, "_BLOCK_CHARS", block or C._BLOCK_CHARS)
+        calls = _spy_routes(monkeypatch)
+        assert C.read_corpus_jsonl(corpus_path) == read_corpus_per_line(corpus_path) == records
+        assert _bits(C.read_table_jsonl(table_path)) == _bits(read_table_per_line(table_path)) \
+            == _bits(table)
+        assert not [c for c in calls if c[0] == "_parsed_columns"]
+        monkeypatch.undo()
 
 
 # later-block faults: (lines, the message after "<path>:")
@@ -1139,26 +1234,25 @@ def _write(tmp, columns):
     return tmp / "corpus.jsonl", tmp / "table.jsonl"
 
 
-def _took_the_pattern(calls, records, block):
-    """Every block of a file of ``records`` records went through one match
-    and none was parsed (an empty file is one empty block)."""
+def _took_the_pattern(calls, path, header=False):
+    """Every block of the file went through one match and none was parsed
+    (an empty file is one empty block)."""
     routes = [c for c in calls if c[0] in ("_matched_columns", "_parsed_columns")]
-    return routes == [("_matched_columns", min(block, records - lo), True)
-                      for lo in range(0, records or 1, block)]
+    return routes == [("_matched_columns", n, True) for n in _block_sizes(path, header)]
 
 
 @settings(max_examples=100, deadline=None)
-@given(written_columns(), st.sampled_from([1, 2, 3, None]))
+@given(written_columns(), block_chars)
 def test_written_files_read_back_through_the_pattern(tmp_path_factory, columns, block):
     corpus_path, table_path = _write(tmp_path_factory.mktemp("written"), columns)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C, "_BLOCK_RECORDS", block or C._BLOCK_RECORDS)
+        mp.setattr(C, "_BLOCK_CHARS", block or C._BLOCK_CHARS)
         calls = _spy_routes(mp)
         assert C.read_corpus_columns(corpus_path) == columns[0]
-        assert _took_the_pattern(calls, len(columns[0].ids), C._BLOCK_RECORDS)
+        assert _took_the_pattern(calls, corpus_path)
         calls.clear()
         assert _bits(C.read_table_jsonl(table_path)) == _bits(columns[1])
-        assert _took_the_pattern(calls, len(columns[0].ids), C._BLOCK_RECORDS)
+        assert _took_the_pattern(calls, table_path, header=True)
 
 
 def _number(x: float) -> str:
@@ -1202,8 +1296,7 @@ def _same_as_oracle(path, reader, oracle, key=lambda x: x):
 
 
 @settings(max_examples=100, deadline=None)
-@given(written_columns(), st.lists(st.integers(0, 4), min_size=20, max_size=20),
-       st.sampled_from([1, 2, 3, None]))
+@given(written_columns(), st.lists(st.integers(0, 4), min_size=20, max_size=20), block_chars)
 def test_rewritten_lines_read_like_the_per_line_oracle(tmp_path_factory, columns, kinds, block):
     # each line rewritten or not by its own draw, so canonical and rewritten
     # lines share blocks and fill blocks of their own
@@ -1214,13 +1307,13 @@ def test_rewritten_lines_read_like_the_per_line_oracle(tmp_path_factory, columns
                         for k, line in enumerate(lines[head:])]
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C, "_BLOCK_RECORDS", block or C._BLOCK_RECORDS)
+        mp.setattr(C, "_BLOCK_CHARS", block or C._BLOCK_CHARS)
         _same_as_oracle(corpus_path, C.read_corpus_jsonl, read_corpus_per_line)
         _same_as_oracle(table_path, C.read_table_jsonl, read_table_per_line, key=_bits)
 
 
 # faults that a line in the writer's form can hold, each in the third block
-# of blocks of two: (corpus or table, line number, that line)
+# of blocks of two lines: (corpus or table, line number, that line)
 PATTERN_FAULTS = {
     "level-beyond-int64": (
         "corpus", 6, '{"id": "s5", "image_id": "i", "level": 1%s, "split": "train", '
@@ -1240,10 +1333,13 @@ def test_faults_on_the_pattern_route_are_named_like_the_oracle(tmp_path, monkeyp
                C.DescriptivenessTable(dict.fromkeys(ids, 0.5), dict.fromkeys(ids, 1.5), 1.0, 2.0))
     paths = dict(zip(("corpus", "table"), _write(tmp_path, columns)))
     lines = paths[kind].read_text().splitlines()
-    assert C._matched_columns(getattr(C, f"_{kind.upper()}"), [lines[lineno - 1]]) is not None
+    assert C._matched_columns(getattr(C, f"_{kind.upper()}"), lines[lineno - 1]) is not None
     lines[lineno - 1] = bad
     paths[kind].write_text("".join(line + "\n" for line in lines))
-    monkeypatch.setattr(C, "_BLOCK_RECORDS", 2)
+    # blocks of two lines: one character short of two good lines, run on to
+    # the end of the second
+    monkeypatch.setattr(C, "_BLOCK_CHARS", 2 * len(lines[lineno - 2]) + 1)
+    assert _block_sizes(paths[kind], header=kind == "table")[:3] == [2, 2, 2]
     calls = _spy_routes(monkeypatch)
     reader, oracle = ((C.read_corpus_jsonl, read_corpus_per_line) if kind == "corpus"
                       else (C.read_table_jsonl, read_table_per_line))
@@ -1289,6 +1385,6 @@ def test_integer_numbers_keep_the_json_route(tmp_path):
     # json.loads reads -0 as the integer 0, where float("-0") is -0.0
     path = tmp_path / "table.jsonl"
     path.write_text(TABLE_HEAD + '\n{"delta": -0, "id": "a", "raw": 2}\n')
-    assert C._matched_columns(C._TABLE, ['{"delta": -0, "id": "a", "raw": 2}']) is None
+    assert C._matched_columns(C._TABLE, '{"delta": -0, "id": "a", "raw": 2}') is None
     assert _bits(C.read_table_jsonl(path)) == _bits(read_table_per_line(path))
     assert C.read_table_jsonl(path).scores["a"].hex() == "0x0.0p+0"

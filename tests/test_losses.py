@@ -51,6 +51,20 @@ def test_batch_takes_geometrys_width_and_owner_checks():
         L.Batch(embs, embs, np.array([0, 1, 3]), np.full(3, 0.5))
 
 
+def test_batch_checks_its_owners_once(monkeypatch):
+    """A directly built Batch runs geometry's owner check once on an
+    ownership cache miss and not at all on a hit."""
+    calls = []
+    check = L.geometry.check_owners
+    monkeypatch.setattr(L.geometry, "check_owners", lambda *args: calls.append(args) or check(*args))
+    L._ownership.cache_clear()
+    embs = np.eye(3)
+    L.Batch(embs, embs, np.array([0, 2, 1]), np.full(3, 0.5))
+    assert len(calls) == 1
+    L.Batch(embs, embs, np.array([0, 2, 1]), np.full(3, 0.5))
+    assert len(calls) == 1
+
+
 def test_adaptive_margins_formulas():
     a_i2t, a_t2i = L.adaptive_margins(0.2, 0.8, 6.0)
     assert a_i2t == pytest.approx(1.0 / 6.0, abs=1e-15)
