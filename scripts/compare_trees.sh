@@ -2,9 +2,9 @@
 # Byte comparison of this tree against a base tree: a change to the library
 # must not move a byte of what the pipeline, synth, score, train (each loss
 # variant, and from f32 feature files), eval, gradcheck, the config echoes and
-# the ablation write, and scoring and loading may take at most 5% more peak
-# RSS and 1% more traced peak memory.  Exits non-zero at the first
-# difference.
+# the ablation write, nor of the errors that score and train print on faulty
+# inputs, and scoring and loading may take at most 5% more peak RSS and 1%
+# more traced peak memory.  Exits non-zero at the first difference.
 #
 # Usage:
 #     bash scripts/compare_trees.sh BASE_TREE [WORK_DIR]
@@ -146,6 +146,38 @@ rewrite(data / "escaped.jsonl", data / "mixed.jsonl")
 rewrite(data / "table.jsonl", data / "mixed-table.jsonl", head=1)
 EOF
 
+# faulty inputs: the 1100-image synth's corpus and table, each with one line
+# in the writers' form holding a value the readers reject, after the first
+# block of text a reader takes
+corpus_faults=(split-dev level-int64 repeated-id)
+table_faults=(delta-above-1 raw-inf)
+faulty_files=$(for f in "${corpus_faults[@]}" "${table_faults[@]}"; do echo "$f.err $f.exit"; done)
+rm -rf "$work/faulty"
+mkdir -p "$work/faulty"
+python - "$work/blocks-data" "$work/faulty" <<'EOF'
+import re, sys
+from pathlib import Path
+
+data, out = map(Path, sys.argv[1:])
+
+
+def fault(src, name, field, value, lineno=4300):
+    """``src`` with ``field`` of line ``lineno`` set to ``value`` (or, for
+    None, to the field's value on line 1) written as NAME.jsonl."""
+    lines = (data / src).read_text(encoding="utf-8").splitlines(True)
+    field_of = rf'"{field}": ([^,}}]+)'
+    value = value or re.search(field_of, lines[0]).group(1)
+    lines[lineno - 1] = re.sub(field_of, f'"{field}": {value}', lines[lineno - 1])
+    (out / f"{name}.jsonl").write_text("".join(lines), encoding="utf-8")
+
+
+fault("corpus.jsonl", "split-dev", "split", '"dev"')
+fault("corpus.jsonl", "level-int64", "level", str(2**63))
+fault("corpus.jsonl", "repeated-id", "id", None)
+fault("table.jsonl", "delta-above-1", "delta", "1.5")
+fault("table.jsonl", "raw-inf", "raw", "1e999")
+EOF
+
 # the head's pipeline data and train settings, and the 1000-image
 # pipeline's data and checkpoint, which later rows read
 pipe=$work/head/pipeline/data
@@ -259,6 +291,16 @@ gates=(
         | dm score --corpus "$blocks/escaped.jsonl" --out "$out/table.jsonl"'
     'mixed | base head | head/escaped | table.jsonl
         | dm score --corpus "$blocks/mixed.jsonl" --out "$out/table.jsonl"'
+    # each faulty input's error message and exit code
+    'faulty | base head | | $faulty_files
+        | for f in "${corpus_faults[@]}"; do \
+            must_fail "$out/$f" score --corpus "$work/faulty/$f.jsonl" --out "$out/$f.jsonl"; \
+          done; \
+          for f in "${table_faults[@]}"; do \
+            must_fail "$out/$f" train --corpus "$blocks/corpus.jsonl" \
+              --table "$work/faulty/$f.jsonl" --image-features "$blocks/images.manifest.json" \
+              --text-features "$blocks/texts.manifest.json" --epochs 1 --out "$out/$f-run"; \
+          done'
     'mixed-train | base head | | checkpoint.bin history.json
         | dm train --corpus "$blocks/corpus.jsonl" --table "$blocks/mixed-table.jsonl" \
             --image-features "$blocks/images.manifest.json" \
@@ -282,6 +324,16 @@ gates=(
 )
 
 dm() { python -m descmatch.cli "$@"; }
+
+# dm with the arguments after $1, which must fail: its stderr written to
+# $1.err and its exit code to $1.exit
+must_fail() {
+    local stem=$1 code=0
+    shift
+    dm "$@" > /dev/null 2> "$stem.err" || code=$?
+    echo "$code" > "$stem.exit"
+    [ "$code" -ne 0 ]
+}
 
 # the lines of file $1 written to $2 in a fixed shuffled order
 shuffle_lines() {

@@ -33,9 +33,10 @@ as iterating the file splits them (the file is read with universal
 newlines, so CRLF and CR endings arrive as newlines): those lines are
 matched the same way, and if one does not match they are parsed with one
 ``json.loads`` per line.  Either way the block's columns go through one
-call of the rule set, and ids must be unique over the whole file.  Only a file that fails is read again line
-by line, each record parsed and checked alone by the same rule set, so
-that the message names the file and the first bad line.
+call of the rule set, told whether they were matched, and ids must be
+unique over the whole file.  Only a file that fails is read again line by
+line, each record parsed and checked alone by the same rule set, so that
+the message names the file and the first bad line.
 
 Why the groups of a matched line are what ``json.loads(line)`` gives:
 
@@ -71,6 +72,17 @@ Why the groups of a matched line are what ``json.loads(line)`` gives:
    exactly these keys, none repeated (a repeated key would keep its last
    value).  A line without the optional level group has no ``level`` key,
    which both routes read as null.
+5. Types.  So a matched block's columns hold what a parsed block's hold
+   after the rule set's presence, type and conversion scans: every field
+   present, every id, image id, split and text a ``str``, every level an
+   ``int`` or None, every delta and raw a ``float``.  The rule set takes
+   such columns with ``typed`` true and skips those scans (`_present`,
+   `_require`, `_strings` and `_numbers`).  Every value check still runs
+   on every block: a split in `VALID_SPLITS`, a level in int64's range, a
+   finite delta and raw, a delta in [0, 1] and ids unique over the file;
+   and image ids and splits are still shared (`_shared`).  A check that
+   raises on a typed block sends the file to the line-by-line pass, as on
+   any other block, so the message and line number are that pass's.
 
 Memory: neither reader holds the whole file.  One block of text, its
 split and its groups (on the other route, also its stripped lines and
@@ -376,7 +388,7 @@ class _Format:
     line: re.Pattern       # the writer's line, anchored, one group per field
     groups: Callable       # group columns, whether a backslash occurs -> field columns
     fields: tuple          # (key, default or _MISSING), in the rule set's order
-    rules: Callable        # field columns -> output columns, ids first
+    rules: Callable        # field columns, whether matched -> output columns, ids first
     header: Callable | None = None  # (path, line 1) -> its value, if line 1 is a header
 
 
@@ -441,10 +453,10 @@ def _read_records(path, fmt: _Format) -> tuple[object, list[list]]:
     The text after the header is read in blocks of `_BLOCK_CHARS`
     characters, each run on to the end of its last line.  A block's columns
     are `_matched_columns` of its text, else of its stripped, non-blank
-    lines joined by newlines (columns are a dict that is never empty), else
+    lines joined by newlines, both typed (module docstring, point 5), else
     `_parsed_columns` of those lines.  They go through one call of
-    ``fmt.rules`` and are appended to the columns, so only one block of text
-    is alive at a time.
+    ``fmt.rules``, told whether they are typed, and are appended to the
+    columns, so only one block of text is alive at a time.
 
     Only if a byte is not UTF-8, the header or a line does not parse, the
     rules raise or an id repeats anywhere in the file is the file read
@@ -460,10 +472,12 @@ def _read_records(path, fmt: _Format) -> tuple[object, list[list]]:
             while (text := fh.read(_BLOCK_CHARS)) or not parts:
                 if not text.endswith("\n"):
                     text += fh.readline()
-                if (cols := _matched_columns(fmt, text)) is None:
+                cols = _matched_columns(fmt, text)
+                if cols is None:
                     lines = list(filter(None, map(str.strip, text.split("\n"))))
-                    cols = _matched_columns(fmt, "\n".join(lines)) or _parsed_columns(fmt, lines)
-                parts.append(fmt.rules(cols))
+                    cols = _matched_columns(fmt, "\n".join(lines))
+                typed = cols is not None
+                parts.append(fmt.rules(cols if typed else _parsed_columns(fmt, lines), typed))
         cols = [list(chain.from_iterable(col)) for col in zip(*parts)]
         if len(set(cols[0])) == len(cols[0]):
             return head, cols
@@ -477,7 +491,7 @@ def _read_records(path, fmt: _Format) -> tuple[object, list[list]]:
             if not line.strip():
                 continue
             try:
-                sid = fmt.rules(_parsed_columns(fmt, [_utf8(line).strip()]))[0][0]
+                sid = fmt.rules(_parsed_columns(fmt, [_utf8(line).strip()]), False)[0][0]
             except _FAULTS as exc:
                 raise ValueError(f"{path}:{lineno}: malformed {fmt.kind} record: {exc}") from exc
             if sid in first_line:
@@ -541,27 +555,31 @@ def _require_int64(levels: list) -> None:
         raise ValueError("'level' must be an integer in [-2**63, 2**63) or null")
 
 
-def _check_splits(splits: list) -> None:
-    """Raise ValueError naming the first split outside `VALID_SPLITS`."""
-    if not (_types(splits) <= {str} and set(splits) <= set(VALID_SPLITS)):
+def _check_splits(splits: list, typed: bool) -> None:
+    """Raise ValueError naming the first split outside `VALID_SPLITS`; the
+    type scan is skipped where every split is known to be a string."""
+    if not ((typed or _types(splits) <= {str}) and set(splits) <= set(VALID_SPLITS)):
         raise ValueError(f"bad split {next(s for s in splits if s not in VALID_SPLITS)!r}")
 
 
-def _corpus_columns(cols: dict) -> list[list]:
+def _corpus_columns(cols: dict, typed: bool) -> list[list]:
     """The corpus rule set: the id, image id, text, split and level columns
     of the field columns ``cols``, or an exception at the first fault.  The
     fields are checked in this order, so a record with several faults names
-    the same one whether it is checked alone or among others."""
-    splits = cols["split"]
-    _check_splits(splits)
-    levels = cols["level"]
-    ids, image_ids, texts = (_present(cols, key) for key in ("id", "image_id", "text"))
-    for name, values in (("id", ids), ("image_id", image_ids)):
-        _require(values, {str, int}, f"{name!r} must be a string or an integer")
-    _require(texts, {str}, "'text' must be a string")
-    _require(levels, {int, type(None)}, "'level' must be an integer or null")
+    the same one whether it is checked alone or among others.  Typed
+    columns (module docstring, point 5) skip the presence and type scans."""
+    splits, levels = cols["split"], cols["level"]
+    _check_splits(splits, typed)
+    ids, image_ids, texts = (cols[key] if typed else _present(cols, key)
+                             for key in ("id", "image_id", "text"))
+    if not typed:
+        for name, values in (("id", ids), ("image_id", image_ids)):
+            _require(values, {str, int}, f"{name!r} must be a string or an integer")
+        _require(texts, {str}, "'text' must be a string")
+        _require(levels, {int, type(None)}, "'level' must be an integer or null")
+        ids, image_ids = _strings(ids), _strings(image_ids)
     _require_int64(levels)
-    return [_strings(ids), _shared(_strings(image_ids)), texts, _shared(splits), levels]
+    return [ids, _shared(image_ids), texts, _shared(splits), levels]
 
 
 def _corpus_groups(groups: list[list], escaped: bool) -> dict:
@@ -632,7 +650,7 @@ def write_corpus_columns(path, columns: CorpusColumns) -> None:
     for name, values in (("id", c.ids), ("image_id", c.image_ids), ("split", c.splits),
                          ("text", c.texts)):
         _require(values, {str}, f"{name!r} must be a string, got {{}}")
-    _check_splits(c.splits)
+    _check_splits(c.splits, True)
     _require(c.levels, {int, type(None)}, "'level' must be an integer or null, got {}")
     _require_int64(c.levels)
     _check_unique(c.ids)
@@ -646,9 +664,10 @@ def write_table_jsonl(path, table: DescriptivenessTable) -> None:
     The bytes are those of ``json.dumps(row, sort_keys=True)`` per line:
     floats as ``float.__repr__``, ids through json's ASCII string encoder.
     Every id must be a string, every delta and raw and both extremes a
-    float (``np.float64`` included), every value finite and every delta in
-    [0, 1], as `read_table_jsonl` gives them; all are checked before the
-    file is opened.  A block's text is one join of its values, in C
+    float (``np.float64`` included), every value finite, every delta in
+    [0, 1] and raw_min at most raw_max, as `read_table_jsonl` gives them;
+    all are checked before the file is opened, the numbers as one float64
+    array per column.  A block's text is one join of its values, in C
     (`_table_block`).
     """
     ids = list(table.scores)
@@ -659,9 +678,16 @@ def write_table_jsonl(path, table: DescriptivenessTable) -> None:
     for name, values in (("delta", deltas), ("raw", raws), ("raw_min", extremes[:1]),
                          ("raw_max", extremes[1:])):
         _require(values, {float, np.float64}, f"{name!r} must be a float, got {{}}")
-    if not all(np.isfinite(v).all() for v in (deltas, raws, extremes)):
+    # one numeric array alive at a time, and none while the blocks are written
+    finite = all(np.isfinite(values).all() for values in (raws, extremes))
+    d = np.array(deltas, dtype=np.float64)
+    if not (finite and np.isfinite(d).all()):
         raise ValueError("cannot write a table holding a non-finite value")
-    _check_deltas(deltas)
+    _check_deltas(d)
+    del d
+    if table.raw_min > table.raw_max:
+        raise ValueError(f"cannot write a table whose raw_min {float(table.raw_min)!r} "
+                         f"exceeds its raw_max {float(table.raw_max)!r}")
     header = json.dumps({"raw_min": table.raw_min, "raw_max": table.raw_max}, sort_keys=True)
     _write_blocks(path, header + "\n", _table_block, [ids, deltas, raws])
 
@@ -706,25 +732,38 @@ def _numbers(values: list, name: str) -> list[float]:
     return values if _types(values) <= {float} else list(map(float, values))
 
 
-def _table_columns(cols: dict) -> list[list]:
+def _table_columns(cols: dict, typed: bool) -> list[list]:
     """The table rule set: the id, delta and raw columns of the field
     columns ``cols``, or an exception at the first fault, the fields
-    checked in a fixed order as in `_corpus_columns`."""
-    deltas = _numbers(_present(cols, "delta"), "delta")
-    ids = _present(cols, "id")
-    _require(ids, {str, int}, "'id' must be a string or an integer, got {}")
-    raws = _numbers(_present(cols, "raw"), "raw")
-    for name, values in (("delta", deltas), ("raw", raws)):
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise ValueError(f"{name!r} must be finite, got {values[int(np.argmin(finite))]!r}")
-    _check_deltas(deltas)
-    return [_strings(ids), deltas, raws]
+    checked in a fixed order as in `_corpus_columns`.  Typed columns skip
+    the presence, type and conversion scans; the value checks take one
+    float64 array per column."""
+    deltas, ids, raws = cols["delta"], cols["id"], cols["raw"]
+    if not typed:
+        deltas = _numbers(_present(cols, "delta"), "delta")
+        ids = _present(cols, "id")
+        _require(ids, {str, int}, "'id' must be a string or an integer, got {}")
+        raws = _numbers(_present(cols, "raw"), "raw")
+        ids = _strings(ids)
+    d = _finite(deltas, "delta")
+    _finite(raws, "raw")
+    _check_deltas(d)
+    return [ids, deltas, raws]
 
 
-def _check_deltas(deltas: list[float]) -> None:
-    """Raise ValueError naming the first delta outside [0, 1]."""
-    d = np.array(deltas)
+def _finite(values: list[float], name: str) -> np.ndarray:
+    """The floats of field ``name`` as a float64 array, or ValueError
+    naming the first that is not finite."""
+    a = np.array(values, dtype=np.float64)
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"{name!r} must be finite, got {values[int(np.argmin(finite))]!r}")
+    return a
+
+
+def _check_deltas(d: np.ndarray) -> None:
+    """Raise ValueError naming the first delta of the float64 array ``d``
+    outside [0, 1]."""
     inside = (d >= 0.0) & (d <= 1.0)
     if not inside.all():
         raise ValueError(f"'delta' must lie in [0, 1], got {d[np.argmin(inside)].item()!r}")
@@ -750,6 +789,9 @@ def _table_header(path, head: str) -> tuple[float, float]:
         raise ValueError(f"{path}:1: malformed table header: {exc}") from exc
     if not (math.isfinite(raw_min) and math.isfinite(raw_max)):
         raise ValueError(f"{path}:1: malformed table header: raw_min and raw_max must be finite")
+    if raw_min > raw_max:
+        raise ValueError(f"{path}:1: malformed table header: raw_min {raw_min!r} exceeds "
+                         f"raw_max {raw_max!r}")
     return raw_min, raw_max
 
 
@@ -766,8 +808,9 @@ def read_table_jsonl(path) -> DescriptivenessTable:
     """Header {"raw_min", "raw_max"} on line 1, then one {"id", "delta",
     "raw"} row per line: ``id`` a string or an integer (kept as its decimal
     string), the other values JSON numbers (not bools or strings).  A
-    malformed row, a non-finite value, a delta outside [0, 1], a byte that
-    is not UTF-8 or a repeated id raises ValueError naming the line."""
+    malformed row, a non-finite value, a delta outside [0, 1], a header
+    whose raw_min exceeds its raw_max, a byte that is not UTF-8 or a
+    repeated id raises ValueError naming the line."""
     (raw_min, raw_max), (ids, deltas, raws) = _read_records(path, _TABLE)
     return DescriptivenessTable(scores=dict(zip(ids, deltas)), raw_scores=dict(zip(ids, raws)),
                                 raw_min=raw_min, raw_max=raw_max)

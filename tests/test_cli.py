@@ -424,6 +424,21 @@ def test_score_rejects_duplicate_sentence_id(tmp_path, capsys):
     assert not (tmp_path / "t.jsonl").exists()
 
 
+def test_train_rejects_an_inverted_table_header(synth_dir, tmp_path, capsys):
+    head, rows = (synth_dir / "table.jsonl").read_text().split("\n", 1)
+    extremes = json.loads(head)
+    table = tmp_path / "table.jsonl"
+    table.write_text(json.dumps({"raw_max": extremes["raw_min"], "raw_min": extremes["raw_max"]})
+                     + "\n" + rows)
+    flags = _data_flags(synth_dir)
+    flags[flags.index("--table") + 1] = str(table)
+    code = cli.main(["train", *flags, "--out", str(tmp_path / "run"), "--epochs", "1",
+                     "--batch-size", "12", "--embed-dim", "8"])
+    assert code == 2
+    assert (f"{table}:1: malformed table header: raw_min {extremes['raw_max']!r} exceeds "
+            f"raw_max {extremes['raw_min']!r}") in capsys.readouterr().err
+
+
 def test_train_rejects_non_finite_features(synth_dir, tmp_path, capsys):
     ids, feats = geometry.read_features(synth_dir / "images.manifest.json")
     feats[3, 1] = np.nan

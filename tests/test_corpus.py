@@ -7,7 +7,7 @@ from collections import defaultdict
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import shared_oracles as oracles
 from descmatch import corpus as C
@@ -206,6 +206,18 @@ def test_table_header_values_must_be_numbers(tmp_path, value, want):
     with pytest.raises(ValueError) as exc:
         C.read_table_jsonl(path)
     assert str(exc.value) == f"{path}:1: malformed table header: {want}"
+
+
+def test_table_header_raw_min_must_not_exceed_raw_max(tmp_path):
+    path = tmp_path / "table.jsonl"
+    row = '{"delta": 0.5, "id": "a", "raw": 1.5}\n'
+    path.write_text('{"raw_max": 1.0, "raw_min": 2.0}\n' + row)
+    with pytest.raises(ValueError) as exc:
+        C.read_table_jsonl(path)
+    assert str(exc.value) == f"{path}:1: malformed table header: raw_min 2.0 exceeds raw_max 1.0"
+    # equal extremes, as a pool of equal raws gives them, are a table
+    path.write_text('{"raw_max": 1.5, "raw_min": 1.5}\n' + row)
+    assert C.read_table_jsonl(path).raw_min == 1.5
 
 
 def test_table_jsonl_round_trip_is_bit_exact(tmp_path):
@@ -730,10 +742,13 @@ def _bad_table(last_id, score, raw=1.0, raw_min=0.0):
     (_bad_table("x", 0.5, raw_min=np.float32(0.5)),
      r"'raw_min' must be a float, got (np\.float32\()?0\.5"),
     (_bad_table("x", 0.5, raw_min="0.5"), "'raw_min' must be a float, got \"0.5\""),
+    # an inverted header, which the reader rejects
+    (_bad_table("x", 0.5, raw_min=np.float64(2.0)),
+     "cannot write a table whose raw_min 2.0 exceeds its raw_max 1.0"),
 ], ids=["corpus-int-id", "table-int-id", "table-inf", "table-nan", "corpus-bad-split",
         "table-delta-above-1", "table-int-delta", "table-int-raw", "corpus-duplicate-id",
         "table-float32-delta", "table-bool-raw-min", "table-float32-raw-min",
-        "table-string-raw-min"])
+        "table-string-raw-min", "table-inverted-header"])
 @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
 def test_writers_check_every_block_before_opening(tmp_path, write, message, exists):
     """A fault in the last block raises before the first block is written:
@@ -746,21 +761,26 @@ def test_writers_check_every_block_before_opening(tmp_path, write, message, exis
     assert target.read_bytes() == b"kept\n" if exists else not target.exists()
 
 
-def _block_sizes(path, header=False) -> list[int]:
-    """The records of each block a reader cuts ``path`` into: a block is
-    the next `_BLOCK_CHARS` characters after the header, run on to the end
-    of its last line (an empty file is one empty block)."""
+def _blocks(path, header=False) -> list[str]:
+    """The blocks of text a reader cuts ``path`` into: a block is the next
+    `_BLOCK_CHARS` characters after the header, run on to the end of its
+    last line (an empty file is one empty block)."""
     text = path.read_text(encoding="utf-8")
     if header:
         text = text.partition("\n")[2]
-    sizes, lo = [], 0
-    while lo < len(text) or not sizes:
+    blocks, lo = [], 0
+    while lo < len(text) or not blocks:
         hi = lo + C._BLOCK_CHARS
         if not text[lo:hi].endswith("\n"):
             hi = text.find("\n", hi) + 1 or len(text)
-        sizes.append(_records(text[lo:hi]))
+        blocks.append(text[lo:hi])
         lo = hi
-    return sizes
+    return blocks
+
+
+def _block_sizes(path, header=False) -> list[int]:
+    """The records of each of `_blocks`."""
+    return list(map(_records, _blocks(path, header)))
 
 
 def _records(text: str) -> int:
@@ -900,7 +920,7 @@ def _spy_routes(monkeypatch) -> list:
     for name in ("_CORPUS", "_TABLE"):
         fmt = getattr(C, name)
         monkeypatch.setattr(C, name, dataclasses.replace(
-            fmt, rules=spy(fmt.rules, lambda cols: len(cols["id"]))))
+            fmt, rules=spy(fmt.rules, lambda cols, typed: len(cols["id"]))))
     return calls
 
 
@@ -1222,8 +1242,9 @@ def written_columns(draw):
                                     | st.integers(-2**63, 2**63 - 1)))
     raws = st.sampled_from(_FLOAT_EXTREMES) | st.floats(allow_nan=False, allow_infinity=False)
     deltas = column(st.sampled_from([0.0, -0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0))
+    raw_min, raw_max = sorted([draw(raws), draw(raws)])
     table = C.DescriptivenessTable(dict(zip(ids, deltas)), dict(zip(ids, column(raws))),
-                                   raw_min=draw(raws), raw_max=draw(raws))
+                                   raw_min=raw_min, raw_max=raw_max)
     return corpus, table
 
 
@@ -1351,6 +1372,129 @@ def test_faults_on_the_pattern_route_are_named_like_the_oracle(tmp_path, monkeyp
                if c[0] == "_matched_columns"]
     assert matched[:3] == [("_matched_columns", 2, True)] * 3
     assert all(ok for _, _, ok in matched)
+
+
+def _spy_typed(mp) -> dict:
+    """Record, per format, the ``typed`` flag of each rule-set call."""
+    typed = {}
+    for name in ("_CORPUS", "_TABLE"):
+        fmt = getattr(C, name)
+
+        def rules(cols, is_typed, rules=fmt.rules, flags=typed.setdefault(name, [])):
+            flags.append(is_typed)
+            return rules(cols, is_typed)
+
+        mp.setattr(C, name, dataclasses.replace(fmt, rules=rules))
+    return typed
+
+
+def _types_of(columns) -> list[list[type]]:
+    return [list(map(type, column)) for column in columns]
+
+
+@settings(max_examples=100, deadline=None)
+@given(written_columns().filter(lambda columns: columns[0].ids),
+       st.lists(st.booleans(), min_size=9, max_size=9), st.lists(st.booleans(), min_size=9,
+                                                                 max_size=9))
+def test_typed_and_parsed_routes_give_the_same_columns(tmp_path_factory, columns, integer,
+                                                       keep_null):
+    """The writers' lines take the typed route; the same records dumped
+    with their keys in reverse order take the parsed one.  Both read as
+    the same values of the same types, escaped strings included, an id
+    written as an integer read as its decimal string and a level left out
+    or null read as None."""
+    corpus, table = columns
+    ids = [str(k) if integer[k] else sid for k, sid in enumerate(corpus.ids)]
+    assume(len(set(ids)) == len(ids))
+    corpus.ids = ids
+    table = C.DescriptivenessTable(dict(zip(ids, table.scores.values())),
+                                   dict(zip(ids, table.raw_scores.values())),
+                                   table.raw_min, table.raw_max)
+    tmp = tmp_path_factory.mktemp("routes")
+    written = _write(tmp, (corpus, table))
+    reversed_paths = tmp / "corpus-reversed.jsonl", tmp / "table-reversed.jsonl"
+    for path, out, head in zip(written, reversed_paths, (0, 1)):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        objs = [json.loads(line) for line in lines[head:]]
+        for k, obj in enumerate(objs):
+            if "id" in obj and integer[k]:
+                obj["id"] = k
+            if "text" in obj and "level" not in obj and keep_null[k]:
+                obj["level"] = None
+        out.write_text("".join(line + "\n" for line in lines[:head] + [
+            json.dumps(dict(reversed(obj.items()))) for obj in objs]), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        typed = _spy_typed(mp)
+        got = [(C.read_corpus_columns(path), C.read_table_jsonl(table_path))
+               for path, table_path in (written, reversed_paths)]
+    assert typed == {"_CORPUS": [True, False], "_TABLE": [True, False]}
+    (typed_corpus, typed_table), (parsed_corpus, parsed_table) = got
+    assert typed_corpus == parsed_corpus == corpus
+    assert _bits(typed_table) == _bits(parsed_table) == _bits(table)
+    corpus_types = _types_of(dataclasses.astuple(typed_corpus))
+    assert corpus_types == _types_of(dataclasses.astuple(parsed_corpus))
+    assert {t for column in corpus_types[:4] for t in column} <= {str}
+    assert set(corpus_types[4]) <= {int, type(None)}
+    for tables in ((typed_table.scores, parsed_table.scores),
+                   (typed_table.raw_scores, parsed_table.raw_scores)):
+        assert [_types_of([t.keys(), t.values()]) for t in tables] == \
+            [[[str] * len(ids), [float] * len(ids)]] * 2
+
+
+# value faults in the writer's form, each the only fault of its file:
+# (corpus or table, the field set on one line, its value as written, the
+# message after "<path>:<line>: ")
+TYPED_FAULTS = {
+    "split": ("corpus", "split", '"dev"', "malformed corpus record: bad split 'dev'"),
+    "level": ("corpus", "level", "9223372036854775808",
+              "malformed corpus record: 'level' must be an integer in [-2**63, 2**63) or null"),
+    "delta": ("table", "delta", "1.5",
+              "malformed table record: 'delta' must lie in [0, 1], got 1.5"),
+    "raw": ("table", "raw", "1e999", "malformed table record: 'raw' must be finite, got inf"),
+    "repeated-id": ("corpus", "id", '"s00007"',
+                    "duplicate sentence id 's00007' (first on line 8)"),
+}
+
+
+def _typed_fault_files(tmp_path, n: int):
+    """A corpus and a table of ``n`` records in the writers' form."""
+    ids = [f"s{k:05d}" for k in range(n)]
+    columns = (C.CorpusColumns(ids, [f"i{k // 4}" for k in range(n)], ["a dog on a mat"] * n,
+                               ["train"] * n, [k % 4 + 1 for k in range(n)]),
+               C.DescriptivenessTable(dict.fromkeys(ids, 0.5), dict.fromkeys(ids, 1.5), 1.0, 2.0))
+    return dict(zip(("corpus", "table"), _write(tmp_path, columns)))
+
+
+@pytest.mark.parametrize("case", list(TYPED_FAULTS))
+def test_value_checks_fire_on_a_matched_block(tmp_path, monkeypatch, case):
+    """A matched block's columns skip the rule set's type scans but not its
+    value checks: a fault in the writer's form, in a block after the first
+    of the default size, is named with the line-by-line pass's message."""
+    kind, field, value, want = TYPED_FAULTS[case]
+    # table rows are about 43 characters, so each file spans two blocks or more
+    path = _typed_fault_files(tmp_path, C._BLOCK_CHARS // 30)[kind]
+    header = kind == "table"
+    lines = path.read_text().splitlines()
+    lineno = len(lines) - 500
+    bad = re.sub(rf'"{field}": [^,}}]+', f'"{field}": {value}', lines[lineno - 1])
+    assert bad != lines[lineno - 1]
+    lines[lineno - 1] = bad
+    path.write_text("".join(line + "\n" for line in lines))
+    blocks = _blocks(path, header)
+    sizes = np.cumsum(list(map(_records, blocks)))
+    at = int(np.searchsorted(sizes, lineno - header, side="left"))
+    assert at >= 1
+    name = "_TABLE" if header else "_CORPUS"
+    assert C._matched_columns(getattr(C, name), blocks[at]) is not None
+    assert bad in blocks[at].splitlines()
+    typed = _spy_typed(monkeypatch)[name]
+    reader = C.read_table_jsonl if header else C.read_corpus_columns
+    with pytest.raises(ValueError) as exc:
+        reader(path)
+    assert str(exc.value) == f"{path}:{lineno}: {want}"
+    # the first pass gave the rule set every block typed, up to the bad one
+    # (or, for a repeat, all of them)
+    assert typed[:at + 1] == [True] * (at + 1)
 
 
 @pytest.mark.parametrize("kind, lineno, bad", [("corpus", 5, 0xff), ("table", 6, 0xfe),
